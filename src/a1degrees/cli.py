@@ -21,6 +21,7 @@ from .poly import Ideal, ParseError, PolyRing
 
 _FIELD_RE = re.compile(r"^(QQ|RR|CC)$|^GF\((\d+)\)$")
 _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RESIDUE_TERM_RE = re.compile(r"(\d+)|(?:(\d+)\*)?t(?:\^(\d+))?")
 
 
 def parse_field(text: str) -> FieldDesc:
@@ -153,14 +154,13 @@ def gwclass_to_json(beta: forms.GWClass, extra: dict | None = None) -> dict:
         "gram": [[str(c) for c in row] for row in beta.gram],
         "rank": beta.rank,
     }
-    kind = beta.field.kind
-    if kind in ("QQ", "RR"):
-        out["signature"] = forms.get_signature(beta)
+    inv = forms.get_invariants(beta)
+    if inv.signature is not None:
+        out["signature"] = inv.signature
     if beta.rank:
-        out["discriminant"] = str(forms.get_discriminant(beta))
-    if kind == "QQ":
-        out["hasse_witt"] = {str(p): forms.hasse_witt_invariant(beta, p)
-                             for p in forms.hasse_witt_primes(beta)}
+        out["discriminant"] = str(inv.discriminant)
+    if inv.hasse_witt is not None:
+        out["hasse_witt"] = {str(p): v for p, v in sorted(inv.hasse_witt.items())}
     if extra:
         out.update(extra)
     return out
@@ -175,12 +175,15 @@ def gwclass_from_json(obj: dict) -> forms.GWClass:
 def _entry_from_str(s: str, field: FieldDesc):
     if field.kind != "GF":
         return Fraction(s)
-    # Entries render as residue polynomials in t.
-    ring = PolyRing(QQ, ("t",))
-    poly = ring.from_string(s.replace("t", "t") if s else "0")
+    # Entries render as residue polynomials in t: terms c, t, c*t, t^i, c*t^i.
     coeffs = [0] * field.degree
-    for e, c in poly.terms.items():
-        coeffs[e[0]] = c.numerator % field.char
+    for term in s.split("+"):
+        m = _RESIDUE_TERM_RE.fullmatch(term.strip())
+        i = (0 if m.group(1) else int(m.group(3) or 1)) if m else field.degree
+        if i >= field.degree:
+            raise ParseError(f"bad {field} entry {s!r}; expected terms c*t^i "
+                             f"with i < {field.degree}", 0)
+        coeffs[i] += int(m.group(1) or m.group(2) or 1)
     return field.coerce(tuple(coeffs))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldDesc
 from .forms import GWClass, empty_form, make_gw_class
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, exact_quotient,
                    groebner_basis, ideal_quotient, normal_form, saturation,

@@ -9,15 +9,16 @@ signature, discriminant and all Hasse-Witt invariants over QQ.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
-from .fields import (CC, QQ, RR, FFElement, FieldDesc, fraction_sqrt, is_prime,
-                     is_square, legendre_symbol, odd_prime_support,
-                     padic_valuation, rational_unit_mod, squarefree_part)
+from .fields import (QQ, FFElement, FieldDesc, factorize, fraction_sqrt,
+                     is_prime, is_square, legendre_symbol, padic_valuation,
+                     rational_unit_mod, squarefree_part)
 
 __all__ = [
     "GWClass",
@@ -47,7 +48,8 @@ class GWClass:
     """A symmetric nondegenerate Gram matrix with its field tag.
 
     Built through :func:`make_gw_class`, which validates; rank-0 classes
-    exist only as outputs of the Witt-decomposition machinery.
+    exist only as outputs of the Witt-decomposition machinery.  The
+    diagonal and the invariants are computed once, on first use.
     """
 
     field: FieldDesc
@@ -57,9 +59,17 @@ class GWClass:
     def rank(self) -> int:
         return len(self.gram)
 
-    def diagonal_entries(self) -> list:
+    @functools.cached_property
+    def _diagonal(self) -> tuple:
         d, _ = diagonalize(self)
-        return [d.gram[i][i] for i in range(d.rank)]
+        return tuple(d.gram[i][i] for i in range(d.rank))
+
+    @functools.cached_property
+    def _invariants(self) -> "InvariantBundle":
+        return _square_class_invariants(self)
+
+    def diagonal_entries(self) -> list:
+        return list(self._diagonal)
 
     def __str__(self):
         if not self.gram:
@@ -261,14 +271,10 @@ def get_rank(beta: GWClass) -> int:
     return beta.rank
 
 
-def _sign(x: Fraction) -> int:
-    return 1 if x > 0 else -1
-
-
 def get_signature(beta: GWClass) -> int:
     if beta.field.kind not in ("QQ", "RR"):
         raise ValueError("signature undefined over this field")
-    return sum(_sign(d) for d in beta.diagonal_entries())
+    return beta._invariants.signature
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,19 +292,7 @@ def get_discriminant(beta: GWClass):
     Squarefree integer over QQ, +-1 over RR, 1 over CC, and 1 or the fixed
     smallest nonsquare over GF(q).
     """
-    if beta.rank == 0:
-        return beta.field.one() if beta.field.kind == "GF" else 1
-    det = field_det(beta.gram, beta.field)
-    kind = beta.field.kind
-    if kind == "QQ":
-        return squarefree_part(det)
-    if kind == "RR":
-        return _sign(det)
-    if kind == "CC":
-        return 1
-    if is_square(det, beta.field):
-        return beta.field.one()
-    return canonical_nonsquare(beta.field)
+    return beta._invariants.discriminant
 
 
 def hilbert_symbol(a, b, p: int) -> int:
@@ -331,15 +325,17 @@ def hilbert_symbol(a, b, p: int) -> int:
     return -1 if (eps_u * eps_v + alpha * om_v + beta * om_u) % 2 else 1
 
 
-def hasse_witt_invariant(beta: GWClass, p: int) -> int:
-    """Product of the pairwise Hilbert symbols of a diagonalization."""
+def _hasse_witt_record(beta: GWClass) -> dict:
     if beta.field.kind != "QQ":
         raise ValueError("Hasse-Witt invariants are defined over QQ only")
-    diag = beta.diagonal_entries()
-    result = 1
-    for i, j in itertools.combinations(range(len(diag)), 2):
-        result *= hilbert_symbol(diag[i], diag[j], p)
-    return result
+    return beta._invariants.hasse_witt
+
+
+def hasse_witt_invariant(beta: GWClass, p: int) -> int:
+    """Product of the pairwise Hilbert symbols of a diagonalization."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _hasse_witt_record(beta).get(p, 1)
 
 
 def hasse_witt_primes(beta: GWClass) -> list[int]:
@@ -348,10 +344,7 @@ def hasse_witt_primes(beta: GWClass) -> list[int]:
     A superset of the primes where the invariant can be -1; extra entries
     evaluate to +1 and are harmless.
     """
-    primes = {2}
-    for d in beta.diagonal_entries():
-        primes.update(odd_prime_support(d))
-    return sorted(primes)
+    return list(_hasse_witt_record(beta))
 
 
 @dataclass(frozen=True, eq=True)
@@ -368,35 +361,58 @@ class InvariantBundle:
                 raise ValueError("signature incompatible with rank")
 
 
+def _square_class_invariants(beta: GWClass) -> InvariantBundle:
+    """The invariants of a class; over QQ/RR from its squarefree diagonal.
+
+    Over QQ the running discriminant d_j = a_1 ... a_j (squarefree, via
+    gcds) ends at the discriminant, and prod_{i<j} (a_i, a_j)_p equals
+    prod_j (d_{j-1}, a_j)_p.  Hasse-Witt is recorded, ascending, at 2 and
+    at the odd primes of the entries; elsewhere every a_i is a p-adic unit.
+    """
+    field, rank = beta.field, beta.rank
+    if field.kind == "GF":
+        if rank and not is_square(field_det(beta.gram, field), field):
+            return InvariantBundle(rank, None, canonical_nonsquare(field), None)
+        return InvariantBundle(rank, None, field.one(), None)
+    if field.kind == "CC":
+        return InvariantBundle(rank, None, 1, None)
+    entries = [a.numerator for a in beta._diagonal]
+    signature = sum(1 if a > 0 else -1 for a in entries)
+    if field.kind == "RR":
+        negatives = (rank - signature) // 2
+        return InvariantBundle(rank, signature, (-1) ** negatives, None)
+    primes = sorted({2}.union(*(factorize(a) for a in entries)))
+    hasse_witt = dict.fromkeys(primes, 1)
+    d = 1
+    for a in entries:
+        for p in primes:
+            hasse_witt[p] *= hilbert_symbol(d, a, p)
+        g = gcd(d, a)
+        d = d * a // (g * g)
+    return InvariantBundle(rank, signature, d, hasse_witt)
+
+
 def get_invariants(beta: GWClass) -> InvariantBundle:
-    kind = beta.field.kind
-    signature = get_signature(beta) if kind in ("QQ", "RR") else None
-    hw = None
-    if kind == "QQ":
-        hw = {p: hasse_witt_invariant(beta, p) for p in hasse_witt_primes(beta)}
-    return InvariantBundle(beta.rank, signature, get_discriminant(beta), hw)
+    inv = beta._invariants
+    if inv.hasse_witt is None:
+        return inv
+    # A copy, so a caller's edits cannot reach the class's record.
+    return dataclasses.replace(inv, hasse_witt=dict(inv.hasse_witt))
+
+
+def classifying_key(inv: InvariantBundle) -> tuple:
+    """Rank, signature, discriminant and the primes where Hasse-Witt is -1:
+    equal exactly for isomorphic classes over one field (Hasse-Minkowski)."""
+    hw = inv.hasse_witt
+    minus = None if hw is None else frozenset(p for p, t in hw.items() if t == -1)
+    return inv.rank, inv.signature, inv.discriminant, minus
 
 
 def is_isomorphic_form(b1: GWClass, b2: GWClass) -> bool:
     """Classification by invariants over the relevant field."""
     if b1.field != b2.field:
         raise ValueError("field mismatch")
-    if b1.rank != b2.rank:
-        return False
-    kind = b1.field.kind
-    if kind == "CC":
-        return True
-    if kind == "RR":
-        return get_signature(b1) == get_signature(b2)
-    if kind == "GF":
-        return get_discriminant(b1) == get_discriminant(b2)
-    if get_signature(b1) != get_signature(b2):
-        return False
-    if get_discriminant(b1) != get_discriminant(b2):
-        return False
-    primes = set(hasse_witt_primes(b1)) | set(hasse_witt_primes(b2))
-    return all(hasse_witt_invariant(b1, p) == hasse_witt_invariant(b2, p)
-               for p in primes)
+    return classifying_key(b1._invariants) == classifying_key(b2._invariants)
 
 
 def base_change(beta: GWClass, target: FieldDesc) -> GWClass:

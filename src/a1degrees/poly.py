@@ -9,12 +9,12 @@ built by users are always grevlex.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldDesc, FFElement
+from .forms import field_det
 
 __all__ = [
     "ParseError",
@@ -487,7 +487,7 @@ def _buchberger(ring: PolyRing, gens) -> list:
     return reduced
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _groebner_cached(ideal: Ideal) -> GroebnerBasis:
     basis = _buchberger(ideal.ring, ideal.generators)
     return GroebnerBasis(ideal, tuple(basis), ideal.ring.order)
@@ -522,7 +522,6 @@ def _intersect(ring: PolyRing, gens1, gens2) -> list:
     mixed = [t * f.map_to(ext, up) for f in gens1 if f]
     mixed += [(ext.one() - t) * g.map_to(ext, up) for g in gens2 if g]
     gb = groebner_basis(Ideal(ext, tuple(mixed)))
-    down = list(range(ring.nvars))
     out = []
     for g in gb.basis:
         if all(e[0] == 0 for e in g.terms):
@@ -608,27 +607,6 @@ def standard_monomials(G: GroebnerBasis) -> list:
 # Resultants.
 
 
-def _field_det(rows, field):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = field.one()
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return field.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = field.one() / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                fac = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - fac * a[k][j]
-    return det
-
-
 def _sylvester_resultant(fdesc, gdesc, field):
     m, n = len(fdesc) - 1, len(gdesc) - 1
     if m == 0 and n == 0:
@@ -639,7 +617,7 @@ def _sylvester_resultant(fdesc, gdesc, field):
         rows.append([field.zero()] * i + gdesc + [field.zero()] * (size - n - 1 - i))
     for i in range(n):
         rows.append([field.zero()] * i + fdesc + [field.zero()] * (size - m - 1 - i))
-    return _field_det(rows, field)
+    return field_det(rows, field)
 
 
 def resultant_univariate(f: Polynomial, g: Polynomial):

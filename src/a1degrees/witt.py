@@ -12,13 +12,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (QQ, FieldDesc, is_padic_square, is_prime, is_square,
+from .fields import (QQ, is_padic_square, is_prime, is_square,
                      odd_prime_support, squarefree_part)
-from .forms import (GWClass, add_gw, canonical_nonsquare, empty_form,
-                    get_discriminant, get_invariants, get_signature,
-                    hasse_witt_invariant, hasse_witt_primes, hilbert_symbol,
-                    is_isomorphic_form, make_diagonal_form,
-                    make_hyperbolic_form)
+from .forms import (GWClass, InvariantBundle, add_gw, canonical_nonsquare,
+                    classifying_key, empty_form, get_discriminant,
+                    get_invariants, get_signature, hasse_witt_invariant,
+                    hasse_witt_primes, hilbert_symbol, is_isomorphic_form,
+                    make_diagonal_form, make_hyperbolic_form)
 
 __all__ = [
     "DecompositionReport",
@@ -231,13 +231,9 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> list[int]:
     entries = _realize_recursive(rank, sig, disc, eps)
     if entries is None:
         raise AssertionError("could not realize the prescribed invariants")
-    candidate = make_diagonal_form(QQ, entries)
-    inv = get_invariants(candidate)
-    if inv.signature != sig or inv.discriminant != disc:
-        raise AssertionError("realized form has the wrong invariants")
-    primes = set(eps) | set(hasse_witt_primes(candidate))
-    if any(hasse_witt_invariant(candidate, p) != eps.get(p, 1)
-           for p in primes):
+    realized = get_invariants(make_diagonal_form(QQ, entries))
+    if classifying_key(realized) != \
+            classifying_key(InvariantBundle(rank, sig, disc, eps)):
         raise AssertionError("realized form has the wrong invariants")
     return entries
 
@@ -266,18 +262,17 @@ def anisotropic_part(beta: GWClass) -> GWClass:
         if dim == 1:
             return make_diagonal_form(field, [rep])
         return make_diagonal_form(field, [field.one(), rep])
-    # QQ: push the invariants of beta through the n hyperbolic splits.
-    d = Fraction(get_discriminant(beta))
-    d_a = squarefree_part(d * (-1) ** n)
-    sig = get_signature(beta)
+    # QQ: push the invariants of beta through the n hyperbolic splits.  The
+    # odd primes of d_a divide beta's diagonal, so the record covers them.
+    inv = get_invariants(beta)
+    d_a = inv.discriminant * (-1) ** n
     eps = {}
-    for p in hasse_witt_primes(beta) + odd_prime_support(d_a):
-        t = hasse_witt_invariant(beta, p)
+    for p, t in inv.hasse_witt.items():
         if n * (n - 1) // 2 % 2:
             t *= hilbert_symbol(-1, -1, p)
         t *= hilbert_symbol(d_a, (-1) ** n, p)
         eps[p] = t
-    entries = _realize_rational(dim, sig, d_a, eps)
+    entries = _realize_rational(dim, inv.signature, d_a, eps)
     result = make_diagonal_form(QQ, entries)
     rebuilt = result if n == 0 else add_gw(result, make_hyperbolic_form(QQ, 2 * n))
     if not is_isomorphic_form(rebuilt, beta):

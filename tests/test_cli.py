@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from a1degrees import cli
+from a1degrees import cli, forms
 from a1degrees.fields import QQ, gf_construct
+from a1degrees.poly import ParseError
 from a1degrees.forms import (is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
 from a1degrees.witt import sum_decomposition
@@ -169,6 +170,42 @@ def test_json_round_trip(capsys, argv):
     again = cli.gwclass_to_json(beta)
     assert again["gram"] == obj["gram"]
     assert again["field"] == obj["field"]
+
+
+def test_gf_entries_parse_back_from_their_rendering():
+    for q in (9, 27):
+        field = cli.parse_field(f"GF({q})")
+        for a in field.elements():
+            assert cli._entry_from_str(str(a), field) == a
+
+
+@pytest.mark.parametrize("entry", ["t^2", "t^3", "2*x", "t^", "1 +", "t*t", ""])
+def test_gf_entry_parse_rejects_bad_terms(entry):
+    with pytest.raises(ParseError):
+        cli.gwclass_from_json({"field": {"name": "GF(9)"}, "gram": [[entry]]})
+
+
+RANK8 = ("[[1,-2,-1,0,1,2,3,-3],[-2,6,-1,3,0,-3,1,-2],[-1,-1,3,-1,-1,-1,-1,-1],"
+         "[0,3,-1,6,-2,1,-3,0],[1,0,-1,-2,1,3,2,1],[2,-3,-1,1,3,2,0,2],"
+         "[3,1,-1,-3,2,0,2,3],[-3,-2,-1,0,1,2,3,1]]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree", "global", "--field", "QQ", "--vars", "x", "--polys", QUARTIC),
+    ("form", "invariants", "--field", "QQ", "--matrix", RANK8),
+])
+def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
+    calls = []
+    original = forms.diagonalize
+
+    def counting(beta):
+        calls.append(beta.rank)
+        return original(beta)
+
+    monkeypatch.setattr(forms, "diagonalize", counting)
+    obj = run_json(capsys, *argv)
+    assert "hasse_witt" in obj
+    assert calls == [obj["rank"]]
 
 
 def test_json_carries_invariants(capsys):

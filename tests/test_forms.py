@@ -262,6 +262,49 @@ def test_hasse_witt_additivity():
                 hilbert_symbol(d1, d2, p)
 
 
+def _pairwise_hasse_witt(entries, p):
+    result = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            result *= hilbert_symbol(entries[i], entries[j], p)
+    return result
+
+
+def test_hasse_witt_matches_pairwise_product_on_random_forms():
+    # Diagonal forms and dense forms congruent to them, against the
+    # pairwise product of the original entries at every prime up to 31,
+    # including primes outside hasse_witt_primes.
+    rng = random.Random(29)
+    vals = [v for v in range(-40, 41) if v]
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        entries = [Fraction(rng.choice(vals), rng.choice((1, 1, 2, 4, 9, 15)))
+                   for _ in range(n)]
+        beta = diag(entries)
+        if trial % 2:
+            p_mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            for _ in range(8):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    c = rng.randint(-3, 3)
+                    for k in range(n):
+                        p_mat[k][j] += c * p_mat[k][i]
+            beta = make_gw_class(
+                [[sum(p_mat[k][i] * entries[k] * p_mat[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)], QQ)
+        recorded = set(hasse_witt_primes(beta))
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            expected = _pairwise_hasse_witt(entries, p)
+            assert hasse_witt_invariant(beta, p) == expected, (entries, p)
+            if p not in recorded:
+                assert expected == 1, (entries, p)
+
+
+def test_hasse_witt_rejects_non_prime():
+    with pytest.raises(ValueError):
+        hasse_witt_invariant(diag([3]), 4)
+
+
 # -- isomorphism -------------------------------------------------------------
 
 
