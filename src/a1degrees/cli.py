@@ -43,7 +43,11 @@ def parse_scalar(text: str, position: int = 0) -> Fraction:
     if not _SCALAR_RE.match(text):
         raise ParseError(f"bad entry {text!r}; integers and fractions a/b only",
                          position)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"bad entry {text!r}; zero denominator",
+                         position) from None
 
 
 def parse_matrix(text: str) -> list[list[Fraction]]:
@@ -174,7 +178,7 @@ def gwclass_from_json(obj: dict) -> forms.GWClass:
 
 def _entry_from_str(s: str, field: FieldDesc):
     if field.kind != "GF":
-        return Fraction(s)
+        return parse_scalar(s)
     # Entries render as residue polynomials in t: terms c, t, c*t, t^i, c*t^i.
     coeffs = [0] * field.degree
     for term in s.split("+"):

@@ -9,11 +9,11 @@ matrix off the standard-monomial (or local-algebra) basis grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .forms import GWClass, empty_form, make_gw_class
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, exact_quotient,
-                   groebner_basis, ideal_quotient, normal_form, saturation,
-                   standard_monomials)
+                   groebner_basis, normal_form, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -167,27 +167,44 @@ def global_a1_degree(system: EndoSystem) -> GWClass:
     return _degree_from_basis(system, gb)
 
 
-def _local_ideal(system: EndoSystem, point: Ideal) -> Ideal:
+def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
+    """I + m^k at the first k where dim Q/(I + m^k) stops growing.
+
+    Then m^k = m^(k+1) locally, so by Nakayama I + m^k is the m-primary
+    component of I.  Refined Bezout caps an isolated multiplicity at
+    prod(deg f_i); a larger dimension means the zeros are not isolated.
+    """
     ring = system.ring
     if point.ring != ring:
         raise ValueError("polynomial ring mismatch")
-    mgb = groebner_basis(point)
+    gb = groebner_basis(point)
     for f in system.polys:
-        if normal_form(f, mgb):
+        if normal_form(f, gb):
             raise ValueError("point not in zero locus")
-    ideal = Ideal(ring, system.polys)
-    away = saturation(ideal, point)
-    return ideal_quotient(ideal, away)
+    bezout = prod(f.total_degree() for f in system.polys)
+    dim = len(standard_monomials(gb))
+    while True:
+        gb = groebner_basis(Ideal(ring, system.polys + tuple(
+            g * m for g in gb.basis for m in point.generators)))
+        grown = len(standard_monomials(gb))
+        if grown == dim:
+            return gb
+        if grown > bezout:
+            raise ValueError("zeros are not isolated")
+        dim = grown
 
 
 def local_algebra_basis(system: EndoSystem, point: Ideal) -> LocalAlgebraBasis:
-    """A basis of the local algebra at the point, via (I : (I : m^inf))."""
-    local = _local_ideal(system, point)
-    mons = standard_monomials(groebner_basis(local))
-    return LocalAlgebraBasis(point, local, tuple(mons))
+    """A basis of the local algebra at the point, read off I + m^k.
+
+    The paper's (I : (I : m^inf)) is the same ideal; `poly.ideal_quotient`
+    and `poly.saturation` keep it as public API and as the tests' oracle.
+    """
+    gb = _local_ideal(system, point)
+    return LocalAlgebraBasis(point, Ideal(system.ring, gb.basis),
+                             tuple(standard_monomials(gb)))
 
 
 def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
     """Local degree: the global pipeline run against the local algebra."""
-    local = _local_ideal(system, point)
-    return _degree_from_basis(system, groebner_basis(local))
+    return _degree_from_basis(system, _local_ideal(system, point))

@@ -194,7 +194,11 @@ def is_padic_square(r, p: int) -> bool:
 
 def odd_prime_support(r) -> list[int]:
     """Odd primes dividing the square class of a nonzero rational."""
-    return sorted(p for p in factorize(abs(squarefree_part(r))) if p != 2)
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("zero has no square class")
+    return sorted(p for p, e in factorize(r.numerator * r.denominator).items()
+                  if e % 2 and p != 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ built by users are always grevlex.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -487,15 +486,10 @@ def _buchberger(ring: PolyRing, gens) -> list:
     return reduced
 
 
-@functools.lru_cache(maxsize=256)
-def _groebner_cached(ideal: Ideal) -> GroebnerBasis:
-    basis = _buchberger(ideal.ring, ideal.generators)
-    return GroebnerBasis(ideal, tuple(basis), ideal.ring.order)
-
-
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     """Unique reduced Groebner basis for the ring's monomial order."""
-    return _groebner_cached(ideal)
+    basis = _buchberger(ideal.ring, ideal.generators)
+    return GroebnerBasis(ideal, tuple(basis), ideal.ring.order)
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
@@ -510,13 +504,9 @@ def normal_form(f: Polynomial, G) -> Polynomial:
 # Colon ideals, saturation, quotient bases.
 
 
-def _extended_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(ring.field, ("@t",) + ring.variables, order="elim1")
-
-
 def _intersect(ring: PolyRing, gens1, gens2) -> list:
     """Generators of the intersection of two ideals, via one tag variable."""
-    ext = _extended_ring(ring)
+    ext = PolyRing(ring.field, ("@t",) + ring.variables, order="elim1")
     up = list(range(1, ring.nvars + 1))
     t = ext.variable(0)
     mixed = [t * f.map_to(ext, up) for f in gens1 if f]
@@ -529,15 +519,6 @@ def _intersect(ring: PolyRing, gens1, gens2) -> list:
     return out
 
 
-def _quotient_principal(I: Ideal, g: Polynomial) -> list:
-    meet = _intersect(I.ring, I.generators, [g])
-    return [exact_quotient(h, g) for h in meet]
-
-
-def _gb_of(ring, gens) -> tuple:
-    return groebner_basis(Ideal(ring, tuple(gens))).basis
-
-
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     """The colon ideal (I : J) = {f : f*J in I}."""
     if I.ring != J.ring:
@@ -547,28 +528,27 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     for g in J.generators:
         if not g:
             continue
-        q = _quotient_principal(I, g)
+        q = [exact_quotient(h, g) for h in _intersect(ring, I.generators, [g])]
         result = q if result is None else _intersect(ring, result, q)
     if result is None:
         raise ValueError("colon by the zero ideal")
-    result = list(_gb_of(ring, result)) if result else [ring.zero()]
     if not any(result):
         raise AssertionError("colon ideal collapsed to zero")
-    gb = _gb_of(ring, result)
+    gb = groebner_basis(Ideal(ring, tuple(result))).basis
     for f in I.generators:
         if normal_form(f, gb):
             raise AssertionError("colon ideal does not contain the original ideal")
-    return Ideal(ring, tuple(gb))
+    return Ideal(ring, gb)
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
     """(I : J^infinity), by iterating colon ideals until they stabilize."""
     if I.ring != J.ring:
         raise ValueError("polynomial ring mismatch")
-    current = Ideal(I.ring, _gb_of(I.ring, I.generators))
+    current = Ideal(I.ring, groebner_basis(I).basis)
     while True:
         nxt = ideal_quotient(current, J)
-        if _gb_of(I.ring, nxt.generators) == _gb_of(I.ring, current.generators):
+        if nxt.generators == current.generators:
             return current
         current = nxt
 

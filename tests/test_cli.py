@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from a1degrees import cli, forms
+from a1degrees import cli, forms, poly
 from a1degrees.fields import QQ, gf_construct
 from a1degrees.poly import ParseError
 from a1degrees.forms import (is_isomorphic_form, make_diagonal_form,
@@ -208,6 +208,33 @@ def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
     assert calls == [obj["rank"]]
 
 
+@pytest.mark.parametrize("vars_, polys, ideal, rank", [
+    ("x,y", "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "x - 1; y + 1", 1),
+    ("x", QUARTIC, "x^2 + x + 1", 2),
+    ("y1,y2,y3,y4", FERMAT, "y4; y3 + 1; y2 + 1; y1", 1),
+])
+def test_two_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
+                                                 polys, ideal, rank):
+    runs = []
+    original = poly._buchberger
+
+    def counting(ring, gens):
+        runs.append(ring.order)
+        return original(ring, gens)
+
+    def forbidden(*args):
+        raise AssertionError("the degree path must not take colon ideals")
+
+    monkeypatch.setattr(poly, "_buchberger", counting)
+    for name in ("saturation", "ideal_quotient", "_intersect"):
+        monkeypatch.setattr(poly, name, forbidden)
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", vars_,
+                   "--polys", polys, "--ideal", ideal)
+    assert runs == ["grevlex", "grevlex"]
+    assert obj["rank"] == rank
+    assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
+
+
 def test_json_carries_invariants(capsys):
     obj = run_json(capsys, "form", "invariants", "--field", "QQ",
                    "--diag", "3,-3,2,5,1,-9")
@@ -246,6 +273,16 @@ def test_parse_errors_exit_2(capsys):
                        "--entries", "1.5,2")
     assert code == 2
 
+    code, _, err = run(capsys, "form", "make", "diagonal", "--field", "QQ",
+                       "--entries", "1/0")
+    assert code == 2 and "zero denominator" in err and "position" in err
+
+
+@pytest.mark.parametrize("entry", ["x", "1/0"])
+def test_rational_entry_parse_rejects_bad_text(entry):
+    with pytest.raises(ParseError):
+        cli.gwclass_from_json({"field": {"name": "QQ"}, "gram": [[entry]]})
+
 
 def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "form", "diagonalize", "--field", "QQ",
@@ -259,6 +296,16 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "degree", "global", "--field", "RR",
                        "--vars", "x", "--polys", "x^2")
     assert code == 1 and "base-change" in err
+
+    for command in ("degree", "basis"):
+        code, out, err = run(capsys, command, "local", "--field", "QQ",
+                             "--vars", "x,y", "--polys", "x*y; x*y",
+                             "--ideal", "x; y", "--json")
+        assert code == 1 and "zeros are not isolated" in err and not out
+
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
+                   "--polys", "x^2 - x; x*y", "--ideal", "x - 1; y")
+    assert obj["gram"] == [["1"]]
 
 
 def test_base_change_flag(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from a1degrees.fields import CC, QQ, RR, gf_construct
 from a1degrees.forms import (add_gw, base_change, get_signature,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
-from a1degrees.poly import Ideal, PolyRing
+from a1degrees.poly import (Ideal, PolyRing, groebner_basis, ideal_quotient,
+                            saturation, standard_monomials)
 from a1degrees.witt import sum_decomposition
 
 
@@ -106,6 +108,22 @@ def test_non_isolated_zeros_are_rejected():
         global_a1_degree(f)
 
 
+def test_non_isolated_point_is_rejected_locally():
+    ring, f = system(("x", "y"), ["x*y", "x*y"])
+    origin = Ideal.of(ring, "x", "y")
+    with pytest.raises(ValueError, match="zeros are not isolated"):
+        local_a1_degree(f, origin)
+    with pytest.raises(ValueError, match="zeros are not isolated"):
+        local_algebra_basis(f, origin)
+
+
+def test_isolated_point_next_to_a_curve():
+    # V(x^2 - x, x*y) is the line x = 0 plus the simple point (1, 0)
+    ring, f = system(("x", "y"), ["x^2 - x", "x*y"])
+    local = local_a1_degree(f, Ideal.of(ring, "x - 1", "y"))
+    assert local.gram == ((Fraction(1),),)
+
+
 def test_rr_base_is_rejected_but_base_change_works():
     with pytest.raises(ValueError):
         PolyRing(RR, ("x",))
@@ -172,3 +190,68 @@ def test_rank_equals_quotient_dimension():
     ring, f = system(("x", "y"), ["x^3 - 2*y", "y^2 - x"])
     G = groebner_basis(Ideal(ring, f.polys))
     assert global_a1_degree(f).rank == len(standard_monomials(G))
+
+
+# -- the local ideal against the colon/saturation oracle ---------------------
+
+
+def colon_oracle(f, point):
+    """The paper's m-primary component I : (I : m^inf), reduced."""
+    ideal = Ideal(f.ring, f.polys)
+    return groebner_basis(ideal_quotient(ideal, saturation(ideal, point))).basis
+
+
+FERMAT = ["y1^3 + y3^3 + 1", "3*y1^2*y2 + 3*y3^2*y4",
+          "3*y1*y2^2 + 3*y3*y4^2", "y2^3 + y4^3 + 1"]
+
+
+@pytest.mark.parametrize("names, polys, point, rank", [
+    (("x",), [QUARTIC], ["x^2 + x + 1"], 2),
+    (("x",), [QUARTIC], ["x - 3"], 1),
+    (("x",), [QUARTIC], ["x + 2"], 1),
+    (("y1", "y2", "y3", "y4"), FERMAT, ["y4", "y3 + 1", "y2 + 1", "y1"], 1),
+    (("x",), ["(x - 1)^3*(x + 2)"], ["x - 1"], 3),
+    (("x", "y"), ["x^2", "y^2"], ["x", "y"], 4),
+])
+def test_local_ideal_matches_colon_oracle(names, polys, point, rank):
+    ring, f = system(names, polys)
+    m = Ideal.of(ring, *point)
+    local = local_algebra_basis(f, m)
+    assert local.local_ideal.generators == colon_oracle(f, m)
+    assert len(local.basis) == rank == local_a1_degree(f, m).rank
+
+
+def planted_system(rng):
+    """A random 2-variable system with a rational zero at (a, b).
+
+    Each f_i is a polynomial in (x - a, y - b) without constant term; the
+    linear coefficients are often zero, so the zero is often multiple.
+    """
+    ring = PolyRing(QQ, ("x", "y"))
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    u, v = ring.from_string(f"x - ({a})"), ring.from_string(f"y - ({b})")
+    polys = []
+    for _ in range(2):
+        f = ring.zero()
+        for i in range(4):
+            for j in range(4 - i):
+                if 0 < i + j and rng.random() < 0.5:
+                    f = f + rng.choice([-2, -1, 1, 2, 3]) * u ** i * v ** j
+        polys.append(f)
+    return EndoSystem(ring, tuple(polys)), Ideal(ring, (u, v))
+
+
+def test_local_ideal_matches_colon_oracle_on_planted_zeros():
+    rng = random.Random(20231201)
+    checked, ranks = 0, set()
+    while checked < 24:
+        f, m = planted_system(rng)
+        try:
+            standard_monomials(groebner_basis(Ideal(f.ring, f.polys)))
+        except ValueError:  # a curve of zeros: no m-primary component
+            continue
+        local = local_algebra_basis(f, m)
+        assert local.local_ideal.generators == colon_oracle(f, m)
+        ranks.add(len(local.basis))
+        checked += 1
+    assert len(ranks) > 1  # simple and multiple zeros both occur

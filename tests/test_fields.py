@@ -106,6 +106,19 @@ def test_odd_prime_support():
     assert odd_prime_support(Fraction(7, 5)) == [5, 7]
 
 
+def test_odd_prime_support_factors_once(monkeypatch):
+    from a1degrees import fields
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(fields, "factorize", counting)
+    assert odd_prime_support(Fraction(-2 * 3 ** 3 * 5 ** 2, 7 * 11 ** 2)) == [3, 7]
+    assert len(calls) == 1
+
+
 # -- Legendre symbols --------------------------------------------------------
 
 
