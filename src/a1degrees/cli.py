@@ -100,7 +100,12 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
 
 
 def parse_entries(text: str) -> list[Fraction]:
-    return [parse_scalar(part, i) for i, part in enumerate(text.split(","))]
+    """Comma-separated scalars; errors report the entry's character offset."""
+    out, start = [], 0
+    for part in text.split(","):
+        out.append(parse_scalar(part, start + len(part) - len(part.lstrip())))
+        start += len(part) + 1
+    return out
 
 
 def read_source(value: str) -> str:

@@ -246,19 +246,38 @@ def _pgcd_ext(a, b, p):
     return r0, s0
 
 
+def _pmod_pow(a, n: int, f, p):
+    """a^n mod f over Z/p."""
+    result, a = _pdivmod([1], f, p)[1], _pdivmod(a, f, p)[1]
+    while n:
+        if n & 1:
+            result = _pdivmod(_pmul(result, a, p), f, p)[1]
+        a = _pdivmod(_pmul(a, a, p), f, p)[1]
+        n >>= 1
+    return result
+
+
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over Z/p; fine at desk scale."""
-    deg = len(f) - 1
-    if deg <= 0:
+    """Rabin's test: a monic f of degree k is irreducible over Z/p iff
+    x^(p^k) = x mod f and x^(p^(k/r)) - x is prime to f for each prime r | k."""
+    k = len(f) - 1
+    if k <= 0:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            _, rem = _pdivmod(list(f), g, p)
-            if not rem:
-                return False
+    f = list(f)
+    x = _pdivmod([0, 1], f, p)[1]
+    frob = [x]  # frob[j] = x^(p^j) mod f
+    for _ in range(k):
+        frob.append(_pmod_pow(frob[-1], p, f, p))
+    if frob[k] != x:
+        return False
+    for r in range(2, k + 1):
+        if k % r or not is_prime(r):
+            continue
+        h = frob[k // r]
+        diff = _ptrim([(a - b) % p for a, b in
+                       itertools.zip_longest(h, x, fillvalue=0)])
+        if len(_pgcd_ext(diff, f, p)[0]) != 1:
+            return False
     return True
 
 
@@ -373,12 +392,12 @@ class FFElement:
         self._hash = None
 
     def _check(self, other) -> "FFElement":
-        if isinstance(other, int):
-            return self.field.coerce(other)
         if isinstance(other, FFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("finite field mismatch")
             return other
+        if isinstance(other, int):
+            return self.field.coerce(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -386,20 +405,22 @@ class FFElement:
         if other is NotImplemented:
             return NotImplemented
         p = self.field.char
-        return FFElement(self.field, tuple((a + b) % p for a, b in
-                                           zip(self.coeffs, other.coeffs)))
+        return FFElement(self.field, tuple([(a + b) % p for a, b in
+                                            zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.field.char
-        return FFElement(self.field, tuple(-a % p for a in self.coeffs))
+        return FFElement(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        p = self.field.char
+        return FFElement(self.field, tuple([(a - b) % p for a, b in
+                                            zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -408,12 +429,24 @@ class FFElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.field.char
-        prod = _pmul(list(self.coeffs), list(other.coeffs), p)
-        if len(prod) > self.field.degree:
-            _, prod = _pdivmod(prod, list(self.field.modulus), p)
-        prod += [0] * (self.field.degree - len(prod))
-        return FFElement(self.field, tuple(prod))
+        field = self.field
+        p, k = field.char, field.degree
+        a, b = self.coeffs, other.coeffs
+        if k == 1:
+            return FFElement(field, (a[0] * b[0] % p,))
+        # Schoolbook product, then fold t^i (i >= k) down with the monic modulus.
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        mod = field.modulus
+        for i in range(2 * k - 2, k - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(k):
+                    prod[i - k + j] -= c * mod[j]
+        return FFElement(field, tuple([x % p for x in prod[:k]]))
 
     __rmul__ = __mul__
 
@@ -459,7 +492,8 @@ class FFElement:
                 return NotImplemented
         if not isinstance(other, FFElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and (
+            self.field is other.field or self.field == other.field)
 
     def __hash__(self):
         if self._hash is None:
@@ -502,7 +536,9 @@ def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:
         raise ValueError("extension degree must be >= 1")
     if modulus is not None:
         return FieldDesc("GF", p, k, tuple(modulus))
-    for tail in itertools.product(range(p), repeat=k):
+    # Past degree 1 a zero constant term means x divides the candidate.
+    low = range(p) if k == 1 else range(1, p)
+    for tail in itertools.product(low, *[range(p)] * (k - 1)):
         cand = tail + (1,)
         if _is_irreducible(cand, p):
             return FieldDesc("GF", p, k, cand)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, ge, sub
 
 from .fields import FieldDesc, FFElement
 from .forms import field_det
@@ -40,13 +42,18 @@ class ParseError(ValueError):
         self.position = position
 
 
+# Order keys are flat int tuples in which the smaller key is the larger
+# monomial: min() finds the leading term, a heap pops terms in descending
+# order, and negating every entry reverses the order.
+
+
 def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (-sum(e),) + e[::-1]
 
 
 def _elim1_key(e):
     # Block order eliminating the first variable: degree in it dominates.
-    return (e[0], _grevlex_key(e[1:]))
+    return (-e[0], -sum(e[1:])) + e[:0:-1]
 
 
 _ORDER_KEYS = {"grevlex": _grevlex_key, "elim1": _elim1_key}
@@ -148,7 +155,7 @@ class Polynomial:
         return next(iter(self.terms.values()))
 
     def leading_monomial(self):
-        return max(self.terms, key=self.ring.key)
+        return min(self.terms, key=self.ring.key)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -156,10 +163,12 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
+        one = self.ring.field.one()
         lc = self.leading_coefficient()
-        if lc == self.ring.field.one():
+        if lc == one:
             return self
-        return Polynomial(self.ring, {e: c / lc for e, c in self.terms.items()})
+        inv = one / lc
+        return Polynomial(self.ring, {e: c * inv for e, c in self.terms.items()})
 
     def support(self) -> set[int]:
         """Indices of variables actually occurring."""
@@ -216,7 +225,7 @@ class Polynomial:
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = out.get(e)
                 v = c1 * c2 if v is None else v + c1 * c2
                 if v:
@@ -287,7 +296,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         out = []
-        for e in sorted(self.terms, key=self.ring.key, reverse=True):
+        for e in sorted(self.terms, key=self.ring.key):
             c = self.terms[e]
             mono = "*".join(
                 v if x == 1 else f"{v}^{x}"
@@ -322,28 +331,38 @@ class Polynomial:
 
 
 def _reduce_terms(ring, fterms: dict, divisors, quotients=None) -> dict:
-    """Remainder of multivariate division; divisors as (lm, lc, tail) triples."""
+    """Remainder of multivariate division by `_prep_divisors` triples.
+
+    Terms leave a heap in descending order.  Each monomial is pushed once,
+    when it enters the work set; one that cancels keeps its entry with a
+    zero coefficient and is skipped when popped.  This is sound because a
+    reduction step only adds monomials below the one it removes.
+    """
     key = ring.key
     work = dict(fterms)
+    heap = [(key(e), e) for e in work]
+    heapify(heap)
     rem: dict = {}
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heappop(heap)[1]
         c = work.pop(m)
-        for di, (lm, lc, tail) in enumerate(divisors):
-            if all(a >= b for a, b in zip(m, lm)):
-                shift = tuple(a - b for a, b in zip(m, lm))
-                fac = c / lc
+        if not c:
+            continue
+        for di, (lm, inv, tail) in enumerate(divisors):
+            if all(map(ge, m, lm)):
+                shift = tuple(map(sub, m, lm))
+                fac = c * inv
+                neg = -fac
                 for e2, c2 in tail:
-                    e = tuple(x + y for x, y in zip(shift, e2))
+                    e = tuple(map(add, shift, e2))
                     v = work.get(e)
-                    v = -fac * c2 if v is None else v - fac * c2
-                    if v:
-                        work[e] = v
-                    elif e in work:
-                        del work[e]
+                    if v is None:
+                        work[e] = neg * c2
+                        heappush(heap, (key(e), e))
+                    else:
+                        work[e] = v + neg * c2
                 if quotients is not None:
-                    q = quotients[di]
-                    q[shift] = q.get(shift, ring.field.zero()) + fac
+                    quotients[di][shift] = fac
                 break
         else:
             rem[m] = c
@@ -351,13 +370,14 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None) -> dict:
 
 
 def _prep_divisors(polys):
+    """(lm, 1/lc, tail) for each nonzero divisor: one inversion per divisor."""
     out = []
     for g in polys:
         if not g:
             continue
         lm = g.leading_monomial()
-        tail = [(e, c) for e, c in g.terms.items() if e != lm]
-        out.append((lm, g.terms[lm], tail))
+        inv = g.ring.field.one() / g.terms[lm]
+        out.append((lm, inv, [(e, c) for e, c in g.terms.items() if e != lm]))
     return out
 
 
@@ -426,48 +446,49 @@ def _buchberger(ring: PolyRing, gens) -> list:
     if any(g.is_constant() for g in G):
         return [ring.one()]
 
+    # Pairs wait in a heap keyed once by their lcm, smallest lcm first (the
+    # normal strategy); `pending` mirrors it for the chain criterion.
     lms = [g.leading_monomial() for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    heap: list = []
+    pending: set = set()
 
-    def lcm(i, j):
-        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+    def add_pairs(t):
+        for i in range(t):
+            l = tuple(map(max, lms[i], lms[t]))
+            heappush(heap, (tuple([-x for x in key(l)]), i, t, l))
+            pending.add((i, t))
 
-    while pairs:
-        i, j = min(pairs, key=lambda p: key(lcm(*p)))
-        pairs.discard((i, j))
-        l = lcm(i, j)
+    for t in range(1, len(G)):
+        add_pairs(t)
+    divisors = _prep_divisors(G)
+    while heap:
+        _, i, j, l = heappop(heap)
+        pending.discard((i, j))
         # Product criterion.
-        if l == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if l == tuple(map(add, lms[i], lms[j])):
             continue
         # Chain criterion.
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _divides(lms[k], l):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and \
-               (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
+        if any(k != i and k != j and _divides(lms[k], l) and
+               (min(i, k), max(i, k)) not in pending and
+               (min(j, k), max(j, k)) not in pending for k in range(len(G))):
             continue
         gi, gj = G[i], G[j]
-        mi = tuple(a - b for a, b in zip(l, lms[i]))
-        mj = tuple(a - b for a, b in zip(l, lms[j]))
-        one = ring.field.one()
-        s = Polynomial(ring, {tuple(x + y for x, y in zip(mi, e)): c
+        mi = tuple(map(sub, l, lms[i]))
+        mj = tuple(map(sub, l, lms[j]))
+        s = Polynomial(ring, {tuple(map(add, mi, e)): c
                               for e, c in gi.terms.items()}) \
-            - Polynomial(ring, {tuple(x + y for x, y in zip(mj, e)): c
+            - Polynomial(ring, {tuple(map(add, mj, e)): c
                                 for e, c in gj.terms.items()})
-        r = _remainder(s, G)
+        r = Polynomial(ring, _reduce_terms(ring, s.terms, divisors))
         if not r:
             continue
         r = r.monic()
         if r.is_constant():
             return [ring.one()]
         G.append(r)
+        divisors += _prep_divisors([r])
         lms.append(r.leading_monomial())
-        t = len(G) - 1
-        pairs.update((i2, t) for i2 in range(t))
+        add_pairs(len(G) - 1)
 
     # Minimalize, then tail-reduce to the unique reduced basis.
     lms = [g.leading_monomial() for g in G]
@@ -482,7 +503,7 @@ def _buchberger(ring: PolyRing, gens) -> list:
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         reduced.append(_remainder(g, others).monic())
-    reduced.sort(key=lambda g: key(g.leading_monomial()))
+    reduced.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return reduced
 
 
@@ -580,7 +601,7 @@ def standard_monomials(G: GroebnerBasis) -> list:
             queue.append(m2)
     one = ring.field.one()
     return [Polynomial(ring, {e: one})
-            for e in sorted(seen, key=ring.key)]
+            for e in sorted(seen, key=ring.key, reverse=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,19 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "zero denominator" in err and "position" in err
 
 
+@pytest.mark.parametrize("argv, offset", [
+    (("form", "make", "diagonal", "--entries", "1, 2,x"), 5),
+    (("form", "make", "diagonal", "--entries", "1,1/0"), 2),
+    (("form", "make", "pfister", "--entries", "2,  3/0"), 4),
+    (("form", "invariants", "--diag", "3,-1,  y"), 7),
+    (("form", "decompose", "--diag", "1.5"), 0),
+])
+def test_entry_parse_errors_report_character_offsets(capsys, argv, offset):
+    code, _, err = run(capsys, *argv[:-2], "--field", "QQ", *argv[-2:])
+    assert code == 2
+    assert err.rstrip().endswith(f"(at position {offset})")
+
+
 @pytest.mark.parametrize("entry", ["x", "1/0"])
 def test_rational_entry_parse_rejects_bad_text(entry):
     with pytest.raises(ParseError):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from a1degrees.fields import (CC, QQ, RR, FieldDesc, factorize, gf_construct,
                               is_padic_square, is_prime, is_square,
                               legendre_symbol, odd_prime_support,
                               padic_valuation, squarefree_part)
+from a1degrees.fields import _is_irreducible
 
 nonzero_small = st.integers(min_value=-200, max_value=200).filter(bool)
 
@@ -266,3 +269,74 @@ def test_gf_squares_split_units_in_half():
 def test_field_desc_rejects_characteristic_two_descriptor():
     with pytest.raises(ValueError):
         FieldDesc("GF", 2, 1, (0, 1))
+
+
+# -- irreducibility and GF(p^k) arithmetic against schoolbook references -----
+
+
+def _schoolbook(a, b, p):
+    """Constant-first product of two coefficient sequences over Z/p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _monics(p, d):
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+
+def _reducible_monics(p, k):
+    """Every reducible monic of degree k: a product of two of lower degree."""
+    return {tuple(_schoolbook(g, h, p)) for d in range(1, k // 2 + 1)
+            for g in _monics(p, d) for h in _monics(p, k - d)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rabin_irreducibility_matches_brute_force(p, k):
+    reducible = _reducible_monics(p, k)
+    candidates = _monics(p, k)
+    smallest = next(f for f in candidates if f not in reducible)
+    assert gf_construct(p, k).modulus == smallest
+    if p ** k > 1000:  # the quartics over Z/7, Z/11, Z/13: a seeded sample
+        candidates = random.Random(p).sample(candidates, 400)
+    for f in candidates:
+        assert _is_irreducible(f, p) == (f not in reducible), f
+
+
+def test_gf_construct_large_field_is_fast():
+    start = time.perf_counter()
+    F = gf_construct(101, 4)
+    assert time.perf_counter() - start < 1.0
+    assert F.modulus == (1, 0, 0, 1, 1)
+    assert _is_irreducible(F.modulus, 101)
+
+
+def _reference_mul(a, b, field):
+    """Schoolbook product, then long division by the monic modulus."""
+    p, k, mod = field.char, field.degree, field.modulus
+    prod = _schoolbook(a, b, p)
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        for j in range(k + 1):
+            prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
+    return tuple(prod[:k])
+
+
+@pytest.mark.parametrize("q", [(3, 2), (5, 2), (3, 3)])
+def test_gf_arithmetic_matches_schoolbook_reference(q):
+    F = gf_construct(*q)
+    p = F.char
+    elems = list(F.elements())
+    one = F.one().coeffs
+    for a in elems:
+        for b in elems:
+            assert (a * b).coeffs == _reference_mul(a.coeffs, b.coeffs, F)
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in
+                                           zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in
+                                           zip(a.coeffs, b.coeffs))
+        if a:
+            assert _reference_mul(a.coeffs, a.inverse().coeffs, F) == one

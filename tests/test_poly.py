@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from a1degrees.fields import QQ, gf_construct
-from a1degrees.poly import (GroebnerBasis, Ideal, ParseError, PolyRing,
-                            exact_quotient, groebner_basis, ideal_quotient,
-                            normal_form, parse_polynomial,
+from a1degrees.fields import QQ, FFElement, gf_construct
+from a1degrees.poly import (GroebnerBasis, Ideal, ParseError, Polynomial,
+                            PolyRing, exact_quotient, groebner_basis,
+                            ideal_quotient, normal_form, parse_polynomial,
                             resultant_univariate, saturation,
                             standard_monomials)
+from a1degrees.poly import _prep_divisors, _reduce_terms
 
 
 def ring(*names, field=QQ):
@@ -329,3 +331,100 @@ def test_ring_rejects_inexact_fields():
     from a1degrees.fields import RR
     with pytest.raises(ValueError):
         PolyRing(RR, ("x",))
+
+
+# -- the division kernel against independent oracles -------------------------
+
+
+def random_dense(R, rng, degree):
+    """All monomials of total degree <= degree, with random coefficients."""
+    F = R.field
+    terms = {}
+    for e in itertools.product(range(degree + 1), repeat=R.nvars):
+        if sum(e) <= degree:
+            if F.kind == "QQ":
+                terms[e] = rng.randint(-3, 3)
+            else:
+                terms[e] = F.coerce(tuple(rng.randrange(F.char)
+                                          for _ in range(F.degree)))
+    return Polynomial.make(R, terms)
+
+
+def sympy_poly(poly, syms, modulus=None):
+    def coeff(c):
+        return sympy.Rational(c.numerator, c.denominator) if modulus is None \
+            else int(c.coeffs[0])
+    expr = sum((coeff(c) * sympy.prod([s ** k for s, k in zip(syms, e)])
+                for e, c in poly.terms.items()), sympy.Integer(0))
+    return sympy.Poly(expr, *syms, modulus=modulus)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (2, 2, 1), (2, 1, 1, 1)])
+@pytest.mark.parametrize("p", [None, 7])
+def test_normal_form_matches_sympy_reduced(degrees, p):
+    names = tuple(f"x{i}" for i in range(len(degrees)))
+    R = ring(*names, field=QQ if p is None else gf_construct(p, 1))
+    syms = sympy.symbols(names)
+    rng = random.Random(len(degrees) * 10 + (p or 0))
+    for _ in range(3):
+        gens = [random_dense(R, rng, d) for d in degrees]
+        if not all(gens):
+            continue
+        f = random_dense(R, rng, 4)
+        mine = normal_form(f, groebner_basis(Ideal(R, tuple(gens))))
+        opts = {"order": "grevlex"} if p is None else \
+            {"order": "grevlex", "modulus": p}
+        gb = sympy.groebner([sympy_poly(g, syms, p).as_expr() for g in gens],
+                            *syms, **opts)
+        _, theirs = sympy.reduced(sympy_poly(f, syms, p).as_expr(),
+                                  list(gb.exprs), *syms, **opts)
+        assert sympy_poly(mine, syms, p) == sympy.Poly(theirs, *syms,
+                                                        modulus=p)
+
+
+@pytest.mark.parametrize("q", [(5, 2), (3, 3)])
+def test_division_identity_over_extension_fields(q):
+    R = ring("x", "y", "z", field=gf_construct(*q))
+    rng = random.Random(q[0] ** q[1])
+    for _ in range(4):
+        f = random_dense(R, rng, 4)
+        gs = [random_dense(R, rng, 2) for _ in range(3)]
+        quotients = [{} for _ in gs]
+        rem = Polynomial(R, _reduce_terms(R, f.terms, _prep_divisors(gs),
+                                          quotients))
+        total = rem
+        for g, q_terms in zip(gs, quotients):
+            total = total + Polynomial(R, q_terms) * g
+        assert total == f
+        lms = [g.leading_monomial() for g in gs]
+        for e in rem.terms:
+            assert not any(all(a >= b for a, b in zip(e, lm)) for lm in lms)
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
+                                   gf_construct(3, 3)])
+def test_exact_quotient_of_a_product(field):
+    rng = random.Random(field.order if field.kind == "GF" else 0)
+    for names in (("x", "y"), ("x", "y", "z")):
+        R = ring(*names, field=field)
+        for _ in range(3):
+            f, g = random_dense(R, rng, 3), random_dense(R, rng, 2)
+            if f and g:
+                assert exact_quotient(f * g, g) == f
+
+
+def test_exact_quotient_inverts_once_per_divisor(monkeypatch):
+    R = ring("x", "y", field=gf_construct(5, 2))
+    rng = random.Random(25)
+    f, g = random_dense(R, rng, 4), random_dense(R, rng, 2)
+    product = f * g
+    calls = []
+    original = FFElement.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FFElement, "inverse", counting)
+    assert exact_quotient(product, g) == f
+    assert len(f.terms) > 1 and len(calls) == 1
