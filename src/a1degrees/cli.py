@@ -9,6 +9,7 @@ form, non-isolated zeros, ...), 2 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import degrees, forms, witt
-from .fields import CC, QQ, RR, FieldDesc, factorize, gf_construct
+from .fields import CC, QQ, RR, FieldDesc, gf_construct, is_prime
 from .poly import Ideal, ParseError, PolyRing
 
 _FIELD_RE = re.compile(r"^(QQ|RR|CC)$|^GF\((\d+)\)$")
@@ -24,6 +25,26 @@ _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
 _RESIDUE_TERM_RE = re.compile(r"(\d+)|(?:(\d+)\*)?t(?:\^(\d+))?")
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(q: int):
+    """(p, k) with q = p^k and p prime, or None; no factoring needed."""
+    for k in range(1, q.bit_length()):
+        p = _integer_root(q, k)
+        if p ** k == q and is_prime(p):
+            return p, k
+    return None
+
+
+@functools.lru_cache(maxsize=64)
 def parse_field(text: str) -> FieldDesc:
     m = _FIELD_RE.match(text.strip())
     if not m:
@@ -31,11 +52,10 @@ def parse_field(text: str) -> FieldDesc:
     if m.group(1):
         return {"QQ": QQ, "RR": RR, "CC": CC}[m.group(1)]
     q = int(m.group(2))
-    fac = factorize(q)
-    if len(fac) != 1:
+    pk = _prime_power(q)
+    if pk is None:
         raise ParseError(f"GF({q}): order must be a prime power", 3)
-    (p, k), = fac.items()
-    return gf_construct(p, k)
+    return gf_construct(*pk)
 
 
 def parse_scalar(text: str, position: int = 0) -> Fraction:
@@ -402,9 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one query; repeated calls in a process share one parser."""
+    args = _shared_parser().parse_args(argv)
     try:
         args.handler(args)
     except ParseError as exc:

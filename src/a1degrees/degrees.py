@@ -112,7 +112,7 @@ def _poly_det(m, ring: PolyRing) -> Polynomial:
         return ring.one()
     a = [row[:] for row in m]
     sign = 1
-    prev = ring.one()
+    one = prev = ring.one()
     for k in range(n - 1):
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -120,10 +120,11 @@ def _poly_det(m, ring: PolyRing) -> Polynomial:
                 return ring.zero()
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        divide = prev != one  # a pivot 1, as at the first step, divides nothing
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_quotient(num, prev) if num else ring.zero()
+                a[i][j] = exact_quotient(num, prev) if divide and num else num
             a[i][k] = ring.zero()
         prev = a[k][k]
     det = a[n - 1][n - 1]

@@ -28,7 +28,6 @@ __all__ = [
     "is_square",
     "gf_construct",
     "is_padic_square",
-    "rational_unit_mod",
     "odd_prime_support",
     "fraction_sqrt",
 ]
@@ -172,24 +171,41 @@ def fraction_sqrt(r) -> Fraction:
     return Fraction(num, den)
 
 
-def rational_unit_mod(r, modulus: int) -> int:
-    """Reduce a rational with unit denominator mod ``modulus``."""
-    r = Fraction(r)
-    return r.numerator * pow(r.denominator, -1, modulus) % modulus
+def _class_integer(r) -> int:
+    """The integer n*d, in the square class of the rational r = n/d."""
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
+    return r.numerator * r.denominator
+
+
+def _split_prime(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n.
+
+    Split at p, the integer `_class_integer(r)` gives the parity of nu_p(r)
+    and the unit residue (mod p, or mod 8 at p = 2) of the rational r's
+    square class: all that Q_p-square tests and Hilbert symbols read.
+    """
+    v = 0
+    q, r = divmod(n, p)
+    while not r:
+        n, v = q, v + 1
+        q, r = divmod(n, p)
+    return v, n
 
 
 def is_padic_square(r, p: int) -> bool:
     """Whether a nonzero rational is a square in Q_p."""
-    r = Fraction(r)
-    if r == 0:
+    n = _class_integer(r)
+    if n == 0:
         raise ValueError("zero has no square class")
-    v = padic_valuation(r, p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    v, u = _split_prime(n, p)
     if v % 2:
         return False
-    u = r / Fraction(p) ** v
     if p == 2:
-        return rational_unit_mod(u, 8) == 1
-    return legendre_symbol(rational_unit_mod(u, p), p) == 1
+        return u % 8 == 1
+    return pow(u % p, (p - 1) // 2, p) == 1
 
 
 def odd_prime_support(r) -> list[int]:
@@ -281,6 +297,16 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _coefficient_vectors(p: int, k: int, first: int = 0):
+    """The vectors in (Z/p)^k whose entry 0 is at least ``first``, lazily and
+    in lexicographic order: the digits of consecutive integers in base p."""
+    for i in range(first * p ** (k - 1), p ** k):
+        v = [0] * k
+        for j in range(k - 1, -1, -1):
+            i, v[j] = divmod(i, p)
+        yield tuple(v)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -362,7 +388,7 @@ class FieldDesc:
 
     def elements(self):
         """Iterate all field elements (finite fields only), deterministically."""
-        for coeffs in itertools.product(range(self.char), repeat=self.degree):
+        for coeffs in _coefficient_vectors(self.char, self.degree):
             yield FFElement(self, coeffs)
 
     def __str__(self):
@@ -537,8 +563,7 @@ def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:
     if modulus is not None:
         return FieldDesc("GF", p, k, tuple(modulus))
     # Past degree 1 a zero constant term means x divides the candidate.
-    low = range(p) if k == 1 else range(1, p)
-    for tail in itertools.product(low, *[range(p)] * (k - 1)):
+    for tail in _coefficient_vectors(p, k, first=0 if k == 1 else 1):
         cand = tail + (1,)
         if _is_irreducible(cand, p):
             return FieldDesc("GF", p, k, cand)

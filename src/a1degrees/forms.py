@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .fields import (QQ, FFElement, FieldDesc, factorize, fraction_sqrt,
-                     is_prime, is_square, legendre_symbol, padic_valuation,
-                     rational_unit_mod, squarefree_part)
+from .fields import (QQ, FFElement, FieldDesc, _class_integer, _split_prime,
+                     factorize, fraction_sqrt, is_prime, is_square,
+                     squarefree_part)
 
 __all__ = [
     "GWClass",
@@ -49,7 +49,8 @@ class GWClass:
 
     Built through :func:`make_gw_class`, which validates; rank-0 classes
     exist only as outputs of the Witt-decomposition machinery.  The
-    diagonal and the invariants are computed once, on first use.
+    determinant, the diagonal and the invariants are computed once, on
+    first use.
     """
 
     field: FieldDesc
@@ -58,6 +59,10 @@ class GWClass:
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @functools.cached_property
+    def _det(self):
+        return field_det(self.gram, self.field)
 
     @functools.cached_property
     def _diagonal(self) -> tuple:
@@ -114,9 +119,10 @@ def make_gw_class(matrix, field: FieldDesc) -> GWClass:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    if not field_det(rows, field):
+    beta = _raw(field, rows)
+    if not beta._det:
         raise ValueError("degenerate form")
-    return GWClass(field, tuple(tuple(row) for row in rows))
+    return beta
 
 
 def _raw(field: FieldDesc, rows) -> GWClass:
@@ -298,28 +304,27 @@ def get_discriminant(beta: GWClass):
 def hilbert_symbol(a, b, p: int) -> int:
     """(a, b)_p: whether z^2 = a x^2 + b y^2 has a nonzero Q_p-point.
 
-    Evaluated in closed form from the p-adic valuations and unit parts;
-    the formulas are cross-checked against a finite primitive-solution
-    search in the test suite.
+    Serre's closed form, read off the integers n*d in the square classes
+    of a = n/d and b: their p-adic valuations and unit residues.  The
+    formulas are cross-checked against a finite primitive-solution search
+    in the test suite.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _class_integer(a), _class_integer(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    alpha, beta = padic_valuation(a, p), padic_valuation(b, p)
-    u = a / Fraction(p) ** alpha
-    v = b / Fraction(p) ** beta
+    alpha, u = _split_prime(a, p)
+    beta, v = _split_prime(b, p)
     if p != 2:
-        result = 1
-        if alpha * beta * ((p - 1) // 2) % 2:
+        half = (p - 1) // 2
+        result = -1 if alpha * beta * half % 2 else 1
+        if beta % 2 and pow(u % p, half, p) != 1:
             result = -result
-        if beta % 2 and legendre_symbol(rational_unit_mod(u, p), p) == -1:
-            result = -result
-        if alpha % 2 and legendre_symbol(rational_unit_mod(v, p), p) == -1:
+        if alpha % 2 and pow(v % p, half, p) != 1:
             result = -result
         return result
-    u8, v8 = rational_unit_mod(u, 8), rational_unit_mod(v, 8)
+    u8, v8 = u % 8, v % 8
     eps_u, eps_v = (u8 - 1) // 2 % 2, (v8 - 1) // 2 % 2
     om_u, om_v = (u8 * u8 - 1) // 8 % 2, (v8 * v8 - 1) // 8 % 2
     return -1 if (eps_u * eps_v + alpha * om_v + beta * om_u) % 2 else 1
@@ -371,7 +376,7 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     """
     field, rank = beta.field, beta.rank
     if field.kind == "GF":
-        if rank and not is_square(field_det(beta.gram, field), field):
+        if rank and not is_square(beta._det, field):
             return InvariantBundle(rank, None, canonical_nonsquare(field), None)
         return InvariantBundle(rank, None, field.one(), None)
     if field.kind == "CC":

@@ -206,7 +206,16 @@ class Polynomial:
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce_other(other))
+        other = self._coerce_other(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            v = terms.get(e)
+            v = -c if v is None else v - c
+            if v:
+                terms[e] = v
+            elif e in terms:
+                del terms[e]
+        return Polynomial(self.ring, terms)
 
     def __rsub__(self, other):
         return -(self - other)

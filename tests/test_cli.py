@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from a1degrees import cli, forms, poly
+from a1degrees import cli, fields, forms, poly
 from a1degrees.fields import QQ, gf_construct
 from a1degrees.poly import ParseError
 from a1degrees.forms import (is_isomorphic_form, make_diagonal_form,
@@ -326,3 +331,102 @@ def test_base_change_flag(capsys):
                    "--polys", QUARTIC, "--base-change", "RR")
     assert obj["field"]["name"] == "RR"
     assert obj["signature"] == 0
+
+
+# -- one parser per process --------------------------------------------------
+
+
+SESSION = [
+    ("form", "decompose", "--field", "QQ", "--diag", "1,2,-3", "--json"),
+    ("form", "decompose", "--field", "QQ", "--bogus", "1"),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,x"),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,0"),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,2,-3", "--json"),
+]
+
+
+def _fresh_process(argv):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "a1degrees.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    try:
+        for argv in SESSION:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == _fresh_process(argv)
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
+    assert isinstance(cli.build_parser(), argparse.ArgumentParser)
+
+
+# -- field specs -------------------------------------------------------------
+
+
+def test_parse_field_needs_no_factoring(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("parse_field must not factor the order")
+
+    monkeypatch.setattr(fields, "factorize", forbidden)
+    cli.parse_field.cache_clear()
+    p = 10**18 + 3
+    F = cli.parse_field(f"GF({p * p})")
+    assert (F.char, F.degree, F.modulus) == (p, 2, (1, 0, 1))
+    assert (cli.parse_field("GF(27)").char, cli.parse_field("GF(27)").degree) \
+        == (3, 3)
+    assert cli.parse_field("GF(27)") is cli.parse_field("GF(27)")
+    assert cli.parse_field(f"GF({p})").degree == 1
+    for q in (0, 1, 12, 3 * p, p * p * 5):
+        with pytest.raises(ParseError, match="order must be a prime power"):
+            cli.parse_field(f"GF({q})")
+    with pytest.raises(ValueError, match="characteristic 2"):
+        cli.parse_field("GF(8)")
+    assert cli.parse_field.cache_info().maxsize is not None
+
+
+def test_zero_field_order_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "form", "make", "diagonal", "--field", "GF(0)",
+                         "--entries", "1,2")
+    assert (code, out) == (2, "")
+    assert err == "parse error: GF(0): order must be a prime power (at position 3)\n"
+
+
+def test_huge_prime_field_builds_lazily(capsys):
+    obj = run_json(capsys, "form", "make", "diagonal", "--field", "GF(10000019)",
+                   "--entries", "1,2")
+    assert obj["field"] == {"name": "GF(10000019)", "modulus": [0, 1]}
+
+
+def test_one_determinant_per_gf_degree_query(capsys, monkeypatch):
+    calls = []
+    original = forms.field_det
+
+    def counting(rows, field):
+        calls.append(len(rows))
+        return original(rows, field)
+
+    monkeypatch.setattr(forms, "field_det", counting)
+    obj = run_json(capsys, "degree", "global", "--field", "GF(27)",
+                   "--vars", "x1,x2,x3,x4", "--polys", GRASSMANNIAN)
+    assert obj["rank"] == 6
+    assert calls == [6]

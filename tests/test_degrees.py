@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from a1degrees import degrees
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
 from a1degrees.fields import CC, QQ, RR, gf_construct
@@ -47,6 +48,25 @@ def test_bezoutian_diagonal_specialization_is_the_jacobian():
     for i, poly in enumerate(f.polys):
         for j in range(2):
             assert jac[i][j] == poly.derivative(j)
+
+
+def test_bareiss_never_divides_by_one(monkeypatch):
+    ring, f = system(("x", "y", "z"), ["x^2*y - 3*z + 1", "x*y^3 - z^2 + y",
+                                       "y*z^2 + x^3 - 2*x*z"])
+    entries = bezoutian_matrix(f).entries
+    dring = bezoutian_matrix(f).doubled_ring
+    divisors = []
+    original = degrees.exact_quotient
+
+    def recording(num, den):
+        divisors.append(den)
+        return original(num, den)
+
+    monkeypatch.setattr(degrees, "exact_quotient", recording)
+    det = degrees._poly_det([list(row) for row in entries], dring)
+    assert divisors and dring.one() not in divisors
+    (a, b, c), (d, e, g), (h, i, j) = entries
+    assert det == a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
 
 
 def test_endo_system_must_be_square():

@@ -14,6 +14,7 @@ from a1degrees.fields import (CC, QQ, RR, FieldDesc, factorize, gf_construct,
                               legendre_symbol, odd_prime_support,
                               padic_valuation, squarefree_part)
 from a1degrees.fields import _is_irreducible
+from a1degrees.forms import canonical_nonsquare
 
 nonzero_small = st.integers(min_value=-200, max_value=200).filter(bool)
 
@@ -170,6 +171,36 @@ def test_is_padic_square_at_two():
     assert is_padic_square(Fraction(4), 2)
 
 
+def _padic_square_by_residues(r: Fraction, p: int) -> bool:
+    """Split r = p^v * w by hand, then look the unit w up among the unit
+    squares mod p (mod 8 at p = 2): Hensel lifts a root from there."""
+    v = 0
+    while r.numerator % p == 0:
+        r, v = r / p, v + 1
+    while r.denominator % p == 0:
+        r, v = r * p, v - 1
+    m = 8 if p == 2 else p
+    squares = {x * x % m for x in range(m) if x % p}
+    return v % 2 == 0 and r.numerator * pow(r.denominator, -1, m) % m in squares
+
+
+def test_is_padic_square_matches_residue_enumeration():
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(150):
+            num = rng.choice([-1, 1]) * rng.randint(1, 300) * p ** rng.randint(0, 4)
+            den = rng.randint(1, 300) * p ** rng.randint(0, 4)
+            r = Fraction(num, den)
+            assert is_padic_square(r, p) == _padic_square_by_residues(r, p), (r, p)
+
+
+def test_is_padic_square_checks_its_arguments():
+    with pytest.raises(ValueError, match="zero"):
+        is_padic_square(0, 3)
+    with pytest.raises(ValueError, match="not prime"):
+        is_padic_square(3, 15)
+
+
 # -- field descriptors -------------------------------------------------------
 
 
@@ -312,6 +343,24 @@ def test_gf_construct_large_field_is_fast():
     assert time.perf_counter() - start < 1.0
     assert F.modulus == (1, 0, 0, 1, 1)
     assert _is_irreducible(F.modulus, 101)
+
+
+def test_gf_construct_huge_prime_enumerates_lazily():
+    # p = 10^18 + 3 is 3 mod 8: x is the first monic linear, x^2 + 1 the
+    # first irreducible quadratic, and 2 the first nonsquare of GF(p)
+    p = 10**18 + 3
+    F = gf_construct(p, 1)
+    assert F.modulus == (0, 1)
+    assert gf_construct(p, 2).modulus == (1, 0, 1)
+    assert canonical_nonsquare(F) == F.coerce(2)
+    assert [a.coeffs for a in itertools.islice(F.elements(), 3)] == \
+        [(0,), (1,), (2,)]
+
+
+def test_elements_keep_lexicographic_order():
+    F = gf_construct(3, 2)
+    assert [a.coeffs for a in F.elements()] == \
+        list(itertools.product(range(3), repeat=2))
 
 
 def _reference_mul(a, b, field):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -194,6 +195,29 @@ def test_hilbert_symbol_matches_primitive_solution_oracle():
             for b in HILBERT_CORPUS:
                 assert hilbert_symbol(a, b, p) == hilbert_oracle(a, b, p), \
                     (a, b, p)
+
+
+def test_hilbert_symbol_of_rationals_reads_their_square_classes():
+    # s * t^2 / u^2 lies in the class of the squarefree s; u and t range over
+    # multiples of p too, so valuations and unit residues move off s's
+    oracle = functools.lru_cache(maxsize=None)(hilbert_oracle)
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 11):
+        scales = [1, 2, 3, 5, 7, p, p * p, 6 * p, 35 * p ** 3]
+        for _ in range(60):
+            s, s2 = rng.choice(HILBERT_CORPUS), rng.choice(HILBERT_CORPUS)
+            a = Fraction(s * rng.choice(scales) ** 2, rng.choice(scales) ** 2)
+            b = Fraction(s2 * rng.choice(scales) ** 2, rng.choice(scales) ** 2)
+            assert hilbert_symbol(a, b, p) == oracle(s, s2, p), (a, b, p)
+        assert hilbert_symbol(Fraction(3, p * p), Fraction(p, 1), p) == \
+            oracle(3, p, p)
+
+
+def test_hilbert_symbol_checks_its_prime():
+    with pytest.raises(ValueError, match="not prime"):
+        hilbert_symbol(2, 3, 9)
+    with pytest.raises(ValueError, match="not prime"):
+        hilbert_symbol(2, 3, 1)
 
 
 def test_hilbert_symbol_symmetry_and_bimultiplicativity():

@@ -43,6 +43,22 @@ def test_arithmetic_round_trips_through_parser():
     assert R.from_string(str(f)) == f
 
 
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)])
+def test_subtraction_matches_adding_the_negation(field):
+    R = ring("x", "y", field=field)
+    rng = random.Random(11)
+
+    def random_poly():
+        return Polynomial.make(R, {(rng.randint(0, 2), rng.randint(0, 2)):
+                                   rng.randint(-4, 4) for _ in range(5)})
+
+    for _ in range(40):
+        a, b = random_poly(), random_poly()
+        assert a - b == a + (-b)
+        assert not (a - a).terms
+    assert R.variable(0) - 3 == R.variable(0) + R.constant(-3)
+
+
 def test_derivative():
     R = ring("x")
     f = R.from_string("x^4 - 6*x^2 - 7*x - 6")
