@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .fields import (QQ, FFElement, FieldDesc, _class_integer, _split_prime,
-                     factorize, fraction_sqrt, is_prime, is_square,
-                     squarefree_part)
+from .fields import (QQ, FFElement, FieldDesc, _class_integer,
+                     _coefficient_vectors, _split_prime, factorize,
+                     fraction_sqrt, is_prime, is_square, squarefree_part)
 
 __all__ = [
     "GWClass",
@@ -285,11 +285,29 @@ def get_signature(beta: GWClass) -> int:
 
 @functools.lru_cache(maxsize=None)
 def canonical_nonsquare(field: FieldDesc) -> FFElement:
-    """Deterministic nonsquare representative in GF(q)."""
-    for a in field.elements():
+    """The first nonsquare of GF(q) in the order of ``field.elements()``.
+
+    For even k every c in GF(p)* is a square in GF(p^k), so a line {c*a}
+    is all squares or all nonsquares, and its first element is the one
+    whose first nonzero coordinate is 1: only those are tested.  For odd k
+    the plain scan ends within the least nonresidue of GF(p).
+    """
+    candidates = field.elements() if field.degree % 2 else _line_leaders(field)
+    for a in candidates:
         if a and not is_square(a, field):
             return a
     raise AssertionError("no nonsquare found")  # unreachable for q > 1
+
+
+def _line_leaders(field: FieldDesc):
+    """The elements whose first nonzero coordinate is 1, in lexicographic
+    order: leading zeros, a 1, then any tail."""
+    p, k = field.char, field.degree
+    for i in range(k - 1, -1, -1):
+        for v in _coefficient_vectors(p, k - i, first=1):
+            if v[0] != 1:
+                break
+            yield FFElement(field, (0,) * i + v)
 
 
 def get_discriminant(beta: GWClass):

@@ -2,18 +2,25 @@
 
 Anisotropic dimensions are classified field by field; over Q the local
 dimensions over Q_p (the iterated hyperbolic-splitting criteria) combine
-with the real signature through the Hasse-Minkowski principle.  The
-anisotropic part over Q is rebuilt from its prescribed invariants.
+with the real signature through the Hasse-Minkowski principle.
+
+The anisotropic part over Q is built from its class alone (rank, signature,
+discriminant d, the primes where Hasse-Witt is -1), so isomorphic inputs
+get one representative (Serre, A Course in Arithmetic, III Thm 4 and IV
+Prop 7).  Above rank 3 it peels off <sign>; at rank 3 an entry built from
+the primes where the ternary form is anisotropic; and the plane <a, a*d>
+solves an F_2 linear system, with at most one auxiliary prime.  The
+ascending scan for that prime is the only search: it stops at
+_REALIZATION_CAP with a ValueError, which the CLI reports with exit 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 
-from .fields import (QQ, is_padic_square, is_prime, is_square,
-                     odd_prime_support, squarefree_part)
+from .fields import QQ, is_padic_square, is_prime, is_square
 from .forms import (GWClass, InvariantBundle, add_gw, canonical_nonsquare,
                     classifying_key, empty_form, get_discriminant,
                     get_invariants, get_signature, hasse_witt_invariant,
@@ -119,123 +126,103 @@ def is_isotropic(beta: GWClass) -> bool:
 # ---------------------------------------------------------------------------
 # Anisotropic part.
 
+# The one search of the realization, for a plane's auxiliary prime, tries
+# the primes below this cap; past it the realization raises ValueError.
+_REALIZATION_CAP = 10_000
 
-def _search_unit(primes, sign, d_t, targets):
-    """A rational a of the given sign with (a, -d_t)_p = targets[p] for all p.
 
-    Returns None when no such a exists: by Hilbert reciprocity the
-    symbols of any a multiply to 1 over all places, and when -d_t is a
-    square every symbol is trivially 1.  Otherwise tries products of the
-    listed primes first, then enlarges by one auxiliary prime.
+def _pool(disc: int, eps: dict) -> list[int]:
+    """2, the primes of disc and the primes where eps is -1, ascending;
+    every prime of disc must be a key of eps."""
+    return sorted({2} | {p for p, t in eps.items() if t == -1 or disc % p == 0})
+
+
+def _solve_f2(rows):
+    """An x with parity(r & x) == b for every (r, b) in rows, or None.
+
+    Gauss-Jordan elimination pivoting on each row's lowest set bit (its
+    leftmost column); the free variables are 0.
     """
-    base = sorted(set(primes) | {2})
-    if d_t == -1:
-        return Fraction(sign) if all(t == 1 for t in targets.values()) else None
-    # (a, -d_t)_p is identically 1 when -d_t is a square in Q_p.
-    if any(t == -1 and is_padic_square(Fraction(-d_t), p)
-           for p, t in targets.items()):
-        return None
-    infinity = -1 if sign < 0 and d_t > 0 else 1
-    product = infinity
-    for t in targets.values():
-        product *= t
-    if product != 1:
-        return None
-
-    def candidates(extra=1):
-        cands = []
-        for mask in itertools.product((0, 1), repeat=len(base)):
-            val = extra
-            for p, m in zip(base, mask):
-                if m:
-                    val *= p
-            cands.append(sign * val)
-        return sorted(set(cands), key=abs)
-
-    def ok(a, check_primes):
-        return all(hilbert_symbol(a, -d_t, p) == targets.get(p, 1)
-                   for p in check_primes)
-
-    check = sorted(set(base) | set(targets))
-    for a in candidates():
-        if ok(a, check):
-            return Fraction(a)
-    aux = 3
-    while True:
-        if is_prime(aux) and aux not in check:
-            for a in candidates(aux):
-                if ok(a, check + [aux]):
-                    return Fraction(a)
-        aux += 2
+    reduced = []
+    for r, b in rows:
+        for pr, pb in reduced:
+            if r & pr & -pr:
+                r, b = r ^ pr, b ^ pb
+        if not r:
+            if b:
+                return None
+            continue
+        reduced = [(pr ^ r, pb ^ b) if pr & r & -r else (pr, pb)
+                   for pr, pb in reduced] + [(r, b)]
+    return sum(r & -r for r, b in reduced if b)
 
 
-def _entry_candidates(pool, signs, aux_count=25):
-    """Squarefree candidates (by absolute value) built from the prime pool."""
-    magnitudes = []
-    for mask in itertools.product((0, 1), repeat=len(pool)):
-        val = 1
-        for p, m in zip(pool, mask):
-            if m:
-                val *= p
-        magnitudes.append(val)
-    magnitudes = sorted(set(magnitudes))
-    auxes = [1]
-    q = 3
-    while len(auxes) <= aux_count:
-        if is_prime(q) and q not in pool:
-            auxes.append(q)
-        q += 2
-    out = sorted({v * x for v in magnitudes for x in auxes})
-    return [s * v for v in out for s in signs]
+def _plane(sig: int, disc: int, eps: dict, pool: list[int]) -> list[int]:
+    """<a, a*disc> with Hasse-Witt (a, -disc)_p = eps_p on the pool.
 
-
-def _realize_recursive(rank: int, sig: int, disc: int, eps: dict):
-    """Diagonal squarefree entries for the invariants, or None if stuck.
-
-    Peels off one diagonal entry at a time; the rank-2 base case is the
-    pair <a, a*disc> with Hasse-Witt symbol (a, -disc)_p.
+    a is sign(sig) times a product of the columns -1 (when sig is 0), the
+    pool primes and t: the symbols are bilinear, so this is an F_2 linear
+    system.  t is 1 (a zero column) and then each prime outside the pool
+    with (t, -disc)_t = 1, ascending, until one solves the system; one does
+    by Dirichlet's theorem (Serre, III Thm 4).
     """
-    if rank == 1:
-        if (1 if disc > 0 else -1) != sig or any(t == -1 for t in eps.values()):
-            return None
-        return [disc]
-    pool = sorted({2} | set(eps) | set(odd_prime_support(disc)))
-    if rank == 2:
-        if disc > 0:
-            signs = {2: [1], -2: [-1]}.get(sig)
-        else:
-            signs = [1, -1] if sig == 0 else None
-        if signs is None:
-            return None
-        for sign in signs:
-            a = _search_unit(pool, sign, disc, eps)
-            if a is not None:
-                return sorted((squarefree_part(a), squarefree_part(a * disc)))
-        return None
-    signs = [s for s in (1, -1) if abs(sig - s) <= rank - 1]
-    for a1 in _entry_candidates(pool, signs):
-        d_rest = squarefree_part(Fraction(disc) * a1)
-        eps_rest = {p: eps.get(p, 1) * hilbert_symbol(a1, d_rest, p)
-                    for p in sorted(set(pool) | set(odd_prime_support(a1)))}
-        rest = _realize_recursive(rank - 1, sig - (1 if a1 > 0 else -1),
-                                  d_rest, eps_rest)
-        if rest is not None:
-            return sorted([a1] + rest)
-    return None
+    sign = -1 if sig < 0 else 1
+    cols = ([-1] if sig == 0 else []) + pool
+    base = [(sum(1 << j for j, g in enumerate(cols)
+                 if hilbert_symbol(g, -disc, p) == -1),
+             eps[p] * hilbert_symbol(sign, -disc, p) == -1) for p in pool]
+    for t in range(1, _REALIZATION_CAP):
+        if t > 1 and (t in pool or not is_prime(t)
+                      or hilbert_symbol(t, -disc, t) == -1):
+            continue
+        x = _solve_f2([(r | (hilbert_symbol(t, -disc, p) == -1) << len(cols),
+                        b) for (r, b), p in zip(base, pool)])
+        if x is not None:
+            a = sign * prod(g for j, g in enumerate(cols + [t]) if x >> j & 1)
+            return [a, a * disc // gcd(a, disc) ** 2]
+    raise ValueError(f"no auxiliary prime below the realization cap "
+                     f"{_REALIZATION_CAP}")
 
 
-def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> list[int]:
-    """Diagonal squarefree entries realizing the given rational invariants."""
-    if rank == 0:
-        return []
-    entries = _realize_recursive(rank, sig, disc, eps)
-    if entries is None:
-        raise AssertionError("could not realize the prescribed invariants")
-    realized = get_invariants(make_diagonal_form(QQ, entries))
-    if classifying_key(realized) != \
-            classifying_key(InvariantBundle(rank, sig, disc, eps)):
+def _ternary_entry(sign: int, disc: int, eps: dict, pool: list[int]) -> int:
+    """An entry sign * m or sign * 2m, with pool primes only, leaving a plane.
+
+    The plane exists unless the entry lies in the class of -disc at a prime
+    where the ternary form is anisotropic, that is where eps_p differs from
+    (-1, -disc)_p (ch. IV Prop 7).  m, the product of those primes that are
+    odd and prime to disc, differs from -disc by valuation at each odd one;
+    at 2 it can clash only when disc is odd, and then 2m differs there.
+    """
+    anisotropic_at = [p for p in pool if eps[p] != hilbert_symbol(-1, -disc, p)]
+    m = sign * prod(p for p in anisotropic_at if p > 2 and disc % p)
+    clash = 2 in anisotropic_at and is_padic_square(-disc * m, 2)
+    return 2 * m if clash else m
+
+
+def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
+    """A diagonal form with squarefree entries, ascending, realizing the
+    given rational invariants.
+
+    Reads only the class; each prime of disc must be a key of eps.  Prop 7
+    puts no local condition on rank >= 3, so above rank 3 any <sign> peels
+    off.
+    """
+    key = classifying_key(InvariantBundle(rank, sig, disc, eps))
+    pool = _pool(disc, eps)
+    eps = {p: eps.get(p, 1) for p in pool}
+    entries = []
+    for n in range(rank, 2, -1):
+        sign = -1 if sig < 0 else 1
+        a = sign if n > 3 else _ternary_entry(sign, disc, eps, pool)
+        entries.append(a)
+        sig, disc = sig - (1 if a > 0 else -1), disc * a // gcd(disc, a) ** 2
+        eps = {p: eps[p] * hilbert_symbol(a, disc, p) for p in pool}
+        pool = _pool(disc, eps)
+    entries += _plane(sig, disc, eps, pool) if rank > 1 else [disc]
+    realized = make_diagonal_form(QQ, sorted(entries))
+    if classifying_key(get_invariants(realized)) != key:
         raise AssertionError("realized form has the wrong invariants")
-    return entries
+    return realized
 
 
 def anisotropic_part(beta: GWClass) -> GWClass:
@@ -272,8 +259,7 @@ def anisotropic_part(beta: GWClass) -> GWClass:
             t *= hilbert_symbol(-1, -1, p)
         t *= hilbert_symbol(d_a, (-1) ** n, p)
         eps[p] = t
-    entries = _realize_rational(dim, inv.signature, d_a, eps)
-    result = make_diagonal_form(QQ, entries)
+    result = _realize_rational(dim, inv.signature, d_a, eps)
     rebuilt = result if n == 0 else add_gw(result, make_hyperbolic_form(QQ, 2 * n))
     if not is_isomorphic_form(rebuilt, beta):
         raise AssertionError("anisotropic part failed its witness check")

@@ -389,3 +389,30 @@ def test_gf_arithmetic_matches_schoolbook_reference(q):
                                            zip(a.coeffs, b.coeffs))
         if a:
             assert _reference_mul(a.coeffs, a.inverse().coeffs, F) == one
+
+
+def test_canonical_nonsquare_matches_the_first_nonsquare_of_the_scan():
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for k in itertools.count(1):
+            if p ** k > 30000:
+                break
+            F = gf_construct(p, k)
+            first = next(a for a in F.elements() if a and not is_square(a, F))
+            assert canonical_nonsquare.__wrapped__(F) == first, (p, k)
+            checked += 1
+    assert checked == 37
+
+
+def test_canonical_nonsquare_over_even_degree_skips_whole_lines(monkeypatch):
+    from a1degrees import forms
+    calls = []
+    real = forms.is_square
+    monkeypatch.setattr(forms, "is_square",
+                        lambda a, F: calls.append(a) or real(a, F))
+    # modulus x^2 + 1 and p = 3 mod 8: t and 1 are squares, 1 + t has norm 2
+    for p in (100003, 10**18 + 3):
+        calls.clear()
+        F = gf_construct(p, 2)
+        assert canonical_nonsquare.__wrapped__(F).coeffs == (1, 1)
+        assert len(calls) <= 3

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import gf_isotropy_oracle, primitive_zero_mod
 
-from a1degrees.fields import CC, QQ, RR, gf_construct
+from a1degrees import cli, witt
+from a1degrees.fields import CC, QQ, RR, gf_construct, is_prime
 from a1degrees.forms import (add_gw, get_invariants, hasse_witt_primes,
                              is_isomorphic_form, make_diagonal_form,
-                             make_hyperbolic_form)
+                             make_gw_class, make_hyperbolic_form)
 from a1degrees.witt import (anisotropic_dimension, anisotropic_dimension_qp,
                             anisotropic_part, is_anisotropic, is_isotropic,
                             sum_decomposition, witt_index)
@@ -214,3 +216,115 @@ def test_anisotropic_part_entries_are_sorted_squarefree():
         got = [part.gram[i][i] for i in range(part.rank)]
         assert got == sorted(got)
         assert all(e.denominator == 1 and squarefree_part(e) == e for e in got)
+
+
+# -- the rational construction reads only the class --------------------------
+
+
+def _cli_stdout(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+def _matrix_arg(rows):
+    return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]"
+
+
+def _unimodular(rng, n):
+    """A product of elementary integer matrices: determinant 1."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for row in p:
+            row[j] += c * row[i]
+    return p
+
+
+def test_display_depends_only_on_the_class(capsys):
+    pairs = [(_matrix_arg([[-4, 0, 0, 0], [0, 2, 0, 0], [0, 0, 23, 0],
+                           [0, 0, 0, -8]]),
+              _matrix_arg([[23, 0, 0, 0], [0, -19, 0, 0], [0, 0, 19, 0],
+                           [0, 0, 0, -9]]))]
+    rng = random.Random(61)
+    vals = [v for v in range(-30, 31) if v]
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        d = [rng.choice(vals) for _ in range(n)]
+        p = _unimodular(rng, n)
+        gram = [[sum(p[k][i] * d[k] * p[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)]
+        assert is_isomorphic_form(diag(d), make_gw_class(gram, QQ))
+        pairs.append((_matrix_arg([[d[i] if i == j else 0 for j in range(n)]
+                                   for i in range(n)]), _matrix_arg(gram)))
+    for first, second in pairs:
+        for command in ("decompose", "anisotropic-part"):
+            outs = [_cli_stdout(capsys, "form", command, "--field", "QQ",
+                                "--matrix", m) for m in (first, second)]
+            assert outs[0] == outs[1], (command, first, second)
+    assert _cli_stdout(capsys, "form", "decompose", "--field", "QQ",
+                       "--diag", "23,-19,19,-9") == "1H + <-1> + <23>\n"
+
+
+def _prime_heavy_forms():
+    odd = [p for p in range(3, 200) if is_prime(p)]
+    forms = []
+    for count in (12, 15):
+        entries = [math.prod(odd[:count][i::4]) for i in range(4)]
+        forms.append(entries)
+        forms.append(entries[:3] + [-entries[3]])
+    # rank 3 with Hasse-Witt -1 at 3, 5, ..., 41, none dividing the
+    # discriminant: a peeled entry <q> with q prime would have to be a
+    # nonresidue modulo all twelve, so the entry is built from them instead
+    m = math.prod(odd[:12])
+    forms.append([m, m * 26293, 69467])
+    return forms
+
+
+@pytest.mark.parametrize("entries", _prime_heavy_forms())
+def test_prime_heavy_forms_decompose(monkeypatch, entries):
+    beta = diag(entries)
+    inv = get_invariants(beta)
+    pool = {2} | {p for p, t in inv.hasse_witt.items()
+                  if t == -1 or inv.discriminant % p == 0}
+    calls = []
+    real = witt.hilbert_symbol
+    monkeypatch.setattr(witt, "hilbert_symbol",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = sum_decomposition(beta)
+    # definite forms are anisotropic; the indefinite rank-4 ones split one H
+    assert rep.witt_index == (0 if min(entries) > 0 else 1)
+    assert is_isomorphic_form(beta, rebuild(rep))
+    # no search over subsets of the pool: quadratically many symbols
+    assert len(calls) <= 2 * (len(pool) + 2) ** 2, (len(calls), len(pool))
+
+
+def test_realization_cap_is_a_domain_error(monkeypatch, capsys):
+    # <6, 21> has pool {2, 7}; its plane needs the auxiliary prime 3
+    assert sum_decomposition(diag([6, 21])).display == "<3> + <42>"
+    monkeypatch.setattr(witt, "_REALIZATION_CAP", 3)
+    with pytest.raises(ValueError, match="realization cap"):
+        anisotropic_part(diag([6, 21]))
+    code = cli.main(["form", "decompose", "--field", "QQ", "--diag", "6,21"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "realization cap" in captured.err
+
+
+def test_f2_solver_matches_exhaustive_search():
+    rng = random.Random(17)
+    for _ in range(300):
+        ncols, nrows = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [(rng.getrandbits(ncols), rng.random() < 0.5)
+                for _ in range(nrows)]
+
+        def solves(x):
+            return all(bin(r & x).count("1") % 2 == b for r, b in rows)
+
+        x = witt._solve_f2(rows)
+        assert (x is not None) == any(solves(y) for y in range(1 << ncols))
+        if x is not None:
+            assert solves(x) and 0 <= x < 1 << ncols
