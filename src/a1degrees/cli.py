@@ -230,7 +230,7 @@ def emit(args, pretty_lines, json_obj):
 
 def cmd_form_diagonalize(args):
     beta = payload_class(args)
-    diag, _ = forms.diagonalize(beta)
+    diag = forms.make_diagonal_form(beta.field, beta.diagonal_entries())
     emit(args, [str(diag)], gwclass_to_json(diag))
 
 

@@ -32,7 +32,7 @@ __all__ = [
     "fraction_sqrt",
 ]
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 1 << 10
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -93,7 +93,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Factor |n| by trial division up to 10^6, then Pollard rho."""
+    """Factor |n|: trial division below 2^10, then Miller-Rabin and Brent's
+    variant of Pollard rho on what is left.  Keys ascend."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -107,29 +108,32 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return out
+    return dict(sorted(out.items()))
 
 
 def squarefree_part(r) -> int:
     """The unique squarefree integer s with r = s * t^2, t rational."""
+    return _squarefree_split(r)[0]
+
+
+def _squarefree_split(r) -> tuple[int, tuple[int, ...]]:
+    """(s, primes): squarefree_part(r) and the primes dividing it, ascending,
+    from one factorization."""
     r = Fraction(r)
     if r == 0:
         raise ValueError("zero has no square class")
     m = r.numerator * r.denominator
-    sign = -1 if m < 0 else 1
-    s = sign
-    for p, e in factorize(m).items():
-        if e % 2:
-            s *= p
-    return s
+    primes = tuple(p for p, e in factorize(m).items() if e % 2)
+    s = -1 if m < 0 else 1
+    for p in primes:
+        s *= p
+    return s, primes
 
 
 def padic_valuation(r, p: int) -> int:
@@ -210,11 +214,7 @@ def is_padic_square(r, p: int) -> bool:
 
 def odd_prime_support(r) -> list[int]:
     """Odd primes dividing the square class of a nonzero rational."""
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("zero has no square class")
-    return sorted(p for p, e in factorize(r.numerator * r.denominator).items()
-                  if e % 2 and p != 2)
+    return [p for p in _squarefree_split(r)[1] if p != 2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 from .fields import (QQ, FFElement, FieldDesc, _class_integer,
-                     _coefficient_vectors, _split_prime, factorize,
-                     fraction_sqrt, is_prime, is_square, squarefree_part)
+                     _coefficient_vectors, _split_prime, _squarefree_split,
+                     fraction_sqrt, is_prime, is_square)
 
 __all__ = [
     "GWClass",
@@ -49,8 +49,8 @@ class GWClass:
 
     Built through :func:`make_gw_class`, which validates; rank-0 classes
     exist only as outputs of the Witt-decomposition machinery.  The
-    determinant, the diagonal and the invariants are computed once, on
-    first use.
+    pivots of one symmetric elimination, the diagonal and the invariants
+    are computed once, on first use.
     """
 
     field: FieldDesc
@@ -61,13 +61,18 @@ class GWClass:
         return len(self.gram)
 
     @functools.cached_property
-    def _det(self):
-        return field_det(self.gram, self.field)
+    def _pivots(self) -> tuple:
+        return _eliminate(self.gram, self.field)
+
+    @functools.cached_property
+    def _square_classes(self) -> tuple:
+        return tuple(_squarefree_split(d) for d in self._pivots)
 
     @functools.cached_property
     def _diagonal(self) -> tuple:
-        d, _ = diagonalize(self)
-        return tuple(d.gram[i][i] for i in range(d.rank))
+        if self.field.kind == "GF":
+            return self._pivots
+        return tuple(Fraction(s) for s, _ in self._square_classes)
 
     @functools.cached_property
     def _invariants(self) -> "InvariantBundle":
@@ -120,8 +125,7 @@ def make_gw_class(matrix, field: FieldDesc) -> GWClass:
             if rows[i][j] != rows[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
     beta = _raw(field, rows)
-    if not beta._det:
-        raise ValueError("degenerate form")
+    beta._pivots  # the elimination raises ValueError("degenerate form")
     return beta
 
 
@@ -160,6 +164,68 @@ def multiply_gw(b1: GWClass, b2: GWClass) -> GWClass:
     return _raw(b1.field, rows)
 
 
+def _eliminate(gram, field: FieldDesc, track: bool = False):
+    """Symmetric elimination: the pivots of a congruence diagonalization.
+
+    With ``track`` it returns (pivots, columns of P), where P^T * gram * P
+    is the diagonal of the pivots.
+
+    Step i pivots on the (i, i) entry of the trailing block.  A zero there
+    is swapped with the first nonzero diagonal entry after it; failing
+    that, the first nonzero (i, j) spans a hyperbolic plane, re-based to
+    <1, -1>.  Only the upper triangle of the trailing Schur complement is
+    computed, and only where row i is nonzero; each value is mirrored.
+    """
+    n = len(gram)
+    one, zero = field.one(), field.zero()
+    G = [list(row) for row in gram]
+    cols = None
+    if track:  # P by columns: every basis change is a column operation
+        cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
+    pivots = []
+    for i in range(n):
+        if not G[i][i]:
+            j = next((j for j in range(i + 1, n) if G[j][j]), None)
+            if j is not None:
+                G[i], G[j] = G[j], G[i]
+                for row in G[i:]:
+                    row[i], row[j] = row[j], row[i]
+                if track:
+                    cols[i], cols[j] = cols[j], cols[i]
+            else:
+                j = next((j for j in range(i + 1, n) if G[i][j]), None)
+                if j is None:
+                    raise ValueError("degenerate form")
+                # e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j gives <1, -1>
+                alpha = one / (field.coerce(2) * G[i][j])
+                ri, rj = G[i], G[j]
+                for c in range(i + 1, n):
+                    a, b = ri[c], rj[c]
+                    ri[c] = G[c][i] = alpha * a + b
+                    rj[c] = G[c][j] = alpha * a - b
+                # the plane itself is exactly <1, -1>
+                ri[i], ri[j], rj[i], rj[j] = one, zero, zero, -one
+                if track:
+                    ci, cj = cols[i], cols[j]
+                    cols[i] = [alpha * a + b for a, b in zip(ci, cj)]
+                    cols[j] = [alpha * a - b for a, b in zip(ci, cj)]
+        row = G[i]
+        d = row[i]
+        pivots.append(d)
+        inv = one / d
+        support = [j for j in range(i + 1, n) if row[j]]
+        for t, j in enumerate(support):
+            f = row[j] * inv
+            rj = G[j]
+            for k in support[t:]:
+                rj[k] = G[k][j] = rj[k] - f * row[k]
+            if track:
+                cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
+    if not track:
+        return tuple(pivots)
+    return pivots, cols
+
+
 def diagonalize(beta: GWClass):
     """Congruence diagonalization: returns (D, P) with P^T * gram * P = D.
 
@@ -169,67 +235,16 @@ def diagonalize(beta: GWClass):
     """
     F = beta.field
     n = beta.rank
-    G = [list(row) for row in beta.gram]
-    P = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
-
-    def col_op(dst, src, fac):
-        # basis change e_dst += fac * e_src
-        for r in range(n):
-            P[r][dst] = P[r][dst] + fac * P[r][src]
-        for r in range(n):
-            G[r][dst] = G[r][dst] + fac * G[r][src]
-        for cidx in range(n):
-            G[dst][cidx] = G[dst][cidx] + fac * G[src][cidx]
-
-    def col_swap(i, j):
-        for r in range(n):
-            P[r][i], P[r][j] = P[r][j], P[r][i]
-        G[i], G[j] = G[j], G[i]
-        for r in range(n):
-            G[r][i], G[r][j] = G[r][j], G[r][i]
-
-    def col_pair(i, j, a11, a21, a12, a22):
-        # basis change e_i <- a11*e_i + a21*e_j, e_j <- a12*e_i + a22*e_j
-        for r in range(n):
-            P[r][i], P[r][j] = (a11 * P[r][i] + a21 * P[r][j],
-                                a12 * P[r][i] + a22 * P[r][j])
-        for r in range(n):
-            G[r][i], G[r][j] = (a11 * G[r][i] + a21 * G[r][j],
-                                a12 * G[r][i] + a22 * G[r][j])
-        for c in range(n):
-            G[i][c], G[j][c] = (a11 * G[i][c] + a21 * G[j][c],
-                                a12 * G[i][c] + a22 * G[j][c])
-
-    for i in range(n):
-        if not G[i][i]:
-            j = next((j for j in range(i + 1, n) if G[j][j]), None)
-            if j is not None:
-                col_swap(i, j)
-            else:
-                j = next((j for j in range(i + 1, n) if G[i][j]), None)
-                if j is None:
-                    raise ValueError("degenerate form")
-                # split the hyperbolic pair off as <1, -1> exactly
-                alpha = F.one() / (F.coerce(2) * G[i][j])
-                col_pair(i, j, alpha, F.one(), alpha, -F.one())
-        d = G[i][i]
-        for j in range(i + 1, n):
-            if G[i][j]:
-                col_op(j, i, -(G[i][j] / d))
-
+    diag, cols = _eliminate(beta.gram, F, track=True)
     if F.kind in ("QQ", "RR", "CC"):
-        for i in range(n):
-            d = G[i][i]
-            s = squarefree_part(d)
+        for i, d in enumerate(diag):
+            s, _ = _squarefree_split(d)
             t = fraction_sqrt(d / s)
             if t != 1:
-                inv = 1 / t
-                for r in range(n):
-                    P[r][i] = P[r][i] * inv
-                G[i][i] = Fraction(s)
-
-    diag = [[G[i][i] if i == j else F.zero() for j in range(n)] for i in range(n)]
-    return _raw(F, diag), tuple(tuple(row) for row in P)
+                cols[i] = [a / t for a in cols[i]]
+            diag[i] = Fraction(s)
+    D = [[diag[i] if i == j else F.zero() for j in range(n)] for i in range(n)]
+    return _raw(F, D), tuple(zip(*cols))
 
 
 def make_diagonal_form(field: FieldDesc, entries) -> GWClass:
@@ -362,7 +377,8 @@ def hasse_witt_invariant(beta: GWClass, p: int) -> int:
 
 
 def hasse_witt_primes(beta: GWClass) -> list[int]:
-    """{2} plus the odd primes dividing the square classes of the diagonal.
+    """{2} plus the primes of the squarefree diagonal entries, ascending:
+    the primes that reducing each pivot to its square class factored out.
 
     A superset of the primes where the invariant can be -1; extra entries
     evaluate to +1 and are harmless.
@@ -385,29 +401,32 @@ class InvariantBundle:
 
 
 def _square_class_invariants(beta: GWClass) -> InvariantBundle:
-    """The invariants of a class; over QQ/RR from its squarefree diagonal.
+    """The invariants of a class, from the pivots of its one elimination.
 
-    Over QQ the running discriminant d_j = a_1 ... a_j (squarefree, via
-    gcds) ends at the discriminant, and prod_{i<j} (a_i, a_j)_p equals
+    The signature counts the signs of the pivots.  Over GF(q) the product
+    of the pivots is the determinant up to a square.  Over QQ the running
+    discriminant d_j = a_1 ... a_j of the squarefree diagonal (via gcds)
+    ends at the discriminant, and prod_{i<j} (a_i, a_j)_p equals
     prod_j (d_{j-1}, a_j)_p.  Hasse-Witt is recorded, ascending, at 2 and
-    at the odd primes of the entries; elsewhere every a_i is a p-adic unit.
+    at the primes of the entries, read from the factorizations that reduced
+    them; elsewhere every a_i is a p-adic unit.
     """
     field, rank = beta.field, beta.rank
     if field.kind == "GF":
-        if rank and not is_square(beta._det, field):
+        if not is_square(prod(beta._pivots, start=field.one()), field):
             return InvariantBundle(rank, None, canonical_nonsquare(field), None)
         return InvariantBundle(rank, None, field.one(), None)
     if field.kind == "CC":
         return InvariantBundle(rank, None, 1, None)
-    entries = [a.numerator for a in beta._diagonal]
-    signature = sum(1 if a > 0 else -1 for a in entries)
+    signature = sum(1 if d > 0 else -1 for d in beta._pivots)
     if field.kind == "RR":
         negatives = (rank - signature) // 2
         return InvariantBundle(rank, signature, (-1) ** negatives, None)
-    primes = sorted({2}.union(*(factorize(a) for a in entries)))
+    classes = beta._square_classes
+    primes = sorted({2}.union(*(ps for _, ps in classes)))
     hasse_witt = dict.fromkeys(primes, 1)
     d = 1
-    for a in entries:
+    for a, _ in classes:
         for p in primes:
             hasse_witt[p] *= hilbert_symbol(d, a, p)
         g = gcd(d, a)

@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+# The largest exponent literal the parser accepts.  A global degree's Gram
+# matrix has rank prod(deg f_i), so one huge literal would otherwise build
+# a huge power and then a huge Bezoutian before anything failed.
+MAX_EXPONENT = 1000
+
+
 class ParseError(ValueError):
     """Raised on malformed polynomial / matrix text, with a position."""
 
@@ -687,7 +693,11 @@ def _tokenize(text: str):
         if m.group(4):
             raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
         if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start()))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("integer literal too long", m.start()) from None
+            tokens.append(("int", value, m.start()))
         elif m.group(2):
             tokens.append(("name", m.group(2), m.start()))
         else:
@@ -752,6 +762,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             kind, exp, at = advance()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", at)
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
             node = node ** exp
         return node
 

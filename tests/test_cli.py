@@ -195,19 +195,31 @@ RANK8 = ("[[1,-2,-1,0,1,2,3,-3],[-2,6,-1,3,0,-3,1,-2],[-1,-1,3,-1,-1,-1,-1,-1],"
          "[3,1,-1,-3,2,0,2,3],[-3,-2,-1,0,1,2,3,1]]")
 
 
+def count_eliminations(monkeypatch) -> list:
+    """Record the rank of each symmetric elimination; forbid the public
+    diagonalization and the determinant."""
+    calls = []
+    original = forms._eliminate
+
+    def counting(gram, field, track=False):
+        calls.append(len(gram))
+        return original(gram, field, track)
+
+    def forbidden(*args):
+        raise AssertionError("a query must classify from the class's pivots")
+
+    monkeypatch.setattr(forms, "_eliminate", counting)
+    monkeypatch.setattr(forms, "diagonalize", forbidden)
+    monkeypatch.setattr(forms, "field_det", forbidden)
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ("degree", "global", "--field", "QQ", "--vars", "x", "--polys", QUARTIC),
     ("form", "invariants", "--field", "QQ", "--matrix", RANK8),
 ])
 def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
-    calls = []
-    original = forms.diagonalize
-
-    def counting(beta):
-        calls.append(beta.rank)
-        return original(beta)
-
-    monkeypatch.setattr(forms, "diagonalize", counting)
+    calls = count_eliminations(monkeypatch)
     obj = run_json(capsys, *argv)
     assert "hasse_witt" in obj
     assert calls == [obj["rank"]]
@@ -300,6 +312,36 @@ def test_entry_parse_errors_report_character_offsets(capsys, argv, offset):
 def test_rational_entry_parse_rejects_bad_text(entry):
     with pytest.raises(ParseError):
         cli.gwclass_from_json({"field": {"name": "QQ"}, "gram": [[entry]]})
+
+
+def test_exponent_cap_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "degree", "global", "--field", "QQ",
+                         "--vars", "x,y", "--polys",
+                         f"x^2 - y; y^{poly.MAX_EXPONENT + 1} + x")
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: exponent {poly.MAX_EXPONENT + 1} exceeds "
+                   f"{poly.MAX_EXPONENT} (at position 2)\n")
+
+
+@pytest.mark.parametrize("field, matrix", [
+    ("QQ", "[[1,3],[3,7]]"),
+    ("QQ", "[[0,1],[1,0]]"),
+    ("QQ", "[[0,2,1],[2,6,0],[1,0,-3/4]]"),
+    ("GF(9)", "[[0,2,1],[2,0,1],[1,1,0]]"),
+])
+def test_form_diagonalize_prints_the_cached_diagonal(capsys, monkeypatch,
+                                                     field, matrix):
+    beta = forms.make_gw_class(cli.parse_matrix(matrix), cli.parse_field(field))
+    d, _ = forms.diagonalize(beta)
+    expected = [str(d) + "\n", json.dumps(cli.gwclass_to_json(d), indent=2) + "\n"]
+
+    def forbidden(*args):
+        raise AssertionError("form diagonalize must not rebuild the basis")
+
+    monkeypatch.setattr(forms, "diagonalize", forbidden)
+    got = [run(capsys, "form", "diagonalize", "--field", field, "--matrix",
+               matrix, *json_flag) for json_flag in ((), ("--json",))]
+    assert got == [(0, out, "") for out in expected]
 
 
 def test_domain_errors_exit_1(capsys):
@@ -418,14 +460,7 @@ def test_huge_prime_field_builds_lazily(capsys):
 
 
 def test_one_determinant_per_gf_degree_query(capsys, monkeypatch):
-    calls = []
-    original = forms.field_det
-
-    def counting(rows, field):
-        calls.append(len(rows))
-        return original(rows, field)
-
-    monkeypatch.setattr(forms, "field_det", counting)
+    calls = count_eliminations(monkeypatch)
     obj = run_json(capsys, "degree", "global", "--field", "GF(27)",
                    "--vars", "x1,x2,x3,x4", "--polys", GRASSMANNIAN)
     assert obj["rank"] == 6

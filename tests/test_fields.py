@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,6 +51,20 @@ def test_factorize_reconstructs_and_uses_prime_factors():
             assert is_prime(p)
             prod *= p ** e
         assert prod == n
+
+
+def test_factorize_matches_sympy():
+    above = [p for p in range(1 << 10, 1 << 11) if is_prime(p)][:4]
+    cases = [p ** e for p in above for e in (2, 3)]
+    cases += [p * q for p, q in itertools.combinations(above, 2)]
+    cases.append(3 * 473503 * 658247)
+    rng = random.Random(48)
+    cases += [rng.randrange(1, 1 << 48) for _ in range(300)]
+    for n in cases:
+        fac = factorize(n)
+        assert fac == sympy.factorint(n), n
+        assert list(fac) == sorted(fac), n
+        assert factorize(-n) == fac
 
 
 # -- square classes ----------------------------------------------------------

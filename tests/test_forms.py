@@ -3,14 +3,16 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import (HILBERT_CORPUS, HILBERT_PRIMES, hilbert_oracle,
                       real_hilbert_symbol)
 
-from a1degrees.fields import CC, QQ, RR, gf_construct, odd_prime_support
-from a1degrees.forms import (add_gw, base_change, diagonalize,
+from a1degrees.fields import (CC, QQ, RR, gf_construct, is_square,
+                              odd_prime_support, squarefree_part)
+from a1degrees.forms import (add_gw, base_change, diagonalize, field_det,
                              get_discriminant, get_invariants, get_rank,
                              get_signature, hasse_witt_invariant,
                              hasse_witt_primes, hilbert_symbol,
@@ -145,6 +147,52 @@ def test_diagonalize_congruence_witness_gf13():
             except ValueError:
                 continue
         assert congruence_holds(beta)
+
+
+def random_symmetric(rng, n, field, diagonal):
+    """A seeded symmetric matrix: diagonal "dense", "some-zero" or "zero"."""
+    def draw():
+        if field.kind == "GF":
+            return field.coerce(tuple(rng.randrange(field.char)
+                                      for _ in range(field.degree)))
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+
+    m = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw() if rng.random() < 0.7 else field.zero()
+    for i in range(n):
+        if diagonal == "zero" or (diagonal == "some-zero" and rng.random() < 0.5):
+            m[i][i] = field.zero()
+    return m
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_elimination_oracle(field):
+    rng = random.Random(f"elimination:{field}")
+    seen = {"degenerate": 0, "swap": 0, "pair": 0}
+    for k in range(120):
+        diagonal = ("dense", "some-zero", "zero")[k % 3]
+        m = random_symmetric(rng, rng.randint(1, 6), field, diagonal)
+        det = field_det(m, field)
+        if not det:
+            seen["degenerate"] += 1
+            with pytest.raises(ValueError, match="degenerate form"):
+                make_gw_class(m, field)
+            continue
+        beta = make_gw_class(m, field)
+        d, _ = diagonalize(beta)
+        assert beta.diagonal_entries() == [d.gram[i][i] for i in range(d.rank)]
+        assert congruence_holds(beta)
+        pivots = prod(beta._pivots, start=field.one())
+        if field.kind == "GF":
+            assert is_square(pivots, field) == is_square(det, field)
+        else:
+            assert squarefree_part(pivots) == squarefree_part(det)
+        if not m[0][0]:
+            seen["pair" if not any(m[i][i] for i in range(len(m))) else "swap"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 # -- invariants --------------------------------------------------------------

@@ -8,11 +8,11 @@ import pytest
 import sympy
 
 from a1degrees.fields import QQ, FFElement, gf_construct
-from a1degrees.poly import (GroebnerBasis, Ideal, ParseError, Polynomial,
-                            PolyRing, exact_quotient, groebner_basis,
-                            ideal_quotient, normal_form, parse_polynomial,
-                            resultant_univariate, saturation,
-                            standard_monomials)
+from a1degrees.poly import (MAX_EXPONENT, GroebnerBasis, Ideal, ParseError,
+                            Polynomial, PolyRing, exact_quotient,
+                            groebner_basis, ideal_quotient, normal_form,
+                            parse_polynomial, resultant_univariate,
+                            saturation, standard_monomials)
 from a1degrees.poly import _prep_divisors, _reduce_terms
 
 
@@ -78,6 +78,16 @@ def test_parser_reports_positions():
         with pytest.raises(ParseError) as info:
             R.from_string(text)
         assert isinstance(info.value.position, int)
+
+
+def test_parser_caps_exponent_literals():
+    R = ring("x", "y")
+    assert R.from_string(f"x^{MAX_EXPONENT}") == R.variable(0) ** MAX_EXPONENT
+    for text, at in ((f"x^{MAX_EXPONENT + 1}", 2), (f"y + 2^{10 ** 12}", 6),
+                     ("x*(y - 1)^" + "9" * 5000, 10)):
+        with pytest.raises(ParseError) as info:
+            R.from_string(text)
+        assert info.value.position == at
 
 
 def test_parser_handles_fractions_and_unary_minus():
