@@ -231,7 +231,9 @@ def emit(args, pretty_lines, json_obj):
 def cmd_form_diagonalize(args):
     beta = payload_class(args)
     diag = forms.make_diagonal_form(beta.field, beta.diagonal_entries())
-    emit(args, [str(diag)], gwclass_to_json(diag))
+    # The diagonal has beta's pivots, so beta's record is its record too.
+    gram = [[str(c) for c in row] for row in diag.gram]
+    emit(args, [str(diag)], gwclass_to_json(beta, {"gram": gram}))
 
 
 def cmd_form_invariants(args):
@@ -253,7 +255,8 @@ def cmd_form_decompose(args):
     extra = {
         "witt_index": report.witt_index,
         "decomposition": report.display,
-        "isotropic": witt.is_isotropic(beta),
+        # beta is nondegenerate: isotropic exactly when H splits off
+        "isotropic": report.witt_index > 0,
         "anisotropic_part": [[str(c) for c in row]
                              for row in report.anisotropic_part.gram],
     }

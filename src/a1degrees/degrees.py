@@ -1,9 +1,9 @@
 """Local and global A1-Brouwer degrees via Bezoutian bilinear forms.
 
 The pipeline: build the divided-difference matrix of the system in a
-doubled ring, take its determinant, reduce modulo the ideal's Groebner
-basis in the X-copy and the Y-copy of the variables, and read the Gram
-matrix off the standard-monomial (or local-algebra) basis grid.
+doubled ring, take its determinant, reduce it once modulo the ideal's
+Groebner basis in the X-copy and the Y-copy of the variables, and read
+the Gram matrix off the standard-monomial (or local-algebra) basis grid.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .forms import GWClass, empty_form, make_gw_class
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, exact_quotient,
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, bareiss_det,
                    groebner_basis, normal_form, standard_monomials)
 
 __all__ = [
@@ -57,8 +57,7 @@ class BezoutianMatrix:
         return len(self.entries)
 
     def determinant(self) -> Polynomial:
-        return _poly_det([list(row) for row in self.entries],
-                         self.doubled_ring)
+        return bareiss_det(self.entries, self.doubled_ring)
 
     def diagonal_specialization(self):
         """Entries with Y set to X, pulled back to the base ring: the Jacobian."""
@@ -86,8 +85,12 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
     """The n x n divided-difference matrix in variables X_i, Y_i.
 
     Entry (i, j) is the difference quotient of f_i between the staggered
-    substitutions (Y_1..Y_{j-1}, X_j..X_n) and (Y_1..Y_j, X_{j+1}..X_n),
-    divided exactly by X_j - Y_j.
+    substitutions (Y_1..Y_{j-1}, X_j..X_n) and (Y_1..Y_j, X_{j+1}..X_n)
+    by X_j - Y_j, written out: since (X^m - Y^m)/(X - Y) is the sum of
+    X^t * Y^(m-1-t) over t < m, a term c*z^e of f_i contributes
+        c * prod_{k<j} Y_k^e_k * prod_{k>j} X_k^e_k * X_j^t * Y_j^(e_j-1-t)
+    for t = 0..e_j-1.  Distinct (e, t) give distinct monomials, so no two
+    contributions combine.
     """
     ring = system.ring
     n = ring.nvars
@@ -96,39 +99,17 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
     for f in system.polys:
         row = []
         for j in range(n):
-            hi = [(k + n if k < j else k) for k in range(n)]
-            lo = [(k + n if k <= j else k) for k in range(n)]
-            num = f.map_to(dring, hi) - f.map_to(dring, lo)
-            denom = dring.variable(j) - dring.variable(j + n)
-            row.append(exact_quotient(num, denom) if num else dring.zero())
+            before, after = (0,) * j, (0,) * (n - 1 - j)
+            terms = {}
+            for e, c in f.terms.items():
+                m = e[j]
+                if m:
+                    mid = e[j + 1:] + e[:j]  # X_{j+1}..X_n, then Y_1..Y_{j-1}
+                    for t in range(m):
+                        terms[before + (t,) + mid + (m - 1 - t,) + after] = c
+            row.append(Polynomial(dring, terms))
         rows.append(tuple(row))
     return BezoutianMatrix(dring, tuple(rows), system)
-
-
-def _poly_det(m, ring: PolyRing) -> Polynomial:
-    """Fraction-free Bareiss determinant over the polynomial ring."""
-    n = len(m)
-    if n == 0:
-        return ring.one()
-    a = [row[:] for row in m]
-    sign = 1
-    one = prev = ring.one()
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return ring.zero()
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        divide = prev != one  # a pivot 1, as at the first step, divides nothing
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_quotient(num, prev) if divide and num else num
-            a[i][k] = ring.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
@@ -138,13 +119,16 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     if not mons:
         return empty_form(ring.field)
     index = {m.leading_monomial(): i for i, m in enumerate(mons)}
-    dring = doubled_ring(ring)
+    bez = bezoutian_matrix(system)
+    dring = bez.doubled_ring
     x_map = list(range(n))
     y_map = list(range(n, 2 * n))
-    gx = [g.map_to(dring, x_map) for g in basis_gb.basis]
-    gy = [g.map_to(dring, y_map) for g in basis_gb.basis]
-    det = bezoutian_matrix(system).determinant()
-    reduced = normal_form(normal_form(det, gx), gy)
+    # The X-copy and the Y-copy have leading monomials in disjoint
+    # variables, so every cross S-pair passes the product criterion and
+    # their union is a Groebner basis of I_X + I_Y: one reduction pass.
+    gxy = [g.map_to(dring, x_map) for g in basis_gb.basis] + \
+        [g.map_to(dring, y_map) for g in basis_gb.basis]
+    reduced = normal_form(bez.determinant(), gxy)
     size = len(mons)
     zero = ring.field.zero()
     gram = [[zero] * size for _ in range(size)]

@@ -143,15 +143,7 @@ def padic_valuation(r, p: int) -> int:
     r = Fraction(r)
     if r == 0:
         raise ValueError("zero has no p-adic valuation")
-
-    def _val(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return _val(r.numerator) - _val(r.denominator)
+    return _split_prime(r.numerator, p)[0] - _split_prime(r.denominator, p)[0]
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -579,6 +571,7 @@ def is_square(a, F: FieldDesc) -> bool:
         return True
     if F.kind == "RR":
         return a > 0
-    if F.kind == "QQ":
-        return squarefree_part(a) == 1
+    if F.kind == "QQ":  # n/d in lowest terms: a square iff n and d are
+        n, d = a.numerator, a.denominator
+        return a > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
     return a ** ((F.order - 1) // 2) == F.one()

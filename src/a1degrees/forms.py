@@ -39,7 +39,6 @@ __all__ = [
     "is_isomorphic_form",
     "base_change",
     "canonical_nonsquare",
-    "field_det",
 ]
 
 
@@ -88,28 +87,6 @@ class GWClass:
         width = max(len(s) for row in rows for s in row)
         return "\n".join("[ " + "  ".join(s.rjust(width) for s in row) + " ]"
                          for row in rows)
-
-
-def field_det(rows, field: FieldDesc):
-    """Determinant of a square matrix of field elements, by elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = field.one()
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return field.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = field.one() / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                fac = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - fac * a[k][j]
-    return det
 
 
 def make_gw_class(matrix, field: FieldDesc) -> GWClass:
@@ -298,7 +275,7 @@ def get_signature(beta: GWClass) -> int:
     return beta._invariants.signature
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def canonical_nonsquare(field: FieldDesc) -> FFElement:
     """The first nonsquare of GF(q) in the order of ``field.elements()``.
 

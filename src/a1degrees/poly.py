@@ -12,10 +12,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, ge, sub
+from operator import add, ge, sub, truediv
 
 from .fields import FieldDesc, FFElement
-from .forms import field_det
 
 __all__ = [
     "ParseError",
@@ -26,6 +25,7 @@ __all__ = [
     "groebner_basis",
     "normal_form",
     "exact_quotient",
+    "bareiss_det",
     "ideal_quotient",
     "saturation",
     "standard_monomials",
@@ -415,6 +415,39 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ring, quotients[0])
 
 
+def bareiss_det(rows, ring):
+    """Fraction-free Bareiss determinant of a square matrix.
+
+    `ring` is a PolyRing, whose entries divide by the previous pivot with
+    `exact_quotient`, or a FieldDesc, whose scalars divide with `/`.  A
+    previous pivot of 1, as at the first step, divides nothing.
+    """
+    n = len(rows)
+    one = prev = ring.one()
+    if n == 0:
+        return one
+    divide = exact_quotient if isinstance(ring, PolyRing) else truediv
+    a = [list(row) for row in rows]
+    sign = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return ring.zero()
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        exact = prev != one
+        for i in range(k + 1, n):
+            row_i, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                num = row_i[j] * pivot - lead * row_k[j]
+                row_i[j] = divide(num, prev) if exact and num else num
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
 # ---------------------------------------------------------------------------
 # Ideals and Groebner bases.
 
@@ -633,7 +666,7 @@ def _sylvester_resultant(fdesc, gdesc, field):
         rows.append([field.zero()] * i + gdesc + [field.zero()] * (size - n - 1 - i))
     for i in range(n):
         rows.append([field.zero()] * i + fdesc + [field.zero()] * (size - m - 1 - i))
-    return field_det(rows, field)
+    return bareiss_det(rows, field)
 
 
 def resultant_univariate(f: Polynomial, g: Polynomial):
@@ -651,33 +684,20 @@ def resultant_univariate(f: Polynomial, g: Polynomial):
     used = sorted(f.support() | g.support())
     if len(used) == 0:
         return field.one()
-    if len(used) == 1:
-        v = used[0]
+    if len(used) > 2 or (len(used) == 2 and any(
+            len({sum(e) for e in p.terms}) != 1 for p in (f, g))):
+        raise ValueError("resultant requires univariate input")
+    v = used[0]
 
-        def coeffs(p):
-            deg = max(e[v] for e in p.terms)
-            out = [field.zero()] * (deg + 1)
-            for e, c in p.terms.items():
-                out[deg - e[v]] = c  # descending
-            return out
+    def coeffs(p):
+        # The degree in the one variable, or the formal degree of a form.
+        deg = p.total_degree()
+        out = [field.zero()] * (deg + 1)
+        for e, c in p.terms.items():
+            out[deg - e[v]] = c  # descending in the first variable
+        return out
 
-        return _sylvester_resultant(coeffs(f), coeffs(g), field)
-    if len(used) == 2:
-        u, v = used
-        for p in (f, g):
-            degs = {sum(e) for e in p.terms}
-            if len(degs) != 1:
-                raise ValueError("resultant requires univariate input")
-
-        def form_coeffs(p):
-            deg = next(iter({sum(e) for e in p.terms}))
-            out = [field.zero()] * (deg + 1)
-            for e, c in p.terms.items():
-                out[deg - e[u]] = c  # descending in the first variable
-            return out
-
-        return _sylvester_resultant(form_coeffs(f), form_coeffs(g), field)
-    raise ValueError("resultant requires univariate input")
+    return _sylvester_resultant(coeffs(f), coeffs(g), field)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from a1degrees import cli, fields, forms, poly
+from a1degrees import cli, fields, forms, poly, witt
 from a1degrees.fields import QQ, gf_construct
 from a1degrees.poly import ParseError
 from a1degrees.forms import (is_isomorphic_form, make_diagonal_form,
@@ -197,7 +197,7 @@ RANK8 = ("[[1,-2,-1,0,1,2,3,-3],[-2,6,-1,3,0,-3,1,-2],[-1,-1,3,-1,-1,-1,-1,-1],"
 
 def count_eliminations(monkeypatch) -> list:
     """Record the rank of each symmetric elimination; forbid the public
-    diagonalization and the determinant."""
+    diagonalization."""
     calls = []
     original = forms._eliminate
 
@@ -210,7 +210,6 @@ def count_eliminations(monkeypatch) -> list:
 
     monkeypatch.setattr(forms, "_eliminate", counting)
     monkeypatch.setattr(forms, "diagonalize", forbidden)
-    monkeypatch.setattr(forms, "field_det", forbidden)
     return calls
 
 
@@ -342,6 +341,40 @@ def test_form_diagonalize_prints_the_cached_diagonal(capsys, monkeypatch,
     got = [run(capsys, "form", "diagonalize", "--field", field, "--matrix",
                matrix, *json_flag) for json_flag in ((), ("--json",))]
     assert got == [(0, out, "") for out in expected]
+
+
+def test_form_diagonalize_factors_each_pivot_once(capsys, monkeypatch):
+    calls = []
+    original = fields.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(fields, "factorize", counting)
+    obj = run_json(capsys, "form", "diagonalize", "--field", "QQ",
+                   "--matrix", "[[2,3,1],[3,7,5],[1,5,11]]")
+    assert obj["rank"] == 3 and len(calls) == 3
+
+
+@pytest.mark.parametrize("field, diag", [
+    ("QQ", "1,2,-3"), ("QQ", "3,-3,2,5,1,-9"), ("QQ", "1,1,1"),
+    ("GF(7)", "1,3"), ("RR", "1,-1,2"), ("CC", "2,3"),
+])
+def test_form_decompose_measures_isotropy_once(capsys, monkeypatch, field,
+                                               diag):
+    calls = []
+    original = witt.anisotropic_dimension
+
+    def counting(beta):
+        calls.append(beta.rank)
+        return original(beta)
+
+    monkeypatch.setattr(witt, "anisotropic_dimension", counting)
+    obj = run_json(capsys, "form", "decompose", "--field", field,
+                   "--diag", diag)
+    assert calls == [obj["rank"]]
+    assert obj["isotropic"] == (obj["witt_index"] > 0)
 
 
 def test_domain_errors_exit_1(capsys):

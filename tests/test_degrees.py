@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from a1degrees import degrees
+from a1degrees import degrees, poly
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
 from a1degrees.fields import CC, QQ, RR, gf_construct
 from a1degrees.forms import (add_gw, base_change, get_signature,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
-from a1degrees.poly import (Ideal, PolyRing, groebner_basis, ideal_quotient,
-                            saturation, standard_monomials)
+from a1degrees.poly import (Ideal, Polynomial, PolyRing, groebner_basis,
+                            ideal_quotient, saturation, standard_monomials)
 from a1degrees.witt import sum_decomposition
 
 
@@ -56,17 +56,75 @@ def test_bareiss_never_divides_by_one(monkeypatch):
     entries = bezoutian_matrix(f).entries
     dring = bezoutian_matrix(f).doubled_ring
     divisors = []
-    original = degrees.exact_quotient
+    original = poly.exact_quotient
 
     def recording(num, den):
         divisors.append(den)
         return original(num, den)
 
-    monkeypatch.setattr(degrees, "exact_quotient", recording)
-    det = degrees._poly_det([list(row) for row in entries], dring)
+    monkeypatch.setattr(poly, "exact_quotient", recording)
+    det = poly.bareiss_det(entries, dring)
     assert divisors and dring.one() not in divisors
     (a, b, c), (d, e, g), (h, i, j) = entries
     assert det == a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
+
+
+def random_system(rng, field, n):
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+    polys = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            terms[e] = rng.randint(-6, 6)
+        polys.append(Polynomial.make(ring, terms) or ring.one())
+    return EndoSystem(ring, tuple(polys))
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+def test_closed_form_bezoutian_times_the_difference(field):
+    # (X_j - Y_j) * entry(i, j) = f_i(hi_j) - f_i(lo_j), checked by
+    # multiplication: the staggered substitutions the entries replace.
+    rng = random.Random(f"bezoutian:{field}")
+    for _ in range(12):
+        f = random_system(rng, field, rng.randint(2, 4))
+        bez = bezoutian_matrix(f)
+        dring, n = bez.doubled_ring, f.ring.nvars
+        for j in range(n):
+            hi = [(k + n if k < j else k) for k in range(n)]
+            lo = [(k + n if k <= j else k) for k in range(n)]
+            step = dring.variable(j) - dring.variable(j + n)
+            for i, fi in enumerate(f.polys):
+                assert bez.entries[i][j] * step == \
+                    fi.map_to(dring, hi) - fi.map_to(dring, lo)
+
+
+def test_bezoutian_entries_need_no_substitution_or_division(monkeypatch):
+    ring, f = system(("x", "y"), ["x^2*y - 3*y + 1", "x*y^3 - x^2 + y"])
+
+    def forbidden(*args):
+        raise AssertionError("the entries substitute and divide nothing")
+
+    monkeypatch.setattr(Polynomial, "map_to", forbidden)
+    monkeypatch.setattr(poly, "exact_quotient", forbidden)
+    bez = bezoutian_matrix(f)
+    assert bez.entries[1][1] == bez.doubled_ring.from_string(
+        "Yx*Xy^2 + Yx*Xy*Yy + Yx*Yy^2 + 1")
+
+
+def test_one_reduction_pass_per_degree(monkeypatch):
+    ring, f = system(("x", "y"), ["x^2*y - 3*y + 1", "x*y^3 - x^2 + y"])
+    passes = []
+    original = degrees.normal_form
+
+    def recording(g, divisors):
+        passes.append(len(divisors))
+        return original(g, divisors)
+
+    monkeypatch.setattr(degrees, "normal_form", recording)
+    global_a1_degree(f)
+    # against the X-copy and the Y-copy of the basis together
+    assert passes == [2 * len(groebner_basis(Ideal(ring, f.polys)).basis)]
 
 
 def test_endo_system_must_be_square():

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from a1degrees import fields
 from a1degrees.fields import (CC, QQ, RR, FieldDesc, factorize, gf_construct,
                               is_padic_square, is_prime, is_square,
                               legendre_symbol, odd_prime_support,
@@ -236,6 +237,25 @@ def test_is_square_examples():
 def test_is_square_rejects_zero():
     with pytest.raises(ValueError):
         is_square(Fraction(0), QQ)
+
+
+def test_is_square_over_qq_matches_squarefree_part():
+    for n in range(-30, 31):
+        for d in range(1, 31):
+            if n:
+                r = Fraction(n, d)
+                assert is_square(r, QQ) == (squarefree_part(r) == 1), r
+
+
+def test_is_square_over_qq_needs_no_factoring(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("a rational square test must not factor")
+
+    monkeypatch.setattr(fields, "factorize", forbidden)
+    p, q = 10000000000037, 10000000000051
+    assert is_square(Fraction(p * p, q * q), QQ)
+    assert not is_square(Fraction(p * q, q * q * p * p), QQ)
+    assert not is_square(Fraction(-p * p, q * q), QQ)
 
 
 def test_square_classes_form_a_group():
