@@ -299,7 +299,7 @@ def _line_leaders(field: FieldDesc):
         for v in _coefficient_vectors(p, k - i, first=1):
             if v[0] != 1:
                 break
-            yield FFElement(field, (0,) * i + v)
+            yield field.coerce((0,) * i + v)
 
 
 def get_discriminant(beta: GWClass):
@@ -324,6 +324,11 @@ def hilbert_symbol(a, b, p: int) -> int:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _hilbert(a, b, p)
+
+
+def _hilbert(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b and a prime p, unchecked."""
     alpha, u = _split_prime(a, p)
     beta, v = _split_prime(b, p)
     if p != 2:
@@ -405,7 +410,7 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     d = 1
     for a, _ in classes:
         for p in primes:
-            hasse_witt[p] *= hilbert_symbol(d, a, p)
+            hasse_witt[p] *= _hilbert(d, a, p)
         g = gcd(d, a)
         d = d * a // (g * g)
     return InvariantBundle(rank, signature, d, hasse_witt)

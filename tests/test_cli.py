@@ -498,3 +498,36 @@ def test_one_determinant_per_gf_degree_query(capsys, monkeypatch):
                    "--vars", "x1,x2,x3,x4", "--polys", GRASSMANNIAN)
     assert obj["rank"] == 6
     assert calls == [6]
+
+
+# Printed by the coefficient-tuple arithmetic that preceded the field tables;
+# table arithmetic must print the same.
+GF_PINNED = [
+    (("form", "invariants", "--field", "GF(27)",
+      "--matrix", "[[1,2,0],[2,1,1],[0,1,2]]"),
+     '{"field": {"name": "GF(27)", "modulus": [1, 0, 2, 1]}, "gram": '
+     '[["1", "2", "0"], ["2", "1", "1"], ["0", "1", "2"]], "rank": 3, '
+     '"discriminant": "2*t^2"}'),
+    (("form", "invariants", "--field", "GF(121)",
+      "--matrix", "[[1,3,5],[3,7,0],[5,0,2]]"),
+     '{"field": {"name": "GF(121)", "modulus": [1, 0, 1]}, "gram": '
+     '[["1", "3", "5"], ["3", "7", "0"], ["5", "0", "2"]], "rank": 3, '
+     '"discriminant": "1"}'),
+    (("degree", "global", "--field", "GF(27)", "--vars", "x1,x2,x3,x4",
+      "--polys", GRASSMANNIAN),
+     '{"field": {"name": "GF(27)", "modulus": [1, 0, 2, 1]}, "gram": '
+     '[["0", "0", "0", "0", "0", "1"], ["0", "1", "0", "0", "0", "0"], '
+     '["0", "0", "0", "2", "0", "0"], ["0", "0", "2", "0", "0", "0"], '
+     '["0", "0", "0", "0", "1", "0"], ["1", "0", "0", "0", "0", "0"]], '
+     '"rank": 6, "discriminant": "1"}'),
+    (("degree", "global", "--field", "GF(121)", "--vars", "x,y",
+      "--polys", "x^2+3*x*y-5;y^2-2*x+7"),
+     '{"field": {"name": "GF(121)", "modulus": [1, 0, 1]}, "gram": '
+     '[["1", "0", "6", "1"], ["0", "3", "1", "0"], ["6", "1", "0", "0"], '
+     '["1", "0", "0", "0"]], "rank": 4, "discriminant": "1"}'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GF_PINNED)
+def test_gf_outputs_are_pinned(capsys, argv, expected):
+    assert json.dumps(run_json(capsys, *argv)) == expected

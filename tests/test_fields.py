@@ -451,3 +451,105 @@ def test_canonical_nonsquare_over_even_degree_skips_whole_lines(monkeypatch):
         F = gf_construct(p, 2)
         assert canonical_nonsquare.__wrapped__(F).coeffs == (1, 1)
         assert len(calls) <= 3
+
+
+# -- table arithmetic (fields of order up to the cap) ------------------------
+
+
+def _reference_pow(a, n, field):
+    result = (1,) + (0,) * (field.degree - 1)
+    for _ in range(n):
+        result = _reference_mul(result, a, field)
+    return result
+
+
+TABLED = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("pk", TABLED)
+def test_table_arithmetic_matches_reference(pk):
+    F = gf_construct(*pk)
+    p, q = F.char, F.order
+    elems = list(F.elements())
+    by_coeffs = {a.coeffs: a for a in elems}
+    assert len(by_coeffs) == q
+    zero, one = by_coeffs[(0,) * F.degree], F.one()
+
+    def ref(coeffs):  # the interned element with these coefficients
+        return by_coeffs[tuple(coeffs)]
+
+    for a in elems:
+        assert a._t is not None
+        assert -a is ref(-x % p for x in a.coeffs)
+        assert bool(a) == any(a.coeffs)
+        if a:
+            inv = a.inverse()
+            assert _reference_mul(a.coeffs, inv.coeffs, F) == one.coeffs
+            for n in (-3, -1, 0, 1, 2, 5, q, q + 3):
+                m = n % (q - 1)
+                expected = _reference_pow(inv.coeffs if n < 0 else a.coeffs,
+                                          -n if n < 0 else m, F)
+                assert a ** n is ref(expected), (a, n)
+            euler = _reference_pow(a.coeffs, (q - 1) // 2, F)
+            assert is_square(a, F) == (euler == one.coeffs), a
+        else:
+            assert a ** 0 is one and a ** 3 is zero
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        for b in elems:
+            assert a * b is ref(_reference_mul(a.coeffs, b.coeffs, F))
+            assert a + b is ref((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert a - b is ref((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a == b) == (a.coeffs == b.coeffs)
+            if b:
+                assert _reference_mul((a / b).coeffs, b.coeffs, F) == a.coeffs
+
+
+def test_equal_descriptors_share_one_table():
+    F = gf_construct(5, 2)
+    assert F.coerce(3) is gf_construct(5, 2).coerce(3)
+    assert F.coerce(3) is FieldDesc("GF", 5, 2, F.modulus).coerce(Fraction(3))
+    assert list(F.elements())[2 * 5 + 1] is F.coerce(F.coerce((2, 1)))
+
+
+def test_table_arithmetic_allocates_no_element(monkeypatch):
+    F = gf_construct(3, 3)
+    elems = list(F.elements())
+
+    def forbidden(*args):
+        raise AssertionError("tabled arithmetic must not leave the tables")
+
+    monkeypatch.setattr(fields.FFElement, "__init__", forbidden)
+    monkeypatch.setattr(fields, "_tuple_mul", forbidden)
+    monkeypatch.setattr(fields, "_pgcd_ext", forbidden)
+    for a in elems:
+        -a
+        a ** 5
+        if a:
+            a.inverse()
+        for b in elems:
+            a + b, a - b, a * b, a == b
+            if b:
+                a / b
+    assert F.coerce(5) is F.coerce(2) and F.one() is elems[9]
+
+
+@pytest.mark.parametrize("pk", [(4099, 1), (17, 3)])
+def test_fields_above_the_cap_keep_tuple_arithmetic(pk):
+    F = gf_construct(*pk)
+    assert F.order > fields._TABLE_ORDER_CAP
+    p, k = pk
+    rng = random.Random(F.order)
+    for _ in range(300):
+        a = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
+        b = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
+        assert a._t is None and b._t is None
+        assert (a * b).coeffs == _reference_mul(a.coeffs, b.coeffs, F)
+        assert (a + b).coeffs == tuple((x + y) % p for x, y in
+                                       zip(a.coeffs, b.coeffs))
+        assert (a - b).coeffs == tuple((x - y) % p for x, y in
+                                       zip(a.coeffs, b.coeffs))
+        assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
+        if b:
+            assert _reference_mul((a / b).coeffs, b.coeffs, F) == a.coeffs
+            assert (b ** 3).coeffs == _reference_pow(b.coeffs, 3, F)

@@ -375,6 +375,44 @@ def test_hasse_witt_matches_pairwise_product_on_random_forms():
                 assert expected == 1, (entries, p)
 
 
+def test_invariant_loop_makes_no_prime_checks(monkeypatch):
+    from a1degrees import forms
+
+    def forbidden(p):
+        raise AssertionError("the invariant loop's primes are known primes")
+
+    beta = make_gw_class([[2, 1, 0, 3, 5], [1, -7, 4, 0, 1], [0, 4, 15, 2, 0],
+                          [3, 0, 2, -22, 6], [5, 1, 0, 6, 39]], QQ)
+    monkeypatch.setattr(forms, "is_prime", forbidden)
+    inv = get_invariants(beta)
+    assert inv.rank == 5 and len(inv.hasse_witt) > 2
+
+
+def test_invariant_records_match_checked_hilbert_symbols():
+    # The record, recomputed with the public (checked) hilbert_symbol as
+    # the pairwise product over the squarefree diagonal of each form.
+    rng = random.Random(91)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-30, 30),
+                                                   rng.choice((1, 2, 3, 4)))
+        try:
+            beta = make_gw_class(rows, QQ)
+        except ValueError:
+            continue
+        entries = beta.diagonal_entries()
+        inv = get_invariants(beta)
+        primes = {2}.union(*(odd_prime_support(a) for a in entries))
+        assert sorted(inv.hasse_witt) == sorted(primes)
+        for p in primes:
+            assert inv.hasse_witt[p] == _pairwise_hasse_witt(entries, p)
+        assert inv.discriminant == squarefree_part(prod(entries))
+        assert inv.signature == sum(1 if a > 0 else -1 for a in entries)
+
+
 def test_hasse_witt_rejects_non_prime():
     with pytest.raises(ValueError):
         hasse_witt_invariant(diag([3]), 4)

@@ -1,0 +1,70 @@
+"""Fingerprint the CLI's observable output on the benchmark's operations.
+
+For each workload this runs the operations of
+``make_ops(w, 7, 60) + make_ops(w, 11, 120)`` (180 per workload, 720 in
+all) in one process and prints one sha256 over every operation's argv,
+exit code, stdout and stderr.  Two checkouts print the same lines exactly
+when their outputs are byte-identical on those operations.
+
+Usage, from the root of a checkout::
+
+    python3 tools/output_digest.py [workload ...]
+
+The operations come from ``perfbench/workloads.py``, which is only imported;
+the library is imported from this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from a1degrees import cli  # noqa: E402
+
+DECKS = ((7, 60), (11, 120))
+
+
+def run(argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process query."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            status = exc.code
+        except Exception as exc:  # a library bug is part of the fingerprint
+            status = f"exception {type(exc).__name__}: {exc}"
+    return status, out.getvalue(), err.getvalue()
+
+
+def digest(workload: str) -> tuple[str, int]:
+    h = hashlib.sha256()
+    count = 0
+    for seed, n in DECKS:
+        for op in workloads.make_ops(workload, seed, n):
+            status, out, err = run(op.argv)
+            for part in (repr(op.argv), repr(status), out, err):
+                h.update(part.encode())
+                h.update(b"\0")
+            count += 1
+    return h.hexdigest(), count
+
+
+def main(argv=None) -> int:
+    names = (argv if argv is not None else sys.argv[1:]) or list(workloads.WORKLOADS)
+    for name in names:
+        hexdigest, count = digest(name)
+        print(f"{name} {count} {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
