@@ -4,6 +4,13 @@ The pipeline: build the divided-difference matrix of the system in a
 doubled ring, take its determinant, reduce it once modulo the ideal's
 Groebner basis in the X-copy and the Y-copy of the variables, and read
 the Gram matrix off the standard-monomial (or local-algebra) basis grid.
+
+The determinant (`poly.determinant`) divides no polynomial.  The rows of
+linear f_i are field constants; each is cleared by column operations with
+field scalars, leaving +-pivot as a scalar factor.  The k x k block of the
+nonlinear f_i is expanded by minors, bottom rows first, each memoized by
+its column subset: k * 2^(k-1) products of an entry and a minor, with
+2^k <= prod deg f_i, the size of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .forms import GWClass, empty_form, make_gw_class
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, bareiss_det,
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, determinant,
                    groebner_basis, normal_form, standard_monomials)
 
 __all__ = [
@@ -57,7 +64,7 @@ class BezoutianMatrix:
         return len(self.entries)
 
     def determinant(self) -> Polynomial:
-        return bareiss_det(self.entries, self.doubled_ring)
+        return determinant(self.entries, self.doubled_ring)
 
     def diagonal_specialization(self):
         """Entries with Y set to X, pulled back to the base ring: the Jacobian."""

@@ -344,21 +344,33 @@ class FieldDesc:
     def is_exact(self) -> bool:
         return self.kind in ("QQ", "GF")
 
+    @functools.cached_property
+    def _table(self):
+        """The field's shared `_FieldTable`, or None; kept on the descriptor
+        so lookups skip hashing it."""
+        return _field_table(self)
+
     def zero(self):
-        return self.coerce(0)
+        t = self._table
+        return self.coerce(0) if t is None else t.elems[0]
 
     def one(self):
-        return self.coerce(1)
+        t = self._table
+        return self.coerce(1) if t is None else t.elems[t.step]
 
     def coerce(self, value):
         """Coerce an int / Fraction / FFElement / coefficient tuple into the field."""
         if self.kind == "GF":
+            t = self._table
             if isinstance(value, FFElement):
                 if value.field is not self and value.field != self:
                     raise ValueError("element belongs to a different field")
-                if value._t is not None or _field_table(self) is None:
+                if value._t is not None or t is None:
                     return value
                 return _element(self, value.coeffs)
+            if t is not None and isinstance(value, int):
+                # The constant term is the leading base-p digit of an index.
+                return t.elems[value % self.char * t.step]
             if isinstance(value, tuple):
                 coeffs = list(value)
             elif isinstance(value, int):
@@ -383,7 +395,7 @@ class FieldDesc:
 
     def elements(self):
         """Iterate all field elements (finite fields only), deterministically."""
-        t = _field_table(self)
+        t = self._table
         if t is not None:
             yield from t.elems
             return
@@ -631,7 +643,7 @@ class _FieldTable:
     logarithm) gives sums: x + y = x * (1 + y/x).
     """
 
-    __slots__ = ("elems", "exp", "log", "zech", "units", "half")
+    __slots__ = ("elems", "exp", "log", "zech", "units", "half", "step")
 
     def __init__(self, field: FieldDesc):
         p, k, q = field.char, field.degree, field.order
@@ -659,7 +671,7 @@ class _FieldTable:
         self.exp = [self.elems[i] for i in powers] * 2 + \
             [self.elems[0]] * (2 * units + 1)
         # Adding 1 raises the constant term, the leading base-p digit.
-        step = p ** (k - 1)
+        self.step = step = p ** (k - 1)
         self.zech = [log[(i + step) % q] for i in powers]
 
 
@@ -674,7 +686,7 @@ def _field_table(field: FieldDesc):
 def _element(field: FieldDesc, coeffs: tuple) -> FFElement:
     """The element with reduced coefficients ``coeffs``: the interned one
     over a tabled field, else a new one."""
-    t = _field_table(field)
+    t = field._table
     if t is None:
         return FFElement(field, coeffs)
     return t.elems[_index(coeffs, field.char)]

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, ge, sub, truediv
+from operator import add, ge, sub
 
 from .fields import FieldDesc, FFElement
 
@@ -25,7 +25,7 @@ __all__ = [
     "groebner_basis",
     "normal_form",
     "exact_quotient",
-    "bareiss_det",
+    "determinant",
     "ideal_quotient",
     "saturation",
     "standard_monomials",
@@ -195,15 +195,8 @@ class Polynomial:
         return self.ring.constant(other)
 
     def __add__(self, other):
-        other = self._coerce_other(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e)
-            v = c if v is None else v + c
-            if v:
-                terms[e] = v
-            elif e in terms:
-                del terms[e]
+        _add_into(terms, self._coerce_other(other).terms)
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -212,15 +205,8 @@ class Polynomial:
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce_other(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e)
-            v = -c if v is None else v - c
-            if v:
-                terms[e] = v
-            elif e in terms:
-                del terms[e]
+        _add_into(terms, self._coerce_other(other).terms, negate=True)
         return Polynomial(self.ring, terms)
 
     def __rsub__(self, other):
@@ -234,19 +220,8 @@ class Polynomial:
             return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("polynomial ring mismatch")
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
         out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+        _mul_into(out, self.terms, other.terms)
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -254,6 +229,9 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial(self.ring, {tuple([x * n for x in e]): c ** n})
         result = self.ring.one()
         base = self
         while n:
@@ -415,37 +393,111 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ring, quotients[0])
 
 
-def bareiss_det(rows, ring):
-    """Fraction-free Bareiss determinant of a square matrix.
+def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
+    """Add (or subtract) the term dict terms into out."""
+    for e, c in terms.items():
+        v = out.get(e)
+        if negate:
+            v = -c if v is None else v - c
+        else:
+            v = c if v is None else v + c
+        if v:
+            out[e] = v
+        elif e in out:
+            del out[e]
 
-    `ring` is a PolyRing, whose entries divide by the previous pivot with
-    `exact_quotient`, or a FieldDesc, whose scalars divide with `/`.  A
-    previous pivot of 1, as at the first step, divides nothing.
+
+def _mul_into(out: dict, a: dict, b: dict) -> None:
+    """Add the product of the term dicts a and b into out."""
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            v = out.get(e)
+            v = c1 * c2 if v is None else v + c1 * c2
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+
+
+def determinant(rows, ring):
+    """Determinant of a square matrix over a PolyRing or a FieldDesc.
+
+    No polynomial is ever divided.  First, while some row holds only field
+    constants, its first nonzero entry is the pivot: column operations by
+    field scalars clear the rest of the row, and the determinant is
+    +-pivot times the minor without that row and column (a zero constant
+    row gives 0).  Over a FieldDesc every row is constant, so this is
+    Gaussian elimination.  Second, the k x k block of nonconstant rows
+    left is expanded by minors from the bottom row up, each minor of the
+    last m rows memoized by its column subset: k * 2^(k-1) products of one
+    entry and one minor.  For a Bezoutian k counts the nonlinear f_i, and
+    2^k <= prod deg f_i, the size of the Gram matrix.
     """
-    n = len(rows)
-    one = prev = ring.one()
-    if n == 0:
-        return one
-    divide = exact_quotient if isinstance(ring, PolyRing) else truediv
+    polynomial = isinstance(ring, PolyRing)
+    field = ring.field if polynomial else ring
+    zero, one = field.zero(), field.one()
+
+    def scalar(x):
+        """The entry's field value, or None if it is not a constant."""
+        if not polynomial:
+            return x
+        if not x.terms:
+            return zero
+        if len(x.terms) == 1:
+            ((e, c),) = x.terms.items()
+            if not any(e):
+                return c
+        return None
+
     a = [list(row) for row in rows]
-    sign = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return ring.zero()
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        exact = prev != one
-        for i in range(k + 1, n):
-            row_i, lead = a[i], a[i][k]
-            for j in range(k + 1, n):
-                num = row_i[j] * pivot - lead * row_k[j]
-                row_i[j] = divide(num, prev) if exact and num else num
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    scale = one
+    while a:
+        for r, row in enumerate(a):
+            values = [scalar(x) for x in row]
+            if None not in values:
+                break
+        else:
+            break
+        c = next((j for j, v in enumerate(values) if v), None)
+        if c is None:
+            return ring.zero()
+        pivot = values[c]
+        inv = one / pivot
+        column = [row[c] for row in a]
+        for j, v in enumerate(values):
+            if v and j != c:
+                s = v * inv
+                for i, x in enumerate(column):
+                    if i != r and x:
+                        a[i][j] = a[i][j] - x * s
+        scale = scale * pivot if (r + c) % 2 == 0 else -(scale * pivot)
+        del a[r]
+        for row in a:
+            del row[c]
+    if not polynomial:
+        return scale
+    # minors[S]: the minor of the last m rows on the columns in bitmask S.
+    minors = {0: ring.one().terms}
+    k = len(a)
+    for m in range(1, k + 1):
+        row = [(x.terms, (-x).terms) for x in a[k - m]]
+        grown: dict = {}
+        for s, minor in minors.items():
+            if not minor:
+                continue
+            for j, (entry, negated) in enumerate(row):
+                bit = 1 << j
+                if s & bit or not entry:
+                    continue
+                # Column j's sign is the parity of its rank in s | bit.
+                odd = bin(s & (bit - 1)).count("1") & 1
+                _mul_into(grown.setdefault(s | bit, {}),
+                          negated if odd else entry, minor)
+        minors = grown
+    return Polynomial(ring, minors.get((1 << k) - 1, {})) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +718,7 @@ def _sylvester_resultant(fdesc, gdesc, field):
         rows.append([field.zero()] * i + gdesc + [field.zero()] * (size - n - 1 - i))
     for i in range(n):
         rows.append([field.zero()] * i + fdesc + [field.zero()] * (size - m - 1 - i))
-    return bareiss_det(rows, field)
+    return determinant(rows, field)
 
 
 def resultant_univariate(f: Polynomial, g: Polynomial):
@@ -746,16 +798,16 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             advance()
             negate = val == "-"
         node = parse_term()
-        if negate:
-            node = -node
+        # The sum folds into one terms dict, not a copy per summand.
+        terms = {e: -c for e, c in node.terms.items()} if negate else \
+            dict(node.terms)
         while True:
             kind, val, at = peek()
             if kind == "op" and val in "+-":
                 advance()
-                rhs = parse_term()
-                node = node - rhs if val == "-" else node + rhs
+                _add_into(terms, parse_term().terms, negate=val == "-")
             else:
-                return node
+                return Polynomial(ring, terms)
 
     def parse_term():
         node = parse_factor()

@@ -21,11 +21,12 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .fields import QQ, is_padic_square, is_prime, is_square
-from .forms import (GWClass, InvariantBundle, add_gw, canonical_nonsquare,
-                    classifying_key, empty_form, get_discriminant,
-                    get_invariants, get_signature, hasse_witt_invariant,
-                    hasse_witt_primes, hilbert_symbol, is_isomorphic_form,
-                    make_diagonal_form, make_hyperbolic_form)
+from .forms import (GWClass, InvariantBundle, _hilbert, add_gw,
+                    canonical_nonsquare, classifying_key, empty_form,
+                    get_discriminant, get_invariants, get_signature,
+                    hasse_witt_invariant, hasse_witt_primes,
+                    is_isomorphic_form, make_diagonal_form,
+                    make_hyperbolic_form)
 
 __all__ = [
     "DecompositionReport",
@@ -46,14 +47,15 @@ class DecompositionReport:
     display: str
 
 
-def _qp_isotropic(rank: int, d: Fraction, eps: int, p: int) -> bool:
-    """Local isotropy from (rank, discriminant, Hasse-Witt) over Q_p."""
+def _qp_isotropic(rank: int, d: int, eps: int, p: int) -> bool:
+    """Local isotropy from (rank, squarefree discriminant, Hasse-Witt) over
+    Q_p, for a prime p."""
     if rank >= 5:
         return True
     if rank == 4:
-        return (not is_padic_square(d, p)) or eps == hilbert_symbol(-1, -1, p)
+        return (not is_padic_square(d, p)) or eps == _hilbert(-1, -1, p)
     if rank == 3:
-        return eps == hilbert_symbol(-1, -d, p)
+        return eps == _hilbert(-1, -d, p)
     if rank == 2:
         return is_padic_square(-d, p)
     return False
@@ -73,12 +75,12 @@ def anisotropic_dimension_qp(beta: GWClass, p: int) -> int:
     rank = beta.rank
     if rank == 0:
         return 0
-    d = Fraction(get_discriminant(beta))
+    d = get_discriminant(beta)
     eps = hasse_witt_invariant(beta, p)
     while rank > 0 and _qp_isotropic(rank, d, eps, p):
         rank -= 2
         d = -d
-        eps *= hilbert_symbol(d, -1, p)
+        eps *= _hilbert(d, -1, p)
     return rank
 
 
@@ -169,13 +171,13 @@ def _plane(sig: int, disc: int, eps: dict, pool: list[int]) -> list[int]:
     sign = -1 if sig < 0 else 1
     cols = ([-1] if sig == 0 else []) + pool
     base = [(sum(1 << j for j, g in enumerate(cols)
-                 if hilbert_symbol(g, -disc, p) == -1),
-             eps[p] * hilbert_symbol(sign, -disc, p) == -1) for p in pool]
+                 if _hilbert(g, -disc, p) == -1),
+             eps[p] * _hilbert(sign, -disc, p) == -1) for p in pool]
     for t in range(1, _REALIZATION_CAP):
         if t > 1 and (t in pool or not is_prime(t)
-                      or hilbert_symbol(t, -disc, t) == -1):
+                      or _hilbert(t, -disc, t) == -1):
             continue
-        x = _solve_f2([(r | (hilbert_symbol(t, -disc, p) == -1) << len(cols),
+        x = _solve_f2([(r | (_hilbert(t, -disc, p) == -1) << len(cols),
                         b) for (r, b), p in zip(base, pool)])
         if x is not None:
             a = sign * prod(g for j, g in enumerate(cols + [t]) if x >> j & 1)
@@ -193,7 +195,7 @@ def _ternary_entry(sign: int, disc: int, eps: dict, pool: list[int]) -> int:
     odd and prime to disc, differs from -disc by valuation at each odd one;
     at 2 it can clash only when disc is odd, and then 2m differs there.
     """
-    anisotropic_at = [p for p in pool if eps[p] != hilbert_symbol(-1, -disc, p)]
+    anisotropic_at = [p for p in pool if eps[p] != _hilbert(-1, -disc, p)]
     m = sign * prod(p for p in anisotropic_at if p > 2 and disc % p)
     clash = 2 in anisotropic_at and is_padic_square(-disc * m, 2)
     return 2 * m if clash else m
@@ -216,7 +218,7 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
         a = sign if n > 3 else _ternary_entry(sign, disc, eps, pool)
         entries.append(a)
         sig, disc = sig - (1 if a > 0 else -1), disc * a // gcd(disc, a) ** 2
-        eps = {p: eps[p] * hilbert_symbol(a, disc, p) for p in pool}
+        eps = {p: eps[p] * _hilbert(a, disc, p) for p in pool}
         pool = _pool(disc, eps)
     entries += _plane(sig, disc, eps, pool) if rank > 1 else [disc]
     realized = make_diagonal_form(QQ, sorted(entries))
@@ -256,8 +258,8 @@ def anisotropic_part(beta: GWClass) -> GWClass:
     eps = {}
     for p, t in inv.hasse_witt.items():
         if n * (n - 1) // 2 % 2:
-            t *= hilbert_symbol(-1, -1, p)
-        t *= hilbert_symbol(d_a, (-1) ** n, p)
+            t *= _hilbert(-1, -1, p)
+        t *= _hilbert(d_a, (-1) ** n, p)
         eps[p] = t
     result = _realize_rational(dim, inv.signature, d_a, eps)
     rebuilt = result if n == 0 else add_gw(result, make_hyperbolic_form(QQ, 2 * n))

@@ -4,12 +4,15 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from a1degrees import cli, fields, forms, poly, witt
 from a1degrees.fields import QQ, gf_construct
@@ -498,6 +501,26 @@ def test_one_determinant_per_gf_degree_query(capsys, monkeypatch):
                    "--vars", "x1,x2,x3,x4", "--polys", GRASSMANNIAN)
     assert obj["rank"] == 6
     assert calls == [6]
+
+
+def test_sixteen_variable_linear_degree_is_fast(capsys):
+    # Every row of a linear system's Bezoutian is constant, so the
+    # determinant is one elimination: no expansion over 2^16 column sets.
+    rng = random.Random(16)
+    n = 16
+    names = [f"x{i}" for i in range(n)]
+    coeffs = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0
+               for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        coeffs[i][i] = rng.randint(1, 4)
+    polys = "; ".join(" + ".join(f"{c}*{v}" for c, v in zip(row, names)) +
+                      f" + {rng.randint(-5, 5)}" for row in coeffs)
+    start = time.perf_counter()
+    obj = run_json(capsys, "degree", "global", "--field", "QQ",
+                   "--vars", ",".join(names), "--polys", polys)
+    elapsed = time.perf_counter() - start
+    assert obj["gram"] == [[str(sympy.Matrix(coeffs).det())]]
+    assert elapsed < 1.0, elapsed
 
 
 # Printed by the coefficient-tuple arithmetic that preceded the field tables;

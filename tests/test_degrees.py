@@ -50,23 +50,20 @@ def test_bezoutian_diagonal_specialization_is_the_jacobian():
             assert jac[i][j] == poly.derivative(j)
 
 
-def test_bareiss_never_divides_by_one(monkeypatch):
+def test_bezoutian_determinant_never_divides(monkeypatch):
     ring, f = system(("x", "y", "z"), ["x^2*y - 3*z + 1", "x*y^3 - z^2 + y",
                                        "y*z^2 + x^3 - 2*x*z"])
-    entries = bezoutian_matrix(f).entries
-    dring = bezoutian_matrix(f).doubled_ring
-    divisors = []
-    original = poly.exact_quotient
+    bez = bezoutian_matrix(f)
 
-    def recording(num, den):
-        divisors.append(den)
-        return original(num, den)
+    def forbidden(*args):
+        raise AssertionError("the degree path divides no polynomial")
 
-    monkeypatch.setattr(poly, "exact_quotient", recording)
-    det = poly.bareiss_det(entries, dring)
-    assert divisors and dring.one() not in divisors
-    (a, b, c), (d, e, g), (h, i, j) = entries
+    monkeypatch.setattr(poly, "exact_quotient", forbidden)
+    det = bez.determinant()
+    (a, b, c), (d, e, g), (h, i, j) = bez.entries
     assert det == a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
+    gb = groebner_basis(Ideal(ring, f.polys))
+    assert global_a1_degree(f).rank == len(standard_monomials(gb)) == 20
 
 
 def random_system(rng, field, n):

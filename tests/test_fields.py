@@ -534,6 +534,29 @@ def test_table_arithmetic_allocates_no_element(monkeypatch):
     assert F.coerce(5) is F.coerce(2) and F.one() is elems[9]
 
 
+@pytest.mark.parametrize("pk", [(7, 1), (5, 2), (3, 3), (11, 2)])
+def test_constants_over_tabled_fields_are_lookups(monkeypatch, pk):
+    F = gf_construct(*pk)
+    p, k = pk
+    elems = list(F.elements())
+    # the interned elements the coefficient path returns
+    expected = {n: elems[fields._index((n % p,) + (0,) * (k - 1), p)]
+                for n in range(-2 * p, 2 * p)}
+
+    def forbidden(*args):
+        raise AssertionError("constants of a tabled field are table lookups")
+
+    monkeypatch.setattr(fields, "_field_table", forbidden)
+    monkeypatch.setattr(fields, "_element", forbidden)
+    monkeypatch.setattr(fields.FFElement, "__init__", forbidden)
+    assert F.zero() is elems[0] and F.one() is expected[1]
+    for n, e in expected.items():
+        assert F.coerce(n) is e
+    twin = FieldDesc("GF", p, k, F.modulus)  # equal, built apart
+    monkeypatch.undo()
+    assert twin.one() is F.one() and twin.coerce(-1) is F.coerce(-1)
+
+
 @pytest.mark.parametrize("pk", [(4099, 1), (17, 3)])
 def test_fields_above_the_cap_keep_tuple_arithmetic(pk):
     F = gf_construct(*pk)

@@ -19,7 +19,7 @@ from a1degrees.forms import (add_gw, base_change, diagonalize,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class, make_hyperbolic_form,
                              make_pfister_form, multiply_gw)
-from a1degrees.poly import bareiss_det
+from a1degrees.poly import determinant
 
 
 def diag(entries, field=QQ):
@@ -171,14 +171,14 @@ def random_symmetric(rng, n, field, diagonal):
 @pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
                          ids=str)
 def test_elimination_oracle(field):
-    # The reference determinant is Bareiss's, which shares no code with
+    # The reference determinant is poly.determinant, which shares no code with
     # the symmetric elimination under test.
     rng = random.Random(f"elimination:{field}")
     seen = {"degenerate": 0, "swap": 0, "pair": 0}
     for k in range(120):
         diagonal = ("dense", "some-zero", "zero")[k % 3]
         m = random_symmetric(rng, rng.randint(1, 6), field, diagonal)
-        det = bareiss_det(m, field)
+        det = determinant(m, field)
         if not det:
             seen["degenerate"] += 1
             with pytest.raises(ValueError, match="degenerate form"):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from a1degrees import poly
 from a1degrees.fields import QQ, FFElement, gf_construct
 from a1degrees.poly import (MAX_EXPONENT, GroebnerBasis, Ideal, ParseError,
-                            Polynomial, PolyRing, exact_quotient,
+                            Polynomial, PolyRing, determinant, exact_quotient,
                             groebner_basis, ideal_quotient, normal_form,
                             parse_polynomial, resultant_univariate,
                             saturation, standard_monomials)
@@ -88,6 +89,59 @@ def test_parser_caps_exponent_literals():
         with pytest.raises(ParseError) as info:
             R.from_string(text)
         assert info.value.position == at
+
+
+PARSE_ERRORS = [
+    ("2x + 1", "implicit multiplication is not allowed (at position 1)"),
+    ("x^", "exponent must be an integer literal (at position 2)"),
+    ("x +", "expected a number, variable or '(' (at position 3)"),
+    ("(x", "expected ')' (at position 2)"),
+    ("x ** 2", "expected a number, variable or '(' (at position 3)"),
+    ("z + 1", "unknown variable 'z' (at position 0)"),
+    ("1.5*x", "unexpected character '.' (at position 1)"),
+    ("x^y", "exponent must be an integer literal (at position 2)"),
+    ("-", "expected a number, variable or '(' (at position 1)"),
+    ("x)", "unexpected trailing input (at position 1)"),
+    ("(x + y", "expected ')' (at position 6)"),
+    ("x + * y", "expected a number, variable or '(' (at position 4)"),
+    ("", "expected a number, variable or '(' (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_parser_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        ring("x", "y").from_string(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+def test_parser_agrees_with_arithmetic(field):
+    R = ring("x", "y", field=field)
+    x, y = R.variable(0), R.variable(1)
+    cases = {
+        "-x^2 + 3*x*y - y + 2 - x^2": -2 * x ** 2 + 3 * x * y - y + 2,
+        "(x - y)^3 - (x + 1)*(y - 1) + -x": (x - y) * (x - y) * (x - y)
+        - (x + 1) * (y - 1) - x,
+        "3*x^2*y^4 - x^0 + (2*y)^2 - 4*y^2": 3 * x * x * y * y * y * y - 1,
+        "x - x + 0": R.zero(),
+        "(-x)^3 + x^3": R.zero(),
+        "0^0 + 0^2": R.one(),
+    }
+    for text, expected in cases.items():
+        assert R.from_string(text) == expected, text
+
+
+def test_power_of_a_single_term_needs_no_multiplication(monkeypatch):
+    R = ring("x", "y", field=gf_construct(5, 2))
+    t = R.from_string("3*x*y^2")
+
+    def forbidden(*args):
+        raise AssertionError("a monomial's power is read off directly")
+
+    monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+    assert (t ** 7).terms == {(7, 14): R.field.coerce(3) ** 7}
+    assert t ** 0 == R.one()
 
 
 def test_parser_handles_fractions_and_unary_minus():
@@ -454,3 +508,88 @@ def test_exact_quotient_inverts_once_per_divisor(monkeypatch):
     monkeypatch.setattr(FFElement, "inverse", counting)
     assert exact_quotient(product, g) == f
     assert len(f.terms) > 1 and len(calls) == 1
+
+
+# -- determinants ------------------------------------------------------------
+
+
+def leibniz(m, zero, one):
+    """The permutation sum: the determinant by its definition."""
+    n = len(m)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_determinant_matches_leibniz(field):
+    rng = random.Random(f"leibniz:{field}")
+    if field.kind == "GF":
+        elems = list(field.elements())
+
+        def draw():
+            return rng.choice(elems)
+    else:
+        def draw():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    singular = 0
+    for n in range(7):
+        for trial in range(8 if n < 6 else 3):
+            m = [[draw() if rng.random() < 0.7 else field.zero()
+                  for _ in range(n)] for _ in range(n)]
+            if trial % 2 and n >= 2:  # a multiple of another row
+                i, j = rng.sample(range(n), 2)
+                c = draw()
+                m[i] = [c * x for x in m[j]]
+            det = determinant(m, field)
+            assert det == leibniz(m, field.zero(), field.one()), (n, m)
+            singular += not det
+    assert determinant([], field) == field.one()
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+def test_determinant_of_mixed_polynomial_rows(field):
+    R = ring("x", "y", field=field)
+    rng = random.Random(f"mixed:{field}")
+    kinds = ("zero", "constant", "polynomial")
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = []
+        for _ in range(n):
+            kind = rng.choice(kinds) if rng.random() < 0.2 else \
+                rng.choice(kinds[1:])
+            if kind == "zero":
+                row = [R.zero()] * n
+            elif kind == "constant":
+                row = [R.constant(rng.randint(-3, 3)) for _ in range(n)]
+            else:
+                row = [random_dense(R, rng, rng.randint(0, 2))
+                       for _ in range(n)]
+            seen.add(kind)
+            m.append(row)
+        assert determinant(m, R) == leibniz(m, R.zero(), R.one())
+    assert seen == set(kinds)
+    assert determinant([], R) == R.one()
+
+
+def test_determinant_divides_no_polynomial(monkeypatch):
+    R = ring("x", "y", "z")
+    rng = random.Random(3)
+    m = [[random_dense(R, rng, 2) for _ in range(4)] for _ in range(4)]
+    m[1] = [R.constant(c) for c in (0, 2, 0, -1)]
+
+    def forbidden(*args):
+        raise AssertionError("the determinant divides no polynomial")
+
+    monkeypatch.setattr(poly, "exact_quotient", forbidden)
+    monkeypatch.setattr(poly, "_reduce_terms", forbidden)
+    assert determinant(m, R) == leibniz(m, R.zero(), R.one())

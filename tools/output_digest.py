@@ -8,7 +8,12 @@ when their outputs are byte-identical on those operations.
 
 Usage, from the root of a checkout::
 
-    python3 tools/output_digest.py [workload ...]
+    python3 tools/output_digest.py [--check] [workload ...]
+
+With ``--check`` each printed line is compared with the line of the same
+workload in ``tools/output_digests.txt``, the checked-in digests, and the
+exit code is 1 if any differs: a change that must not alter any output
+passes with that file unchanged.
 
 The operations come from ``perfbench/workloads.py``, which is only imported;
 the library is imported from this checkout's ``src``.
@@ -30,6 +35,7 @@ import workloads  # noqa: E402
 from a1degrees import cli  # noqa: E402
 
 DECKS = ((7, 60), (11, 120))
+RECORDED = ROOT / "tools" / "output_digests.txt"
 
 
 def run(argv) -> tuple:
@@ -59,11 +65,21 @@ def digest(workload: str) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    names = (argv if argv is not None else sys.argv[1:]) or list(workloads.WORKLOADS)
+    args = list(argv if argv is not None else sys.argv[1:])
+    check = "--check" in args
+    names = [a for a in args if a != "--check"] or list(workloads.WORKLOADS)
+    recorded = {line.split()[0]: line for line in
+                RECORDED.read_text().splitlines()} if check else {}
+    status = 0
     for name in names:
         hexdigest, count = digest(name)
-        print(f"{name} {count} {hexdigest}")
-    return 0
+        line = f"{name} {count} {hexdigest}"
+        if check and recorded.get(name) != line:
+            print(f"{line}  MISMATCH, recorded: {recorded.get(name)}")
+            status = 1
+        else:
+            print(line)
+    return status
 
 
 if __name__ == "__main__":
