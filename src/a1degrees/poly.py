@@ -153,13 +153,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        if not self.terms:
-            return self.ring.field.zero()
-        return next(iter(self.terms.values()))
-
     def leading_monomial(self):
         return min(self.terms, key=self.ring.key)
 
@@ -374,10 +367,6 @@ def _prep_divisors(polys):
     return out
 
 
-def _remainder(f: Polynomial, polys) -> Polynomial:
-    return Polynomial(f.ring, _reduce_terms(f.ring, f.terms, _prep_divisors(polys)))
-
-
 def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / g when the division is exact; raises otherwise."""
     if g.ring != f.ring:
@@ -534,77 +523,71 @@ def _divides(a, b) -> bool:
 
 
 def _buchberger(ring: PolyRing, gens) -> list:
+    """The reduced basis, by Buchberger's algorithm with the Gebauer-Moller
+    update (Gebauer & Moller 1988).
+
+    Generators, then S-polynomials, join as nonzero monic remainders modulo
+    the active elements, and each newcomer retires the active elements whose
+    leading monomials its own divides: the active set is always a minimal
+    basis.  Each joining polynomial is prepared as a divisor once.  Pairs
+    wait in a heap keyed once by their lcm, smallest lcm first.
+    """
     key = ring.key
-    G = []
-    for g in gens:
-        if g:
-            g = g.monic()
-            if g not in G:
-                G.append(g)
+    G, lms, prepped, active, heap = [], [], [], [], []
+
+    def update(h):
+        nonlocal heap, active
+        t, lm = len(G), h.leading_monomial()
+        G.append(h)
+        lms.append(lm)
+        prepped.extend(_prep_divisors([h]))
+        # A queued pair (i, j) goes when lm divides its lcm and that lcm is
+        # neither lcm(lms[i], lm) nor lcm(lms[j], lm) (the B criterion).
+        heap = [p for p in heap if not (
+            _divides(lm, p[3]) and p[3] != tuple(map(max, lms[p[1]], lm))
+            and p[3] != tuple(map(max, lms[p[2]], lm)))]
+        # One new pair per minimal lcm, and none for an lcm that some pair
+        # reaches with coprime leading monomials.
+        new: dict = {}
+        for i in active:
+            l = tuple(map(max, lms[i], lm))
+            first, coprime = new.get(l, (i, False))
+            new[l] = first, coprime or l == tuple(map(add, lms[i], lm))
+        for l, (i, coprime) in new.items():
+            if not coprime and not any(m != l and _divides(m, l) for m in new):
+                heap.append((tuple([-x for x in key(l)]), i, t, l))
+        heapify(heap)
+        active = [i for i in active if not _divides(lm, lms[i])] + [t]
+
+    def join(f) -> bool:
+        """Add f's remainder if it is nonzero; True once the ideal is (1)."""
+        h = Polynomial(ring, _reduce_terms(ring, f.terms,
+                                           [prepped[i] for i in active]))
+        if h.is_constant():
+            return bool(h)
+        update(h.monic())
+        return False
+
+    if any(join(g) for g in gens):
+        return [ring.one()]
     if not G:
         raise ValueError("generators must not all be zero")
-    if any(g.is_constant() for g in G):
-        return [ring.one()]
-
-    # Pairs wait in a heap keyed once by their lcm, smallest lcm first (the
-    # normal strategy); `pending` mirrors it for the chain criterion.
-    lms = [g.leading_monomial() for g in G]
-    heap: list = []
-    pending: set = set()
-
-    def add_pairs(t):
-        for i in range(t):
-            l = tuple(map(max, lms[i], lms[t]))
-            heappush(heap, (tuple([-x for x in key(l)]), i, t, l))
-            pending.add((i, t))
-
-    for t in range(1, len(G)):
-        add_pairs(t)
-    divisors = _prep_divisors(G)
     while heap:
         _, i, j, l = heappop(heap)
-        pending.discard((i, j))
-        # Product criterion.
-        if l == tuple(map(add, lms[i], lms[j])):
-            continue
-        # Chain criterion.
-        if any(k != i and k != j and _divides(lms[k], l) and
-               (min(i, k), max(i, k)) not in pending and
-               (min(j, k), max(j, k)) not in pending for k in range(len(G))):
-            continue
-        gi, gj = G[i], G[j]
         mi = tuple(map(sub, l, lms[i]))
         mj = tuple(map(sub, l, lms[j]))
-        s = Polynomial(ring, {tuple(map(add, mi, e)): c
-                              for e, c in gi.terms.items()}) \
-            - Polynomial(ring, {tuple(map(add, mj, e)): c
-                                for e, c in gj.terms.items()})
-        r = Polynomial(ring, _reduce_terms(ring, s.terms, divisors))
-        if not r:
-            continue
-        r = r.monic()
-        if r.is_constant():
+        s = {tuple(map(add, mi, e)): c for e, c in G[i].terms.items()}
+        _add_into(s, {tuple(map(add, mj, e)): c
+                      for e, c in G[j].terms.items()}, negate=True)
+        if join(Polynomial(ring, s)):
             return [ring.one()]
-        G.append(r)
-        divisors += _prep_divisors([r])
-        lms.append(r.leading_monomial())
-        add_pairs(len(G) - 1)
 
-    # Minimalize, then tail-reduce to the unique reduced basis.
-    lms = [g.leading_monomial() for g in G]
-    keep = []
-    for i, g in enumerate(G):
-        if any(j != i and _divides(lms[j], lms[i]) and
-               (not _divides(lms[i], lms[j]) or j < i) for j in range(len(G))):
-            continue
-        keep.append(i)
-    minimal = [G[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(_remainder(g, others).monic())
-    reduced.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
-    return reduced
+    # Tail-reduce each active element by the others.
+    active.sort(key=lambda i: key(lms[i]), reverse=True)
+    divisors = [prepped[i] for i in active]
+    return [Polynomial(ring, _reduce_terms(ring, G[i].terms,
+                                           divisors[:k] + divisors[k + 1:]))
+            for k, i in enumerate(active)]
 
 
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
@@ -618,7 +601,8 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
     if polys and f.ring != polys[0].ring:
         raise ValueError("polynomial ring mismatch")
-    return _remainder(f, polys)
+    return Polynomial(f.ring,
+                      _reduce_terms(f.ring, f.terms, _prep_divisors(polys)))
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,18 @@ def test_domain_errors_exit_1(capsys):
     assert obj["gram"] == [["1"]]
 
 
+def test_oversized_made_forms_exit_1_unbuilt(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an oversized form must not be built")
+
+    monkeypatch.setattr(forms, "make_diagonal_form", forbidden)
+    slots = ",".join(str(a) for a in range(2, 32))
+    for argv in (("pfister", "--entries", slots),
+                 ("hyperbolic", "--rank", "1000000000")):
+        code, out, err = run(capsys, "form", "make", *argv, "--field", "QQ")
+        assert code == 1 and err.startswith("error: ") and not out
+
+
 def test_base_change_flag(capsys):
     obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
                    "--polys", QUARTIC, "--base-change", "RR")

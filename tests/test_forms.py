@@ -10,6 +10,7 @@ import pytest
 from conftest import (HILBERT_CORPUS, HILBERT_PRIMES, hilbert_oracle,
                       real_hilbert_symbol)
 
+from a1degrees import fields, forms
 from a1degrees.fields import (CC, QQ, RR, gf_construct, is_square,
                               odd_prime_support, squarefree_part)
 from a1degrees.forms import (add_gw, base_change, diagonalize,
@@ -68,6 +69,22 @@ def test_make_pfister_form_convention():
     assert make_pfister_form(QQ, (5,)).rank == 2
 
 
+def test_made_form_ranks_are_bounded(monkeypatch):
+    assert make_hyperbolic_form(QQ, forms.MAX_MADE_RANK).rank == \
+        forms.MAX_MADE_RANK
+
+    def forbidden(*args):
+        raise AssertionError("an oversized form must not be built")
+
+    monkeypatch.setattr(forms, "make_diagonal_form", forbidden)
+    with pytest.raises(ValueError, match="exceeds"):
+        make_hyperbolic_form(QQ, forms.MAX_MADE_RANK + 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        make_hyperbolic_form(QQ, 10 ** 9)
+    with pytest.raises(ValueError, match="30-fold Pfister form"):
+        make_pfister_form(QQ, range(2, 32))
+
+
 def test_add_and_multiply():
     a, b = diag([1]), diag([-1])
     s = add_gw(a, b)
@@ -85,6 +102,23 @@ def test_diagonalize_fixture():
     beta = make_gw_class([[1, 3], [3, 7]], QQ)
     d, p = diagonalize(beta)
     assert [d.gram[i][i] for i in range(2)] == [Fraction(1), Fraction(-2)]
+
+
+def test_diagonalize_reuses_the_square_classes(monkeypatch):
+    calls = []
+    original = fields.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(fields, "factorize", counting)
+    beta = make_gw_class([[2, 3, 1], [3, 7, 5], [1, 5, 11]], QQ)
+    entries = beta.diagonal_entries()
+    assert calls == [2, 10, 140]
+    d, _ = diagonalize(beta)
+    assert [d.gram[i][i] for i in range(3)] == entries
+    assert calls == [2, 10, 140]
 
 
 def test_diagonalize_zero_diagonal():

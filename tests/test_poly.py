@@ -207,6 +207,10 @@ SYMPY_IDEALS = [
     (("x", "y", "z"), ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"]),
     (("x", "y", "z"), ["x^2 - y*z", "y^2 - x*z", "z^2 - x*y"]),
     (("x", "y"), ["2*x^2 - 3*y", "6*y^2 - x - 1"]),
+    # Repeated, divisible and zero generators.
+    (("x", "y"), ["x^2 - y", "x^2 - y", "y^3 - x"]),
+    (("x", "y"), ["x^2 + y^2 - 1", "x^3*y + y^2 - 1", "x*y - 1"]),
+    (("x", "y"), ["x*y - 1", "0", "x^2 - y"]),
 ]
 
 
@@ -224,6 +228,28 @@ def test_groebner_basis_matches_sympy(names, gens):
               sympy.groebner([sympy.sympify(g.replace("^", "**")) for g in gens],
                              *syms, order="grevlex").exprs}
     assert mine == theirs
+
+
+def test_groebner_basis_prepares_each_joining_polynomial_once(monkeypatch):
+    R = ring("x", "y", "z")
+    prepared = []
+    original = poly._prep_divisors
+
+    def recording(polys):
+        prepared.extend(polys)
+        return original(polys)
+
+    monkeypatch.setattr(poly, "_prep_divisors", recording)
+    G = groebner_basis(Ideal.of(R, "x^2 + y^2 + z^2 - 1", "x*y - z",
+                                "x - z^2", "x*y - z"))
+    # Each nonzero monic remainder is prepared when it joins, the repeated
+    # generator joins never, and the tail reduction, which changes some
+    # element, prepares nothing.
+    assert len(prepared) == len(set(prepared)) >= len(G.basis)
+    assert all(g.leading_coefficient() == 1 for g in prepared)
+    lms = {g.leading_monomial() for g in prepared}
+    assert all(g.leading_monomial() in lms for g in G.basis)
+    assert any(g not in prepared for g in G.basis)
 
 
 def test_normal_form_examples():
