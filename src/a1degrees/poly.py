@@ -524,30 +524,29 @@ def _divides(a, b) -> bool:
 
 def _buchberger(ring: PolyRing, gens) -> list:
     """The reduced basis, by Buchberger's algorithm with the Gebauer-Moller
-    update (Gebauer & Moller 1988).
-
-    Generators, then S-polynomials, join as nonzero monic remainders modulo
-    the active elements, and each newcomer retires the active elements whose
-    leading monomials its own divides: the active set is always a minimal
-    basis.  Each joining polynomial is prepared as a divisor once.  Pairs
-    wait in a heap keyed once by their lcm, smallest lcm first.
+    update (Gebauer & Moller 1988) and the sugar strategy (Giovini et al.
+    1991).  Generators, then S-polynomials, join as nonzero monic remainders
+    modulo every joined element; the active set stays a minimal basis, and
+    the reduced basis is its tail reduction.
     """
     key = ring.key
-    G, lms, prepped, active, heap = [], [], [], [], []
+    G, lms, sugar, prepped, active, heap = [], [], [], [], [], []
 
-    def update(h):
+    def update(h, s):
         nonlocal heap, active
         t, lm = len(G), h.leading_monomial()
         G.append(h)
         lms.append(lm)
+        sugar.append(s)
         prepped.extend(_prep_divisors([h]))
         # A queued pair (i, j) goes when lm divides its lcm and that lcm is
         # neither lcm(lms[i], lm) nor lcm(lms[j], lm) (the B criterion).
         heap = [p for p in heap if not (
-            _divides(lm, p[3]) and p[3] != tuple(map(max, lms[p[1]], lm))
-            and p[3] != tuple(map(max, lms[p[2]], lm)))]
-        # One new pair per minimal lcm, and none for an lcm that some pair
-        # reaches with coprime leading monomials.
+            _divides(lm, p[4]) and p[4] != tuple(map(max, lms[p[2]], lm))
+            and p[4] != tuple(map(max, lms[p[3]], lm)))]
+        # One new pair per minimal lcm, none for an lcm that some pair
+        # reaches with coprime leading monomials; its sugar is the largest
+        # degree among the generator multiples it is built from.
         new: dict = {}
         for i in active:
             l = tuple(map(max, lms[i], lm))
@@ -555,31 +554,35 @@ def _buchberger(ring: PolyRing, gens) -> list:
             new[l] = first, coprime or l == tuple(map(add, lms[i], lm))
         for l, (i, coprime) in new.items():
             if not coprime and not any(m != l and _divides(m, l) for m in new):
-                heap.append((tuple([-x for x in key(l)]), i, t, l))
+                s_ij = sum(l) + max(sugar[i] - sum(lms[i]), s - sum(lm))
+                heap.append((s_ij, tuple([-x for x in key(l)]), i, t, l))
         heapify(heap)
         active = [i for i in active if not _divides(lm, lms[i])] + [t]
 
-    def join(f) -> bool:
-        """Add f's remainder if it is nonzero; True once the ideal is (1)."""
-        h = Polynomial(ring, _reduce_terms(ring, f.terms,
-                                           [prepped[i] for i in active]))
+    def join(f, s) -> bool:
+        """Add f's nonzero remainder, sugar s raised by its reductions;
+        True once the ideal is (1)."""
+        quotients = [{} for _ in prepped]
+        h = Polynomial(ring, _reduce_terms(ring, f.terms, prepped, quotients))
         if h.is_constant():
             return bool(h)
-        update(h.monic())
+        update(h.monic(), max([s] + [sugar[k] + sum(m)
+                                     for k, q in enumerate(quotients)
+                                     for m in q]))
         return False
 
-    if any(join(g) for g in gens):
+    if any(join(g, max(map(sum, g.terms), default=0)) for g in gens):
         return [ring.one()]
     if not G:
         raise ValueError("generators must not all be zero")
     while heap:
-        _, i, j, l = heappop(heap)
+        s, _, i, j, l = heappop(heap)
         mi = tuple(map(sub, l, lms[i]))
         mj = tuple(map(sub, l, lms[j]))
-        s = {tuple(map(add, mi, e)): c for e, c in G[i].terms.items()}
-        _add_into(s, {tuple(map(add, mj, e)): c
+        f = {tuple(map(add, mi, e)): c for e, c in G[i].terms.items()}
+        _add_into(f, {tuple(map(add, mj, e)): c
                       for e, c in G[j].terms.items()}, negate=True)
-        if join(Polynomial(ring, s)):
+        if join(Polynomial(ring, f), s):
             return [ring.one()]
 
     # Tail-reduce each active element by the others.

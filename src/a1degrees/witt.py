@@ -25,8 +25,7 @@ from .forms import (GWClass, InvariantBundle, _hilbert, add_gw,
                     canonical_nonsquare, classifying_key, empty_form,
                     get_discriminant, get_invariants, get_signature,
                     hasse_witt_invariant, hasse_witt_primes,
-                    is_isomorphic_form, make_diagonal_form,
-                    make_hyperbolic_form)
+                    is_isomorphic_form, make_diagonal_form)
 
 __all__ = [
     "DecompositionReport",
@@ -262,7 +261,9 @@ def anisotropic_part(beta: GWClass) -> GWClass:
         t *= _hilbert(d_a, (-1) ** n, p)
         eps[p] = t
     result = _realize_rational(dim, inv.signature, d_a, eps)
-    rebuilt = result if n == 0 else add_gw(result, make_hyperbolic_form(QQ, 2 * n))
+    # nH is built here: make_hyperbolic_form bounds the rank of made forms.
+    rebuilt = result if n == 0 else add_gw(
+        result, make_diagonal_form(QQ, [1, -1] * n))
     if not is_isomorphic_form(rebuilt, beta):
         raise AssertionError("anisotropic part failed its witness check")
     return result

@@ -76,6 +76,21 @@ def test_replay_decomposition_string(capsys):
     assert out.strip() == "2H + <2> + <5>"
 
 
+def test_decomposition_past_the_made_rank_bound(capsys):
+    # The witness check rebuilds nH itself, so the bound on `form make`
+    # does not reach a decomposition with Witt index above it.
+    n = forms.MAX_MADE_RANK // 2 + 1
+    diag = ",".join(["1,-1"] * n + ["2,3"])
+    code, out, err = run(capsys, "form", "decompose", "--field", "QQ",
+                         "--diag", diag)
+    assert code == 0, err
+    assert out.strip() == f"{n}H + <2> + <3>"
+    obj = run_json(capsys, "form", "anisotropic-part", "--field", "QQ",
+                   "--diag", diag)
+    part = cli.gwclass_from_json(obj)
+    assert is_isomorphic_form(part, make_diagonal_form(QQ, [2, 3]))
+
+
 QUARTIC = "x^4 - 6*x^2 - 7*x - 6"
 
 

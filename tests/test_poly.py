@@ -252,6 +252,30 @@ def test_groebner_basis_prepares_each_joining_polynomial_once(monkeypatch):
     assert any(g not in prepared for g in G.basis)
 
 
+def test_groebner_basis_keeps_coefficients_small_on_sparse_qq(monkeypatch):
+    # Under the normal strategy this ideal's S-polynomials chain into
+    # elements with 800- to 2,300-bit coefficients before the basis
+    # collapses to one with 43-bit ones; the sugar strategy stays under 64.
+    R = ring("x", "y", "z")
+    prepared = []
+    original = poly._prep_divisors
+
+    def recording(polys):
+        prepared.extend(polys)
+        return original(polys)
+
+    monkeypatch.setattr(poly, "_prep_divisors", recording)
+    I = Ideal.of(R, "x^3*y^2*z^3 - 2*x^2*y^2*z^2 + y^3 - 2*x",
+                 "-x^3*y^2*z^3 + x^3*y^2*z^2 + 3*x*y^3 + 2*x",
+                 "3*x^3*y*z^3 - y^2*z^3 - 2*x*z")
+    G = groebner_basis(I)
+    assert len(G.basis) == 19
+    assert all(normal_form(f, G).is_zero() for f in I.generators)
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for g in prepared for c in g.terms.values())
+    assert bits < 128
+
+
 def test_normal_form_examples():
     R = ring("x")
     G = groebner_basis(Ideal.of(R, "x^2 - 1"))

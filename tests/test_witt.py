@@ -10,9 +10,10 @@ from conftest import gf_isotropy_oracle, primitive_zero_mod
 
 from a1degrees import cli, witt
 from a1degrees.fields import CC, QQ, RR, gf_construct, is_prime
-from a1degrees.forms import (add_gw, get_invariants, hasse_witt_primes,
-                             is_isomorphic_form, make_diagonal_form,
-                             make_gw_class, make_hyperbolic_form)
+from a1degrees.forms import (MAX_MADE_RANK, add_gw, get_invariants,
+                             hasse_witt_primes, is_isomorphic_form,
+                             make_diagonal_form, make_gw_class,
+                             make_hyperbolic_form)
 from a1degrees.witt import (anisotropic_dimension, anisotropic_dimension_qp,
                             anisotropic_part, is_anisotropic, is_isotropic,
                             sum_decomposition, witt_index)
@@ -143,6 +144,15 @@ def test_sum_decomposition_strings():
     assert sum_decomposition(make_hyperbolic_form(QQ, 4)).display == "2H"
     rep = sum_decomposition(diag([81]))
     assert rep.witt_index == 0 and rep.anisotropic_part.rank == 1
+
+
+def test_decomposition_past_the_made_rank_bound():
+    n = MAX_MADE_RANK // 2 + 1
+    rep = sum_decomposition(diag([1, -1] * n))
+    assert rep.display == f"{n}H" and rep.witt_index == n
+    rep = sum_decomposition(diag([1, -1] * n + [2, 3]))
+    assert rep.display == f"{n}H + <2> + <3>"
+    assert is_isomorphic_form(rep.anisotropic_part, diag([2, 3]))
 
 
 def test_hyperbolic_stability():
