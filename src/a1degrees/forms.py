@@ -13,9 +13,10 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Optional
 
+from . import fields
 from .fields import (QQ, FFElement, FieldDesc, _class_integer,
                      _coefficient_vectors, _split_prime, _squarefree_split,
                      fraction_sqrt, is_prime, is_square)
@@ -60,11 +61,20 @@ class GWClass:
         return len(self.gram)
 
     @functools.cached_property
+    def _elimination(self) -> tuple:  # (pivots, determinant)
+        return _eliminate(self.gram, self.field)[:2]
+
+    @property
     def _pivots(self) -> tuple:
-        return _eliminate(self.gram, self.field)
+        return self._elimination[0]
+
+    @functools.cached_property
+    def _signature(self) -> int:
+        return sum(1 if d > 0 else -1 for d in self._pivots)
 
     @functools.cached_property
     def _square_classes(self) -> tuple:
+        # Each pivot is factored only where squarefree entries are printed.
         return tuple(_squarefree_split(d) for d in self._pivots)
 
     @functools.cached_property
@@ -102,7 +112,7 @@ def make_gw_class(matrix, field: FieldDesc) -> GWClass:
             if rows[i][j] != rows[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
     beta = _raw(field, rows)
-    beta._pivots  # the elimination raises ValueError("degenerate form")
+    beta._elimination  # raises ValueError("degenerate form")
     return beta
 
 
@@ -142,10 +152,11 @@ def multiply_gw(b1: GWClass, b2: GWClass) -> GWClass:
 
 
 def _eliminate(gram, field: FieldDesc, track: bool = False):
-    """Symmetric elimination: the pivots of a congruence diagonalization.
+    """Symmetric elimination: (pivots, det, columns of P or None).
 
-    With ``track`` it returns (pivots, columns of P), where P^T * gram * P
-    is the diagonal of the pivots.
+    P^T * gram * P is the diagonal of the pivots; P is tracked, by columns,
+    only with ``track``.  det is the determinant of gram: the product of the
+    pivots times g^2 for each hyperbolic plane's entry g.
 
     Step i pivots on the (i, i) entry of the trailing block.  A zero there
     is swapped with the first nonzero diagonal entry after it; failing
@@ -159,7 +170,7 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     cols = None
     if track:  # P by columns: every basis change is a column operation
         cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
-    pivots = []
+    pivots, det = [], one
     for i in range(n):
         if not G[i][i]:
             j = next((j for j in range(i + 1, n) if G[j][j]), None)
@@ -174,6 +185,7 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
                 if j is None:
                     raise ValueError("degenerate form")
                 # e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j gives <1, -1>
+                det *= G[i][j] * G[i][j]
                 alpha = one / (field.coerce(2) * G[i][j])
                 ri, rj = G[i], G[j]
                 for c in range(i + 1, n):
@@ -189,6 +201,7 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
         row = G[i]
         d = row[i]
         pivots.append(d)
+        det *= d
         inv = one / d
         support = [j for j in range(i + 1, n) if row[j]]
         for t, j in enumerate(support):
@@ -198,9 +211,7 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
                 rj[k] = G[k][j] = rj[k] - f * row[k]
             if track:
                 cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
-    if not track:
-        return tuple(pivots)
-    return pivots, cols
+    return tuple(pivots), det, cols
 
 
 def diagonalize(beta: GWClass):
@@ -212,14 +223,14 @@ def diagonalize(beta: GWClass):
     """
     F = beta.field
     n = beta.rank
-    diag, cols = _eliminate(beta.gram, F, track=True)
-    if F.kind in ("QQ", "RR", "CC"):
+    pivots, _, cols = _eliminate(beta.gram, F, track=True)
+    diag = beta._diagonal
+    if F.kind != "GF":
         # Tracking adds only column operations: the pivots are beta's.
-        for i, (d, (s, _)) in enumerate(zip(diag, beta._square_classes)):
+        for i, (d, s) in enumerate(zip(pivots, diag)):
             t = fraction_sqrt(d / s)
             if t != 1:
                 cols[i] = [a / t for a in cols[i]]
-            diag[i] = Fraction(s)
     D = [[diag[i] if i == j else F.zero() for j in range(n)] for i in range(n)]
     return _raw(F, D), tuple(zip(*cols))
 
@@ -283,7 +294,7 @@ def get_rank(beta: GWClass) -> int:
 def get_signature(beta: GWClass) -> int:
     if beta.field.kind not in ("QQ", "RR"):
         raise ValueError("signature undefined over this field")
-    return beta._invariants.signature
+    return beta._signature
 
 
 @functools.lru_cache(maxsize=64)
@@ -370,12 +381,8 @@ def hasse_witt_invariant(beta: GWClass, p: int) -> int:
 
 
 def hasse_witt_primes(beta: GWClass) -> list[int]:
-    """{2} plus the primes of the squarefree diagonal entries, ascending:
-    the primes that reducing each pivot to its square class factored out.
-
-    A superset of the primes where the invariant can be -1; extra entries
-    evaluate to +1 and are harmless.
-    """
+    """2, the primes of the discriminant and those where the invariant is
+    -1, ascending: a set fixed by the class."""
     return list(_hasse_witt_record(beta))
 
 
@@ -394,37 +401,43 @@ class InvariantBundle:
 
 
 def _square_class_invariants(beta: GWClass) -> InvariantBundle:
-    """The invariants of a class, from the pivots of its one elimination.
+    """The invariants of a class, from its one elimination.
 
-    The signature counts the signs of the pivots.  Over GF(q) the product
-    of the pivots is the determinant up to a square.  Over QQ the running
-    discriminant d_j = a_1 ... a_j of the squarefree diagonal (via gcds)
-    ends at the discriminant, and prod_{i<j} (a_i, a_j)_p equals
-    prod_j (d_{j-1}, a_j)_p.  Hasse-Witt is recorded, ascending, at 2 and
-    at the primes of the entries, read from the factorizations that reduced
-    them; elsewhere every a_i is a p-adic unit.
+    Over QQ, d_j = a_1 ... a_j over the pivots' class integers (less gcd
+    squares) ends in the determinant's square class, and Hasse-Witt is
+    prod_j (d_{j-1}, a_j)_p.  Both are read at 2 and the primes of one
+    factorization, of L * num(det) with L the lcm of the Gram's denominators
+    or of the printed squarefree entries: elsewhere every pivot is a p-adic
+    unit times a square.  Keys: 2, the discriminant's primes and where -1.
     """
-    field, rank = beta.field, beta.rank
+    field, rank, det = beta.field, beta.rank, beta._elimination[1]
     if field.kind == "GF":
-        if not is_square(prod(beta._pivots, start=field.one()), field):
+        if not is_square(det, field):
             return InvariantBundle(rank, None, canonical_nonsquare(field), None)
         return InvariantBundle(rank, None, field.one(), None)
     if field.kind == "CC":
         return InvariantBundle(rank, None, 1, None)
-    signature = sum(1 if d > 0 else -1 for d in beta._pivots)
+    signature = beta._signature
     if field.kind == "RR":
-        negatives = (rank - signature) // 2
-        return InvariantBundle(rank, signature, (-1) ** negatives, None)
-    classes = beta._square_classes
-    primes = sorted({2}.union(*(ps for _, ps in classes)))
+        return InvariantBundle(rank, signature, 1 if det > 0 else -1, None)
+    if "_square_classes" in beta.__dict__:  # the printed entries' primes
+        primes = set().union(*(ps for _, ps in beta._square_classes))
+    else:  # L^2 * gram is unimodular at odd p prime to L * num(det)
+        lcd = lcm(*(c.denominator for row in beta.gram for c in row))
+        primes = fields.factorize(lcd * det.numerator)
+    primes = sorted({2, *primes})
     hasse_witt = dict.fromkeys(primes, 1)
     d = 1
-    for a, _ in classes:
+    for a in map(_class_integer, beta._pivots):
         for p in primes:
             hasse_witt[p] *= _hilbert(d, a, p)
         g = gcd(d, a)
         d = d * a // (g * g)
-    return InvariantBundle(rank, signature, d, hasse_witt)
+    disc = prod((p for p in primes if _split_prime(d, p)[0] % 2),
+                start=-1 if d < 0 else 1)
+    hasse_witt = {p: t for p, t in hasse_witt.items()
+                  if p == 2 or t == -1 or disc % p == 0}
+    return InvariantBundle(rank, signature, disc, hasse_witt)
 
 
 def get_invariants(beta: GWClass) -> InvariantBundle:
@@ -435,19 +448,11 @@ def get_invariants(beta: GWClass) -> InvariantBundle:
     return dataclasses.replace(inv, hasse_witt=dict(inv.hasse_witt))
 
 
-def classifying_key(inv: InvariantBundle) -> tuple:
-    """Rank, signature, discriminant and the primes where Hasse-Witt is -1:
-    equal exactly for isomorphic classes over one field (Hasse-Minkowski)."""
-    hw = inv.hasse_witt
-    minus = None if hw is None else frozenset(p for p, t in hw.items() if t == -1)
-    return inv.rank, inv.signature, inv.discriminant, minus
-
-
 def is_isomorphic_form(b1: GWClass, b2: GWClass) -> bool:
-    """Classification by invariants over the relevant field."""
+    """Equal records, each keyed by its class (Hasse-Minkowski over QQ)."""
     if b1.field != b2.field:
         raise ValueError("field mismatch")
-    return classifying_key(b1._invariants) == classifying_key(b2._invariants)
+    return b1._invariants == b2._invariants
 
 
 def base_change(beta: GWClass, target: FieldDesc) -> GWClass:

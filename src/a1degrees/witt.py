@@ -22,10 +22,10 @@ from math import gcd, prod
 
 from .fields import QQ, is_padic_square, is_prime, is_square
 from .forms import (GWClass, InvariantBundle, _hilbert, add_gw,
-                    canonical_nonsquare, classifying_key, empty_form,
-                    get_discriminant, get_invariants, get_signature,
-                    hasse_witt_invariant, hasse_witt_primes,
-                    is_isomorphic_form, make_diagonal_form)
+                    canonical_nonsquare, empty_form, get_discriminant,
+                    get_invariants, get_signature, hasse_witt_invariant,
+                    hasse_witt_primes, is_isomorphic_form,
+                    make_diagonal_form)
 
 __all__ = [
     "DecompositionReport",
@@ -208,9 +208,9 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
     puts no local condition on rank >= 3, so above rank 3 any <sign> peels
     off.
     """
-    key = classifying_key(InvariantBundle(rank, sig, disc, eps))
     pool = _pool(disc, eps)
     eps = {p: eps.get(p, 1) for p in pool}
+    target = InvariantBundle(rank, sig, disc, eps)  # keyed as records are
     entries = []
     for n in range(rank, 2, -1):
         sign = -1 if sig < 0 else 1
@@ -221,7 +221,7 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
         pool = _pool(disc, eps)
     entries += _plane(sig, disc, eps, pool) if rank > 1 else [disc]
     realized = make_diagonal_form(QQ, sorted(entries))
-    if classifying_key(get_invariants(realized)) != key:
+    if get_invariants(realized) != target:
         raise AssertionError("realized form has the wrong invariants")
     return realized
 
@@ -251,7 +251,8 @@ def anisotropic_part(beta: GWClass) -> GWClass:
             return make_diagonal_form(field, [rep])
         return make_diagonal_form(field, [field.one(), rep])
     # QQ: push the invariants of beta through the n hyperbolic splits.  The
-    # odd primes of d_a divide beta's diagonal, so the record covers them.
+    # record's keys hold 2 and the primes of disc, which are those of d_a;
+    # at any other p the pushed symbols are 1, as is eps_p.
     inv = get_invariants(beta)
     d_a = inv.discriminant * (-1) ** n
     eps = {}

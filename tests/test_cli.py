@@ -269,6 +269,47 @@ def test_two_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
     assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
 
 
+@pytest.mark.parametrize("diag, record", [
+    ("1,1", "{2: 1}"), ("5,5", "{2: 1}"), ("3,3", "{2: -1, 3: -1}"),
+    ("1/3,3", "{2: -1, 3: -1}"),
+])
+def test_hasse_witt_keys_are_fixed_by_the_class(capsys, diag, record):
+    code, out, err = run(capsys, "form", "invariants", "--field", "QQ",
+                         "--diag", diag)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"hasse_witt: {record}"
+
+
+def test_quartic_records_only_its_class_keys(capsys):
+    obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
+                   "--polys", QUARTIC)
+    assert obj["hasse_witt"] == {"2": -1}
+
+
+def test_form_invariants_factors_once(capsys, monkeypatch):
+    calls = []
+    original = fields.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(fields, "factorize", counting)
+    obj = run_json(capsys, "form", "invariants", "--field", "QQ",
+                   "--matrix", "[[2,3,1],[3,7,5],[1,5,11]]")
+    assert obj["discriminant"] == "7" and calls == [28]
+
+
+def test_square_class_too_large_to_factor_exits_1(capsys):
+    semiprime = 10000000000000000051 * 10000000000000000087
+    start = time.perf_counter()
+    code, out, err = run(capsys, "form", "invariants", "--field", "QQ",
+                         "--diag", f"{semiprime},1")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "")
+    assert err == "error: square class too large to factor\n"
+
+
 def test_json_carries_invariants(capsys):
     obj = run_json(capsys, "form", "invariants", "--field", "QQ",
                    "--diag", "3,-3,2,5,1,-9")

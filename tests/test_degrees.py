@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import random
+import sys
+import time
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +15,8 @@ from a1degrees import degrees, poly
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
 from a1degrees.fields import CC, QQ, RR, gf_construct
-from a1degrees.forms import (add_gw, base_change, get_signature,
+from a1degrees.forms import (add_gw, base_change, get_invariants,
+                             get_signature, hasse_witt_primes,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
 from a1degrees.poly import (Ideal, Polynomial, PolyRing, groebner_basis,
@@ -23,6 +30,7 @@ def system(names, polys, field=QQ):
 
 
 QUARTIC = "x^4 - 6*x^2 - 7*x - 6"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 # -- Bezoutian matrices ------------------------------------------------------
@@ -330,3 +338,84 @@ def test_local_ideal_matches_colon_oracle_on_planted_zeros():
         ranks.add(len(local.basis))
         checked += 1
     assert len(ranks) > 1  # simple and multiple zeros both occur
+
+
+# -- rational classes at Bezout scale ------------------------------------------
+
+
+def planted_bezout_system(degrees_, seed):
+    """(system, zeros): f_i = prod_j (x_i - a_ij) with multiples of the
+    earlier f_k of no larger degree mixed in, then x_i <- x_i + c_i*x_(i+1).
+
+    The ideal is that of the f_i, so the zeros are the grid of the a_ij
+    pulled back through the substitution, all simple.
+    """
+    import sympy
+    rng = random.Random(seed)
+    n = len(degrees_)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    roots = [rng.sample([a for a in range(-6, 7) if a], d) for d in degrees_]
+    f = [sympy.prod([x - a for a in r]) for x, r in zip(xs, roots)]
+    g = []
+    for i in range(n):
+        gi = f[i]
+        for k in range(i):
+            if degrees_[k] <= degrees_[i]:
+                h = rng.choice([-2, -1, 1, 2])
+                if degrees_[k] < degrees_[i]:
+                    h += rng.choice([-1, 1]) * rng.choice(xs)
+                gi += h * f[k]
+        g.append(gi)
+    c = [rng.choice([-2, -1, 1, 2]) for _ in range(n - 1)]
+    shift = {xs[i]: xs[i] + c[i] * xs[i + 1] for i in range(n - 1)}
+    g = [sympy.expand(gi.subs(shift, simultaneous=True)) for gi in g]
+    zeros = []
+    for z in itertools.product(*roots):
+        x = list(z)
+        for i in range(n - 2, -1, -1):  # invert the substitution
+            x[i] = z[i] - c[i] * x[i + 1]
+        zeros.append(dict(zip(xs, x)))
+    names = tuple(str(x) for x in xs)
+    ring = PolyRing(QQ, names)
+    system_ = EndoSystem.of(ring, *(str(gi).replace("**", "^") for gi in g))
+    jac = sympy.Matrix(g).jacobian(xs)
+    return system_, g, jac, zeros
+
+
+@pytest.mark.parametrize("degrees_", [(4, 4), (3, 3, 2), (3, 3, 3)])
+def test_global_degree_is_the_sum_of_jacobians_at_planted_zeros(degrees_):
+    f, g, jac, zeros = planted_bezout_system(degrees_, sum(degrees_))
+    dets = []
+    for z in zeros:
+        assert all(gi.subs(z) == 0 for gi in g)
+        dets.append(Fraction(int(jac.subs(z).det())))
+    assert all(dets)  # simple zeros
+    start = time.perf_counter()
+    beta = global_a1_degree(f)
+    keys = hasse_witt_primes(beta)
+    elapsed = time.perf_counter() - start
+    expected = make_diagonal_form(QQ, dets)
+    assert beta.rank == len(zeros) == prod(degrees_)
+    assert is_isomorphic_form(beta, expected)
+    # the recorded primes are fixed by the class, not by its representative
+    assert keys == hasse_witt_primes(expected)
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("degrees_, c", [((3, 3, 2), 3), ((4, 5), 5),
+                                         ((3, 3, 3), 3)])
+def test_random_rational_systems_classify_end_to_end(monkeypatch, degrees_,
+                                                    c):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclasses
+    spec.loader.exec_module(workloads)
+    polys = workloads.random_system(random.Random(1), degrees_, top=c, low=c)
+    names = workloads._var_names(len(degrees_))
+    _, f = system(names, [workloads.to_string(p, names) for p in polys])
+    start = time.perf_counter()
+    inv = get_invariants(global_a1_degree(f))
+    elapsed = time.perf_counter() - start
+    assert inv.rank == prod(degrees_)
+    assert elapsed < 1.0, elapsed

@@ -68,6 +68,17 @@ def test_factorize_matches_sympy():
         assert factorize(-n) == fac
 
 
+# Two primes of 20 digits: rho needs about 10^10 steps to split their product.
+SEMIPRIME = 10000000000000000051 * 10000000000000000087
+
+
+def test_factorize_stops_at_its_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="square class too large to factor"):
+        factorize(SEMIPRIME)
+    assert time.perf_counter() - start < 5.0
+
+
 # -- square classes ----------------------------------------------------------
 
 

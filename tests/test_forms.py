@@ -232,6 +232,33 @@ def test_elimination_oracle(field):
     assert min(seen.values()) >= 5, seen
 
 
+@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_elimination_returns_the_determinant(field):
+    rng = random.Random(f"determinant:{field}")
+    for k in range(60):
+        diagonal = ("dense", "some-zero", "zero")[k % 3]
+        m = random_symmetric(rng, rng.randint(1, 6), field, diagonal)
+        det = determinant(m, field)
+        if det:
+            assert make_gw_class(m, field)._elimination[1] == det
+
+
+def test_record_reads_primes_a_hyperbolic_plane_hides():
+    # Re-basing the zero-diagonal plane on the entry 6 divides the pivots'
+    # product by 36, so 3 divides the determinant but not that product.
+    # Hasse-Witt at 3 is -1 all the same.
+    h = Fraction(1, 2)
+    gram = [[0, 6, 2, Fraction(2, 5)], [6, 0, 7 * h, 1],
+            [2, 7 * h, 0, 15], [Fraction(2, 5), 1, 15, 0]]
+    beta = make_gw_class(gram, QQ)
+    assert prod(beta._pivots).numerator % 3 != 0
+    assert beta._elimination[1] == determinant(gram, QQ)
+    entries = make_gw_class(gram, QQ).diagonal_entries()
+    assert _pairwise_hasse_witt(entries, 3) == -1
+    assert get_invariants(beta).hasse_witt[3] == -1
+
+
 # -- invariants --------------------------------------------------------------
 
 
@@ -350,10 +377,15 @@ def test_hasse_witt_requires_qq():
 
 
 def test_hasse_witt_primes_cover_support():
-    beta = diag([6, -10, 21])
-    primes = hasse_witt_primes(beta)
-    assert primes[0] == 2
-    assert set(primes) >= {2, 3, 5, 7}
+    # The keys are 2, the primes of the discriminant -35 and the primes
+    # where the invariant is -1; at every prime of the entries the
+    # invariant is still the pairwise product.
+    entries = [6, -10, 21]
+    beta = diag(entries)
+    assert hasse_witt_primes(beta) == [2, 5, 7]
+    for p in (2, 3, 5, 7):
+        assert hasse_witt_invariant(beta, p) == \
+            _pairwise_hasse_witt(entries, p)
 
 
 def test_hasse_witt_additivity():
@@ -437,14 +469,86 @@ def test_invariant_records_match_checked_hilbert_symbols():
             beta = make_gw_class(rows, QQ)
         except ValueError:
             continue
-        entries = beta.diagonal_entries()
         inv = get_invariants(beta)
+        entries = beta.diagonal_entries()
         primes = {2}.union(*(odd_prime_support(a) for a in entries))
-        assert sorted(inv.hasse_witt) == sorted(primes)
+        disc = squarefree_part(prod(entries))
         for p in primes:
-            assert inv.hasse_witt[p] == _pairwise_hasse_witt(entries, p)
-        assert inv.discriminant == squarefree_part(prod(entries))
+            assert hasse_witt_invariant(beta, p) == \
+                _pairwise_hasse_witt(entries, p)
+        assert sorted(inv.hasse_witt) == sorted(
+            p for p in primes if p == 2 or disc % p == 0
+            or _pairwise_hasse_witt(entries, p) == -1)
+        assert inv.discriminant == disc
         assert inv.signature == sum(1 if a > 0 else -1 for a in entries)
+
+
+@pytest.mark.parametrize("entries, record", [
+    ([1, 1], {2: 1}), ([5, 5], {2: 1}), ([3, 3], {2: -1, 3: -1}),
+    # a denominator prime carries -1 although the determinant is 1
+    ([Fraction(1, 3), 3], {2: -1, 3: -1}),
+    ([7, 1], {2: 1, 7: 1}),  # a discriminant prime is a key at +1
+])
+def test_hasse_witt_record_is_keyed_by_the_class(entries, record):
+    assert get_invariants(diag(entries)).hasse_witt == record
+
+
+def test_hasse_witt_record_does_not_depend_on_the_representative():
+    # Isomorphic classes, dense or diagonal, printed entries or not: the
+    # record is the same dict.
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        entries = [Fraction(rng.choice([v for v in range(-20, 21) if v]),
+                            rng.choice((1, 3, 4, 25))) for _ in range(n)]
+        p_mat = [[rng.randint(-2, 2) + 3 * (i == j) for j in range(n)]
+                 for i in range(n)]
+        dense = [[sum(p_mat[k][i] * entries[k] * p_mat[k][j]
+                      for k in range(n)) for j in range(n)] for i in range(n)]
+        try:
+            beta = make_gw_class(dense, QQ)
+        except ValueError:
+            continue
+        printed = make_gw_class(dense, QQ)
+        printed.diagonal_entries()
+        records = [get_invariants(b).hasse_witt
+                   for b in (diag(entries), beta, printed)]
+        assert records[0] == records[1] == records[2], entries
+
+
+def test_one_factorization_classifies_a_class(monkeypatch):
+    calls = []
+    original = fields.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(fields, "factorize", counting)
+    beta = make_gw_class([[2, 3, 1], [3, 7, 5], [1, 5, 11]], QQ)
+    inv = get_invariants(beta)
+    assert (inv.signature, inv.discriminant, inv.hasse_witt) == \
+        (3, 7, {2: -1, 7: -1})
+    assert calls == [28]
+    beta = make_gw_class([[Fraction(1, 3), 1], [1, Fraction(2, 5)]], QQ)
+    get_invariants(beta)
+    # the lcm of the denominators times the determinant's numerator
+    assert [abs(n) for n in calls] == [28, 15 * 13]
+
+
+def test_signature_never_factors(monkeypatch):
+    p, q = 10000000000000000051, 10000000000000000087
+    beta = diag([p * q, -1, Fraction(1, p * q)])
+    assert get_signature(beta) == 1
+    assert get_signature(base_change(beta, RR)) == 1
+    with pytest.raises(ValueError, match="square class too large to factor"):
+        get_invariants(beta)
+
+    def forbidden(n):
+        raise AssertionError("the signature reads the pivot signs")
+
+    monkeypatch.setattr(fields, "factorize", forbidden)
+    assert get_signature(diag([3, -5, 7])) == 1
 
 
 def test_hasse_witt_rejects_non_prime():
