@@ -18,11 +18,10 @@ from fractions import Fraction
 
 from . import degrees, forms, witt
 from .fields import CC, QQ, RR, FieldDesc, gf_construct, is_prime
-from .poly import Ideal, ParseError, PolyRing
+from .poly import Ideal, ParseError, PolyRing, parse_polynomial
 
 _FIELD_RE = re.compile(r"^(QQ|RR|CC)$|^GF\((\d+)\)$")
 _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
-_RESIDUE_TERM_RE = re.compile(r"(\d+)|(?:(\d+)\*)?t(?:\^(\d+))?")
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -204,23 +203,22 @@ def gwclass_from_json(obj: dict) -> forms.GWClass:
 def _entry_from_str(s: str, field: FieldDesc):
     if field.kind != "GF":
         return parse_scalar(s)
-    # Entries render as residue polynomials in t: terms c, t, c*t, t^i, c*t^i.
+    # Entries render as residue polynomials in t over GF(p), of degree < k.
+    residue = parse_polynomial(PolyRing(parse_field(f"GF({field.char})"), ("t",)), s)
+    if residue.total_degree() >= field.degree:
+        raise ParseError(f"{field} entry {s!r} has degree >= {field.degree}", 0)
     coeffs = [0] * field.degree
-    for term in s.split("+"):
-        m = _RESIDUE_TERM_RE.fullmatch(term.strip())
-        i = (0 if m.group(1) else int(m.group(3) or 1)) if m else field.degree
-        if i >= field.degree:
-            raise ParseError(f"bad {field} entry {s!r}; expected terms c*t^i "
-                             f"with i < {field.degree}", 0)
-        coeffs[i] += int(m.group(1) or m.group(2) or 1)
+    for (i,), c in residue.terms.items():
+        coeffs[i] = c.coeffs[0]
     return field.coerce(tuple(coeffs))
 
 
 def emit(args, pretty_lines, json_obj):
+    """Print one format: call json_obj() under --json, else pretty_lines()."""
     if args.json:
-        print(json.dumps(json_obj, indent=2))
+        print(json.dumps(json_obj(), indent=2))
     else:
-        for line in pretty_lines:
+        for line in pretty_lines():
             print(line)
 
 
@@ -232,41 +230,41 @@ def cmd_form_diagonalize(args):
     beta = payload_class(args)
     diag = forms.make_diagonal_form(beta.field, beta.diagonal_entries())
     # The diagonal has beta's pivots, so beta's record is its record too.
-    gram = [[str(c) for c in row] for row in diag.gram]
-    emit(args, [str(diag)], gwclass_to_json(beta, {"gram": gram}))
+    emit(args, lambda: [str(diag)], lambda: gwclass_to_json(
+        beta, {"gram": [[str(c) for c in row] for row in diag.gram]}))
 
 
 def cmd_form_invariants(args):
     beta = payload_class(args)
-    inv = forms.get_invariants(beta)
-    lines = [f"rank: {inv.rank}"]
-    if inv.signature is not None:
-        lines.append(f"signature: {inv.signature}")
-    lines.append(f"discriminant: {inv.discriminant}")
-    if inv.hasse_witt is not None:
-        hw = ", ".join(f"{p}: {v}" for p, v in sorted(inv.hasse_witt.items()))
-        lines.append(f"hasse_witt: {{{hw}}}")
-    emit(args, lines, gwclass_to_json(beta))
+
+    def lines():
+        inv = forms.get_invariants(beta)
+        yield f"rank: {inv.rank}"
+        if inv.signature is not None:
+            yield f"signature: {inv.signature}"
+        yield f"discriminant: {inv.discriminant}"
+        if inv.hasse_witt is not None:
+            hw = ", ".join(f"{p}: {v}" for p, v in sorted(inv.hasse_witt.items()))
+            yield f"hasse_witt: {{{hw}}}"
+    emit(args, lines, lambda: gwclass_to_json(beta))
 
 
 def cmd_form_decompose(args):
     beta = payload_class(args)
     report = witt.sum_decomposition(beta)
-    extra = {
+    emit(args, lambda: [report.display], lambda: gwclass_to_json(beta, {
         "witt_index": report.witt_index,
         "decomposition": report.display,
         # beta is nondegenerate: isotropic exactly when H splits off
         "isotropic": report.witt_index > 0,
         "anisotropic_part": [[str(c) for c in row]
                              for row in report.anisotropic_part.gram],
-    }
-    emit(args, [report.display], gwclass_to_json(beta, extra))
+    }))
 
 
 def cmd_form_anisotropic_part(args):
-    beta = payload_class(args)
-    part = witt.anisotropic_part(beta)
-    emit(args, [str(part)], gwclass_to_json(part))
+    part = witt.anisotropic_part(payload_class(args))
+    emit(args, lambda: [str(part)], lambda: gwclass_to_json(part))
 
 
 def cmd_form_isomorphic(args):
@@ -274,7 +272,7 @@ def cmd_form_isomorphic(args):
     b1 = class_from_text(args.first, field)
     b2 = class_from_text(args.second, field)
     result = forms.is_isomorphic_form(b1, b2)
-    emit(args, ["true" if result else "false"], {"isomorphic": result})
+    emit(args, lambda: [str(result).lower()], lambda: {"isomorphic": result})
 
 
 def cmd_form_make(args):
@@ -291,15 +289,15 @@ def cmd_form_make(args):
         if args.entries is None:
             raise ParseError("make pfister requires --entries", 0)
         beta = forms.make_pfister_form(field, parse_entries(args.entries))
-    emit(args, [str(beta)], gwclass_to_json(beta))
+    emit(args, lambda: [str(beta)], lambda: gwclass_to_json(beta))
 
 
 def cmd_symbol_hilbert(args):
     a = parse_scalar(args.a)
     b = parse_scalar(args.b)
     value = forms.hilbert_symbol(a, b, args.p)
-    emit(args, [str(value)], {"a": str(a), "b": str(b), "p": args.p,
-                              "symbol": value})
+    emit(args, lambda: [str(value)],
+         lambda: {"a": str(a), "b": str(b), "p": args.p, "symbol": value})
 
 
 def _system_from_args(args):
@@ -322,7 +320,8 @@ def _point_ideal(ring, args):
 def _emit_degree(args, beta):
     if getattr(args, "base_change", None):
         beta = forms.base_change(beta, parse_field(args.base_change))
-    emit(args, [str(beta), f"rank: {beta.rank}"], gwclass_to_json(beta))
+    emit(args, lambda: [str(beta), f"rank: {beta.rank}"],
+         lambda: gwclass_to_json(beta))
 
 
 def cmd_degree_global(args):
@@ -341,7 +340,7 @@ def cmd_basis_local(args):
     point = _point_ideal(ring, args)
     basis = degrees.local_algebra_basis(system, point)
     mons = [str(m) for m in basis.basis]
-    emit(args, mons, {"basis": mons, "size": len(mons)})
+    emit(args, lambda: mons, lambda: {"basis": mons, "size": len(mons)})
 
 
 # ---------------------------------------------------------------------------

@@ -526,16 +526,15 @@ def _buchberger(ring: PolyRing, gens) -> list:
     """The reduced basis, by Buchberger's algorithm with the Gebauer-Moller
     update (Gebauer & Moller 1988) and the sugar strategy (Giovini et al.
     1991).  Generators, then S-polynomials, join as nonzero monic remainders
-    modulo every joined element; the active set stays a minimal basis, and
-    the reduced basis is its tail reduction.
+    modulo every joined element and are kept as `_prep_divisors` triples;
+    the active set stays a minimal basis, and is tail-reduced at the end.
     """
     key = ring.key
-    G, lms, sugar, prepped, active, heap = [], [], [], [], [], []
+    lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
         nonlocal heap, active
-        t, lm = len(G), h.leading_monomial()
-        G.append(h)
+        t, lm = len(prepped), h.leading_monomial()
         lms.append(lm)
         sugar.append(s)
         prepped.extend(_prep_divisors([h]))
@@ -573,24 +572,26 @@ def _buchberger(ring: PolyRing, gens) -> list:
 
     if any(join(g, max(map(sum, g.terms), default=0)) for g in gens):
         return [ring.one()]
-    if not G:
+    if not prepped:
         raise ValueError("generators must not all be zero")
     while heap:
         s, _, i, j, l = heappop(heap)
+        # Both are monic, so S = mi*tail_i - mj*tail_j.
         mi = tuple(map(sub, l, lms[i]))
         mj = tuple(map(sub, l, lms[j]))
-        f = {tuple(map(add, mi, e)): c for e, c in G[i].terms.items()}
-        _add_into(f, {tuple(map(add, mj, e)): c
-                      for e, c in G[j].terms.items()}, negate=True)
+        f = {tuple(map(add, mi, e)): c for e, c in prepped[i][2]}
+        _add_into(f, {tuple(map(add, mj, e)): c for e, c in prepped[j][2]},
+                  negate=True)
         if join(Polynomial(ring, f), s):
             return [ring.one()]
 
-    # Tail-reduce each active element by the others.
+    # Smallest first: only smaller, already reduced elements divide a tail.
     active.sort(key=lambda i: key(lms[i]), reverse=True)
-    divisors = [prepped[i] for i in active]
-    return [Polynomial(ring, _reduce_terms(ring, G[i].terms,
-                                           divisors[:k] + divisors[k + 1:]))
-            for k, i in enumerate(active)]
+    reduced = []
+    for lm, one, tail in (prepped[i] for i in active):
+        tail = _reduce_terms(ring, dict(tail), reduced)
+        reduced.append((lm, one, list(tail.items())))
+    return [Polynomial(ring, {lm: one, **dict(t)}) for lm, one, t in reduced]
 
 
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:

@@ -310,6 +310,46 @@ def test_square_class_too_large_to_factor_exits_1(capsys):
     assert err == "error: square class too large to factor\n"
 
 
+def test_pretty_form_make_prints_a_class_too_large_to_factor(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "form", "make", "diagonal", "--field", "QQ",
+                         "--entries", "1307896479827111861657441491,1")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 0.5, elapsed
+    assert out.split() == ["[", "1307896479827111861657441491", "0", "]",
+                           "[", "0", "1", "]"]
+
+
+CLASS_QUERIES = [
+    ("degree", "global", "--field", "QQ", "--vars", "x", "--polys", QUARTIC),
+    ("degree", "local", "--field", "QQ", "--vars", "x", "--polys", QUARTIC,
+     "--ideal", "x^2 + x + 1"),
+    ("form", "make", "diagonal", "--field", "QQ", "--entries", "3,-5,7"),
+]
+
+
+@pytest.mark.parametrize("argv", CLASS_QUERIES)
+def test_pretty_class_queries_never_classify(capsys, monkeypatch, argv):
+    def forbidden(*args):
+        raise AssertionError("pretty mode prints no invariants")
+
+    monkeypatch.setattr(forms, "get_invariants", forbidden)
+    monkeypatch.setattr(forms, "_square_class_invariants", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("[ ")
+
+
+@pytest.mark.parametrize("argv", CLASS_QUERIES)
+def test_json_class_queries_never_render_the_matrix(capsys, monkeypatch,
+                                                    argv):
+    def forbidden(self):
+        raise AssertionError("--json prints no pretty matrix")
+
+    monkeypatch.setattr(forms.GWClass, "__str__", forbidden)
+    assert "discriminant" in run_json(capsys, *argv)
+
+
 def test_json_carries_invariants(capsys):
     obj = run_json(capsys, "form", "invariants", "--field", "QQ",
                    "--diag", "3,-3,2,5,1,-9")

@@ -419,3 +419,61 @@ def test_random_rational_systems_classify_end_to_end(monkeypatch, degrees_,
     elapsed = time.perf_counter() - start
     assert inv.rank == prod(degrees_)
     assert elapsed < 1.0, elapsed
+
+
+# -- Eisenbud-Khimshiashvili-Levine --------------------------------------------
+
+
+def test_signature_counts_real_zeros_with_jacobian_signs():
+    """EKL: the real signature of the degree is the sum of sign det Jac(f)
+    over the real zeros, here irrational ones among non-real ones.
+
+    The oracle reads the zeros from a lex basis in shape position,
+    ``{x - p(y), q(y)}`` with ``q`` squarefree, through ``real_roots(q)``,
+    and each sign from a 50-digit evaluation.
+    """
+    import sympy
+    rng = random.Random(20231215)
+    x, y = sympy.symbols("x y")
+    ring = PolyRing(QQ, ("x", "y"))
+
+    def coupled(d):
+        while True:
+            f = sympy.expand(sum(
+                rng.choice([-3, -2, -1, 1, 2, 3]) * x ** i * y ** j
+                for i in range(d + 1) for j in range(d + 1 - i)
+                if rng.random() < 0.6))
+            if f != 0 and any(i and j for i, j in sympy.Poly(f, x, y).monoms()):
+                return f
+
+    checked, with_nonreal, with_irrational, signatures = 0, 0, 0, set()
+    while checked < 20:
+        d1, d2 = rng.choice([(2, 2), (2, 3), (3, 3)])
+        f, g = coupled(d1), coupled(d2)
+        start = time.perf_counter()
+        lex = sympy.groebner([f, g], x, y, order="lex").exprs
+        if len(lex) != 2 or lex[1].has(x) or sympy.degree(lex[0], x) != 1 \
+                or sympy.Poly(lex[0], x).LC().has(y):
+            continue  # not in shape position
+        q = sympy.Poly(lex[1], y)
+        if not 4 <= q.degree() <= 9 or sympy.gcd(q, q.diff(y)).degree() > 0:
+            continue
+        p = sympy.solve(lex[0], x)[0]
+        jac = sympy.Matrix([f, g]).jacobian([x, y]).det()
+        roots = sympy.real_roots(q)
+        signs = 0
+        for r in roots:
+            r50 = r.evalf(50)
+            v = jac.subs({x: p.subs(y, r50), y: r50}).evalf(50)
+            assert abs(v) > 1e-30  # simple zeros
+            signs += 1 if v > 0 else -1
+        beta = global_a1_degree(EndoSystem.of(
+            ring, *(str(h).replace("**", "^") for h in (f, g))))
+        assert beta.rank == q.degree()
+        assert get_signature(beta) == signs
+        assert time.perf_counter() - start < 1.0
+        checked += 1
+        with_nonreal += len(roots) < q.degree()
+        with_irrational += any(not r.is_rational for r in roots)
+        signatures.add(signs)
+    assert with_nonreal and with_irrational and len(signatures) >= 3

@@ -3,17 +3,19 @@
 For each workload this runs the operations of
 ``make_ops(w, 7, 60) + make_ops(w, 11, 120)`` (180 per workload, 720 in
 all) in one process and prints one sha256 over every operation's argv,
-exit code, stdout and stderr.  Two checkouts print the same lines exactly
-when their outputs are byte-identical on those operations.
+exit code, stdout and stderr.  It then runs the same operations with
+``--json`` removed and prints a second line, ``<workload>:pretty``, for the
+pretty format.  Two checkouts print the same lines exactly when their
+outputs are byte-identical on those operations, in both formats.
 
 Usage, from the root of a checkout::
 
     python3 tools/output_digest.py [--check] [workload ...]
 
 With ``--check`` each printed line is compared with the line of the same
-workload in ``tools/output_digests.txt``, the checked-in digests, and the
-exit code is 1 if any differs: a change that must not alter any output
-passes with that file unchanged.
+key (workload or ``<workload>:pretty``) in ``tools/output_digests.txt``,
+the checked-in digests, and the exit code is 1 if any differs: a change
+that must not alter any output passes with that file unchanged.
 
 The operations come from ``perfbench/workloads.py``, which is only imported;
 the library is imported from this checkout's ``src``.
@@ -51,13 +53,14 @@ def run(argv) -> tuple:
     return status, out.getvalue(), err.getvalue()
 
 
-def digest(workload: str) -> tuple[str, int]:
+def digest(workload: str, pretty: bool = False) -> tuple[str, int]:
     h = hashlib.sha256()
     count = 0
     for seed, n in DECKS:
         for op in workloads.make_ops(workload, seed, n):
-            status, out, err = run(op.argv)
-            for part in (repr(op.argv), repr(status), out, err):
+            argv = [a for a in op.argv if a != "--json"] if pretty else op.argv
+            status, out, err = run(argv)
+            for part in (repr(argv), repr(status), out, err):
                 h.update(part.encode())
                 h.update(b"\0")
             count += 1
@@ -72,13 +75,14 @@ def main(argv=None) -> int:
                 RECORDED.read_text().splitlines()} if check else {}
     status = 0
     for name in names:
-        hexdigest, count = digest(name)
-        line = f"{name} {count} {hexdigest}"
-        if check and recorded.get(name) != line:
-            print(f"{line}  MISMATCH, recorded: {recorded.get(name)}")
-            status = 1
-        else:
-            print(line)
+        for key, pretty in ((name, False), (f"{name}:pretty", True)):
+            hexdigest, count = digest(name, pretty)
+            line = f"{key} {count} {hexdigest}"
+            if check and recorded.get(key) != line:
+                print(f"{line}  MISMATCH, recorded: {recorded.get(key)}")
+                status = 1
+            else:
+                print(line)
     return status
 
 
