@@ -11,6 +11,12 @@ field scalars, leaving +-pivot as a scalar factor.  The k x k block of the
 nonlinear f_i is expanded by minors, bottom rows first, each memoized by
 its column subset: k * 2^(k-1) products of an entry and a minor, with
 2^k <= prod deg f_i, the size of the Gram matrix.
+
+Over QQ the pipeline runs over Z.  Row i of the Bezoutian is linear in
+f_i, and c_i * f_i generates the same ideal, so each f_i is scaled by the
+lcm c_i of its denominators: the entries, the determinant and its
+fraction-free normal form are integral, and the Gram matrix is divided by
+prod c_i at the end.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 from math import prod
 
 from .forms import GWClass, empty_form, make_gw_class
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, determinant,
-                   groebner_basis, normal_form, standard_monomials)
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
+                   _clear_denominators, determinant, groebner_basis,
+                   normal_form, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -126,6 +133,12 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     if not mons:
         return empty_form(ring.field)
     index = {m.leading_monomial(): i for i, m in enumerate(mons)}
+    denominator = 1
+    if ring.field.kind == "QQ":
+        scales, polys = zip(*[_clear_denominators(f.terms)
+                              for f in system.polys])
+        denominator = prod(scales)
+        system = EndoSystem(ring, tuple(Polynomial(ring, t) for t in polys))
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
     x_map = list(range(n))
@@ -145,7 +158,7 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
         if xi is None or yj is None:
             raise AssertionError(
                 "reduced Bezoutian left the basis grid; reduction bug")
-        gram[xi][yj] = c
+        gram[xi][yj] = c if denominator == 1 else c / denominator
     for i in range(size):
         for j in range(i + 1, size):
             if gram[i][j] != gram[j][i]:

@@ -4,6 +4,15 @@ The public monomial order is graded reverse lexicographic over the ring's
 variable order.  Ideal intersections (and hence colon ideals) go through a
 single auxiliary variable with a block order, which stays internal: rings
 built by users are always grevlex.
+
+Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
+field elements.  Inside the kernel a QQ polynomial is an integer term
+dict, and a divisor its primitive integer multiple: division is fraction
+free (Bareiss 1968), multiplying the work by a running integer scale
+instead of dividing by leading coefficients.  Groebner bases, normal
+forms and exact quotients turn back into `Fraction`s once, at the end.
+GF divisors in Groebner bases are monic, so their reductions never scale.
+The same heap loop serves both domains.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, ge, sub
 
 from .fields import FieldDesc, FFElement
@@ -207,7 +217,9 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = self.ring.field.coerce(other)
+            # An int scales QQ terms as it is: integer polynomials stay so.
+            c = other if other.__class__ is int and \
+                self.ring.field.kind == "QQ" else self.ring.field.coerce(other)
             if not c:
                 return self.ring.zero()
             return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
@@ -225,14 +237,15 @@ class Polynomial:
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
             return Polynomial(self.ring, {tuple([x * n for x in e]): c ** n})
-        result = self.ring.one()
-        base = self
+        # Seeded by the first factor, not by one(): integer terms stay so.
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
@@ -316,29 +329,53 @@ class Polynomial:
 # Division.
 
 
-def _reduce_terms(ring, fterms: dict, divisors, quotients=None) -> dict:
+def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
+                  scale=None) -> dict:
     """Remainder of multivariate division by `_prep_divisors` triples.
 
     Terms leave a heap in descending order.  Each monomial is pushed once,
     when it enters the work set; one that cancels keeps its entry with a
     zero coefficient and is skipped when popped.  This is sound because a
     reduction step only adds monomials below the one it removes.
+
+    A QQ divisor is primitive over Z with leading coefficient lc.  A term c
+    it reduces is cleared fraction-free: with g = gcd(c, lc), the work, the
+    remainder and the quotients so far are multiplied by lc // g, and
+    (c // g) * shift * divisor is subtracted.  If those factors multiply to
+    s, then s * fterms = rem + sum(q_i * divisor_i), and s is multiplied
+    into scale[0].  Without `scale` the caller wants rem only up to a
+    constant and the quotients only for their monomials, so the quotients
+    are not rescaled.  A monic GF divisor (lc = 1) never scales, and a
+    non-monic one divides.
     """
     key = ring.key
     work = dict(fterms)
     heap = [(key(e), e) for e in work]
     heapify(heap)
     rem: dict = {}
+    scaled = (work, rem) if scale is None else (work, rem, *(quotients or ()))
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
-        for di, (lm, inv, tail) in enumerate(divisors):
+        for di, (lm, lc, tail) in enumerate(divisors):
             if all(map(ge, m, lm)):
                 shift = tuple(map(sub, m, lm))
-                fac = c * inv
-                neg = -fac
+                if lc != 1:
+                    if lc.__class__ is not int:
+                        c = c / lc
+                    else:
+                        g = gcd(c, lc)
+                        c //= g
+                        if g != lc:
+                            a = lc // g
+                            for d in scaled:
+                                for e, v in d.items():
+                                    d[e] = v * a
+                            if scale is not None:
+                                scale[0] *= a
+                neg = -c
                 for e2, c2 in tail:
                     e = tuple(map(add, shift, e2))
                     v = work.get(e)
@@ -348,22 +385,43 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None) -> dict:
                     else:
                         work[e] = v + neg * c2
                 if quotients is not None:
-                    quotients[di][shift] = fac
+                    quotients[di][shift] = c
                 break
         else:
             rem[m] = c
     return rem
 
 
+def _clear_denominators(terms: dict):
+    """(d, d * terms): d is the lcm of the denominators of the QQ terms,
+    which may be ints or Fractions, and the new terms are ints."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
 def _prep_divisors(polys):
-    """(lm, 1/lc, tail) for each nonzero divisor: one inversion per divisor."""
+    """(lm, lc, tail) for each nonzero divisor, tail a list of (e, c).
+
+    Over QQ the triple is the divisor's primitive integer multiple, with
+    lc > 0.  Over GF it is the divisor as given; a monic one has lc = 1, the
+    int, so its reductions take no gcd and no inversion.
+    """
     out = []
     for g in polys:
         if not g:
             continue
         lm = g.leading_monomial()
-        inv = g.ring.field.one() / g.terms[lm]
-        out.append((lm, inv, [(e, c) for e, c in g.terms.items() if e != lm]))
+        terms = g.terms
+        if g.ring.field.kind == "QQ":
+            terms = _clear_denominators(terms)[1]
+            content = gcd(*terms.values())
+            if terms[lm] < 0:
+                content = -content
+            if content != 1:
+                terms = {e: c // content for e, c in terms.items()}
+        lc = terms[lm]
+        out.append((lm, 1 if lc == 1 else lc,
+                    [(e, c) for e, c in terms.items() if e != lm]))
     return out
 
 
@@ -373,13 +431,24 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("polynomial ring mismatch")
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
+    ring = f.ring
     if not f:
-        return f.ring.zero()
-    quotients = [{}]
-    rem = _reduce_terms(f.ring, f.terms, _prep_divisors([g]), quotients)
-    if rem:
+        return ring.zero()
+    # The prepared divisor is unit * g; scale * f = q * unit * g.
+    unit = ring.field.one() / g.leading_coefficient()
+    if ring.field.kind == "QQ":
+        den, terms = _clear_denominators(f.terms)
+        divisors = _prep_divisors([g])
+        unit *= divisors[0][1]
+    else:
+        den, terms = 1, f.terms
+        divisors = _prep_divisors([g * unit])
+    quotients, scale = [{}], [den]
+    if _reduce_terms(ring, terms, divisors, quotients, scale):
         raise ValueError("division is not exact")
-    return Polynomial(f.ring, quotients[0])
+    if scale[0] != 1:
+        unit /= scale[0]
+    return Polynomial(ring, {e: c * unit for e, c in quotients[0].items()})
 
 
 def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
@@ -414,20 +483,28 @@ def _mul_into(out: dict, a: dict, b: dict) -> None:
 def determinant(rows, ring):
     """Determinant of a square matrix over a PolyRing or a FieldDesc.
 
-    No polynomial is ever divided.  First, while some row holds only field
-    constants, its first nonzero entry is the pivot: column operations by
-    field scalars clear the rest of the row, and the determinant is
-    +-pivot times the minor without that row and column (a zero constant
-    row gives 0).  Over a FieldDesc every row is constant, so this is
-    Gaussian elimination.  Second, the k x k block of nonconstant rows
-    left is expanded by minors from the bottom row up, each minor of the
-    last m rows memoized by its column subset: k * 2^(k-1) products of one
-    entry and one minor.  For a Bezoutian k counts the nonlinear f_i, and
-    2^k <= prod deg f_i, the size of the Gram matrix.
+    No polynomial is ever divided by a polynomial.  First, while some row
+    holds only field constants, its first nonzero entry is the pivot:
+    column operations by field scalars clear the rest of the row, and the
+    determinant is +-pivot times the minor without that row and column (a
+    zero constant row gives 0).  Over a FieldDesc every row is constant, so
+    this is Gaussian elimination; an all-int QQ matrix stays over Z, each
+    operation multiplying a column by pivot/g instead of dividing.  Second,
+    the k x k block of nonconstant rows left is expanded by minors from the
+    bottom row up, each minor of the last m rows memoized by its column
+    subset: k * 2^(k-1) products of one entry and one minor.  For a
+    Bezoutian k counts the nonlinear f_i, and 2^k <= prod deg f_i, the size
+    of the Gram matrix.
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
-    zero, one = field.zero(), field.one()
+    a = [list(row) for row in rows]
+    # The factors the integral column operations multiply the determinant
+    # by make `divisor`, which divides out exactly at the end.
+    integral = bool(a) and field.kind == "QQ" and all(
+        c.__class__ is int for row in a for x in row
+        for c in (x.terms.values() if polynomial else (x,)))
+    zero, one = (0, 1) if integral else (field.zero(), field.one())
 
     def scalar(x):
         """The entry's field value, or None if it is not a constant."""
@@ -441,8 +518,7 @@ def determinant(rows, ring):
                 return c
         return None
 
-    a = [list(row) for row in rows]
-    scale = one
+    scale, divisor = one, 1
     while a:
         for r, row in enumerate(a):
             values = [scalar(x) for x in row]
@@ -452,13 +528,23 @@ def determinant(rows, ring):
             break
         c = next((j for j, v in enumerate(values) if v), None)
         if c is None:
-            return ring.zero()
+            return ring.zero() if polynomial else zero
         pivot = values[c]
-        inv = one / pivot
+        if not integral:
+            inv = one / pivot
         column = [row[c] for row in a]
         for j, v in enumerate(values):
             if v and j != c:
-                s = v * inv
+                if not integral:
+                    s = v * inv
+                else:  # column j <- p * column j - s * column c
+                    g = gcd(pivot, v)
+                    p, s = pivot // g, v // g
+                    if p != 1:
+                        divisor *= p
+                        for i, row in enumerate(a):
+                            if i != r:
+                                row[j] = row[j] * p
                 for i, x in enumerate(column):
                     if i != r and x:
                         a[i][j] = a[i][j] - x * s
@@ -467,9 +553,9 @@ def determinant(rows, ring):
         for row in a:
             del row[c]
     if not polynomial:
-        return scale
+        return scale // divisor if integral else scale
     # minors[S]: the minor of the last m rows on the columns in bitmask S.
-    minors = {0: ring.one().terms}
+    minors = {0: {(0,) * ring.nvars: one}}
     k = len(a)
     for m in range(1, k + 1):
         row = [(x.terms, (-x).terms) for x in a[k - m]]
@@ -486,7 +572,10 @@ def determinant(rows, ring):
                 _mul_into(grown.setdefault(s | bit, {}),
                           negated if odd else entry, minor)
         minors = grown
-    return Polynomial(ring, minors.get((1 << k) - 1, {})) * scale
+    det = minors.get((1 << k) - 1, {})
+    if integral:
+        return Polynomial(ring, {e: c * scale // divisor for e, c in det.items()})
+    return Polynomial(ring, det) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +611,23 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _shifted(tail, m, a) -> dict:
+    """The term dict of a * x^m * tail."""
+    if a == 1:
+        return {tuple(map(add, m, e)): c for e, c in tail}
+    return {tuple(map(add, m, e)): c * a for e, c in tail}
+
+
 def _buchberger(ring: PolyRing, gens) -> list:
     """The reduced basis, by Buchberger's algorithm with the Gebauer-Moller
     update (Gebauer & Moller 1988) and the sugar strategy (Giovini et al.
-    1991).  Generators, then S-polynomials, join as nonzero monic remainders
-    modulo every joined element and are kept as `_prep_divisors` triples;
-    the active set stays a minimal basis, and is tail-reduced at the end.
+    1991).  Generators, then S-polynomials, join as nonzero remainders
+    modulo every joined element and are kept as `_prep_divisors` triples:
+    primitive over Z for QQ, monic for GF.  The active set stays a minimal
+    basis, and is tail-reduced at the end, then made monic.
     """
     key = ring.key
+    qq = ring.field.kind == "QQ"
     lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
@@ -559,39 +657,50 @@ def _buchberger(ring: PolyRing, gens) -> list:
         active = [i for i in active if not _divides(lm, lms[i])] + [t]
 
     def join(f, s) -> bool:
-        """Add f's nonzero remainder, sugar s raised by its reductions;
-        True once the ideal is (1)."""
+        """Add the nonzero remainder of the term dict f, sugar s raised by
+        its reductions; True once the ideal is (1)."""
         quotients = [{} for _ in prepped]
-        h = Polynomial(ring, _reduce_terms(ring, f.terms, prepped, quotients))
+        h = Polynomial(ring, _reduce_terms(ring, f, prepped, quotients))
         if h.is_constant():
             return bool(h)
-        update(h.monic(), max([s] + [sugar[k] + sum(m)
-                                     for k, q in enumerate(quotients)
-                                     for m in q]))
+        update(h if qq else h.monic(),
+               max([s] + [sugar[k] + sum(m) for k, q in enumerate(quotients)
+                          for m in q]))
         return False
 
-    if any(join(g, max(map(sum, g.terms), default=0)) for g in gens):
+    if any(join(_clear_denominators(g.terms)[1] if qq else g.terms,
+                max(map(sum, g.terms), default=0)) for g in gens):
         return [ring.one()]
     if not prepped:
         raise ValueError("generators must not all be zero")
     while heap:
         s, _, i, j, l = heappop(heap)
-        # Both are monic, so S = mi*tail_i - mj*tail_j.
-        mi = tuple(map(sub, l, lms[i]))
-        mj = tuple(map(sub, l, lms[j]))
-        f = {tuple(map(add, mi, e)): c for e, c in prepped[i][2]}
-        _add_into(f, {tuple(map(add, mj, e)): c for e, c in prepped[j][2]},
+        # S = (lc_j/g)*mi*tail_i - (lc_i/g)*mj*tail_j, g = gcd(lc_i, lc_j).
+        (lmi, lci, taili), (lmj, lcj, tailj) = prepped[i], prepped[j]
+        g = gcd(lci, lcj)
+        f = _shifted(taili, tuple(map(sub, l, lmi)), lcj // g)
+        _add_into(f, _shifted(tailj, tuple(map(sub, l, lmj)), lci // g),
                   negate=True)
-        if join(Polynomial(ring, f), s):
+        if join(f, s):
             return [ring.one()]
 
     # Smallest first: only smaller, already reduced elements divide a tail.
     active.sort(key=lambda i: key(lms[i]), reverse=True)
     reduced = []
-    for lm, one, tail in (prepped[i] for i in active):
-        tail = _reduce_terms(ring, dict(tail), reduced)
-        reduced.append((lm, one, list(tail.items())))
-    return [Polynomial(ring, {lm: one, **dict(t)}) for lm, one, t in reduced]
+    for lm, lc, tail in (prepped[i] for i in active):
+        # lc scales with the tail; the content it gains goes again.
+        scale = [lc]
+        tail = _reduce_terms(ring, dict(tail), reduced, scale=scale)
+        lc = scale[0]
+        if lc != 1:
+            g = gcd(lc, *tail.values())
+            lc, tail = lc // g, {e: c // g for e, c in tail.items()}
+        reduced.append((lm, lc, list(tail.items())))
+    one = ring.field.one()
+    if not qq:
+        return [Polynomial(ring, {lm: one, **dict(t)}) for lm, _, t in reduced]
+    return [Polynomial(ring, {lm: one, **{e: Fraction(c, lc) for e, c in t}})
+            for lm, lc, t in reduced]
 
 
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
@@ -605,8 +714,14 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
     if polys and f.ring != polys[0].ring:
         raise ValueError("polynomial ring mismatch")
-    return Polynomial(f.ring,
-                      _reduce_terms(f.ring, f.terms, _prep_divisors(polys)))
+    divisors = _prep_divisors(polys)
+    if f.ring.field.kind != "QQ":
+        return Polynomial(f.ring, _reduce_terms(f.ring, f.terms, divisors))
+    # Over Z: den * f reduces to rem with rem = (den * s) * (f mod G).
+    den, terms = _clear_denominators(f.terms)
+    scale = [den]
+    rem = _reduce_terms(f.ring, terms, divisors, scale=scale)
+    return Polynomial(f.ring, {e: Fraction(c, scale[0]) for e, c in rem.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +882,15 @@ def _tokenize(text: str):
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
+    """Over QQ the coefficients fold as ints and become Fractions once, at
+    the end; over GF they are field elements from the start."""
     tokens = _tokenize(text)
     pos = 0
+    qq = ring.field.kind == "QQ"
+    origin = (0,) * ring.nvars
+
+    def scalar(val):
+        return val if qq else ring.field.coerce(val)
 
     def peek():
         return tokens[pos]
@@ -830,13 +952,15 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     def parse_base():
         kind, val, at = advance()
         if kind == "int":
-            return ring.constant(val)
+            c = scalar(val)
+            return Polynomial(ring, {origin: c} if c else {})
         if kind == "name":
             try:
                 i = ring.variables.index(val)
             except ValueError:
                 raise ParseError(f"unknown variable {val!r}", at) from None
-            return ring.variable(i)
+            return Polynomial(ring, {origin[:i] + (1,) + origin[i + 1:]:
+                                     scalar(1)})
         if kind == "op" and val == "(":
             node = parse_expr()
             kind, val, at = advance()
@@ -849,4 +973,6 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     kind, val, at = peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
+    if qq:
+        return Polynomial(ring, {e: Fraction(c) for e, c in node.terms.items()})
     return node

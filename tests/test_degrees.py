@@ -20,7 +20,8 @@ from a1degrees.forms import (add_gw, base_change, get_invariants,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
 from a1degrees.poly import (Ideal, Polynomial, PolyRing, groebner_basis,
-                            ideal_quotient, saturation, standard_monomials)
+                            ideal_quotient, normal_form, saturation,
+                            standard_monomials)
 from a1degrees.witt import sum_decomposition
 
 
@@ -130,6 +131,74 @@ def test_one_reduction_pass_per_degree(monkeypatch):
     global_a1_degree(f)
     # against the X-copy and the Y-copy of the basis together
     assert passes == [2 * len(groebner_basis(Ideal(ring, f.polys)).basis)]
+
+
+def rational_system(rng, n, degree):
+    """f_i = a_i * x_i^degree plus every lower monomial, with Fraction
+    coefficients: zero-dimensional with Bezout number degree^n."""
+    ring = PolyRing(QQ, tuple(f"x{i}" for i in range(n)))
+
+    def coefficient():
+        return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]),
+                        rng.randint(1, 6))
+
+    polys = []
+    for i in range(n):
+        terms = {e: coefficient() * rng.randint(0, 1)
+                 for e in itertools.product(range(degree), repeat=n)
+                 if sum(e) < degree}
+        terms[tuple(degree * (k == i) for k in range(n))] = coefficient()
+        polys.append(Polynomial.make(ring, terms))
+    return EndoSystem(ring, tuple(polys))
+
+
+@pytest.mark.parametrize("n,degree", [(2, 3), (3, 2)])
+def test_scaling_one_polynomial_scales_the_gram(n, degree):
+    # Row 1 of the Bezoutian is linear in f_1, and c * f_1 generates the
+    # same ideal, so on the same basis the Gram matrix is c times the old.
+    rng = random.Random(f"scaled-gram:{n}")
+    for _ in range(3):
+        f = rational_system(rng, n, degree)
+        gram = global_a1_degree(f).gram
+        assert len(gram) == degree ** n
+        for c in (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 4)):
+            scaled = EndoSystem(f.ring, (f.polys[0] * c,) + f.polys[1:])
+            assert global_a1_degree(scaled).gram == tuple(
+                tuple(c * x for x in row) for row in gram)
+
+
+def test_qq_kernel_does_no_fraction_arithmetic(monkeypatch):
+    # Over integer inputs the Groebner basis, the Bezoutian determinant and
+    # the normal form work on ints; only the final Fraction(n, d) are built.
+    ring, f = system(("x", "y", "z"), ["2*x - 3*y + z - 1",
+                                       "x*y^2 - 3*z + 1",
+                                       "y*z^2 + x^3 - 2*x*z"])
+    integral = EndoSystem(ring, tuple(
+        Polynomial(ring, {e: int(c) for e, c in p.terms.items()})
+        for p in f.polys))
+    bez = bezoutian_matrix(integral)
+    expected = bezoutian_matrix(f).determinant()
+    g = ring.from_string("x^3*y - 5*x*z^2 + 7*y - 1")
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        def counting(self, other, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(Fraction, name, counting)
+
+    G = groebner_basis(Ideal(ring, f.polys))
+    assert calls == []
+    det = bez.determinant()
+    assert calls == []
+    remainder = normal_form(g, G)
+    assert calls == []
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert calls == ["__add__"]  # the counters do see Fraction arithmetic
+    monkeypatch.undo()
+    assert det == expected and all(type(c) is int for c in det.terms.values())
+    assert len(G.basis) > 1 and remainder
+    assert normal_form(g - remainder, G).is_zero()
 
 
 def test_endo_system_must_be_square():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,7 @@ from a1degrees.poly import (MAX_EXPONENT, GroebnerBasis, Ideal, ParseError,
                             groebner_basis, ideal_quotient, normal_form,
                             parse_polynomial, resultant_univariate,
                             saturation, standard_monomials)
-from a1degrees.poly import _prep_divisors, _reduce_terms
+from a1degrees.poly import _divides, _prep_divisors, _reduce_terms
 
 
 def ring(*names, field=QQ):
@@ -230,26 +233,39 @@ def test_groebner_basis_matches_sympy(names, gens):
     assert mine == theirs
 
 
-def test_groebner_basis_prepares_each_joining_polynomial_once(monkeypatch):
-    R = ring("x", "y", "z")
+def recorded_triples(monkeypatch):
+    """The `_prep_divisors` triples built from here on."""
     prepared = []
     original = poly._prep_divisors
 
     def recording(polys):
-        prepared.extend(polys)
-        return original(polys)
+        triples = original(polys)
+        prepared.extend(triples)
+        return triples
 
     monkeypatch.setattr(poly, "_prep_divisors", recording)
+    return prepared
+
+
+def test_groebner_basis_prepares_each_joining_polynomial_once(monkeypatch):
+    R = ring("x", "y", "z")
+    prepared = recorded_triples(monkeypatch)
     G = groebner_basis(Ideal.of(R, "x^2 + y^2 + z^2 - 1", "x*y - z",
                                 "x - z^2", "x*y - z"))
-    # Each nonzero monic remainder is prepared when it joins, the repeated
-    # generator joins never, and the tail reduction, which changes some
-    # element, prepares nothing.
-    assert len(prepared) == len(set(prepared)) >= len(G.basis)
-    assert all(g.leading_coefficient() == 1 for g in prepared)
-    lms = {g.leading_monomial() for g in prepared}
+    # Each nonzero remainder is prepared when it joins, as a primitive
+    # integer triple; the repeated generator joins never, and the tail
+    # reduction, which changes some element, prepares nothing.
+    for lm, lc, tail in prepared:
+        coeffs = [lc] + [c for _, c in tail]
+        assert all(type(c) is int for c in coeffs)
+        assert lc > 0 and math.gcd(*coeffs) == 1
+    monic = [Polynomial(R, {lm: Fraction(1), **{e: Fraction(c, lc)
+                                                 for e, c in tail}})
+             for lm, lc, tail in prepared]
+    assert len(monic) == len(set(monic)) >= len(G.basis)
+    lms = {g.leading_monomial() for g in monic}
     assert all(g.leading_monomial() in lms for g in G.basis)
-    assert any(g not in prepared for g in G.basis)
+    assert any(g not in monic for g in G.basis)
 
 
 def test_groebner_basis_keeps_coefficients_small_on_sparse_qq(monkeypatch):
@@ -257,23 +273,70 @@ def test_groebner_basis_keeps_coefficients_small_on_sparse_qq(monkeypatch):
     # elements with 800- to 2,300-bit coefficients before the basis
     # collapses to one with 43-bit ones; the sugar strategy stays under 64.
     R = ring("x", "y", "z")
-    prepared = []
-    original = poly._prep_divisors
-
-    def recording(polys):
-        prepared.extend(polys)
-        return original(polys)
-
-    monkeypatch.setattr(poly, "_prep_divisors", recording)
+    prepared = recorded_triples(monkeypatch)
     I = Ideal.of(R, "x^3*y^2*z^3 - 2*x^2*y^2*z^2 + y^3 - 2*x",
                  "-x^3*y^2*z^3 + x^3*y^2*z^2 + 3*x*y^3 + 2*x",
                  "3*x^3*y*z^3 - y^2*z^3 - 2*x*z")
     G = groebner_basis(I)
     assert len(G.basis) == 19
     assert all(normal_form(f, G).is_zero() for f in I.generators)
-    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-               for g in prepared for c in g.terms.values())
+    bits = max(abs(c).bit_length() for _, lc, tail in prepared
+               for c in [lc] + [c for _, c in tail])
     assert bits < 128
+
+
+ELIM1_SWELL = ("-x*y^2 - x^3*y^2 + 2*x*y*z^2 + 2*x*y^2*z^2",
+               "x^3*y*z + 2*x^2*z",
+               "3*x^3*y - 2*y^2*z^2 + 2*x*z - 3*x^2*z^3")
+
+
+def test_groebner_basis_of_a_swelling_elim1_ideal():
+    # S-polynomials of this ideal chain to 1,600-bit coefficients before
+    # the basis collapses to 13-bit ones.  The digest pins the reduced
+    # basis the Fraction kernel gave, which sympy's groebner under the
+    # matching ProductOrder also gives (in about 4 s).
+    R = PolyRing(QQ, ("x", "y", "z"), order="elim1")
+    I = Ideal.of(R, *ELIM1_SWELL)
+    start = time.perf_counter()
+    G = groebner_basis(I)
+    elapsed = time.perf_counter() - start
+    assert sorted(g.leading_monomial() for g in G.basis) == [
+        (0, 3, 8), (0, 4, 7), (0, 5, 6), (0, 6, 4), (0, 7, 3), (0, 8, 2),
+        (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 0, 1), (3, 1, 0)]
+    digest = hashlib.sha256("\n".join(sorted(str(g) for g in G.basis))
+                            .encode()).hexdigest()
+    assert digest == \
+        "7779b34437fb0420668941ed9d329b88eaf1ce2b7d83c9c71eb0aa3aad180aed"
+    assert elapsed < 1.5
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+def test_division_identity_with_the_scale(field):
+    # scale * f = rem + sum(q_i * g_i), g_i the prepared divisors: over QQ
+    # their primitive integer multiples, over GF the monic divisors as given.
+    R = ring("x", "y", "z", field=field)
+    rng = random.Random(f"scale:{field}")
+    scaled = 0
+    for _ in range(6):
+        gs = [random_dense(R, rng, 2) for _ in range(3)]
+        f = random_dense(R, rng, 4)
+        if field.kind == "QQ":  # the kernel reduces integer terms
+            f = Polynomial(R, {e: int(c) for e, c in f.terms.items()})
+            gs = [with_denominators(g, rng) for g in gs]
+        else:
+            gs = [g.monic() for g in gs]
+        divisors = _prep_divisors(gs)
+        quotients, scale = [{} for _ in divisors], [1]
+        rem = Polynomial(R, _reduce_terms(R, f.terms, divisors, quotients,
+                                          scale))
+        total = rem
+        for (lm, lc, tail), q in zip(divisors, quotients):
+            total += Polynomial(R, q) * Polynomial(R, {lm: lc, **dict(tail)})
+        assert total == f * scale[0]
+        lms = [lm for lm, _, _ in divisors]
+        assert not any(_divides(lm, e) for lm in lms for e in rem.terms)
+        scaled += scale[0] != 1
+    assert scaled if field.kind == "QQ" else not scaled
 
 
 def test_normal_form_examples():
@@ -489,6 +552,12 @@ def sympy_poly(poly, syms, modulus=None):
     return sympy.Poly(expr, *syms, modulus=modulus)
 
 
+def with_denominators(poly, rng):
+    """poly with each coefficient divided by a random integer in 1..9."""
+    return Polynomial(poly.ring, {e: c / rng.randint(1, 9)
+                                  for e, c in poly.terms.items()})
+
+
 @pytest.mark.parametrize("degrees", [(2, 2), (2, 2, 1), (2, 1, 1, 1)])
 @pytest.mark.parametrize("p", [None, 7])
 def test_normal_form_matches_sympy_reduced(degrees, p):
@@ -496,11 +565,16 @@ def test_normal_form_matches_sympy_reduced(degrees, p):
     R = ring(*names, field=QQ if p is None else gf_construct(p, 1))
     syms = sympy.symbols(names)
     rng = random.Random(len(degrees) * 10 + (p or 0))
-    for _ in range(3):
+    # Over QQ, three more rounds give f and the generators rational
+    # coefficients, so that the kernel clears their denominators.
+    for rational in [False] * 3 + [True] * 3 * (p is None):
         gens = [random_dense(R, rng, d) for d in degrees]
         if not all(gens):
             continue
         f = random_dense(R, rng, 4)
+        if rational:
+            gens = [with_denominators(g, rng) for g in gens]
+            f = with_denominators(f, rng)
         mine = normal_form(f, groebner_basis(Ideal(R, tuple(gens))))
         opts = {"order": "grevlex"} if p is None else \
             {"order": "grevlex", "modulus": p}
@@ -629,6 +703,34 @@ def test_determinant_of_mixed_polynomial_rows(field):
         assert determinant(m, R) == leibniz(m, R.zero(), R.one())
     assert seen == set(kinds)
     assert determinant([], R) == R.one()
+
+
+def test_integer_determinant_stays_integral():
+    # An all-int QQ matrix, constant rows included, is eliminated fraction
+    # free: the determinant keeps int coefficients and equals the Leibniz sum.
+    R = ring("x", "y")
+    rng = random.Random("integral")
+    constant_rows = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = []
+        for _ in range(n):
+            constant = rng.random() < 0.5
+            constant_rows += constant
+            m.append([R.constant(rng.randint(-4, 4)) if constant else
+                      random_dense(R, rng, rng.randint(0, 2))
+                      for _ in range(n)])
+        integral = [[Polynomial(R, {e: int(c) for e, c in x.terms.items()})
+                     for x in row] for row in m]
+        det = determinant(integral, R)
+        assert all(type(c) is int for c in det.terms.values())
+        assert det == leibniz(m, R.zero(), R.one())
+        values = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        det = determinant(values, QQ)
+        assert type(det) is int
+        assert det == leibniz([[Fraction(v) for v in row] for row in values],
+                              QQ.zero(), QQ.one())
+    assert constant_rows >= 40
 
 
 def test_determinant_divides_no_polynomial(monkeypatch):
