@@ -14,9 +14,10 @@ its column subset: k * 2^(k-1) products of an entry and a minor, with
 
 Over QQ the pipeline runs over Z.  Row i of the Bezoutian is linear in
 f_i, and c_i * f_i generates the same ideal, so each f_i is scaled by the
-lcm c_i of its denominators: the entries, the determinant and its
-fraction-free normal form are integral, and the Gram matrix is divided by
-prod c_i at the end.
+lcm c_i of its denominators: the entries are integral, and so is the
+determinant unless some f_i is affine linear (its constant row is
+eliminated with rational pivots).  The normal form clears any
+denominators left, and the Gram matrix is divided by prod c_i at the end.
 """
 
 from __future__ import annotations

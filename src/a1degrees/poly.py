@@ -7,12 +7,14 @@ built by users are always grevlex.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements.  Inside the kernel a QQ polynomial is an integer term
-dict, and a divisor its primitive integer multiple: division is fraction
-free (Bareiss 1968), multiplying the work by a running integer scale
-instead of dividing by leading coefficients.  Groebner bases, normal
-forms and exact quotients turn back into `Fraction`s once, at the end.
-GF divisors in Groebner bases are monic, so their reductions never scale.
-The same heap loop serves both domains.
+dict, and a divisor its primitive integer multiple: division is
+pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the work by a
+running integer scale instead of dividing by leading coefficients.
+Groebner bases, normal forms and exact quotients turn back into
+`Fraction`s once, at the end.  A GF divisor carries the inverse of its
+leading coefficient, taken once; those in Groebner bases are monic, so
+their reductions multiply by nothing.  The same heap loop serves both
+domains.
 """
 
 from __future__ import annotations
@@ -338,15 +340,17 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
     zero coefficient and is skipped when popped.  This is sound because a
     reduction step only adds monomials below the one it removes.
 
-    A QQ divisor is primitive over Z with leading coefficient lc.  A term c
-    it reduces is cleared fraction-free: with g = gcd(c, lc), the work, the
-    remainder and the quotients so far are multiplied by lc // g, and
-    (c // g) * shift * divisor is subtracted.  If those factors multiply to
-    s, then s * fterms = rem + sum(q_i * divisor_i), and s is multiplied
-    into scale[0].  Without `scale` the caller wants rem only up to a
-    constant and the quotients only for their monomials, so the quotients
-    are not rescaled.  A monic GF divisor (lc = 1) never scales, and a
-    non-monic one divides.
+    A QQ divisor is primitive over Z, and u is its leading coefficient.  A
+    term c it reduces is cleared by pseudo-division: with g = gcd(c, u), the
+    work, the remainder and the quotients so far are multiplied by u // g,
+    and (c // g) * shift * divisor is subtracted.  If those factors
+    multiply to s, then s * fterms = rem + sum(q_i * divisor_i), and s is
+    multiplied into scale[0].  Without `scale` the caller wants rem only up
+    to a constant and the quotients only for their monomials, so the
+    quotients are not rescaled.  Over GF, u is the inverse of the divisor's
+    leading coefficient, so c * u * shift * divisor is subtracted and
+    nothing scales; a monic divisor has u = 1, the int, and skips the
+    product.
     """
     key = ring.key
     work = dict(fterms)
@@ -359,22 +363,21 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
         c = work.pop(m)
         if not c:
             continue
-        for di, (lm, lc, tail) in enumerate(divisors):
+        for di, (lm, u, tail) in enumerate(divisors):
             if all(map(ge, m, lm)):
                 shift = tuple(map(sub, m, lm))
-                if lc != 1:
-                    if lc.__class__ is not int:
-                        c = c / lc
-                    else:
-                        g = gcd(c, lc)
-                        c //= g
-                        if g != lc:
-                            a = lc // g
-                            for d in scaled:
-                                for e, v in d.items():
-                                    d[e] = v * a
-                            if scale is not None:
-                                scale[0] *= a
+                if u.__class__ is not int:
+                    c = c * u
+                elif u != 1:
+                    g = gcd(c, u)
+                    c //= g
+                    if g != u:
+                        a = u // g
+                        for d in scaled:
+                            for e, v in d.items():
+                                d[e] = v * a
+                        if scale is not None:
+                            scale[0] *= a
                 neg = -c
                 for e2, c2 in tail:
                     e = tuple(map(add, shift, e2))
@@ -400,11 +403,13 @@ def _clear_denominators(terms: dict):
 
 
 def _prep_divisors(polys):
-    """(lm, lc, tail) for each nonzero divisor, tail a list of (e, c).
+    """(lm, u, tail) for each nonzero divisor, tail a list of (e, c).
 
-    Over QQ the triple is the divisor's primitive integer multiple, with
-    lc > 0.  Over GF it is the divisor as given; a monic one has lc = 1, the
-    int, so its reductions take no gcd and no inversion.
+    Over QQ the triple is the divisor's primitive integer multiple, and u
+    its leading coefficient, > 0.  Over GF it is the divisor as given, and
+    u the inverse of its leading coefficient, taken once here.  A monic
+    divisor has u = 1, the int, so its reductions take no gcd and no
+    product.
     """
     out = []
     for g in polys:
@@ -419,9 +424,12 @@ def _prep_divisors(polys):
                 content = -content
             if content != 1:
                 terms = {e: c // content for e, c in terms.items()}
-        lc = terms[lm]
-        out.append((lm, 1 if lc == 1 else lc,
-                    [(e, c) for e, c in terms.items() if e != lm]))
+        u = terms[lm]
+        if u == 1:
+            u = 1
+        elif u.__class__ is not int:
+            u = u.inverse()
+        out.append((lm, u, [(e, c) for e, c in terms.items() if e != lm]))
     return out
 
 
@@ -434,20 +442,18 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if not f:
         return ring.zero()
-    # The prepared divisor is unit * g; scale * f = q * unit * g.
-    unit = ring.field.one() / g.leading_coefficient()
-    if ring.field.kind == "QQ":
-        den, terms = _clear_denominators(f.terms)
-        divisors = _prep_divisors([g])
-        unit *= divisors[0][1]
-    else:
-        den, terms = 1, f.terms
-        divisors = _prep_divisors([g * unit])
+    divisors = _prep_divisors([g])
+    if ring.field.kind != "QQ":
+        quotients = [{}]
+        if _reduce_terms(ring, f.terms, divisors, quotients):
+            raise ValueError("division is not exact")
+        return Polynomial(ring, quotients[0])
+    # Over Z: scale * f = q * p, with p = (u / lc(g)) * g the prepared divisor.
+    den, terms = _clear_denominators(f.terms)
     quotients, scale = [{}], [den]
     if _reduce_terms(ring, terms, divisors, quotients, scale):
         raise ValueError("division is not exact")
-    if scale[0] != 1:
-        unit /= scale[0]
+    unit = divisors[0][1] / (g.leading_coefficient() * scale[0])
     return Polynomial(ring, {e: c * unit for e, c in quotients[0].items()})
 
 
@@ -483,28 +489,23 @@ def _mul_into(out: dict, a: dict, b: dict) -> None:
 def determinant(rows, ring):
     """Determinant of a square matrix over a PolyRing or a FieldDesc.
 
-    No polynomial is ever divided by a polynomial.  First, while some row
-    holds only field constants, its first nonzero entry is the pivot:
-    column operations by field scalars clear the rest of the row, and the
-    determinant is +-pivot times the minor without that row and column (a
-    zero constant row gives 0).  Over a FieldDesc every row is constant, so
-    this is Gaussian elimination; an all-int QQ matrix stays over Z, each
-    operation multiplying a column by pivot/g instead of dividing.  Second,
-    the k x k block of nonconstant rows left is expanded by minors from the
-    bottom row up, each minor of the last m rows memoized by its column
-    subset: k * 2^(k-1) products of one entry and one minor.  For a
-    Bezoutian k counts the nonlinear f_i, and 2^k <= prod deg f_i, the size
-    of the Gram matrix.
+    No polynomial is ever divided.  First, while some row holds only field
+    constants, its first nonzero entry is the pivot: column operations by
+    field scalars clear the rest of the row, and the determinant is
+    +-pivot times the minor without that row and column (a zero constant
+    row gives 0).  Over a FieldDesc every row is constant, so this is
+    Gaussian elimination.  Second, the k x k block of nonconstant rows
+    left is expanded by minors from the bottom row up, each minor of the
+    last m rows memoized by its column subset: k * 2^(k-1) products of one
+    entry and one minor.  For a Bezoutian k counts the nonlinear f_i, and
+    2^k <= prod deg f_i, the size of the Gram matrix.  Over QQ the minors
+    and the scale start from the int 1, so a matrix of integer polynomials
+    without constant rows has an integer determinant.
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
-    a = [list(row) for row in rows]
-    # The factors the integral column operations multiply the determinant
-    # by make `divisor`, which divides out exactly at the end.
-    integral = bool(a) and field.kind == "QQ" and all(
-        c.__class__ is int for row in a for x in row
-        for c in (x.terms.values() if polynomial else (x,)))
-    zero, one = (0, 1) if integral else (field.zero(), field.one())
+    zero, one = field.zero(), field.one()
+    seed = 1 if polynomial and field.kind == "QQ" else one
 
     def scalar(x):
         """The entry's field value, or None if it is not a constant."""
@@ -518,7 +519,8 @@ def determinant(rows, ring):
                 return c
         return None
 
-    scale, divisor = one, 1
+    a = [list(row) for row in rows]
+    scale = seed
     while a:
         for r, row in enumerate(a):
             values = [scalar(x) for x in row]
@@ -528,23 +530,13 @@ def determinant(rows, ring):
             break
         c = next((j for j, v in enumerate(values) if v), None)
         if c is None:
-            return ring.zero() if polynomial else zero
+            return ring.zero()
         pivot = values[c]
-        if not integral:
-            inv = one / pivot
+        inv = one / pivot
         column = [row[c] for row in a]
         for j, v in enumerate(values):
             if v and j != c:
-                if not integral:
-                    s = v * inv
-                else:  # column j <- p * column j - s * column c
-                    g = gcd(pivot, v)
-                    p, s = pivot // g, v // g
-                    if p != 1:
-                        divisor *= p
-                        for i, row in enumerate(a):
-                            if i != r:
-                                row[j] = row[j] * p
+                s = v * inv
                 for i, x in enumerate(column):
                     if i != r and x:
                         a[i][j] = a[i][j] - x * s
@@ -553,9 +545,9 @@ def determinant(rows, ring):
         for row in a:
             del row[c]
     if not polynomial:
-        return scale // divisor if integral else scale
+        return scale
     # minors[S]: the minor of the last m rows on the columns in bitmask S.
-    minors = {0: {(0,) * ring.nvars: one}}
+    minors = {0: {(0,) * ring.nvars: seed}}
     k = len(a)
     for m in range(1, k + 1):
         row = [(x.terms, (-x).terms) for x in a[k - m]]
@@ -572,10 +564,7 @@ def determinant(rows, ring):
                 _mul_into(grown.setdefault(s | bit, {}),
                           negated if odd else entry, minor)
         minors = grown
-    det = minors.get((1 << k) - 1, {})
-    if integral:
-        return Polynomial(ring, {e: c * scale // divisor for e, c in det.items()})
-    return Polynomial(ring, det) * scale
+    return Polynomial(ring, minors.get((1 << k) - 1, {})) * scale
 
 
 # ---------------------------------------------------------------------------

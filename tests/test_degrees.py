@@ -170,7 +170,8 @@ def test_scaling_one_polynomial_scales_the_gram(n, degree):
 def test_qq_kernel_does_no_fraction_arithmetic(monkeypatch):
     # Over integer inputs the Groebner basis, the Bezoutian determinant and
     # the normal form work on ints; only the final Fraction(n, d) are built.
-    ring, f = system(("x", "y", "z"), ["2*x - 3*y + z - 1",
+    # No f_i is linear, so no Bezoutian row is constant.
+    ring, f = system(("x", "y", "z"), ["2*x^2 - 3*y + z - 1",
                                        "x*y^2 - 3*z + 1",
                                        "y*z^2 + x^3 - 2*x*z"])
     integral = EndoSystem(ring, tuple(

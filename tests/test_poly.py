@@ -705,34 +705,6 @@ def test_determinant_of_mixed_polynomial_rows(field):
     assert determinant([], R) == R.one()
 
 
-def test_integer_determinant_stays_integral():
-    # An all-int QQ matrix, constant rows included, is eliminated fraction
-    # free: the determinant keeps int coefficients and equals the Leibniz sum.
-    R = ring("x", "y")
-    rng = random.Random("integral")
-    constant_rows = 0
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        m = []
-        for _ in range(n):
-            constant = rng.random() < 0.5
-            constant_rows += constant
-            m.append([R.constant(rng.randint(-4, 4)) if constant else
-                      random_dense(R, rng, rng.randint(0, 2))
-                      for _ in range(n)])
-        integral = [[Polynomial(R, {e: int(c) for e, c in x.terms.items()})
-                     for x in row] for row in m]
-        det = determinant(integral, R)
-        assert all(type(c) is int for c in det.terms.values())
-        assert det == leibniz(m, R.zero(), R.one())
-        values = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        det = determinant(values, QQ)
-        assert type(det) is int
-        assert det == leibniz([[Fraction(v) for v in row] for row in values],
-                              QQ.zero(), QQ.one())
-    assert constant_rows >= 40
-
-
 def test_determinant_divides_no_polynomial(monkeypatch):
     R = ring("x", "y", "z")
     rng = random.Random(3)
