@@ -12,12 +12,13 @@ nonlinear f_i is expanded by minors, bottom rows first, each memoized by
 its column subset: k * 2^(k-1) products of an entry and a minor, with
 2^k <= prod deg f_i, the size of the Gram matrix.
 
-Over QQ the pipeline runs over Z.  Row i of the Bezoutian is linear in
-f_i, and c_i * f_i generates the same ideal, so each f_i is scaled by the
-lcm c_i of its denominators: the entries are integral, and so is the
-determinant unless some f_i is affine linear (its constant row is
-eliminated with rational pivots).  The normal form clears any
-denominators left, and the Gram matrix is divided by prod c_i at the end.
+Row i of the Bezoutian is linear in f_i, and c_i * f_i generates the same
+ideal, so each f_i is scaled by the least c_i that clears its
+denominators (1 over GF).  Over QQ the pipeline then runs over Z: the
+entries are integral, and so is the determinant unless some f_i is affine
+linear (its constant row is eliminated with rational pivots).  The normal
+form clears any denominators left, and the Gram matrix is divided by
+prod c_i at the end.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 from math import prod
 
 from .forms import GWClass, empty_form, make_gw_class
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
-                   _clear_denominators, determinant, groebner_basis,
-                   normal_form, standard_monomials)
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, determinant,
+                   groebner_basis, normal_form, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -134,13 +134,9 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     if not mons:
         return empty_form(ring.field)
     index = {m.leading_monomial(): i for i, m in enumerate(mons)}
-    denominator = 1
-    if ring.field.kind == "QQ":
-        scales, polys = zip(*[_clear_denominators(f.terms)
-                              for f in system.polys])
-        denominator = prod(scales)
-        system = EndoSystem(ring, tuple(Polynomial(ring, t) for t in polys))
-    bez = bezoutian_matrix(system)
+    scales, polys = zip(*[f.clear_denominators() for f in system.polys])
+    denominator = prod(scales)
+    bez = bezoutian_matrix(EndoSystem(ring, polys))
     dring = bez.doubled_ring
     x_map = list(range(n))
     y_map = list(range(n, 2 * n))

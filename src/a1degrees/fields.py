@@ -304,6 +304,26 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     return True
 
 
+# The Rabin tests' total work per field, in units of k^3 * b * ceil(b / 64)
+# for a degree-k modulus over Z/p, p of b bits: a test takes k Frobenius
+# powers of about b squarings mod the modulus, each some k^2 products of
+# residues mod p, and past 64 bits a product and its reduction cost about
+# ceil(b / 64) times more.  On a 2-core Intel Xeon VM with Python 3.11 a unit
+# took 0.2-1 us in the search below and up to 2 us for a random modulus: a
+# search stops within about 2 s, and the test of a given modulus takes at
+# most about 4 s (3.7 s for a random one of degree 32 over Z/(2^61 - 1)).
+# GF(3^32) (1.3M units, 0.28 s), GF(10007^16) and GF((2^127 - 1)^8) fit;
+# GF(3^40) (4.9M units) and GF(101^24), whose search tries 210
+# candidates, do not.
+_RABIN_BUDGET = 1 << 21
+
+
+def _rabin_cost(p: int, k: int) -> int:
+    """The work of one Rabin test, in the units of _RABIN_BUDGET."""
+    b = p.bit_length()
+    return k ** 3 * b * -(-b // 64)
+
+
 def _coefficient_vectors(p: int, k: int, first: int = 0):
     """The vectors in (Z/p)^k whose entry 0 is at least ``first``, lazily and
     in lexicographic order: the digits of consecutive integers in base p."""
@@ -345,6 +365,9 @@ class FieldDesc:
                 raise ValueError("modulus must be monic of the stated degree")
             if any(not 0 <= c < self.char for c in self.modulus):
                 raise ValueError("modulus coefficients must be reduced mod p")
+            if _rabin_cost(self.char, self.degree) > _RABIN_BUDGET:
+                raise ValueError(f"GF({self.char}^{self.degree}) is too large "
+                                 f"to test for irreducibility")
             if not _is_irreducible(self.modulus, self.char):
                 raise ValueError("modulus is reducible")
 
@@ -712,7 +735,9 @@ def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:
     Without an explicit modulus, the monic irreducible of degree k whose
     low-to-high coefficient vector is lexicographically smallest is chosen;
     the choice is deterministic but otherwise immaterial, since every
-    square-class-level output is independent of it.
+    square-class-level output is independent of it.  The search and the
+    descriptor's own test of the modulus share _RABIN_BUDGET; past it a
+    ValueError says the field is too large.
     """
     if p == 2:
         raise ValueError("characteristic 2 unsupported")
@@ -722,8 +747,14 @@ def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:
         raise ValueError("extension degree must be >= 1")
     if modulus is not None:
         return FieldDesc("GF", p, k, tuple(modulus))
+    cost = _rabin_cost(p, k)
+    budget = _RABIN_BUDGET - cost  # FieldDesc tests the modulus found again
     # Past degree 1 a zero constant term means x divides the candidate.
     for tail in _coefficient_vectors(p, k, first=0 if k == 1 else 1):
+        budget -= cost
+        if budget < 0:
+            raise ValueError(f"GF({p}^{k}) is too large: no irreducible "
+                             f"modulus within the search budget")
         cand = tail + (1,)
         if _is_irreducible(cand, p):
             return FieldDesc("GF", p, k, cand)

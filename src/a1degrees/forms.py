@@ -435,9 +435,15 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
         d = d * a // (g * g)
     disc = prod((p for p in primes if _split_prime(d, p)[0] % 2),
                 start=-1 if d < 0 else 1)
-    hasse_witt = {p: t for p, t in hasse_witt.items()
-                  if p == 2 or t == -1 or disc % p == 0}
-    return InvariantBundle(rank, signature, disc, hasse_witt)
+    return InvariantBundle(rank, signature, disc,
+                           _record_symbols(disc, hasse_witt))
+
+
+def _record_symbols(disc: int, symbols: dict) -> dict:
+    """The symbols a record keeps: at 2, at the primes of disc, and where
+    they are -1.  Any other prime's symbol is 1."""
+    return {p: t for p, t in symbols.items()
+            if p == 2 or t == -1 or disc % p == 0}
 
 
 def get_invariants(beta: GWClass) -> InvariantBundle:

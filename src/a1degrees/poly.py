@@ -6,15 +6,14 @@ single auxiliary variable with a block order, which stays internal: rings
 built by users are always grevlex.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
-field elements.  Inside the kernel a QQ polynomial is an integer term
-dict, and a divisor its primitive integer multiple: division is
-pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the work by a
-running integer scale instead of dividing by leading coefficients.
-Groebner bases, normal forms and exact quotients turn back into
-`Fraction`s once, at the end.  A GF divisor carries the inverse of its
-leading coefficient, taken once; those in Groebner bases are monic, so
-their reductions multiply by nothing.  The same heap loop serves both
-domains.
+field elements.  The kernel decides the domain once, when a polynomial
+enters it: a dividend becomes integral terms and a denominator
+(`Polynomial.clear_denominators`), a divisor a `_prep_divisor` triple,
+and a result turns back into public scalars in `_public`.  A QQ divisor is
+its primitive integer multiple, and division is pseudo-division (Knuth,
+TAOCP vol. 2, 4.6.1), multiplying the work by a running integer scale
+instead of dividing by leading coefficients.  A GF divisor is made monic
+once, so nothing scales.  The same heap loop serves both domains.
 """
 
 from __future__ import annotations
@@ -171,15 +170,15 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        one = self.ring.field.one()
-        lc = self.leading_coefficient()
-        if lc == one:
-            return self
-        inv = one / lc
-        return Polynomial(self.ring, {e: c * inv for e, c in self.terms.items()})
+    def clear_denominators(self):
+        """(d, d * self), d the least positive integer that makes every
+        coefficient integral: over QQ the lcm of their denominators, and the
+        multiple holds ints; over GF d is 1."""
+        if self.ring.field.kind != "QQ":
+            return 1, self
+        d = lcm(*[c.denominator for c in self.terms.values()])
+        return d, Polynomial(self.ring, {e: c.numerator * (d // c.denominator)
+                                         for e, c in self.terms.items()})
 
     def support(self) -> set[int]:
         """Indices of variables actually occurring."""
@@ -340,17 +339,15 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
     zero coefficient and is skipped when popped.  This is sound because a
     reduction step only adds monomials below the one it removes.
 
-    A QQ divisor is primitive over Z, and u is its leading coefficient.  A
-    term c it reduces is cleared by pseudo-division: with g = gcd(c, u), the
-    work, the remainder and the quotients so far are multiplied by u // g,
-    and (c // g) * shift * divisor is subtracted.  If those factors
-    multiply to s, then s * fterms = rem + sum(q_i * divisor_i), and s is
-    multiplied into scale[0].  Without `scale` the caller wants rem only up
-    to a constant and the quotients only for their monomials, so the
-    quotients are not rescaled.  Over GF, u is the inverse of the divisor's
-    leading coefficient, so c * u * shift * divisor is subtracted and
-    nothing scales; a monic divisor has u = 1, the int, and skips the
-    product.
+    u is the divisor's leading coefficient, an int: 1 over GF, where
+    every divisor is monic.  A term c that a divisor with u != 1 reduces
+    is cleared by pseudo-division: with g = gcd(c, u), the work, the
+    remainder and the quotients so far are multiplied by u // g, and
+    (c // g) * shift * divisor is subtracted.  If those factors multiply to
+    s, then s * fterms = rem + sum(q_i * divisor_i), and s is multiplied
+    into scale[0].  Without `scale` the caller wants rem only up to a
+    constant and the quotients only for their monomials, so the quotients
+    are not rescaled.
     """
     key = ring.key
     work = dict(fterms)
@@ -366,9 +363,7 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
         for di, (lm, u, tail) in enumerate(divisors):
             if all(map(ge, m, lm)):
                 shift = tuple(map(sub, m, lm))
-                if u.__class__ is not int:
-                    c = c * u
-                elif u != 1:
+                if u != 1:
                     g = gcd(c, u)
                     c //= g
                     if g != u:
@@ -395,42 +390,42 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
     return rem
 
 
-def _clear_denominators(terms: dict):
-    """(d, d * terms): d is the lcm of the denominators of the QQ terms,
-    which may be ints or Fractions, and the new terms are ints."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+def _prep_divisor(g):
+    """(k, (lm, u, tail)) for a nonzero divisor g, tail a list of (e, c):
+    the triple's divisor is k * g.
+
+    Over QQ it is g's primitive integer multiple, and u its leading
+    coefficient, > 0.  Over GF it is g made monic, k the inverse of g's
+    leading coefficient, taken once here, and u the int 1.
+    """
+    lm = g.leading_monomial()
+    if g.ring.field.kind == "QQ":
+        den, g = g.clear_denominators()
+        content = gcd(*g.terms.values())
+        if g.terms[lm] < 0:
+            content = -content
+        k = Fraction(den, content)
+        terms = {e: c // content for e, c in g.terms.items()}
+        u = terms[lm]
+    else:
+        k, terms, u = 1, g.terms, 1
+        if terms[lm] != 1:
+            k = terms[lm].inverse()
+            terms = {e: c * k for e, c in terms.items()}
+    return k, (lm, u, [(e, c) for e, c in terms.items() if e != lm])
 
 
 def _prep_divisors(polys):
-    """(lm, u, tail) for each nonzero divisor, tail a list of (e, c).
+    """The `_prep_divisor` triples of the nonzero divisors."""
+    return [_prep_divisor(g)[1] for g in polys if g]
 
-    Over QQ the triple is the divisor's primitive integer multiple, and u
-    its leading coefficient, > 0.  Over GF it is the divisor as given, and
-    u the inverse of its leading coefficient, taken once here.  A monic
-    divisor has u = 1, the int, so its reductions take no gcd and no
-    product.
-    """
-    out = []
-    for g in polys:
-        if not g:
-            continue
-        lm = g.leading_monomial()
-        terms = g.terms
-        if g.ring.field.kind == "QQ":
-            terms = _clear_denominators(terms)[1]
-            content = gcd(*terms.values())
-            if terms[lm] < 0:
-                content = -content
-            if content != 1:
-                terms = {e: c // content for e, c in terms.items()}
-        u = terms[lm]
-        if u == 1:
-            u = 1
-        elif u.__class__ is not int:
-            u = u.inverse()
-        out.append((lm, u, [(e, c) for e, c in terms.items() if e != lm]))
-    return out
+
+def _public(field, terms: dict, s) -> dict:
+    """Kernel terms divided by the int s, as public scalars: Fractions over
+    QQ.  Over GF the terms are field elements already, and s is 1."""
+    if field.kind != "QQ":
+        return terms
+    return {e: Fraction(c, s) for e, c in terms.items()}
 
 
 def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -442,19 +437,14 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if not f:
         return ring.zero()
-    divisors = _prep_divisors([g])
-    if ring.field.kind != "QQ":
-        quotients = [{}]
-        if _reduce_terms(ring, f.terms, divisors, quotients):
-            raise ValueError("division is not exact")
-        return Polynomial(ring, quotients[0])
-    # Over Z: scale * f = q * p, with p = (u / lc(g)) * g the prepared divisor.
-    den, terms = _clear_denominators(f.terms)
+    # scale * f = q * (k * g), the divisor's triple, so f / g = q * k / scale.
+    k, divisor = _prep_divisor(g)
+    den, f = f.clear_denominators()
     quotients, scale = [{}], [den]
-    if _reduce_terms(ring, terms, divisors, quotients, scale):
+    if _reduce_terms(ring, f.terms, [divisor], quotients, scale):
         raise ValueError("division is not exact")
-    unit = divisors[0][1] / (g.leading_coefficient() * scale[0])
-    return Polynomial(ring, {e: c * unit for e, c in quotients[0].items()})
+    return Polynomial(ring, _public(ring.field, {
+        e: c * k for e, c in quotients[0].items()}, scale[0]))
 
 
 def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
@@ -616,7 +606,6 @@ def _buchberger(ring: PolyRing, gens) -> list:
     basis, and is tail-reduced at the end, then made monic.
     """
     key = ring.key
-    qq = ring.field.kind == "QQ"
     lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
@@ -652,12 +641,11 @@ def _buchberger(ring: PolyRing, gens) -> list:
         h = Polynomial(ring, _reduce_terms(ring, f, prepped, quotients))
         if h.is_constant():
             return bool(h)
-        update(h if qq else h.monic(),
-               max([s] + [sugar[k] + sum(m) for k, q in enumerate(quotients)
-                          for m in q]))
+        update(h, max([s] + [sugar[k] + sum(m) for k, q in enumerate(quotients)
+                             for m in q]))
         return False
 
-    if any(join(_clear_denominators(g.terms)[1] if qq else g.terms,
+    if any(join(g.clear_denominators()[1].terms,
                 max(map(sum, g.terms), default=0)) for g in gens):
         return [ring.one()]
     if not prepped:
@@ -686,9 +674,7 @@ def _buchberger(ring: PolyRing, gens) -> list:
             lc, tail = lc // g, {e: c // g for e, c in tail.items()}
         reduced.append((lm, lc, list(tail.items())))
     one = ring.field.one()
-    if not qq:
-        return [Polynomial(ring, {lm: one, **dict(t)}) for lm, _, t in reduced]
-    return [Polynomial(ring, {lm: one, **{e: Fraction(c, lc) for e, c in t}})
+    return [Polynomial(ring, {lm: one, **_public(ring.field, dict(t), lc)})
             for lm, lc, t in reduced]
 
 
@@ -700,17 +686,16 @@ def groebner_basis(ideal: Ideal) -> GroebnerBasis:
 
 def normal_form(f: Polynomial, G) -> Polynomial:
     """Remainder of f modulo a Groebner basis (or any list of divisors)."""
+    ring = f.ring
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
-    if polys and f.ring != polys[0].ring:
+    # The identity test first: the degree path's divisors share one ring.
+    if any(g.ring is not ring and g.ring != ring for g in polys):
         raise ValueError("polynomial ring mismatch")
-    divisors = _prep_divisors(polys)
-    if f.ring.field.kind != "QQ":
-        return Polynomial(f.ring, _reduce_terms(f.ring, f.terms, divisors))
-    # Over Z: den * f reduces to rem with rem = (den * s) * (f mod G).
-    den, terms = _clear_denominators(f.terms)
+    # den * f reduces to rem with rem = (den * s) * (f mod G).
+    den, f = f.clear_denominators()
     scale = [den]
-    rem = _reduce_terms(f.ring, terms, divisors, scale=scale)
-    return Polynomial(f.ring, {e: Fraction(c, scale[0]) for e, c in rem.items()})
+    rem = _reduce_terms(ring, f.terms, _prep_divisors(polys), scale=scale)
+    return Polynomial(ring, _public(ring.field, rem, scale[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .fields import QQ, is_padic_square, is_prime, is_square
-from .forms import (GWClass, InvariantBundle, _hilbert, add_gw,
-                    canonical_nonsquare, empty_form, get_discriminant,
+from .forms import (GWClass, InvariantBundle, _hilbert, _record_symbols,
+                    add_gw, canonical_nonsquare, empty_form, get_discriminant,
                     get_invariants, get_signature, hasse_witt_invariant,
                     hasse_witt_primes, is_isomorphic_form,
                     make_diagonal_form)
@@ -132,12 +132,6 @@ def is_isotropic(beta: GWClass) -> bool:
 _REALIZATION_CAP = 10_000
 
 
-def _pool(disc: int, eps: dict) -> list[int]:
-    """2, the primes of disc and the primes where eps is -1, ascending;
-    every prime of disc must be a key of eps."""
-    return sorted({2} | {p for p, t in eps.items() if t == -1 or disc % p == 0})
-
-
 def _solve_f2(rows):
     """An x with parity(r & x) == b for every (r, b) in rows, or None.
 
@@ -204,21 +198,22 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
     """A diagonal form with squarefree entries, ascending, realizing the
     given rational invariants.
 
-    Reads only the class; each prime of disc must be a key of eps.  Prop 7
-    puts no local condition on rank >= 3, so above rank 3 any <sign> peels
-    off.
+    Reads only the class; 2 and each prime of disc must be keys of eps.
+    Prop 7 puts no local condition on rank >= 3, so above rank 3 any <sign>
+    peels off.  The pool is the record's primes, ascending.
     """
-    pool = _pool(disc, eps)
-    eps = {p: eps.get(p, 1) for p in pool}
-    target = InvariantBundle(rank, sig, disc, eps)  # keyed as records are
+    eps = _record_symbols(disc, eps)
+    pool = sorted(eps)
+    target = InvariantBundle(rank, sig, disc, eps)
     entries = []
     for n in range(rank, 2, -1):
         sign = -1 if sig < 0 else 1
         a = sign if n > 3 else _ternary_entry(sign, disc, eps, pool)
         entries.append(a)
         sig, disc = sig - (1 if a > 0 else -1), disc * a // gcd(disc, a) ** 2
-        eps = {p: eps[p] * _hilbert(a, disc, p) for p in pool}
-        pool = _pool(disc, eps)
+        eps = _record_symbols(
+            disc, {p: eps[p] * _hilbert(a, disc, p) for p in pool})
+        pool = sorted(eps)
     entries += _plane(sig, disc, eps, pool) if rank > 1 else [disc]
     realized = make_diagonal_form(QQ, sorted(entries))
     if get_invariants(realized) != target:

@@ -310,6 +310,16 @@ def test_square_class_too_large_to_factor_exits_1(capsys):
     assert err == "error: square class too large to factor\n"
 
 
+def test_field_too_large_to_construct_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "form", "invariants", "--field",
+                         f"GF({3 ** 80})", "--diag", "1,2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: GF(3^80) is too large: no irreducible modulus " \
+        "within the search budget\n"
+
+
 def test_pretty_form_make_prints_a_class_too_large_to_factor(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "form", "make", "diagonal", "--field", "QQ",

@@ -403,6 +403,39 @@ def test_gf_construct_huge_prime_enumerates_lazily():
         [(0,), (1,), (2,)]
 
 
+@pytest.mark.parametrize("p, k", [(3, 120), (2**521 - 1, 8)],
+                         ids=["GF(3^120)", "GF((2^521-1)^8)"])
+def test_field_past_the_rabin_budget_fails_before_any_test(monkeypatch, p, k):
+    def forbidden(*args):
+        raise AssertionError("no Rabin test past the budget")
+
+    monkeypatch.setattr(fields, "_is_irreducible", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        gf_construct(p, k)
+    with pytest.raises(ValueError, match="too large"):
+        gf_construct(p, k, modulus=(1,) * (k + 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gf_construct_search_stops_at_the_rabin_budget(monkeypatch):
+    # The budget holds two tests of degree 80 over Z/3, and one is kept for
+    # the modulus found: the search tests x^80 + 1, then stops.
+    tested = []
+    original = fields._is_irreducible
+
+    def counting(f, p):
+        tested.append(f)
+        return original(f, p)
+
+    monkeypatch.setattr(fields, "_is_irreducible", counting)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"GF\(3\^80\) is too large"):
+        gf_construct(3, 80)
+    assert time.perf_counter() - start < 1.0
+    assert tested == [(1,) + (0,) * 79 + (1,)]
+
+
 def test_elements_keep_lexicographic_order():
     F = gf_construct(3, 2)
     assert [a.coeffs for a in F.elements()] == \

@@ -310,33 +310,48 @@ def test_groebner_basis_of_a_swelling_elim1_ideal():
     assert elapsed < 1.5
 
 
-@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2), gf_construct(3, 3)],
+                         ids=str)
 def test_division_identity_with_the_scale(field):
-    # scale * f = rem + sum(q_i * g_i), g_i the prepared divisors: over QQ
-    # their primitive integer multiples, over GF the monic divisors as given.
+    # scale * f = rem + sum(q_i * g_i), g_i the divisors rebuilt from the
+    # prepared triples: over QQ the primitive integer multiples, over GF the
+    # monic multiples, whose u is the int 1 and whose scale stays 1.
     R = ring("x", "y", "z", field=field)
     rng = random.Random(f"scale:{field}")
+    qq = field.kind == "QQ"
+    units = [Fraction(-5, 7), Fraction(4)] if qq else \
+        [rng.choice(list(field.elements())[1:]) for _ in range(2)]
     scaled = 0
     for _ in range(6):
         gs = [random_dense(R, rng, 2) for _ in range(3)]
         f = random_dense(R, rng, 4)
-        if field.kind == "QQ":  # the kernel reduces integer terms
+        if qq:  # the kernel reduces integer terms
             f = Polynomial(R, {e: int(c) for e, c in f.terms.items()})
             gs = [with_denominators(g, rng) for g in gs]
-        else:
-            gs = [g.monic() for g in gs]
         divisors = _prep_divisors(gs)
         quotients, scale = [{} for _ in divisors], [1]
         rem = Polynomial(R, _reduce_terms(R, f.terms, divisors, quotients,
                                           scale))
         total = rem
-        for (lm, lc, tail), q in zip(divisors, quotients):
-            total += Polynomial(R, q) * Polynomial(R, {lm: lc, **dict(tail)})
+        for (lm, u, tail), q, g in zip(divisors, quotients, gs):
+            divisor = Polynomial(R, {lm: u, **dict(tail)})
+            assert divisor * g.leading_coefficient() == g * u
+            if not qq:
+                assert type(u) is int and u == 1
+            total += Polynomial(R, q) * divisor
         assert total == f * scale[0]
         lms = [lm for lm, _, _ in divisors]
         assert not any(_divides(lm, e) for lm in lms for e in rem.terms)
         scaled += scale[0] != 1
-    assert scaled if field.kind == "QQ" else not scaled
+        # A constant multiple of a divisor prepares to the same triple.
+        for c in units:
+            prepared = _prep_divisors([c * g for g in gs])
+            again = [{} for _ in divisors], [1]
+            assert _reduce_terms(R, f.terms, prepared, *again) == rem.terms
+            assert again[1] == scale
+            g = gs[0]
+            assert exact_quotient(f * g, c * g) == f * (1 / c)
+    assert scaled if qq else not scaled
 
 
 def test_normal_form_examples():
@@ -364,6 +379,15 @@ def test_normal_form_is_stable_under_ideal_shifts():
 
 def same_ideal(I, J):
     return gb_strings(groebner_basis(I)) == gb_strings(groebner_basis(J))
+
+
+def test_normal_form_checks_the_ring_of_every_divisor():
+    R = ring("x", "y")
+    f = R.from_string("x^2*y + 3*y^2 + 1")
+    for other in (ring("x", "y", "z").from_string("y*z - 1"),
+                  ring("x", "y", field=gf_construct(7, 1)).from_string("y - 1")):
+        with pytest.raises(ValueError, match="polynomial ring mismatch"):
+            normal_form(f, [R.from_string("y - 1"), other])
 
 
 def test_ideal_quotient_examples():
@@ -584,25 +608,6 @@ def test_normal_form_matches_sympy_reduced(degrees, p):
                                   list(gb.exprs), *syms, **opts)
         assert sympy_poly(mine, syms, p) == sympy.Poly(theirs, *syms,
                                                         modulus=p)
-
-
-@pytest.mark.parametrize("q", [(5, 2), (3, 3)])
-def test_division_identity_over_extension_fields(q):
-    R = ring("x", "y", "z", field=gf_construct(*q))
-    rng = random.Random(q[0] ** q[1])
-    for _ in range(4):
-        f = random_dense(R, rng, 4)
-        gs = [random_dense(R, rng, 2) for _ in range(3)]
-        quotients = [{} for _ in gs]
-        rem = Polynomial(R, _reduce_terms(R, f.terms, _prep_divisors(gs),
-                                          quotients))
-        total = rem
-        for g, q_terms in zip(gs, quotients):
-            total = total + Polynomial(R, q_terms) * g
-        assert total == f
-        lms = [g.leading_monomial() for g in gs]
-        for e in rem.terms:
-            assert not any(all(a >= b for a, b in zip(e, lm)) for lm in lms)
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
