@@ -610,6 +610,28 @@ def test_normal_form_matches_sympy_reduced(degrees, p):
                                                         modulus=p)
 
 
+@pytest.mark.parametrize("q", [(5, 2), (3, 3)])
+def test_division_identity_over_extension_fields(q):
+    # The kernel divides by the monic multiples of the divisors, so the
+    # quotient by a divisor g as given is q_g / lc(g).
+    R = ring("x", "y", "z", field=gf_construct(*q))
+    rng = random.Random(q[0] ** q[1])
+    for _ in range(4):
+        f = random_dense(R, rng, 4)
+        gs = [random_dense(R, rng, 2) for _ in range(3)]
+        quotients = [{} for _ in gs]
+        rem = Polynomial(R, _reduce_terms(R, f.terms, _prep_divisors(gs),
+                                          quotients))
+        total = rem
+        for g, q_terms in zip(gs, quotients):
+            total = total + Polynomial(R, q_terms) * \
+                (1 / g.leading_coefficient()) * g
+        assert total == f
+        lms = [g.leading_monomial() for g in gs]
+        for e in rem.terms:
+            assert not any(all(a >= b for a, b in zip(e, lm)) for lm in lms)
+
+
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
                                    gf_construct(3, 3)])
 def test_exact_quotient_of_a_product(field):
