@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import degrees, forms, witt
-from .fields import CC, QQ, RR, FieldDesc, gf_construct, is_prime
+from .fields import (CC, QQ, RR, _CHAR_BITS_CAP, FieldDesc, gf_construct,
+                     is_prime)
 from .poly import Ideal, ParseError, PolyRing, parse_polynomial
 
 _FIELD_RE = re.compile(r"^(QQ|RR|CC)$|^GF\((\d+)\)$")
@@ -35,12 +36,24 @@ def _integer_root(n: int, k: int) -> int:
 
 
 def _prime_power(q: int):
-    """(p, k) with q = p^k and p prime, or None; no factoring needed."""
-    for k in range(1, q.bit_length()):
-        p = _integer_root(q, k)
-        if p ** k == q and is_prime(p):
-            return p, k
-    return None
+    """(p, k) with q = p^k and p prime, or None; no factoring needed.
+
+    q's least root p, taken through prime exponents, decides: q is a prime
+    power iff p is prime, so p alone gets a full test, once its size is
+    checked.
+    """
+    p, k = q, 1
+    for j in range(2, q.bit_length()):
+        if not is_prime(j):
+            continue
+        r = _integer_root(p, j)
+        while r ** j == p:
+            p, k = r, k * j
+            r = _integer_root(p, j)
+    if p.bit_length() > _CHAR_BITS_CAP:
+        raise ValueError(f"GF(q) is too large: its characteristic would have "
+                         f"{p.bit_length()} bits, more than {_CHAR_BITS_CAP}")
+    return (p, k) if is_prime(p) else None
 
 
 @functools.lru_cache(maxsize=64)

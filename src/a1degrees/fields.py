@@ -41,7 +41,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -269,13 +269,33 @@ def _pgcd_ext(a, b, p):
     return r0, s0
 
 
-def _pmod_pow(a, n: int, f, p):
-    """a^n mod f over Z/p."""
-    result, a = _pdivmod([1], f, p)[1], _pdivmod(a, f, p)[1]
+def _tuple_mul(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
+    """The product of two residues mod the monic ``mod`` of degree k over
+    Z/p, each a coefficient tuple of length k: the elements of GF(p^k)."""
+    k = len(mod) - 1
+    if k == 1:
+        return (a[0] * b[0] % p,)
+    # Schoolbook product, then fold t^i (i >= k) down with the monic modulus.
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(k):
+                prod[i - k + j] -= c * mod[j]
+    return tuple([x % p for x in prod[:k]])
+
+
+def _pmod_pow(a: tuple, n: int, mod: tuple, p: int) -> tuple:
+    """a^n for a residue a mod the monic ``mod`` over Z/p and n >= 0."""
+    result = (1,) + (0,) * (len(mod) - 2)
     while n:
         if n & 1:
-            result = _pdivmod(_pmul(result, a, p), f, p)[1]
-        a = _pdivmod(_pmul(a, a, p), f, p)[1]
+            result = _tuple_mul(result, a, mod, p)
+        a = _tuple_mul(a, a, mod, p)
         n >>= 1
     return result
 
@@ -284,10 +304,9 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Rabin's test: a monic f of degree k is irreducible over Z/p iff
     x^(p^k) = x mod f and x^(p^(k/r)) - x is prime to f for each prime r | k."""
     k = len(f) - 1
-    if k <= 0:
-        return False
-    f = list(f)
-    x = _pdivmod([0, 1], f, p)[1]
+    if k < 2:
+        return k == 1
+    x = (0, 1) + (0,) * (k - 2)
     frob = [x]  # frob[j] = x^(p^j) mod f
     for _ in range(k):
         frob.append(_pmod_pow(frob[-1], p, f, p))
@@ -296,9 +315,7 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     for r in range(2, k + 1):
         if k % r or not is_prime(r):
             continue
-        h = frob[k // r]
-        diff = _ptrim([(a - b) % p for a, b in
-                       itertools.zip_longest(h, x, fillvalue=0)])
+        diff = _ptrim([(a - b) % p for a, b in zip(frob[k // r], x)])
         if len(_pgcd_ext(diff, f, p)[0]) != 1:
             return False
     return True
@@ -309,13 +326,22 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 # powers of about b squarings mod the modulus, each some k^2 products of
 # residues mod p, and past 64 bits a product and its reduction cost about
 # ceil(b / 64) times more.  On a 2-core Intel Xeon VM with Python 3.11 a unit
-# took 0.2-1 us in the search below and up to 2 us for a random modulus: a
-# search stops within about 2 s, and the test of a given modulus takes at
-# most about 4 s (3.7 s for a random one of degree 32 over Z/(2^61 - 1)).
-# GF(3^32) (1.3M units, 0.28 s), GF(10007^16) and GF((2^127 - 1)^8) fit;
-# GF(3^40) (4.9M units) and GF(101^24), whose search tries 210
-# candidates, do not.
+# took 0.1-0.5 us in the search of FieldDesc and 0.4-1.3 us, the more the
+# larger p, for a random modulus: a search stops within about 1 s, and the
+# test of a given modulus takes at most about 3 s (2.7 s for a random cubic
+# over Z/(2^2203 - 1), 1.6-2.2 s for one of degree 32 over Z/(2^61 - 1)).
+# GF(3^32) (18 candidates, 1.2M units, 0.19 s), GF(10007^16) and
+# GF((2^127 - 1)^16) fit; GF(3^40) (4.9M units) and GF(101^24), whose search
+# tries 210 candidates, do not.
 _RABIN_BUDGET = 1 << 21
+
+
+# The largest characteristic, in bits, that a GF(p^k) may have; it is checked
+# before any full primality test of p.  With Python 3.11 on a 2-core Intel
+# Xeon VM is_prime took 0.01 s on 2^521 - 1, 0.43 s on 2^2203 - 1, 1.07 s on
+# 2^3072 - 47 and 3.2 s on 2^4423 - 1.  The CLI tests p twice, so at the cap
+# a GF(p) spec is decided within about 2 s, like a modulus search.
+_CHAR_BITS_CAP = 3072
 
 
 def _rabin_cost(p: int, k: int) -> int:
@@ -343,33 +369,55 @@ class FieldDesc:
 
     kind is "QQ", "RR", "CC" or "GF".  For GF the characteristic p (odd),
     extension degree k and a monic irreducible modulus (coefficients
-    low-to-high, length k+1) are carried along.
+    low-to-high, length k+1) are carried along.  This is where a GF(p^k) is
+    checked: p is tested once, and a given modulus gets one Rabin test.
+    Without one (``None``) the monic irreducible of degree k whose
+    low-to-high coefficient vector is lexicographically smallest is chosen,
+    by one Rabin test per candidate; the choice is deterministic but
+    otherwise immaterial, since every square-class-level output is
+    independent of it.  Past _CHAR_BITS_CAP or _RABIN_BUDGET a ValueError
+    says the field is too large.
     """
 
     kind: str
     char: int = 0
     degree: int = 0
-    modulus: tuple[int, ...] = ()
+    modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("QQ", "RR", "CC", "GF"):
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "GF":
-            if self.char == 2:
-                raise ValueError("characteristic 2 unsupported")
-            if not is_prime(self.char):
-                raise ValueError(f"{self.char} is not prime")
-            if self.degree < 1:
-                raise ValueError("extension degree must be >= 1")
-            if len(self.modulus) != self.degree + 1 or self.modulus[-1] != 1:
-                raise ValueError("modulus must be monic of the stated degree")
-            if any(not 0 <= c < self.char for c in self.modulus):
-                raise ValueError("modulus coefficients must be reduced mod p")
-            if _rabin_cost(self.char, self.degree) > _RABIN_BUDGET:
-                raise ValueError(f"GF({self.char}^{self.degree}) is too large "
-                                 f"to test for irreducibility")
-            if not _is_irreducible(self.modulus, self.char):
-                raise ValueError("modulus is reducible")
+        if self.kind != "GF":
+            return
+        p, k, mod = self.char, self.degree, self.modulus
+        if p == 2:
+            raise ValueError("characteristic 2 unsupported")
+        if p.bit_length() > _CHAR_BITS_CAP:
+            raise ValueError(f"GF(p^{k}) is too large: p has {p.bit_length()} "
+                             f"bits, more than {_CHAR_BITS_CAP}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
+            raise ValueError("extension degree must be >= 1")
+        cost = _rabin_cost(p, k)
+        if mod is None:
+            # Past degree 1 a zero constant term means x divides the candidate.
+            tails = _coefficient_vectors(p, k, first=0 if k == 1 else 1)
+            for tail in itertools.islice(tails, _RABIN_BUDGET // cost):
+                if _is_irreducible(tail + (1,), p):
+                    object.__setattr__(self, "modulus", tail + (1,))
+                    return
+            raise ValueError(f"GF({p}^{k}) is too large: no irreducible "
+                             f"modulus within the search budget")
+        if len(mod) != k + 1 or mod[-1] != 1:
+            raise ValueError("modulus must be monic of the stated degree")
+        if any(not 0 <= c < p for c in mod):
+            raise ValueError("modulus coefficients must be reduced mod p")
+        if cost > _RABIN_BUDGET:
+            raise ValueError(f"GF({p}^{k}) is too large to test for "
+                             f"irreducibility")
+        if not _is_irreducible(mod, p):
+            raise ValueError("modulus is reducible")
 
     @property
     def order(self) -> int:
@@ -539,8 +587,9 @@ class FFElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return _element(self.field, _tuple_mul(self.coeffs, other.coeffs,
-                                               self.field))
+        F = self.field
+        return _element(F, _tuple_mul(self.coeffs, other.coeffs, F.modulus,
+                                      F.char))
 
     __rmul__ = __mul__
 
@@ -572,14 +621,10 @@ class FFElement:
             return t.exp[n * t.log[self._i] % t.units]
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if t is not None:  # zero stays on the tables too
+            return self if n else t.elems[t.step]
+        F = self.field
+        return _element(F, _pmod_pow(self.coeffs, n, F.modulus, F.char))
 
     def __bool__(self):
         if self._t is not None:
@@ -627,26 +672,6 @@ class FFElement:
         return f"FFElement({self.field}, {self.coeffs})"
 
 
-def _tuple_mul(a: tuple, b: tuple, field: FieldDesc) -> tuple:
-    """The product of two coefficient tuples of GF(p^k)."""
-    p, k = field.char, field.degree
-    if k == 1:
-        return (a[0] * b[0] % p,)
-    # Schoolbook product, then fold t^i (i >= k) down with the monic modulus.
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    mod = field.modulus
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(k):
-                prod[i - k + j] -= c * mod[j]
-    return tuple([x % p for x in prod[:k]])
-
-
 def _index(coeffs: tuple, p: int) -> int:
     """The coefficient vector read as a base-p number, constant term first:
     the position of the element in ``FieldDesc.elements()``."""
@@ -692,18 +717,19 @@ class _FieldTable:
             e._i, e._t = i, self
             self.elems.append(e)
         # g generates the units iff g^((q-1)/r) != 1 for every prime r | q-1
-        mod, primes = list(field.modulus), list(factorize(units))
+        mod, one = field.modulus, (1,) + (0,) * (k - 1)
+        primes = list(factorize(units))
         g = next(v for v in _coefficient_vectors(p, k)
-                 if any(v) and all(_pmod_pow(list(v), units // r, mod, p) != [1]
+                 if any(v) and all(_pmod_pow(v, units // r, mod, p) != one
                                    for r in primes))
         log = [2 * units] * q
         powers = []  # powers[e] = index of g^e
-        x = (1,) + (0,) * (k - 1)
+        x = one
         for e in range(units):
             i = _index(x, p)
             powers.append(i)
             log[i] = e
-            x = _tuple_mul(x, g, field)
+            x = _tuple_mul(x, g, mod, p)
         self.log = log
         self.exp = [self.elems[i] for i in powers] * 2 + \
             [self.elems[0]] * (2 * units + 1)
@@ -730,35 +756,9 @@ def _element(field: FieldDesc, coeffs: tuple) -> FFElement:
 
 
 def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:
-    """Build the GF(p^k) descriptor.
-
-    Without an explicit modulus, the monic irreducible of degree k whose
-    low-to-high coefficient vector is lexicographically smallest is chosen;
-    the choice is deterministic but otherwise immaterial, since every
-    square-class-level output is independent of it.  The search and the
-    descriptor's own test of the modulus share _RABIN_BUDGET; past it a
-    ValueError says the field is too large.
-    """
-    if p == 2:
-        raise ValueError("characteristic 2 unsupported")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    if modulus is not None:
-        return FieldDesc("GF", p, k, tuple(modulus))
-    cost = _rabin_cost(p, k)
-    budget = _RABIN_BUDGET - cost  # FieldDesc tests the modulus found again
-    # Past degree 1 a zero constant term means x divides the candidate.
-    for tail in _coefficient_vectors(p, k, first=0 if k == 1 else 1):
-        budget -= cost
-        if budget < 0:
-            raise ValueError(f"GF({p}^{k}) is too large: no irreducible "
-                             f"modulus within the search budget")
-        cand = tail + (1,)
-        if _is_irreducible(cand, p):
-            return FieldDesc("GF", p, k, cand)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    """The GF(p^k) descriptor, with the given modulus or, without one, the
+    one :class:`FieldDesc` chooses."""
+    return FieldDesc("GF", p, k, None if modulus is None else tuple(modulus))
 
 
 def is_square(a, F: FieldDesc) -> bool:

@@ -313,6 +313,12 @@ def canonical_nonsquare(field: FieldDesc) -> FFElement:
     raise AssertionError("no nonsquare found")  # unreachable for q > 1
 
 
+def _gf_class_rep(a, field: FieldDesc) -> FFElement:
+    """The representative of a's square class in GF(q)*: 1 or the canonical
+    nonsquare."""
+    return field.one() if is_square(a, field) else canonical_nonsquare(field)
+
+
 def _line_leaders(field: FieldDesc):
     """The elements whose first nonzero coordinate is 1, in lexicographic
     order: leading zeros, a 1, then any tail."""
@@ -412,9 +418,7 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     """
     field, rank, det = beta.field, beta.rank, beta._elimination[1]
     if field.kind == "GF":
-        if not is_square(det, field):
-            return InvariantBundle(rank, None, canonical_nonsquare(field), None)
-        return InvariantBundle(rank, None, field.one(), None)
+        return InvariantBundle(rank, None, _gf_class_rep(det, field), None)
     if field.kind == "CC":
         return InvariantBundle(rank, None, 1, None)
     signature = beta._signature

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .fields import QQ, is_padic_square, is_prime, is_square
-from .forms import (GWClass, InvariantBundle, _hilbert, _record_symbols,
-                    add_gw, canonical_nonsquare, empty_form, get_discriminant,
+from .fields import QQ, is_padic_square, is_prime
+from .forms import (GWClass, InvariantBundle, _gf_class_rep, _hilbert,
+                    _record_symbols, add_gw, empty_form, get_discriminant,
                     get_invariants, get_signature, hasse_witt_invariant,
                     hasse_witt_primes, is_isomorphic_form,
                     make_diagonal_form)
@@ -91,9 +91,7 @@ def _gf_anisotropic_dimension(beta: GWClass) -> int:
     # (-1)^(rank/2); otherwise a rank-2 anisotropic kernel remains.
     disc = get_discriminant(beta)
     target = field.one() if beta.rank // 2 % 2 == 0 else field.coerce(-1)
-    target_rep = field.one() if is_square(target, field) \
-        else canonical_nonsquare(field)
-    return 0 if disc == target_rep else 2
+    return 0 if disc == _gf_class_rep(target, field) else 2
 
 
 def anisotropic_dimension(beta: GWClass) -> int:
@@ -241,7 +239,7 @@ def anisotropic_part(beta: GWClass) -> GWClass:
         d_a = get_discriminant(beta)
         if n % 2:
             d_a = d_a * field.coerce(-1)
-        rep = field.one() if is_square(d_a, field) else canonical_nonsquare(field)
+        rep = _gf_class_rep(d_a, field)
         if dim == 1:
             return make_diagonal_form(field, [rep])
         return make_diagonal_form(field, [field.one(), rep])

@@ -320,6 +320,34 @@ def test_field_too_large_to_construct_exits_1(capsys):
         "within the search budget\n"
 
 
+def test_characteristic_too_large_to_test_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "form", "invariants", "--field",
+                         f"GF({2 ** 4423 - 1})", "--diag", "1,2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: GF(q) is too large: its characteristic would have " \
+        "4423 bits, more than 3072\n"
+
+
+@pytest.mark.parametrize("p, k", [(10**18 + 3, 1), (10**18 + 3, 2),
+                                  (2**521 - 1, 1), (2**127 - 1, 3)])
+def test_field_spec_tests_its_characteristic_at_most_twice(monkeypatch, p, k):
+    tested = []
+    original = fields.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    monkeypatch.setattr(fields, "is_prime", counting)
+    monkeypatch.setattr(cli, "is_prime", counting)
+    cli.parse_field.cache_clear()
+    F = cli.parse_field(f"GF({p ** k})")
+    assert (F.char, F.degree) == (p, k)
+    assert tested.count(p) <= 2
+
+
 def test_pretty_form_make_prints_a_class_too_large_to_factor(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "form", "make", "diagonal", "--field", "QQ",

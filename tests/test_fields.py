@@ -419,8 +419,8 @@ def test_field_past_the_rabin_budget_fails_before_any_test(monkeypatch, p, k):
 
 
 def test_gf_construct_search_stops_at_the_rabin_budget(monkeypatch):
-    # The budget holds two tests of degree 80 over Z/3, and one is kept for
-    # the modulus found: the search tests x^80 + 1, then stops.
+    # The budget holds two tests of degree 80 over Z/3: the search tests
+    # x^80 + 1 and x^80 + x^79 + 1, then stops.
     tested = []
     original = fields._is_irreducible
 
@@ -433,7 +433,79 @@ def test_gf_construct_search_stops_at_the_rabin_budget(monkeypatch):
     with pytest.raises(ValueError, match=r"GF\(3\^80\) is too large"):
         gf_construct(3, 80)
     assert time.perf_counter() - start < 1.0
-    assert tested == [(1,) + (0,) * 79 + (1,)]
+    assert tested == [(1,) + (0,) * 79 + (1,), (1,) + (0,) * 78 + (1, 1)]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its first arguments."""
+    seen, original = [], getattr(module, name)
+
+    def counting(*args):
+        seen.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (13, 4), (10**18 + 3, 2),
+                                  (2**127 - 1, 3)])
+def test_gf_construct_tests_the_characteristic_once(monkeypatch, p, k):
+    tested = _counting(monkeypatch, fields, "is_prime")
+    gf_construct(p, k)
+    assert tested.count(p) == 1
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (5, 2), (7, 4), (3, 6), (11, 3)])
+def test_modulus_search_tests_each_candidate_once(monkeypatch, p, k):
+    tested = _counting(monkeypatch, fields, "_is_irreducible")
+    F = gf_construct(p, k)
+    # the monics prime to x in lexicographic order, each tested once up to
+    # the chosen one, which is not tested again; all before it are reducible
+    candidates = [t + (1,) for t in itertools.product(range(p), repeat=k)
+                  if t[0] or k == 1]
+    assert tested == candidates[:candidates.index(F.modulus) + 1]
+    reducible = _reducible_monics(p, k)
+    assert all(f in reducible for f in tested[:-1])
+
+
+def test_explicit_modulus_gets_one_rabin_test(monkeypatch):
+    tested = _counting(monkeypatch, fields, "_is_irreducible")
+    F = gf_construct(3, 3, [2, 2, 0, 1])
+    assert F.modulus == (2, 2, 0, 1) and tested == [(2, 2, 0, 1)]
+    with pytest.raises(ValueError, match="reducible"):
+        FieldDesc("GF", 3, 3, (1, 1, 1, 1))
+    assert tested == [(2, 2, 0, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 3), (5, 2), (101, 4),
+                                  (10**18 + 3, 2)])
+def test_descriptor_without_modulus_is_the_constructed_field(p, k):
+    F = FieldDesc("GF", p, k)
+    assert F == gf_construct(p, k) and F.modulus == gf_construct(p, k).modulus
+    assert hash(F) == hash(gf_construct(p, k))
+
+
+def test_explicit_empty_modulus_is_rejected():
+    with pytest.raises(ValueError, match="monic of the stated degree"):
+        gf_construct(3, 3, [])
+    with pytest.raises(ValueError, match="monic of the stated degree"):
+        FieldDesc("GF", 13, 1, ())
+
+
+def test_characteristic_past_the_size_cap_fails_before_any_test(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("no primality test past the size cap")
+
+    monkeypatch.setattr(fields, "is_prime", forbidden)
+    start = time.perf_counter()
+    for p, k in ((2**4423 - 1, 1), (2**3217 - 1, 2)):
+        with pytest.raises(ValueError, match="too large"):
+            gf_construct(p, k)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    assert (2**521 - 1).bit_length() <= fields._CHAR_BITS_CAP
+    assert gf_construct(2**521 - 1, 1).modulus == (0, 1)
 
 
 def test_elements_keep_lexicographic_order():
@@ -620,3 +692,26 @@ def test_fields_above_the_cap_keep_tuple_arithmetic(pk):
         if b:
             assert _reference_mul((a / b).coeffs, b.coeffs, F) == a.coeffs
             assert (b ** 3).coeffs == _reference_pow(b.coeffs, 3, F)
+
+
+@pytest.mark.parametrize("pk", [(4099, 1), (17, 3)])
+def test_powers_above_the_cap_match_repeated_products(pk):
+    F = gf_construct(*pk)
+    p, k = pk
+    zero, one = F.zero(), F.one()
+    assert zero._t is None and zero ** 0 == one
+    for n in (1, 2, 7):
+        assert zero ** n == zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    rng = random.Random(F.order)
+    for _ in range(20):
+        a = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
+        if not a:
+            continue
+        for n in range(-4, 9):
+            expected, base = one, a if n >= 0 else a.inverse()
+            for _ in range(abs(n)):
+                expected = expected * base
+            assert (a ** n).coeffs == expected.coeffs, (a, n)
+        assert a ** (F.order - 1) == one
