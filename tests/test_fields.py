@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -637,7 +638,7 @@ def test_table_arithmetic_allocates_no_element(monkeypatch):
 
     monkeypatch.setattr(fields.FFElement, "__init__", forbidden)
     monkeypatch.setattr(fields, "_tuple_mul", forbidden)
-    monkeypatch.setattr(fields, "_pgcd_ext", forbidden)
+    monkeypatch.setattr(fields, "_tuple_inverse", forbidden)
     for a in elems:
         -a
         a ** 5
@@ -715,3 +716,55 @@ def test_powers_above_the_cap_match_repeated_products(pk):
                 expected = expected * base
             assert (a ** n).coeffs == expected.coeffs, (a, n)
         assert a ** (F.order - 1) == one
+
+
+# -- residues off the tables: one fold, one extended Euclid, pow over GF(p) --
+
+
+@pytest.mark.parametrize("pk", [(4099, 1), (17, 3), (10007, 2), (3, 9)])
+def test_inverses_above_the_cap_match_schoolbook_reference(pk):
+    F = gf_construct(*pk)
+    assert F.order > fields._TABLE_ORDER_CAP
+    p, k = pk
+    one = F.one().coeffs
+    rng = random.Random(F.order)
+    for _ in range(200):
+        a = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
+        if a:
+            inv = a.inverse()
+            assert inv._t is None and all(0 <= c < p for c in inv.coeffs)
+            assert _reference_mul(a.coeffs, inv.coeffs, F) == one, a
+    with pytest.raises(ZeroDivisionError):
+        F.zero().inverse()
+
+
+def test_residue_inverse_is_none_off_the_units():
+    p = 7
+    mod = (2, 4, 1)  # (t - 1)(t - 2) over Z/7
+    assert fields._tuple_inverse((0, 0), mod, p) is None
+    assert fields._tuple_inverse((6, 1), mod, p) is None  # t - 1
+    ring = SimpleNamespace(char=p, degree=2, modulus=mod)
+    inv = fields._tuple_inverse((0, 1), mod, p)  # t is a unit
+    assert _reference_mul((0, 1), inv, ring) == (1, 0)
+
+
+@pytest.mark.parametrize("pk", [(5, 2), (17, 3), (10007, 2), (3, 9)])
+def test_coerce_of_a_long_tuple_is_the_sum_of_its_terms(pk):
+    F = gf_construct(*pk)
+    p, k = pk
+    t = F.coerce((0, 1))
+    rng = random.Random(F.order)
+    for n in (k, k + 1, 2 * k, 3 * k + 2):
+        c = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(n))
+        expected = F.zero()
+        for i, ci in enumerate(c):
+            expected = expected + ci * t ** i
+        assert F.coerce(c) == expected, c
+
+
+@pytest.mark.parametrize("p", [2**127 - 1, 2**521 - 1, 10**18 + 3])
+def test_is_square_over_large_prime_fields_matches_legendre(p):
+    F = gf_construct(p, 1)
+    rng = random.Random(p)
+    for a in [1, -1, 2, 3, p - 2] + [rng.randrange(1, p) for _ in range(20)]:
+        assert is_square(a, F) == (legendre_symbol(a, p) == 1), a
