@@ -469,7 +469,7 @@ class FieldDesc:
             return _element(self, _fold(coeffs, self.modulus, self.char))
         if isinstance(value, FFElement):
             raise ValueError(f"cannot coerce {value!r} into {self}")
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def elements(self):
         """Iterate all field elements (finite fields only), deterministically."""

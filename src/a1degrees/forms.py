@@ -61,8 +61,8 @@ class GWClass:
         return len(self.gram)
 
     @functools.cached_property
-    def _elimination(self) -> tuple:  # (pivots, determinant)
-        return _eliminate(self.gram, self.field)[:2]
+    def _elimination(self) -> tuple:  # (pivots, determinant, lcm L)
+        return _eliminate(self.gram, self.field)[:3]
 
     @property
     def _pivots(self) -> tuple:
@@ -152,27 +152,51 @@ def multiply_gw(b1: GWClass, b2: GWClass) -> GWClass:
 
 
 def _eliminate(gram, field: FieldDesc, track: bool = False):
-    """Symmetric elimination: (pivots, det, columns of P or None).
+    """Symmetric elimination: (pivots, det, L, columns of P or None).
 
     P^T * gram * P is the diagonal of the pivots; P is tracked, by columns,
     only with ``track``.  det is the determinant of gram: the product of the
-    pivots times g^2 for each hyperbolic plane's entry g.
+    pivots times g^2 for each hyperbolic plane's entry g.  L is the lcm of
+    the gram's denominators (1 over GF).
 
     Step i pivots on the (i, i) entry of the trailing block.  A zero there
     is swapped with the first nonzero diagonal entry after it; failing
     that, the first nonzero (i, j) spans a hyperbolic plane, re-based to
-    <1, -1>.  Only the upper triangle of the trailing Schur complement is
-    computed, and only where row i is nonzero; each value is mirrored.
+    <1, -1>.  Only the upper triangle of the trailing block is kept up to
+    date; a swap or a plane first mirrors it.
+
+    Over GF(q) the Schur complement is computed in field arithmetic, only
+    where row i is nonzero.  Over QQ, RR and CC the trailing block is N / D,
+    an integer matrix N over one integer D, entering as N = L * gram over
+    D = L.  A step on p = N_ii whose row is nonzero past the diagonal sets
+    N_jk <- p * N_jk - N_ij * N_ik and D <- p * D (fraction-free, Bareiss
+    1968), then divides N and D by gcd(D, content(N)).  After that division
+    D is the lcm of the block's denominators, so the entries stay the size
+    of the true Schur complement's.  A step whose row is zero past the
+    diagonal leaves N and D as they are, so a diagonal class pays no
+    rescaling.  A plane with entries outside itself moves the block to
+    N / (2 * N_ij * D) first.  The pivot is Fraction(p, D); det is kept as
+    an integer numerator and denominator, made into a Fraction once.
     """
     n = len(gram)
-    one, zero = field.one(), field.zero()
-    G = [list(row) for row in gram]
+    gf = field.kind == "GF"
+    if gf or track:  # field scalars, for GF arithmetic and the columns of P
+        one, zero = field.one(), field.zero()
+    if gf:
+        lcd, G, det = 1, [list(row) for row in gram], one
+    else:
+        lcd = lcm(*(c.denominator for row in gram for c in row))
+        G = [[c.numerator * (lcd // c.denominator) for c in row]
+             for row in gram]
+        D, det, den = lcd, 1, 1
     cols = None
     if track:  # P by columns: every basis change is a column operation
         cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
-    pivots, det = [], one
+    pivots = []
     for i in range(n):
         if not G[i][i]:
+            for r in range(i + 1, n):
+                G[r][i:r] = [G[c][r] for c in range(i, r)]
             j = next((j for j in range(i + 1, n) if G[j][j]), None)
             if j is not None:
                 G[i], G[j] = G[j], G[i]
@@ -185,33 +209,75 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
                 if j is None:
                     raise ValueError("degenerate form")
                 # e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j gives <1, -1>
-                det *= G[i][j] * G[i][j]
-                alpha = one / (field.coerce(2) * G[i][j])
-                ri, rj = G[i], G[j]
-                for c in range(i + 1, n):
-                    a, b = ri[c], rj[c]
-                    ri[c] = G[c][i] = alpha * a + b
-                    rj[c] = G[c][j] = alpha * a - b
-                # the plane itself is exactly <1, -1>
-                ri[i], ri[j], rj[i], rj[j] = one, zero, zero, -one
+                g = G[i][j]
+                det *= g * g
+                if gf:
+                    u, v, nil = one / (field.coerce(2) * g), one, zero
+                else:  # over 2g * D, where alpha = D / 2g
+                    den *= D * D
+                    u, v, nil = D, 2 * g, 0
+                ri = [u * x + v * y for x, y in zip(G[i][i:], G[j][i:])]
+                rj = [u * x - v * y for x, y in zip(G[i][i:], G[j][i:])]
+                k = j - i
+                ri[0] = ri[k] = rj[0] = rj[k] = nil
+                rescale = not gf and (any(ri) or any(rj))
+                if rescale:
+                    for r in range(i + 1, n):
+                        G[r][r:] = [v * x for x in G[r][r:]]
+                    D *= v
+                ri[0] = one if gf else D  # the plane itself is <1, -1>
+                rj[k] = -ri[0]
+                G[i][i:], G[j][i:] = ri, rj
+                for c in range(i + 1, j):
+                    G[c][j] = rj[c - i]
+                if rescale:
+                    D = _divide_content(G, i, D)
                 if track:
+                    alpha = u if gf else Fraction(u, v)
                     ci, cj = cols[i], cols[j]
                     cols[i] = [alpha * a + b for a, b in zip(ci, cj)]
                     cols[j] = [alpha * a - b for a, b in zip(ci, cj)]
         row = G[i]
         d = row[i]
-        pivots.append(d)
         det *= d
-        inv = one / d
         support = [j for j in range(i + 1, n) if row[j]]
-        for t, j in enumerate(support):
-            f = row[j] * inv
-            rj = G[j]
-            for k in support[t:]:
-                rj[k] = G[k][j] = rj[k] - f * row[k]
-            if track:
-                cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
-    return tuple(pivots), det, cols
+        if gf:
+            pivots.append(d)
+            inv = one / d
+            for t, j in enumerate(support):
+                f = row[j] * inv
+                rj = G[j]
+                for k in support[t:]:
+                    rj[k] = rj[k] - f * row[k]
+        else:
+            pivots.append(Fraction(d, D))
+            den *= D
+            if support:
+                for j in range(i + 1, n):
+                    a, tail = row[j], G[j][j:]
+                    G[j][j:] = ([d * x - a * y for x, y in zip(tail, row[j:])]
+                                if a else [d * x for x in tail])
+                D = _divide_content(G, i + 1, d * D)
+        if track:
+            ci = cols[i]
+            for j in support:
+                f = row[j] * inv if gf else Fraction(row[j], d)
+                cols[j] = [a - f * b for a, b in zip(cols[j], ci)]
+    return tuple(pivots), (det if gf else Fraction(det, den)), lcd, cols
+
+
+def _divide_content(G, start: int, D: int) -> int:
+    """Divide the upper triangle's rows from ``start`` and D by their common
+    gcd; return the new D."""
+    g = D
+    for r in range(start, len(G)):
+        if g == 1:
+            return D
+        g = gcd(g, *G[r][r:])
+    if g != 1:
+        for r in range(start, len(G)):
+            G[r][r:] = [x // g for x in G[r][r:]]
+    return D // g
 
 
 def diagonalize(beta: GWClass):
@@ -223,7 +289,7 @@ def diagonalize(beta: GWClass):
     """
     F = beta.field
     n = beta.rank
-    pivots, _, cols = _eliminate(beta.gram, F, track=True)
+    pivots, _, _, cols = _eliminate(beta.gram, F, track=True)
     diag = beta._diagonal
     if F.kind != "GF":
         # Tracking adds only column operations: the pivots are beta's.
@@ -427,8 +493,7 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     if "_square_classes" in beta.__dict__:  # the printed entries' primes
         primes = set().union(*(ps for _, ps in beta._square_classes))
     else:  # L^2 * gram is unimodular at odd p prime to L * num(det)
-        lcd = lcm(*(c.denominator for row in beta.gram for c in row))
-        primes = fields.factorize(lcd * det.numerator)
+        primes = fields.factorize(beta._elimination[2] * det.numerator)
     primes = sorted({2, *primes})
     hasse_witt = dict.fromkeys(primes, 1)
     d = 1

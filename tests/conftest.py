@@ -10,6 +10,7 @@ by brute-force vector enumeration.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def _rotate(mask: int, shift: int, width: int) -> int:
@@ -69,6 +70,19 @@ def gf_isotropy_oracle(entries, q: int) -> bool:
 
 HILBERT_CORPUS = [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 10, -10, 15, -15, 30, -30]
 HILBERT_PRIMES = [2, 3, 5, 7]
+
+
+def count_fraction_arithmetic(monkeypatch) -> list:
+    """Record the name of every Fraction + - * / call until the patch is
+    undone."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        def counting(self, other, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(Fraction, name, counting)
+    return calls
 
 
 # one line per acceptance criterion, echoed after the test run

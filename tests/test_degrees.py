@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_fraction_arithmetic
+
 from a1degrees import degrees, poly
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
@@ -180,14 +182,7 @@ def test_qq_kernel_does_no_fraction_arithmetic(monkeypatch):
     bez = bezoutian_matrix(integral)
     expected = bezoutian_matrix(f).determinant()
     g = ring.from_string("x^3*y - 5*x*z^2 + 7*y - 1")
-    calls = []
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__"):
-        def counting(self, other, _name=name, _original=getattr(Fraction, name)):
-            calls.append(_name)
-            return _original(self, other)
-        monkeypatch.setattr(Fraction, name, counting)
-
+    calls = count_fraction_arithmetic(monkeypatch)
     G = groebner_basis(Ideal(ring, f.polys))
     assert calls == []
     det = bez.determinant()
@@ -200,6 +195,34 @@ def test_qq_kernel_does_no_fraction_arithmetic(monkeypatch):
     assert det == expected and all(type(c) is int for c in det.terms.values())
     assert len(G.basis) > 1 and remainder
     assert normal_form(g - remainder, G).is_zero()
+
+
+@pytest.mark.parametrize("p", [101, 103])
+def test_rational_gram_reduces_to_the_gf_gram(monkeypatch, p):
+    """Reduction mod p commutes with the global degree of an integer system.
+
+    The QQ Gram reduced mod p is the GF(p) Gram of the same system, entry
+    for entry, and so is the determinant of the classes.  A case is skipped
+    only where p divides a Gram denominator.
+    """
+    w = _workloads(monkeypatch)
+    F = gf_construct(p, 1)
+    cases = skipped = 0
+    for seed in range(30):
+        for shape in ((2, 2), (3, 2), (2, 2, 2)):
+            names = w._var_names(len(shape))
+            polys = [w.to_string(f, names) for f in w.random_system(
+                random.Random(seed), shape, top=3, low=3)]
+            beta = global_a1_degree(system(names, polys)[1])
+            gamma = global_a1_degree(system(names, polys, F)[1])
+            cases += 1
+            if any(c.denominator % p == 0 for row in beta.gram for c in row):
+                skipped += 1
+                continue
+            assert [[F.coerce(c) for c in row] for row in beta.gram] == \
+                [list(row) for row in gamma.gram]
+            assert F.coerce(beta._elimination[1]) == gamma._elimination[1]
+    assert cases == 90 and skipped <= 9, skipped
 
 
 def test_endo_system_must_be_square():

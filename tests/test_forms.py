@@ -7,10 +7,12 @@ from math import prod
 
 import pytest
 
-from conftest import (HILBERT_CORPUS, HILBERT_PRIMES, hilbert_oracle,
+from conftest import (HILBERT_CORPUS, HILBERT_PRIMES,
+                      count_fraction_arithmetic, hilbert_oracle,
                       real_hilbert_symbol)
 
 from a1degrees import fields, forms
+from a1degrees.degrees import EndoSystem, global_a1_degree
 from a1degrees.fields import (CC, QQ, RR, gf_construct, is_square,
                               odd_prime_support, squarefree_part)
 from a1degrees.forms import (add_gw, base_change, diagonalize,
@@ -20,7 +22,7 @@ from a1degrees.forms import (add_gw, base_change, diagonalize,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class, make_hyperbolic_form,
                              make_pfister_form, multiply_gw)
-from a1degrees.poly import determinant
+from a1degrees.poly import PolyRing, determinant
 
 
 def diag(entries, field=QQ):
@@ -244,19 +246,95 @@ def test_elimination_returns_the_determinant(field):
             assert make_gw_class(m, field)._elimination[1] == det
 
 
+# A zero-diagonal Gram: its elimination re-bases the plane on the entry 6.
+HIDDEN_PRIME_PLANE = [[0, 6, 2, Fraction(2, 5)], [6, 0, Fraction(7, 2), 1],
+                      [2, Fraction(7, 2), 0, 15], [Fraction(2, 5), 1, 15, 0]]
+
+
 def test_record_reads_primes_a_hyperbolic_plane_hides():
-    # Re-basing the zero-diagonal plane on the entry 6 divides the pivots'
-    # product by 36, so 3 divides the determinant but not that product.
-    # Hasse-Witt at 3 is -1 all the same.
-    h = Fraction(1, 2)
-    gram = [[0, 6, 2, Fraction(2, 5)], [6, 0, 7 * h, 1],
-            [2, 7 * h, 0, 15], [Fraction(2, 5), 1, 15, 0]]
+    # Re-basing the plane on the entry 6 divides the pivots' product by 36,
+    # so 3 divides the determinant but not that product.  Hasse-Witt at 3
+    # is -1 all the same.
+    gram = HIDDEN_PRIME_PLANE
     beta = make_gw_class(gram, QQ)
     assert prod(beta._pivots).numerator % 3 != 0
     assert beta._elimination[1] == determinant(gram, QQ)
     entries = make_gw_class(gram, QQ).diagonal_entries()
     assert _pairwise_hasse_witt(entries, 3) == -1
     assert get_invariants(beta).hasse_witt[3] == -1
+
+
+# The system random_system(Random(0), (3, 3), top=3, low=3) of
+# perfbench/workloads.py: its Gram has rank 9, 28 non-integer entries and
+# four zero diagonal entries.
+RANK9_SYSTEM = ("x^3 - 3*x^2*y + 3*x*y^2 - y^3 - 3*x^2 + 2*x*y + 4*x - y",
+                "-x^3 - 3*x^2*y + 3*x*y^2 - y^3 + 5*x^2 - 7*x*y + 2*y^2 + x"
+                " - 3*y + 1")
+
+
+@pytest.mark.parametrize("gram", [
+    lambda: global_a1_degree(EndoSystem.of(PolyRing(QQ, ("x", "y")),
+                                           *RANK9_SYSTEM)).gram,
+    lambda: HIDDEN_PRIME_PLANE,
+], ids=["degree", "plane"])
+def test_rational_elimination_does_no_fraction_arithmetic(monkeypatch, gram):
+    # The Gram enters as integers over one denominator: the only Fractions
+    # built are the pivots and the determinant.
+    gram = [[QQ.coerce(c) for c in row] for row in gram()]
+    calls = count_fraction_arithmetic(monkeypatch)
+    made = []
+    original = Fraction.__new__
+
+    def constructing(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", constructing)
+    beta = make_gw_class(gram, QQ)
+    assert calls == []
+    assert len(made) == beta.rank + 1
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert calls == ["__add__"]  # the counters do see Fraction arithmetic
+    monkeypatch.undo()
+    assert beta._elimination[1] == determinant(gram, QQ)
+
+
+def test_pivots_are_ratios_of_leading_minors():
+    # With every leading principal minor Delta_k nonzero no step swaps, and
+    # pivot k is Delta_k / Delta_{k-1}.  Ranks 7-16, past the other oracles.
+    rng = random.Random("leading minors")
+    rank = 7
+    while rank <= 16:
+        m = [[Fraction(0)] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                if i == j or rng.random() < 0.7:
+                    m[i][j] = m[j][i] = Fraction(
+                        rng.choice([c for c in range(-9, 10) if c]),
+                        rng.choice([1, 2, 3, 4, 5, 7, 9]))
+        minors = [determinant([row[:k] for row in m[:k]], QQ)
+                  for k in range(1, rank + 1)]
+        if not all(minors):
+            continue
+        beta = make_gw_class(m, QQ)
+        assert beta._pivots == tuple(
+            b / a for a, b in zip([Fraction(1)] + minors, minors))
+        assert beta._elimination[1] == minors[-1]
+        rank += 1
+
+
+def test_zero_diagonal_elimination_at_rank_ten():
+    # Every step that meets a zero trailing diagonal re-bases a plane with
+    # entries outside it, so the block moves to a new denominator.
+    rng = random.Random("zero diagonal rank 10")
+    while True:
+        m = random_symmetric(rng, 10, QQ, "zero")
+        det = determinant(m, QQ)
+        if det:
+            break
+    beta = make_gw_class(m, QQ)
+    assert beta._elimination[1] == det
+    assert congruence_holds(beta)
 
 
 # -- invariants --------------------------------------------------------------
