@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -159,111 +160,102 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     pivots times g^2 for each hyperbolic plane's entry g.  L is the lcm of
     the gram's denominators (1 over GF).
 
-    Step i pivots on the (i, i) entry of the trailing block.  A zero there
-    is swapped with the first nonzero diagonal entry after it; failing
-    that, the first nonzero (i, j) spans a hyperbolic plane, re-based to
-    <1, -1>.  Only the upper triangle of the trailing block is kept up to
-    date; a swap or a plane first mirrors it.
+    The trailing block is N / D, a matrix N over one scalar D, over every
+    field.  Over GF(q) N enters as the gram itself over D = 1; over QQ, RR
+    and CC as the integer matrix N = L * gram over D = L.  Only the upper
+    triangle is kept up to date; a swap or a plane first mirrors it.
 
-    Over GF(q) the Schur complement is computed in field arithmetic, only
-    where row i is nonzero.  Over QQ, RR and CC the trailing block is N / D,
-    an integer matrix N over one integer D, entering as N = L * gram over
-    D = L.  A step on p = N_ii whose row is nonzero past the diagonal sets
-    N_jk <- p * N_jk - N_ij * N_ik and D <- p * D (fraction-free, Bareiss
-    1968), then divides N and D by gcd(D, content(N)).  After that division
-    D is the lcm of the block's denominators, so the entries stay the size
-    of the true Schur complement's.  A step whose row is zero past the
-    diagonal leaves N and D as they are, so a diagonal class pays no
-    rescaling.  A plane with entries outside itself moves the block to
-    N / (2 * N_ij * D) first.  The pivot is Fraction(p, D); det is kept as
-    an integer numerator and denominator, made into a Fraction once.
+    Step i pivots on p = N_ii, and the pivot is p / D.  A step whose row is
+    nonzero past the diagonal sets N_jk <- p * N_jk - N_ij * N_ik and
+    D <- p * D (fraction-free, Bareiss 1968); one whose row is zero there
+    leaves N and D alone, so a diagonal class pays no rescaling.  A zero
+    p is swapped with the first nonzero diagonal entry after it; failing
+    that, the first nonzero g = N_ij spans a hyperbolic plane, re-based by
+    e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j with alpha = D / 2g.  Its
+    rows become D * row_i +- 2g * row_j over 2g * D; if they have entries
+    outside the plane the block moves to that denominator, and the plane
+    itself is <D, -D> / D = <1, -1>.
+
+    Three things depend on the domain: how the entries enter; the division
+    that makes the pivots, det (a numerator over a denominator until the
+    end) and the columns of P (Fraction over the integers, the field's own
+    over GF); and, over the integers, dividing N and D by gcd(D, content(N))
+    after each rescaling.  That keeps D the lcm of the block's denominators,
+    so the entries stay the size of the true Schur complement's.
     """
     n = len(gram)
-    gf = field.kind == "GF"
-    if gf or track:  # field scalars, for GF arithmetic and the columns of P
-        one, zero = field.one(), field.zero()
-    if gf:
-        lcd, G, det = 1, [list(row) for row in gram], one
+    if field.kind == "GF":  # a field has no content to divide
+        lcd, div, divide_content = 1, operator.truediv, lambda N, start, D: D
+        N = [list(row) for row in gram]
+        D = det = den = field.one()
     else:
         lcd = lcm(*(c.denominator for row in gram for c in row))
-        G = [[c.numerator * (lcd // c.denominator) for c in row]
+        div, divide_content = Fraction, _divide_content
+        N = [[c.numerator * (lcd // c.denominator) for c in row]
              for row in gram]
         D, det, den = lcd, 1, 1
     cols = None
     if track:  # P by columns: every basis change is a column operation
+        one, zero = field.one(), field.zero()
         cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
     pivots = []
     for i in range(n):
-        if not G[i][i]:
+        if not N[i][i]:
             for r in range(i + 1, n):
-                G[r][i:r] = [G[c][r] for c in range(i, r)]
-            j = next((j for j in range(i + 1, n) if G[j][j]), None)
+                N[r][i:r] = [N[c][r] for c in range(i, r)]
+            j = next((j for j in range(i + 1, n) if N[j][j]), None)
             if j is not None:
-                G[i], G[j] = G[j], G[i]
-                for row in G[i:]:
+                N[i], N[j] = N[j], N[i]
+                for row in N[i:]:
                     row[i], row[j] = row[j], row[i]
                 if track:
                     cols[i], cols[j] = cols[j], cols[i]
             else:
-                j = next((j for j in range(i + 1, n) if G[i][j]), None)
+                j = next((j for j in range(i + 1, n) if N[i][j]), None)
                 if j is None:
                     raise ValueError("degenerate form")
-                # e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j gives <1, -1>
-                g = G[i][j]
+                g = N[i][j]
                 det *= g * g
-                if gf:
-                    u, v, nil = one / (field.coerce(2) * g), one, zero
-                else:  # over 2g * D, where alpha = D / 2g
-                    den *= D * D
-                    u, v, nil = D, 2 * g, 0
-                ri = [u * x + v * y for x, y in zip(G[i][i:], G[j][i:])]
-                rj = [u * x - v * y for x, y in zip(G[i][i:], G[j][i:])]
+                den *= D * D
+                u, v = D, 2 * g
+                ri = [u * x + v * y for x, y in zip(N[i][i:], N[j][i:])]
+                rj = [u * x - v * y for x, y in zip(N[i][i:], N[j][i:])]
                 k = j - i
-                ri[0] = ri[k] = rj[0] = rj[k] = nil
-                rescale = not gf and (any(ri) or any(rj))
+                ri[0] = ri[k] = rj[0] = rj[k] = N[i][i]  # zero
+                rescale = any(ri) or any(rj)  # entries outside the plane
                 if rescale:
                     for r in range(i + 1, n):
-                        G[r][r:] = [v * x for x in G[r][r:]]
+                        N[r][r:] = [v * x for x in N[r][r:]]
                     D *= v
-                ri[0] = one if gf else D  # the plane itself is <1, -1>
-                rj[k] = -ri[0]
-                G[i][i:], G[j][i:] = ri, rj
+                ri[0], rj[k] = D, -D
+                N[i][i:], N[j][i:] = ri, rj
                 for c in range(i + 1, j):
-                    G[c][j] = rj[c - i]
+                    N[c][j] = rj[c - i]
                 if rescale:
-                    D = _divide_content(G, i, D)
+                    D = divide_content(N, i, D)
                 if track:
-                    alpha = u if gf else Fraction(u, v)
+                    alpha = div(u, v)
                     ci, cj = cols[i], cols[j]
                     cols[i] = [alpha * a + b for a, b in zip(ci, cj)]
                     cols[j] = [alpha * a - b for a, b in zip(ci, cj)]
-        row = G[i]
-        d = row[i]
-        det *= d
+        row = N[i]
+        p = row[i]
+        det *= p
+        den *= D
+        pivots.append(div(p, D))
         support = [j for j in range(i + 1, n) if row[j]]
-        if gf:
-            pivots.append(d)
-            inv = one / d
-            for t, j in enumerate(support):
-                f = row[j] * inv
-                rj = G[j]
-                for k in support[t:]:
-                    rj[k] = rj[k] - f * row[k]
-        else:
-            pivots.append(Fraction(d, D))
-            den *= D
-            if support:
-                for j in range(i + 1, n):
-                    a, tail = row[j], G[j][j:]
-                    G[j][j:] = ([d * x - a * y for x, y in zip(tail, row[j:])]
-                                if a else [d * x for x in tail])
-                D = _divide_content(G, i + 1, d * D)
+        if support:
+            for j in range(i + 1, n):
+                a, tail = row[j], N[j][j:]
+                N[j][j:] = ([p * x - a * y for x, y in zip(tail, row[j:])]
+                            if a else [p * x for x in tail])
+            D = divide_content(N, i + 1, p * D)
         if track:
             ci = cols[i]
             for j in support:
-                f = row[j] * inv if gf else Fraction(row[j], d)
+                f = div(row[j], p)
                 cols[j] = [a - f * b for a, b in zip(cols[j], ci)]
-    return tuple(pivots), (det if gf else Fraction(det, den)), lcd, cols
+    return tuple(pivots), div(det, den), lcd, cols
 
 
 def _divide_content(G, start: int, D: int) -> int:

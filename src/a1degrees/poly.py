@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
 from .fields import FieldDesc, FFElement
 
@@ -49,6 +49,15 @@ __all__ = [
 # matrix has rank prod(deg f_i), so one huge literal would otherwise build
 # a huge power and then a huge Bezoutian before anything failed.
 MAX_EXPONENT = 1000
+
+# The most term products, len(a) * len(b) summed over every product and
+# power in one polynomial, the parser forms; it is checked before each
+# multiplication.  The exponent cap alone leaves the expansion unbounded:
+# on a 2-core Intel Xeon VM with Python 3.11 over QQ, (x+1)^1000 forms about
+# 416,000 products (0.5 s), (x+y+z+1)^32 968,000 (0.8 s), (x+y+z+1)^40
+# 2.0 million (1.7 s), (x+y+z+1)^48 7.3 million (5.9 s) and (x+y+z+1)^64
+# 44 million (46 s).
+MAX_PARSE_PRODUCTS = 10 ** 6
 
 
 class ParseError(ValueError):
@@ -233,20 +242,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            return Polynomial(self.ring, {tuple([x * n for x in e]): c ** n})
-        # Seeded by the first factor, not by one(): integer terms stay so.
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.ring.one() if result is None else result
+        return _power(self, n, mul)
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
@@ -459,6 +455,25 @@ def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
             out[e] = v
         elif e in out:
             del out[e]
+
+
+def _power(f: Polynomial, n: int, product) -> Polynomial:
+    """f ** n by repeated squaring, each product of two polynomials formed
+    by ``product``."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    if len(f.terms) == 1:
+        ((e, c),) = f.terms.items()
+        return Polynomial(f.ring, {tuple([x * n for x in e]): c ** n})
+    # Seeded by the first factor, not by one(): integer terms stay so.
+    result, base = None, f
+    while n:
+        if n & 1:
+            result = base if result is None else product(result, base)
+        n >>= 1
+        if n:
+            base = product(base, base)
+    return f.ring.one() if result is None else result
 
 
 def _mul_into(out: dict, a: dict, b: dict) -> None:
@@ -859,7 +874,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     """Over QQ the coefficients fold as ints and become Fractions once, at
     the end; over GF they are field elements from the start."""
     tokens = _tokenize(text)
-    pos = 0
+    pos = work = 0
     qq = ring.field.kind == "QQ"
     origin = (0,) * ring.nvars
 
@@ -874,6 +889,15 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         tok = tokens[pos]
         pos += 1
         return tok
+
+    def product(a, b, at):
+        nonlocal work
+        work += len(a.terms) * len(b.terms)
+        if work > MAX_PARSE_PRODUCTS:
+            raise ValueError(f"expanding the polynomial takes more than "
+                             f"{MAX_PARSE_PRODUCTS} term products (at "
+                             f"position {at})")
+        return a * b
 
     def parse_expr():
         kind, val, at = peek()
@@ -899,7 +923,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             kind, val, at = peek()
             if kind == "op" and val == "*":
                 advance()
-                node = node * parse_factor()
+                node = product(node, parse_factor(), at)
             elif kind in ("int", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", at)
             else:
@@ -920,7 +944,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError("exponent must be an integer literal", at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
-            node = node ** exp
+            node = _power(node, exp, lambda a, b: product(a, b, at))
         return node
 
     def parse_base():

@@ -459,6 +459,15 @@ def test_exponent_cap_is_a_parse_error(capsys):
                    f"{poly.MAX_EXPONENT} (at position 2)\n")
 
 
+def test_expansion_cap_is_an_error(capsys):
+    # Bezout number 64 passes its cap; expanding the power does not.
+    code, out, err = run(capsys, "degree", "global", "--field", "QQ",
+                         "--vars", "x,y,z", "--polys", "(x+y+z+1)^64; y; z")
+    assert (code, out) == (1, "")
+    assert err == ("error: expanding the polynomial takes more than "
+                   f"{poly.MAX_PARSE_PRODUCTS} term products (at position 10)\n")
+
+
 @pytest.mark.parametrize("names, polys, bezout", [
     ("x", f"x^{degrees.MAX_BEZOUT + 1} - 1", degrees.MAX_BEZOUT + 1),
     ("x,y", "x^12 - y; y^11 + x", 132),

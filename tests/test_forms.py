@@ -299,40 +299,52 @@ def test_rational_elimination_does_no_fraction_arithmetic(monkeypatch, gram):
     assert beta._elimination[1] == determinant(gram, QQ)
 
 
-def test_pivots_are_ratios_of_leading_minors():
+@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_pivots_are_ratios_of_leading_minors(field):
     # With every leading principal minor Delta_k nonzero no step swaps, and
     # pivot k is Delta_k / Delta_{k-1}.  Ranks 7-16, past the other oracles.
-    rng = random.Random("leading minors")
+    rng = random.Random("leading minors" if field == QQ else
+                        f"leading minors:{field}")
+    units = [a for a in field.elements() if a] if field.kind == "GF" else None
+
+    def draw():
+        if units:
+            return rng.choice(units)
+        return Fraction(rng.choice([c for c in range(-9, 10) if c]),
+                        rng.choice([1, 2, 3, 4, 5, 7, 9]))
+
     rank = 7
     while rank <= 16:
-        m = [[Fraction(0)] * rank for _ in range(rank)]
+        m = [[field.zero()] * rank for _ in range(rank)]
         for i in range(rank):
             for j in range(i, rank):
                 if i == j or rng.random() < 0.7:
-                    m[i][j] = m[j][i] = Fraction(
-                        rng.choice([c for c in range(-9, 10) if c]),
-                        rng.choice([1, 2, 3, 4, 5, 7, 9]))
-        minors = [determinant([row[:k] for row in m[:k]], QQ)
+                    m[i][j] = m[j][i] = draw()
+        minors = [determinant([row[:k] for row in m[:k]], field)
                   for k in range(1, rank + 1)]
         if not all(minors):
             continue
-        beta = make_gw_class(m, QQ)
+        beta = make_gw_class(m, field)
         assert beta._pivots == tuple(
-            b / a for a, b in zip([Fraction(1)] + minors, minors))
+            b / a for a, b in zip([field.one()] + minors, minors))
         assert beta._elimination[1] == minors[-1]
         rank += 1
 
 
-def test_zero_diagonal_elimination_at_rank_ten():
+@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_zero_diagonal_elimination_at_rank_ten(field):
     # Every step that meets a zero trailing diagonal re-bases a plane with
     # entries outside it, so the block moves to a new denominator.
-    rng = random.Random("zero diagonal rank 10")
+    rng = random.Random("zero diagonal rank 10" if field == QQ else
+                        f"zero diagonal rank 10:{field}")
     while True:
-        m = random_symmetric(rng, 10, QQ, "zero")
-        det = determinant(m, QQ)
+        m = random_symmetric(rng, 10, field, "zero")
+        det = determinant(m, field)
         if det:
             break
-    beta = make_gw_class(m, QQ)
+    beta = make_gw_class(m, field)
     assert beta._elimination[1] == det
     assert congruence_holds(beta)
 

@@ -94,6 +94,18 @@ def test_parser_caps_exponent_literals():
         assert info.value.position == at
 
 
+def test_parser_caps_expansion(monkeypatch):
+    R = ring("x", "y")
+    assert len(R.from_string("(x+1)^1000").terms) == 1001
+    monkeypatch.setattr(poly, "MAX_PARSE_PRODUCTS", 8)
+    assert R.from_string("(x + 1)*(y - 1)*2") == \
+        R.from_string("2*x*y - 2*x + 2*y - 2")
+    for text, at in (("(x + 1)*(y - 1)*(x - y)", 15), ("(x - y)^3", 8)):
+        with pytest.raises(ValueError, match="more than 8 term products "
+                                             f"\\(at position {at}\\)"):
+            R.from_string(text)
+
+
 PARSE_ERRORS = [
     ("2x + 1", "implicit multiplication is not allowed (at position 1)"),
     ("x^", "exponent must be an integer literal (at position 2)"),
