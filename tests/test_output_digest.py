@@ -26,3 +26,20 @@ def test_check_passes_on_recorded_outputs_and_fails_on_a_mismatch(
     tool.RECORDED = tampered
     assert tool.main(["--check", "decompose_qq"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_cli_deck_is_recorded_and_covers_the_unbenchmarked_subcommands(
+        capsys):
+    tool = _tool()
+    assert tool.main(["--check", "cli"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["cli", str(len(tool.CLI_DECK))], ["cli:pretty", str(len(tool.CLI_DECK))]]
+    assert all(line in tool.RECORDED.read_text().splitlines() for line in lines)
+    commands = {tuple(argv[:2]) for argv in tool.CLI_DECK}
+    assert {("form", "diagonalize"), ("form", "invariants"),
+            ("form", "anisotropic-part"), ("form", "isomorphic"),
+            ("form", "make"), ("symbol", "hilbert"),
+            ("basis", "local")} <= commands
+    statuses = {tool.run(argv)[0] for argv in tool.CLI_DECK}
+    assert statuses == {0, 1, 2}

@@ -5,15 +5,17 @@ For each workload this runs the operations of
 all) in one process and prints one sha256 over every operation's argv,
 exit code, stdout and stderr.  It then runs the same operations with
 ``--json`` removed and prints a second line, ``<workload>:pretty``, for the
-pretty format.  Two checkouts print the same lines exactly when their
-outputs are byte-identical on those operations, in both formats.
+pretty format.  The deck ``cli``, the fixed queries of ``CLI_DECK``, covers
+the subcommands no workload runs the same way.  Two checkouts print the
+same lines exactly when their outputs are byte-identical on those
+operations, in both formats.
 
 Usage, from the root of a checkout::
 
-    python3 tools/output_digest.py [--check] [workload ...]
+    python3 tools/output_digest.py [--check] [workload | cli ...]
 
 With ``--check`` each printed line is compared with the line of the same
-key (workload or ``<workload>:pretty``) in ``tools/output_digests.txt``,
+key (deck or ``<deck>:pretty``) in ``tools/output_digests.txt``,
 the checked-in digests, and the exit code is 1 if any differs: a change
 that must not alter any output passes with that file unchanged.
 
@@ -39,6 +41,65 @@ from a1degrees import cli  # noqa: E402
 DECKS = ((7, 60), (11, 120))
 RECORDED = ROOT / "tools" / "output_digests.txt"
 
+# Fixed queries for the subcommands no workload runs, and for the degree
+# commands' --base-change and error paths.  Argparse rejections are left
+# out: their wording differs between Python versions.
+_FIELD_SYSTEM = ["--vars", "x,y", "--polys", "x^2 - y^3; y^2 - x^3"]
+CLI_DECK = [
+    ["form", "diagonalize", "--field", "QQ", "--matrix", "[[1,3],[3,7]]",
+     "--json"],
+    ["form", "diagonalize", "--field", "QQ", "--matrix",
+     "[[0,2,1],[2,0,3],[1,3,0]]", "--json"],
+    ["form", "diagonalize", "--field", "QQ", "--diag", "1/2,-3/4,5", "--json"],
+    ["form", "diagonalize", "--field", "GF(9)", "--matrix",
+     "[[0,2,1],[2,0,1],[1,1,0]]", "--json"],
+    ["form", "diagonalize", "--field", "GF(7)", "--diag", "3,5", "--json"],
+    ["form", "invariants", "--field", "QQ", "--matrix",
+     "[[2,3,1],[3,7,5],[1,5,11]]", "--json"],
+    ["form", "invariants", "--field", "QQ", "--diag", "1/3,-2,6/5", "--json"],
+    ["form", "invariants", "--field", "GF(25)", "--matrix", "[[0,1],[1,0]]",
+     "--json"],
+    ["form", "invariants", "--field", "QQ", "--matrix", "[[1,2],[2,4]]",
+     "--json"],
+    ["form", "invariants", "--field", "GF(6)", "--diag", "1,2", "--json"],
+    ["form", "invariants", "--field", "ZZ", "--diag", "1,2", "--json"],
+    ["form", "anisotropic-part", "--field", "QQ", "--diag", "1,-1,2,3",
+     "--json"],
+    ["form", "anisotropic-part", "--field", "QQ", "--matrix",
+     "[[0,1,2],[1,0,3],[2,3,0]]", "--json"],
+    ["form", "anisotropic-part", "--field", "GF(7)", "--diag", "1,1,1",
+     "--json"],
+    ["form", "isomorphic", "--field", "QQ", "1,1", "2,2", "--json"],
+    ["form", "isomorphic", "--field", "QQ", "[[0,1],[1,0]]", "1,-1", "--json"],
+    ["form", "isomorphic", "--field", "QQ", "1,2", "1,3", "--json"],
+    ["form", "isomorphic", "--field", "GF(27)", "1,2", "1,1", "--json"],
+    ["form", "make", "diagonal", "--field", "QQ", "--entries", "1,-2/3",
+     "--json"],
+    ["form", "make", "hyperbolic", "--field", "GF(9)", "--rank", "4",
+     "--json"],
+    ["form", "make", "pfister", "--field", "QQ", "--entries", "2,3", "--json"],
+    ["form", "make", "hyperbolic", "--field", "QQ", "--rank", "3", "--json"],
+    ["form", "make", "diagonal", "--field", "QQ", "--json"],
+    ["symbol", "hilbert", "-1", "-1", "2", "--json"],
+    ["symbol", "hilbert", "1/2", "-3", "3", "--json"],
+    ["symbol", "hilbert", "5", "7", "4", "--json"],
+    ["basis", "local", "--field", "QQ", *_FIELD_SYSTEM, "--ideal", "x; y",
+     "--json"],
+    ["basis", "local", "--field", "GF(7)", *_FIELD_SYSTEM, "--ideal",
+     "x - 1; y - 1", "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
+     "x^4 - 5*x^2 + 4", "--base-change", "RR", "--json"],
+    ["degree", "local", "--field", "QQ", *_FIELD_SYSTEM, "--ideal", "x; y",
+     "--base-change", "CC", "--json"],
+    ["degree", "global", "--field", "GF(9)", "--vars", "x", "--polys",
+     "x^2 - 2", "--base-change", "RR", "--json"],
+    ["degree", "global", "--field", "RR", "--vars", "x", "--polys", "x^2 - 2",
+     "--json"],
+    ["form", "invariants", "--field", "GF(9)", "--diag", "1/2,2", "--json"],
+    ["basis", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x*y; x^2*y", "--ideal", "x; y", "--json"],
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
@@ -53,24 +114,32 @@ def run(argv) -> tuple:
     return status, out.getvalue(), err.getvalue()
 
 
-def digest(workload: str, pretty: bool = False) -> tuple[str, int]:
+def deck(name: str) -> list:
+    """The argv lists of one deck: ``cli`` or a workload's operations."""
+    if name == "cli":
+        return CLI_DECK
+    return [op.argv for seed, n in DECKS
+            for op in workloads.make_ops(name, seed, n)]
+
+
+def digest(name: str, pretty: bool = False) -> tuple[str, int]:
     h = hashlib.sha256()
-    count = 0
-    for seed, n in DECKS:
-        for op in workloads.make_ops(workload, seed, n):
-            argv = [a for a in op.argv if a != "--json"] if pretty else op.argv
-            status, out, err = run(argv)
-            for part in (repr(argv), repr(status), out, err):
-                h.update(part.encode())
-                h.update(b"\0")
-            count += 1
-    return h.hexdigest(), count
+    argvs = deck(name)
+    for argv in argvs:
+        if pretty:
+            argv = [a for a in argv if a != "--json"]
+        status, out, err = run(argv)
+        for part in (repr(argv), repr(status), out, err):
+            h.update(part.encode())
+            h.update(b"\0")
+    return h.hexdigest(), len(argvs)
 
 
 def main(argv=None) -> int:
     args = list(argv if argv is not None else sys.argv[1:])
     check = "--check" in args
-    names = [a for a in args if a != "--check"] or list(workloads.WORKLOADS)
+    names = [a for a in args if a != "--check"] or [*workloads.WORKLOADS,
+                                                      "cli"]
     recorded = {line.split()[0]: line for line in
                 RECORDED.read_text().splitlines()} if check else {}
     status = 0
