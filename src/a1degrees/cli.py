@@ -331,7 +331,7 @@ def _point_ideal(ring, args):
 
 
 def _emit_degree(args, beta):
-    if getattr(args, "base_change", None):
+    if args.base_change:
         beta = forms.base_change(beta, parse_field(args.base_change))
     emit(args, lambda: [str(beta), f"rank: {beta.rank}"],
          lambda: gwclass_to_json(beta))
@@ -378,7 +378,6 @@ def _add_system(parser, with_ideal):
     if with_ideal:
         parser.add_argument("--ideal", required=True,
                             help="generators of the point's maximal ideal")
-    parser.add_argument("--base-change", choices=["RR", "CC"], dest="base_change")
     parser.add_argument("--json", action="store_true")
 
 
@@ -422,12 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     degree = sub.add_parser("degree", help="A1-Brouwer degrees")
     dsub = degree.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("global")
-    _add_system(p, with_ideal=False)
-    p.set_defaults(handler=cmd_degree_global)
-    p = dsub.add_parser("local")
-    _add_system(p, with_ideal=True)
-    p.set_defaults(handler=cmd_degree_local)
+    for name, handler in [("global", cmd_degree_global),
+                          ("local", cmd_degree_local)]:
+        p = dsub.add_parser(name)
+        _add_system(p, with_ideal=name == "local")
+        p.add_argument("--base-change", choices=["RR", "CC"],
+                       dest="base_change")
+        p.set_defaults(handler=handler)
 
     basis = sub.add_parser("basis", help="local algebra bases")
     bsub = basis.add_subparsers(dest="subcommand", required=True)

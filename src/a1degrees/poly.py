@@ -50,13 +50,18 @@ __all__ = [
 # a huge power and then a huge Bezoutian before anything failed.
 MAX_EXPONENT = 1000
 
-# The most term products, len(a) * len(b) summed over every product and
-# power in one polynomial, the parser forms; it is checked before each
-# multiplication.  The exponent cap alone leaves the expansion unbounded:
-# on a 2-core Intel Xeon VM with Python 3.11 over QQ, (x+1)^1000 forms about
-# 416,000 products (0.5 s), (x+y+z+1)^32 968,000 (0.8 s), (x+y+z+1)^40
-# 2.0 million (1.7 s), (x+y+z+1)^48 7.3 million (5.9 s) and (x+y+z+1)^64
-# 44 million (46 s).
+# The most term products the parser forms in one polynomial, summed over
+# every product and power and checked before each multiplication.  A product
+# of a and b forms len(a) * len(b) of them, each weighted 1 + wa * wb // 128,
+# wa and wb the sizes of a's and b's widest coefficients in 64-bit words (at
+# least 1, and 1 over GF, where the field fixes the size): about 128 word
+# products cost as much as the rest of one term product.  The exponent cap
+# alone leaves the expansion unbounded.  On a 2-core Intel Xeon VM with
+# Python 3.11 over QQ, (x+1)^1000 forms about 416,000 (0.2 s; its widest
+# coefficients have 16 words), (x+y+z+1)^32 968,000 (0.4 s),
+# (x+y+z+1)^40 2.0 million (0.9 s) and (x+y+z+1)^48 7.3 million (3.1 s);
+# (1234567890123456789*x+1)^300 forms 3.0 million (0.3 s) and
+# (1234567890123456789*x+1)^1000 490 million (29 s).
 MAX_PARSE_PRODUCTS = 10 ** 6
 
 
@@ -326,9 +331,9 @@ class Polynomial:
 # Division.
 
 
-def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
-                  scale=None) -> dict:
-    """Remainder of multivariate division by `_prep_divisors` triples.
+def _reduce_terms(ring, fterms: dict, divisors, steps=None):
+    """(rem, s): multivariate division by `_prep_divisors` triples, with
+    s * fterms = rem + sum(q_i * divisor_i) for an int s, 1 over GF.
 
     Terms leave a heap in descending order.  Each monomial is pushed once,
     when it enters the work set; one that cancels keeps its entry with a
@@ -338,19 +343,17 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
     u is the divisor's leading coefficient, an int: 1 over GF, where
     every divisor is monic.  A term c that a divisor with u != 1 reduces
     is cleared by pseudo-division: with g = gcd(c, u), the work, the
-    remainder and the quotients so far are multiplied by u // g, and
-    (c // g) * shift * divisor is subtracted.  If those factors multiply to
-    s, then s * fterms = rem + sum(q_i * divisor_i), and s is multiplied
-    into scale[0].  Without `scale` the caller wants rem only up to a
-    constant and the quotients only for their monomials, so the quotients
-    are not rescaled.
+    remainder and s are multiplied by u // g, and (c // g) * shift *
+    divisor is subtracted.  With `steps`, each reduction appends
+    (i, shift, c, t), t the value of s at that step: q_i is the sum of
+    c * (s // t) * x^shift over divisor i's steps.
     """
     key = ring.key
     work = dict(fterms)
     heap = [(key(e), e) for e in work]
     heapify(heap)
     rem: dict = {}
-    scaled = (work, rem) if scale is None else (work, rem, *(quotients or ()))
+    s = 1
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m)
@@ -364,11 +367,10 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
                     c //= g
                     if g != u:
                         a = u // g
-                        for d in scaled:
+                        s *= a
+                        for d in (work, rem):
                             for e, v in d.items():
                                 d[e] = v * a
-                        if scale is not None:
-                            scale[0] *= a
                 neg = -c
                 for e2, c2 in tail:
                     e = tuple(map(add, shift, e2))
@@ -378,12 +380,12 @@ def _reduce_terms(ring, fterms: dict, divisors, quotients=None,
                         heappush(heap, (key(e), e))
                     else:
                         work[e] = v + neg * c2
-                if quotients is not None:
-                    quotients[di][shift] = c
+                if steps is not None:
+                    steps.append((di, shift, c, s))
                 break
         else:
             rem[m] = c
-    return rem
+    return rem, s
 
 
 def _prep_divisor(g):
@@ -433,14 +435,16 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if not f:
         return ring.zero()
-    # scale * f = q * (k * g), the divisor's triple, so f / g = q * k / scale.
+    # s * den * f = q * (k * g), the divisor's triple, so f / g is
+    # q * k / (den * s).
     k, divisor = _prep_divisor(g)
     den, f = f.clear_denominators()
-    quotients, scale = [{}], [den]
-    if _reduce_terms(ring, f.terms, [divisor], quotients, scale):
+    steps = []
+    rem, s = _reduce_terms(ring, f.terms, [divisor], steps)
+    if rem:
         raise ValueError("division is not exact")
     return Polynomial(ring, _public(ring.field, {
-        e: c * k for e, c in quotients[0].items()}, scale[0]))
+        shift: c * (s // t) * k for _, shift, c, t in steps}, den * s))
 
 
 def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
@@ -652,12 +656,11 @@ def _buchberger(ring: PolyRing, gens) -> list:
     def join(f, s) -> bool:
         """Add the nonzero remainder of the term dict f, sugar s raised by
         its reductions; True once the ideal is (1)."""
-        quotients = [{} for _ in prepped]
-        h = Polynomial(ring, _reduce_terms(ring, f, prepped, quotients))
+        steps = []
+        h = Polynomial(ring, _reduce_terms(ring, f, prepped, steps)[0])
         if h.is_constant():
             return bool(h)
-        update(h, max([s] + [sugar[k] + sum(m) for k, q in enumerate(quotients)
-                             for m in q]))
+        update(h, max([s] + [sugar[i] + sum(m) for i, m, _, _ in steps]))
         return False
 
     if any(join(g.clear_denominators()[1].terms,
@@ -681,9 +684,8 @@ def _buchberger(ring: PolyRing, gens) -> list:
     reduced = []
     for lm, lc, tail in (prepped[i] for i in active):
         # lc scales with the tail; the content it gains goes again.
-        scale = [lc]
-        tail = _reduce_terms(ring, dict(tail), reduced, scale=scale)
-        lc = scale[0]
+        tail, scale = _reduce_terms(ring, dict(tail), reduced)
+        lc *= scale
         if lc != 1:
             g = gcd(lc, *tail.values())
             lc, tail = lc // g, {e: c // g for e, c in tail.items()}
@@ -708,9 +710,8 @@ def normal_form(f: Polynomial, G) -> Polynomial:
         raise ValueError("polynomial ring mismatch")
     # den * f reduces to rem with rem = (den * s) * (f mod G).
     den, f = f.clear_denominators()
-    scale = [den]
-    rem = _reduce_terms(ring, f.terms, _prep_divisors(polys), scale=scale)
-    return Polynomial(ring, _public(ring.field, rem, scale[0]))
+    rem, s = _reduce_terms(ring, f.terms, _prep_divisors(polys))
+    return Polynomial(ring, _public(ring.field, rem, den * s))
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +891,16 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         pos += 1
         return tok
 
+    def words(a):
+        """The size of a's widest coefficient in 64-bit words, at least 1."""
+        if not qq:
+            return 1
+        bits = max((abs(c).bit_length() for c in a.terms.values()), default=0)
+        return (bits + 63) // 64 or 1
+
     def product(a, b, at):
         nonlocal work
-        work += len(a.terms) * len(b.terms)
+        work += len(a.terms) * len(b.terms) * (1 + words(a) * words(b) // 128)
         if work > MAX_PARSE_PRODUCTS:
             raise ValueError(f"expanding the polynomial takes more than "
                              f"{MAX_PARSE_PRODUCTS} term products (at "

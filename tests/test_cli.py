@@ -468,6 +468,17 @@ def test_expansion_cap_is_an_error(capsys):
                    f"{poly.MAX_PARSE_PRODUCTS} term products (at position 10)\n")
 
 
+def test_expansion_cap_weighs_coefficients(capsys):
+    # degree local has no Bezout cap: the parser's bound is all there is.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "local", "--field", "QQ", "--vars",
+                         "x", "--polys", "(1234567890123456789*x+1)^1000",
+                         "--ideal", "x")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expanding the polynomial takes more than")
+
+
 @pytest.mark.parametrize("names, polys, bezout", [
     ("x", f"x^{degrees.MAX_BEZOUT + 1} - 1", degrees.MAX_BEZOUT + 1),
     ("x,y", "x^12 - y; y^11 + x", 132),
@@ -587,6 +598,34 @@ def test_base_change_flag(capsys):
                    "--polys", QUARTIC, "--base-change", "RR")
     assert obj["field"]["name"] == "RR"
     assert obj["signature"] == 0
+
+
+NO_ZEROS = ("--vars", "x,y", "--polys", "x*y - 1; x")
+
+
+@pytest.mark.parametrize("field, extra, expected", [
+    ("QQ", (), {"field": {"name": "QQ"}, "gram": [], "rank": 0,
+                "signature": 0, "hasse_witt": {"2": 1}}),
+    ("GF(7)", (), {"field": {"name": "GF(7)", "modulus": [0, 1]}, "gram": [],
+                   "rank": 0}),
+    ("QQ", ("--base-change", "RR"), {"field": {"name": "RR"}, "gram": [],
+                                     "rank": 0, "signature": 0}),
+])
+def test_rank_zero_degree(capsys, field, extra, expected):
+    argv = ("degree", "global", "--field", field, *NO_ZEROS, *extra)
+    assert run_json(capsys, *argv) == expected
+    code, out, err = run(capsys, *argv)
+    name = expected["field"]["name"]
+    assert (code, out, err) == (0, f"<empty form over {name}>\nrank: 0\n", "")
+
+
+def test_basis_local_has_no_base_change_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["basis", "local", "--field", "QQ", "--vars", "x", "--polys",
+                  "x^2", "--ideal", "x", "--base-change", "RR"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --base-change RR" in \
+        capsys.readouterr().err
 
 
 # -- one parser per process --------------------------------------------------

@@ -309,6 +309,14 @@ def test_rr_base_is_rejected_but_base_change_works():
     assert get_signature(real) == 0
 
 
+def test_a_system_without_zeros_has_the_rank_zero_degree():
+    # x*y - 1 and x have no common zero, so the local algebra is 0.
+    _, f = system(("x", "y"), ["x*y - 1", "x"])
+    beta = global_a1_degree(f)
+    assert (beta.rank, beta.gram, str(beta)) == (0, (), "<empty form over QQ>")
+    assert sum_decomposition(beta).display == "0"
+
+
 # -- multivariate systems ----------------------------------------------------
 
 

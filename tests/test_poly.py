@@ -106,6 +106,17 @@ def test_parser_caps_expansion(monkeypatch):
             R.from_string(text)
 
 
+def test_parser_caps_expansion_by_coefficient_size():
+    # As many term products as (x+1)^1000, but with a 61-bit coefficient
+    # they swell to about 490 million weighted ones.
+    R = PolyRing(QQ, ("x",))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="term products"):
+        R.from_string("(1234567890123456789*x+1)^1000")
+    assert time.perf_counter() - start < 2.0
+    assert len(R.from_string("(1234567890123456789*x+1)^200").terms) == 201
+
+
 PARSE_ERRORS = [
     ("2x + 1", "implicit multiplication is not allowed (at position 1)"),
     ("x^", "exponent must be an integer literal (at position 2)"),
@@ -322,6 +333,14 @@ def test_groebner_basis_of_a_swelling_elim1_ideal():
     assert elapsed < 1.5
 
 
+def quotients_of(steps, s, n):
+    """The n quotients of a `_reduce_terms` step log that ended at scale s."""
+    quotients = [{} for _ in range(n)]
+    for i, shift, c, t in steps:
+        quotients[i][shift] = c * (s // t)
+    return quotients
+
+
 @pytest.mark.parametrize("field", [QQ, gf_construct(5, 2), gf_construct(3, 3)],
                          ids=str)
 def test_division_identity_with_the_scale(field):
@@ -341,26 +360,29 @@ def test_division_identity_with_the_scale(field):
             f = Polynomial(R, {e: int(c) for e, c in f.terms.items()})
             gs = [with_denominators(g, rng) for g in gs]
         divisors = _prep_divisors(gs)
-        quotients, scale = [{} for _ in divisors], [1]
-        rem = Polynomial(R, _reduce_terms(R, f.terms, divisors, quotients,
-                                          scale))
+        steps = []
+        rem, scale = _reduce_terms(R, f.terms, divisors, steps)
+        rem = Polynomial(R, rem)
         total = rem
+        quotients = quotients_of(steps, scale, len(divisors))
         for (lm, u, tail), q, g in zip(divisors, quotients, gs):
             divisor = Polynomial(R, {lm: u, **dict(tail)})
             assert divisor * g.leading_coefficient() == g * u
             if not qq:
                 assert type(u) is int and u == 1
             total += Polynomial(R, q) * divisor
-        assert total == f * scale[0]
+        assert total == f * scale
         lms = [lm for lm, _, _ in divisors]
         assert not any(_divides(lm, e) for lm in lms for e in rem.terms)
-        scaled += scale[0] != 1
+        scaled += scale != 1
         # A constant multiple of a divisor prepares to the same triple.
         for c in units:
             prepared = _prep_divisors([c * g for g in gs])
-            again = [{} for _ in divisors], [1]
-            assert _reduce_terms(R, f.terms, prepared, *again) == rem.terms
-            assert again[1] == scale
+            assert prepared == divisors
+            again = []
+            assert _reduce_terms(R, f.terms, prepared, again) == \
+                (rem.terms, scale)
+            assert again == steps
             g = gs[0]
             assert exact_quotient(f * g, c * g) == f * (1 / c)
     assert scaled if qq else not scaled
@@ -631,11 +653,12 @@ def test_division_identity_over_extension_fields(q):
     for _ in range(4):
         f = random_dense(R, rng, 4)
         gs = [random_dense(R, rng, 2) for _ in range(3)]
-        quotients = [{} for _ in gs]
-        rem = Polynomial(R, _reduce_terms(R, f.terms, _prep_divisors(gs),
-                                          quotients))
+        steps = []
+        rem, s = _reduce_terms(R, f.terms, _prep_divisors(gs), steps)
+        assert s == 1
+        rem = Polynomial(R, rem)
         total = rem
-        for g, q_terms in zip(gs, quotients):
+        for g, q_terms in zip(gs, quotients_of(steps, s, len(gs))):
             total = total + Polynomial(R, q_terms) * \
                 (1 / g.leading_coefficient()) * g
         assert total == f
