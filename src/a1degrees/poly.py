@@ -435,16 +435,16 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if not f:
         return ring.zero()
-    # s * den * f = q * (k * g), the divisor's triple, so f / g is
-    # q * k / (den * s).
+    # den * f = q * (k * g), the divisor's triple, so f / g = q * k / den.
+    # Over QQ that triple is primitive, so by Gauss's lemma an exact
+    # division has an integral q and never rescales: its s is 1.
     k, divisor = _prep_divisor(g)
     den, f = f.clear_denominators()
     steps = []
-    rem, s = _reduce_terms(ring, f.terms, [divisor], steps)
-    if rem:
+    if _reduce_terms(ring, f.terms, [divisor], steps)[0]:
         raise ValueError("division is not exact")
     return Polynomial(ring, _public(ring.field, {
-        shift: c * (s // t) * k for _, shift, c, t in steps}, den * s))
+        shift: c * k for _, shift, c, _ in steps}, den))
 
 
 def _add_into(out: dict, terms: dict, negate: bool = False) -> None:

@@ -385,6 +385,9 @@ def test_division_identity_with_the_scale(field):
             assert again == steps
             g = gs[0]
             assert exact_quotient(f * g, c * g) == f * (1 / c)
+            # An exact division never rescales: exact_quotient relies on it.
+            product = (f * g).clear_denominators()[1].terms
+            assert _reduce_terms(R, product, prepared[:1]) == ({}, 1)
     assert scaled if qq else not scaled
 
 
