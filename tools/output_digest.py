@@ -44,7 +44,7 @@ RECORDED = ROOT / "tools" / "output_digests.txt"
 # Fixed queries for the subcommands no workload runs, and for the degree
 # commands' --base-change and error paths.  Argparse rejections are left
 # out: their wording differs between Python versions.
-_FIELD_SYSTEM = ["--vars", "x,y", "--polys", "x^2 - y^3; y^2 - x^3"]
+_SYSTEM = ["--vars", "x,y", "--polys", "x^2 - y^3; y^2 - x^3"]
 CLI_DECK = [
     ["form", "diagonalize", "--field", "QQ", "--matrix", "[[1,3],[3,7]]",
      "--json"],
@@ -83,13 +83,13 @@ CLI_DECK = [
     ["symbol", "hilbert", "-1", "-1", "2", "--json"],
     ["symbol", "hilbert", "1/2", "-3", "3", "--json"],
     ["symbol", "hilbert", "5", "7", "4", "--json"],
-    ["basis", "local", "--field", "QQ", *_FIELD_SYSTEM, "--ideal", "x; y",
+    ["basis", "local", "--field", "QQ", *_SYSTEM, "--ideal", "x; y",
      "--json"],
-    ["basis", "local", "--field", "GF(7)", *_FIELD_SYSTEM, "--ideal",
+    ["basis", "local", "--field", "GF(7)", *_SYSTEM, "--ideal",
      "x - 1; y - 1", "--json"],
     ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
      "x^4 - 5*x^2 + 4", "--base-change", "RR", "--json"],
-    ["degree", "local", "--field", "QQ", *_FIELD_SYSTEM, "--ideal", "x; y",
+    ["degree", "local", "--field", "QQ", *_SYSTEM, "--ideal", "x; y",
      "--base-change", "CC", "--json"],
     ["degree", "global", "--field", "GF(9)", "--vars", "x", "--polys",
      "x^2 - 2", "--base-change", "RR", "--json"],
