@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .forms import GWClass, empty_form, make_gw_class
+from .forms import MAX_MADE_RANK, GWClass, empty_form, make_gw_class
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, determinant,
                    groebner_basis, normal_form, standard_monomials)
 
@@ -186,11 +186,19 @@ def global_a1_degree(system: EndoSystem) -> GWClass:
 
 
 def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
-    """I + m^k at the first k where dim Q/(I + m^k) stops growing.
+    """The m-primary component of I, as the reduced basis of I + m^k.
 
-    Then m^k = m^(k+1) locally, so by Nakayama I + m^k is the m-primary
-    component of I.  Refined Bezout caps an isolated multiplicity at
-    prod(deg f_i); a larger dimension means the zeros are not isolated.
+    At a point of quotient dimension 1, m is maximal with residue field k,
+    and reducing the Jacobian entries modulo m evaluates them at p.  If
+    det J(p) is nonzero, the linear parts of the f_i span m/m^2, so
+    I + m^2 = m: the zero is simple and m's own basis is returned.
+    Otherwise (and at any point of larger dimension, which need not be
+    maximal) k grows until dim Q/(I + m^k) stops growing; then
+    m^k = m^(k+1) locally, so by Nakayama I + m^k is the component.
+    Refined Bezout caps an isolated multiplicity at prod(deg f_i); a larger
+    dimension means the zeros are not isolated.  A dimension above
+    forms.MAX_MADE_RANK is refused before the next basis, as the Gram
+    matrix of that rank would be.
     """
     ring = system.ring
     if point.ring != ring:
@@ -200,14 +208,21 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
         if normal_form(f, gb):
             raise ValueError("point not in zero locus")
     dim = len(standard_monomials(gb))
+    if dim == 1 and determinant(
+            [[normal_form(f.derivative(j), gb) for j in range(ring.nvars)]
+             for f in system.polys], ring):
+        return gb
     while True:
+        if dim > system.bezout_number:
+            raise ValueError("zeros are not isolated")
+        if dim > MAX_MADE_RANK:
+            raise ValueError(f"local rank is at least {dim}, more than "
+                             f"{MAX_MADE_RANK}")
         gb = groebner_basis(Ideal(ring, system.polys + tuple(
             g * m for g in gb.basis for m in point.generators)))
         grown = len(standard_monomials(gb))
         if grown == dim:
             return gb
-        if grown > system.bezout_number:
-            raise ValueError("zeros are not isolated")
         dim = grown
 
 

@@ -242,18 +242,20 @@ def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
     assert calls == [obj["rank"]]
 
 
-@pytest.mark.parametrize("vars_, polys, ideal, rank", [
-    ("x,y", "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "x - 1; y + 1", 1),
-    ("x", QUARTIC, "x^2 + x + 1", 2),
-    ("y1,y2,y3,y4", FERMAT, "y4; y3 + 1; y2 + 1; y1", 1),
-])
-def test_two_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
-                                                 polys, ideal, rank):
-    runs = []
+@pytest.mark.parametrize("vars_, polys, ideal, rank, runs", [
+    ("x,y", "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "x - 1; y + 1", 1, 1),
+    ("x", QUARTIC, "x^2 + x + 1", 2, 2),
+    ("y1,y2,y3,y4", FERMAT, "y4; y3 + 1; y2 + 1; y1", 1, 1),
+], ids=["rational-point", "quadratic-point", "fermat-point"])
+def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
+                                              polys, ideal, rank, runs):
+    # A simple rational point is its own local ideal: only the point's
+    # basis is computed.  A point of larger dimension also takes I + m^2.
+    bases = []
     original = poly._buchberger
 
     def counting(ring, gens):
-        runs.append(ring.order)
+        bases.append(ring.order)
         return original(ring, gens)
 
     def forbidden(*args):
@@ -264,7 +266,7 @@ def test_two_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
         monkeypatch.setattr(poly, name, forbidden)
     obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", vars_,
                    "--polys", polys, "--ideal", ideal)
-    assert runs == ["grevlex", "grevlex"]
+    assert bases == ["grevlex"] * runs
     assert obj["rank"] == rank
     assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
 
@@ -500,6 +502,37 @@ def test_system_at_the_bezout_cap_builds(capsys):
     obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
                    "--polys", "x^128 - 3*x + 1")
     assert len(obj["gram"]) == 128
+
+
+@pytest.mark.parametrize("command", ["degree", "basis"])
+def test_local_rank_cap_exits_1_before_any_bezoutian(capsys, monkeypatch,
+                                                     command):
+    # x^17; y^17 has rank 289 at the origin; the loop stops past 256.
+    calls = []
+    monkeypatch.setattr(degrees, "bezoutian_matrix", calls.append)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "local", "--field", "QQ", "--vars",
+                         "x,y", "--polys", "x^17; y^17", "--ideal", "x; y")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, calls) == (1, "", [])
+    assert err == "error: local rank is at least 261, more than 256\n"
+
+
+def test_local_degree_at_the_rank_cap_builds(capsys):
+    assert forms.MAX_MADE_RANK == 256
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
+                   "--polys", "x^16; y^16", "--ideal", "x; y")
+    assert len(obj["gram"]) == obj["rank"] == 256
+
+
+@pytest.mark.parametrize("ideal", ["x; y", "x^300; y"])
+def test_non_isolated_zeros_below_the_rank_cap_keep_their_message(capsys,
+                                                                  ideal):
+    # Bezout number 4: the isolation test comes first, even where the
+    # dimension (300 for the second ideal) is past the rank cap.
+    code, out, err = run(capsys, "degree", "local", "--field", "QQ", "--vars",
+                         "x,y", "--polys", "x*y; x*y", "--ideal", ideal)
+    assert (code, out, err) == (1, "", "error: zeros are not isolated\n")
 
 
 @pytest.mark.parametrize("field, matrix", [

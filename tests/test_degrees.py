@@ -441,6 +441,76 @@ def test_local_ideal_matches_colon_oracle_on_planted_zeros():
     assert len(ranks) > 1  # simple and multiple zeros both occur
 
 
+def count_bases(monkeypatch):
+    runs = []
+    original = poly._buchberger
+
+    def counting(ring, gens):
+        runs.append(ring.order)
+        return original(ring, gens)
+
+    monkeypatch.setattr(poly, "_buchberger", counting)
+    return runs
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1)], ids=str)
+@pytest.mark.parametrize("polys", [["x^2 - y^3", "y^2 - x^3"], ["x^2", "y^2"]],
+                         ids=["cusp", "squares"])
+def test_rational_point_with_vanishing_jacobian_grows(monkeypatch, field,
+                                                      polys):
+    # J(0) = 0, so I + m^2 is not m: the loop must run.  Both tangent cones
+    # are x^2 and y^2, with no common line, so the multiplicity is 2 * 2.
+    ring, f = system(("x", "y"), polys, field)
+    m = Ideal.of(ring, "x", "y")
+    runs = count_bases(monkeypatch)
+    local = local_algebra_basis(f, m)
+    assert len(runs) >= 2
+    monkeypatch.undo()
+    assert local.local_ideal.generators == colon_oracle(f, m)
+    assert len(local.basis) == 4 == local_a1_degree(f, m).rank
+
+
+def simple_planted_system(rng, field):
+    """(system, point, det J(p)): a 2-variable system over a finite field
+    with a zero at a random rational point p = (a, b), its linear part a
+    random invertible matrix L in (x - a, y - b), and random terms of
+    degree 2 and 3; J(p) = L."""
+    ring = PolyRing(field, ("x", "y"))
+    elements = list(field.elements())
+    while True:
+        lin = [[rng.choice(elements) for _ in range(2)] for _ in range(2)]
+        det = lin[0][0] * lin[1][1] - lin[0][1] * lin[1][0]
+        if det:
+            break
+    a, b = rng.choice(elements), rng.choice(elements)
+    u, v = ring.variable(0) - a, ring.variable(1) - b
+    polys = []
+    for row in lin:
+        f = row[0] * u + row[1] * v
+        for i in range(4):
+            for j in range(4 - i):
+                if i + j > 1 and rng.random() < 0.4:
+                    f = f + rng.choice(elements) * u ** i * v ** j
+        polys.append(f)
+    return EndoSystem(ring, tuple(polys)), Ideal(ring, (u, v)), det
+
+
+@pytest.mark.parametrize("field", [gf_construct(7, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_simple_point_is_its_own_local_ideal(monkeypatch, field):
+    rng = random.Random(field.order)
+    for _ in range(8):
+        f, m, det = simple_planted_system(rng, field)
+        runs = count_bases(monkeypatch)
+        local = local_algebra_basis(f, m)
+        assert runs == ["grevlex"]
+        monkeypatch.undo()
+        assert local.local_ideal.generators == colon_oracle(f, m)
+        assert local.basis == (f.ring.one(),)
+        # At a simple zero the local degree is <det J(p)>.
+        assert local_a1_degree(f, m).gram == ((det,),)
+
+
 # -- rational classes at Bezout scale ------------------------------------------
 
 

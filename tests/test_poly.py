@@ -117,6 +117,30 @@ def test_parser_caps_expansion_by_coefficient_size():
     assert len(R.from_string("(1234567890123456789*x+1)^200").terms) == 201
 
 
+@pytest.mark.parametrize("p, k", [(2 ** 2203 - 1, 1), (2 ** 255 - 19, 3)],
+                         ids=["GF(2^2203-1)", "GF((2^255-19)^3)"])
+def test_parser_weighs_gf_products_by_the_field_size(p, k):
+    # Coefficients of 35 words weigh 10 per product, and of 4 * 3 words 2.
+    big = ring("x", "y", "z", field=gf_construct(p, k))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="term products"):
+        big.from_string("(x+y+z+1)^32")
+    assert time.perf_counter() - start < 1.0
+    small = ring("x", "y", "z", field=gf_construct(7, 1))
+    assert small.from_string("(x+y+z+1)^32") == \
+        small.from_string("(x+y+z+1)^4") ** 8
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (5, 2), (3, 3), (11, 2)])
+def test_small_fields_weigh_one_per_term_product(monkeypatch, p, k):
+    R = ring("x", "y", field=gf_construct(p, k))
+    monkeypatch.setattr(poly, "MAX_PARSE_PRODUCTS", 8)
+    assert R.from_string("(x + 1)*(y - 1)*2") == \
+        R.from_string("2*x*y - 2*x + 2*y - 2")
+    with pytest.raises(ValueError, match="more than 8 term products"):
+        R.from_string("(x + 1)*(y - 1)*(x - y)")
+
+
 PARSE_ERRORS = [
     ("2x + 1", "implicit multiplication is not allowed (at position 1)"),
     ("x^", "exponent must be an integer literal (at position 2)"),

@@ -98,6 +98,10 @@ CLI_DECK = [
     ["form", "invariants", "--field", "GF(9)", "--diag", "1/2,2", "--json"],
     ["basis", "local", "--field", "QQ", "--vars", "x,y", "--polys",
      "x*y; x^2*y", "--ideal", "x; y", "--json"],
+    ["degree", "local", "--field", "GF(7)", *_SYSTEM, "--ideal",
+     "x - 1; y - 1", "--json"],
+    ["degree", "local", "--field", "GF(25)", *_SYSTEM, "--ideal", "x; y",
+     "--json"],
 ]
 
 
