@@ -5,25 +5,46 @@ variable order.  Ideal intersections (and hence colon ideals) go through a
 single auxiliary variable with a block order, which stays internal: rings
 built by users are always grevlex.
 
+Monomials.  Public polynomials map exponent tuples to coefficients.  Inside
+the kernel every monomial is one int (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): 2n fields of 32 bits for n variables.  The high n fields hold the
+order's weight rows, most significant first: for grevlex the degree, then
+a1 + ... + a(n-1), ..., a1; for the block order `elim1` a0, then the
+grevlex rows of the other variables.  The low n fields hold the exponents
+themselves.  The rows decide the order, so a larger int is a larger
+monomial, e1 + e2 is the product, and with GUARD the top bit of every
+field, lm divides m exactly when (m - lm) & GUARD is 0.  That needs every
+field below 2^31: no monomial may reach degree 2^31.  Packing refuses one
+with ValueError, and the kernel tests the guard bits of each monomial
+when it first enters a term dict, so a product or a reduction that would
+cross the bound raises too.  Each public entry packs once and unpacks
+once: `normal_form`, `exact_quotient`, `groebner_basis` and `determinant`
+(through `_enter` and `_public`), `Polynomial.__mul__` and `__pow__`, and
+the parser.  One loop, `_mul_into`, forms every product.
+
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements.  The kernel decides the domain once, when a polynomial
-enters it: a dividend becomes integral terms and a denominator
-(`Polynomial.clear_denominators`), a divisor a `_prep_divisor` triple,
-and a result turns back into public scalars in `_public`.  A QQ divisor is
-its primitive integer multiple, and division is pseudo-division (Knuth,
-TAOCP vol. 2, 4.6.1), multiplying the work by a running integer scale
-instead of dividing by leading coefficients.  A GF divisor is made monic
-once, so nothing scales.  The same heap loop serves both domains.
+enters it: a dividend becomes integral terms and a denominator, a divisor
+a `_prep_divisor` triple, and a result turns back into public scalars in
+`_public`.  A QQ divisor is its primitive integer multiple, and division
+is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the work by a
+running integer scale instead of dividing by leading coefficients.  A GF
+divisor is made monic once, so nothing scales.  The same heap loop serves
+both domains.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import add
 
 from .fields import FieldDesc, FFElement
 
@@ -75,21 +96,54 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Order keys are flat int tuples in which the smaller key is the larger
-# monomial: min() finds the leading term, a heap pops terms in descending
-# order, and negating every entry reverses the order.
+# The weight rows of each order, least significant first: the packed fields
+# above the exponents.  A monomial's rows are all at most its degree.
+_WEIGHT_ROWS = {
+    "grevlex": accumulate,
+    "elim1": lambda e: (*accumulate(e[1:]), e[0]),
+}
+
+_TOO_LARGE = "a monomial of degree 2^31 or more is out of range"
 
 
-def _grevlex_key(e):
-    return (-sum(e),) + e[::-1]
+class _Packing:
+    """A ring's monomials as ints: the 2n fields of the module docstring,
+    written little-endian as signed 32-bit words, so a field of 2^31 or more
+    does not pack."""
 
+    __slots__ = ("rows", "fields", "exponents", "size", "guard", "units")
 
-def _elim1_key(e):
-    # Block order eliminating the first variable: degree in it dominates.
-    return (-e[0], -sum(e[1:])) + e[:0:-1]
+    def __init__(self, order: str, n: int):
+        self.rows = _WEIGHT_ROWS[order]
+        self.fields = struct.Struct(f"<{2 * n}i").pack
+        self.exponents = struct.Struct(f"<{n}i").unpack_from
+        self.size = 8 * n
+        self.guard = int.from_bytes(b"\0\0\0\x80" * (2 * n), "little")
+        # The variables' keys: a monomial times x_i is m + units[i].
+        self.units = [self.pack([int(i == j) for j in range(n)])
+                      for i in range(n)]
 
+    def pack(self, e) -> int:
+        try:
+            return int.from_bytes(self.fields(*e, *self.rows(e)), "little")
+        except struct.error:
+            raise ValueError(_TOO_LARGE) from None
 
-_ORDER_KEYS = {"grevlex": _grevlex_key, "elim1": _elim1_key}
+    def unpack(self, m) -> tuple:
+        return self.exponents(m.to_bytes(self.size, "little"))
+
+    def pack_terms(self, terms: dict) -> dict:
+        fields, rows = self.fields, self.rows
+        try:
+            return {int.from_bytes(fields(*e, *rows(e)), "little"): c
+                    for e, c in terms.items()}
+        except struct.error:
+            raise ValueError(_TOO_LARGE) from None
+
+    def unpack_terms(self, terms: dict) -> dict:
+        exponents, size = self.exponents, self.size
+        return {exponents(m.to_bytes(size, "little")): c
+                for m, c in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -106,16 +160,16 @@ class PolyRing:
             raise ValueError("variable names must be distinct")
         if not self.variables:
             raise ValueError("a polynomial ring needs at least one variable")
-        if self.order not in _ORDER_KEYS:
+        if self.order not in _WEIGHT_ROWS:
             raise ValueError(f"unknown monomial order {self.order!r}")
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
-    @property
-    def key(self):
-        return _ORDER_KEYS[self.order]
+    @cached_property
+    def _packing(self) -> _Packing:
+        return _Packing(self.order, self.nvars)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -181,7 +235,7 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def leading_monomial(self):
-        return min(self.terms, key=self.ring.key)
+        return max(self.terms, key=self.ring._packing.pack)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -242,14 +296,19 @@ class Polynomial:
             return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("polynomial ring mismatch")
-        out: dict = {}
-        _mul_into(out, self.terms, other.terms)
-        return Polynomial(self.ring, out)
+        pk = self.ring._packing
+        return Polynomial(self.ring, pk.unpack_terms(_mul_into(
+            {}, pk.pack_terms(self.terms).items(),
+            pk.pack_terms(other.terms).items(), pk.guard)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, mul)
+        pk = self.ring._packing
+        return Polynomial(self.ring, pk.unpack_terms(_power(
+            pk, pk.pack_terms(self.terms), n,
+            lambda a, b: _mul_into({}, a.items(), b.items(), pk.guard),
+            self.ring.field.one())))
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
@@ -299,7 +358,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         out = []
-        for e in sorted(self.terms, key=self.ring.key):
+        for e in sorted(self.terms, key=self.ring._packing.pack, reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 v if x == 1 else f"{v}^{x}"
@@ -334,8 +393,9 @@ class Polynomial:
 
 
 def _reduce_terms(ring, fterms: dict, divisors, steps=None):
-    """(rem, s): multivariate division by `_prep_divisors` triples, with
-    s * fterms = rem + sum(q_i * divisor_i) for an int s, 1 over GF.
+    """(rem, s): multivariate division of packed terms by `_prep_divisors`
+    triples, with s * fterms = rem + sum(q_i * divisor_i) for an int s, 1
+    over GF.
 
     Terms leave a heap in descending order.  Each monomial is pushed once,
     when it enters the work set; one that cancels keeps its entry with a
@@ -350,20 +410,20 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     (i, shift, c, t), t the value of s at that step: q_i is the sum of
     c * (s // t) * x^shift over divisor i's steps.
     """
-    key = ring.key
+    guard = ring._packing.guard
     work = dict(fterms)
-    heap = [(key(e), e) for e in work]
+    heap = [-m for m in work]
     heapify(heap)
     rem: dict = {}
     s = 1
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
         for di, (lm, u, tail) in enumerate(divisors):
-            if all(map(ge, m, lm)):
-                shift = tuple(map(sub, m, lm))
+            shift = m - lm
+            if not shift & guard:
                 if u != 1:
                     g = gcd(c, u)
                     c //= g
@@ -375,11 +435,13 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
                                 d[e] = v * a
                 neg = -c
                 for e2, c2 in tail:
-                    e = tuple(map(add, shift, e2))
+                    e = shift + e2
                     v = work.get(e)
                     if v is None:
+                        if e & guard:
+                            raise ValueError(_TOO_LARGE)
                         work[e] = neg * c2
-                        heappush(heap, (key(e), e))
+                        heappush(heap, -e)
                     else:
                         work[e] = v + neg * c2
                 if steps is not None:
@@ -390,25 +452,32 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     return rem, s
 
 
-def _prep_divisor(g):
-    """(k, (lm, u, tail)) for a nonzero divisor g, tail a list of (e, c):
-    the triple's divisor is k * g.
+def _enter(f: Polynomial):
+    """(den, terms): den * f in the kernel's form, packed monomials and
+    integral coefficients, den the least positive integer that makes them
+    so (1 over GF)."""
+    den, f = f.clear_denominators()
+    return den, f.ring._packing.pack_terms(f.terms)
+
+
+def _prep_divisor(field, terms: dict, den=1):
+    """(k, (lm, u, tail)) for the nonzero kernel terms of den * g, tail a
+    list of (e, c): the triple's divisor is k * g.
 
     Over QQ it is g's primitive integer multiple, and u its leading
     coefficient, > 0.  Over GF it is g made monic, k the inverse of g's
     leading coefficient, taken once here, and u the int 1.
     """
-    lm = g.leading_monomial()
-    if g.ring.field.kind == "QQ":
-        den, g = g.clear_denominators()
-        content = gcd(*g.terms.values())
-        if g.terms[lm] < 0:
+    lm = max(terms)
+    if field.kind == "QQ":
+        content = gcd(*terms.values())
+        if terms[lm] < 0:
             content = -content
         k = Fraction(den, content)
-        terms = {e: c // content for e, c in g.terms.items()}
+        terms = {e: c // content for e, c in terms.items()}
         u = terms[lm]
     else:
-        k, terms, u = 1, g.terms, 1
+        k, u = 1, 1
         if terms[lm] != 1:
             k = terms[lm].inverse()
             terms = {e: c * k for e, c in terms.items()}
@@ -416,14 +485,16 @@ def _prep_divisor(g):
 
 
 def _prep_divisors(polys):
-    """The `_prep_divisor` triples of the nonzero divisors."""
-    return [_prep_divisor(g)[1] for g in polys if g]
+    """The `_prep_divisor` triples of the nonzero polynomials."""
+    return [_prep_divisor(g.ring.field, _enter(g)[1])[1] for g in polys if g]
 
 
-def _public(field, terms: dict, s) -> dict:
-    """Kernel terms divided by the int s, as public scalars: Fractions over
-    QQ.  Over GF the terms are field elements already, and s is 1."""
-    if field.kind != "QQ":
+def _public(ring, terms: dict, s) -> dict:
+    """Kernel terms divided by the int s as public terms: exponent tuples,
+    and Fractions over QQ.  Over GF the coefficients are field elements
+    already, and s is 1."""
+    terms = ring._packing.unpack_terms(terms)
+    if ring.field.kind != "QQ":
         return terms
     return {e: Fraction(c, s) for e, c in terms.items()}
 
@@ -440,12 +511,13 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     # den * f = q * (k * g), the divisor's triple, so f / g = q * k / den.
     # Over QQ that triple is primitive, so by Gauss's lemma an exact
     # division has an integral q and never rescales: its s is 1.
-    k, divisor = _prep_divisor(g)
-    den, f = f.clear_denominators()
+    den, terms = _enter(g)
+    k, divisor = _prep_divisor(ring.field, terms, den)
+    den, terms = _enter(f)
     steps = []
-    if _reduce_terms(ring, f.terms, [divisor], steps)[0]:
+    if _reduce_terms(ring, terms, [divisor], steps)[0]:
         raise ValueError("division is not exact")
-    return Polynomial(ring, _public(ring.field, {
+    return Polynomial(ring, _public(ring, {
         shift: c * k for _, shift, c, _ in steps}, den))
 
 
@@ -463,38 +535,46 @@ def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
             del out[e]
 
 
-def _power(f: Polynomial, n: int, product) -> Polynomial:
-    """f ** n by repeated squaring, each product of two polynomials formed
-    by ``product``."""
+def _power(pk: _Packing, terms: dict, n: int, product, one) -> dict:
+    """The packed terms of f ** n, f's packed terms given, by repeated
+    squaring: each product of two term dicts formed by ``product``, and
+    f ** 0 the field's ``one``."""
     if n < 0:
         raise ValueError("negative polynomial power")
-    if len(f.terms) == 1:
-        ((e, c),) = f.terms.items()
-        return Polynomial(f.ring, {tuple([x * n for x in e]): c ** n})
-    # Seeded by the first factor, not by one(): integer terms stay so.
-    result, base = None, f
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        return {pk.pack([x * n for x in pk.unpack(e)]): c ** n}
+    # Seeded by the first factor, not by one: integer terms stay so.
+    result, base = None, terms
     while n:
         if n & 1:
             result = base if result is None else product(result, base)
         n >>= 1
         if n:
             base = product(base, base)
-    return f.ring.one() if result is None else result
+    return {0: one} if result is None else result
 
 
-def _mul_into(out: dict, a: dict, b: dict) -> None:
-    """Add the product of the term dicts a and b into out."""
+def _mul_into(out: dict, a, b, guard: int) -> dict:
+    """Add the product of the packed (e, c) pairs a and b into out, and
+    return out."""
     if len(a) > len(b):
         a, b = b, a
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = e1 + e2
             v = out.get(e)
-            v = c1 * c2 if v is None else v + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            if v is None:
+                if e & guard:
+                    raise ValueError(_TOO_LARGE)
+                out[e] = c1 * c2
+            else:
+                v += c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+    return out
 
 
 def determinant(rows, ring):
@@ -557,11 +637,16 @@ def determinant(rows, ring):
             del row[c]
     if not polynomial:
         return scale
-    # minors[S]: the minor of the last m rows on the columns in bitmask S.
-    minors = {0: {(0,) * ring.nvars: seed}}
+    # minors[S]: the packed minor of the last m rows on the columns in
+    # bitmask S.
+    pk = ring._packing
+    minors = {0: {0: seed}}
     k = len(a)
     for m in range(1, k + 1):
-        row = [(x.terms, (-x).terms) for x in a[k - m]]
+        row = []
+        for x in a[k - m]:
+            entry = pk.pack_terms(x.terms)
+            row.append((entry.items(), [(e, -c) for e, c in entry.items()]))
         grown: dict = {}
         for s, minor in minors.items():
             if not minor:
@@ -573,9 +658,10 @@ def determinant(rows, ring):
                 # Column j's sign is the parity of its rank in s | bit.
                 odd = bin(s & (bit - 1)).count("1") & 1
                 _mul_into(grown.setdefault(s | bit, {}),
-                          negated if odd else entry, minor)
+                          negated if odd else entry, minor.items(), pk.guard)
         minors = grown
-    return Polynomial(ring, minors.get((1 << k) - 1, {})) * scale
+    return Polynomial(ring, pk.unpack_terms(minors.get((1 << k) - 1, {}))) \
+        * scale
 
 
 # ---------------------------------------------------------------------------
@@ -606,35 +692,38 @@ class GroebnerBasis:
     basis: tuple
     order: str
 
+    @cached_property
+    def _divisors(self) -> list:
+        """The basis's `_prep_divisors` triples, prepared once for every
+        normal form against it."""
+        return _prep_divisors(self.basis)
+
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _shifted(tail, m, a) -> dict:
-    """The term dict of a * x^m * tail."""
-    if a == 1:
-        return {tuple(map(add, m, e)): c for e, c in tail}
-    return {tuple(map(add, m, e)): c * a for e, c in tail}
 
 
 def _buchberger(ring: PolyRing, gens) -> list:
     """The reduced basis, by Buchberger's algorithm with the Gebauer-Moller
     update (Gebauer & Moller 1988) and the sugar strategy (Giovini et al.
     1991).  Generators, then S-polynomials, join as nonzero remainders
-    modulo every joined element and are kept as `_prep_divisors` triples:
+    modulo every joined element and are kept as `_prep_divisor` triples:
     primitive over Z for QQ, monic for GF.  The active set stays a minimal
-    basis, and is tail-reduced at the end, then made monic.
+    basis, and is tail-reduced at the end, then made monic.  The pairs'
+    leading monomials and lcms are exponent tuples; the polynomials are
+    packed.
     """
-    key = ring.key
+    pk, field = ring._packing, ring.field
+    qq, one = field.kind == "QQ", field.one()
     lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
         nonlocal heap, active
-        t, lm = len(prepped), h.leading_monomial()
+        t = len(prepped)
+        prepped.append(_prep_divisor(field, h)[1])
+        lm = pk.unpack(prepped[t][0])
         lms.append(lm)
         sugar.append(s)
-        prepped.extend(_prep_divisors([h]))
         # A queued pair (i, j) goes when lm divides its lcm and that lcm is
         # neither lcm(lms[i], lm) nor lcm(lms[j], lm) (the B criterion).
         heap = [p for p in heap if not (
@@ -651,38 +740,41 @@ def _buchberger(ring: PolyRing, gens) -> list:
         for l, (i, coprime) in new.items():
             if not coprime and not any(m != l and _divides(m, l) for m in new):
                 s_ij = sum(l) + max(sugar[i] - sum(lms[i]), s - sum(lm))
-                heap.append((s_ij, tuple([-x for x in key(l)]), i, t, l))
+                heap.append((s_ij, pk.pack(l), i, t, l))
         heapify(heap)
         active = [i for i in active if not _divides(lm, lms[i])] + [t]
 
     def join(f, s) -> bool:
-        """Add the nonzero remainder of the term dict f, sugar s raised by
-        its reductions; True once the ideal is (1)."""
+        """Add the nonzero remainder of the packed terms f, sugar s raised
+        by its reductions; True once the ideal is (1)."""
         steps = []
-        h = Polynomial(ring, _reduce_terms(ring, f, prepped, steps)[0])
-        if h.is_constant():
+        h = _reduce_terms(ring, f, prepped, steps)[0]
+        if h.keys() <= {0}:  # a constant: 0 packs to 0
             return bool(h)
-        update(h, max([s] + [sugar[i] + sum(m) for i, m, _, _ in steps]))
+        update(h, max([s] + [sugar[i] + sum(pk.unpack(m))
+                             for i, m, _, _ in steps]))
         return False
 
-    if any(join(g.clear_denominators()[1].terms,
-                max(map(sum, g.terms), default=0)) for g in gens):
+    if any(join(_enter(g)[1], max(map(sum, g.terms), default=0))
+           for g in gens):
         return [ring.one()]
     if not prepped:
         raise ValueError("generators must not all be zero")
     while heap:
-        s, _, i, j, l = heappop(heap)
-        # S = (lc_j/g)*mi*tail_i - (lc_i/g)*mj*tail_j, g = gcd(lc_i, lc_j).
+        s, l, i, j, _ = heappop(heap)
+        # S = (lc_j/g)*mi*tail_i - (lc_i/g)*mj*tail_j, g = gcd(lc_i, lc_j);
+        # over GF both multipliers are the field's 1.
         (lmi, lci, taili), (lmj, lcj, tailj) = prepped[i], prepped[j]
         g = gcd(lci, lcj)
-        f = _shifted(taili, tuple(map(sub, l, lmi)), lcj // g)
-        _add_into(f, _shifted(tailj, tuple(map(sub, l, lmj)), lci // g),
-                  negate=True)
+        a, b = (lcj // g, lci // g) if qq else (one, one)
+        f: dict = {}
+        _mul_into(f, [(l - lmi, a)], taili, pk.guard)
+        _mul_into(f, [(l - lmj, -b)], tailj, pk.guard)
         if join(f, s):
             return [ring.one()]
 
     # Smallest first: only smaller, already reduced elements divide a tail.
-    active.sort(key=lambda i: key(lms[i]), reverse=True)
+    active.sort(key=lambda i: prepped[i][0])
     reduced = []
     for lm, lc, tail in (prepped[i] for i in active):
         # lc scales with the tail; the content it gains goes again.
@@ -692,8 +784,8 @@ def _buchberger(ring: PolyRing, gens) -> list:
             g = gcd(lc, *tail.values())
             lc, tail = lc // g, {e: c // g for e, c in tail.items()}
         reduced.append((lm, lc, list(tail.items())))
-    one = ring.field.one()
-    return [Polynomial(ring, {lm: one, **_public(ring.field, dict(t), lc)})
+    return [Polynomial(ring, {pk.unpack(lm): one,
+                              **_public(ring, dict(t), lc)})
             for lm, lc, t in reduced]
 
 
@@ -704,16 +796,19 @@ def groebner_basis(ideal: Ideal) -> GroebnerBasis:
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
-    """Remainder of f modulo a Groebner basis (or any list of divisors)."""
+    """Remainder of f modulo a Groebner basis (or any list of divisors).
+    A `GroebnerBasis` keeps its prepared divisors for the next call."""
     ring = f.ring
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
     # The identity test first: the degree path's divisors share one ring.
     if any(g.ring is not ring and g.ring != ring for g in polys):
         raise ValueError("polynomial ring mismatch")
+    divisors = G._divisors if isinstance(G, GroebnerBasis) else \
+        _prep_divisors(polys)
     # den * f reduces to rem with rem = (den * s) * (f mod G).
-    den, f = f.clear_denominators()
-    rem, s = _reduce_terms(ring, f.terms, _prep_divisors(polys))
-    return Polynomial(ring, _public(ring.field, rem, den * s))
+    den, terms = _enter(f)
+    rem, s = _reduce_terms(ring, terms, divisors)
+    return Polynomial(ring, _public(ring, rem, den * s))
 
 
 # ---------------------------------------------------------------------------
@@ -778,25 +873,25 @@ def standard_monomials(G: GroebnerBasis) -> list:
     ring = G.ideal.ring
     if len(G.basis) == 1 and G.basis[0].is_constant():
         return []
-    lms = [g.leading_monomial() for g in G.basis]
+    pk = ring._packing
+    lms = [lm for lm, _, _ in G._divisors]
     for i in range(ring.nvars):
-        if not any(all(x == 0 for j, x in enumerate(lm) if j != i) and lm[i] > 0
-                   for lm in lms):
+        if not any(all(x == 0 for j, x in enumerate(e) if j != i) and e[i] > 0
+                   for e in map(pk.unpack, lms)):
             raise ValueError("zeros are not isolated")
-    origin = (0,) * ring.nvars
-    seen = {origin}
-    queue = [origin]
+    guard = pk.guard
+    seen = {0}
+    queue = [0]
     while queue:
         m = queue.pop()
-        for i in range(ring.nvars):
-            m2 = m[:i] + (m[i] + 1,) + m[i + 1:]
-            if m2 in seen or any(_divides(lm, m2) for lm in lms):
+        for unit in pk.units:
+            m2 = m + unit
+            if m2 in seen or any(not (m2 - lm) & guard for lm in lms):
                 continue
             seen.add(m2)
             queue.append(m2)
     one = ring.field.one()
-    return [Polynomial(ring, {e: one})
-            for e in sorted(seen, key=ring.key, reverse=True)]
+    return [Polynomial(ring, {pk.unpack(m): one}) for m in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -874,12 +969,13 @@ def _tokenize(text: str):
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """Over QQ the coefficients fold as ints and become Fractions once, at
-    the end; over GF they are field elements from the start."""
+    """The terms fold with packed monomials, unpacked once at the end.  Over
+    QQ the coefficients fold as ints and become Fractions at the end too;
+    over GF they are field elements from the start."""
     tokens = _tokenize(text)
     pos = work = 0
     qq = ring.field.kind == "QQ"
-    origin = (0,) * ring.nvars
+    pk = ring._packing
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
     gf_words = None if qq else \
         (ring.field.char.bit_length() + 63) // 64 * ring.field.degree
@@ -900,17 +996,17 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         """The size of a's widest coefficient in 64-bit words, at least 1."""
         if not qq:
             return gf_words
-        bits = max((abs(c).bit_length() for c in a.terms.values()), default=0)
+        bits = max((abs(c).bit_length() for c in a.values()), default=0)
         return (bits + 63) // 64 or 1
 
     def product(a, b, at):
         nonlocal work
-        work += len(a.terms) * len(b.terms) * (1 + words(a) * words(b) // 128)
+        work += len(a) * len(b) * (1 + words(a) * words(b) // 128)
         if work > MAX_PARSE_PRODUCTS:
             raise ValueError(f"expanding the polynomial takes more than "
                              f"{MAX_PARSE_PRODUCTS} term products (at "
                              f"position {at})")
-        return a * b
+        return _mul_into({}, a.items(), b.items(), pk.guard)
 
     def parse_expr():
         kind, val, at = peek()
@@ -920,15 +1016,14 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             negate = val == "-"
         node = parse_term()
         # The sum folds into one terms dict, not a copy per summand.
-        terms = {e: -c for e, c in node.terms.items()} if negate else \
-            dict(node.terms)
+        terms = {e: -c for e, c in node.items()} if negate else dict(node)
         while True:
             kind, val, at = peek()
             if kind == "op" and val in "+-":
                 advance()
-                _add_into(terms, parse_term().terms, negate=val == "-")
+                _add_into(terms, parse_term(), negate=val == "-")
             else:
-                return Polynomial(ring, terms)
+                return terms
 
     def parse_term():
         node = parse_factor()
@@ -947,7 +1042,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         if kind == "op" and val in "+-":
             advance()
             node = parse_factor()
-            return -node if val == "-" else node
+            return {e: -c for e, c in node.items()} if val == "-" else node
         node = parse_base()
         kind, val, at = peek()
         if kind == "op" and val == "^":
@@ -957,21 +1052,21 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError("exponent must be an integer literal", at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
-            node = _power(node, exp, lambda a, b: product(a, b, at))
+            node = _power(pk, node, exp, lambda a, b: product(a, b, at),
+                          scalar(1))
         return node
 
     def parse_base():
         kind, val, at = advance()
         if kind == "int":
             c = scalar(val)
-            return Polynomial(ring, {origin: c} if c else {})
+            return {0: c} if c else {}
         if kind == "name":
             try:
                 i = ring.variables.index(val)
             except ValueError:
                 raise ParseError(f"unknown variable {val!r}", at) from None
-            return Polynomial(ring, {origin[:i] + (1,) + origin[i + 1:]:
-                                     scalar(1)})
+            return {pk.units[i]: scalar(1)}
         if kind == "op" and val == "(":
             node = parse_expr()
             kind, val, at = advance()
@@ -984,6 +1079,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     kind, val, at = peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
+    terms = pk.unpack_terms(node)
     if qq:
-        return Polynomial(ring, {e: Fraction(c) for e, c in node.terms.items()})
-    return node
+        return Polynomial(ring, {e: Fraction(c) for e, c in terms.items()})
+    return Polynomial(ring, terms)

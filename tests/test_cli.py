@@ -271,6 +271,42 @@ def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
     assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
 
 
+def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
+    # The zero-locus check, the Jacobian entries and the standard monomials
+    # all read the point basis's divisors from the basis itself.
+    prepared = []
+    original = poly._prep_divisors
+
+    def recording(polys):
+        polys = tuple(polys)
+        prepared.append(polys)
+        return original(polys)
+
+    monkeypatch.setattr(poly, "_prep_divisors", recording)
+    obj = run_json(capsys, "degree", "local", "--field", "QQ",
+                   "--vars", "x,y", "--polys",
+                   "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2",
+                   "--ideal", "x - 1; y + 1")
+    assert obj["rank"] == 1
+    ring = poly.PolyRing(QQ, ("x", "y"))
+    point = poly.groebner_basis(poly.Ideal.of(ring, "x - 1", "y + 1")).basis
+    assert prepared.count(point) == 1
+    assert len(prepared) == 2  # and the doubled basis of the Bezoutian
+
+
+def test_a_monomial_past_the_kernel_bound_exits_1(capsys):
+    # x^(3 * 10^9) has degree past 2^31: refused while parsing, before a
+    # Bezoutian row of 3 * 10^9 terms.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "local", "--field", "QQ",
+                         "--vars", "x,y", "--polys",
+                         "(((x^1000)^1000)^1000)^3 - x; y", "--ideal", "x; y")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "2^31" in err and \
+        err.count("\n") == 1
+
+
 @pytest.mark.parametrize("diag, record", [
     ("1,1", "{2: 1}"), ("5,5", "{2: 1}"), ("3,3", "{2: -1, 3: -1}"),
     ("1/3,3", "{2: -1, 3: -1}"),

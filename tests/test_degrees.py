@@ -733,3 +733,154 @@ def test_signature_counts_real_zeros_in_three_variables(monkeypatch):
         with_nonreal += nonreal
         signatures.add(signs)
     assert with_nonreal and len(signatures) >= 3, signatures
+
+
+# -- the Gram matrix against the trace form -----------------------------------
+
+
+def trace_form_inverse(field, names, gens, polys, basis):
+    """(Tr_Q(J^-1 * a_i * a_j))^-1 with Q = k[x]/(gens), gens a grevlex
+    Groebner basis as sympy expressions, a_i the exponent tuples of
+    `basis` (1 first) and J the Jacobian determinant of `polys`; None when
+    J is not a unit in Q.
+
+    sympy supplies the normal forms of x_v * a_j, which give the
+    multiplication matrices M_v, and of J.  Everything else is matrix
+    arithmetic over Fractions (QQ) or ints mod p (GF(p)): M_{a_k} as
+    products of the M_v, the trace functional t_k = Tr(M_{a_k}),
+    u = J^-1 from M_J u = e_1, and Tr(J^-1 a_i a_j) = t^T M_{a_i} M_{a_j} u.
+    """
+    import sympy
+    p = None if field.kind == "QQ" else field.char
+    syms = sympy.symbols(names)
+    opts = {"order": "grevlex"} if p is None else \
+        {"order": "grevlex", "modulus": p}
+    index = {a: k for k, a in enumerate(basis)}
+    r = len(basis)
+
+    def scalar(c):
+        c = sympy.Rational(c)
+        return Fraction(int(c.p), int(c.q)) if p is None else \
+            int(c.p) * pow(int(c.q), -1, p) % p
+
+    def coords(expr):
+        out = [scalar(0)] * r
+        e = sympy.Poly(expr, *syms).monoms()
+        if len(e) == 1 and e[0] in index:  # a basis monomial is reduced
+            out[index[e[0]]] = scalar(1)
+            return out
+        _, nf = sympy.reduced(expr, gens, *syms, **opts)
+        for e, c in sympy.Poly(nf, *syms).terms():
+            out[index[e]] = scalar(c)  # KeyError: off the basis
+        return out
+
+    def reduce(x):
+        return x if p is None else x % p
+
+    def matmul(a, b):
+        out = []
+        for row in a:
+            terms = [(x, b[k]) for k, x in enumerate(row) if x]
+            out.append([reduce(sum(x * col[j] for x, col in terms))
+                        for j in range(r)])
+        return out
+
+    def inverse(m):
+        """m^-1 by Gauss-Jordan, or None if m is singular."""
+        a = [list(row) + [scalar(int(i == j)) for j in range(r)]
+             for i, row in enumerate(m)]
+        for c in range(r):
+            pivot = next((i for i in range(c, r) if a[i][c]), None)
+            if pivot is None:
+                return None
+            a[c], a[pivot] = a[pivot], a[c]
+            inv = 1 / a[c][c] if p is None else pow(a[c][c], -1, p)
+            a[c] = [reduce(x * inv) for x in a[c]]
+            for i in range(r):
+                if i != c and a[i][c]:
+                    f = a[i][c]
+                    a[i] = [reduce(x - f * y) for x, y in zip(a[i], a[c])]
+        return [row[r:] for row in a]
+
+    x = [[coords(s * sympy.prod([t ** k for t, k in zip(syms, a)]))
+          for a in basis] for s in syms]
+    mult = [[list(col) for col in zip(*m)] for m in x]  # columns -> rows
+    assert basis[0] == (0,) * len(names)
+    m_of = [[[scalar(int(i == j)) for j in range(r)] for i in range(r)]]
+    for a in basis[1:]:
+        v = next(v for v, k in enumerate(a) if k)
+        lower = a[:v] + (a[v] - 1,) + a[v + 1:]
+        m_of.append(matmul(mult[v], m_of[index[lower]]))
+    trace = [reduce(sum(m[i][i] for i in range(r))) for m in m_of]
+    exprs = [sympy.sympify(f.replace("^", "**")) for f in polys]
+    jac = sympy.Matrix([[sympy.diff(f, s) for s in syms] for f in exprs]).det()
+    j = coords(sympy.expand(jac))
+    m_j = [[reduce(sum(c * m[i][k] for c, m in zip(j, m_of)))
+            for k in range(r)] for i in range(r)]
+    m_j_inv = inverse(m_j)
+    if m_j_inv is None:
+        return None
+    u = [row[0] for row in m_j_inv]
+    rows = [[reduce(sum(trace[k] * m[k][i] for k in range(r)))
+             for i in range(r)] for m in m_of]  # t^T M_{a_i}
+    cols = [[reduce(sum(m[i][k] * u[k] for k in range(r)))
+             for i in range(r)] for m in m_of]  # M_{a_j} u
+    form = [[reduce(sum(a * b for a, b in zip(row, col))) for col in cols]
+            for row in rows]
+    return inverse(form)
+
+
+def as_oracle_scalar(c, field):
+    return c if field.kind == "QQ" else c.coeffs[0]
+
+
+@pytest.mark.parametrize("field, shapes", [
+    (QQ, [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 2, 3)]),
+    (gf_construct(101, 1), [(2, 2), (2, 2, 2), (3, 3), (3, 3, 3)]),
+    (gf_construct(1009, 1), [(2, 3), (2, 2, 3)]),
+], ids=["QQ", "GF(101)", "GF(1009)"])
+def test_global_gram_is_the_inverse_trace_form(monkeypatch, field, shapes):
+    # Scheja-Storch: the Bezoutian's Gram on a basis a_i of Q = k[x]/(f)
+    # inverts the Gram of the form eta(a_i a_j), and Tr(b) = eta(J b).
+    import sympy
+    w = _workloads(monkeypatch)
+    checked = skipped = 0
+    ranks = []
+    for seed, shape in enumerate(shapes):
+        names = w._var_names(len(shape))
+        polys = [w.to_string(f, names) for f in
+                 w.random_system(random.Random(seed), shape, top=3, low=3)]
+        ring, f = system(names, polys, field)
+        beta = global_a1_degree(f)
+        basis = [m.leading_monomial() for m in
+                 standard_monomials(groebner_basis(Ideal(ring, f.polys)))]
+        opts = {} if field.kind == "QQ" else {"modulus": field.char}
+        syms = sympy.symbols(names)
+        gens = list(sympy.groebner(
+            [sympy.sympify(g.replace("^", "**")) for g in polys], *syms,
+            order="grevlex", **opts).exprs)
+        expected = trace_form_inverse(field, names, gens, polys, basis)
+        if expected is None:
+            skipped += 1
+            continue
+        assert [[as_oracle_scalar(c, field) for c in row]
+                for row in beta.gram] == expected
+        ranks.append(beta.rank)
+        checked += 1
+    assert skipped == 0 and checked == len(shapes)
+    assert ranks == [prod(shape) for shape in shapes]
+
+
+def test_local_gram_at_the_quartic_point_is_the_inverse_trace_form():
+    import sympy
+    ring, f = system(("x",), [QUARTIC])
+    point = Ideal.of(ring, "x^2 + x + 1")
+    beta = local_a1_degree(f, point)
+    basis = [m.leading_monomial()
+             for m in local_algebra_basis(f, point).basis]
+    x = sympy.Symbol("x")
+    gens = list(sympy.groebner([sympy.sympify(QUARTIC.replace("^", "**")),
+                                (x ** 2 + x + 1) ** 2], x,
+                               order="grevlex").exprs)
+    expected = trace_form_inverse(QQ, ("x",), gens, [QUARTIC], basis)
+    assert beta.rank == 2 and [list(row) for row in beta.gram] == expected

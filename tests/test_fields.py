@@ -629,6 +629,17 @@ def test_equal_descriptors_share_one_table():
     assert list(F.elements())[2 * 5 + 1] is F.coerce(F.coerce((2, 1)))
 
 
+def test_int_minus_element_and_equal_elements_hash_alike():
+    F = gf_construct(5, 2)
+    a = F.coerce((2, 1))
+    assert 3 - a == -(a - 3) == F.coerce((1, 4))
+    # Above the table cap equal elements are distinct objects.
+    for G in (F, gf_construct(4099, 1), gf_construct(17, 3)):
+        x, y = G.coerce(3), G.coerce(3 + G.char)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, G.coerce(4)}) == 2
+
+
 def test_table_arithmetic_allocates_no_element(monkeypatch):
     F = gf_construct(3, 3)
     elems = list(F.elements())

@@ -94,6 +94,57 @@ def test_parser_caps_exponent_literals():
         assert info.value.position == at
 
 
+def test_packing_refuses_a_field_of_2_to_the_31():
+    R = ring("x", "y")
+    pk = R._packing
+    top = 2 ** 31 - 1
+    assert pk.unpack(pk.pack((top, 0))) == (top, 0)
+    assert pk.unpack(pk.pack((top - 5, 5))) == (top - 5, 5)
+    for e in ((2 ** 31, 0), (0, 2 ** 31), (2 ** 30, 2 ** 30)):
+        with pytest.raises(ValueError, match=r"2\^31"):
+            pk.pack(e)
+    # Under elim1 the rows are a0 and the degree of the rest.
+    elim = PolyRing(QQ, ("t", "x"), order="elim1")._packing
+    assert elim.unpack(elim.pack((2 ** 30, 2 ** 30))) == (2 ** 30, 2 ** 30)
+
+
+def test_a_product_past_the_bound_raises():
+    R = ring("x", "y")
+    big = Polynomial(R, {(2 ** 30, 0): Fraction(1)})
+    assert big.leading_monomial() == (2 ** 30, 0)  # each factor packs
+    for product in (lambda: big * big, lambda: big ** 2,
+                    lambda: (big + 1) * (big - 1)):
+        with pytest.raises(ValueError, match=r"2\^31"):
+            product()
+    half = Polynomial(R, {(2 ** 29, 2 ** 29 - 1): Fraction(2)})
+    assert (half * half).terms == {(2 ** 30, 2 ** 30 - 2): Fraction(4)}
+    with pytest.raises(ValueError, match=r"2\^31"):
+        R.from_string("(((x^1000)^1000)^1000)^3 - x")
+
+
+def test_elim1_reduction_near_the_bound():
+    # Under elim1 a reduction can raise the degree: t * x^a reduces by
+    # t - x^b to x^(a + b), which must still pack.
+    R = PolyRing(QQ, ("t", "x"), order="elim1")
+    top = 2 ** 31 - 1
+    f = Polynomial(R, {(1, top - 9): Fraction(3), (0, 7): Fraction(1)})
+    assert normal_form(f, [R.from_string("t - x^9")]) == \
+        Polynomial(R, {(0, top): Fraction(3), (0, 7): Fraction(1)})
+    assert normal_form(f, [R.from_string("2*t - x^9 + x")]) == \
+        Polynomial(R, {(0, top): Fraction(3, 2), (0, top - 8): Fraction(-3, 2),
+                       (0, 7): Fraction(1)})
+    with pytest.raises(ValueError, match=r"2\^31"):
+        normal_form(f, [R.from_string("t - x^10")])
+
+
+def test_map_to_merges_terms_that_fold_together():
+    R = ring("x")
+    D = ring("X", "Y")
+    assert D.from_string("X - Y").map_to(R, [0, 0]) == R.zero()
+    assert D.from_string("X + Y").map_to(R, [0, 0]) == R.from_string("2*x")
+    assert D.from_string("X*Y - Y^2 + 3").map_to(R, [0, 0]) == R.constant(3)
+
+
 def test_parser_caps_expansion(monkeypatch):
     R = ring("x", "y")
     assert len(R.from_string("(x+1)^1000").terms) == 1001
@@ -281,16 +332,16 @@ def test_groebner_basis_matches_sympy(names, gens):
 
 
 def recorded_triples(monkeypatch):
-    """The `_prep_divisors` triples built from here on."""
+    """The `_prep_divisor` triples built from here on."""
     prepared = []
-    original = poly._prep_divisors
+    original = poly._prep_divisor
 
-    def recording(polys):
-        triples = original(polys)
-        prepared.extend(triples)
-        return triples
+    def recording(*args):
+        k, triple = original(*args)
+        prepared.append(triple)
+        return k, triple
 
-    monkeypatch.setattr(poly, "_prep_divisors", recording)
+    monkeypatch.setattr(poly, "_prep_divisor", recording)
     return prepared
 
 
@@ -306,8 +357,9 @@ def test_groebner_basis_prepares_each_joining_polynomial_once(monkeypatch):
         coeffs = [lc] + [c for _, c in tail]
         assert all(type(c) is int for c in coeffs)
         assert lc > 0 and math.gcd(*coeffs) == 1
-    monic = [Polynomial(R, {lm: Fraction(1), **{e: Fraction(c, lc)
-                                                 for e, c in tail}})
+    unpack = R._packing.unpack
+    monic = [Polynomial(R, {unpack(lm): Fraction(1),
+                            **{unpack(e): Fraction(c, lc) for e, c in tail}})
              for lm, lc, tail in prepared]
     assert len(monic) == len(set(monic)) >= len(G.basis)
     lms = {g.leading_monomial() for g in monic}
@@ -357,11 +409,12 @@ def test_groebner_basis_of_a_swelling_elim1_ideal():
     assert elapsed < 1.5
 
 
-def quotients_of(steps, s, n):
-    """The n quotients of a `_reduce_terms` step log that ended at scale s."""
+def quotients_of(R, steps, s, n):
+    """The n quotients of a `_reduce_terms` step log that ended at scale s,
+    as public term dicts of the ring R."""
     quotients = [{} for _ in range(n)]
     for i, shift, c, t in steps:
-        quotients[i][shift] = c * (s // t)
+        quotients[i][R._packing.unpack(shift)] = c * (s // t)
     return quotients
 
 
@@ -385,18 +438,20 @@ def test_division_identity_with_the_scale(field):
             gs = [with_denominators(g, rng) for g in gs]
         divisors = _prep_divisors(gs)
         steps = []
-        rem, scale = _reduce_terms(R, f.terms, divisors, steps)
-        rem = Polynomial(R, rem)
+        packed = R._packing.pack_terms(f.terms)
+        rem, scale = _reduce_terms(R, packed, divisors, steps)
+        rem = Polynomial(R, R._packing.unpack_terms(rem))
         total = rem
-        quotients = quotients_of(steps, scale, len(divisors))
+        quotients = quotients_of(R, steps, scale, len(divisors))
         for (lm, u, tail), q, g in zip(divisors, quotients, gs):
-            divisor = Polynomial(R, {lm: u, **dict(tail)})
+            divisor = Polynomial(R, R._packing.unpack_terms({lm: u,
+                                                             **dict(tail)}))
             assert divisor * g.leading_coefficient() == g * u
             if not qq:
                 assert type(u) is int and u == 1
             total += Polynomial(R, q) * divisor
         assert total == f * scale
-        lms = [lm for lm, _, _ in divisors]
+        lms = [R._packing.unpack(lm) for lm, _, _ in divisors]
         assert not any(_divides(lm, e) for lm in lms for e in rem.terms)
         scaled += scale != 1
         # A constant multiple of a divisor prepares to the same triple.
@@ -404,13 +459,14 @@ def test_division_identity_with_the_scale(field):
             prepared = _prep_divisors([c * g for g in gs])
             assert prepared == divisors
             again = []
-            assert _reduce_terms(R, f.terms, prepared, again) == \
-                (rem.terms, scale)
+            assert _reduce_terms(R, packed, prepared, again) == \
+                (R._packing.pack_terms(rem.terms), scale)
             assert again == steps
             g = gs[0]
             assert exact_quotient(f * g, c * g) == f * (1 / c)
             # An exact division never rescales: exact_quotient relies on it.
-            product = (f * g).clear_denominators()[1].terms
+            product = R._packing.pack_terms(
+                (f * g).clear_denominators()[1].terms)
             assert _reduce_terms(R, product, prepared[:1]) == ({}, 1)
     assert scaled if qq else not scaled
 
@@ -681,11 +737,12 @@ def test_division_identity_over_extension_fields(q):
         f = random_dense(R, rng, 4)
         gs = [random_dense(R, rng, 2) for _ in range(3)]
         steps = []
-        rem, s = _reduce_terms(R, f.terms, _prep_divisors(gs), steps)
+        rem, s = _reduce_terms(R, R._packing.pack_terms(f.terms),
+                               _prep_divisors(gs), steps)
         assert s == 1
-        rem = Polynomial(R, rem)
+        rem = Polynomial(R, R._packing.unpack_terms(rem))
         total = rem
-        for g, q_terms in zip(gs, quotients_of(steps, s, len(gs))):
+        for g, q_terms in zip(gs, quotients_of(R, steps, s, len(gs))):
             total = total + Polynomial(R, q_terms) * \
                 (1 / g.leading_coefficient()) * g
         assert total == f

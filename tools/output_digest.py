@@ -102,6 +102,10 @@ CLI_DECK = [
      "x - 1; y - 1", "--json"],
     ["degree", "local", "--field", "GF(25)", *_SYSTEM, "--ideal", "x; y",
      "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x + 2*y - 1; x^2 - y^3 + 3", "--json"],
+    ["degree", "global", "--field", "GF(25)", "--vars", "x,y", "--polys",
+     "x + 2*y - 1; x^2 - y^3 + 3", "--json"],
 ]
 
 
