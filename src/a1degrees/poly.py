@@ -19,19 +19,19 @@ field below 2^31: no monomial may reach degree 2^31.  Packing refuses one
 with ValueError, and the kernel tests the guard bits of each monomial
 when it first enters a term dict, so a product or a reduction that would
 cross the bound raises too.  Each public entry packs once and unpacks
-once: `normal_form`, `exact_quotient`, `groebner_basis` and `determinant`
-(through `_enter` and `_public`), `Polynomial.__mul__` and `__pow__`, and
-the parser.  One loop, `_mul_into`, forms every product.
+once: `normal_form`, `exact_quotient`, `groebner_basis`, `determinant`,
+`Polynomial.__mul__` and `__pow__` through `_enter` and `_public`, and the
+parser through `_public`.  One loop, `_mul_into`, forms every product.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
-field elements.  The kernel decides the domain once, when a polynomial
-enters it: a dividend becomes integral terms and a denominator, a divisor
-a `_prep_divisor` triple, and a result turns back into public scalars in
-`_public`.  A QQ divisor is its primitive integer multiple, and division
-is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the work by a
-running integer scale instead of dividing by leading coefficients.  A GF
-divisor is made monic once, so nothing scales.  The same heap loop serves
-both domains.
+field elements.  Only `_enter`, which makes den * f integral (den is 1
+over GF), and `_public`, which divides by an int on the way out, cross
+between the two, so over QQ the kernel's loops see only ints.  A divisor
+is a `_prep_divisor` triple: over QQ its primitive integer multiple, and
+division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the
+work by a running integer scale instead of dividing by leading
+coefficients; over GF it is made monic once, so nothing scales.  The same
+heap loop serves both domains.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ MAX_EXPONENT = 1000
 # stops in 0.15 s weighted.
 MAX_PARSE_PRODUCTS = 10 ** 6
 
+# The deepest nesting the parser accepts, counting open parentheses and
+# unary signs together.  Each level is a few Python frames, so much deeper
+# input would exhaust the interpreter's stack, sooner the deeper the caller.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Raised on malformed polynomial / matrix text, with a position."""
@@ -132,10 +137,13 @@ class _Packing:
     def unpack(self, m) -> tuple:
         return self.exponents(m.to_bytes(self.size, "little"))
 
-    def pack_terms(self, terms: dict) -> dict:
+    def pack_terms(self, terms: dict, den=None) -> dict:
+        """terms with packed monomials; given den, rational coefficients
+        become the ints of den * terms."""
         fields, rows = self.fields, self.rows
         try:
-            return {int.from_bytes(fields(*e, *rows(e)), "little"): c
+            return {int.from_bytes(fields(*e, *rows(e)), "little"):
+                    c if den is None else c.numerator * (den // c.denominator)
                     for e, c in terms.items()}
         except struct.error:
             raise ValueError(_TOO_LARGE) from None
@@ -240,16 +248,6 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def clear_denominators(self):
-        """(d, d * self), d the least positive integer that makes every
-        coefficient integral: over QQ the lcm of their denominators, and the
-        multiple holds ints; over GF d is 1."""
-        if self.ring.field.kind != "QQ":
-            return 1, self
-        d = lcm(*[c.denominator for c in self.terms.values()])
-        return d, Polynomial(self.ring, {e: c.numerator * (d // c.denominator)
-                                         for e, c in self.terms.items()})
-
     def support(self) -> set[int]:
         """Indices of variables actually occurring."""
         used = set()
@@ -287,28 +285,26 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
+        ring = self.ring
         if not isinstance(other, Polynomial):
-            # An int scales QQ terms as it is: integer polynomials stay so.
-            c = other if other.__class__ is int and \
-                self.ring.field.kind == "QQ" else self.ring.field.coerce(other)
+            c = ring.field.coerce(other)
             if not c:
-                return self.ring.zero()
-            return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
-        if other.ring != self.ring:
+                return ring.zero()
+            return Polynomial(ring, {e: v * c for e, v in self.terms.items()})
+        if other.ring != ring:
             raise ValueError("polynomial ring mismatch")
-        pk = self.ring._packing
-        return Polynomial(self.ring, pk.unpack_terms(_mul_into(
-            {}, pk.pack_terms(self.terms).items(),
-            pk.pack_terms(other.terms).items(), pk.guard)))
+        (da, a), (db, b) = _enter(self), _enter(other)
+        return Polynomial(ring, _public(ring, _mul_into(
+            {}, a.items(), b.items(), ring._packing.guard), da * db))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        pk = self.ring._packing
-        return Polynomial(self.ring, pk.unpack_terms(_power(
-            pk, pk.pack_terms(self.terms), n,
-            lambda a, b: _mul_into({}, a.items(), b.items(), pk.guard),
-            self.ring.field.one())))
+        ring, pk = self.ring, self.ring._packing
+        den, terms = _enter(self)
+        terms = _power(pk, terms, n, lambda a, b: _mul_into(
+            {}, a.items(), b.items(), pk.guard), ring.field.one())
+        return Polynomial(ring, _public(ring, terms, den ** n))
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
@@ -452,12 +448,16 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     return rem, s
 
 
-def _enter(f: Polynomial):
+def _enter(f: Polynomial, den=None):
     """(den, terms): den * f in the kernel's form, packed monomials and
-    integral coefficients, den the least positive integer that makes them
-    so (1 over GF)."""
-    den, f = f.clear_denominators()
-    return den, f.ring._packing.pack_terms(f.terms)
+    integral coefficients.  Over GF den is 1; over QQ it is the least
+    positive integer that makes them so, unless a multiple of it is given."""
+    pk = f.ring._packing
+    if f.ring.field.kind != "QQ":
+        return 1, pk.pack_terms(f.terms)
+    if den is None:
+        den = lcm(*[c.denominator for c in f.terms.values()])
+    return den, pk.pack_terms(f.terms, den)
 
 
 def _prep_divisor(field, terms: dict, den=1):
@@ -589,14 +589,14 @@ def determinant(rows, ring):
     left is expanded by minors from the bottom row up, each minor of the
     last m rows memoized by its column subset: k * 2^(k-1) products of one
     entry and one minor.  For a Bezoutian k counts the nonlinear f_i, and
-    2^k <= prod deg f_i, the size of the Gram matrix.  Over QQ the minors
-    and the scale start from the int 1, so a matrix of integer polynomials
-    without constant rows has an integer determinant.
+    2^k <= prod deg f_i, the size of the Gram matrix.  Over QQ each such
+    row enters the kernel as its least integral multiple, so the expansion
+    multiplies ints; the multipliers are divided out as the result leaves.
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
     zero, one = field.zero(), field.one()
-    seed = 1 if polynomial and field.kind == "QQ" else one
+    qq = field.kind == "QQ"
 
     def scalar(x):
         """The entry's field value, or None if it is not a constant."""
@@ -611,7 +611,7 @@ def determinant(rows, ring):
         return None
 
     a = [list(row) for row in rows]
-    scale = seed
+    scale = one
     while a:
         for r, row in enumerate(a):
             values = [scalar(x) for x in row]
@@ -638,14 +638,18 @@ def determinant(rows, ring):
     if not polynomial:
         return scale
     # minors[S]: the packed minor of the last m rows on the columns in
-    # bitmask S.
+    # bitmask S, times the pivots and times den.
     pk = ring._packing
-    minors = {0: {0: seed}}
+    den = scale.denominator if qq else 1
+    minors = {0: {0: scale.numerator if qq else scale}}
     k = len(a)
     for m in range(1, k + 1):
+        d = lcm(*[c.denominator for x in a[k - m] for c in x.terms.values()]) \
+            if qq else 1
+        den *= d
         row = []
         for x in a[k - m]:
-            entry = pk.pack_terms(x.terms)
+            entry = _enter(x, d)[1]
             row.append((entry.items(), [(e, -c) for e, c in entry.items()]))
         grown: dict = {}
         for s, minor in minors.items():
@@ -660,8 +664,7 @@ def determinant(rows, ring):
                 _mul_into(grown.setdefault(s | bit, {}),
                           negated if odd else entry, minor.items(), pk.guard)
         minors = grown
-    return Polynomial(ring, pk.unpack_terms(minors.get((1 << k) - 1, {}))) \
-        * scale
+    return Polynomial(ring, _public(ring, minors.get((1 << k) - 1, {}), den))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +698,7 @@ class GroebnerBasis:
     @cached_property
     def _divisors(self) -> list:
         """The basis's `_prep_divisors` triples, prepared once for every
-        normal form against it."""
+        normal form against it, unless `groebner_basis` handed them in."""
         return _prep_divisors(self.basis)
 
 
@@ -703,15 +706,15 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _buchberger(ring: PolyRing, gens) -> list:
-    """The reduced basis, by Buchberger's algorithm with the Gebauer-Moller
-    update (Gebauer & Moller 1988) and the sugar strategy (Giovini et al.
-    1991).  Generators, then S-polynomials, join as nonzero remainders
-    modulo every joined element and are kept as `_prep_divisor` triples:
-    primitive over Z for QQ, monic for GF.  The active set stays a minimal
-    basis, and is tail-reduced at the end, then made monic.  The pairs'
-    leading monomials and lcms are exponent tuples; the polynomials are
-    packed.
+def _buchberger(ring: PolyRing, gens) -> tuple:
+    """The reduced basis, as `_prep_divisor` triples and as monic public
+    polynomials, by Buchberger's algorithm with the Gebauer-Moller update
+    (Gebauer & Moller 1988) and the sugar strategy (Giovini et al. 1991).
+    Generators, then S-polynomials, join as nonzero remainders modulo every
+    joined element and are kept as triples: primitive over Z for QQ, monic
+    for GF.  The active set stays a minimal basis, and is tail-reduced at
+    the end.  The pairs' leading monomials and lcms are exponent tuples;
+    the polynomials are packed.
     """
     pk, field = ring._packing, ring.field
     qq, one = field.kind == "QQ", field.one()
@@ -757,7 +760,7 @@ def _buchberger(ring: PolyRing, gens) -> list:
 
     if any(join(_enter(g)[1], max(map(sum, g.terms), default=0))
            for g in gens):
-        return [ring.one()]
+        return [(0, 1, [])], [ring.one()]
     if not prepped:
         raise ValueError("generators must not all be zero")
     while heap:
@@ -771,7 +774,7 @@ def _buchberger(ring: PolyRing, gens) -> list:
         _mul_into(f, [(l - lmi, a)], taili, pk.guard)
         _mul_into(f, [(l - lmj, -b)], tailj, pk.guard)
         if join(f, s):
-            return [ring.one()]
+            return [(0, 1, [])], [ring.one()]
 
     # Smallest first: only smaller, already reduced elements divide a tail.
     active.sort(key=lambda i: prepped[i][0])
@@ -784,15 +787,19 @@ def _buchberger(ring: PolyRing, gens) -> list:
             g = gcd(lc, *tail.values())
             lc, tail = lc // g, {e: c // g for e, c in tail.items()}
         reduced.append((lm, lc, list(tail.items())))
-    return [Polynomial(ring, {pk.unpack(lm): one,
-                              **_public(ring, dict(t), lc)})
-            for lm, lc, t in reduced]
+    return reduced, [Polynomial(ring, {pk.unpack(lm): one,
+                                       **_public(ring, dict(t), lc)})
+                     for lm, lc, t in reduced]
 
 
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     """Unique reduced Groebner basis for the ring's monomial order."""
-    basis = _buchberger(ideal.ring, ideal.generators)
-    return GroebnerBasis(ideal, tuple(basis), ideal.ring.order)
+    triples, basis = _buchberger(ideal.ring, ideal.generators)
+    gb = GroebnerBasis(ideal, tuple(basis), ideal.ring.order)
+    # Preparing the basis would make these triples again: hand them over
+    # where the cached property keeps its value.
+    vars(gb)["_divisors"] = triples
+    return gb
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
@@ -969,11 +976,11 @@ def _tokenize(text: str):
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """The terms fold with packed monomials, unpacked once at the end.  Over
-    QQ the coefficients fold as ints and become Fractions at the end too;
-    over GF they are field elements from the start."""
+    """The terms fold in the kernel's form, packed monomials and, over QQ,
+    int coefficients (GF ones are field elements from the start), and leave
+    it once, through `_public`."""
     tokens = _tokenize(text)
-    pos = work = 0
+    pos = work = depth = 0
     qq = ring.field.kind == "QQ"
     pk = ring._packing
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
@@ -1008,6 +1015,17 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                              f"position {at})")
         return _mul_into({}, a.items(), b.items(), pk.guard)
 
+    def nested(parse, at):
+        """parse() one level deeper."""
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels of "
+                             f"parentheses and signs", at)
+        node = parse()
+        depth -= 1
+        return node
+
     def parse_expr():
         kind, val, at = peek()
         negate = False
@@ -1041,7 +1059,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         kind, val, at = peek()
         if kind == "op" and val in "+-":
             advance()
-            node = parse_factor()
+            node = nested(parse_factor, at)
             return {e: -c for e, c in node.items()} if val == "-" else node
         node = parse_base()
         kind, val, at = peek()
@@ -1068,7 +1086,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError(f"unknown variable {val!r}", at) from None
             return {pk.units[i]: scalar(1)}
         if kind == "op" and val == "(":
-            node = parse_expr()
+            node = nested(parse_expr, at)
             kind, val, at = advance()
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", at)
@@ -1079,7 +1097,4 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     kind, val, at = peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
-    terms = pk.unpack_terms(node)
-    if qq:
-        return Polynomial(ring, {e: Fraction(c) for e, c in terms.items()})
-    return Polynomial(ring, terms)
+    return Polynomial(ring, _public(ring, node, 1))

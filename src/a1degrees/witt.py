@@ -17,7 +17,6 @@ _REALIZATION_CAP with a ValueError, which the CLI reports with exit 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 
 from .fields import QQ, is_padic_square, is_prime
@@ -271,9 +270,6 @@ def sum_decomposition(beta: GWClass) -> DecompositionReport:
     if n > 0:
         pieces.append(f"{n}H")
     for i in range(part.rank):
-        entry = part.gram[i][i]
-        if isinstance(entry, Fraction) and entry.denominator == 1:
-            entry = entry.numerator
-        pieces.append(f"<{entry}>")
+        pieces.append(f"<{part.gram[i][i]}>")
     display = " + ".join(pieces) if pieces else "0"
     return DecompositionReport(part, n, display)

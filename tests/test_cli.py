@@ -273,7 +273,9 @@ def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
 
 def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
     # The zero-locus check, the Jacobian entries and the standard monomials
-    # all read the point basis's divisors from the basis itself.
+    # all read the point basis's divisors from the basis itself, which keeps
+    # Buchberger's: it is never prepared again.  The doubled basis is
+    # prepared once for the Bezoutian's entries and its determinant.
     prepared = []
     original = poly._prep_divisors
 
@@ -290,8 +292,8 @@ def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
     assert obj["rank"] == 1
     ring = poly.PolyRing(QQ, ("x", "y"))
     point = poly.groebner_basis(poly.Ideal.of(ring, "x - 1", "y + 1")).basis
-    assert prepared.count(point) == 1
-    assert len(prepared) == 2  # and the doubled basis of the Bezoutian
+    assert prepared.count(point) == 0
+    assert len(prepared) == 1  # the doubled basis of the Bezoutian
 
 
 def test_a_monomial_past_the_kernel_bound_exits_1(capsys):
@@ -538,6 +540,67 @@ def test_system_at_the_bezout_cap_builds(capsys):
     obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
                    "--polys", "x^128 - 3*x + 1")
     assert len(obj["gram"]) == 128
+
+
+def test_local_degree_reduces_the_entries_before_their_determinant(capsys):
+    # The (1, 1) entry alone has 1,000 terms; multiplied out before the
+    # reduction, the expansion forms about 10^6 term products.
+    start = time.perf_counter()
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
+                   "--polys", "x^1000 + y^2; y^1000 + x^2", "--ideal", "x; y")
+    assert time.perf_counter() - start < 1.0
+    assert obj["rank"] == 4
+
+
+@pytest.mark.parametrize("polys, terms", [
+    ("(x^1000)^1000 - x; y", 1000002),
+    ("((x^1000)^1000)^20 - x; y", 20000002),
+])
+def test_local_bezoutian_cap_exits_1_before_any_groebner_basis(
+        capsys, monkeypatch, polys, terms):
+    assert degrees.MAX_BEZOUTIAN_TERMS == 10 ** 5
+    calls = []
+    monkeypatch.setattr(degrees, "groebner_basis", calls.append)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "local", "--field", "QQ",
+                         "--vars", "x,y", "--polys", polys, "--ideal", "x; y")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, calls) == (1, "", [])
+    assert err == f"error: the Bezoutian has {terms} terms, more than 100000\n"
+
+
+def test_local_bezoutian_under_the_cap_builds(capsys):
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
+                   "--polys", "(x^1000)^40 - x; y", "--ideal", "x; y")
+    assert obj["gram"] == [["-1"]]
+
+
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * k + "x" + ")" * k + " - 1",
+    lambda k: "x + " + "-" * k + "x - 1",
+    lambda k: "(" * (k - k // 2) + "x + " + "-" * (k // 2) + "x" +
+    ")" * (k - k // 2) + " - 1",
+], ids=["parentheses", "signs", "both"])
+def test_deep_nesting_is_a_parse_error(capsys, nest):
+    # A sign that opens an expression does not nest: "-(-(x))" is 2 levels.
+    obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
+                   "--polys", nest(100))
+    assert obj["rank"] == 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "global", "--field", "QQ",
+                         "--vars", "x", "--polys", nest(101))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: nesting deeper than 100 levels") and \
+        err.count("\n") == 1
+
+
+def test_deep_nesting_in_a_gf_entry_is_a_parse_error():
+    field = {"name": "GF(9)"}
+    entry = "(" * 100 + "t" + ")" * 100
+    assert cli.gwclass_from_json({"field": field, "gram": [[entry]]}).rank == 1
+    with pytest.raises(ParseError, match="nesting deeper than 100"):
+        cli.gwclass_from_json({"field": field, "gram": [["(" + entry + ")"]]})
 
 
 @pytest.mark.parametrize("command", ["degree", "basis"])

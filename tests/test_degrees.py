@@ -170,9 +170,9 @@ def test_scaling_one_polynomial_scales_the_gram(n, degree):
 
 
 def test_qq_kernel_does_no_fraction_arithmetic(monkeypatch):
-    # Over integer inputs the Groebner basis, the Bezoutian determinant and
-    # the normal form work on ints; only the final Fraction(n, d) are built.
-    # No f_i is linear, so no Bezoutian row is constant.
+    # The Groebner basis, the Bezoutian determinant and the normal form work
+    # on ints, also from an integral system; only the final Fraction(n, d)
+    # are built.  No f_i is linear, so no Bezoutian row is constant.
     ring, f = system(("x", "y", "z"), ["2*x^2 - 3*y + z - 1",
                                        "x*y^2 - 3*z + 1",
                                        "y*z^2 + x^3 - 2*x*z"])
@@ -192,9 +192,51 @@ def test_qq_kernel_does_no_fraction_arithmetic(monkeypatch):
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert calls == ["__add__"]  # the counters do see Fraction arithmetic
     monkeypatch.undo()
-    assert det == expected and all(type(c) is int for c in det.terms.values())
+    assert det == expected and \
+        all(type(c) is Fraction for c in det.terms.values())
     assert len(G.basis) > 1 and remainder
     assert normal_form(g - remainder, G).is_zero()
+
+
+def test_qq_products_multiply_ints_only(monkeypatch):
+    # Every QQ polynomial enters the kernel as its integral multiple, so the
+    # one product loop sees ints: in a determinant with a constant Bezoutian
+    # row (an affine-linear f_i, eliminated by rational pivots) and in
+    # public products and powers of Fraction polynomials.
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    f = EndoSystem(ring, tuple(ring.from_string(p) * c for p, c in [
+        ("3*x - 2*y + z - 1", Fraction(1, 2)),
+        ("x^2*y - 3*z^2 + y", Fraction(-2, 3)),
+        ("y*z^2 + x^3 - 2*x*z", Fraction(5, 4))]))
+    bez = bezoutian_matrix(f)
+    b = bez.entries
+    expected = bez.doubled_ring.zero()
+    for i, j, k in itertools.permutations(range(3)):
+        inversions = (i > j) + (i > k) + (j > k)
+        expected += b[0][i] * b[1][j] * b[2][k] * (-1) ** inversions
+    p = ring.from_string("x + 3*y - 1") * Fraction(1, 2)
+    q = ring.from_string("2*x*y - z") * Fraction(5, 3)
+    seen = set()
+    original = poly._mul_into
+
+    def recording(out, a, b, guard):
+        seen.update(type(c) for _, c in a)
+        seen.update(type(c) for _, c in b)
+        out = original(out, a, b, guard)
+        seen.update(map(type, out.values()))
+        return out
+
+    monkeypatch.setattr(poly, "_mul_into", recording)
+    det = bez.determinant()
+    assert seen == {int}
+    product = p ** 3 * q
+    assert seen == {int}
+    monkeypatch.undo()
+    assert det == expected and det
+    assert product == ring.from_string(
+        "(x + 3*y - 1)^3 * (2*x*y - z)") * Fraction(5, 24)
+    for g in (det, product, p ** 0):
+        assert all(type(c) is Fraction for c in g.terms.values())
 
 
 @pytest.mark.parametrize("p", [101, 103])
@@ -869,6 +911,30 @@ def test_global_gram_is_the_inverse_trace_form(monkeypatch, field, shapes):
         checked += 1
     assert skipped == 0 and checked == len(shapes)
     assert ranks == [prod(shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("polys, rank", [
+    (["x^2 - y^3", "y^2 - x^3"], 4),
+    (["x - 2*y", "x^3 + y^4 - x*y^2"], 3),  # an affine-linear f_1
+    (["x^5 + 2*x*y^2 - y^3", "y^4 - 3*x^3 + x*y"], 8),
+])
+def test_local_gram_reduces_the_entries_first(polys, rank):
+    # NF(det B) = NF(det NF(B_ij)) modulo I_X + I_Y: the Gram matrix read
+    # off the reduced determinant of the unreduced entries is the same.
+    ring = PolyRing(QQ, ("x", "y"))
+    f = EndoSystem(ring, tuple(ring.from_string(p) * c for p, c in
+                               zip(polys, (Fraction(2, 3), Fraction(-5, 4)))))
+    point = Ideal.of(ring, "x", "y")
+    gb = degrees._local_ideal(f, point)
+    bez = bezoutian_matrix(f)
+    dring = bez.doubled_ring
+    gxy = [g.map_to(dring, m) for m in ([0, 1], [2, 3]) for g in gb.basis]
+    index = {m.leading_monomial(): i
+             for i, m in enumerate(standard_monomials(gb))}
+    expected = [[0] * rank for _ in range(rank)]
+    for e, c in normal_form(bez.determinant(), gxy).terms.items():
+        expected[index[e[:2]]][index[e[2:]]] = c
+    assert [list(row) for row in local_a1_degree(f, point).gram] == expected
 
 
 def test_local_gram_at_the_quartic_point_is_the_inverse_trace_form():

@@ -17,7 +17,7 @@ from a1degrees.poly import (MAX_EXPONENT, GroebnerBasis, Ideal, ParseError,
                             groebner_basis, ideal_quotient, normal_form,
                             parse_polynomial, resultant_univariate,
                             saturation, standard_monomials)
-from a1degrees.poly import _divides, _prep_divisors, _reduce_terms
+from a1degrees.poly import _divides, _enter, _prep_divisors, _reduce_terms
 
 
 def ring(*names, field=QQ):
@@ -465,10 +465,23 @@ def test_division_identity_with_the_scale(field):
             g = gs[0]
             assert exact_quotient(f * g, c * g) == f * (1 / c)
             # An exact division never rescales: exact_quotient relies on it.
-            product = R._packing.pack_terms(
-                (f * g).clear_denominators()[1].terms)
+            product = _enter(f * g)[1]
             assert _reduce_terms(R, product, prepared[:1]) == ({}, 1)
     assert scaled if qq else not scaled
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_groebner_basis_keeps_the_triples_preparation_would_make(field):
+    # A computed basis hands Buchberger's reduced triples to its normal
+    # forms; preparing its public polynomials gives the same list.
+    R = ring("x", "y", "z", field=field)
+    rng = random.Random(f"triples:{field}")
+    for gens in [[random_dense(R, rng, 2) for _ in range(3)],
+                 [R.from_string("x*y - 1"), R.from_string("x^2 + z")],
+                 [R.from_string("x - 1"), R.from_string("x + 1")]]:
+        gb = groebner_basis(Ideal(R, tuple(gens)))
+        assert gb._divisors == _prep_divisors(gb.basis)
 
 
 def test_normal_form_examples():

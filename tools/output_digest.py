@@ -106,6 +106,12 @@ CLI_DECK = [
      "x + 2*y - 1; x^2 - y^3 + 3", "--json"],
     ["degree", "global", "--field", "GF(25)", "--vars", "x,y", "--polys",
      "x + 2*y - 1; x^2 - y^3 + 3", "--json"],
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^300 + y^2; y^300 + x^2", "--ideal", "x; y", "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
+     "(" * 101 + "x" + ")" * 101, "--json"],
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "(x^1000)^200 - x; y", "--ideal", "x; y", "--json"],
 ]
 
 
