@@ -1,18 +1,22 @@
 """Local and global A1-Brouwer degrees via Bezoutian bilinear forms.
 
 The pipeline: build the divided-difference matrix of the system in a
-doubled ring, take its determinant, reduce it once modulo the ideal's
-Groebner basis in the X-copy and the Y-copy of the variables, and read
-the Gram matrix off the standard-monomial (or local-algebra) basis grid.
+doubled ring, take its determinant modulo the ideal's Groebner basis in
+the X-copy and the Y-copy of the variables, and read the Gram matrix off
+the standard-monomial (or local-algebra) basis grid.  Global and local
+degrees take the same path; only the basis differs.
 
-The determinant (`poly.determinant`) divides no polynomial.  The rows of
-linear f_i are field constants; each is cleared by column operations with
-field scalars, leaving +-pivot as a scalar factor.  The k x k block of the
-nonlinear f_i is expanded by minors, bottom rows first, each memoized by
-its column subset: k * 2^(k-1) products of an entry and a minor, with
-2^k <= prod deg f_i, the size of the Gram matrix.  A local degree reduces
-the entries first, then their determinant: that gives the same normal
-form, and keeps a high-degree f_i from expanding past the local algebra.
+The determinant (`poly.determinant`) first reduces every entry modulo
+the X/Y basis as it enters the kernel, and divides no polynomial while
+it expands.  Rows of field constants (the linear f_i, and every row at
+a simple point, where each entry reduces to its value) are cleared by
+column operations with field scalars, leaving +-pivot as a scalar
+factor.  The k x k block left is expanded by minors, bottom rows first,
+each memoized by its column subset: k * 2^(k-1) products of an entry and
+a minor, with 2^k <= prod deg f_i, the size of the Gram matrix.  The
+expansion is reduced once more before it leaves.  Reducing the entries
+gives the same normal form, as det is an integer polynomial in them, and
+keeps a high-degree f_i from expanding past the local algebra.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ class BezoutianMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def determinant(self) -> Polynomial:
-        return determinant(self.entries, self.doubled_ring)
+    def determinant(self, modulo=None) -> Polynomial:
+        """det B, or its normal form modulo a Groebner basis in the
+        doubled ring: see `poly.determinant`."""
+        return determinant(self.entries, self.doubled_ring, modulo)
 
     def diagonal_specialization(self):
         """Entries with Y set to X, pulled back to the base ring: the Jacobian."""
@@ -126,12 +132,8 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
     return BezoutianMatrix(dring, tuple(rows), system)
 
 
-def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis,
-                       reduce_entries: bool = False) -> GWClass:
-    """The Gram matrix of NF(det B) on basis_gb's standard monomials.  With
-    reduce_entries, B's entries are reduced before det: det is an integer
-    polynomial in them, and the normal form is canonical modulo
-    I_X + I_Y, so the result is the same."""
+def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
+    """The Gram matrix of NF(det B) on basis_gb's standard monomials."""
     ring = system.ring
     n = ring.nvars
     mons = standard_monomials(basis_gb)
@@ -144,15 +146,10 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis,
     y_map = list(range(n, 2 * n))
     # The X-copy and the Y-copy have leading monomials in disjoint
     # variables, so every cross S-pair passes the product criterion and
-    # their union is a Groebner basis of I_X + I_Y: one reduction pass.
+    # their union is a Groebner basis of I_X + I_Y.
     gxy = [g.map_to(dring, x_map) for g in basis_gb.basis] + \
         [g.map_to(dring, y_map) for g in basis_gb.basis]
-    entries = bez.entries
-    if reduce_entries:
-        # Wrapped, the basis is prepared once for all n^2 + 1 passes.
-        gxy = GroebnerBasis(Ideal(dring, tuple(gxy)), tuple(gxy), dring.order)
-        entries = [[normal_form(x, gxy) for x in row] for row in entries]
-    reduced = normal_form(determinant(entries, dring), gxy)
+    reduced = bez.determinant(gxy)
     size = len(mons)
     zero = ring.field.zero()
     gram = [[zero] * size for _ in range(size)]
@@ -199,7 +196,7 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
     """The m-primary component of I, as the reduced basis of I + m^k.
 
     At a point of quotient dimension 1, m is maximal with residue field k,
-    and reducing the Jacobian entries modulo m evaluates them at p.  If
+    and the Jacobian's determinant modulo m is its value at p.  If
     det J(p) is nonzero, the linear parts of the f_i span m/m^2, so
     I + m^2 = m: the zero is simple and m's own basis is returned.
     Otherwise (and at any point of larger dimension, which need not be
@@ -219,8 +216,8 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
             raise ValueError("point not in zero locus")
     dim = len(standard_monomials(gb))
     if dim == 1 and determinant(
-            [[normal_form(f.derivative(j), gb) for j in range(ring.nvars)]
-             for f in system.polys], ring):
+            [[f.derivative(j) for j in range(ring.nvars)]
+             for f in system.polys], ring, gb):
         return gb
     while True:
         if dim > system.bezout_number:
@@ -248,10 +245,9 @@ def local_algebra_basis(system: EndoSystem, point: Ideal) -> LocalAlgebraBasis:
 
 
 def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
-    """Local degree: the global pipeline run against the local algebra,
-    reducing the Bezoutian's entries before their determinant."""
+    """Local degree: the global pipeline run against the local algebra."""
     terms = sum(sum(e) for f in system.polys for e in f.terms)
     if terms > MAX_BEZOUTIAN_TERMS:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
-    return _degree_from_basis(system, _local_ideal(system, point), True)
+    return _degree_from_basis(system, _local_ideal(system, point))

@@ -26,7 +26,9 @@ parser through `_public`.  One loop, `_mul_into`, forms every product.
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements.  Only `_enter`, which makes den * f integral (den is 1
 over GF), and `_public`, which divides by an int on the way out, cross
-between the two, so over QQ the kernel's loops see only ints.  A divisor
+between the two, so over QQ the kernel's loops see only ints; the one
+exception is `determinant`'s elimination, which reads each constant entry
+as a field scalar to choose and apply its pivots.  A divisor
 is a `_prep_divisor` triple: over QQ its primitive integer multiple, and
 division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the
 work by a running integer scale instead of dividing by leading
@@ -448,15 +450,14 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     return rem, s
 
 
-def _enter(f: Polynomial, den=None):
+def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
-    integral coefficients.  Over GF den is 1; over QQ it is the least
-    positive integer that makes them so, unless a multiple of it is given."""
+    integral coefficients, den the least positive integer that makes them
+    so: 1 over GF."""
     pk = f.ring._packing
     if f.ring.field.kind != "QQ":
         return 1, pk.pack_terms(f.terms)
-    if den is None:
-        den = lcm(*[c.denominator for c in f.terms.values()])
+    den = lcm(*[c.denominator for c in f.terms.values()])
     return den, pk.pack_terms(f.terms, den)
 
 
@@ -577,40 +578,73 @@ def _mul_into(out: dict, a, b, guard: int) -> dict:
     return out
 
 
-def determinant(rows, ring):
-    """Determinant of a square matrix over a PolyRing or a FieldDesc.
+def determinant(rows, ring, modulo=None):
+    """Determinant of a square matrix over a PolyRing or a FieldDesc; given
+    `modulo`, a Groebner basis in ring (a `GroebnerBasis` or its elements),
+    its normal form modulo that basis.
 
-    No polynomial is ever divided.  First, while some row holds only field
-    constants, its first nonzero entry is the pivot: column operations by
-    field scalars clear the rest of the row, and the determinant is
-    +-pivot times the minor without that row and column (a zero constant
-    row gives 0).  Over a FieldDesc every row is constant, so this is
-    Gaussian elimination.  Second, the k x k block of nonconstant rows
-    left is expanded by minors from the bottom row up, each minor of the
-    last m rows memoized by its column subset: k * 2^(k-1) products of one
-    entry and one minor.  For a Bezoutian k counts the nonlinear f_i, and
-    2^k <= prod deg f_i, the size of the Gram matrix.  Over QQ each such
-    row enters the kernel as its least integral multiple, so the expansion
-    multiplies ints; the multipliers are divided out as the result leaves.
+    Every entry enters the kernel first, as packed terms over an int
+    multiplier (integral over QQ); given `modulo`, it is reduced modulo
+    the basis as it enters, so an entry that reduces to a field constant
+    counts as one below.  No polynomial is ever divided while expanding.
+    First, while some row holds only field constants, its first nonzero
+    entry is the pivot: column operations by field scalars clear the rest
+    of the row, and the determinant is +-pivot times the minor without
+    that row and column (a zero constant row gives 0).  Over a FieldDesc
+    every row is constant, so this is Gaussian elimination.  Second, the
+    k x k block of nonconstant rows left is expanded by minors from the
+    bottom row up, each minor of the last m rows memoized by its column
+    subset: k * 2^(k-1) products of one entry and one minor.  For a
+    Bezoutian k counts the nonlinear f_i, and 2^k <= prod deg f_i, the
+    size of the Gram matrix; modulo a simple point's basis every entry is
+    a constant, and k is 0.  Each row of the block is brought to one
+    multiplier, the lcm of its entries', so over QQ the expansion
+    multiplies ints; the multipliers are divided out as the result
+    leaves.  Given `modulo`, the expansion is reduced once more before it
+    leaves.  The normal form is canonical and the determinant is an
+    integer polynomial in the entries, so this is NF(det), the same
+    polynomial as normal_form(determinant(rows, ring), modulo).
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
     zero, one = field.zero(), field.one()
     qq = field.kind == "QQ"
+    divisors = None if modulo is None else _divisors_of(modulo, ring)
+
+    def enter(x):
+        """(d, terms): terms is d * x in the kernel's form, or its
+        remainder modulo divisors; a field scalar is the monomial 0."""
+        if not polynomial:
+            terms = {0: x.numerator if qq else x} if x else {}
+            return (x.denominator if qq else 1), terms
+        d, terms = _enter(x)
+        if divisors is not None:
+            terms, s = _reduce_terms(ring, terms, divisors)
+            d *= s
+        return d, terms
 
     def scalar(x):
         """The entry's field value, or None if it is not a constant."""
-        if not polynomial:
-            return x
-        if not x.terms:
+        d, terms = x
+        if not terms:
             return zero
-        if len(x.terms) == 1:
-            ((e, c),) = x.terms.items()
-            if not any(e):
-                return c
+        if len(terms) == 1 and 0 in terms:
+            return Fraction(terms[0], d) if qq else terms[0]
         return None
 
-    a = [list(row) for row in rows]
+    def minus(x, y, s):
+        """The entry x - s * y, for a field scalar s."""
+        (dx, tx), (dy, ty) = x, y
+        if qq:
+            d = lcm(dx, dy * s.denominator)
+            kx, ky = d // dx, -s.numerator * (d // (dy * s.denominator))
+        else:
+            d, kx, ky = 1, 1, -s
+        out = dict(tx) if kx == 1 else {e: c * kx for e, c in tx.items()}
+        _add_into(out, {e: c * ky for e, c in ty.items()})
+        return d, out
+
+    a = [[enter(x) for x in row] for row in rows]
     scale = one
     while a:
         for r, row in enumerate(a):
@@ -629,8 +663,8 @@ def determinant(rows, ring):
             if v and j != c:
                 s = v * inv
                 for i, x in enumerate(column):
-                    if i != r and x:
-                        a[i][j] = a[i][j] - x * s
+                    if i != r and x[1]:
+                        a[i][j] = minus(a[i][j], x, s)
         scale = scale * pivot if (r + c) % 2 == 0 else -(scale * pivot)
         del a[r]
         for row in a:
@@ -644,12 +678,12 @@ def determinant(rows, ring):
     minors = {0: {0: scale.numerator if qq else scale}}
     k = len(a)
     for m in range(1, k + 1):
-        d = lcm(*[c.denominator for x in a[k - m] for c in x.terms.values()]) \
-            if qq else 1
+        d = lcm(*[dx for dx, _ in a[k - m]])
         den *= d
         row = []
-        for x in a[k - m]:
-            entry = _enter(x, d)[1]
+        for dx, entry in a[k - m]:
+            if dx != d:
+                entry = {e: c * (d // dx) for e, c in entry.items()}
             row.append((entry.items(), [(e, -c) for e, c in entry.items()]))
         grown: dict = {}
         for s, minor in minors.items():
@@ -664,7 +698,11 @@ def determinant(rows, ring):
                 _mul_into(grown.setdefault(s | bit, {}),
                           negated if odd else entry, minor.items(), pk.guard)
         minors = grown
-    return Polynomial(ring, _public(ring, minors.get((1 << k) - 1, {}), den))
+    det = minors.get((1 << k) - 1, {})
+    if divisors is not None:
+        det, t = _reduce_terms(ring, det, divisors)
+        den *= t
+    return Polynomial(ring, _public(ring, det, den))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +731,6 @@ class Ideal:
 class GroebnerBasis:
     ideal: Ideal
     basis: tuple
-    order: str
 
     @cached_property
     def _divisors(self) -> list:
@@ -795,23 +832,30 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     """Unique reduced Groebner basis for the ring's monomial order."""
     triples, basis = _buchberger(ideal.ring, ideal.generators)
-    gb = GroebnerBasis(ideal, tuple(basis), ideal.ring.order)
+    gb = GroebnerBasis(ideal, tuple(basis))
     # Preparing the basis would make these triples again: hand them over
     # where the cached property keeps its value.
     vars(gb)["_divisors"] = triples
     return gb
 
 
-def normal_form(f: Polynomial, G) -> Polynomial:
-    """Remainder of f modulo a Groebner basis (or any list of divisors).
-    A `GroebnerBasis` keeps its prepared divisors for the next call."""
-    ring = f.ring
+def _divisors_of(G, ring: PolyRing) -> list:
+    """The prepared divisors of a Groebner basis G, or of its elements, in
+    ring: a `GroebnerBasis` keeps them for the next call, a list is prepared
+    per call."""
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
     # The identity test first: the degree path's divisors share one ring.
     if any(g.ring is not ring and g.ring != ring for g in polys):
         raise ValueError("polynomial ring mismatch")
-    divisors = G._divisors if isinstance(G, GroebnerBasis) else \
+    return G._divisors if isinstance(G, GroebnerBasis) else \
         _prep_divisors(polys)
+
+
+def normal_form(f: Polynomial, G) -> Polynomial:
+    """Remainder of f modulo a Groebner basis (or any list of divisors).
+    A `GroebnerBasis` keeps its prepared divisors for the next call."""
+    ring = f.ring
+    divisors = _divisors_of(G, ring)
     # den * f reduces to rem with rem = (den * s) * (f mod G).
     den, terms = _enter(f)
     rem, s = _reduce_terms(ring, terms, divisors)

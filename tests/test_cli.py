@@ -271,6 +271,49 @@ def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
     assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
 
 
+@pytest.mark.parametrize("argv", [
+    ("global", "--field", "GF(25)", "--polys", "x^2 - y^3 + 1; 2*x*y - 3"),
+    ("local", "--field", "QQ", "--polys",
+     "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "--ideal", "x - 1; y + 1"),
+    ("local", "--field", "GF(7)", "--polys", "x^2 - y^3; y^2 - x^3",
+     "--ideal", "x; y"),
+], ids=["global-gf25", "local-simple", "local-multiple"])
+def test_each_degree_takes_one_bezoutian_determinant(capsys, monkeypatch,
+                                                      argv):
+    # The traced benchmark layer BezoutianMatrix.determinant is the path
+    # every degree's Gram matrix comes from (a global degree over QQ is
+    # checked in test_one_reduction_pass_per_degree).
+    calls = []
+    original = degrees.BezoutianMatrix.determinant
+
+    def recording(bez, modulo=None):
+        calls.append(modulo)
+        return original(bez, modulo)
+
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", recording)
+    kind, *rest = argv
+    obj = run_json(capsys, "degree", kind, "--vars", "x,y", *rest)
+    assert obj["rank"] > 0
+    assert len(calls) == 1 and calls[0] is not None
+
+
+def test_simple_point_in_many_variables_is_eliminated(capsys):
+    # Modulo a simple point's basis every entry of the Jacobian and of the
+    # Bezoutian is a constant, so each determinant is one elimination of
+    # 18 x 18 scalars, not an expansion by 18 * 2^17 minors.
+    rng = random.Random(18)
+    xs = [f"x{i}" for i in range(18)]
+    c = [[rng.randint(1, 9) for _ in xs] for _ in xs]
+    polys = "; ".join(f"{x}^2 + " + " + ".join(
+        f"{a}*{y}" for a, y in zip(row, xs)) for x, row in zip(xs, c))
+    start = time.perf_counter()
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars",
+                   ",".join(xs), "--polys", polys, "--ideal", "; ".join(xs))
+    assert time.perf_counter() - start < 1.0
+    # the zero is simple, and the local degree is <det J(0)>
+    assert obj["gram"] == [[str(sympy.Matrix(c).det())]]
+
+
 def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
     # The zero-locus check, the Jacobian entries and the standard monomials
     # all read the point basis's divisors from the basis itself, which keeps

@@ -122,17 +122,32 @@ def test_bezoutian_entries_need_no_substitution_or_division(monkeypatch):
 
 def test_one_reduction_pass_per_degree(monkeypatch):
     ring, f = system(("x", "y"), ["x^2*y - 3*y + 1", "x*y^3 - x^2 + y"])
-    passes = []
-    original = degrees.normal_form
+    prepared, determinants, normal_forms = [], [], []
+    prep, det = poly._prep_divisors, degrees.BezoutianMatrix.determinant
 
-    def recording(g, divisors):
-        passes.append(len(divisors))
-        return original(g, divisors)
+    def preparing(polys):
+        polys = tuple(polys)
+        prepared.append(len(polys))
+        return prep(polys)
 
-    monkeypatch.setattr(degrees, "normal_form", recording)
+    def determinant(bez, modulo=None):
+        determinants.append(modulo)
+        return det(bez, modulo)
+
+    def normal_form(g, divisors):
+        normal_forms.append(g)
+        raise AssertionError("a global degree takes no separate normal form")
+
+    monkeypatch.setattr(poly, "_prep_divisors", preparing)
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
+    monkeypatch.setattr(degrees, "normal_form", normal_form)
+    monkeypatch.setattr(poly, "normal_form", normal_form)
     global_a1_degree(f)
-    # against the X-copy and the Y-copy of the basis together
-    assert passes == [2 * len(groebner_basis(Ideal(ring, f.polys)).basis)]
+    # The X-copy and the Y-copy of the basis together, prepared once for
+    # the entries and the determinant they reduce.
+    assert prepared == [2 * len(groebner_basis(Ideal(ring, f.polys)).basis)]
+    assert len(determinants) == 1 and determinants[0] is not None
+    assert normal_forms == []
 
 
 def rational_system(rng, n, degree):

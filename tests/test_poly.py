@@ -864,6 +864,40 @@ def test_determinant_of_mixed_polynomial_rows(field):
     assert determinant([], R) == R.one()
 
 
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1),
+                                   gf_construct(5, 2)], ids=str)
+def test_determinant_modulo_a_basis_is_the_normal_form(field):
+    # NF is canonical and det is an integer polynomial in the entries, so
+    # reducing the entries and the expansion gives NF(det).
+    R = ring("x", "y", "z", field=field)
+    rng = random.Random(f"det-modulo:{field}")
+
+    def entry(degree):
+        f = random_dense(R, rng, degree)
+        if field.kind == "QQ":
+            f = Polynomial.make(R, {e: Fraction(c, rng.randint(1, 6))
+                                    for e, c in f.terms.items()})
+        return f
+
+    for trial in range(6):
+        G = groebner_basis(Ideal(R, (entry(2), entry(2), entry(3))))
+        m = [[entry(2) for _ in range(4)] for _ in range(4)]
+        m[1] = [R.constant(rng.randint(1, 5)) for _ in range(4)]
+        m[2] = [entry(1) for _ in range(4)]  # affine-linear
+        m[3][trial % 4] = R.zero()
+        expected = normal_form(determinant(m, R), G)
+        assert determinant(m, R, G) == expected
+        assert determinant(m, R, G.basis) == expected
+        assert expected == normal_form(leibniz(m, R.zero(), R.one()), G)
+        # modulo a point's basis every entry reduces to a constant
+        x, y, z = (R.variable(i) for i in range(3))
+        P = groebner_basis(Ideal(R, (x - 1, y + 2, z - trial)))
+        assert determinant(m, R, P) == normal_form(determinant(m, R), P)
+    other = ring("x", "y", "w", field=field)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        determinant(m, R, [other.variable(0)])
+
+
 def test_determinant_divides_no_polynomial(monkeypatch):
     R = ring("x", "y", "z")
     rng = random.Random(3)

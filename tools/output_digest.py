@@ -112,6 +112,10 @@ CLI_DECK = [
      "(" * 101 + "x" + ")" * 101, "--json"],
     ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
      "(x^1000)^200 - x; y", "--ideal", "x; y", "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
+     "2*x^3 - y + 1; 3*x + 2*y - 5", "--json"],
+    ["degree", "global", "--field", "GF(25)", "--vars", "x,y", "--polys",
+     "2*x^3 - y + 1; 3*x + 2*y - 5", "--json"],
 ]
 
 
