@@ -3,20 +3,25 @@
 The pipeline: build the divided-difference matrix of the system in a
 doubled ring, take its determinant modulo the ideal's Groebner basis in
 the X-copy and the Y-copy of the variables, and read the Gram matrix off
-the standard-monomial (or local-algebra) basis grid.  Global and local
-degrees take the same path; only the basis differs.
+the standard-monomial (or local-algebra) basis grid.  Global degrees and
+local degrees at a multiple or non-rational point take this path; only
+the basis differs.  At a simple rational zero p the local algebra is k
+with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
+(Kass-Wickelgren), the value the local-ideal test already takes: no
+Bezoutian is built.
 
 The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
-it expands.  Rows of field constants (the linear f_i, and every row at
-a simple point, where each entry reduces to its value) are cleared by
-column operations with field scalars, leaving +-pivot as a scalar
-factor.  The k x k block left is expanded by minors, bottom rows first,
-each memoized by its column subset: k * 2^(k-1) products of an entry and
-a minor, with 2^k <= prod deg f_i, the size of the Gram matrix.  The
-expansion is reduced once more before it leaves.  Reducing the entries
-gives the same normal form, as det is an integer polynomial in them, and
-keeps a high-degree f_i from expanding past the local algebra.
+it expands.  Rows of field constants (the linear f_i, and every row of
+the Jacobian modulo a simple point, where each entry reduces to its
+value) are cleared by column operations with field scalars, leaving
++-pivot as a scalar factor.  The k x k block left is expanded by minors,
+bottom rows first, each memoized by its column subset: k * 2^(k-1)
+products of an entry and a minor, with 2^k <= prod deg f_i, the size of
+the Gram matrix.  The expansion is reduced once more before it leaves.
+Reducing the entries gives the same normal form, as det is an integer
+polynomial in them, and keeps a high-degree f_i from expanding past the
+local algebra.
 """
 
 from __future__ import annotations
@@ -192,15 +197,16 @@ def global_a1_degree(system: EndoSystem) -> GWClass:
     return _degree_from_basis(system, gb)
 
 
-def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
-    """The m-primary component of I, as the reduced basis of I + m^k.
+def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
+    """(gb, jac): the m-primary component of I, as the reduced basis gb of
+    I + m^k, and det J(p) at a simple rational zero p, else None.
 
     At a point of quotient dimension 1, m is maximal with residue field k,
     and the Jacobian's determinant modulo m is its value at p.  If
     det J(p) is nonzero, the linear parts of the f_i span m/m^2, so
-    I + m^2 = m: the zero is simple and m's own basis is returned.
-    Otherwise (and at any point of larger dimension, which need not be
-    maximal) k grows until dim Q/(I + m^k) stops growing; then
+    I + m^2 = m: the zero is simple, and m's own basis is returned with
+    that value.  Otherwise (and at any point of larger dimension, which
+    need not be maximal) k grows until dim Q/(I + m^k) stops growing; then
     m^k = m^(k+1) locally, so by Nakayama I + m^k is the component.
     Refined Bezout caps an isolated multiplicity at prod(deg f_i); a larger
     dimension means the zeros are not isolated.  A dimension above
@@ -215,10 +221,11 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
         if normal_form(f, gb):
             raise ValueError("point not in zero locus")
     dim = len(standard_monomials(gb))
-    if dim == 1 and determinant(
-            [[f.derivative(j) for j in range(ring.nvars)]
-             for f in system.polys], ring, gb):
-        return gb
+    if dim == 1:
+        jac = determinant([[f.derivative(j) for j in range(ring.nvars)]
+                           for f in system.polys], ring, gb)
+        if jac:
+            return gb, jac.terms[(0,) * ring.nvars]
     while True:
         if dim > system.bezout_number:
             raise ValueError("zeros are not isolated")
@@ -229,7 +236,7 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> GroebnerBasis:
             g * m for g in gb.basis for m in point.generators)))
         grown = len(standard_monomials(gb))
         if grown == dim:
-            return gb
+            return gb, None
         dim = grown
 
 
@@ -239,15 +246,20 @@ def local_algebra_basis(system: EndoSystem, point: Ideal) -> LocalAlgebraBasis:
     The paper's (I : (I : m^inf)) is the same ideal; `poly.ideal_quotient`
     and `poly.saturation` keep it as public API and as the tests' oracle.
     """
-    gb = _local_ideal(system, point)
+    gb, _ = _local_ideal(system, point)
     return LocalAlgebraBasis(point, Ideal(system.ring, gb.basis),
                              tuple(standard_monomials(gb)))
 
 
 def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
-    """Local degree: the global pipeline run against the local algebra."""
+    """Local degree: the global pipeline run against the local algebra,
+    except at a simple rational zero p, where the Gram matrix on the
+    basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took."""
     terms = sum(sum(e) for f in system.polys for e in f.terms)
     if terms > MAX_BEZOUTIAN_TERMS:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
-    return _degree_from_basis(system, _local_ideal(system, point))
+    gb, jac = _local_ideal(system, point)
+    if jac is not None:
+        return make_gw_class([[jac]], system.ring.field)
+    return _degree_from_basis(system, gb)

@@ -271,18 +271,34 @@ def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
     assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
 
 
-@pytest.mark.parametrize("argv", [
-    ("global", "--field", "GF(25)", "--polys", "x^2 - y^3 + 1; 2*x*y - 3"),
-    ("local", "--field", "QQ", "--polys",
-     "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "--ideal", "x - 1; y + 1"),
-    ("local", "--field", "GF(7)", "--polys", "x^2 - y^3; y^2 - x^3",
-     "--ideal", "x; y"),
-], ids=["global-gf25", "local-simple", "local-multiple"])
+@pytest.mark.parametrize("argv, gram, determinants", [
+    (("global", "--field", "GF(25)", "--vars", "x,y",
+      "--polys", "x^2 - y^3 + 1; 2*x*y - 3"),
+     [[2, 0, 0, 0, 2], [0, 0, 0, 2, 0], [0, 0, 2, 0, 0], [0, 2, 0, 0, 0],
+      [2, 0, 0, 0, 0]], 1),
+    (("local", "--field", "QQ", "--vars", "x,y", "--polys",
+      "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "--ideal", "x - 1; y + 1"),
+     [[-6]], 0),
+    (("local", "--field", "GF(7)", "--vars", "x,y",
+      "--polys", "x^2 - y^3; y^2 - x^3", "--ideal", "x; y"),
+     [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 6]], 1),
+    (("local", "--field", "QQ", "--vars", "x", "--polys", QUARTIC,
+      "--ideal", "x^2 + x + 1"),
+     [[-5, -7], [-7, -2]], 1),
+    # a rational zero of multiplicity 3 with J(p) = 0
+    (("local", "--field", "GF(7)", "--vars", "x,y",
+      "--polys", "y - (x - 1)^2; y^2 - (x - 1)^3", "--ideal", "x - 1; y"),
+     [[1, 2, 6], [2, 0, 6], [6, 6, 1]], 1),
+], ids=["global-gf25", "local-simple", "local-multiple", "local-quartic",
+        "local-multiple-rational"])
 def test_each_degree_takes_one_bezoutian_determinant(capsys, monkeypatch,
-                                                      argv):
+                                                      argv, gram,
+                                                      determinants):
     # The traced benchmark layer BezoutianMatrix.determinant is the path
-    # every degree's Gram matrix comes from (a global degree over QQ is
-    # checked in test_one_reduction_pass_per_degree).
+    # every degree's Gram matrix comes from, except at a simple rational
+    # zero p, whose Gram matrix is <det J(p)> and takes no Bezoutian (a
+    # global degree over QQ is checked in
+    # test_one_reduction_pass_per_degree).
     calls = []
     original = degrees.BezoutianMatrix.determinant
 
@@ -291,10 +307,10 @@ def test_each_degree_takes_one_bezoutian_determinant(capsys, monkeypatch,
         return original(bez, modulo)
 
     monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", recording)
-    kind, *rest = argv
-    obj = run_json(capsys, "degree", kind, "--vars", "x,y", *rest)
+    obj = run_json(capsys, "degree", *argv)
     assert obj["rank"] > 0
-    assert len(calls) == 1 and calls[0] is not None
+    assert obj["gram"] == [[str(c) for c in row] for row in gram]
+    assert len(calls) == determinants and None not in calls
 
 
 def test_simple_point_in_many_variables_is_eliminated(capsys):
@@ -317,8 +333,8 @@ def test_simple_point_in_many_variables_is_eliminated(capsys):
 def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
     # The zero-locus check, the Jacobian entries and the standard monomials
     # all read the point basis's divisors from the basis itself, which keeps
-    # Buchberger's: it is never prepared again.  The doubled basis is
-    # prepared once for the Bezoutian's entries and its determinant.
+    # Buchberger's: it is never prepared again.  At a simple zero no
+    # Bezoutian is built, so no doubled basis is prepared either.
     prepared = []
     original = poly._prep_divisors
 
@@ -336,7 +352,7 @@ def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
     ring = poly.PolyRing(QQ, ("x", "y"))
     point = poly.groebner_basis(poly.Ideal.of(ring, "x - 1", "y + 1")).basis
     assert prepared.count(point) == 0
-    assert len(prepared) == 1  # the doubled basis of the Bezoutian
+    assert len(prepared) == 0  # no doubled basis of a Bezoutian
 
 
 def test_a_monomial_past_the_kernel_bound_exits_1(capsys):

@@ -568,6 +568,108 @@ def test_simple_point_is_its_own_local_ideal(monkeypatch, field):
         assert local_a1_degree(f, m).gram == ((det,),)
 
 
+def cubic_planted_system(rng, field, n):
+    """(system, point, p): f_i = c_i*u_i^3 plus random terms of degree 1
+    and 2 in u = x - p, for a random rational point p.  The top forms
+    c_i*u_i^3 meet only at 0, so every zero is isolated; the linear terms
+    are sparse, so J(p) is often singular and the zero multiple."""
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+    if field is QQ:
+        def scalar():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    else:
+        elements = list(field.elements())
+
+        def scalar():
+            return rng.choice(elements)
+    p = [scalar() for _ in range(n)]
+    u = [ring.variable(i) - a for i, a in enumerate(p)]
+    polys = []
+    for i in range(n):
+        c = scalar()
+        while not c:
+            c = scalar()
+        f = c * u[i] ** 3
+        for j in range(n):
+            if rng.random() < 0.6:
+                f = f + scalar() * u[j]
+            for k in range(j, n):
+                if rng.random() < 0.4:
+                    f = f + scalar() * u[j] * u[k]
+        polys.append(f)
+    return EndoSystem(ring, tuple(polys)), Ideal(ring, tuple(u)), p
+
+
+def jacobian_determinant_at(f, p):
+    """det J(p) by evaluating each partial derivative's terms at p and
+    expanding over permutations, in the field's own arithmetic."""
+    n, zero = len(p), f.ring.field.zero()
+
+    def partial(g, j):
+        value = zero
+        for e, c in g.terms.items():
+            if e[j]:
+                term = c * e[j]
+                for k, a in enumerate(p):
+                    term = term * a ** (e[k] - (k == j))
+                value = value + term
+        return value
+
+    jac = [[partial(g, j) for j in range(n)] for g in f.polys]
+    det = zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = prod((jac[i][perm[i]] for i in range(n)),
+                    start=f.ring.field.one())
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
+    # Kass-Wickelgren: at a simple rational zero p the local degree is
+    # <det J(p)>, and on the basis {1} the Bezoutian's Gram is
+    # det B(p, p) = det J(p).  The shortcut must agree with the Bezoutian
+    # path on the same basis and with J(p) evaluated directly, and take
+    # the Jacobian's determinant only; every other zero still builds the
+    # Bezoutian and takes its determinant too.
+    rng = random.Random(str(field))
+    calls = []
+
+    def recording(name):
+        original = getattr(degrees, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("bezoutian_matrix", "determinant"):
+        monkeypatch.setattr(degrees, name, recording(name))
+    simple = multiple = 0
+    for n in (1, 2, 3):
+        for _ in range(12):
+            f, m, p = cubic_planted_system(rng, field, n)
+            det = jacobian_determinant_at(f, p)
+            gb, jac = degrees._local_ideal(f, m)
+            calls.clear()
+            beta = local_a1_degree(f, m)
+            if det:
+                simple += 1
+                assert jac == det and calls == ["determinant"]
+                assert beta.gram == ((det,),)
+                assert beta.gram == degrees._degree_from_basis(f, gb).gram
+            else:
+                multiple += 1
+                assert jac is None
+                assert calls == ["determinant", "bezoutian_matrix",
+                                 "determinant"]
+                assert beta.rank > 1
+    assert simple > 0 and multiple > 0
+
+
 # -- rational classes at Bezout scale ------------------------------------------
 
 
@@ -940,7 +1042,7 @@ def test_local_gram_reduces_the_entries_first(polys, rank):
     f = EndoSystem(ring, tuple(ring.from_string(p) * c for p, c in
                                zip(polys, (Fraction(2, 3), Fraction(-5, 4)))))
     point = Ideal.of(ring, "x", "y")
-    gb = degrees._local_ideal(f, point)
+    gb, _ = degrees._local_ideal(f, point)
     bez = bezoutian_matrix(f)
     dring = bez.doubled_ring
     gxy = [g.map_to(dring, m) for m in ([0, 1], [2, 3]) for g in gb.basis]

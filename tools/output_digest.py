@@ -116,6 +116,11 @@ CLI_DECK = [
      "2*x^3 - y + 1; 3*x + 2*y - 5", "--json"],
     ["degree", "global", "--field", "GF(25)", "--vars", "x,y", "--polys",
      "2*x^3 - y + 1; 3*x + 2*y - 5", "--json"],
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^2 + y - 2; x - 3*y^2 + 2", "--ideal", "x - 1; y - 1",
+     "--base-change", "RR", "--json"],
+    ["degree", "local", "--field", "GF(27)", "--vars", "x,y", "--polys",
+     "x^2 + y - 2; x - y^3", "--ideal", "x - 1; y - 1", "--json"],
 ]
 
 
