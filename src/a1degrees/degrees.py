@@ -73,24 +73,11 @@ class EndoSystem:
 class BezoutianMatrix:
     doubled_ring: PolyRing
     entries: tuple  # n x n tuple of Polynomial in the doubled ring
-    system: EndoSystem
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     def determinant(self, modulo=None) -> Polynomial:
         """det B, or its normal form modulo a Groebner basis in the
         doubled ring: see `poly.determinant`."""
         return determinant(self.entries, self.doubled_ring, modulo)
-
-    def diagonal_specialization(self):
-        """Entries with Y set to X, pulled back to the base ring: the Jacobian."""
-        ring = self.system.ring
-        n = ring.nvars
-        fold = list(range(n)) + list(range(n))
-        return [[entry.map_to(ring, fold) for entry in row]
-                for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -134,7 +121,7 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
                         terms[before + (t,) + mid + (m - 1 - t,) + after] = c
             row.append(Polynomial(dring, terms))
         rows.append(tuple(row))
-    return BezoutianMatrix(dring, tuple(rows), system)
+    return BezoutianMatrix(dring, tuple(rows))
 
 
 def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
@@ -179,12 +166,15 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
 # 7-variable quadratic system over GF(7), rank 128, 21 s.
 MAX_BEZOUT = 128
 
-# The most terms the Bezoutian of a local degree may have: a term of f_i of
-# degree d puts d terms in row i.  Local degrees have no Bezout-number cap,
+# The most terms the Bezoutian of a local query may have: a term of f_i of
+# degree d puts d terms in row i.  Local queries have no Bezout-number cap,
 # as a high-degree system can have a small local algebra, but the rows are
-# built before any reduction.  On a 2-core Intel Xeon VM with Python 3.11,
-# the rank-1 (x^1000)^k - x; y at the origin took 0.4 s at k = 100 (100,002
-# terms) and 3.7 s at k = 1000, growing with the terms and their memory.
+# built before any reduction, and the point's normal forms and the local
+# bases also run linear in the degree: this bounds local degrees and local
+# bases alike, checked before the point's basis.  On a 2-core Intel Xeon VM
+# with Python 3.11, the rank-1 (x^1000)^k - x; y at the origin took 0.4 s at
+# k = 100 (100,002 terms) and 3.7 s at k = 1000, and the local basis of
+# (x^1000)^1000 - 1; y at x - 1; y 2.5 s.
 MAX_BEZOUTIAN_TERMS = 10 ** 5
 
 
@@ -211,11 +201,16 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     Refined Bezout caps an isolated multiplicity at prod(deg f_i); a larger
     dimension means the zeros are not isolated.  A dimension above
     forms.MAX_MADE_RANK is refused before the next basis, as the Gram
-    matrix of that rank would be.
+    matrix of that rank would be.  Before any of this, a system past
+    MAX_BEZOUTIAN_TERMS is refused, for local degrees and bases alike.
     """
     ring = system.ring
     if point.ring != ring:
         raise ValueError("polynomial ring mismatch")
+    terms = sum(sum(e) for f in system.polys for e in f.terms)
+    if terms > MAX_BEZOUTIAN_TERMS:
+        raise ValueError(f"the Bezoutian has {terms} terms, more than "
+                         f"{MAX_BEZOUTIAN_TERMS}")
     gb = groebner_basis(point)
     for f in system.polys:
         if normal_form(f, gb):
@@ -255,10 +250,6 @@ def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
     """Local degree: the global pipeline run against the local algebra,
     except at a simple rational zero p, where the Gram matrix on the
     basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took."""
-    terms = sum(sum(e) for f in system.polys for e in f.terms)
-    if terms > MAX_BEZOUTIAN_TERMS:
-        raise ValueError(f"the Bezoutian has {terms} terms, more than "
-                         f"{MAX_BEZOUTIAN_TERMS}")
     gb, jac = _local_ideal(system, point)
     if jac is not None:
         return make_gw_class([[jac]], system.ring.field)

@@ -334,11 +334,12 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 _RABIN_BUDGET = 1 << 21
 
 
-# The largest characteristic, in bits, that a GF(p^k) may have; it is checked
-# before any full primality test of p.  With Python 3.11 on a 2-core Intel
-# Xeon VM is_prime took 0.01 s on 2^521 - 1, 0.43 s on 2^2203 - 1, 1.07 s on
-# 2^3072 - 47 and 3.2 s on 2^4423 - 1.  The CLI tests p twice, so at the cap
-# a GF(p) spec is decided within about 2 s, like a modulus search.
+# The largest characteristic, in bits, that a GF(p^k) may have, and the
+# largest prime of a Hilbert symbol; it is checked before any full primality
+# test of p.  With Python 3.11 on a 2-core Intel Xeon VM is_prime took
+# 0.01 s on 2^521 - 1, 0.43 s on 2^2203 - 1, 1.07 s on 2^3072 - 47 and 3.2 s
+# on 2^4423 - 1.  The CLI tests p twice, so at the cap a GF(p) spec is
+# decided within about 2 s, like a modulus search.
 _CHAR_BITS_CAP = 3072
 
 

@@ -408,6 +408,9 @@ def hilbert_symbol(a, b, p: int) -> int:
     a, b = _class_integer(a), _class_integer(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
+    if p.bit_length() > fields._CHAR_BITS_CAP:
+        raise ValueError(f"p has {p.bit_length()} bits, more than "
+                         f"{fields._CHAR_BITS_CAP}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _hilbert(a, b, p)

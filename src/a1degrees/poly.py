@@ -304,7 +304,7 @@ class Polynomial:
     def __pow__(self, n: int):
         ring, pk = self.ring, self.ring._packing
         den, terms = _enter(self)
-        terms = _power(pk, terms, n, lambda a, b: _mul_into(
+        terms = _power(terms, n, lambda a, b: _mul_into(
             {}, a.items(), b.items(), pk.guard), ring.field.one())
         return Polynomial(ring, _public(ring, terms, den ** n))
 
@@ -536,15 +536,13 @@ def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
             del out[e]
 
 
-def _power(pk: _Packing, terms: dict, n: int, product, one) -> dict:
+def _power(terms: dict, n: int, product, one) -> dict:
     """The packed terms of f ** n, f's packed terms given, by repeated
-    squaring: each product of two term dicts formed by ``product``, and
-    f ** 0 the field's ``one``."""
+    squaring: each product of two term dicts formed by ``product``, a
+    monomial's too, so what ``product`` bounds bounds every power; f ** 0
+    is the field's ``one``."""
     if n < 0:
         raise ValueError("negative polynomial power")
-    if len(terms) == 1:
-        ((e, c),) = terms.items()
-        return {pk.pack([x * n for x in pk.unpack(e)]): c ** n}
     # Seeded by the first factor, not by one: integer terms stay so.
     result, base = None, terms
     while n:
@@ -1114,7 +1112,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError("exponent must be an integer literal", at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
-            node = _power(pk, node, exp, lambda a, b: product(a, b, at),
+            node = _power(node, exp, lambda a, b: product(a, b, at),
                           scalar(1))
         return node
 

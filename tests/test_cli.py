@@ -168,6 +168,16 @@ def test_replay_hilbert_symbol(capsys):
     assert obj["symbol"] == -1
 
 
+def test_hilbert_symbol_past_the_prime_cap_exits_1(capsys):
+    # 2^4423 - 1 is prime, but testing it takes seconds.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "symbol", "hilbert", "3", "5",
+                         str(2 ** 4423 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: p has 4423 bits, more than 3072\n"
+
+
 def test_isomorphic_command(capsys):
     code, out, _ = run(capsys, "form", "isomorphic", "--field", "QQ",
                        "[[1,3],[3,7]]", "[[1,0],[0,-2]]")
@@ -353,6 +363,21 @@ def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
     point = poly.groebner_basis(poly.Ideal.of(ring, "x - 1", "y + 1")).basis
     assert prepared.count(point) == 0
     assert len(prepared) == 0  # no doubled basis of a Bezoutian
+
+
+def test_a_power_of_a_constant_is_a_weighed_product(capsys):
+    # A constant's power is weighed by its coefficients' words like any
+    # product: (3^1000)^1000 alone weighs about 2 million term products, so
+    # the tower stops at the parser's bound instead of squaring on and
+    # failing to print.
+    assert poly.MAX_PARSE_PRODUCTS == 10 ** 6
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "global", "--field", "QQ",
+                         "--vars", "x", "--polys", "((3^1000)^1000)^40*x - 1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: expanding the polynomial takes more than 1000000 "
+                   "term products (at position 10)\n")
 
 
 def test_a_monomial_past_the_kernel_bound_exits_1(capsys):
@@ -611,27 +636,45 @@ def test_local_degree_reduces_the_entries_before_their_determinant(capsys):
     assert obj["rank"] == 4
 
 
+@pytest.mark.parametrize("command", ["degree", "basis"])
 @pytest.mark.parametrize("polys, terms", [
     ("(x^1000)^1000 - x; y", 1000002),
     ("((x^1000)^1000)^20 - x; y", 20000002),
 ])
 def test_local_bezoutian_cap_exits_1_before_any_groebner_basis(
-        capsys, monkeypatch, polys, terms):
+        capsys, monkeypatch, polys, terms, command):
+    # Local degrees and local bases pass the one check, in _local_ideal.
     assert degrees.MAX_BEZOUTIAN_TERMS == 10 ** 5
     calls = []
     monkeypatch.setattr(degrees, "groebner_basis", calls.append)
     start = time.perf_counter()
-    code, out, err = run(capsys, "degree", "local", "--field", "QQ",
+    code, out, err = run(capsys, command, "local", "--field", "QQ",
                          "--vars", "x,y", "--polys", polys, "--ideal", "x; y")
     assert time.perf_counter() - start < 1.0
     assert (code, out, calls) == (1, "", [])
     assert err == f"error: the Bezoutian has {terms} terms, more than 100000\n"
 
 
+def test_local_basis_past_the_bezoutian_cap_exits_1(capsys):
+    # Away from the origin the point's normal form would reduce x^(5 * 10^6)
+    # by x - 1 one degree at a time.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basis", "local", "--field", "QQ",
+                         "--vars", "x,y", "--polys", "((x^1000)^1000)^5 - 1; y",
+                         "--ideal", "x - 1; y")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: the Bezoutian has 5000001 terms, more than 100000\n"
+
+
 def test_local_bezoutian_under_the_cap_builds(capsys):
     obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
                    "--polys", "(x^1000)^40 - x; y", "--ideal", "x; y")
     assert obj["gram"] == [["-1"]]
+    code, out, err = run(capsys, "basis", "local", "--field", "QQ",
+                         "--vars", "x,y", "--polys", "(x^1000)^99 - 1; y",
+                         "--ideal", "x - 1; y")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("nest", [

@@ -17,7 +17,7 @@ from a1degrees import degrees, poly
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
 from a1degrees.fields import CC, QQ, RR, gf_construct
-from a1degrees.forms import (add_gw, base_change, get_invariants,
+from a1degrees.forms import (add_gw, base_change, empty_form, get_invariants,
                              get_signature, hasse_witt_primes,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
@@ -54,11 +54,13 @@ def test_bezoutian_of_identity():
 
 
 def test_bezoutian_diagonal_specialization_is_the_jacobian():
+    # B(x, x) = J(x): each entry with Y set to X, folded into the base ring.
     ring, f = system(("x", "y"), ["x^2*y - 3*y + 1", "x*y^3 - x^2"])
-    jac = bezoutian_matrix(f).diagonal_specialization()
+    entries = bezoutian_matrix(f).entries
     for i, poly in enumerate(f.polys):
         for j in range(2):
-            assert jac[i][j] == poly.derivative(j)
+            assert entries[i][j].map_to(ring, [0, 1, 0, 1]) == \
+                poly.derivative(j)
 
 
 def test_bezoutian_determinant_never_divides(monkeypatch):
@@ -668,6 +670,164 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
                                  "determinant"]
                 assert beta.rank > 1
     assert simple > 0 and multiple > 0
+
+
+# -- local-global oracle at closed points --------------------------------------
+
+
+def field_scalars(field):
+    """The scalars the planted systems draw from: small integers over QQ,
+    every element over a finite field."""
+    if field is QQ:
+        return [Fraction(c) for c in range(-3, 4)]
+    return list(field.elements())
+
+
+def has_root(coeffs, scalars, zero):
+    """Whether the polynomial with low-to-high coefficients coeffs
+    vanishes at one of scalars, by Horner's rule in field arithmetic."""
+    for a in scalars:
+        value = zero
+        for c in reversed(coeffs):
+            value = value * a + c
+        if not value:
+            return True
+    return False
+
+
+def irreducible(rng, field, d):
+    """Low-to-high coefficients of a random monic irreducible of degree
+    d <= 3: one with no root in the field.  Over QQ its coefficients are
+    integers, so a rational root is an integer dividing the constant term
+    (rational root theorem); over GF(q) every element is tried."""
+    scalars, one = field_scalars(field), field.one()
+    while True:
+        coeffs = [rng.choice(scalars) for _ in range(d)] + [one]
+        if d == 1:
+            return coeffs
+        roots = scalars
+        if field is QQ:
+            c = int(coeffs[0])
+            if not c:  # t divides it
+                continue
+            roots = [Fraction(s * r) for r in range(1, abs(c) + 1)
+                     if c % r == 0 for s in (1, -1)]
+        if not has_root(coeffs, roots, field.zero()):
+            return coeffs
+
+
+def invertible_matrix(rng, field, n):
+    """L * U for L unit lower triangular and U upper triangular with a
+    nonzero diagonal, both with random entries."""
+    scalars = field_scalars(field)
+    units = [c for c in scalars if c]
+    lower = [[rng.choice(scalars) if j < i else field.one() if j == i
+              else field.zero() for j in range(n)] for i in range(n)]
+    upper = [[rng.choice(scalars) if j > i else rng.choice(units) if j == i
+              else field.zero() for j in range(n)] for i in range(n)]
+    return [[sum((lower[i][k] * upper[k][j] for k in range(n)), field.zero())
+             for j in range(n)] for i in range(n)]
+
+
+def substitute(f, images):
+    """f with each variable x_k replaced by the polynomial images[k]."""
+    out = f.ring.zero()
+    for e, c in f.terms.items():
+        term = f.ring.one()
+        for image, k in zip(images, e):
+            term = term * image ** k
+        out = out + term * c
+    return out
+
+
+def planted_closed_points(rng, field, n, shape):
+    """(system, points): the ideal (g(x0), x1 - h1(x0), ..., x_(n-1) -
+    h_(n-1)(x0)) for g the product of p_j^m_j over the (deg p_j, m_j) of
+    shape, the p_j distinct monic irreducibles.  Its zeros are the closed
+    points (p_j(x0), x_i - h_i(x0)), whose local algebras are
+    k[t]/(p_j^m_j), of rank m_j * deg p_j.  The generators are mixed
+    (f_i += q_i * f_0 for random linear q_i, then an invertible matrix),
+    which keeps the ideal, and a random invertible linear change of
+    coordinates moves the system and every point out of shape position.
+    points lists (point ideal, deg p_j, m_j)."""
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+    scalars = field_scalars(field)
+    x = [ring.variable(i) for i in range(n)]
+
+    def univariate(coeffs):
+        return sum((x[0] ** k * c for k, c in enumerate(coeffs)), ring.zero())
+
+    factors = []
+    while len(factors) < len(shape):
+        p = irreducible(rng, field, shape[len(factors)][0])
+        if p not in factors:
+            factors.append(p)
+    g = prod((univariate(p) ** m for p, (_, m) in zip(factors, shape)),
+             start=ring.one())
+    tails = [x[i] - univariate([rng.choice(scalars) for _ in range(3)])
+             for i in range(1, n)]
+    polys = [g] + [f + g * sum((x[k] * rng.choice(scalars) for k in range(n)),
+                               ring.constant(rng.choice(scalars)))
+                   for f in tails]
+    mix = invertible_matrix(rng, field, n)
+    polys = [sum((polys[j] * mix[i][j] for j in range(n)), ring.zero())
+             for i in range(n)]
+    move = invertible_matrix(rng, field, n)
+    images = [sum((x[j] * move[k][j] for j in range(n)), ring.zero())
+              for k in range(n)]
+    points = [(Ideal(ring, tuple(substitute(h, images) for h in
+                                 [univariate(p)] + tails)), d, m)
+              for p, (d, m) in zip(factors, shape)]
+    return EndoSystem(ring, tuple(substitute(f, images) for f in polys)), \
+        points
+
+
+# (deg p_j, m_j) of each planted factor: simple rational zeros (1, 1),
+# rational zeros with J(p) = 0 (1, m > 1) and non-rational points (d > 1),
+# some of them multiple.
+CLOSED_POINT_SHAPES = {
+    2: [((1, 1), (1, 2), (2, 1)), ((3, 1), (1, 3)), ((2, 2), (1, 1))],
+    3: [((1, 1), (1, 2)), ((2, 2),), ((3, 1), (1, 1))],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
+                                   gf_construct(3, 3)], ids=str)
+def test_local_degrees_at_closed_points_sum_to_the_global_degree(
+        monkeypatch, field):
+    # Kass-Wickelgren; Brazelton-McKean-Pauli: for isolated zeros the
+    # global A1-degree is the sum over the closed points of the local
+    # degrees, each already a form over k.  Each point's rank is m_j times
+    # its degree, and only a simple rational zero takes the <det J(p)>
+    # route.
+    rng = random.Random(str(field))
+    routes = []
+    original = degrees._local_ideal
+
+    def recording(f, point):
+        gb, jac = original(f, point)
+        routes.append(jac is not None)
+        return gb, jac
+
+    monkeypatch.setattr(degrees, "_local_ideal", recording)
+    seen = set()
+    for n, shapes in CLOSED_POINT_SHAPES.items():
+        for shape in shapes:
+            f, points = planted_closed_points(rng, field, n, shape)
+            total = empty_form(field)
+            for point, d, m in points:
+                routes.clear()
+                local = local_a1_degree(f, point)
+                assert local.rank == d * m
+                route = "simple" if (d, m) == (1, 1) else \
+                    "rational, J(p) = 0" if d == 1 else "non-rational"
+                assert routes == [route == "simple"]
+                seen.add(route)
+                total = add_gw(total, local)
+            alpha = global_a1_degree(f)
+            assert alpha.rank == sum(d * m for _, d, m in points)
+            assert is_isomorphic_form(total, alpha)
+    assert seen == {"simple", "rational, J(p) = 0", "non-rational"}
 
 
 # -- rational classes at Bezout scale ------------------------------------------

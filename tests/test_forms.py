@@ -422,6 +422,21 @@ def test_hilbert_symbol_checks_its_prime():
         hilbert_symbol(2, 3, 1)
 
 
+def test_hilbert_symbol_bounds_its_prime_before_testing_it(monkeypatch):
+    # As for a field's characteristic: past fields._CHAR_BITS_CAP bits p is
+    # refused before is_prime, which would take seconds to minutes.
+    cap = fields._CHAR_BITS_CAP
+    tested = []
+    monkeypatch.setattr(forms, "is_prime", lambda p: tested.append(p))
+    with pytest.raises(ValueError, match=f"p has {cap + 1} bits, more than "
+                                         f"{cap}$"):
+        hilbert_symbol(3, 5, 2 ** cap + 1)
+    assert tested == []
+    with pytest.raises(ValueError, match="not prime"):
+        hilbert_symbol(3, 5, 2 ** cap - 1)
+    assert tested == [2 ** cap - 1]
+
+
 def test_hilbert_symbol_symmetry_and_bimultiplicativity():
     rng = random.Random(9)
     vals = [v for v in range(-12, 13) if v]

@@ -233,16 +233,24 @@ def test_parser_agrees_with_arithmetic(field):
         assert R.from_string(text) == expected, text
 
 
-def test_power_of_a_single_term_needs_no_multiplication(monkeypatch):
+def test_power_of_a_single_term_runs_the_squaring_chain(monkeypatch):
+    # A monomial's power takes the one path every power takes, so a bound
+    # on the products (the parser's) bounds it too: t^7 is t * t^2 * t^4,
+    # two squarings and two products.
     R = ring("x", "y", field=gf_construct(5, 2))
     t = R.from_string("3*x*y^2")
+    products = []
+    original = poly._mul_into
 
-    def forbidden(*args):
-        raise AssertionError("a monomial's power is read off directly")
+    def counting(*args):
+        products.append(len(args[1]) * len(args[2]))
+        return original(*args)
 
-    monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+    monkeypatch.setattr(poly, "_mul_into", counting)
     assert (t ** 7).terms == {(7, 14): R.field.coerce(3) ** 7}
-    assert t ** 0 == R.one()
+    assert products == [1, 1, 1, 1]
+    products.clear()
+    assert t ** 0 == R.one() and products == []
 
 
 def test_parser_handles_fractions_and_unary_minus():

@@ -121,6 +121,11 @@ CLI_DECK = [
      "--base-change", "RR", "--json"],
     ["degree", "local", "--field", "GF(27)", "--vars", "x,y", "--polys",
      "x^2 + y - 2; x - y^3", "--ideal", "x - 1; y - 1", "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
+     "((3^1000)^1000)^5*x - 1", "--json"],
+    ["basis", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "(x^1000)^1000 - 1; y", "--ideal", "x - 1; y", "--json"],
+    ["symbol", "hilbert", "3", "5", str(2 ** 4423 - 1), "--json"],
 ]
 
 
