@@ -151,10 +151,19 @@ def _squarefree_split(r) -> tuple[int, tuple[int, ...]]:
     return s, primes
 
 
+def _check_prime(p: int, kind: str = "prime") -> None:
+    """Refuse p unless it is a prime of at most _CHAR_BITS_CAP bits.  The
+    size is checked first: Miller-Rabin on a larger p takes seconds."""
+    if p.bit_length() > _CHAR_BITS_CAP:
+        raise ValueError(f"p has {p.bit_length()} bits, more than "
+                         f"{_CHAR_BITS_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not {kind}")
+
+
 def padic_valuation(r, p: int) -> int:
     """nu_p of a nonzero rational."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     r = Fraction(r)
     if r == 0:
         raise ValueError("zero has no p-adic valuation")
@@ -163,8 +172,9 @@ def padic_valuation(r, p: int) -> int:
 
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd prime p, via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    _check_prime(p, "an odd prime")
+    if p == 2:
+        raise ValueError("2 is not an odd prime")
     t = pow(a % p, (p - 1) // 2, p)
     if t == 0:
         return 0
@@ -209,8 +219,13 @@ def is_padic_square(r, p: int) -> bool:
     n = _class_integer(r)
     if n == 0:
         raise ValueError("zero has no square class")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
+    return _padic_square(n, p)
+
+
+def _padic_square(n: int, p: int) -> bool:
+    """Whether the nonzero integer n is a square in Q_p, for a prime p,
+    unchecked."""
     v, u = _split_prime(n, p)
     if v % 2:
         return False
@@ -335,10 +350,10 @@ _RABIN_BUDGET = 1 << 21
 
 
 # The largest characteristic, in bits, that a GF(p^k) may have, and the
-# largest prime of a Hilbert symbol; it is checked before any full primality
-# test of p.  With Python 3.11 on a 2-core Intel Xeon VM is_prime took
-# 0.01 s on 2^521 - 1, 0.43 s on 2^2203 - 1, 1.07 s on 2^3072 - 47 and 3.2 s
-# on 2^4423 - 1.  The CLI tests p twice, so at the cap a GF(p) spec is
+# largest prime _check_prime lets a p-adic function take; it is checked
+# before any full primality test of p.  With Python 3.11 on a 2-core Intel
+# Xeon VM is_prime took 0.01 s on 2^521 - 1, 0.43 s on 2^2203 - 1, 1.07 s on
+# 2^3072 - 47 and 3.2 s on 2^4423 - 1.  The CLI tests p twice, so at the cap a GF(p) spec is
 # decided within about 2 s, like a modulus search.
 _CHAR_BITS_CAP = 3072
 

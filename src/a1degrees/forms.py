@@ -18,9 +18,9 @@ from math import gcd, lcm, prod
 from typing import Optional
 
 from . import fields
-from .fields import (QQ, FFElement, FieldDesc, _class_integer,
-                     _coefficient_vectors, _split_prime, _squarefree_split,
-                     fraction_sqrt, is_prime, is_square)
+from .fields import (QQ, FFElement, FieldDesc, _check_prime, _class_integer,
+                     _coefficient_vectors, _split_prime, fraction_sqrt,
+                     is_square, squarefree_part)
 
 __all__ = [
     "GWClass",
@@ -51,7 +51,9 @@ class GWClass:
     Built through :func:`make_gw_class`, which validates; rank-0 classes
     exist only as outputs of the Witt-decomposition machinery.  The
     pivots of one symmetric elimination, the diagonal and the invariants
-    are computed once, on first use.
+    are computed once, on first use.  The diagonal factors each pivot for
+    its squarefree entry; the invariants read one factorization of their
+    own, whichever of the two ran first, so a class has one record.
     """
 
     field: FieldDesc
@@ -74,15 +76,10 @@ class GWClass:
         return sum(1 if d > 0 else -1 for d in self._pivots)
 
     @functools.cached_property
-    def _square_classes(self) -> tuple:
-        # Each pivot is factored only where squarefree entries are printed.
-        return tuple(_squarefree_split(d) for d in self._pivots)
-
-    @functools.cached_property
     def _diagonal(self) -> tuple:
         if self.field.kind == "GF":
             return self._pivots
-        return tuple(Fraction(s) for s, _ in self._square_classes)
+        return tuple(Fraction(squarefree_part(d)) for d in self._pivots)
 
     @functools.cached_property
     def _invariants(self) -> "InvariantBundle":
@@ -408,11 +405,7 @@ def hilbert_symbol(a, b, p: int) -> int:
     a, b = _class_integer(a), _class_integer(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
-    if p.bit_length() > fields._CHAR_BITS_CAP:
-        raise ValueError(f"p has {p.bit_length()} bits, more than "
-                         f"{fields._CHAR_BITS_CAP}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     return _hilbert(a, b, p)
 
 
@@ -442,8 +435,7 @@ def _hasse_witt_record(beta: GWClass) -> dict:
 
 def hasse_witt_invariant(beta: GWClass, p: int) -> int:
     """Product of the pairwise Hilbert symbols of a diagonalization."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     return _hasse_witt_record(beta).get(p, 1)
 
 
@@ -473,11 +465,11 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     Over QQ, d_j = a_1 ... a_j over the pivots' class integers (less gcd
     squares) ends in the determinant's square class, and Hasse-Witt is
     prod_j (d_{j-1}, a_j)_p.  Both are read at 2 and the primes of one
-    factorization, of L * num(det) with L the lcm of the Gram's denominators
-    or of the printed squarefree entries: elsewhere every pivot is a p-adic
-    unit times a square.  Keys: 2, the discriminant's primes and where -1.
+    factorization, always of L * num(det) with L the lcm of the Gram's
+    denominators: elsewhere every pivot is a p-adic unit times a square.
+    Keys: 2, the discriminant's primes and where -1.
     """
-    field, rank, det = beta.field, beta.rank, beta._elimination[1]
+    field, rank, (_, det, lcd) = beta.field, beta.rank, beta._elimination
     if field.kind == "GF":
         return InvariantBundle(rank, None, _gf_class_rep(det, field), None)
     if field.kind == "CC":
@@ -485,11 +477,8 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     signature = beta._signature
     if field.kind == "RR":
         return InvariantBundle(rank, signature, 1 if det > 0 else -1, None)
-    if "_square_classes" in beta.__dict__:  # the printed entries' primes
-        primes = set().union(*(ps for _, ps in beta._square_classes))
-    else:  # L^2 * gram is unimodular at odd p prime to L * num(det)
-        primes = fields.factorize(beta._elimination[2] * det.numerator)
-    primes = sorted({2, *primes})
+    # L^2 * gram is unimodular at odd p prime to L * num(det)
+    primes = sorted({2, *fields.factorize(lcd * det.numerator)})
     hasse_witt = dict.fromkeys(primes, 1)
     d = 1
     for a in map(_class_integer, beta._pivots):

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .fields import QQ, is_padic_square, is_prime
+from .fields import QQ, _check_prime, _padic_square, is_prime
 from .forms import (GWClass, InvariantBundle, _gf_class_rep, _hilbert,
                     _record_symbols, add_gw, empty_form, get_discriminant,
-                    get_invariants, get_signature, hasse_witt_invariant,
-                    hasse_witt_primes, is_isomorphic_form,
+                    get_signature, hasse_witt_primes, is_isomorphic_form,
                     make_diagonal_form)
 
 __all__ = [
@@ -51,34 +50,33 @@ def _qp_isotropic(rank: int, d: int, eps: int, p: int) -> bool:
     if rank >= 5:
         return True
     if rank == 4:
-        return (not is_padic_square(d, p)) or eps == _hilbert(-1, -1, p)
+        return (not _padic_square(d, p)) or eps == _hilbert(-1, -1, p)
     if rank == 3:
         return eps == _hilbert(-1, -d, p)
     if rank == 2:
-        return is_padic_square(-d, p)
+        return _padic_square(-d, p)
     return False
+
+
+def _split_plane(d: int, eps: dict) -> tuple[int, dict]:
+    """Split off H: the discriminant negates, each eps_p gains (-d, -1)_p."""
+    return -d, {p: t * _hilbert(-d, -1, p) for p, t in eps.items()}
 
 
 def anisotropic_dimension_qp(beta: GWClass, p: int) -> int:
     """Dimension of the anisotropic kernel of a rational form over Q_p.
 
-    Splits off hyperbolic planes on the invariant level: each split
-    negates the discriminant and multiplies the Hasse-Witt invariant by
-    (d_new, -1)_p.
+    Splits off hyperbolic planes on the invariant level, read from the
+    class's record, by _split_plane.
     """
     if beta.field != QQ:
         raise ValueError("anisotropic_dimension_qp requires a form over QQ")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    rank = beta.rank
-    if rank == 0:
-        return 0
-    d = get_discriminant(beta)
-    eps = hasse_witt_invariant(beta, p)
-    while rank > 0 and _qp_isotropic(rank, d, eps, p):
+    _check_prime(p)
+    rank, inv = beta.rank, beta._invariants
+    d, eps = inv.discriminant, {p: inv.hasse_witt.get(p, 1)}
+    while rank > 0 and _qp_isotropic(rank, d, eps[p], p):
         rank -= 2
-        d = -d
-        eps *= _hilbert(d, -1, p)
+        d, eps = _split_plane(d, eps)
     return rank
 
 
@@ -187,7 +185,7 @@ def _ternary_entry(sign: int, disc: int, eps: dict, pool: list[int]) -> int:
     """
     anisotropic_at = [p for p in pool if eps[p] != _hilbert(-1, -disc, p)]
     m = sign * prod(p for p in anisotropic_at if p > 2 and disc % p)
-    clash = 2 in anisotropic_at and is_padic_square(-disc * m, 2)
+    clash = 2 in anisotropic_at and _padic_square(-disc * m, 2)
     return 2 * m if clash else m
 
 
@@ -213,7 +211,7 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
         pool = sorted(eps)
     entries += _plane(sig, disc, eps, pool) if rank > 1 else [disc]
     realized = make_diagonal_form(QQ, sorted(entries))
-    if get_invariants(realized) != target:
+    if realized._invariants != target:
         raise AssertionError("realized form has the wrong invariants")
     return realized
 
@@ -245,14 +243,10 @@ def anisotropic_part(beta: GWClass) -> GWClass:
     # QQ: push the invariants of beta through the n hyperbolic splits.  The
     # record's keys hold 2 and the primes of disc, which are those of d_a;
     # at any other p the pushed symbols are 1, as is eps_p.
-    inv = get_invariants(beta)
-    d_a = inv.discriminant * (-1) ** n
-    eps = {}
-    for p, t in inv.hasse_witt.items():
-        if n * (n - 1) // 2 % 2:
-            t *= _hilbert(-1, -1, p)
-        t *= _hilbert(d_a, (-1) ** n, p)
-        eps[p] = t
+    inv = beta._invariants
+    d_a, eps = inv.discriminant, inv.hasse_witt
+    for _ in range(n):
+        d_a, eps = _split_plane(d_a, eps)
     result = _realize_rational(dim, inv.signature, d_a, eps)
     # nH is built here: make_hyperbolic_form bounds the rank of made forms.
     rebuilt = result if n == 0 else add_gw(

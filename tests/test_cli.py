@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 import sympy
 
+from test_output_digest import _tool
+
 from a1degrees import cli, degrees, fields, forms, poly, witt
 from a1degrees.fields import QQ, gf_construct
 from a1degrees.poly import ParseError
@@ -766,9 +768,49 @@ def test_form_diagonalize_factors_each_pivot_once(capsys, monkeypatch):
         return original(n)
 
     monkeypatch.setattr(fields, "factorize", counting)
+    code, _, _ = run(capsys, "form", "diagonalize", "--field", "QQ",
+                     "--matrix", "[[2,3,1],[3,7,5],[1,5,11]]")
+    assert code == 0 and calls == [2, 10, 140]
+    # The record factors L * num(det) once more, whatever ran first.
+    calls.clear()
     obj = run_json(capsys, "form", "diagonalize", "--field", "QQ",
                    "--matrix", "[[2,3,1],[3,7,5],[1,5,11]]")
-    assert obj["rank"] == 3 and len(calls) == 3
+    assert obj["rank"] == 3 and calls == [2, 10, 140, 28]
+
+
+def test_diagonalize_and_invariants_print_one_record(capsys):
+    # Over the CLI deck's QQ payloads, the record printed after the
+    # squarefree diagonal is the one printed without it.
+    payloads = [(flag, argv[argv.index(flag) + 1]) for argv in _tool().CLI_DECK
+                if argv[0] == "form" and argv[2:4] == ["--field", "QQ"]
+                for flag in ("--matrix", "--diag") if flag in argv]
+    assert len(payloads) >= 8
+    for flag, payload in payloads:
+        got = []
+        for command in ("diagonalize", "invariants"):
+            code, out, err = run(capsys, "form", command, "--field", "QQ",
+                                 flag, payload, "--json")
+            got.append(json.loads(out)["hasse_witt"] if code == 0 else err)
+        assert got[0] == got[1], payload
+
+
+def test_form_decompose_tests_a_record_prime_three_times(capsys, monkeypatch):
+    # Once in each factorization, of the class and of its realized
+    # anisotropic part, and once as anisotropic_dimension_qp's argument;
+    # reading the record tests none of its primes again.
+    prime, tested = 2 ** 521 - 1, []
+    original = fields.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    for module in (fields, forms, witt, cli):
+        monkeypatch.setattr(module, "is_prime", counting, raising=False)
+    obj = run_json(capsys, "form", "decompose", "--field", "QQ", "--diag",
+                   f"{prime},1")
+    assert obj["witt_index"] == 0
+    assert tested.count(prime) == 3
 
 
 @pytest.mark.parametrize("field, diag", [

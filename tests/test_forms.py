@@ -11,7 +11,7 @@ from conftest import (HILBERT_CORPUS, HILBERT_PRIMES,
                       count_fraction_arithmetic, hilbert_oracle,
                       real_hilbert_symbol)
 
-from a1degrees import fields, forms
+from a1degrees import fields, forms, witt
 from a1degrees.degrees import EndoSystem, global_a1_degree
 from a1degrees.fields import (CC, QQ, RR, gf_construct, is_square,
                               odd_prime_support, squarefree_part)
@@ -246,6 +246,23 @@ def test_elimination_returns_the_determinant(field):
             assert make_gw_class(m, field)._elimination[1] == det
 
 
+@pytest.mark.parametrize("diagonal", ["dense", "some-zero", "zero"])
+def test_one_record_whatever_ran_first(diagonal):
+    # The record read on a fresh class and the one read after the squarefree
+    # diagonal was computed come from the same factorization.
+    rng = random.Random(f"one record:{diagonal}")
+    compared = 0
+    for _ in range(40):
+        m = random_symmetric(rng, rng.randint(1, 6), QQ, diagonal)
+        if not determinant(m, QQ):
+            continue
+        fresh, diagonalized = make_gw_class(m, QQ), make_gw_class(m, QQ)
+        diagonalized.diagonal_entries()
+        assert fresh._invariants == diagonalized._invariants, m
+        compared += 1
+    assert compared >= 20
+
+
 # A zero-diagonal Gram: its elimination re-bases the plane on the entry 6.
 HIDDEN_PRIME_PLANE = [[0, 6, 2, Fraction(2, 5)], [6, 0, Fraction(7, 2), 1],
                       [2, Fraction(7, 2), 0, 15], [Fraction(2, 5), 1, 15, 0]]
@@ -422,18 +439,31 @@ def test_hilbert_symbol_checks_its_prime():
         hilbert_symbol(2, 3, 1)
 
 
-def test_hilbert_symbol_bounds_its_prime_before_testing_it(monkeypatch):
+CHECKED_PRIME_CALLS = {
+    "padic_valuation": lambda p: fields.padic_valuation(Fraction(3, 5), p),
+    "legendre_symbol": lambda p: fields.legendre_symbol(3, p),
+    "is_padic_square": lambda p: fields.is_padic_square(3, p),
+    "hilbert_symbol": lambda p: hilbert_symbol(3, 5, p),
+    "hasse_witt_invariant": lambda p: hasse_witt_invariant(diag([1, 3]), p),
+    "anisotropic_dimension_qp":
+        lambda p: witt.anisotropic_dimension_qp(diag([1, 3]), p),
+}
+
+
+@pytest.mark.parametrize("call", CHECKED_PRIME_CALLS.values(),
+                         ids=CHECKED_PRIME_CALLS.keys())
+def test_checked_prime_is_bounded_before_it_is_tested(monkeypatch, call):
     # As for a field's characteristic: past fields._CHAR_BITS_CAP bits p is
     # refused before is_prime, which would take seconds to minutes.
     cap = fields._CHAR_BITS_CAP
     tested = []
-    monkeypatch.setattr(forms, "is_prime", lambda p: tested.append(p))
+    monkeypatch.setattr(fields, "is_prime", lambda p: tested.append(p))
     with pytest.raises(ValueError, match=f"p has {cap + 1} bits, more than "
                                          f"{cap}$"):
-        hilbert_symbol(3, 5, 2 ** cap + 1)
+        call(2 ** cap + 1)
     assert tested == []
-    with pytest.raises(ValueError, match="not prime"):
-        hilbert_symbol(3, 5, 2 ** cap - 1)
+    with pytest.raises(ValueError, match="not (an odd )?prime$"):
+        call(2 ** cap - 1)
     assert tested == [2 ** cap - 1]
 
 
@@ -547,14 +577,12 @@ def test_hasse_witt_matches_pairwise_product_on_random_forms():
 
 
 def test_invariant_loop_makes_no_prime_checks(monkeypatch):
-    from a1degrees import forms
-
     def forbidden(p):
         raise AssertionError("the invariant loop's primes are known primes")
 
     beta = make_gw_class([[2, 1, 0, 3, 5], [1, -7, 4, 0, 1], [0, 4, 15, 2, 0],
                           [3, 0, 2, -22, 6], [5, 1, 0, 6, 39]], QQ)
-    monkeypatch.setattr(forms, "is_prime", forbidden)
+    monkeypatch.setattr(forms, "_check_prime", forbidden)
     inv = get_invariants(beta)
     assert inv.rank == 5 and len(inv.hasse_witt) > 2
 

@@ -10,8 +10,9 @@ from conftest import gf_isotropy_oracle, primitive_zero_mod
 
 from a1degrees import cli, witt
 from a1degrees.fields import CC, QQ, RR, gf_construct, is_prime
-from a1degrees.forms import (MAX_MADE_RANK, add_gw, get_invariants,
-                             hasse_witt_primes, is_isomorphic_form,
+from a1degrees.forms import (MAX_MADE_RANK, InvariantBundle, _record_symbols,
+                             add_gw, get_invariants, hasse_witt_primes,
+                             hilbert_symbol, is_isomorphic_form,
                              make_diagonal_form, make_gw_class,
                              make_hyperbolic_form)
 from a1degrees.witt import (anisotropic_dimension, anisotropic_dimension_qp,
@@ -55,6 +56,38 @@ def test_qp_dimension_requires_qq_and_prime():
         anisotropic_dimension_qp(diag([1], field=RR), 2)
     with pytest.raises(ValueError):
         anisotropic_dimension_qp(diag([1]), 6)
+
+
+def closed_form_push(inv, n):
+    """The discriminant and record of beta - nH from beta's record, in closed
+    form: d_a = (-1)^n d and eps_p (-1, -1)_p^(n(n-1)/2) (d_a, (-1)^n)_p."""
+    d_a = inv.discriminant * (-1) ** n
+    eps = {}
+    for p, t in inv.hasse_witt.items():
+        if n * (n - 1) // 2 % 2:
+            t *= hilbert_symbol(-1, -1, p)
+        eps[p] = t * hilbert_symbol(d_a, (-1) ** n, p)
+    return d_a, _record_symbols(d_a, eps)
+
+
+def test_plane_push_matches_the_closed_form():
+    rng = random.Random(61)
+    vals = [v for v in range(-30, 31) if v]
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        beta = diag([rng.choice(vals) for _ in range(rng.randint(1, 4))]
+                    + [1, -1] * n)
+        inv = beta._invariants
+        record = dict(inv.hasse_witt)
+        part = anisotropic_part(beta)
+        index = (beta.rank - part.rank) // 2
+        seen.add(index)
+        expected = InvariantBundle(part.rank, inv.signature,
+                                   *closed_form_push(inv, index))
+        assert part._invariants == expected, beta
+        assert inv.hasse_witt == record  # the push leaves beta's record alone
+    assert set(range(9)) <= seen
 
 
 def local_isotropy_corpus():

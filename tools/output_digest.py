@@ -126,6 +126,8 @@ CLI_DECK = [
     ["basis", "local", "--field", "QQ", "--vars", "x,y", "--polys",
      "(x^1000)^1000 - 1; y", "--ideal", "x - 1; y", "--json"],
     ["symbol", "hilbert", "3", "5", str(2 ** 4423 - 1), "--json"],
+    ["form", "decompose", "--field", "QQ", "--diag", f"{2 ** 521 - 1},1",
+     "--json"],
 ]
 
 
