@@ -342,7 +342,10 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FFElement)):
-            other = self.ring.constant(other)
+            try:
+                other = self.ring.constant(other)
+            except (ValueError, ZeroDivisionError):  # not in the ring
+                return NotImplemented
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms

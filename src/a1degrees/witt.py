@@ -1,8 +1,9 @@
 """Isotropy and Witt decomposition: beta = beta_a + n * H.
 
-Anisotropic dimensions are classified field by field; over Q the local
-dimensions over Q_p (the iterated hyperbolic-splitting criteria) combine
-with the real signature through the Hasse-Minkowski principle.
+Over Q and Q_p one loop, _split, answers every isotropy question: it splits
+H off the record while the form is isotropic over R and over Q_p at each of
+the record's primes (Hasse-Minkowski).  C, R and GF(q) go by rank, signature
+and discriminant.
 
 The anisotropic part over Q is built from its class alone (rank, signature,
 discriminant d, the primes where Hasse-Witt is -1), so isomorphic inputs
@@ -21,8 +22,7 @@ from math import gcd, prod
 
 from .fields import QQ, _check_prime, _padic_square, is_prime
 from .forms import (GWClass, InvariantBundle, _gf_class_rep, _hilbert,
-                    _record_symbols, add_gw, empty_form, get_discriminant,
-                    get_signature, hasse_witt_primes, is_isomorphic_form,
+                    _record_symbols, add_gw, empty_form, is_isomorphic_form,
                     make_diagonal_form)
 
 __all__ = [
@@ -63,48 +63,54 @@ def _split_plane(d: int, eps: dict) -> tuple[int, dict]:
     return -d, {p: t * _hilbert(-d, -1, p) for p, t in eps.items()}
 
 
-def anisotropic_dimension_qp(beta: GWClass, p: int) -> int:
-    """Dimension of the anisotropic kernel of a rational form over Q_p.
+def _split(rank: int, sig: int, d: int, eps: dict) -> tuple[int, int, dict]:
+    """Split off H while the form is isotropic over R and over Q_p at each
+    key of eps; return the (rank, d, eps) that is left.
 
-    Splits off hyperbolic planes on the invariant level, read from the
-    class's record, by _split_plane.
+    Each split lowers every local Witt index by one, so the loop stops at
+    the largest local anisotropic dimension.  Over Q the keys hold 2 and the
+    primes of d; at other odd p rank >= 3 is isotropic, and at rank 2 any
+    -d != 1 shows at 2, at a prime of d or at R.
     """
+    while rank > abs(sig) and all(_qp_isotropic(rank, d, t, p)
+                                  for p, t in eps.items()):
+        rank -= 2
+        d, eps = _split_plane(d, eps)
+    return rank, d, eps
+
+
+def anisotropic_dimension_qp(beta: GWClass, p: int) -> int:
+    """Dimension of the anisotropic kernel of a rational form over Q_p:
+    _split on the class's record at p alone, leaving R out."""
     if beta.field != QQ:
         raise ValueError("anisotropic_dimension_qp requires a form over QQ")
     _check_prime(p)
-    rank, inv = beta.rank, beta._invariants
-    d, eps = inv.discriminant, {p: inv.hasse_witt.get(p, 1)}
-    while rank > 0 and _qp_isotropic(rank, d, eps[p], p):
-        rank -= 2
-        d, eps = _split_plane(d, eps)
-    return rank
+    inv = beta._invariants
+    return _split(beta.rank, 0, inv.discriminant,
+                  {p: inv.hasse_witt.get(p, 1)})[0]
 
 
-def _gf_anisotropic_dimension(beta: GWClass) -> int:
-    field = beta.field
-    if beta.rank % 2:
-        return 1
-    # Even rank: split iff the discriminant equals the square class of
-    # (-1)^(rank/2); otherwise a rank-2 anisotropic kernel remains.
-    disc = get_discriminant(beta)
-    target = field.one() if beta.rank // 2 % 2 == 0 else field.coerce(-1)
-    return 0 if disc == _gf_class_rep(target, field) else 2
+def _kernel(beta: GWClass) -> tuple:
+    """The anisotropic kernel's (dim, d_a, eps_a); eps_a is None off QQ, and
+    d_a too over CC and RR, where dim and the signature fix the kernel."""
+    field, rank, inv = beta.field, beta.rank, beta._invariants
+    if field.kind == "QQ":
+        return _split(rank, inv.signature, inv.discriminant, inv.hasse_witt)
+    if field.kind == "CC":
+        return rank % 2, None, None
+    if field.kind == "RR":
+        return abs(inv.signature), None, None
+    # GF(q): rank >= 3 is isotropic, and even rank splits completely iff the
+    # discriminant is the class of (-1)^(rank/2); n planes scale d by (-1)^n.
+    minus = field.coerce(-1)
+    dim = rank % 2 or (0 if inv.discriminant == _gf_class_rep(
+        minus ** (rank // 2), field) else 2)
+    n = (rank - dim) // 2
+    return dim, _gf_class_rep(inv.discriminant * minus ** n, field), None
 
 
 def anisotropic_dimension(beta: GWClass) -> int:
-    kind = beta.field.kind
-    if beta.rank == 0:
-        return 0
-    if kind == "CC":
-        return beta.rank % 2
-    if kind == "RR":
-        return abs(get_signature(beta))
-    if kind == "GF":
-        return _gf_anisotropic_dimension(beta)
-    dim = abs(get_signature(beta))
-    for p in hasse_witt_primes(beta):
-        dim = max(dim, anisotropic_dimension_qp(beta, p))
-    return dim
+    return _kernel(beta)[0]
 
 
 def witt_index(beta: GWClass) -> int:
@@ -183,7 +189,7 @@ def _ternary_entry(sign: int, disc: int, eps: dict, pool: list[int]) -> int:
     odd and prime to disc, differs from -disc by valuation at each odd one;
     at 2 it can clash only when disc is odd, and then 2m differs there.
     """
-    anisotropic_at = [p for p in pool if eps[p] != _hilbert(-1, -disc, p)]
+    anisotropic_at = [p for p in pool if not _qp_isotropic(3, disc, eps[p], p)]
     m = sign * prod(p for p in anisotropic_at if p > 2 and disc % p)
     clash = 2 in anisotropic_at and _padic_square(-disc * m, 2)
     return 2 * m if clash else m
@@ -221,33 +227,18 @@ def anisotropic_part(beta: GWClass) -> GWClass:
 
     Diagonal with square-class-normalized entries, sorted ascending.
     """
-    field = beta.field
-    dim = anisotropic_dimension(beta)
+    field, kind = beta.field, beta.field.kind
+    dim, d_a, eps = _kernel(beta)
     if dim == 0:
         return empty_form(field)
-    kind = field.kind
-    if kind == "CC":
-        return make_diagonal_form(field, [1] * dim)
-    if kind == "RR":
-        s = 1 if get_signature(beta) > 0 else -1
-        return make_diagonal_form(field, [s] * dim)
-    n = (beta.rank - dim) // 2
+    if kind in ("CC", "RR"):
+        sign = -1 if kind == "RR" and beta._signature < 0 else 1
+        return make_diagonal_form(field, [sign] * dim)
     if kind == "GF":
-        d_a = get_discriminant(beta)
-        if n % 2:
-            d_a = d_a * field.coerce(-1)
-        rep = _gf_class_rep(d_a, field)
-        if dim == 1:
-            return make_diagonal_form(field, [rep])
-        return make_diagonal_form(field, [field.one(), rep])
-    # QQ: push the invariants of beta through the n hyperbolic splits.  The
-    # record's keys hold 2 and the primes of disc, which are those of d_a;
-    # at any other p the pushed symbols are 1, as is eps_p.
-    inv = beta._invariants
-    d_a, eps = inv.discriminant, inv.hasse_witt
-    for _ in range(n):
-        d_a, eps = _split_plane(d_a, eps)
-    result = _realize_rational(dim, inv.signature, d_a, eps)
+        return make_diagonal_form(field,
+                                  [d_a] if dim == 1 else [field.one(), d_a])
+    result = _realize_rational(dim, beta._signature, d_a, eps)
+    n = (beta.rank - dim) // 2
     # nH is built here: make_hyperbolic_form bounds the rank of made forms.
     rebuilt = result if n == 0 else add_gw(
         result, make_diagonal_form(QQ, [1, -1] * n))

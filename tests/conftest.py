@@ -58,12 +58,13 @@ def real_hilbert_symbol(a, b) -> int:
     return -1 if a < 0 and b < 0 else 1
 
 
-def gf_isotropy_oracle(entries, q: int) -> bool:
-    """Whether a diagonal form over the prime field F_q has a nonzero zero."""
-    for vec in itertools.product(range(q), repeat=len(entries)):
-        if not any(vec):
-            continue
-        if sum(a * x * x for a, x in zip(entries, vec)) % q == 0:
+def gf_isotropy_oracle(entries, F) -> bool:
+    """Whether a diagonal form over the finite field F has a nonzero zero,
+    searching every vector over ``F.elements()``."""
+    entries = [F.coerce(a) for a in entries]
+    for vec in itertools.product(list(F.elements()), repeat=len(entries)):
+        if any(vec) and not sum((a * x * x for a, x in zip(entries, vec)),
+                                F.zero()):
             return True
     return False
 

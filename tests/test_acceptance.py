@@ -166,7 +166,7 @@ def test_criterion_7_property_suites():
                      for rank in (1, 2, 3, 4) for _ in range(8)]
             for entries in forms:
                 assert is_isotropic(diag(entries, field=F)) == \
-                    gf_isotropy_oracle(entries, q)
+                    gf_isotropy_oracle(entries, F)
         # 200 random rational forms: Witt round trip and invariant equality
         rng = random.Random(2024)
         vals = [v for v in range(-30, 31) if v]

@@ -794,10 +794,10 @@ def test_diagonalize_and_invariants_print_one_record(capsys):
         assert got[0] == got[1], payload
 
 
-def test_form_decompose_tests_a_record_prime_three_times(capsys, monkeypatch):
+def test_form_decompose_tests_a_record_prime_twice(capsys, monkeypatch):
     # Once in each factorization, of the class and of its realized
-    # anisotropic part, and once as anisotropic_dimension_qp's argument;
-    # reading the record tests none of its primes again.
+    # anisotropic part; the Witt layer reads the record and tests none of
+    # its primes again.
     prime, tested = 2 ** 521 - 1, []
     original = fields.is_prime
 
@@ -810,7 +810,7 @@ def test_form_decompose_tests_a_record_prime_three_times(capsys, monkeypatch):
     obj = run_json(capsys, "form", "decompose", "--field", "QQ", "--diag",
                    f"{prime},1")
     assert obj["witt_index"] == 0
-    assert tested.count(prime) == 3
+    assert tested.count(prime) == 2
 
 
 @pytest.mark.parametrize("field, diag", [
@@ -819,14 +819,16 @@ def test_form_decompose_tests_a_record_prime_three_times(capsys, monkeypatch):
 ])
 def test_form_decompose_measures_isotropy_once(capsys, monkeypatch, field,
                                                diag):
+    # anisotropic_part reads the kernel from witt._kernel, the one place
+    # every isotropy answer of the command comes from
     calls = []
-    original = witt.anisotropic_dimension
+    original = witt._kernel
 
     def counting(beta):
         calls.append(beta.rank)
         return original(beta)
 
-    monkeypatch.setattr(witt, "anisotropic_dimension", counting)
+    monkeypatch.setattr(witt, "_kernel", counting)
     obj = run_json(capsys, "form", "decompose", "--field", field,
                    "--diag", diag)
     assert calls == [obj["rank"]]

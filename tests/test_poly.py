@@ -253,6 +253,19 @@ def test_power_of_a_single_term_runs_the_squaring_chain(monkeypatch):
     assert t ** 0 == R.one() and products == []
 
 
+def test_equality_with_a_scalar_outside_the_ring_is_false():
+    gf7, gf5 = gf_construct(7, 1), gf_construct(5, 1)
+    R7, RQ = ring("x", field=gf7), ring("x")
+    for poly_, scalar in ((R7.one(), gf5.one()), (RQ.one(), gf7.one()),
+                          (R7.one(), Fraction(1, 7))):
+        assert not poly_ == scalar and poly_ != scalar
+        assert not scalar == poly_ and scalar != poly_
+    # scalars the ring holds still compare by value
+    assert R7.constant(3) == gf7.coerce(3) == R7.constant(10)
+    assert RQ.constant(Fraction(1, 7)) == Fraction(1, 7)
+    assert R7.one() == Fraction(8, 1) and R7.zero() == 0
+
+
 def test_parser_handles_fractions_and_unary_minus():
     R = ring("x")
     f = R.from_string("-x^2 + 3*x - 1")

@@ -9,12 +9,12 @@ import pytest
 from conftest import gf_isotropy_oracle, primitive_zero_mod
 
 from a1degrees import cli, witt
-from a1degrees.fields import CC, QQ, RR, gf_construct, is_prime
+from a1degrees.fields import CC, QQ, RR, is_prime
 from a1degrees.forms import (MAX_MADE_RANK, InvariantBundle, _record_symbols,
-                             add_gw, get_invariants, hasse_witt_primes,
-                             hilbert_symbol, is_isomorphic_form,
-                             make_diagonal_form, make_gw_class,
-                             make_hyperbolic_form)
+                             add_gw, empty_form, get_invariants,
+                             get_signature, hasse_witt_primes, hilbert_symbol,
+                             is_isomorphic_form, make_diagonal_form,
+                             make_gw_class, make_hyperbolic_form)
 from a1degrees.witt import (anisotropic_dimension, anisotropic_dimension_qp,
                             anisotropic_part, is_anisotropic, is_isotropic,
                             sum_decomposition, witt_index)
@@ -144,19 +144,65 @@ def test_witt_index_examples():
 
 
 def test_finite_field_isotropy_matches_exhaustive_search():
-    for q in (3, 5, 7, 13):
-        F = gf_construct(q, 1)
-        units = list(range(1, q))
+    for q in (3, 5, 7, 13, 9, 25, 27):
+        F = cli.parse_field(f"GF({q})")
+        units = [a for a in F.elements() if a]
         rng = random.Random(q)
         forms = [[rng.choice(units) for _ in range(rank)]
                  for rank in (1, 2, 3, 4) for _ in range(12)]
-        forms += [[1, q - 1], [1, 1], [1, 1, 1, 1]]
+        forms += [[1, -1], [1, 1], [1, 1, 1, 1]]
         for entries in forms:
             beta = diag(entries, field=F)
-            assert is_isotropic(beta) == gf_isotropy_oracle(entries, q), \
+            assert is_isotropic(beta) == gf_isotropy_oracle(entries, F), \
                 (q, entries)
             dim = anisotropic_dimension(beta)
             assert dim <= 2 and dim % 2 == len(entries) % 2
+        # -1 is a square exactly when q = 1 mod 4: in GF(9) and GF(25)
+        assert is_isotropic(diag([1, 1], field=F)) == (q % 4 == 1)
+
+
+@pytest.mark.parametrize("field", ["QQ", "RR", "CC", "GF(7)", "GF(9)"])
+def test_empty_form_is_anisotropic_of_dimension_zero(field):
+    beta = empty_form(cli.parse_field(field))
+    assert anisotropic_dimension(beta) == 0 and witt_index(beta) == 0
+    assert not is_isotropic(beta) and is_anisotropic(beta)
+    rep = sum_decomposition(beta)
+    assert rep.display == "0" and rep.anisotropic_part.rank == 0
+
+
+def _witt_classes(rng, count):
+    """Seeded QQ classes with planted planes <a, -a>, each as a diagonal
+    and as a dense Gram of the same class."""
+    vals = [v for v in range(-30, 31) if v]
+    for _ in range(count):
+        d = [rng.choice(vals) for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(0, 3)):
+            a = rng.choice(vals)
+            d += [a, -a]
+        rng.shuffle(d)
+        n = len(d)
+        p = _unimodular(rng, n) if n > 1 else [[1]]
+        yield diag(d)
+        yield make_gw_class([[sum(p[k][i] * d[k] * p[k][j] for k in range(n))
+                              for j in range(n)] for i in range(n)], QQ)
+
+
+def test_anisotropic_dimension_is_the_largest_local_one():
+    # Hasse-Minkowski: the kernel over Q is anisotropic at some place and
+    # no larger than the kernel at any place, so its dimension is the
+    # largest over R and the record's primes; no other prime exceeds it.
+    small = [p for p in range(2, 60) if is_prime(p)]
+    seen = set()
+    for beta in _witt_classes(random.Random(89), 120):
+        dim = anisotropic_dimension(beta)
+        record = hasse_witt_primes(beta)
+        assert dim == max([abs(get_signature(beta))] +
+                          [anisotropic_dimension_qp(beta, p) for p in record])
+        for p in small:
+            if p not in record:
+                assert anisotropic_dimension_qp(beta, p) <= dim, (beta, p)
+        seen.add(witt_index(beta))
+    assert set(range(5)) <= seen
 
 
 # -- anisotropic parts and decomposition -------------------------------------
@@ -220,11 +266,12 @@ def test_decomposition_round_trip_over_qq():
 
 
 def test_decomposition_round_trip_over_gf():
-    for q in (3, 13):
-        F = gf_construct(q, 1)
+    for q in (3, 13, 9, 25, 27):
+        F = cli.parse_field(f"GF({q})")
+        units = [a for a in F.elements() if a]
         rng = random.Random(q + 1)
         for _ in range(20):
-            entries = [rng.choice(range(1, q)) for _ in range(rng.randint(1, 5))]
+            entries = [rng.choice(units) for _ in range(rng.randint(1, 5))]
             beta = diag(entries, field=F)
             rep = sum_decomposition(beta)
             assert rep.anisotropic_part.rank <= 2

@@ -128,6 +128,16 @@ CLI_DECK = [
     ["symbol", "hilbert", "3", "5", str(2 ** 4423 - 1), "--json"],
     ["form", "decompose", "--field", "QQ", "--diag", f"{2 ** 521 - 1},1",
      "--json"],
+    ["form", "decompose", "--field", "GF(9)", "--diag", "1,1,2", "--json"],
+    ["form", "decompose", "--field", "GF(27)", "--diag", "1,1", "--json"],
+    ["form", "decompose", "--field", "GF(7)", "--diag", "1,1", "--json"],
+    ["form", "decompose", "--field", "GF(7)", "--diag", "1,1,1,1", "--json"],
+    ["form", "decompose", "--field", "RR", "--diag", "1,-1,2,3", "--json"],
+    ["form", "decompose", "--field", "CC", "--diag", "2,3,5", "--json"],
+    ["form", "decompose", "--field", "QQ", "--matrix", "[[0,1],[1,0]]",
+     "--json"],
+    ["form", "anisotropic-part", "--field", "GF(25)", "--diag", "1,2,3,4",
+     "--json"],
 ]
 
 
