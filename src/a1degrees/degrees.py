@@ -134,14 +134,12 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     index = {m.leading_monomial(): i for i, m in enumerate(mons)}
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
-    x_map = list(range(n))
-    y_map = list(range(n, 2 * n))
     # The X-copy and the Y-copy have leading monomials in disjoint
     # variables, so every cross S-pair passes the product criterion and
-    # their union is a Groebner basis of I_X + I_Y.
-    gxy = [g.map_to(dring, x_map) for g in basis_gb.basis] + \
-        [g.map_to(dring, y_map) for g in basis_gb.basis]
-    reduced = bez.determinant(gxy)
+    # their union is a Groebner basis of I_X + I_Y.  Both are the basis's
+    # own divisors, moved into the doubled ring.
+    reduced = bez.determinant(basis_gb.divisors_in(dring, 0) +
+                              basis_gb.divisors_in(dring, n))
     size = len(mons)
     zero = ring.field.zero()
     gram = [[zero] * size for _ in range(size)]

@@ -106,8 +106,9 @@ def factorize(n: int) -> dict[int, int]:
     """Factor |n|: trial division below 2^10, then Miller-Rabin and Brent's
     variant of Pollard rho on what is left.  Keys ascend.
 
-    Rho's work is capped at _RHO_BUDGET; past it a ValueError says the
-    square class is too large to factor.
+    Rho's work is capped at _RHO_BUDGET, and a cofactor of more than
+    _CHAR_BITS_CAP bits is refused before its Miller-Rabin test; past either
+    a ValueError says the square class is too large to factor.
     """
     n = abs(n)
     if n == 0:
@@ -123,6 +124,8 @@ def factorize(n: int) -> dict[int, int]:
     budget = _RHO_BUDGET
     while stack:
         m = stack.pop()
+        if m.bit_length() > _CHAR_BITS_CAP:
+            raise ValueError("square class too large to factor")
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -349,12 +352,13 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 _RABIN_BUDGET = 1 << 21
 
 
-# The largest characteristic, in bits, that a GF(p^k) may have, and the
-# largest prime _check_prime lets a p-adic function take; it is checked
-# before any full primality test of p.  With Python 3.11 on a 2-core Intel
-# Xeon VM is_prime took 0.01 s on 2^521 - 1, 0.43 s on 2^2203 - 1, 1.07 s on
-# 2^3072 - 47 and 3.2 s on 2^4423 - 1.  The CLI tests p twice, so at the cap a GF(p) spec is
-# decided within about 2 s, like a modulus search.
+# The largest characteristic, in bits, that a GF(p^k) may have, the largest
+# prime _check_prime lets a p-adic function take, and the largest cofactor
+# factorize tests; it is checked before any full primality test.  With
+# Python 3.11 on a 2-core Intel Xeon VM is_prime took 0.01 s on 2^521 - 1,
+# 0.43 s on 2^2203 - 1, 1.07 s on 2^3072 - 47 and 3.2 s on 2^4423 - 1.  The
+# CLI tests p twice, so at the cap a GF(p) spec is decided within about 2 s,
+# like a modulus search.
 _CHAR_BITS_CAP = 3072
 
 

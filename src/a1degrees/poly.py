@@ -26,14 +26,20 @@ parser through `_public`.  One loop, `_mul_into`, forms every product.
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements.  Only `_enter`, which makes den * f integral (den is 1
 over GF), and `_public`, which divides by an int on the way out, cross
-between the two, so over QQ the kernel's loops see only ints; the one
+between the two.  Over QQ the kernel's loops see only ints; the one
 exception is `determinant`'s elimination, which reads each constant entry
-as a field scalar to choose and apply its pivots.  A divisor
-is a `_prep_divisor` triple: over QQ its primitive integer multiple, and
-division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the
-work by a running integer scale instead of dividing by leading
-coefficients; over GF it is made monic once, so nothing scales.  The same
-heap loop serves both domains.
+as a `Fraction` to choose and apply its pivots.  Over a prime field
+GF(p), tabled or not, they see ints too: `_enter` takes each coefficient's
+residue, the loops add and multiply without reducing, and a value is
+reduced mod p only where it is read, when `_reduce_terms` pops it, when
+the parser forms a sum or a product, when `determinant` clears a column
+with int scalars, and in `_public`, which drops what vanishes mod p and
+makes field elements again.  Over GF(p^k), k >= 2, the coefficients stay
+field elements.  A divisor is a `_prep_divisor` triple: over QQ its
+primitive integer multiple, and division is pseudo-division (Knuth, TAOCP
+vol. 2, 4.6.1), multiplying the work by a running integer scale instead
+of dividing by leading coefficients; over GF it is made monic once, so
+nothing scales.  The same heap loop serves every domain.
 """
 
 from __future__ import annotations
@@ -302,10 +308,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        ring, pk = self.ring, self.ring._packing
+        ring = self.ring
+        guard, p = ring._packing.guard, _prime(ring.field)
         den, terms = _enter(self)
-        terms = _power(terms, n, lambda a, b: _mul_into(
-            {}, a.items(), b.items(), pk.guard), ring.field.one())
+        terms = _power(terms, n, lambda a, b: _product(a, b, guard, p),
+                       _unit(ring.field))
         return Polynomial(ring, _public(ring, terms, den ** n))
 
     def derivative(self, i: int) -> "Polynomial":
@@ -401,7 +408,10 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     Terms leave a heap in descending order.  Each monomial is pushed once,
     when it enters the work set; one that cancels keeps its entry with a
     zero coefficient and is skipped when popped.  This is sound because a
-    reduction step only adds monomials below the one it removes.
+    reduction step only adds monomials below the one it removes.  Over
+    GF(p) a coefficient is reduced mod p when it is popped, the one place
+    it is read, so the updates below add plain ints, and one that cancels
+    only mod p is skipped there too; rem holds residues.
 
     u is the divisor's leading coefficient, an int: 1 over GF, where
     every divisor is monic.  A term c that a divisor with u != 1 reduces
@@ -411,7 +421,7 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     (i, shift, c, t), t the value of s at that step: q_i is the sum of
     c * (s // t) * x^shift over divisor i's steps.
     """
-    guard = ring._packing.guard
+    guard, p = ring._packing.guard, _prime(ring.field)
     work = dict(fterms)
     heap = [-m for m in work]
     heapify(heap)
@@ -420,6 +430,8 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     while heap:
         m = -heappop(heap)
         c = work.pop(m)
+        if p:
+            c %= p
         if not c:
             continue
         for di, (lm, u, tail) in enumerate(divisors):
@@ -456,12 +468,34 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
 def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
     integral coefficients, den the least positive integer that makes them
-    so: 1 over GF."""
-    pk = f.ring._packing
-    if f.ring.field.kind != "QQ":
-        return 1, pk.pack_terms(f.terms)
-    den = lcm(*[c.denominator for c in f.terms.values()])
-    return den, pk.pack_terms(f.terms, den)
+    so: 1 over GF.  Over GF(p) the coefficients are their residues, ints in
+    [0, p); over GF(p^k) they stay field elements."""
+    field, pk = f.ring.field, f.ring._packing
+    if field.kind == "QQ":
+        den = lcm(*[c.denominator for c in f.terms.values()])
+        return den, pk.pack_terms(f.terms, den)
+    terms = pk.pack_terms(f.terms)
+    if _prime(field):
+        terms = {m: c.coeffs[0] for m, c in terms.items()}
+    return 1, terms
+
+
+def _prime(field) -> int:
+    """p over a prime field GF(p), whose kernel coefficients are ints reduced
+    mod p where they are read; 0 over QQ, whose are ints too, and over
+    GF(p^k), whose are field elements."""
+    return field.char if field.degree == 1 else 0
+
+
+def _unit(field):
+    """The kernel's 1: the int over QQ and GF(p), the field's 1 over
+    GF(p^k)."""
+    return field.one() if field.degree > 1 else 1
+
+
+def _residues(terms: dict, p: int) -> dict:
+    """The int terms reduced mod p, without those that vanish."""
+    return {e: r for e, c in terms.items() if (r := c % p)}
 
 
 def _prep_divisor(field, terms: dict, den=1):
@@ -470,7 +504,8 @@ def _prep_divisor(field, terms: dict, den=1):
 
     Over QQ it is g's primitive integer multiple, and u its leading
     coefficient, > 0.  Over GF it is g made monic, k the inverse of g's
-    leading coefficient, taken once here, and u the int 1.
+    leading coefficient, taken once here (over GF(p) an int, pow(lc, -1,
+    p), and the tail residues), and u the int 1.
     """
     lm = max(terms)
     if field.kind == "QQ":
@@ -481,10 +516,14 @@ def _prep_divisor(field, terms: dict, den=1):
         terms = {e: c // content for e, c in terms.items()}
         u = terms[lm]
     else:
-        k, u = 1, 1
+        k, u, p = 1, 1, _prime(field)
         if terms[lm] != 1:
-            k = terms[lm].inverse()
-            terms = {e: c * k for e, c in terms.items()}
+            if p:
+                k = pow(terms[lm], -1, p)
+                terms = {e: c * k % p for e, c in terms.items()}
+            else:
+                k = terms[lm].inverse()
+                terms = {e: c * k for e, c in terms.items()}
     return k, (lm, u, [(e, c) for e, c in terms.items() if e != lm])
 
 
@@ -495,12 +534,17 @@ def _prep_divisors(polys):
 
 def _public(ring, terms: dict, s) -> dict:
     """Kernel terms divided by the int s as public terms: exponent tuples,
-    and Fractions over QQ.  Over GF the coefficients are field elements
-    already, and s is 1."""
-    terms = ring._packing.unpack_terms(terms)
-    if ring.field.kind != "QQ":
-        return terms
-    return {e: Fraction(c, s) for e, c in terms.items()}
+    and Fractions over QQ.  Over GF s is 1; GF(p) residues, reduced here,
+    become field elements, and those that vanish mod p go.  Over GF(p^k)
+    the coefficients are field elements already."""
+    field = ring.field
+    if field.kind == "QQ":
+        return {e: Fraction(c, s) for e, c in
+                ring._packing.unpack_terms(terms).items()}
+    p = _prime(field)
+    if p:
+        terms = {m: field.coerce(r) for m, c in terms.items() if (r := c % p)}
+    return ring._packing.unpack_terms(terms)
 
 
 def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -543,7 +587,7 @@ def _power(terms: dict, n: int, product, one) -> dict:
     """The packed terms of f ** n, f's packed terms given, by repeated
     squaring: each product of two term dicts formed by ``product``, a
     monomial's too, so what ``product`` bounds bounds every power; f ** 0
-    is the field's ``one``."""
+    is ``one``, the kernel's 1."""
     if n < 0:
         raise ValueError("negative polynomial power")
     # Seeded by the first factor, not by one: integer terms stay so.
@@ -555,6 +599,13 @@ def _power(terms: dict, n: int, product, one) -> dict:
         if n:
             base = product(base, base)
     return {0: one} if result is None else result
+
+
+def _product(a: dict, b: dict, guard: int, p: int) -> dict:
+    """The product of two packed term dicts, reduced mod p over GF(p), so
+    that a chain of products keeps residues."""
+    out = _mul_into({}, a.items(), b.items(), guard)
+    return _residues(out, p) if p else out
 
 
 def _mul_into(out: dict, a, b, guard: int) -> dict:
@@ -581,8 +632,9 @@ def _mul_into(out: dict, a, b, guard: int) -> dict:
 
 def determinant(rows, ring, modulo=None):
     """Determinant of a square matrix over a PolyRing or a FieldDesc; given
-    `modulo`, a Groebner basis in ring (a `GroebnerBasis` or its elements),
-    its normal form modulo that basis.
+    `modulo`, a Groebner basis in ring (a `GroebnerBasis`, its elements or
+    their prepared divisors, as `GroebnerBasis.divisors_in` makes them), its
+    normal form modulo that basis.
 
     Every entry enters the kernel first, as packed terms over an int
     multiplier (integral over QQ); given `modulo`, it is reduced modulo
@@ -608,16 +660,18 @@ def determinant(rows, ring, modulo=None):
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
-    zero, one = field.zero(), field.one()
-    qq = field.kind == "QQ"
+    qq, p = field.kind == "QQ", _prime(field)
+    # Over GF(p) the scalars are ints too, reduced mod p as entries leave
+    # a column operation, and inverted by pow.
+    zero, one = (0, 1) if p else (field.zero(), field.one())
     divisors = None if modulo is None else _divisors_of(modulo, ring)
 
     def enter(x):
         """(d, terms): terms is d * x in the kernel's form, or its
         remainder modulo divisors; a field scalar is the monomial 0."""
         if not polynomial:
-            terms = {0: x.numerator if qq else x} if x else {}
-            return (x.denominator if qq else 1), terms
+            c = x.numerator if qq else x.coeffs[0] if p else x
+            return (x.denominator if qq else 1), ({0: c} if x else {})
         d, terms = _enter(x)
         if divisors is not None:
             terms, s = _reduce_terms(ring, terms, divisors)
@@ -643,7 +697,7 @@ def determinant(rows, ring, modulo=None):
             d, kx, ky = 1, 1, -s
         out = dict(tx) if kx == 1 else {e: c * kx for e, c in tx.items()}
         _add_into(out, {e: c * ky for e, c in ty.items()})
-        return d, out
+        return d, _residues(out, p) if p else out
 
     a = [[enter(x) for x in row] for row in rows]
     scale = one
@@ -658,7 +712,7 @@ def determinant(rows, ring, modulo=None):
         if c is None:
             return ring.zero()
         pivot = values[c]
-        inv = one / pivot
+        inv = pow(pivot, -1, p) if p else one / pivot
         column = [row[c] for row in a]
         for j, v in enumerate(values):
             if v and j != c:
@@ -671,7 +725,7 @@ def determinant(rows, ring, modulo=None):
         for row in a:
             del row[c]
     if not polynomial:
-        return scale
+        return field.coerce(scale) if p else scale
     # minors[S]: the packed minor of the last m rows on the columns in
     # bitmask S, times the pivots and times den.
     pk = ring._packing
@@ -739,6 +793,32 @@ class GroebnerBasis:
         normal form against it, unless `groebner_basis` handed them in."""
         return _prep_divisors(self.basis)
 
+    def divisors_in(self, target: PolyRing, offset: int) -> list:
+        """The basis's prepared divisors moved into target, a grevlex ring
+        over the same field, with variable i as variable offset + i: what
+        `_prep_divisors` makes of the moved basis, for `determinant`'s
+        modulo, without building it.  The coefficients stay, and each packed
+        monomial moves by shifts.  Among monomials in the copy's variables
+        target's grevlex orders as the basis's does, so leading monomials
+        stay leading.  The n exponent fields move up offset fields; the n
+        rows, e_0, e_0 + e_1, ..., deg, become target's rows offset to
+        offset + n - 1, below which its rows are 0 and above which deg.
+        """
+        ring = self.ideal.ring
+        n, big = ring.nvars, target.nvars
+        if (ring.order, target.order) != ("grevlex", "grevlex") or \
+                target.field != ring.field or not 0 <= offset <= big - n:
+            raise ValueError("the basis does not embed into the target ring")
+        low, top = (1 << 32 * n) - 1, 32 * (2 * n - 1)
+        up, rows = 32 * offset, 32 * (big + offset)
+        fill = sum(1 << 32 * (big + j) for j in range(offset + n, big))
+
+        def move(m):
+            return (m & low) << up | (m >> 32 * n) << rows | (m >> top) * fill
+
+        return [(move(lm), u, [(move(e), c) for e, c in tail])
+                for lm, u, tail in self._divisors]
+
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -755,7 +835,7 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
     the polynomials are packed.
     """
     pk, field = ring._packing, ring.field
-    qq, one = field.kind == "QQ", field.one()
+    qq, one, unit = field.kind == "QQ", field.one(), _unit(field)
     lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
@@ -804,10 +884,10 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
     while heap:
         s, l, i, j, _ = heappop(heap)
         # S = (lc_j/g)*mi*tail_i - (lc_i/g)*mj*tail_j, g = gcd(lc_i, lc_j);
-        # over GF both multipliers are the field's 1.
+        # over GF both multipliers are the kernel's 1.
         (lmi, lci, taili), (lmj, lcj, tailj) = prepped[i], prepped[j]
         g = gcd(lci, lcj)
-        a, b = (lcj // g, lci // g) if qq else (one, one)
+        a, b = (lcj // g, lci // g) if qq else (unit, unit)
         f: dict = {}
         _mul_into(f, [(l - lmi, a)], taili, pk.guard)
         _mul_into(f, [(l - lmj, -b)], tailj, pk.guard)
@@ -843,8 +923,11 @@ def groebner_basis(ideal: Ideal) -> GroebnerBasis:
 def _divisors_of(G, ring: PolyRing) -> list:
     """The prepared divisors of a Groebner basis G, or of its elements, in
     ring: a `GroebnerBasis` keeps them for the next call, a list is prepared
-    per call."""
+    per call, and a list of triples (`GroebnerBasis.divisors_in`) is
+    prepared already."""
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
+    if all(type(g) is tuple for g in polys):
+        return list(polys)
     # The identity test first: the degree path's divisors share one ring.
     if any(g.ring is not ring and g.ring != ring for g in polys):
         raise ValueError("polynomial ring mismatch")
@@ -1021,19 +1104,21 @@ def _tokenize(text: str):
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """The terms fold in the kernel's form, packed monomials and, over QQ,
-    int coefficients (GF ones are field elements from the start), and leave
-    it once, through `_public`."""
+    """The terms fold in the kernel's form, packed monomials and, over QQ
+    and GF(p), int coefficients (GF(p^k) ones are field elements from the
+    start), and leave it once, through `_public`.  Over GF(p) literals,
+    sums and products are reduced mod p as they are formed, so every term
+    count below is the count of nonzero terms, as over any field."""
     tokens = _tokenize(text)
     pos = work = depth = 0
-    qq = ring.field.kind == "QQ"
+    qq, p = ring.field.kind == "QQ", _prime(ring.field)
     pk = ring._packing
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
     gf_words = None if qq else \
         (ring.field.char.bit_length() + 63) // 64 * ring.field.degree
 
     def scalar(val):
-        return val if qq else ring.field.coerce(val)
+        return val % p if p else val if qq else ring.field.coerce(val)
 
     def peek():
         return tokens[pos]
@@ -1058,7 +1143,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             raise ValueError(f"expanding the polynomial takes more than "
                              f"{MAX_PARSE_PRODUCTS} term products (at "
                              f"position {at})")
-        return _mul_into({}, a.items(), b.items(), pk.guard)
+        return _product(a, b, pk.guard, p)
 
     def nested(parse, at):
         """parse() one level deeper."""
@@ -1086,7 +1171,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 advance()
                 _add_into(terms, parse_term(), negate=val == "-")
             else:
-                return terms
+                return _residues(terms, p) if p else terms
 
     def parse_term():
         node = parse_factor()

@@ -436,6 +436,20 @@ def test_square_class_too_large_to_factor_exits_1(capsys):
     assert err == "error: square class too large to factor\n"
 
 
+def test_class_with_a_cofactor_past_the_cap_exits_1_untested(capsys,
+                                                             monkeypatch):
+    # The class integer of <2^4423 - 1, 1> is a 4423-bit prime: factorize
+    # refuses it before Miller-Rabin, which alone takes about 3 s on it.
+    tested = []
+    monkeypatch.setattr(fields, "is_prime", tested.append)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "form", "invariants", "--field", "QQ",
+                         "--diag", f"{2 ** 4423 - 1},1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, tested) == (1, "", [])
+    assert err == "error: square class too large to factor\n"
+
+
 def test_field_too_large_to_construct_exits_1(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "form", "invariants", "--field",

@@ -16,14 +16,14 @@ from conftest import count_fraction_arithmetic
 from a1degrees import degrees, poly
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
-from a1degrees.fields import CC, QQ, RR, gf_construct
+from a1degrees.fields import CC, QQ, RR, FFElement, gf_construct
 from a1degrees.forms import (add_gw, base_change, empty_form, get_invariants,
                              get_signature, hasse_witt_primes,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class)
-from a1degrees.poly import (Ideal, Polynomial, PolyRing, groebner_basis,
-                            ideal_quotient, normal_form, saturation,
-                            standard_monomials)
+from a1degrees.poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
+                            groebner_basis, ideal_quotient, normal_form,
+                            saturation, standard_monomials)
 from a1degrees.witt import sum_decomposition
 
 
@@ -145,11 +145,43 @@ def test_one_reduction_pass_per_degree(monkeypatch):
     monkeypatch.setattr(degrees, "normal_form", normal_form)
     monkeypatch.setattr(poly, "normal_form", normal_form)
     global_a1_degree(f)
-    # The X-copy and the Y-copy of the basis together, prepared once for
-    # the entries and the determinant they reduce.
-    assert prepared == [2 * len(groebner_basis(Ideal(ring, f.polys)).basis)]
+    # The X-copy and the Y-copy of the basis are the basis's own divisors
+    # moved into the doubled ring: no polynomial is prepared again.
+    assert prepared == []
     assert len(determinants) == 1 and determinants[0] is not None
+    assert len(determinants[0]) == \
+        2 * len(groebner_basis(Ideal(ring, f.polys)).basis)
     assert normal_forms == []
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
+                                   gf_construct(3, 3)], ids=str)
+def test_doubled_divisors_are_the_prepared_copies(field):
+    # The oracle is the construction they replace: each basis element
+    # mapped into the doubled ring, the X-copy then the Y-copy, and
+    # prepared from its public terms.
+    rng = random.Random(f"doubled:{field}")
+    scalars = [Fraction(-5, 7), Fraction(3, 2), 4] if field == QQ else \
+        list(field.elements())[1:]
+    for n in range(1, 5):
+        ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+        top = 3 if n < 3 else 2
+        monomials = [e for e in itertools.product(range(top + 1), repeat=n)
+                     if sum(e) <= top]
+        polys = [Polynomial.make(ring, {e: rng.choice(scalars) for e in
+                                        rng.sample(monomials, 4)})
+                 for _ in range(n)]
+        for gb in (groebner_basis(Ideal(ring, tuple(polys))),
+                   GroebnerBasis(Ideal(ring, tuple(polys)),
+                                 tuple(p for p in polys if p))):
+            dring = degrees.doubled_ring(ring)
+            for offset in (0, n):
+                copies = [g.map_to(dring, list(range(offset, offset + n)))
+                          for g in gb.basis]
+                assert gb.divisors_in(dring, offset) == \
+                    poly._prep_divisors(copies)
+    with pytest.raises(ValueError, match="does not embed"):
+        gb.divisors_in(dring, n + 1)
 
 
 def rational_system(rng, n, degree):
@@ -256,7 +288,71 @@ def test_qq_products_multiply_ints_only(monkeypatch):
         assert all(type(c) is Fraction for c in g.terms.values())
 
 
-@pytest.mark.parametrize("p", [101, 103])
+@pytest.mark.parametrize("field, kernel", [
+    (gf_construct(7, 1), int), (gf_construct(10007, 1), int),
+    (gf_construct(5, 2), FFElement)], ids=["GF(7)", "GF(10007)", "GF(25)"])
+def test_gf_kernel_coefficients_are_residues(monkeypatch, field, kernel):
+    # Over GF(p), tabled (GF(7)) or not (GF(10007)), every polynomial
+    # enters the kernel as its residues, so the product loop and the
+    # division loop see ints; over GF(25) they see field elements.  Every
+    # public result holds field elements either way.
+    ring = PolyRing(field, ("x", "y", "z"))
+    f = EndoSystem.of(ring, "3*x - 2*y + z - 1", "x^2*y - 3*z^2 + y",
+                      "y*z^2 + x^3 - 2*x*z")
+    bez = bezoutian_matrix(f)
+    b = bez.entries
+    expected = bez.doubled_ring.zero()
+    for i, j, k in itertools.permutations(range(3)):
+        inversions = (i > j) + (i > k) + (j > k)
+        expected += b[0][i] * b[1][j] * b[2][k] * (-1) ** inversions
+    p, q = ring.from_string("x + 3*y - 1"), ring.from_string("2*x*y - z")
+    seen: dict = {}
+    place = None
+    mul, reduce = poly._mul_into, poly._reduce_terms
+
+    def record(values):
+        seen.setdefault(place, set()).update(map(type, values))
+
+    def recording_mul(out, a, b, guard):
+        record(c for _, c in a)
+        record(c for _, c in b)
+        out = mul(out, a, b, guard)
+        record(out.values())
+        return out
+
+    def recording_reduce(ring, fterms, divisors, steps=None):
+        record(fterms.values())
+        for _, _, tail in divisors:
+            record(c for _, c in tail)
+        rem, s = reduce(ring, fterms, divisors, steps)
+        record(rem.values())
+        return rem, s
+
+    monkeypatch.setattr(poly, "_mul_into", recording_mul)
+    monkeypatch.setattr(poly, "_reduce_terms", recording_reduce)
+    place = "determinant"
+    det = bez.determinant()
+    beta = global_a1_degree(f)
+    place = "basis"
+    gb = groebner_basis(Ideal(ring, f.polys))
+    place = "product"
+    product = p ** 3 * q
+    place = "parse"
+    parsed = ring.from_string("(x + 3*y - 1)^3 * (2*x*y - z) - 7*x^2")
+    monkeypatch.undo()
+    assert seen == dict.fromkeys(
+        ["determinant", "basis", "product", "parse"], {kernel})
+    assert det == expected and det
+    assert product == p * p * p * q
+    assert parsed == product - 7 * ring.from_string("x^2")
+    assert beta.rank == len(standard_monomials(gb)) > 1
+    for g in (det, product, parsed, p ** 0, *gb.basis):
+        assert all(type(c) is FFElement and c.field == field
+                   for c in g.terms.values())
+    assert all(type(c) is FFElement for row in beta.gram for c in row)
+
+
+@pytest.mark.parametrize("p", [101, 103, 10007])
 def test_rational_gram_reduces_to_the_gf_gram(monkeypatch, p):
     """Reduction mod p commutes with the global degree of an integer system.
 

@@ -80,6 +80,28 @@ def test_factorize_stops_at_its_budget():
     assert time.perf_counter() - start < 5.0
 
 
+def test_factorize_refuses_a_cofactor_past_the_cap_before_testing_it(
+        monkeypatch):
+    # Miller-Rabin takes about 3 s on the prime 2^4423 - 1, so a cofactor
+    # above _CHAR_BITS_CAP bits is refused untested.  The bound applies
+    # after trial division: a power of a small prime factors at any size.
+    tested = _counting(monkeypatch, fields, "is_prime")
+    big = 2 ** 4423 - 1
+    for n in (big, 3 ** 5 * big, -big):
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="square class too large to factor"):
+            factorize(n)
+        assert time.perf_counter() - start < 0.5
+    assert tested == []
+    assert factorize(2 ** 5000) == {2: 5000}
+    assert factorize(3 ** 2000 * 1009 ** 3) == {3: 2000, 1009: 3}
+    assert tested == []
+    # A cofactor within the cap is tested as before.
+    assert factorize(5 * (2 ** 521 - 1)) == {5: 1, 2 ** 521 - 1: 1}
+    assert tested == [2 ** 521 - 1]
+
+
 # -- square classes ----------------------------------------------------------
 
 

@@ -831,7 +831,8 @@ def leibniz(m, zero, one):
     return total
 
 
-@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1), gf_construct(5, 2)],
+@pytest.mark.parametrize("field", [QQ, gf_construct(13, 1),
+                                   gf_construct(10007, 1), gf_construct(5, 2)],
                          ids=str)
 def test_determinant_matches_leibniz(field):
     rng = random.Random(f"leibniz:{field}")
@@ -859,7 +860,9 @@ def test_determinant_matches_leibniz(field):
     assert singular >= 10
 
 
-@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1),
+                                   gf_construct(10007, 1), gf_construct(5, 2)],
+                         ids=str)
 def test_determinant_of_mixed_polynomial_rows(field):
     R = ring("x", "y", field=field)
     rng = random.Random(f"mixed:{field}")
@@ -931,3 +934,68 @@ def test_determinant_divides_no_polynomial(monkeypatch):
     monkeypatch.setattr(poly, "exact_quotient", forbidden)
     monkeypatch.setattr(poly, "_reduce_terms", forbidden)
     assert determinant(m, R) == leibniz(m, R.zero(), R.one())
+
+
+# -- coefficients that vanish only mod p -------------------------------------
+
+
+def mod_p(f, R):
+    """The QQ polynomial f, with p-integral coefficients, reduced into R over
+    GF(p)."""
+    return Polynomial.make(R, f.terms)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_coefficients_that_vanish_only_mod_p(p):
+    # Over GF(p) the kernel adds unreduced ints and reduces where a value
+    # is read: a term whose integer coefficient is a nonzero multiple of p
+    # is zero in every result, as in the QQ result reduced mod p.
+    R, Q = ring("x", "y", field=gf_construct(p, 1)), ring("x", "y")
+
+    def both(text):
+        return R.from_string(text), Q.from_string(text)
+
+    # a parse: a literal and a sum that vanish mod p
+    assert R.from_string(f"{p}*x^2 + x - 1") == R.from_string("x - 1")
+    assert R.from_string(f"{p}*x^2 + x - 1").terms == \
+        {(1, 0): R.field.one(), (0, 0): R.field.coerce(-1)}
+    assert R.from_string(f"3*x^2 + {p - 3}*x^2 + y") == R.from_string("y")
+    # a public product whose terms cancel mod p
+    (a, qa), (b, qb) = both("x + 1"), both(f"x + {p - 1}")
+    assert a * b == R.from_string("x^2 - 1") == mod_p(qa * qb, R)
+    # a determinant whose bottom 2 x 2 minor on columns 0 and 1 is p*x*y,
+    # not 0 over Z, and one whose elimination leaves a constant -p
+    rows = [["x + 1", "y", "x*y"], ["x", "y", "y^2"],
+            ["2*x", f"{p + 2}*y", "x"]]
+    for m in (rows, [["3", "2", "1"], ["x", "y", "1"],
+                     [str((9 - p) // 2), "3", "x*y"]]):
+        mr = [[R.from_string(t) for t in row] for row in m]
+        mq = [[Q.from_string(t) for t in row] for row in m]
+        assert determinant(mr, R) == mod_p(determinant(mq, Q), R) == \
+            leibniz(mr, R.zero(), R.one())
+    assert determinant([[R.from_string(t) for t in row] for row in
+                        [["x", "y"], ["2*x", f"{p + 2}*y"]]], R) == R.zero()
+    F = R.field
+    assert determinant([[F.coerce(1), F.coerce(2)],
+                        [F.coerce(3), F.coerce(p + 6)]], F) == F.zero()
+    # exact quotients and normal forms
+    (f, qf), (g, qg) = both(f"{p}*x^3*y + x^2*y - {2 * p}*y + 1"), \
+        both("x*y + 3")
+    assert exact_quotient(f * g, g) == f == mod_p(exact_quotient(qf * qg, qg),
+                                                  R)
+    gens = ["x^2 - 3", "y^2 + x"]
+    G = groebner_basis(Ideal.of(R, *gens))
+    GQ = groebner_basis(Ideal.of(Q, *gens))
+    h, qh = both(f"{p}*x^3*y + 3*x^2*y^2 + {2 * p}*y^3 - x*y + {p + 5}")
+    assert normal_form(h, G) == mod_p(normal_form(qh, GQ), R)
+    assert normal_form(R.from_string(f"x^2*y - 3*y + {p}*x"), G) == R.zero()
+
+
+def test_frobenius_powers_cancel_mod_7():
+    # (x + y)^7 = x^7 + y^7 over GF(7): every middle binomial coefficient is
+    # a multiple of 7, in a parsed power, a public power and a quotient.
+    R = ring("x", "y", field=gf_construct(7, 1))
+    s = R.from_string("x + y")
+    assert R.from_string("(x + y)^7") == s ** 7 == R.from_string("x^7 + y^7")
+    assert (s + 1) ** 7 == R.from_string("x^7 + y^7 + 1")
+    assert exact_quotient(R.from_string("x^7 + y^7"), s) == s ** 6

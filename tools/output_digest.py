@@ -138,6 +138,15 @@ CLI_DECK = [
      "--json"],
     ["form", "anisotropic-part", "--field", "GF(25)", "--diag", "1,2,3,4",
      "--json"],
+    ["degree", "global", "--field", "GF(10007)", "--vars", "x,y", "--polys",
+     "x^2 - 3*y + 1; y^2 - x*y - 2", "--json"],
+    ["degree", "global", "--field", "GF(1000003)", "--vars", "x,y,z",
+     "--polys", "x^2 - 3*y*z + 1; y^2 - x*z - 2; z^2 + 5*x*y - 7*z",
+     "--json"],
+    ["degree", "local", "--field", "GF(7)", "--vars", "x,y", "--polys",
+     "(x - 1)^2 + y^3; y^2 - 3*(x - 1)^3", "--ideal", "x - 1; y", "--json"],
+    ["basis", "local", "--field", "GF(3)", *_SYSTEM, "--ideal", "x; y",
+     "--json"],
 ]
 
 
