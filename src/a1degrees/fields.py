@@ -62,23 +62,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Brent rho's total work per factorize call, in squarings mod n.  On a 2-core
-# Intel Xeon VM with Python 3.11, reaching it takes 1.4 s on a 40-digit n and
-# 3.1 s on a 100-digit one; products of two primes near 10^12 factor within
-# it.
+# Brent rho's total work per factorize call, in squarings mod a number below
+# 2^128.  A squaring mod an n of L limbs of 128 bits is charged (L^2 + 3)/4
+# of those, about its cost (a fixed interpreter overhead plus schoolbook
+# multiplication and reduction, quadratic in L), so the budget runs out in
+# about the same time whatever n's size: on a 2-core Intel Xeon VM with
+# Python 3.11, in 0.9-1.4 s on a 127-bit n and 0.3-1.0 s on 199 to 3071
+# bits.  Products of two primes near 10^12 factor within it.
 _RHO_BUDGET = 1 << 21
 
 
 def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
     """A nontrivial factor of composite odd n and the budget left over, by
-    Brent's cycle variant; each round of r squarings is charged 2r."""
+    Brent's cycle variant; each round of r squarings is charged 2r times
+    a squaring's cost (see _RHO_BUDGET)."""
+    limbs = (n.bit_length() + 127) >> 7
+    weight = limbs * limbs + 3  # four times a squaring's cost
     seed = 1
     while True:
         seed += 1
         y, c, m = seed, seed + 1, 128
         g = r = q = 1
         while g == 1:
-            budget -= 2 * r
+            budget -= r * weight // 2
             if budget < 0:
                 raise ValueError("square class too large to factor")
             x = y
@@ -571,26 +577,16 @@ class FFElement:
         return _element(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other):
-        t = self._t
-        if t is not None and other.__class__ is FFElement and other._t is t:
-            i, j = self._i, other._i
-            if not j:
-                return self
-            log = t.log
-            b = log[j] + t.half  # log(-other)
-            if not i:
-                return t.exp[b]
-            a = log[i]
-            return t.exp[a + t.zech[(b - a) % t.units]]
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.field.char
-        return _element(self.field, tuple([(a - b) % p for a, b in
-                                           zip(self.coeffs, other.coeffs)]))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         t = self._t

@@ -466,7 +466,9 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     squares) ends in the determinant's square class, and Hasse-Witt is
     prod_j (d_{j-1}, a_j)_p.  Both are read at 2 and the primes of one
     factorization, always of L * num(det) with L the lcm of the Gram's
-    denominators: elsewhere every pivot is a p-adic unit times a square.
+    denominators: at any other p, L^2 * gram is unimodular, so det is a
+    unit times a square and Hasse-Witt is 1, though a pivot need not be a
+    unit there (those of [[3, 1], [1, 1]] are 3 and 2/3).
     Keys: 2, the discriminant's primes and where -1.
     """
     field, rank, (_, det, lcd) = beta.field, beta.rank, beta._elimination

@@ -282,15 +282,13 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.ring, _negated(self.terms))
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        _add_into(terms, self._coerce_other(other).terms, negate=True)
-        return Polynomial(self.ring, terms)
+        return self + (-self._coerce_other(other))
 
     def __rsub__(self, other):
-        return -(self - other)
+        return -self + other
 
     def __mul__(self, other):
         ring = self.ring
@@ -569,14 +567,16 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
         shift: c * k for _, shift, c, _ in steps}, den))
 
 
-def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
-    """Add (or subtract) the term dict terms into out."""
+def _negated(terms: dict) -> dict:
+    """The term dict of -f, f's given."""
+    return {e: -c for e, c in terms.items()}
+
+
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the term dict terms into out."""
     for e, c in terms.items():
         v = out.get(e)
-        if negate:
-            v = -c if v is None else v - c
-        else:
-            v = c if v is None else v + c
+        v = c if v is None else v + c
         if v:
             out[e] = v
         elif e in out:
@@ -739,7 +739,7 @@ def determinant(rows, ring, modulo=None):
         for dx, entry in a[k - m]:
             if dx != d:
                 entry = {e: c * (d // dx) for e, c in entry.items()}
-            row.append((entry.items(), [(e, -c) for e, c in entry.items()]))
+            row.append((entry.items(), _negated(entry).items()))
         grown: dict = {}
         for s, minor in minors.items():
             if not minor:
@@ -1157,20 +1157,17 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         return node
 
     def parse_expr():
-        kind, val, at = peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            advance()
-            negate = val == "-"
-        node = parse_term()
         # The sum folds into one terms dict, not a copy per summand.
-        terms = {e: -c for e, c in node.items()} if negate else dict(node)
+        terms, sign = {}, "+"
+        kind, val, at = peek()
         while True:
-            kind, val, at = peek()
             if kind == "op" and val in "+-":
                 advance()
-                _add_into(terms, parse_term(), negate=val == "-")
-            else:
+                sign = val
+            node = parse_term()
+            _add_into(terms, _negated(node) if sign == "-" else node)
+            kind, val, at = peek()
+            if not (kind == "op" and val in "+-"):
                 return _residues(terms, p) if p else terms
 
     def parse_term():
@@ -1190,7 +1187,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         if kind == "op" and val in "+-":
             advance()
             node = nested(parse_factor, at)
-            return {e: -c for e, c in node.items()} if val == "-" else node
+            return _negated(node) if val == "-" else node
         node = parse_base()
         kind, val, at = peek()
         if kind == "op" and val == "^":

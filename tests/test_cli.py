@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 import sympy
 
+from test_fields import _semiprime
 from test_output_digest import _tool
 
 from a1degrees import cli, degrees, fields, forms, poly, witt
@@ -436,6 +437,18 @@ def test_square_class_too_large_to_factor_exits_1(capsys):
     assert err == "error: square class too large to factor\n"
 
 
+def test_large_semiprime_class_exits_1_in_the_small_one_time(capsys):
+    # Two primes of 500 bits: rho charges its squarings mod the 999-bit
+    # product by their size, so it stops as soon as on a 127-bit one.
+    n = _semiprime(500)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "form", "invariants", "--field", "QQ",
+                         "--diag", f"{n},1")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err == "error: square class too large to factor\n"
+
+
 def test_class_with_a_cofactor_past_the_cap_exits_1_untested(capsys,
                                                              monkeypatch):
     # The class integer of <2^4423 - 1, 1> is a 4423-bit prime: factorize
@@ -569,6 +582,23 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "form", "make", "diagonal", "--field", "QQ",
                        "--entries", "1/0")
     assert code == 2 and "zero denominator" in err and "position" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("form", "diagonalize", "--matrix", "[[1,0],[0,1]] x"),
+     "unexpected trailing input (at position 14)"),
+    (("form", "diagonalize", "--matrix", "[[1]]", "--diag", "1"),
+     "provide exactly one of --matrix or --diag (at position 0)"),
+    (("form", "invariants"),
+     "provide exactly one of --matrix or --diag (at position 0)"),
+    (("form", "make", "hyperbolic"),
+     "make hyperbolic requires --rank (at position 0)"),
+    (("form", "make", "pfister"),
+     "make pfister requires --entries (at position 0)"),
+])
+def test_refused_form_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--field", "QQ")
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, offset", [

@@ -1323,3 +1323,32 @@ def test_local_gram_at_the_quartic_point_is_the_inverse_trace_form():
                                order="grevlex").exprs)
     expected = trace_form_inverse(QQ, ("x",), gens, [QUARTIC], basis)
     assert beta.rank == 2 and [list(row) for row in beta.gram] == expected
+
+
+# -- refused inputs ----------------------------------------------------------
+
+
+def _foreign_point():
+    _, f = system(("x", "y"), ["x", "y"])
+    return f, Ideal.of(PolyRing(QQ, ("x", "z")), "x", "z")
+
+
+REFUSED = [
+    (lambda: EndoSystem(PolyRing(QQ, ("x",)),
+                        (PolyRing(QQ, ("y",)).from_string("y"),)),
+     ValueError, "all polynomials must live in the system's ring"),
+    (lambda: EndoSystem(PolyRing(QQ, ("x",)), ("x",)),
+     ValueError, "all polynomials must live in the system's ring"),
+    (lambda: local_a1_degree(*_foreign_point()), ValueError,
+     "polynomial ring mismatch"),
+    (lambda: local_algebra_basis(*_foreign_point()), ValueError,
+     "polynomial ring mismatch"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSED,
+                         ids=[message for *_, message in REFUSED])
+def test_refused_degree_inputs(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -80,6 +80,48 @@ def test_factorize_stops_at_its_budget():
     assert time.perf_counter() - start < 5.0
 
 
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _semiprime(bits):
+    """The product of two primes of bits bits, 2 * bits - 1 bits long."""
+    return _next_prime(2 ** (bits - 1) + 12345) * \
+        _next_prime(2 ** (bits - 1) + 987654321)
+
+
+@pytest.mark.parametrize("bits", [200, 500])
+def test_factorize_refuses_a_large_semiprime_in_the_small_one_time(bits):
+    # A squaring mod the 399- or 999-bit product costs 3 to 14 times one
+    # mod a 127-bit n, and rho charges it so: uncharged, the refusal took
+    # 4 s and 15 s.
+    n = _semiprime(bits)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="square class too large to factor"):
+        factorize(n)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_rho_charges_each_round_by_the_size_of_n():
+    # Modulo 1009 rho's sequence is the same whatever the cofactor, so it
+    # finds 1009 in the same rounds for each n: only the charge differs, 2r
+    # per round of r squarings below 2^128 as before, and (L^2 + 3)/4 times
+    # that for L limbs of 128 bits.
+    spent = {}
+    for bits in (40, 128, 129, 399, 999):
+        n = 1009 * _next_prime(2 ** (bits - 10))
+        assert n.bit_length() == bits
+        d, left = fields._pollard_rho(n, fields._RHO_BUDGET)
+        assert d == 1009
+        spent[bits] = fields._RHO_BUDGET - left
+    last = (spent[40] + 2) // 4  # spent[40] = 2 * (1 + 2 + ... + last)
+    assert spent[40] == spent[128] == 2 * (2 * last - 1)
+    assert spent[40] < spent[129] < spent[399] < spent[999]
+    assert spent[999] >= 16 * spent[40]
+
+
 def test_factorize_refuses_a_cofactor_past_the_cap_before_testing_it(
         monkeypatch):
     # Miller-Rabin takes about 3 s on the prime 2^4423 - 1, so a cofactor
@@ -660,6 +702,9 @@ def test_int_minus_element_and_equal_elements_hash_alike():
         x, y = G.coerce(3), G.coerce(3 + G.char)
         assert x == y and hash(x) == hash(y)
         assert len({x, y, G.coerce(4)}) == 2
+        assert 5 - x == x - 1 == G.coerce(2) and 3 - y == G.zero()
+        with pytest.raises(TypeError):
+            Fraction(1, 2) - x
 
 
 def test_table_arithmetic_allocates_no_element(monkeypatch):
@@ -801,3 +846,39 @@ def test_is_square_over_large_prime_fields_matches_legendre(p):
     rng = random.Random(p)
     for a in [1, -1, 2, 3, p - 2] + [rng.randrange(1, p) for _ in range(20)]:
         assert is_square(a, F) == (legendre_symbol(a, p) == 1), a
+
+
+# -- refused inputs ----------------------------------------------------------
+
+
+F7 = gf_construct(7, 1)
+
+
+REFUSED = [
+    (lambda: factorize(0), ValueError, "cannot factor zero"),
+    (lambda: legendre_symbol(1, 2), ValueError, "2 is not an odd prime"),
+    (lambda: fields.fraction_sqrt(-1), ValueError,
+     "negative rational has no rational square root"),
+    (lambda: fields.fraction_sqrt(Fraction(2, 9)), ValueError,
+     "2/9 is not a perfect square"),
+    (lambda: FieldDesc("ZZ"), ValueError, "unknown field kind 'ZZ'"),
+    (lambda: FieldDesc("GF", 9, 1), ValueError, "9 is not prime"),
+    (lambda: FieldDesc("GF", 3, 0), ValueError,
+     "extension degree must be >= 1"),
+    (lambda: FieldDesc("GF", 3, 2, (3, 0, 1)), ValueError,
+     "modulus coefficients must be reduced mod p"),
+    (lambda: QQ.order, ValueError, "order is defined for finite fields only"),
+    (lambda: F7.coerce(1.5), ValueError, "cannot coerce 1.5 into GF(7)"),
+    (lambda: F7.one() + gf_construct(11, 1).one(), ValueError,
+     "finite field mismatch"),
+    (lambda: F7.one() - gf_construct(4099, 1).one(), ValueError,
+     "finite field mismatch"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSED,
+                         ids=[message for *_, message in REFUSED])
+def test_refused_field_inputs(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

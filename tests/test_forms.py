@@ -281,6 +281,18 @@ def test_record_reads_primes_a_hyperbolic_plane_hides():
     assert get_invariants(beta).hasse_witt[3] == -1
 
 
+def test_record_skips_a_prime_only_a_pivot_carries():
+    # L = 1 and det = 2, so the record is read at 2 alone, though the
+    # pivots 3 and 2/3 are not 3-adic units: L^2 * gram is unimodular at 3.
+    beta = make_gw_class([[3, 1], [1, 1]], QQ)
+    assert beta._pivots == (3, Fraction(2, 3))
+    inv = get_invariants(beta)
+    assert inv.hasse_witt == {2: 1} and inv.discriminant == 2
+    assert hasse_witt_invariant(beta, 3) == 1
+    assert beta.diagonal_entries() == [3, 6]
+    assert is_isomorphic_form(beta, diag([1, 2]))
+
+
 # The system random_system(Random(0), (3, 3), top=3, low=3) of
 # perfbench/workloads.py: its Gram has rank 9, 28 non-integer entries and
 # four zero diagonal entries.
@@ -768,3 +780,31 @@ def test_base_change():
         base_change(diag([1], field=RR), CC)
     with pytest.raises(ValueError):
         base_change(beta, QQ)
+
+
+# -- refused inputs ----------------------------------------------------------
+
+
+REFUSED = [
+    (lambda: make_gw_class([], QQ), ValueError, "empty Gram matrix"),
+    (lambda: multiply_gw(diag([1]), diag([1], field=RR)), ValueError,
+     "field mismatch"),
+    (lambda: make_diagonal_form(QQ, []), ValueError,
+     "a diagonal form needs at least one entry"),
+    (lambda: make_pfister_form(QQ, []), ValueError,
+     "a Pfister form needs at least one slot"),
+    (lambda: make_pfister_form(QQ, [2, 0]), ValueError,
+     "Pfister slots must be nonzero"),
+    (lambda: forms.InvariantBundle(2, 1, 1, None), ValueError,
+     "signature incompatible with rank"),
+    (lambda: forms.InvariantBundle(1, 3, 1, None), ValueError,
+     "signature incompatible with rank"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSED,
+                         ids=[message for *_, message in REFUSED])
+def test_refused_form_inputs(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

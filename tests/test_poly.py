@@ -999,3 +999,54 @@ def test_frobenius_powers_cancel_mod_7():
     assert R.from_string("(x + y)^7") == s ** 7 == R.from_string("x^7 + y^7")
     assert (s + 1) ** 7 == R.from_string("x^7 + y^7 + 1")
     assert exact_quotient(R.from_string("x^7 + y^7"), s) == s ** 6
+
+
+# -- refused inputs ----------------------------------------------------------
+
+
+RX, RY = ring("x"), ring("y")
+X, Y, ZERO = RX.variable(0), RY.variable(0), RX.zero()
+HUGE = Polynomial.make(RX, {(2 ** 31,): 1})
+
+REFUSED = [
+    (lambda: HUGE * X, ValueError,
+     "a monomial of degree 2^31 or more is out of range"),
+    (lambda: ring("x", "x"), ValueError, "variable names must be distinct"),
+    (lambda: ring(), ValueError, "a polynomial ring needs at least one variable"),
+    (lambda: PolyRing(QQ, ("x",), "lex"), ValueError,
+     "unknown monomial order 'lex'"),
+    (lambda: Polynomial.make(RX, {(1, 2): 1}), ValueError,
+     "bad exponent vector (1, 2)"),
+    (lambda: X + Y, ValueError, "polynomial ring mismatch"),
+    (lambda: X - Y, ValueError, "polynomial ring mismatch"),
+    (lambda: X * Y, ValueError, "polynomial ring mismatch"),
+    (lambda: X.map_to(ring("x", field=gf_construct(7, 1)), [0]), ValueError,
+     "target ring has a different coefficient field"),
+    (lambda: exact_quotient(X, Y), ValueError, "polynomial ring mismatch"),
+    (lambda: exact_quotient(X, ZERO), ZeroDivisionError,
+     "division by the zero polynomial"),
+    (lambda: X ** -1, ValueError, "negative polynomial power"),
+    (lambda: Ideal(RX, ()), ValueError, "an ideal needs at least one generator"),
+    (lambda: Ideal(RX, (Y,)), ValueError,
+     "all generators must live in the ideal's ring"),
+    (lambda: groebner_basis(Ideal(RX, (ZERO, ZERO))), ValueError,
+     "generators must not all be zero"),
+    (lambda: ideal_quotient(Ideal(RX, (X,)), Ideal(RY, (Y,))), ValueError,
+     "polynomial ring mismatch"),
+    (lambda: ideal_quotient(Ideal(RX, (X,)), Ideal(RX, (ZERO,))), ValueError,
+     "colon by the zero ideal"),
+    (lambda: saturation(Ideal(RX, (X,)), Ideal(RY, (Y,))), ValueError,
+     "polynomial ring mismatch"),
+    (lambda: resultant_univariate(X, Y), ValueError,
+     "polynomial ring mismatch"),
+    (lambda: resultant_univariate(X, ZERO), ValueError,
+     "resultant of the zero polynomial"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSED,
+                         ids=[message for *_, message in REFUSED])
+def test_refused_polynomial_inputs(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -54,9 +54,13 @@ CLI_DECK = [
     ["form", "diagonalize", "--field", "GF(9)", "--matrix",
      "[[0,2,1],[2,0,1],[1,1,0]]", "--json"],
     ["form", "diagonalize", "--field", "GF(7)", "--diag", "3,5", "--json"],
+    # pivots 3 and 2/3: a pivot's prime that the record skips
+    ["form", "diagonalize", "--field", "QQ", "--matrix", "[[3,1],[1,1]]",
+     "--json"],
     ["form", "invariants", "--field", "QQ", "--matrix",
      "[[2,3,1],[3,7,5],[1,5,11]]", "--json"],
     ["form", "invariants", "--field", "QQ", "--diag", "1/3,-2,6/5", "--json"],
+    ["form", "invariants", "--field", "QQ", "--matrix", "[[3,1],[1,1]]"],
     ["form", "invariants", "--field", "GF(25)", "--matrix", "[[0,1],[1,0]]",
      "--json"],
     ["form", "invariants", "--field", "QQ", "--matrix", "[[1,2],[2,4]]",
