@@ -65,17 +65,19 @@ def is_prime(n: int) -> bool:
 # Brent rho's total work per factorize call, in squarings mod a number below
 # 2^128.  A squaring mod an n of L limbs of 128 bits is charged (L^2 + 3)/4
 # of those, about its cost (a fixed interpreter overhead plus schoolbook
-# multiplication and reduction, quadratic in L), so the budget runs out in
-# about the same time whatever n's size: on a 2-core Intel Xeon VM with
-# Python 3.11, in 0.9-1.4 s on a 127-bit n and 0.3-1.0 s on 199 to 3071
-# bits.  Products of two primes near 10^12 factor within it.
+# multiplication and reduction, quadratic in L), and the last round is cut
+# to what is left, so a refusal spends the whole budget in about the same
+# time whatever n's size: on a 2-core Intel Xeon VM with Python 3.11, in
+# 1.1-1.5 s on a 127-bit n and 0.7-1.2 s on 199 to 3071 bits.  Products of
+# two primes near 10^12 factor within it.
 _RHO_BUDGET = 1 << 21
 
 
 def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
     """A nontrivial factor of composite odd n and the budget left over, by
     Brent's cycle variant; each round of r squarings is charged 2r times
-    a squaring's cost (see _RHO_BUDGET)."""
+    a squaring's cost (see _RHO_BUDGET), and the round that would overrun
+    the budget is shortened to what is left, so a refusal spends it all."""
     limbs = (n.bit_length() + 127) >> 7
     weight = limbs * limbs + 3  # four times a squaring's cost
     seed = 1
@@ -84,9 +86,10 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
         y, c, m = seed, seed + 1, 128
         g = r = q = 1
         while g == 1:
-            budget -= r * weight // 2
-            if budget < 0:
+            r = min(r, 2 * budget // weight)
+            if not r:
                 raise ValueError("square class too large to factor")
+            budget -= r * weight // 2
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -460,12 +463,10 @@ class FieldDesc:
         return _field_table(self)
 
     def zero(self):
-        t = self._table
-        return self.coerce(0) if t is None else t.elems[0]
+        return self.coerce(0)
 
     def one(self):
-        t = self._table
-        return self.coerce(1) if t is None else t.elems[t.step]
+        return self.coerce(1)
 
     def coerce(self, value):
         """Coerce an int / Fraction / FFElement / coefficient tuple into the field."""
@@ -499,12 +500,10 @@ class FieldDesc:
 
     def elements(self):
         """Iterate all field elements (finite fields only), deterministically."""
-        t = self._table
-        if t is not None:
-            yield from t.elems
-            return
-        for coeffs in _coefficient_vectors(self.char, self.degree):
-            yield FFElement(self, coeffs)
+        if self.kind != "GF":
+            raise ValueError("elements are defined for finite fields only")
+        return (_element(self, coeffs)
+                for coeffs in _coefficient_vectors(self.char, self.degree))
 
     def __str__(self):
         if self.kind == "GF":
@@ -531,12 +530,11 @@ class FFElement:
     other pair of operands takes the coefficient-tuple path.
     """
 
-    __slots__ = ("field", "coeffs", "_hash", "_i", "_t")
+    __slots__ = ("field", "coeffs", "_i", "_t")
 
     def __init__(self, field: FieldDesc, coeffs: tuple[int, ...]):
         self.field = field
         self.coeffs = coeffs
-        self._hash = None
         self._i = None
         self._t = None
 
@@ -639,23 +637,15 @@ class FFElement:
     def __eq__(self, other):
         if self is other:
             return True
-        if self._t is not None and other.__class__ is FFElement and \
-                other._t is self._t:
-            return False
-        if isinstance(other, int):
-            try:
-                other = self.field.coerce(other)
-            except ValueError:
-                return NotImplemented
+        if isinstance(other, int):  # coercing an int never fails
+            other = self.field.coerce(other)
         if not isinstance(other, FFElement):
             return NotImplemented
         return self.coeffs == other.coeffs and (
             self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.coeffs))
-        return self._hash
+        return hash((self.field, self.coeffs))
 
     def __str__(self):
         if not self:
@@ -778,6 +768,4 @@ def is_square(a, F: FieldDesc) -> bool:
     if F.kind == "QQ":  # n/d in lowest terms: a square iff n and d are
         n, d = a.numerator, a.denominator
         return a > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-    if a._t is not None:  # squares are the even powers of the generator
-        return a._t.log[a._i] % 2 == 0
-    return a ** ((F.order - 1) // 2) == F.one()
+    return a ** ((F.order - 1) // 2) == F.one()  # Euler's criterion

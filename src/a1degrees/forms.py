@@ -361,6 +361,9 @@ def canonical_nonsquare(field: FieldDesc) -> FFElement:
     whose first nonzero coordinate is 1: only those are tested.  For odd k
     the plain scan ends within the least nonresidue of GF(p).
     """
+    if field.kind != "GF":
+        raise ValueError("canonical nonsquare is defined for finite fields "
+                         "only")
     candidates = field.elements() if field.degree % 2 else _line_leaders(field)
     for a in candidates:
         if a and not is_square(a, field):

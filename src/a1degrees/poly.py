@@ -1035,8 +1035,6 @@ def standard_monomials(G: GroebnerBasis) -> list:
 
 def _sylvester_resultant(fdesc, gdesc, field):
     m, n = len(fdesc) - 1, len(gdesc) - 1
-    if m == 0 and n == 0:
-        return field.one()
     size = m + n
     rows = []
     for i in range(m):

@@ -104,6 +104,22 @@ def test_factorize_refuses_a_large_semiprime_in_the_small_one_time(bits):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("bits", [64, 100, 200, 500])
+def test_rho_refusal_spends_its_budget_to_within_one_block(monkeypatch, bits):
+    # One gcd closes each block of product steps.  The rounds of r = 1, 2,
+    # ..., 64 squarings make seven short blocks, charged 2 * 127 squarings
+    # together; after them each block of 128 squarings and 128 product
+    # steps is charged 256, each at (L^2 + 3)/4 mod an n of L limbs.
+    n = _semiprime(bits)
+    blocks = _counting(monkeypatch, fields, "gcd")
+    with pytest.raises(ValueError, match="square class too large to factor"):
+        fields._pollard_rho(n, fields._RHO_BUDGET)
+    limbs = -(-n.bit_length() // 128)
+    squarings = fields._RHO_BUDGET * 4 / (limbs * limbs + 3)
+    paid = 7 + (squarings - 2 * 127) / 256
+    assert 0.95 * paid <= len(blocks) <= paid + 1
+
+
 def test_rho_charges_each_round_by_the_size_of_n():
     # Modulo 1009 rho's sequence is the same whatever the cofactor, so it
     # finds 1009 in the same rounds for each n: only the charge differs, 2r
@@ -691,6 +707,10 @@ def test_equal_descriptors_share_one_table():
     assert F.coerce(3) is gf_construct(5, 2).coerce(3)
     assert F.coerce(3) is FieldDesc("GF", 5, 2, F.modulus).coerce(Fraction(3))
     assert list(F.elements())[2 * 5 + 1] is F.coerce(F.coerce((2, 1)))
+    # coerce interns an element built directly, off the table
+    built = fields.FFElement(F, (2, 1))
+    assert built is not F.coerce((2, 1))
+    assert F.coerce(built) is F.coerce((2, 1))
 
 
 def test_int_minus_element_and_equal_elements_hash_alike():
@@ -705,6 +725,22 @@ def test_int_minus_element_and_equal_elements_hash_alike():
         assert 5 - x == x - 1 == G.coerce(2) and 3 - y == G.zero()
         with pytest.raises(TypeError):
             Fraction(1, 2) - x
+
+
+@pytest.mark.parametrize("pk", [(5, 2), (4099, 1)])
+def test_elements_refuse_foreign_operands(pk):
+    F = gf_construct(*pk)
+    a = F.coerce(3)
+    for op in (lambda: a + "s", lambda: a - 1.5, lambda: 1.5 - a,
+               lambda: a / "s"):
+        with pytest.raises(TypeError):
+            op()
+    assert (a == "s") is False and a != "s"
+
+
+def test_descriptors_print_their_construction():
+    assert repr(gf_construct(5, 2)) == "FieldDesc('GF', 5, 2, (1, 1, 1))"
+    assert repr(QQ) == "FieldDesc('QQ')"
 
 
 def test_table_arithmetic_allocates_no_element(monkeypatch):
@@ -722,11 +758,14 @@ def test_table_arithmetic_allocates_no_element(monkeypatch):
         a ** 5
         if a:
             a.inverse()
+            is_square(a, F)
         for b in elems:
             a + b, a - b, a * b, a == b
             if b:
                 a / b
     assert F.coerce(5) is F.coerce(2) and F.one() is elems[9]
+    assert F.zero() is elems[0]
+    assert all(x is y for x, y in zip(F.elements(), elems, strict=True))
 
 
 @pytest.mark.parametrize("pk", [(7, 1), (5, 2), (3, 3), (11, 2)])
@@ -868,6 +907,10 @@ REFUSED = [
     (lambda: FieldDesc("GF", 3, 2, (3, 0, 1)), ValueError,
      "modulus coefficients must be reduced mod p"),
     (lambda: QQ.order, ValueError, "order is defined for finite fields only"),
+    (lambda: QQ.elements(), ValueError,
+     "elements are defined for finite fields only"),
+    (lambda: canonical_nonsquare(QQ), ValueError,
+     "canonical nonsquare is defined for finite fields only"),
     (lambda: F7.coerce(1.5), ValueError, "cannot coerce 1.5 into GF(7)"),
     (lambda: F7.one() + gf_construct(11, 1).one(), ValueError,
      "finite field mismatch"),

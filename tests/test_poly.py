@@ -266,6 +266,24 @@ def test_equality_with_a_scalar_outside_the_ring_is_false():
     assert R7.one() == Fraction(8, 1) and R7.zero() == 0
 
 
+def test_rings_and_polynomials_print():
+    F = gf_construct(5, 2)
+    R = ring("x", "y", field=F)
+    x, y = R.variable(0), R.variable(1)
+    t = F.coerce((0, 1))
+    # A coefficient with a sum or a t is parenthesized before its monomial.
+    assert str(F.coerce((1, 1)) * x + y) == "(t + 1)*x + y"
+    assert str(t * x) == "(t)*x" and str(2 * t * x) == "(2*t)*x"
+    assert str(R) == "GF(25)[x,y]"
+    assert repr(x) == "<x in GF(25)[x,y]>"
+    assert str(R.zero()) == "0"
+    Q = ring("x")
+    X = Q.variable(0)
+    assert str(3 - X) == "-x + 3"
+    assert (X == object()) is False
+    assert exact_quotient(Q.zero(), X) == Q.zero()
+
+
 def test_parser_handles_fractions_and_unary_minus():
     R = ring("x")
     f = R.from_string("-x^2 + 3*x - 1")
