@@ -144,8 +144,11 @@ def read_source(value: str) -> str:
     if value == "-":
         return sys.stdin.read()
     if os.path.exists(value):
-        with open(value, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value, encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {value}: {exc.strerror}") from None
     return value
 
 

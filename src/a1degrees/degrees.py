@@ -150,10 +150,6 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
             raise AssertionError(
                 "reduced Bezoutian left the basis grid; reduction bug")
         gram[xi][yj] = c
-    for i in range(size):
-        for j in range(i + 1, size):
-            if gram[i][j] != gram[j][i]:
-                raise AssertionError("Bezoutian Gram matrix is not symmetric")
     return make_gw_class(gram, ring.field)
 
 
@@ -200,7 +196,8 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     dimension means the zeros are not isolated.  A dimension above
     forms.MAX_MADE_RANK is refused before the next basis, as the Gram
     matrix of that rank would be.  Before any of this, a system past
-    MAX_BEZOUTIAN_TERMS is refused, for local degrees and bases alike.
+    MAX_BEZOUTIAN_TERMS is refused, for local degrees and bases alike.  A
+    point whose basis is (1) names no point, and is refused.
     """
     ring = system.ring
     if point.ring != ring:
@@ -214,6 +211,8 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
         if normal_form(f, gb):
             raise ValueError("point not in zero locus")
     dim = len(standard_monomials(gb))
+    if not dim:
+        raise ValueError("the point's ideal is the unit ideal")
     if dim == 1:
         jac = determinant([[f.derivative(j) for j in range(ring.nvars)]
                            for f in system.polys], ring, gb)

@@ -430,22 +430,12 @@ def _hilbert(a: int, b: int, p: int) -> int:
     return -1 if (eps_u * eps_v + alpha * om_v + beta * om_u) % 2 else 1
 
 
-def _hasse_witt_record(beta: GWClass) -> dict:
-    if beta.field.kind != "QQ":
-        raise ValueError("Hasse-Witt invariants are defined over QQ only")
-    return beta._invariants.hasse_witt
-
-
 def hasse_witt_invariant(beta: GWClass, p: int) -> int:
     """Product of the pairwise Hilbert symbols of a diagonalization."""
     _check_prime(p)
-    return _hasse_witt_record(beta).get(p, 1)
-
-
-def hasse_witt_primes(beta: GWClass) -> list[int]:
-    """2, the primes of the discriminant and those where the invariant is
-    -1, ascending: a set fixed by the class."""
-    return list(_hasse_witt_record(beta))
+    if beta.field.kind != "QQ":
+        raise ValueError("Hasse-Witt invariants are defined over QQ only")
+    return beta._invariants.hasse_witt.get(p, 1)
 
 
 @dataclass(frozen=True, eq=True)

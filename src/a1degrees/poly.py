@@ -214,12 +214,11 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent vectors to coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     @classmethod
     def make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
@@ -356,9 +355,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -552,8 +549,6 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    if not f:
-        return ring.zero()
     # den * f = q * (k * g), the divisor's triple, so f / g = q * k / den.
     # Over QQ that triple is primitive, so by Gauss's lemma an exact
     # division has an integral q and never rescales: its s is 1.
@@ -742,8 +737,6 @@ def determinant(rows, ring, modulo=None):
             row.append((entry.items(), _negated(entry).items()))
         grown: dict = {}
         for s, minor in minors.items():
-            if not minor:
-                continue
             for j, (entry, negated) in enumerate(row):
                 bit = 1 << j
                 if s & bit or not entry:

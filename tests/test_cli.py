@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -563,6 +564,30 @@ def test_polys_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     obj = run_json(capsys, "degree", "global", "--field", "QQ",
                    "--vars", "x", "--polys", "-")
     assert obj["rank"] == 4
+
+
+def test_an_unreadable_source_exits_1(tmp_path, capsys):
+    message = f"error: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    for argv in (("global", "--polys", str(tmp_path)),
+                 ("local", "--polys", "x", "--ideal", str(tmp_path))):
+        code, out, err = run(capsys, "degree", *argv, "--field", "QQ",
+                             "--vars", "x")
+        assert (code, out, err) == (1, "", message)
+
+
+def test_a_unit_ideal_point_exits_1(capsys):
+    for command in ("degree", "basis"):
+        for field, point in (("QQ", "1"), ("QQ", "x + 1 - x"),
+                             ("GF(5)", "5*x + 1")):
+            code, out, err = run(capsys, command, "local", "--field", field,
+                                 "--vars", "x,y", "--polys", "x^2; y",
+                                 "--ideal", point, "--json")
+            assert (code, out) == (1, "")
+            assert err == "error: the point's ideal is the unit ideal\n"
+    # A system with no zeros has a global degree, of rank 0.
+    obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
+                   "--polys", "x^0")
+    assert obj["rank"] == 0 and obj["gram"] == []
 
 
 def test_parse_errors_exit_2(capsys):

@@ -18,9 +18,8 @@ from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
 from a1degrees.fields import CC, QQ, RR, FFElement, gf_construct
 from a1degrees.forms import (add_gw, base_change, empty_form, get_invariants,
-                             get_signature, hasse_witt_primes,
-                             is_isomorphic_form, make_diagonal_form,
-                             make_gw_class)
+                             get_signature, is_isomorphic_form,
+                             make_diagonal_form, make_gw_class)
 from a1degrees.poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
                             groebner_basis, ideal_quotient, normal_form,
                             saturation, standard_monomials)
@@ -152,6 +151,22 @@ def test_one_reduction_pass_per_degree(monkeypatch):
     assert len(determinants[0]) == \
         2 * len(groebner_basis(Ideal(ring, f.polys)).basis)
     assert normal_forms == []
+
+
+def test_an_asymmetric_bezoutian_gram_is_refused(monkeypatch):
+    # One term more at the grid cell (1, x) of the doubled ring: the Gram
+    # stays on the grid, and the class's one symmetry check refuses it.
+    ring, f = system(("x", "y"), ["x^2 - 1", "y^2 - 2"])
+    det = degrees.BezoutianMatrix.determinant
+
+    def skewed(bez, modulo=None):
+        return det(bez, modulo) + Polynomial(bez.doubled_ring,
+                                             {(0, 0, 1, 0): QQ.one()})
+
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", skewed)
+    with pytest.raises(ValueError) as info:
+        global_a1_degree(f)
+    assert str(info.value) == "Gram matrix must be symmetric"
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
@@ -978,13 +993,13 @@ def test_global_degree_is_the_sum_of_jacobians_at_planted_zeros(degrees_):
     assert all(dets)  # simple zeros
     start = time.perf_counter()
     beta = global_a1_degree(f)
-    keys = hasse_witt_primes(beta)
+    keys = list(get_invariants(beta).hasse_witt)
     elapsed = time.perf_counter() - start
     expected = make_diagonal_form(QQ, dets)
     assert beta.rank == len(zeros) == prod(degrees_)
     assert is_isomorphic_form(beta, expected)
     # the recorded primes are fixed by the class, not by its representative
-    assert keys == hasse_witt_primes(expected)
+    assert keys == list(get_invariants(expected).hasse_witt)
     assert elapsed < 1.0, elapsed
 
 
@@ -1352,3 +1367,14 @@ def test_refused_degree_inputs(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, point", [(QQ, "1"), (QQ, "x + 1 - x"),
+                                          (gf_construct(5, 1), "5*x + 1")],
+                         ids=str)
+def test_a_unit_ideal_point_is_refused(field, point):
+    ring, f = system(("x", "y"), ["x^2", "y"], field)
+    for call in (local_a1_degree, local_algebra_basis):
+        with pytest.raises(ValueError) as info:
+            call(f, Ideal.of(ring, point))
+        assert str(info.value) == "the point's ideal is the unit ideal"

@@ -18,7 +18,7 @@ from a1degrees.fields import (CC, QQ, RR, gf_construct, is_square,
 from a1degrees.forms import (add_gw, base_change, diagonalize,
                              get_discriminant, get_invariants, get_rank,
                              get_signature, hasse_witt_invariant,
-                             hasse_witt_primes, hilbert_symbol,
+                             hilbert_symbol,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class, make_hyperbolic_form,
                              make_pfister_form, multiply_gw)
@@ -529,7 +529,7 @@ def test_hasse_witt_primes_cover_support():
     # invariant is still the pairwise product.
     entries = [6, -10, 21]
     beta = diag(entries)
-    assert hasse_witt_primes(beta) == [2, 5, 7]
+    assert list(get_invariants(beta).hasse_witt) == [2, 5, 7]
     for p in (2, 3, 5, 7):
         assert hasse_witt_invariant(beta, p) == \
             _pairwise_hasse_witt(entries, p)
@@ -544,7 +544,7 @@ def test_hasse_witt_additivity():
         q1, q2 = diag(e1), diag(e2)
         d1, d2 = get_discriminant(q1), get_discriminant(q2)
         total = add_gw(q1, q2)
-        for p in hasse_witt_primes(total):
+        for p in get_invariants(total).hasse_witt:
             assert hasse_witt_invariant(total, p) == \
                 hasse_witt_invariant(q1, p) * hasse_witt_invariant(q2, p) * \
                 hilbert_symbol(d1, d2, p)
@@ -561,7 +561,7 @@ def _pairwise_hasse_witt(entries, p):
 def test_hasse_witt_matches_pairwise_product_on_random_forms():
     # Diagonal forms and dense forms congruent to them, against the
     # pairwise product of the original entries at every prime up to 31,
-    # including primes outside hasse_witt_primes.
+    # including primes outside the record's keys.
     rng = random.Random(29)
     vals = [v for v in range(-40, 41) if v]
     for trial in range(40):
@@ -580,7 +580,7 @@ def test_hasse_witt_matches_pairwise_product_on_random_forms():
             beta = make_gw_class(
                 [[sum(p_mat[k][i] * entries[k] * p_mat[k][j] for k in range(n))
                   for j in range(n)] for i in range(n)], QQ)
-        recorded = set(hasse_witt_primes(beta))
+        recorded = set(get_invariants(beta).hasse_witt)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             expected = _pairwise_hasse_witt(entries, p)
             assert hasse_witt_invariant(beta, p) == expected, (entries, p)

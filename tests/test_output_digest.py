@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import types
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
@@ -43,3 +44,20 @@ def test_cli_deck_is_recorded_and_covers_the_unbenchmarked_subcommands(
             ("basis", "local")} <= commands
     statuses = {tool.run(argv)[0] for argv in tool.CLI_DECK}
     assert statuses == {0, 1, 2}
+
+
+def test_a_query_that_raises_fails_with_or_without_check(monkeypatch, capsys):
+    tool = _tool()
+    main, bad = tool.cli.main, tool.CLI_DECK[0]
+
+    def raising(argv):
+        if argv == bad:
+            raise RuntimeError("library bug")
+        return main(argv)
+
+    monkeypatch.setattr(tool, "cli", types.SimpleNamespace(main=raising))
+    for args in (["cli"], ["--check", "cli"]):
+        assert tool.main(args) == 1
+        out = capsys.readouterr().out
+        assert out.count("RAISED") == 1
+        assert f"RAISED {bad!r}: exception RuntimeError: library bug" in out

@@ -281,7 +281,21 @@ def test_rings_and_polynomials_print():
     X = Q.variable(0)
     assert str(3 - X) == "-x + 3"
     assert (X == object()) is False
-    assert exact_quotient(Q.zero(), X) == Q.zero()
+    for S in (Q, ring("x", field=gf_construct(7, 1)), ring("x", field=F)):
+        assert exact_quotient(S.zero(), S.variable(0)) == S.zero()
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+def test_equal_polynomials_hash_alike(field):
+    R = ring("x", "y", field=field)
+    x, y = R.variable(0), R.variable(1)
+    built = [(x + y) ** 2, x * x + 2 * x * y + y ** 2,
+             R.from_string("y^2 + 2*y*x + x^2"),
+             (x + y) * (y + x) + x - x]
+    assert all(f == built[0] and hash(f) == hash(built[0]) for f in built)
+    keys = {built[0]: "square", x * y: "product"}
+    assert [keys[f] for f in built] == ["square"] * len(built)
+    assert keys[y * x] == "product" and x + y not in keys
 
 
 def test_parser_handles_fractions_and_unary_minus():
@@ -935,6 +949,9 @@ def test_determinant_modulo_a_basis_is_the_normal_form(field):
         x, y, z = (R.variable(i) for i in range(3))
         P = groebner_basis(Ideal(R, (x - 1, y + 2, z - trial)))
         assert determinant(m, R, P) == normal_form(determinant(m, R), P)
+    # Two equal rows: every 2 x 2 minor of the bottom rows cancels.
+    equal = [[x, y, z + 1], [x, y, z], [x, y, z]]
+    assert determinant(equal, R) == determinant(equal, R, G) == R.zero()
     other = ring("x", "y", "w", field=field)
     with pytest.raises(ValueError, match="ring mismatch"):
         determinant(m, R, [other.variable(0)])

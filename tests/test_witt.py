@@ -12,7 +12,7 @@ from a1degrees import cli, witt
 from a1degrees.fields import CC, QQ, RR, is_prime
 from a1degrees.forms import (MAX_MADE_RANK, InvariantBundle, _record_symbols,
                              add_gw, empty_form, get_invariants,
-                             get_signature, hasse_witt_primes, hilbert_symbol,
+                             get_signature, hilbert_symbol,
                              is_isomorphic_form, make_diagonal_form,
                              make_gw_class, make_hyperbolic_form)
 from a1degrees.witt import (anisotropic_dimension, anisotropic_dimension_qp,
@@ -195,7 +195,7 @@ def test_anisotropic_dimension_is_the_largest_local_one():
     seen = set()
     for beta in _witt_classes(random.Random(89), 120):
         dim = anisotropic_dimension(beta)
-        record = hasse_witt_primes(beta)
+        record = list(get_invariants(beta).hasse_witt)
         assert dim == max([abs(get_signature(beta))] +
                           [anisotropic_dimension_qp(beta, p) for p in record])
         for p in small:

@@ -17,7 +17,10 @@ Usage, from the root of a checkout::
 With ``--check`` each printed line is compared with the line of the same
 key (deck or ``<deck>:pretty``) in ``tools/output_digests.txt``,
 the checked-in digests, and the exit code is 1 if any differs: a change
-that must not alter any output passes with that file unchanged.
+that must not alter any output passes with that file unchanged.  With or
+without ``--check``, a query that raises instead of returning an exit code
+is a library bug: its argv is printed and the exit code is 1, so digests
+regenerated along with a crash do not pass.
 
 The operations come from ``perfbench/workloads.py``, which is only imported;
 the library is imported from this checkout's ``src``.
@@ -151,6 +154,9 @@ CLI_DECK = [
      "(x - 1)^2 + y^3; y^2 - 3*(x - 1)^3", "--ideal", "x - 1; y", "--json"],
     ["basis", "local", "--field", "GF(3)", *_SYSTEM, "--ideal", "x; y",
      "--json"],
+    # a point whose ideal is (1)
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys", "x^2; y",
+     "--ideal", "1", "--json"],
 ]
 
 
@@ -162,7 +168,7 @@ def run(argv) -> tuple:
             status = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
             status = exc.code
-        except Exception as exc:  # a library bug is part of the fingerprint
+        except Exception as exc:  # a library bug; `main` fails on it
             status = f"exception {type(exc).__name__}: {exc}"
     return status, out.getvalue(), err.getvalue()
 
@@ -175,17 +181,21 @@ def deck(name: str) -> list:
             for op in workloads.make_ops(name, seed, n)]
 
 
-def digest(name: str, pretty: bool = False) -> tuple[str, int]:
+def digest(name: str, pretty: bool = False) -> tuple[str, int, list]:
+    """(sha256, query count, [(argv, status) of each query that raised])."""
     h = hashlib.sha256()
     argvs = deck(name)
+    raised = []
     for argv in argvs:
         if pretty:
             argv = [a for a in argv if a != "--json"]
         status, out, err = run(argv)
+        if not isinstance(status, int):
+            raised.append((argv, status))
         for part in (repr(argv), repr(status), out, err):
             h.update(part.encode())
             h.update(b"\0")
-    return h.hexdigest(), len(argvs)
+    return h.hexdigest(), len(argvs), raised
 
 
 def main(argv=None) -> int:
@@ -198,13 +208,16 @@ def main(argv=None) -> int:
     status = 0
     for name in names:
         for key, pretty in ((name, False), (f"{name}:pretty", True)):
-            hexdigest, count = digest(name, pretty)
+            hexdigest, count, raised = digest(name, pretty)
             line = f"{key} {count} {hexdigest}"
             if check and recorded.get(key) != line:
                 print(f"{line}  MISMATCH, recorded: {recorded.get(key)}")
                 status = 1
             else:
                 print(line)
+            for failed, what in raised:
+                print(f"  RAISED {failed!r}: {what}")
+                status = 1
     return status
 
 
