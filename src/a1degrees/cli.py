@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -141,15 +140,18 @@ def parse_entries(text: str) -> list[Fraction]:
 
 
 def read_source(value: str) -> str:
+    """'-' reads stdin and '@PATH' the file PATH; anything else is the text
+    itself, since no polynomial starts with '@'."""
     if value == "-":
         return sys.stdin.read()
-    if os.path.exists(value):
-        try:
-            with open(value, encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {value}: {exc.strerror}") from None
-    return value
+    if not value.startswith("@"):
+        return value
+    path = value[1:]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def split_polys(text: str) -> list[str]:
@@ -296,7 +298,11 @@ def cmd_form_make(args):
     if args.kind == "diagonal":
         if args.entries is None:
             raise ParseError("make diagonal requires --entries", 0)
-        beta = forms.make_diagonal_form(field, parse_entries(args.entries))
+        entries = parse_entries(args.entries)
+        if len(entries) > forms.MAX_MADE_RANK:
+            raise ValueError(f"diagonal rank {len(entries)} exceeds "
+                             f"{forms.MAX_MADE_RANK}")
+        beta = forms.make_diagonal_form(field, entries)
     elif args.kind == "hyperbolic":
         if args.rank is None:
             raise ParseError("make hyperbolic requires --rank", 0)
@@ -376,8 +382,8 @@ def _add_system(parser, with_ideal):
                         help="comma-separated variable names (fixes the "
                              "grevlex order)")
     parser.add_argument("--polys", required=True,
-                        help="file, '-' for stdin, or inline polynomials "
-                             "separated by ';'")
+                        help="inline polynomials separated by ';', "
+                             "'@PATH' for a file, or '-' for stdin")
     if with_ideal:
         parser.add_argument("--ideal", required=True,
                             help="generators of the point's maximal ideal")

@@ -513,4 +513,8 @@ def base_change(beta: GWClass, target: FieldDesc) -> GWClass:
     """Re-tag a rational class as a real or complex one."""
     if beta.field != QQ or target.kind not in ("RR", "CC"):
         raise ValueError("base change is supported from QQ to RR or CC only")
-    return GWClass(target, beta.gram)
+    changed = GWClass(target, beta.gram)
+    # Over QQ, RR and CC the elimination is one computation: hand beta's
+    # over where the cached property keeps its value.
+    vars(changed)["_elimination"] = beta._elimination
+    return changed

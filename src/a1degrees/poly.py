@@ -291,14 +291,7 @@ class Polynomial:
 
     def __mul__(self, other):
         ring = self.ring
-        if not isinstance(other, Polynomial):
-            c = ring.field.coerce(other)
-            if not c:
-                return ring.zero()
-            return Polynomial(ring, {e: v * c for e, v in self.terms.items()})
-        if other.ring != ring:
-            raise ValueError("polynomial ring mismatch")
-        (da, a), (db, b) = _enter(self), _enter(other)
+        (da, a), (db, b) = _enter(self), _enter(self._coerce_other(other))
         return Polynomial(ring, _public(ring, _mul_into(
             {}, a.items(), b.items(), ring._packing.guard), da * db))
 
@@ -333,13 +326,7 @@ class Polynomial:
             for i, x in enumerate(e):
                 if x:
                     e2[var_map[i]] += x
-            e2 = tuple(e2)
-            v = out.get(e2)
-            v = c if v is None else v + c
-            if v:
-                out[e2] = v
-            elif e2 in out:
-                del out[e2]
+            _add_into(out, {tuple(e2): c})
         return Polynomial(target, out)
 
     # -- comparisons --------------------------------------------------------

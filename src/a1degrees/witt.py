@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .fields import QQ, _check_prime, _padic_square, is_prime
-from .forms import (GWClass, InvariantBundle, _gf_class_rep, _hilbert,
-                    _record_symbols, add_gw, empty_form, is_isomorphic_form,
-                    make_diagonal_form)
+from .forms import (GWClass, _gf_class_rep, _hilbert, _record_symbols,
+                    empty_form, is_isomorphic_form, make_diagonal_form)
 
 __all__ = [
     "DecompositionReport",
@@ -195,8 +194,8 @@ def _ternary_entry(sign: int, disc: int, eps: dict, pool: list[int]) -> int:
     return 2 * m if clash else m
 
 
-def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
-    """A diagonal form with squarefree entries, ascending, realizing the
+def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> list:
+    """Squarefree entries, ascending, of a diagonal form realizing the
     given rational invariants.
 
     Reads only the class; 2 and each prime of disc must be keys of eps.
@@ -205,7 +204,6 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
     """
     eps = _record_symbols(disc, eps)
     pool = sorted(eps)
-    target = InvariantBundle(rank, sig, disc, eps)
     entries = []
     for n in range(rank, 2, -1):
         sign = -1 if sig < 0 else 1
@@ -216,10 +214,7 @@ def _realize_rational(rank: int, sig: int, disc: int, eps: dict) -> GWClass:
             disc, {p: eps[p] * _hilbert(a, disc, p) for p in pool})
         pool = sorted(eps)
     entries += _plane(sig, disc, eps, pool) if rank > 1 else [disc]
-    realized = make_diagonal_form(QQ, sorted(entries))
-    if realized._invariants != target:
-        raise AssertionError("realized form has the wrong invariants")
-    return realized
+    return sorted(entries)
 
 
 def anisotropic_part(beta: GWClass) -> GWClass:
@@ -237,11 +232,11 @@ def anisotropic_part(beta: GWClass) -> GWClass:
     if kind == "GF":
         return make_diagonal_form(field,
                                   [d_a] if dim == 1 else [field.one(), d_a])
-    result = _realize_rational(dim, beta._signature, d_a, eps)
+    entries = _realize_rational(dim, beta._signature, d_a, eps)
+    result = make_diagonal_form(QQ, entries)
     n = (beta.rank - dim) // 2
     # nH is built here: make_hyperbolic_form bounds the rank of made forms.
-    rebuilt = result if n == 0 else add_gw(
-        result, make_diagonal_form(QQ, [1, -1] * n))
+    rebuilt = make_diagonal_form(QQ, entries + [1, -1] * n) if n else result
     if not is_isomorphic_form(rebuilt, beta):
         raise AssertionError("anisotropic part failed its witness check")
     return result

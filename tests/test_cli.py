@@ -248,11 +248,17 @@ def count_eliminations(monkeypatch) -> list:
 @pytest.mark.parametrize("argv", [
     ("degree", "global", "--field", "QQ", "--vars", "x", "--polys", QUARTIC),
     ("form", "invariants", "--field", "QQ", "--matrix", RANK8),
+    # the base-changed class keeps the rational class's elimination
+    ("degree", "global", "--field", "QQ", "--vars", "x", "--polys", QUARTIC,
+     "--base-change", "RR"),
+    ("degree", "global", "--field", "QQ", "--vars", "x", "--polys", QUARTIC,
+     "--base-change", "CC"),
 ])
 def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
     calls = count_eliminations(monkeypatch)
     obj = run_json(capsys, *argv)
-    assert "hasse_witt" in obj
+    assert "discriminant" in obj
+    assert ("hasse_witt" in obj) == (obj["field"]["name"] == "QQ")
     assert calls == [obj["rank"]]
 
 
@@ -557,7 +563,7 @@ def test_polys_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "system.txt"
     path.write_text(QUARTIC + "\n")
     obj = run_json(capsys, "degree", "global", "--field", "QQ",
-                   "--vars", "x", "--polys", str(path))
+                   "--vars", "x", "--polys", f"@{path}")
     assert obj["rank"] == 4
 
     monkeypatch.setattr("sys.stdin", io.StringIO(QUARTIC))
@@ -566,10 +572,24 @@ def test_polys_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert obj["rank"] == 4
 
 
+def test_a_file_name_without_at_is_inline_text(tmp_path, capsys,
+                                               monkeypatch):
+    # Only '@PATH' names a file: a file x in the working directory does not
+    # shadow the polynomial x.
+    (tmp_path / "x").write_text("x^2 - 2\n")
+    monkeypatch.chdir(tmp_path)
+    obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
+                   "--polys", "x")
+    assert obj["gram"] == [["1"]]
+    obj = run_json(capsys, "degree", "global", "--field", "QQ", "--vars", "x",
+                   "--polys", "@x")
+    assert obj["rank"] == 2
+
+
 def test_an_unreadable_source_exits_1(tmp_path, capsys):
     message = f"error: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
-    for argv in (("global", "--polys", str(tmp_path)),
-                 ("local", "--polys", "x", "--ideal", str(tmp_path))):
+    for argv in (("global", "--polys", f"@{tmp_path}"),
+                 ("local", "--polys", "x", "--ideal", f"@{tmp_path}")):
         code, out, err = run(capsys, "degree", *argv, "--field", "QQ",
                              "--vars", "x")
         assert (code, out, err) == (1, "", message)
@@ -864,9 +884,9 @@ def test_diagonalize_and_invariants_print_one_record(capsys):
 
 
 def test_form_decompose_tests_a_record_prime_twice(capsys, monkeypatch):
-    # Once in each factorization, of the class and of its realized
-    # anisotropic part; the Witt layer reads the record and tests none of
-    # its primes again.
+    # Once in each factorization, of the class and of its witness, the
+    # realized anisotropic part plus nH (the part itself when n = 0); the
+    # Witt layer reads the record and tests none of its primes again.
     prime, tested = 2 ** 521 - 1, []
     original = fields.is_prime
 
@@ -876,10 +896,12 @@ def test_form_decompose_tests_a_record_prime_twice(capsys, monkeypatch):
 
     for module in (fields, forms, witt, cli):
         monkeypatch.setattr(module, "is_prime", counting, raising=False)
-    obj = run_json(capsys, "form", "decompose", "--field", "QQ", "--diag",
-                   f"{prime},1")
-    assert obj["witt_index"] == 0
-    assert tested.count(prime) == 2
+    for diag, index in ((f"{prime},1", 0), (f"{prime},1,1,-1", 1)):
+        tested.clear()
+        obj = run_json(capsys, "form", "decompose", "--field", "QQ", "--diag",
+                       diag)
+        assert obj["witt_index"] == index
+        assert tested.count(prime) == 2
 
 
 @pytest.mark.parametrize("field, diag", [
@@ -935,9 +957,15 @@ def test_oversized_made_forms_exit_1_unbuilt(capsys, monkeypatch):
     monkeypatch.setattr(forms, "make_diagonal_form", forbidden)
     slots = ",".join(str(a) for a in range(2, 32))
     for argv in (("pfister", "--entries", slots),
-                 ("hyperbolic", "--rank", "1000000000")):
+                 ("hyperbolic", "--rank", "1000000000"),
+                 ("diagonal", "--entries", ",".join(["1"] * 257))):
         code, out, err = run(capsys, "form", "make", *argv, "--field", "QQ")
         assert code == 1 and err.startswith("error: ") and not out
+    assert err == "error: diagonal rank 257 exceeds 256\n"
+    monkeypatch.undo()
+    obj = run_json(capsys, "form", "make", "diagonal", "--field", "QQ",
+                   "--entries", ",".join(["1"] * 256))
+    assert obj["rank"] == forms.MAX_MADE_RANK
 
 
 def test_base_change_flag(capsys):

@@ -45,6 +45,18 @@ def test_arithmetic_round_trips_through_parser():
     f = (x + y) ** 2 - 2 * x * y
     assert f == R.from_string("x^2 + y^2")
     assert R.from_string(str(f)) == f
+    # A scalar enters the one product as a constant of the ring.
+    assert not (f * 0).terms and not (0 * f).terms
+    F7, F25 = gf_construct(7, 1), gf_construct(5, 2)
+    g = ring("x", "y", field=F7).from_string("3*x^2 - y + 1")
+    assert g * Fraction(1, 2) == g.ring.from_string("5*x^2 + 3*y + 4")
+    assert not (g * 0).terms and not (0 * g).terms
+    h = ring("x", "y", field=F25).from_string("x + 2")
+    t = F25.coerce((0, 1))
+    assert (h * t).terms == (t * h).terms == {(1, 0): t, (0, 0): 2 * t}
+    for poly_, foreign in ((g, gf_construct(5, 1).one()), (f, F7.one())):
+        with pytest.raises(ValueError):
+            poly_ * foreign
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)])

@@ -405,6 +405,16 @@ def test_realization_cap_is_a_domain_error(monkeypatch, capsys):
     assert captured.err.startswith("error: ") and "realization cap" in captured.err
 
 
+@pytest.mark.parametrize("entries", [[2, 3], [2, 3, 1, -1], [1, 1, 1, 2, 3]],
+                         ids=["n=0", "n=1", "rank-5"])
+def test_a_faulty_realization_fails_the_witness_check(monkeypatch, entries):
+    # A plane with the right discriminant but the wrong Hasse-Witt symbols:
+    # the one check, beta against the part plus nH, catches it.
+    monkeypatch.setattr(witt, "_plane", lambda sig, disc, eps, pool: [1, disc])
+    with pytest.raises(AssertionError, match="witness check"):
+        anisotropic_part(diag(entries))
+
+
 def test_f2_solver_matches_exhaustive_search():
     rng = random.Random(17)
     for _ in range(300):

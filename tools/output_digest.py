@@ -157,6 +157,15 @@ CLI_DECK = [
     # a point whose ideal is (1)
     ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys", "x^2; y",
      "--ideal", "1", "--json"],
+    # Witt index 1: the witness is the part plus H
+    ["form", "decompose", "--field", "QQ", "--diag", f"{2 ** 521 - 1},1,1,-1",
+     "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
+     "x^4 - 5*x^2 + 4", "--base-change", "CC", "--json"],
+    ["form", "make", "diagonal", "--field", "QQ", "--entries",
+     ",".join(["1"] * 257), "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
+     "@/nonexistent/a1deg-deck", "--json"],
 ]
 
 
