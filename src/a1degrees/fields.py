@@ -457,6 +457,19 @@ class FieldDesc:
         return self.kind in ("QQ", "GF")
 
     @functools.cached_property
+    def prime_field(self) -> "FieldDesc":
+        """GF(p), the prime field of a GF(p^k), derived once: this
+        descriptor's p passed its test, so GF(p)'s is not run again."""
+        if self.kind != "GF":
+            raise ValueError("prime field is defined for finite fields only")
+        if self.degree == 1:
+            return self
+        base = object.__new__(FieldDesc)  # the checks ran on self
+        base.__dict__.update(kind="GF", char=self.char, degree=1,
+                             modulus=(0, 1))
+        return base
+
+    @functools.cached_property
     def _table(self):
         """The field's shared `_FieldTable`, or None; kept on the descriptor
         so lookups skip hashing it."""
@@ -665,6 +678,12 @@ class FFElement:
 
     def __repr__(self):
         return f"FFElement({self.field}, {self.coeffs})"
+
+
+def _in_prime_field(field: FieldDesc, values) -> bool:
+    """Whether every element of the finite field lies in its prime field
+    GF(p): a residue of degree 0."""
+    return field.degree == 1 or not any(any(c.coeffs[1:]) for c in values)
 
 
 def _index(coeffs: tuple, p: int) -> int:

@@ -35,7 +35,10 @@ reduced mod p only where it is read, when `_reduce_terms` pops it, when
 the parser forms a sum or a product, when `determinant` clears a column
 with int scalars, and in `_public`, which drops what vanishes mod p and
 makes field elements again.  Over GF(p^k), k >= 2, the coefficients stay
-field elements.  A divisor is a `_prep_divisor` triple: over QQ its
+field elements; but a degree whose system lies in GF(p) is computed over
+GF(p) (`degrees._over_prime_field`), so only polynomials built through
+the library with coefficients outside GF(p) bring them to the kernel's
+degree paths.  A divisor is a `_prep_divisor` triple: over QQ its
 primitive integer multiple, and division is pseudo-division (Knuth, TAOCP
 vol. 2, 4.6.1), multiplying the work by a running integer scale instead
 of dividing by leading coefficients; over GF it is made monic once, so

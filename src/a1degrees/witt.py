@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .fields import QQ, _check_prime, _padic_square, is_prime
-from .forms import (GWClass, _gf_class_rep, _hilbert, _record_symbols,
-                    empty_form, is_isomorphic_form, make_diagonal_form)
+from .forms import (GWClass, InvariantBundle, _gf_class_rep, _hilbert,
+                    _record_symbols, empty_form, is_isomorphic_form,
+                    make_diagonal_form)
 
 __all__ = [
     "DecompositionReport",
@@ -239,6 +240,10 @@ def anisotropic_part(beta: GWClass) -> GWClass:
     rebuilt = make_diagonal_form(QQ, entries + [1, -1] * n) if n else result
     if not is_isomorphic_form(rebuilt, beta):
         raise AssertionError("anisotropic part failed its witness check")
+    # The witness has beta's record, so the part's is that record with the
+    # n planes split off: the kernel's, which no factorization need read.
+    vars(result)["_invariants"] = InvariantBundle(
+        dim, beta._signature, d_a, _record_symbols(d_a, eps))
     return result
 
 

@@ -904,6 +904,42 @@ def test_form_decompose_tests_a_record_prime_twice(capsys, monkeypatch):
         assert tested.count(prime) == 2
 
 
+def test_form_anisotropic_part_tests_a_record_prime_twice(capsys,
+                                                         monkeypatch):
+    # As for `form decompose`: once in the class's factorization and once
+    # in the witness's.  The printed part's record is the witness's with
+    # its planes split off, and needs no factorization of its own.
+    prime, tested = 2 ** 521 - 1, []
+    original = fields.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    for module in (fields, forms, witt, cli):
+        monkeypatch.setattr(module, "is_prime", counting, raising=False)
+    for diag in (f"{prime},1", f"{prime},1,1,-1"):
+        tested.clear()
+        obj = run_json(capsys, "form", "anisotropic-part", "--field", "QQ",
+                       "--diag", diag)
+        assert obj["gram"] == [["1", "0"], ["0", str(prime)]]
+        assert tested.count(prime) == 2
+
+
+def test_anisotropic_part_record_is_a_fresh_factorization():
+    # The derived record equals the one a fresh class of the part's Gram
+    # factors, over the decompose workload's forms.
+    rank = 0
+    for op in _tool().workloads.make_ops("decompose_qq", 7, 200):
+        beta = cli.payload_class(cli._shared_parser().parse_args(op.argv))
+        part = witt.anisotropic_part(beta)
+        if part.rank:
+            fresh = make_gw_class(part.gram, QQ)
+            assert part._invariants == fresh._invariants, op.argv
+            rank = max(rank, beta.rank - part.rank)
+    assert rank >= 4  # parts with two planes split off and more
+
+
 @pytest.mark.parametrize("field, diag", [
     ("QQ", "1,2,-3"), ("QQ", "3,-3,2,5,1,-9"), ("QQ", "1,1,1"),
     ("GF(7)", "1,3"), ("RR", "1,-1,2"), ("CC", "2,3"),
@@ -966,6 +1002,31 @@ def test_oversized_made_forms_exit_1_unbuilt(capsys, monkeypatch):
     obj = run_json(capsys, "form", "make", "diagonal", "--field", "QQ",
                    "--entries", ",".join(["1"] * 256))
     assert obj["rank"] == forms.MAX_MADE_RANK
+
+
+def test_oversized_diagonal_payloads_exit_1_unbuilt(capsys, monkeypatch):
+    # --diag, and a diagonal list of `form isomorphic`, are refused past
+    # their own bound before any Gram matrix is built.
+    def forbidden(*args):
+        raise AssertionError("an oversized form must not be built")
+
+    bound = cli.MAX_DIAG_ENTRIES
+    assert bound == 512
+    monkeypatch.setattr(forms, "make_diagonal_form", forbidden)
+    monkeypatch.setattr(forms, "make_gw_class", forbidden)
+    over = ",".join(["1"] * (bound + 1))
+    queries = [("form", name, "--field", "QQ", "--diag", over) for name in
+               ("diagonalize", "invariants", "decompose", "anisotropic-part")]
+    queries += [("form", "isomorphic", "--field", "GF(7)", over, "1,1"),
+                ("form", "isomorphic", "--field", "QQ", over, "[[1]]")]
+    for argv in queries:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: diagonal rank 513 "
+                                           "exceeds 512\n"), argv
+    monkeypatch.undo()
+    obj = run_json(capsys, "form", "invariants", "--field", "QQ", "--diag",
+                   ",".join(["1", "-1"] * (bound // 2)))
+    assert obj["rank"] == bound and obj["signature"] == 0
 
 
 def test_base_change_flag(capsys):

@@ -303,17 +303,31 @@ def test_qq_products_multiply_ints_only(monkeypatch):
         assert all(type(c) is Fraction for c in g.terms.values())
 
 
-@pytest.mark.parametrize("field, kernel", [
-    (gf_construct(7, 1), int), (gf_construct(10007, 1), int),
-    (gf_construct(5, 2), FFElement)], ids=["GF(7)", "GF(10007)", "GF(25)"])
-def test_gf_kernel_coefficients_are_residues(monkeypatch, field, kernel):
+@pytest.mark.parametrize("field, t, kernel, descended", [
+    (gf_construct(7, 1), False, int, int),
+    (gf_construct(10007, 1), False, int, int),
+    (gf_construct(5, 2), False, FFElement, int),
+    (gf_construct(3, 3), False, FFElement, int),
+    (gf_construct(11, 2), False, FFElement, int),
+    (gf_construct(10007, 2), False, FFElement, int),
+    (gf_construct(5, 2), True, FFElement, FFElement)],
+    ids=["GF(7)", "GF(10007)", "GF(25)", "GF(27)", "GF(121)", "GF(10007^2)",
+         "GF(25), t"])
+def test_gf_kernel_coefficients_are_residues(monkeypatch, field, t, kernel,
+                                             descended):
     # Over GF(p), tabled (GF(7)) or not (GF(10007)), every polynomial
     # enters the kernel as its residues, so the product loop and the
-    # division loop see ints; over GF(25) they see field elements.  Every
-    # public result holds field elements either way.
+    # division loop see ints; over GF(p^k), tabled or not (GF(10007^2)),
+    # the ring's own kernel calls see field elements.  A degree over
+    # GF(p^k) whose system lies in GF(p) runs over GF(p), on ints, and one
+    # with a coefficient outside GF(p) (t, over GF(25)) on field elements.
+    # Every public result holds the ring's field elements either way.
     ring = PolyRing(field, ("x", "y", "z"))
     f = EndoSystem.of(ring, "3*x - 2*y + z - 1", "x^2*y - 3*z^2 + y",
                       "y*z^2 + x^3 - 2*x*z")
+    if t:  # 3*x - 2*y + (1 + t)*z - 1
+        f = EndoSystem(ring, (f.polys[0] + field.coerce((0, 1)) *
+                              ring.variable(2), *f.polys[1:]))
     bez = bezoutian_matrix(f)
     b = bez.entries
     expected = bez.doubled_ring.zero()
@@ -347,6 +361,7 @@ def test_gf_kernel_coefficients_are_residues(monkeypatch, field, kernel):
     monkeypatch.setattr(poly, "_reduce_terms", recording_reduce)
     place = "determinant"
     det = bez.determinant()
+    place = "degree"
     beta = global_a1_degree(f)
     place = "basis"
     gb = groebner_basis(Ideal(ring, f.polys))
@@ -355,8 +370,9 @@ def test_gf_kernel_coefficients_are_residues(monkeypatch, field, kernel):
     place = "parse"
     parsed = ring.from_string("(x + 3*y - 1)^3 * (2*x*y - z) - 7*x^2")
     monkeypatch.undo()
-    assert seen == dict.fromkeys(
-        ["determinant", "basis", "product", "parse"], {kernel})
+    assert seen == {**dict.fromkeys(
+        ["determinant", "basis", "product", "parse"], {kernel}),
+        "degree": {descended}}
     assert det == expected and det
     assert product == p * p * p * q
     assert parsed == product - 7 * ring.from_string("x^2")
@@ -364,7 +380,9 @@ def test_gf_kernel_coefficients_are_residues(monkeypatch, field, kernel):
     for g in (det, product, parsed, p ** 0, *gb.basis):
         assert all(type(c) is FFElement and c.field == field
                    for c in g.terms.values())
-    assert all(type(c) is FFElement for row in beta.gram for c in row)
+    assert beta.field == field
+    assert all(type(c) is FFElement and c.field == field
+               for row in beta.gram for c in row)
 
 
 @pytest.mark.parametrize("p", [101, 103, 10007])
@@ -773,7 +791,8 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
                 simple += 1
                 assert jac == det and calls == ["determinant"]
                 assert beta.gram == ((det,),)
-                assert beta.gram == degrees._degree_from_basis(f, gb).gram
+                assert beta.gram == \
+                    degrees._degree_from_basis(f, gb, field).gram
             else:
                 multiple += 1
                 assert jac is None
@@ -939,6 +958,48 @@ def test_local_degrees_at_closed_points_sum_to_the_global_degree(
             assert alpha.rank == sum(d * m for _, d, m in points)
             assert is_isomorphic_form(total, alpha)
     assert seen == {"simple", "rational, J(p) = 0", "non-rational"}
+
+
+def lifted(f, ring):
+    """f, over GF(p), as a polynomial of ring, over a GF(p^k)."""
+    return Polynomial(ring, {e: ring.field.coerce(c.coeffs[0])
+                             for e, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("field", [gf_construct(5, 2), gf_construct(3, 3),
+                                   gf_construct(11, 2)], ids=str)
+def test_descended_degrees_are_the_field_degrees(field):
+    # A system with coefficients in GF(p) is descended to GF(p) for its
+    # degrees.  Run on the GF(q) ring itself, the same pipeline gives the
+    # same Gram matrices, global and at every planted closed point of
+    # GF(p), and the classes are over GF(q).
+    rng = random.Random(f"descent:{field}")
+    prime = field.prime_field
+    grams = 0
+    for n, shapes in CLOSED_POINT_SHAPES.items():
+        for shape in shapes:
+            f, points = planted_closed_points(rng, prime, n, shape)
+            ring = PolyRing(field, f.ring.variables)
+            f = EndoSystem(ring, tuple(lifted(g, ring) for g in f.polys))
+            assert degrees._over_prime_field(f)[0].ring.field == prime
+            alpha = global_a1_degree(f)
+            gb = groebner_basis(Ideal(ring, f.polys))
+            assert alpha.gram == \
+                degrees._degree_from_basis(f, gb, field).gram
+            assert alpha.field == field
+            for point, _, _ in points:
+                point = Ideal(ring, tuple(lifted(g, ring)
+                                          for g in point.generators))
+                local = local_a1_degree(f, point)
+                gb, jac = degrees._local_ideal(f, point)
+                expected = [[jac]] if jac is not None else \
+                    degrees._degree_from_basis(f, gb, field).gram
+                assert [list(row) for row in local.gram] == \
+                    [list(row) for row in expected]
+                assert local.field == field
+                grams += 1
+    assert grams == sum(len(shape) for shapes in CLOSED_POINT_SHAPES.values()
+                        for shape in shapes)
 
 
 # -- rational classes at Bezout scale ------------------------------------------
@@ -1343,9 +1404,9 @@ def test_local_gram_at_the_quartic_point_is_the_inverse_trace_form():
 # -- refused inputs ----------------------------------------------------------
 
 
-def _foreign_point():
-    _, f = system(("x", "y"), ["x", "y"])
-    return f, Ideal.of(PolyRing(QQ, ("x", "z")), "x", "z")
+def _foreign_point(field=QQ):
+    _, f = system(("x", "y"), ["x", "y"], field)
+    return f, Ideal.of(PolyRing(field, ("x", "z")), "x", "z")
 
 
 REFUSED = [
@@ -1358,6 +1419,9 @@ REFUSED = [
      "polynomial ring mismatch"),
     (lambda: local_algebra_basis(*_foreign_point()), ValueError,
      "polynomial ring mismatch"),
+    # a GF(p) system and point over GF(25) are compared before they descend
+    (lambda: local_a1_degree(*_foreign_point(gf_construct(5, 2))),
+     ValueError, "polynomial ring mismatch"),
 ]
 
 

@@ -11,9 +11,9 @@ from conftest import (HILBERT_CORPUS, HILBERT_PRIMES,
                       count_fraction_arithmetic, hilbert_oracle,
                       real_hilbert_symbol)
 
-from a1degrees import fields, forms, witt
+from a1degrees import cli, fields, forms, witt
 from a1degrees.degrees import EndoSystem, global_a1_degree
-from a1degrees.fields import (CC, QQ, RR, gf_construct, is_square,
+from a1degrees.fields import (CC, QQ, RR, FFElement, gf_construct, is_square,
                               odd_prime_support, squarefree_part)
 from a1degrees.forms import (add_gw, base_change, diagonalize,
                              get_discriminant, get_invariants, get_rank,
@@ -376,6 +376,68 @@ def test_zero_diagonal_elimination_at_rank_ten(field):
     beta = make_gw_class(m, field)
     assert beta._elimination[1] == det
     assert congruence_holds(beta)
+
+
+@pytest.mark.parametrize("field", [gf_construct(7, 1), gf_construct(5, 2),
+                                   gf_construct(3, 3)], ids=str)
+def test_residue_elimination_is_the_field_elimination(monkeypatch, field):
+    # A Gram whose entries lie in GF(p) is eliminated on ints mod p; with
+    # that test forced off, on field elements.  Pivots, det and the tracked
+    # columns are the same field elements, through swaps and planes.
+    rng = random.Random(f"residue elimination:{field}")
+    prime = field.prime_field
+    seen = {"degenerate": 0, "swap": 0, "pair": 0}
+    for k in range(90):
+        diagonal = ("dense", "some-zero", "zero")[k % 3]
+        m = [[field.coerce(c.coeffs[0]) for c in row] for row in
+             random_symmetric(rng, rng.randint(1, 7), prime, diagonal)]
+        outcomes = []
+        for residues in (True, False):
+            if not residues:
+                monkeypatch.setattr(forms, "_in_prime_field",
+                                    lambda field, values: False)
+            try:
+                outcomes.append(forms._eliminate(m, field, track=True))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            monkeypatch.undo()
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            assert outcomes[0] == "degenerate form"
+            seen["degenerate"] += 1
+            continue
+        pivots, det, _, cols = outcomes[0]
+        assert all(type(c) is FFElement and c.field == field
+                   for c in (*pivots, det, *(a for col in cols for a in col)))
+        assert det == determinant(m, field)
+        if not m[0][0]:
+            seen["pair" if not any(m[i][i] for i in range(len(m)))
+                 else "swap"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_a_class_outside_the_prime_field_keeps_field_elements(monkeypatch):
+    # A GF(25) class read back from JSON with a t entry is eliminated on
+    # field elements; one with entries in GF(5) on residues.
+    decided = []
+    original = forms._in_prime_field
+
+    def recording(field, values):
+        decided.append(original(field, values))
+        return decided[-1]
+
+    monkeypatch.setattr(forms, "_in_prime_field", recording)
+    field = {"name": "GF(25)"}
+    beta = cli.gwclass_from_json({"field": field,
+                                  "gram": [["t", "1"], ["1", "0"]]})
+    assert decided == [False]
+    t = beta.field.coerce((0, 1))
+    assert beta._pivots == (t, -t.inverse())
+    alpha = cli.gwclass_from_json({"field": field,
+                                   "gram": [["2", "1"], ["1", "0"]]})
+    assert decided == [False, True]
+    assert alpha._pivots == (alpha.field.coerce(2), alpha.field.coerce(-3))
+    assert all(type(c) is FFElement for c in alpha._pivots)
 
 
 # -- invariants --------------------------------------------------------------

@@ -166,6 +166,12 @@ CLI_DECK = [
      ",".join(["1"] * 257), "--json"],
     ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
      "@/nonexistent/a1deg-deck", "--json"],
+    # GF(10007^2), whose elements are not tabled
+    ["degree", "global", "--field", "GF(100140049)", "--vars", "x,y",
+     "--polys", "x^2 - 3*y + 1; y^2 - x*y - 2", "--json"],
+    # a zero with J(p) = 0 over GF(121)
+    ["degree", "local", "--field", "GF(121)", *_SYSTEM, "--ideal", "x; y",
+     "--json"],
 ]
 
 
