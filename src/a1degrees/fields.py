@@ -469,12 +469,6 @@ class FieldDesc:
                              modulus=(0, 1))
         return base
 
-    @functools.cached_property
-    def _table(self):
-        """The field's shared `_FieldTable`, or None; kept on the descriptor
-        so lookups skip hashing it."""
-        return _field_table(self)
-
     def zero(self):
         return self.coerce(0)
 
@@ -482,31 +476,32 @@ class FieldDesc:
         return self.coerce(1)
 
     def coerce(self, value):
-        """Coerce an int / Fraction / FFElement / coefficient tuple into the field."""
+        """Coerce an int / Fraction / FFElement / coefficient tuple into the
+        field.  An element of GF(p) enters GF(p^k) by its residue, the
+        canonical embedding; any other element of another field is refused."""
         if self.kind == "GF":
-            t = self._table
+            p = self.char
             if isinstance(value, FFElement):
-                if value.field is not self and value.field != self:
-                    raise ValueError("element belongs to a different field")
-                if value._t is not None or t is None:
+                F = value.field
+                if F is self:
                     return value
-                return _element(self, value.coeffs)
-            if t is not None and isinstance(value, int):
-                # The constant term is the leading base-p digit of an index.
-                return t.elems[value % self.char * t.step]
+                if F.degree == 1 and F.char == p:
+                    value = value.coeffs[0]
+                elif F == self:
+                    return value
+                else:
+                    raise ValueError("element belongs to a different field")
+            if isinstance(value, int):
+                return FFElement(self, (value % p,) + (0,) * (self.degree - 1))
             if isinstance(value, tuple):
-                coeffs = list(value)
-            elif isinstance(value, int):
-                coeffs = [value]
-            elif isinstance(value, Fraction):
-                if value.denominator % self.char == 0:
+                return FFElement(self, _fold(list(value), self.modulus, p))
+            if isinstance(value, Fraction):
+                if value.denominator % p == 0:
                     raise ZeroDivisionError(
                         "denominator divisible by the characteristic")
-                coeffs = [value.numerator *
-                          pow(value.denominator, -1, self.char)]
-            else:
-                raise ValueError(f"cannot coerce {value!r} into {self}")
-            return _element(self, _fold(coeffs, self.modulus, self.char))
+                return self.coerce(value.numerator *
+                                   pow(value.denominator, -1, p))
+            raise ValueError(f"cannot coerce {value!r} into {self}")
         if isinstance(value, FFElement):
             raise ValueError(f"cannot coerce {value!r} into {self}")
         return value if type(value) is Fraction else Fraction(value)
@@ -515,7 +510,7 @@ class FieldDesc:
         """Iterate all field elements (finite fields only), deterministically."""
         if self.kind != "GF":
             raise ValueError("elements are defined for finite fields only")
-        return (_element(self, coeffs)
+        return (FFElement(self, coeffs)
                 for coeffs in _coefficient_vectors(self.char, self.degree))
 
     def __str__(self):
@@ -535,21 +530,17 @@ CC = FieldDesc("CC")
 
 
 class FFElement:
-    """An element of GF(p^k): a residue polynomial of degree < k over Z/p.
+    """An element of GF(p^k): a residue polynomial of degree < k over Z/p,
+    its coefficient tuple reduced, low to high.  ``+ -`` work entrywise mod
+    p, ``*`` is the schoolbook product folded by the modulus, ``inverse`` one
+    extended Euclid and ``**`` square-and-multiply, over GF(p) Python's
+    ``pow``."""
 
-    Over a field of order at most ``_TABLE_ORDER_CAP`` every element is one
-    of the q objects of its field's table (``_t``), at index ``_i``, and
-    ``+ - * ** inverse`` are table lookups that return such objects.  Any
-    other pair of operands takes the coefficient-tuple path.
-    """
-
-    __slots__ = ("field", "coeffs", "_i", "_t")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldDesc, coeffs: tuple[int, ...]):
         self.field = field
         self.coeffs = coeffs
-        self._i = None
-        self._t = None
 
     def _check(self, other) -> "FFElement":
         if isinstance(other, FFElement):
@@ -561,31 +552,18 @@ class FFElement:
         return NotImplemented
 
     def __add__(self, other):
-        t = self._t
-        if t is not None and other.__class__ is FFElement and other._t is t:
-            i, j = self._i, other._i
-            if not i:
-                return other
-            if not j:
-                return self
-            log = t.log
-            a = log[i]
-            return t.exp[a + t.zech[(log[j] - a) % t.units]]
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         p = self.field.char
-        return _element(self.field, tuple([(a + b) % p for a, b in
-                                           zip(self.coeffs, other.coeffs)]))
+        return FFElement(self.field, tuple([(a + b) % p for a, b in
+                                            zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        t = self._t
-        if t is not None:
-            return t.exp[t.log[self._i] + t.half]
         p = self.field.char
-        return _element(self.field, tuple([-a % p for a in self.coeffs]))
+        return FFElement(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other):
         other = self._check(other)
@@ -600,27 +578,20 @@ class FFElement:
         return other + (-self)
 
     def __mul__(self, other):
-        t = self._t
-        if t is not None and other.__class__ is FFElement and other._t is t:
-            log = t.log
-            return t.exp[log[self._i] + log[other._i]]
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         F = self.field
-        return _element(F, _tuple_mul(self.coeffs, other.coeffs, F.modulus,
-                                      F.char))
+        return FFElement(F, _tuple_mul(self.coeffs, other.coeffs, F.modulus,
+                                       F.char))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElement":
-        t = self._t
-        if t is not None and self._i:
-            return t.exp[t.units - t.log[self._i]]
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         F = self.field
-        return _element(F, _tuple_inverse(self.coeffs, F.modulus, F.char))
+        return FFElement(F, _tuple_inverse(self.coeffs, F.modulus, F.char))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -632,19 +603,12 @@ class FFElement:
         return self.inverse() * other
 
     def __pow__(self, n: int):
-        t = self._t
-        if t is not None and self._i:
-            return t.exp[n * t.log[self._i] % t.units]
         if n < 0:
             return self.inverse() ** (-n)
-        if t is not None:  # zero stays on the tables too
-            return self if n else t.elems[t.step]
         F = self.field
-        return _element(F, _pmod_pow(self.coeffs, n, F.modulus, F.char))
+        return FFElement(F, _pmod_pow(self.coeffs, n, F.modulus, F.char))
 
     def __bool__(self):
-        if self._t is not None:
-            return self._i != 0
         return any(self.coeffs)
 
     def __eq__(self, other):
@@ -684,89 +648,6 @@ def _in_prime_field(field: FieldDesc, values) -> bool:
     """Whether every element of the finite field lies in its prime field
     GF(p): a residue of degree 0."""
     return field.degree == 1 or not any(any(c.coeffs[1:]) for c in values)
-
-
-def _index(coeffs: tuple, p: int) -> int:
-    """The coefficient vector read as a base-p number, constant term first:
-    the position of the element in ``FieldDesc.elements()``."""
-    i = 0
-    for c in coeffs:
-        i = i * p + c
-    return i
-
-
-# Fields of order q <= _TABLE_ORDER_CAP compute through the tables below.
-# A table costs q tuple multiplications to build and O(q) memory: below the
-# cap at most 35 ms (GF(5^5)) and 1.0 MB (GF(4093)) with Python 3.11 on a
-# 2-core Xeon VM, paid once per field and process, after which every
-# + - * is a few list lookups.  The paper's GF(27) and the usual test fields
-# lie far below it.  Both costs grow linearly with q, so a cap some 25 times
-# higher would charge about a second and 25 MB to the first query over a
-# large field however few elements it touches; larger fields keep the tuple
-# arithmetic.  With 64 tables cached at most, tables hold at most ~64 MB.
-_TABLE_ORDER_CAP = 4096
-
-
-class _FieldTable:
-    """Exp/log tables of a primitive element g of GF(q), and its q elements.
-
-    ``elems[i]`` is the element whose coefficient vector is the base-p
-    digits of i.  ``log[i]`` is its discrete logarithm; log 0 is the
-    sentinel 2(q-1), and ``exp`` reads the zero element at every index from
-    2(q-1) to 4(q-1), so products and negations need no zero test.  Below
-    that ``exp[e] = g^(e mod (q-1))``, stored twice so a sum of two
-    logarithms needs no reduction.  ``zech[d] = log(1 + g^d)`` (Zech's
-    logarithm) gives sums: x + y = x * (1 + y/x).
-    """
-
-    __slots__ = ("elems", "exp", "log", "zech", "units", "half", "step")
-
-    def __init__(self, field: FieldDesc):
-        p, k, q = field.char, field.degree, field.order
-        units = q - 1
-        self.units, self.half = units, units // 2  # g^half = -1
-        self.elems = []
-        for i, v in enumerate(_coefficient_vectors(p, k)):
-            e = FFElement(field, v)
-            e._i, e._t = i, self
-            self.elems.append(e)
-        # g generates the units iff g^((q-1)/r) != 1 for every prime r | q-1
-        mod, one = field.modulus, (1,) + (0,) * (k - 1)
-        primes = list(factorize(units))
-        g = next(v for v in _coefficient_vectors(p, k)
-                 if any(v) and all(_pmod_pow(v, units // r, mod, p) != one
-                                   for r in primes))
-        log = [2 * units] * q
-        powers = []  # powers[e] = index of g^e
-        x = one
-        for e in range(units):
-            i = _index(x, p)
-            powers.append(i)
-            log[i] = e
-            x = _tuple_mul(x, g, mod, p)
-        self.log = log
-        self.exp = [self.elems[i] for i in powers] * 2 + \
-            [self.elems[0]] * (2 * units + 1)
-        # Adding 1 raises the constant term, the leading base-p digit.
-        self.step = step = p ** (k - 1)
-        self.zech = [log[(i + step) % q] for i in powers]
-
-
-@functools.lru_cache(maxsize=64)
-def _field_table(field: FieldDesc):
-    """The shared table of a finite field of order at most the cap, else None."""
-    if field.kind != "GF" or field.order > _TABLE_ORDER_CAP:
-        return None
-    return _FieldTable(field)
-
-
-def _element(field: FieldDesc, coeffs: tuple) -> FFElement:
-    """The element with reduced coefficients ``coeffs``: the interned one
-    over a tabled field, else a new one."""
-    t = field._table
-    if t is None:
-        return FFElement(field, coeffs)
-    return t.elems[_index(coeffs, field.char)]
 
 
 def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:

@@ -29,20 +29,22 @@ over GF), and `_public`, which divides by an int on the way out, cross
 between the two.  Over QQ the kernel's loops see only ints; the one
 exception is `determinant`'s elimination, which reads each constant entry
 as a `Fraction` to choose and apply its pivots.  Over a prime field
-GF(p), tabled or not, they see ints too: `_enter` takes each coefficient's
-residue, the loops add and multiply without reducing, and a value is
-reduced mod p only where it is read, when `_reduce_terms` pops it, when
-the parser forms a sum or a product, when `determinant` clears a column
-with int scalars, and in `_public`, which drops what vanishes mod p and
-makes field elements again.  Over GF(p^k), k >= 2, the coefficients stay
-field elements; but a degree whose system lies in GF(p) is computed over
-GF(p) (`degrees._over_prime_field`), so only polynomials built through
-the library with coefficients outside GF(p) bring them to the kernel's
-degree paths.  A divisor is a `_prep_divisor` triple: over QQ its
-primitive integer multiple, and division is pseudo-division (Knuth, TAOCP
-vol. 2, 4.6.1), multiplying the work by a running integer scale instead
-of dividing by leading coefficients; over GF it is made monic once, so
-nothing scales.  The same heap loop serves every domain.
+GF(p) they see ints too: `_enter` takes each coefficient's residue, the
+loops add and multiply without reducing, and a value is reduced mod p
+only where it is read, when `_reduce_terms` pops it, when the parser
+forms a sum or a product, when `determinant` clears a column with int
+scalars, and in `_public`, which drops what vanishes mod p and makes
+field elements again.  The parser folds over GF(p^k) as over GF(p): its
+integer literals lie in GF(p), so its terms are residues mod p until
+`_public` makes them GF(p^k) elements.  Otherwise over GF(p^k), k >= 2,
+the kernel's coefficients stay field elements; but a degree whose system
+lies in GF(p) is computed over GF(p) (`degrees._over_prime_field`), so
+only polynomials built through the library with coefficients outside
+GF(p) bring them to the kernel's loops.  A divisor is a `_prep_divisor`
+triple: over QQ its primitive integer multiple, and division is
+pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the work by a
+running integer scale instead of dividing by leading coefficients; over
+GF it is made monic once, so nothing scales.  The same heap loop serves every domain.
 """
 
 from __future__ import annotations
@@ -454,7 +456,8 @@ def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
     integral coefficients, den the least positive integer that makes them
     so: 1 over GF.  Over GF(p) the coefficients are their residues, ints in
-    [0, p); over GF(p^k) they stay field elements."""
+    [0, p); over GF(p^k) they stay field elements, whose arithmetic is
+    `FFElement`'s coefficient-tuple arithmetic."""
     field, pk = f.ring.field, f.ring._packing
     if field.kind == "QQ":
         den = lcm(*[c.denominator for c in f.terms.values()])
@@ -468,7 +471,8 @@ def _enter(f: Polynomial):
 def _prime(field) -> int:
     """p over a prime field GF(p), whose kernel coefficients are ints reduced
     mod p where they are read; 0 over QQ, whose are ints too, and over
-    GF(p^k), whose are field elements."""
+    GF(p^k), whose are field elements everywhere but in the parser, which
+    folds residues mod the characteristic itself."""
     return field.char if field.degree == 1 else 0
 
 
@@ -517,16 +521,18 @@ def _prep_divisors(polys):
     return [_prep_divisor(g.ring.field, _enter(g)[1])[1] for g in polys if g]
 
 
-def _public(ring, terms: dict, s) -> dict:
+def _public(ring, terms: dict, s, p=None) -> dict:
     """Kernel terms divided by the int s as public terms: exponent tuples,
-    and Fractions over QQ.  Over GF s is 1; GF(p) residues, reduced here,
-    become field elements, and those that vanish mod p go.  Over GF(p^k)
-    the coefficients are field elements already."""
+    and Fractions over QQ.  Over GF s is 1; residues mod p, reduced here,
+    become field elements, and those that vanish mod p go.  p defaults to
+    `_prime`: over GF(p^k) the kernel's coefficients are field elements
+    already, and only the parser's are residues."""
     field = ring.field
     if field.kind == "QQ":
         return {e: Fraction(c, s) for e, c in
                 ring._packing.unpack_terms(terms).items()}
-    p = _prime(field)
+    if p is None:
+        p = _prime(field)
     if p:
         terms = {m: field.coerce(r) for m, c in terms.items() if (r := c % p)}
     return ring._packing.unpack_terms(terms)
@@ -1085,21 +1091,20 @@ def _tokenize(text: str):
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """The terms fold in the kernel's form, packed monomials and, over QQ
-    and GF(p), int coefficients (GF(p^k) ones are field elements from the
-    start), and leave it once, through `_public`.  Over GF(p) literals,
-    sums and products are reduced mod p as they are formed, so every term
-    count below is the count of nonzero terms, as over any field."""
+    """The terms fold in the kernel's form, packed monomials and int
+    coefficients, and leave it once, through `_public`, as field elements.
+    The grammar's only constants are integer literals, so over GF(p^k), as
+    over GF(p), every coefficient lies in GF(p) and is folded as its residue:
+    literals, sums and products are reduced mod p as they are formed, and
+    every term count below is the count of nonzero terms, as over any
+    field."""
     tokens = _tokenize(text)
     pos = work = depth = 0
-    qq, p = ring.field.kind == "QQ", _prime(ring.field)
+    field = ring.field
+    qq, p = field.kind == "QQ", field.char
     pk = ring._packing
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
-    gf_words = None if qq else \
-        (ring.field.char.bit_length() + 63) // 64 * ring.field.degree
-
-    def scalar(val):
-        return val % p if p else val if qq else ring.field.coerce(val)
+    gf_words = None if qq else (p.bit_length() + 63) // 64 * field.degree
 
     def peek():
         return tokens[pos]
@@ -1178,21 +1183,20 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError("exponent must be an integer literal", at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
-            node = _power(node, exp, lambda a, b: product(a, b, at),
-                          scalar(1))
+            node = _power(node, exp, lambda a, b: product(a, b, at), 1)
         return node
 
     def parse_base():
         kind, val, at = advance()
         if kind == "int":
-            c = scalar(val)
+            c = val % p if p else val
             return {0: c} if c else {}
         if kind == "name":
             try:
                 i = ring.variables.index(val)
             except ValueError:
                 raise ParseError(f"unknown variable {val!r}", at) from None
-            return {pk.units[i]: scalar(1)}
+            return {pk.units[i]: 1}
         if kind == "op" and val == "(":
             node = nested(parse_expr, at)
             kind, val, at = advance()
@@ -1205,4 +1209,4 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     kind, val, at = peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
-    return Polynomial(ring, _public(ring, node, 1))
+    return Polynomial(ring, _public(ring, node, 1, p))

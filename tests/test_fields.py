@@ -650,7 +650,7 @@ def test_canonical_nonsquare_over_even_degree_skips_whole_lines(monkeypatch):
         assert len(calls) <= 3
 
 
-# -- table arithmetic (fields of order up to the cap) ------------------------
+# -- element arithmetic against a schoolbook reference ----------------------
 
 
 def _reference_pow(a, n, field):
@@ -672,12 +672,8 @@ def test_table_arithmetic_matches_reference(pk):
     assert len(by_coeffs) == q
     zero, one = by_coeffs[(0,) * F.degree], F.one()
 
-    def ref(coeffs):  # the interned element with these coefficients
-        return by_coeffs[tuple(coeffs)]
-
     for a in elems:
-        assert a._t is not None
-        assert -a is ref(-x % p for x in a.coeffs)
+        assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
         assert bool(a) == any(a.coeffs)
         if a:
             inv = a.inverse()
@@ -686,38 +682,29 @@ def test_table_arithmetic_matches_reference(pk):
                 m = n % (q - 1)
                 expected = _reference_pow(inv.coeffs if n < 0 else a.coeffs,
                                           -n if n < 0 else m, F)
-                assert a ** n is ref(expected), (a, n)
+                assert (a ** n).coeffs == expected, (a, n)
             euler = _reference_pow(a.coeffs, (q - 1) // 2, F)
             assert is_square(a, F) == (euler == one.coeffs), a
         else:
-            assert a ** 0 is one and a ** 3 is zero
+            assert a ** 0 == one and a ** 3 == zero
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
         for b in elems:
-            assert a * b is ref(_reference_mul(a.coeffs, b.coeffs, F))
-            assert a + b is ref((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
-            assert a - b is ref((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a * b).coeffs == _reference_mul(a.coeffs, b.coeffs, F)
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in
+                                           zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in
+                                           zip(a.coeffs, b.coeffs))
             assert (a == b) == (a.coeffs == b.coeffs)
             if b:
                 assert _reference_mul((a / b).coeffs, b.coeffs, F) == a.coeffs
-
-
-def test_equal_descriptors_share_one_table():
-    F = gf_construct(5, 2)
-    assert F.coerce(3) is gf_construct(5, 2).coerce(3)
-    assert F.coerce(3) is FieldDesc("GF", 5, 2, F.modulus).coerce(Fraction(3))
-    assert list(F.elements())[2 * 5 + 1] is F.coerce(F.coerce((2, 1)))
-    # coerce interns an element built directly, off the table
-    built = fields.FFElement(F, (2, 1))
-    assert built is not F.coerce((2, 1))
-    assert F.coerce(built) is F.coerce((2, 1))
 
 
 def test_int_minus_element_and_equal_elements_hash_alike():
     F = gf_construct(5, 2)
     a = F.coerce((2, 1))
     assert 3 - a == -(a - 3) == F.coerce((1, 4))
-    # Above the table cap equal elements are distinct objects.
+    # Equal elements built apart compare and hash alike.
     for G in (F, gf_construct(4099, 1), gf_construct(17, 3)):
         x, y = G.coerce(3), G.coerce(3 + G.char)
         assert x == y and hash(x) == hash(y)
@@ -743,64 +730,24 @@ def test_descriptors_print_their_construction():
     assert repr(QQ) == "FieldDesc('QQ')"
 
 
-def test_table_arithmetic_allocates_no_element(monkeypatch):
-    F = gf_construct(3, 3)
-    elems = list(F.elements())
-
-    def forbidden(*args):
-        raise AssertionError("tabled arithmetic must not leave the tables")
-
-    monkeypatch.setattr(fields.FFElement, "__init__", forbidden)
-    monkeypatch.setattr(fields, "_tuple_mul", forbidden)
-    monkeypatch.setattr(fields, "_tuple_inverse", forbidden)
-    for a in elems:
-        -a
-        a ** 5
-        if a:
-            a.inverse()
-            is_square(a, F)
-        for b in elems:
-            a + b, a - b, a * b, a == b
-            if b:
-                a / b
-    assert F.coerce(5) is F.coerce(2) and F.one() is elems[9]
-    assert F.zero() is elems[0]
-    assert all(x is y for x, y in zip(F.elements(), elems, strict=True))
-
-
-@pytest.mark.parametrize("pk", [(7, 1), (5, 2), (3, 3), (11, 2)])
-def test_constants_over_tabled_fields_are_lookups(monkeypatch, pk):
-    F = gf_construct(*pk)
-    p, k = pk
-    elems = list(F.elements())
-    # the interned elements the coefficient path returns
-    expected = {n: elems[fields._index((n % p,) + (0,) * (k - 1), p)]
-                for n in range(-2 * p, 2 * p)}
-
-    def forbidden(*args):
-        raise AssertionError("constants of a tabled field are table lookups")
-
-    monkeypatch.setattr(fields, "_field_table", forbidden)
-    monkeypatch.setattr(fields, "_element", forbidden)
-    monkeypatch.setattr(fields.FFElement, "__init__", forbidden)
-    assert F.zero() is elems[0] and F.one() is expected[1]
-    for n, e in expected.items():
-        assert F.coerce(n) is e
-    twin = FieldDesc("GF", p, k, F.modulus)  # equal, built apart
-    monkeypatch.undo()
-    assert twin.one() is F.one() and twin.coerce(-1) is F.coerce(-1)
+def test_prime_field_elements_enter_extensions_by_their_residues():
+    F = gf_construct(5, 4)
+    for n in range(-5, 10):
+        a = F.coerce(F.prime_field.coerce(n))
+        assert a.field is F and a.coeffs == F.coerce(n).coeffs
+    a = F.coerce((2, 1, 0, 3))
+    assert F.coerce(a) is a
+    assert FieldDesc("GF", 5, 4, F.modulus).coerce(a) is a  # equal, built apart
 
 
 @pytest.mark.parametrize("pk", [(4099, 1), (17, 3)])
 def test_fields_above_the_cap_keep_tuple_arithmetic(pk):
     F = gf_construct(*pk)
-    assert F.order > fields._TABLE_ORDER_CAP
     p, k = pk
     rng = random.Random(F.order)
     for _ in range(300):
         a = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
         b = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
-        assert a._t is None and b._t is None
         assert (a * b).coeffs == _reference_mul(a.coeffs, b.coeffs, F)
         assert (a + b).coeffs == tuple((x + y) % p for x, y in
                                        zip(a.coeffs, b.coeffs))
@@ -817,7 +764,7 @@ def test_powers_above_the_cap_match_repeated_products(pk):
     F = gf_construct(*pk)
     p, k = pk
     zero, one = F.zero(), F.one()
-    assert zero._t is None and zero ** 0 == one
+    assert zero ** 0 == one
     for n in (1, 2, 7):
         assert zero ** n == zero
     with pytest.raises(ZeroDivisionError):
@@ -835,13 +782,12 @@ def test_powers_above_the_cap_match_repeated_products(pk):
         assert a ** (F.order - 1) == one
 
 
-# -- residues off the tables: one fold, one extended Euclid, pow over GF(p) --
+# -- residues: one fold, one extended Euclid, pow over GF(p) ----------------
 
 
 @pytest.mark.parametrize("pk", [(4099, 1), (17, 3), (10007, 2), (3, 9)])
 def test_inverses_above_the_cap_match_schoolbook_reference(pk):
     F = gf_construct(*pk)
-    assert F.order > fields._TABLE_ORDER_CAP
     p, k = pk
     one = F.one().coeffs
     rng = random.Random(F.order)
@@ -849,7 +795,7 @@ def test_inverses_above_the_cap_match_schoolbook_reference(pk):
         a = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
         if a:
             inv = a.inverse()
-            assert inv._t is None and all(0 <= c < p for c in inv.coeffs)
+            assert all(0 <= c < p for c in inv.coeffs)
             assert _reference_mul(a.coeffs, inv.coeffs, F) == one, a
     with pytest.raises(ZeroDivisionError):
         F.zero().inverse()
@@ -916,6 +862,11 @@ REFUSED = [
      "finite field mismatch"),
     (lambda: F7.one() - gf_construct(4099, 1).one(), ValueError,
      "finite field mismatch"),
+    # GF(p) enters GF(p^k) by its residues; no other field's elements do
+    (lambda: F7.coerce(gf_construct(5, 1).one()), ValueError,
+     "element belongs to a different field"),
+    (lambda: gf_construct(5, 4).coerce(gf_construct(5, 2).one()), ValueError,
+     "element belongs to a different field"),
 ]
 
 

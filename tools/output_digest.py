@@ -166,12 +166,28 @@ CLI_DECK = [
      ",".join(["1"] * 257), "--json"],
     ["degree", "global", "--field", "QQ", "--vars", "x", "--polys",
      "@/nonexistent/a1deg-deck", "--json"],
-    # GF(10007^2), whose elements are not tabled
+    # GF(10007^2), an extension over a five-digit prime
     ["degree", "global", "--field", "GF(100140049)", "--vars", "x,y",
      "--polys", "x^2 - 3*y + 1; y^2 - x*y - 2", "--json"],
     # a zero with J(p) = 0 over GF(121)
     ["degree", "local", "--field", "GF(121)", *_SYSTEM, "--ideal", "x; y",
      "--json"],
+]
+
+# Fields of order 625 to 4093, each with a form's invariants, its Witt
+# decomposition and a global degree: their square classes and canonical
+# nonsquares take the field's element arithmetic.
+CLI_DECK += [
+    argv
+    for field in ("GF(625)", "GF(2187)", "GF(3125)", "GF(4093)")
+    for argv in (
+        ["form", "invariants", "--field", field, "--matrix",
+         "[[2,1,0],[1,3,1/2],[0,1/2,5]]", "--json"],
+        ["form", "decompose", "--field", field, "--diag", "2,4,1",
+         "--json"],
+        ["degree", "global", "--field", field, "--vars", "x,y", "--polys",
+         "x^2 - 3*y + 1; y^2 - x*y - 2", "--json"],
+    )
 ]
 
 
