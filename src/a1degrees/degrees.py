@@ -8,22 +8,25 @@ local degrees at a multiple or non-rational point take this path; only
 the basis differs.  At a simple rational zero p the local algebra is k
 with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
 (Kass-Wickelgren), the value the local-ideal test already takes: no
-Bezoutian is built.  Over GF(p^k) a system (and point) whose coefficients
-all lie in GF(p) takes this path over GF(p), on the kernel's int
-residues, and its class is built over GF(p^k).
+Bezoutian is built.  The partials are read off each f_i's kernel terms
+and reduced modulo the point's basis to their values at p
+(`poly._remainder_and_partials`), so det J(p) is the determinant of a
+matrix of field scalars.  Over GF(p^k) a system (and point) whose
+coefficients all lie in GF(p) takes this path over GF(p), on the
+kernel's int residues, and its class is built over GF(p^k).
 
 The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
 it expands.  Rows of field constants (the linear f_i, and every row of
-the Jacobian modulo a simple point, where each entry reduces to its
-value) are cleared by column operations with field scalars, leaving
-+-pivot as a scalar factor.  The k x k block left is expanded by minors,
-bottom rows first, each memoized by its column subset: k * 2^(k-1)
-products of an entry and a minor, with 2^k <= prod deg f_i, the size of
-the Gram matrix.  The expansion is reduced once more before it leaves.
-Reducing the entries gives the same normal form, as det is an integer
-polynomial in them, and keeps a high-degree f_i from expanding past the
-local algebra.
+the Bezoutian modulo a point of quotient dimension 1, where each entry
+reduces to its value) are cleared by column operations with field
+scalars, leaving +-pivot as a scalar factor.  The k x k block left is
+expanded by minors, bottom rows first, each memoized by its column
+subset: k * 2^(k-1) products of an entry and a minor, with
+2^k <= prod deg f_i, the size of the Gram matrix.  The expansion is
+reduced once more before it leaves.  Reducing the entries gives the same
+normal form, as det is an integer polynomial in them, and keeps a
+high-degree f_i from expanding past the local algebra.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from math import prod
 
 from .fields import _in_prime_field
 from .forms import MAX_MADE_RANK, GWClass, empty_form, make_gw_class
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, determinant,
-                   groebner_basis, normal_form, standard_monomials)
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
+                   _remainder_and_partials, determinant, groebner_basis,
+                   standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -226,7 +230,10 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     I + m^k, and det J(p) at a simple rational zero p, else None.
 
     At a point of quotient dimension 1, m is maximal with residue field k,
-    and the Jacobian's determinant modulo m is its value at p.  If
+    and every remainder modulo m is its value at p.  Each f enters the
+    kernel once, for the zero-locus check and for its partials, which are
+    formed from its packed terms and reduced modulo m's own prepared
+    divisors to field values: det J(p) is one scalar elimination.  If
     det J(p) is nonzero, the linear parts of the f_i span m/m^2, so
     I + m^2 = m: the zero is simple, and m's own basis is returned with
     that value.  Otherwise (and at any point of larger dimension, which
@@ -247,17 +254,19 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
     gb = groebner_basis(point)
+    rows = []
     for f in system.polys:
-        if normal_form(f, gb):
+        rem, row = _remainder_and_partials(f, gb)
+        if rem:
             raise ValueError("point not in zero locus")
+        rows.append(row)
     dim = len(standard_monomials(gb))
     if not dim:
         raise ValueError("the point's ideal is the unit ideal")
     if dim == 1:
-        jac = determinant([[f.derivative(j) for j in range(ring.nvars)]
-                           for f in system.polys], ring, gb)
+        jac = determinant(rows, ring.field)
         if jac:
-            return gb, jac.terms[(0,) * ring.nvars]
+            return gb, jac
     while True:
         if dim > system.bezout_number:
             raise ValueError("zeros are not isolated")

@@ -668,4 +668,7 @@ def is_square(a, F: FieldDesc) -> bool:
     if F.kind == "QQ":  # n/d in lowest terms: a square iff n and d are
         n, d = a.numerator, a.denominator
         return a > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    c, p = a.coeffs, F.char
+    if not any(c[1:]):  # in GF(p): a square once k is even, else Euler's
+        return F.degree % 2 == 0 or pow(c[0], (p - 1) // 2, p) == 1
     return a ** ((F.order - 1) // 2) == F.one()  # Euler's criterion

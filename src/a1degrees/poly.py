@@ -21,7 +21,9 @@ when it first enters a term dict, so a product or a reduction that would
 cross the bound raises too.  Each public entry packs once and unpacks
 once: `normal_form`, `exact_quotient`, `groebner_basis`, `determinant`,
 `Polynomial.__mul__` and `__pow__` through `_enter` and `_public`, and the
-parser through `_public`.  One loop, `_mul_into`, forms every product.
+parser through `_public`.  One loop, `_mul_into`, forms every product of
+term dicts; the parser multiplies two one-term factors by adding their
+keys.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements.  Only `_enter`, which makes den * f integral (den is 1
@@ -935,6 +937,37 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     return Polynomial(ring, _public(ring, rem, den * s))
 
 
+def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
+    """(rem, row): rem is den * f's kernel remainder modulo gb, empty exactly
+    when f lies in gb's ideal.  If it does, and gb's leading monomials are
+    the variables, gb is x_i - a_i for a rational point a and every
+    remainder is a constant, the value at a: row is then [df/dx_j (a) for
+    each j] as field values.  Otherwise row is None.
+
+    f enters the kernel once.  A packed term m * c with exponent e_j > 0
+    gives df/dx_j the term (m - units[j]) * (c * e_j), and each partial is
+    reduced modulo gb's own prepared divisors and divided by den * s.
+    """
+    ring = f.ring
+    field, pk, divisors = ring.field, ring._packing, gb._divisors
+    den, terms = _enter(f)
+    rem = _reduce_terms(ring, terms, divisors)[0]
+    if rem or sorted(lm for lm, _, _ in divisors) != sorted(pk.units):
+        return rem, None
+    partials = [{} for _ in pk.units]
+    for m, c in terms.items():
+        for e, unit, partial in zip(pk.unpack(m), pk.units, partials):
+            if e:
+                partial[m - unit] = c * e
+    row = []
+    for partial in partials:
+        r, s = _reduce_terms(ring, partial, divisors)
+        c = r.get(0, 0)  # the constant's key: 0 packs to 0
+        row.append(Fraction(c, den * s) if field.kind == "QQ" else
+                   field.coerce(c))
+    return rem, row
+
+
 # ---------------------------------------------------------------------------
 # Colon ideals, saturation, quotient bases.
 
@@ -1069,23 +1102,22 @@ def resultant_univariate(f: Polynomial, g: Polynomial):
 # parentheses; implicit multiplication is rejected.
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^])|(\S)")
+_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str):
     tokens = []
     for m in _TOKEN.finditer(text):
-        if m.group(4):
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
-        if m.group(1):
+        group = m.lastindex  # the one alternative that matched
+        val, at = m[group], m.start()
+        if group == 4:
+            raise ParseError(f"unexpected character {val!r}", at)
+        if group == 1:
             try:
-                value = int(m.group(1))
+                val = int(val)
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise ParseError("integer literal too long", m.start()) from None
-            tokens.append(("int", value, m.start()))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start()))
-        else:
-            tokens.append(("op", m.group(3), m.start()))
+                raise ParseError("integer literal too long", at) from None
+        tokens.append((_KINDS[group], val, at))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -1106,9 +1138,6 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
     gf_words = None if qq else (p.bit_length() + 63) // 64 * field.degree
 
-    def peek():
-        return tokens[pos]
-
     def advance():
         nonlocal pos
         tok = tokens[pos]
@@ -1119,17 +1148,32 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         """The size of a's widest coefficient in 64-bit words, at least 1."""
         if not qq:
             return gf_words
-        bits = max((abs(c).bit_length() for c in a.values()), default=0)
+        bits = max(map(int.bit_length, a.values()), default=0)
         return (bits + 63) // 64 or 1
 
     def product(a, b, at):
         nonlocal work
-        work += len(a) * len(b) * (1 + words(a) * words(b) // 128)
+        single = len(a) == len(b) == 1
+        if single:  # words() of the one coefficient each, without a scan
+            (ea, ca), = a.items()
+            (eb, cb), = b.items()
+            wa = gf_words or (ca.bit_length() + 63) // 64 or 1
+            wb = gf_words or (cb.bit_length() + 63) // 64 or 1
+        else:
+            wa, wb = words(a), words(b)
+        work += len(a) * len(b) * (1 + wa * wb // 128)
         if work > MAX_PARSE_PRODUCTS:
             raise ValueError(f"expanding the polynomial takes more than "
                              f"{MAX_PARSE_PRODUCTS} term products (at "
                              f"position {at})")
-        return _product(a, b, pk.guard, p)
+        if not single:
+            return _product(a, b, pk.guard, p)
+        # One term: the keys add and the coefficients multiply.  Over GF
+        # neither residue is 0 mod p, so neither is their product.
+        e, c = ea + eb, ca * cb
+        if e & pk.guard:
+            raise ValueError(_TOO_LARGE)
+        return {e: c % p if p else c}
 
     def nested(parse, at):
         """parse() one level deeper."""
@@ -1145,21 +1189,21 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     def parse_expr():
         # The sum folds into one terms dict, not a copy per summand.
         terms, sign = {}, "+"
-        kind, val, at = peek()
+        kind, val, at = tokens[pos]
         while True:
             if kind == "op" and val in "+-":
                 advance()
                 sign = val
             node = parse_term()
             _add_into(terms, _negated(node) if sign == "-" else node)
-            kind, val, at = peek()
+            kind, val, at = tokens[pos]
             if not (kind == "op" and val in "+-"):
                 return _residues(terms, p) if p else terms
 
     def parse_term():
         node = parse_factor()
         while True:
-            kind, val, at = peek()
+            kind, val, at = tokens[pos]
             if kind == "op" and val == "*":
                 advance()
                 node = product(node, parse_factor(), at)
@@ -1169,13 +1213,13 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 return node
 
     def parse_factor():
-        kind, val, at = peek()
+        kind, val, at = tokens[pos]
         if kind == "op" and val in "+-":
             advance()
             node = nested(parse_factor, at)
             return _negated(node) if val == "-" else node
         node = parse_base()
-        kind, val, at = peek()
+        kind, val, at = tokens[pos]
         if kind == "op" and val == "^":
             advance()
             kind, exp, at = advance()
@@ -1206,7 +1250,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         raise ParseError("expected a number, variable or '('", at)
 
     node = parse_expr()
-    kind, val, at = peek()
+    kind, val, at = tokens[pos]
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
     return Polynomial(ring, _public(ring, node, 1, p))

@@ -141,7 +141,6 @@ def test_one_reduction_pass_per_degree(monkeypatch):
 
     monkeypatch.setattr(poly, "_prep_divisors", preparing)
     monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
-    monkeypatch.setattr(degrees, "normal_form", normal_form)
     monkeypatch.setattr(poly, "normal_form", normal_form)
     global_a1_degree(f)
     # The X-copy and the Y-copy of the basis are the basis's own divisors
@@ -802,6 +801,31 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
                                  "determinant"]
                 assert beta.rank > 1
     assert simple > 0 and multiple > 0
+
+
+def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
+    # The partials come from each f's packed terms, entered once for the
+    # zero-locus check and the Jacobian together: no public derivative.
+    # At (1/2, -1/3) det J = 1/3 * 15 - 3 * (-2/3) = 7.
+    ring, f = system(("x", "y"), [
+        "(2*x - 1)*(x + y) + 3*y + 1",
+        "(3*y + 1)^2 + (2*x - 1)*y + 5*(3*y + 1)"])
+    point = Ideal.of(ring, "2*x - 1", "3*y + 1")
+    entered = []
+    enter = poly._enter
+
+    def recording(g):
+        entered.append(g)
+        return enter(g)
+
+    def refused(self, i):
+        raise AssertionError("a simple zero builds no derivative")
+
+    monkeypatch.setattr(poly, "_enter", recording)
+    monkeypatch.setattr(Polynomial, "derivative", refused)
+    beta = local_a1_degree(f, point)
+    assert beta.gram == ((Fraction(7),),)
+    assert [sum(g is h for h in entered) for g in f.polys] == [1, 1]
 
 
 # -- local-global oracle at closed points --------------------------------------

@@ -326,6 +326,16 @@ def test_is_square_examples():
     assert is_square(F13.coerce(3), F13)
 
 
+def test_is_square_matches_the_full_euler_criterion():
+    # Elements of GF(p) take the short test; the rest the full power.
+    for q, p, k in ((25, 5, 2), (27, 3, 3), (121, 11, 2)):
+        F = gf_construct(p, k)
+        for a in F.elements():
+            if a:
+                euler = a ** ((q - 1) // 2) == F.one()
+                assert is_square(a, F) == euler, (q, a)
+
+
 def test_is_square_rejects_zero():
     with pytest.raises(ValueError):
         is_square(Fraction(0), QQ)

@@ -204,6 +204,22 @@ def test_small_fields_weigh_one_per_term_product(monkeypatch, p, k):
         R.from_string("(x + 1)*(y - 1)*(x - y)")
 
 
+@pytest.mark.parametrize("p, cap", [(None, 3), (2 ** 2203 - 1, 35)],
+                         ids=["QQ", "GF(2^2203-1)"])
+def test_parser_charges_each_one_term_product(monkeypatch, p, cap):
+    # A product of two one-term factors is one weighted term product: 1
+    # over QQ with small coefficients, 10 over a field of 35 words.
+    R = ring("x", "y", "z", field=QQ if p is None else gf_construct(p, 1))
+    monkeypatch.setattr(poly, "MAX_PARSE_PRODUCTS", cap)
+    x, y, z = (R.variable(i) for i in range(3))
+    assert R.from_string("2*x*y*z") == 2 * x * y * z
+    assert R.from_string("x^2*y^2") == x * x * y * y
+    for text, at in (("2*x*y*z*x", 7), ("(2*x)*(3*y)*z*x", 11)):
+        with pytest.raises(ValueError, match=f"more than {cap} term products "
+                                             f"\\(at position {at}\\)"):
+            R.from_string(text)
+
+
 PARSE_ERRORS = [
     ("2x + 1", "implicit multiplication is not allowed (at position 1)"),
     ("x^", "exponent must be an integer literal (at position 2)"),

@@ -172,6 +172,18 @@ CLI_DECK = [
     # a zero with J(p) = 0 over GF(121)
     ["degree", "local", "--field", "GF(121)", *_SYSTEM, "--ideal", "x; y",
      "--json"],
+    # a simple zero at (1/2, -1/3): det J = 1/3 * 15 - 3 * (-2/3) = 7
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "(2*x - 1)*(x + y) + 3*y + 1; (3*y + 1)^2 + (2*x - 1)*y + 5*(3*y + 1)",
+     "--ideal", "2*x - 1; 3*y + 1", "--json"],
+    # a zero at (2, -1) over GF(25) where det J = 1*2 - 1*2 vanishes mod 5
+    ["degree", "local", "--field", "GF(25)", "--vars", "x,y", "--polys",
+     "(x - 2)*(x + y) + y + 1; (y + 1)^2 + 3*(x - 2)*y + 2*(y + 1)",
+     "--ideal", "x - 2; y + 1", "--json"],
+    # one-term products with signs, a wide literal and zero exponents
+    ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
+     "- - x*-y + 12345678901234567890123456789*x*y*x - 3*x^0*y^1; y^2 - x",
+     "--json"],
 ]
 
 # Fields of order 625 to 4093, each with a form's invariants, its Witt
