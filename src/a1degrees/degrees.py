@@ -11,9 +11,10 @@ with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
 Bezoutian is built.  The partials are read off each f_i's kernel terms
 and reduced modulo the point's basis to their values at p
 (`poly._remainder_and_partials`), so det J(p) is the determinant of a
-matrix of field scalars.  Over GF(p^k) a system (and point) whose
-coefficients all lie in GF(p) takes this path over GF(p), on the
-kernel's int residues, and its class is built over GF(p^k).
+matrix of field scalars.  Over every field the kernel computes on ints:
+over GF(p^k) the Kronecker-packed elements of `fields.FieldDesc.reduce`,
+which for data in GF(p) are their residues, so such a system costs about
+what it does over GF(p) without being moved there.
 
 The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .fields import _in_prime_field
 from .forms import MAX_MADE_RANK, GWClass, empty_form, make_gw_class
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
                    _remainder_and_partials, determinant, groebner_basis,
@@ -131,14 +131,11 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
     return BezoutianMatrix(dring, tuple(rows))
 
 
-def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis,
-                       field) -> GWClass:
-    """The class over field of the Gram matrix of NF(det B) on basis_gb's
-    standard monomials; the system is over field or, descended, over its
-    prime field (see `_over_prime_field`), whose values `make_gw_class`
-    coerces into field by their residues."""
+def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
+    """The class of the Gram matrix of NF(det B) on basis_gb's standard
+    monomials."""
     ring = system.ring
-    n = ring.nvars
+    n, field = ring.nvars, ring.field
     mons = standard_monomials(basis_gb)
     if not mons:
         return empty_form(field)
@@ -162,36 +159,6 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis,
                 "reduced Bezoutian left the basis grid; reduction bug")
         gram[xi][yj] = c
     return make_gw_class(gram, field)
-
-
-def _over_prime_field(system: EndoSystem, point: Ideal | None = None):
-    """(system, point) over GF(p) when the field is GF(p^k), k >= 2, and
-    every coefficient of both lies in GF(p); else the inputs themselves.
-
-    The Groebner bases, the Bezoutian, its determinant and the Jacobian
-    only add, multiply and divide coefficients, so from GF(p) data they
-    compute the same values over GF(p) as over GF(p^k), there on the int
-    residue paths of the kernel.  The polynomial grammar names no element
-    outside GF(p), so every CLI system descends; only library-built
-    polynomials can stay.
-    """
-    field = system.ring.field
-    if field.degree < 2 or point is not None and point.ring != system.ring:
-        return system, point  # a foreign point is refused as it is
-    polys = system.polys + (point.generators if point is not None else ())
-    if not _in_prime_field(field, (c for f in polys
-                                   for c in f.terms.values())):
-        return system, point
-    base = field.prime_field
-    ring = PolyRing(base, system.ring.variables, system.ring.order)
-
-    def down(fs):
-        return tuple(Polynomial(ring, {e: base.coerce(c.coeffs[0])
-                                       for e, c in f.terms.items()})
-                     for f in fs)
-
-    return (EndoSystem(ring, down(system.polys)),
-            None if point is None else Ideal(ring, down(point.generators)))
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is
@@ -219,10 +186,8 @@ def global_a1_degree(system: EndoSystem) -> GWClass:
     if system.bezout_number > MAX_BEZOUT:
         raise ValueError(f"Bezout number {system.bezout_number} exceeds "
                          f"{MAX_BEZOUT}")
-    field = system.ring.field
-    system, _ = _over_prime_field(system)
     gb = groebner_basis(Ideal(system.ring, system.polys))
-    return _degree_from_basis(system, gb, field)
+    return _degree_from_basis(system, gb)
 
 
 def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
@@ -296,9 +261,7 @@ def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
     """Local degree: the global pipeline run against the local algebra,
     except at a simple rational zero p, where the Gram matrix on the
     basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took."""
-    field = system.ring.field
-    system, point = _over_prime_field(system, point)
     gb, jac = _local_ideal(system, point)
     if jac is not None:
-        return make_gw_class([[jac]], field)
-    return _degree_from_basis(system, gb, field)
+        return make_gw_class([[jac]], system.ring.field)
+    return _degree_from_basis(system, gb)

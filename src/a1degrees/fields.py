@@ -2,7 +2,9 @@
 
 Rationals are plain ``fractions.Fraction`` values.  Finite fields GF(p^k)
 are described by a :class:`FieldDesc` carrying a monic irreducible modulus
-over Z/p; their elements are :class:`FFElement`.  The real and complex
+over Z/p; their elements are :class:`FFElement`, and the ints on which the
+polynomial kernel and the Gram elimination compute are the descriptor's
+(`FieldDesc.pack`, `reduce`, `invert`, `unpack`).  The real and complex
 "fields" are tags on exact rational data: no floating point is used
 anywhere in this package.
 """
@@ -312,6 +314,14 @@ def _tuple_inverse(a: tuple, mod: tuple, p: int) -> tuple | None:
     return tuple([x * c % p for x in s1])
 
 
+def _packed(coeffs, w: int) -> int:
+    """sum coeffs[i] * 2^(w i): the Kronecker packing of `FieldDesc.reduce`."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v << w | c
+    return v
+
+
 def _pmod_pow(a: tuple, n: int, mod: tuple, p: int) -> tuple:
     """a^n for a residue a and n >= 0."""
     if len(mod) == 2:
@@ -469,6 +479,75 @@ class FieldDesc:
                              modulus=(0, 1))
         return base
 
+    @functools.cached_property
+    def _width(self) -> int:
+        """w, the bits of one slot of a packed element: see `reduce`, which
+        with `pack`, `invert` and `unpack` alone reads and writes the ints
+        that `poly`'s loops and `forms._eliminate` compute on over GF(q)."""
+        return 2 * self.char.bit_length() + self.degree.bit_length() + 64
+
+    def pack(self, a: "FFElement") -> int:
+        """The kernel int of a: a_0 for an element of GF(p)."""
+        return _packed(a.coeffs, self._width)
+
+    def unpack(self, c: int) -> "FFElement":
+        """The element of a reduced kernel int."""
+        w, k = self._width, self.degree
+        if c >> w:
+            mask = (1 << w) - 1
+            return FFElement(self, tuple([c >> w * i & mask
+                                          for i in range(k)]))
+        return FFElement(self, (c,) + (0,) * (k - 1))
+
+    def invert(self, c: int) -> int:
+        """The reduced kernel int of 1 / a, for the kernel int c of a
+        nonzero a."""
+        p, c = self.char, self.reduce(c)
+        if c < p:  # a lies in GF(p)
+            return pow(c, -1, p)
+        coeffs = _tuple_inverse(self.unpack(c).coeffs, self.modulus, p)
+        return _packed(coeffs, self._width)
+
+    @functools.cached_property
+    def reduce(self):
+        """The kernel's reducer over GF(q), None over QQ, RR and CC: a
+        function taking a kernel int to the reduced int of its element.
+
+        a = sum a_i t^i, 0 <= a_i < p, packs to sum a_i 2^(w i) (Kronecker's
+        t = 2^w), so ints add and multiply as polynomials in t, unreduced,
+        and read back exactly as signed w-bit slots while every slot s has
+        |s| < 2^(w - 1).  The kernel multiplies only reduced ints (or their
+        negations), or one by an int n below 2^31, which counts as n
+        products, and it reduces a product of products (the determinant's
+        pivot scale and minors, the elimination's det, den and D) before
+        multiplying it again.  A product of two reduced ints has at most k
+        terms per slot, each below p^2 < 2^(2b), so a sum of up to 2^63 of
+        them, more than any loop here runs, keeps |s| < 2^(2b + bits(k) +
+        63) = 2^(w - 1).  The reducer decodes the slots, takes each mod p,
+        folds t^i for i >= k by the modulus and packs again: k slots in
+        [0, p), 0 exactly for zero.  An int of one slot reduces by c % p, so
+        an element of GF(p) is its residue here as over GF(p) itself.
+        """
+        if self.kind != "GF":
+            return None
+        p = self.char
+        if self.degree == 1:
+            return p.__rmod__
+        w, mod = self._width, self.modulus
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        low = -half
+
+        def reduce(c: int) -> int:
+            if low < c < half:
+                return c % p
+            slots = []
+            while c:
+                slots.append(((c + half) & mask) - half)
+                c = (c + half) >> w
+            return _packed(_fold(slots, mod, p), w)
+
+        return reduce
+
     def zero(self):
         return self.coerce(0)
 
@@ -522,6 +601,10 @@ class FieldDesc:
         if self.kind == "GF":
             return f"FieldDesc('GF', {self.char}, {self.degree}, {self.modulus})"
         return f"FieldDesc({self.kind!r})"
+
+    def __getstate__(self):  # the cached reducer, a closure, is rebuilt
+        return {k: self.__dict__[k] for k in ("kind", "char", "degree",
+                                              "modulus")}
 
 
 QQ = FieldDesc("QQ")
@@ -642,12 +725,6 @@ class FFElement:
 
     def __repr__(self):
         return f"FFElement({self.field}, {self.coeffs})"
-
-
-def _in_prime_field(field: FieldDesc, values) -> bool:
-    """Whether every element of the finite field lies in its prime field
-    GF(p): a residue of degree 0."""
-    return field.degree == 1 or not any(any(c.coeffs[1:]) for c in values)
 
 
 def gf_construct(p: int, k: int, modulus=None) -> FieldDesc:

@@ -19,8 +19,8 @@ from typing import Optional
 
 from . import fields
 from .fields import (QQ, FFElement, FieldDesc, _check_prime, _class_integer,
-                     _coefficient_vectors, _in_prime_field, _split_prime,
-                     fraction_sqrt, is_square, squarefree_part)
+                     _coefficient_vectors, _split_prime, fraction_sqrt,
+                     is_square, squarefree_part)
 
 __all__ = [
     "GWClass",
@@ -157,12 +157,12 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     pivots times g^2 for each hyperbolic plane's entry g.  L is the lcm of
     the gram's denominators (1 over GF).
 
-    The trailing block is N / D, a matrix N over one scalar D, over every
-    field.  Over QQ, RR and CC N enters as the integer matrix N = L * gram
-    over D = L; over GF(q) as the gram over D = 1, its entries' residues
-    mod p, ints, when every entry lies in GF(p) (always over GF(p) itself),
-    and else the field elements.  Only the upper triangle is kept up to
-    date; a swap or a plane first mirrors it.
+    The trailing block is N / D, a matrix N of ints over one int D, over
+    every field.  Over QQ, RR and CC N enters as the integer matrix
+    N = L * gram over D = L; over GF(q) as the gram's kernel ints
+    (`FieldDesc.pack`; the residues over GF(p), and for entries in GF(p))
+    over D = 1.  Only the upper triangle is kept up to date; a swap or a
+    plane first mirrors it.
 
     Step i pivots on p = N_ii, and the pivot is p / D.  A step whose row is
     nonzero past the diagonal sets N_jk <- p * N_jk - N_ij * N_ik and
@@ -178,31 +178,29 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     Three things depend on the domain: how the entries enter; the division
     that makes the pivots, det (a numerator over a denominator until the
     end) and the columns of P (Fraction over the integers, and over GF the
-    field's own, into which GF(p) residues are coerced); and what follows
-    each rescaling.  Over the integers N and D are divided by
-    gcd(D, content(N)).  That keeps D the lcm of the block's denominators,
-    so the entries stay the size of the true Schur complement's.  Over
-    GF(p) residues N and D are reduced mod p instead, which keeps every
-    entry below p in size, so an entry is zero exactly when its residue
-    is.  Field elements need neither.
+    field element of the reduced quotient); and what follows each
+    rescaling.  Over the integers N and D are divided by gcd(D, content(N)).
+    That keeps D the lcm of the block's denominators, so the entries stay
+    the size of the true Schur complement's.  Over GF N and D go through
+    the field's reducer instead, which keeps every entry the size of one
+    element, so an entry is zero exactly when its element is; and det and
+    den, products over every step, are reduced as they grow, each factor
+    first, so that no product of products is multiplied again.
     """
     n = len(gram)
     if field.kind != "GF":
         lcd = lcm(*(c.denominator for row in gram for c in row))
         div, divide_content = Fraction, _divide_content
+        reduce = operator.pos  # the integers need no reduction
         N = [[c.numerator * (lcd // c.denominator) for c in row]
              for row in gram]
         D, det, den = lcd, 1, 1
-    elif _in_prime_field(field, (c for row in gram for c in row)):
-        lcd, char = 1, field.char
-        div = lambda a, b: field.coerce(a * pow(b, -1, char))
-        divide_content = functools.partial(_reduce_rows, char)
-        N = [[c.coeffs[0] for c in row] for row in gram]
+    else:
+        lcd, reduce, pack, invert = 1, field.reduce, field.pack, field.invert
+        div = lambda a, b: field.unpack(reduce(a * invert(b)))
+        divide_content = functools.partial(_reduce_rows, reduce)
+        N = [[pack(c) for c in row] for row in gram]
         D = det = den = 1
-    else:  # a field has no content to divide
-        lcd, div, divide_content = 1, operator.truediv, lambda N, start, D: D
-        N = [list(row) for row in gram]
-        D = det = den = field.one()
     cols = None
     if track:  # P by columns: every basis change is a column operation
         one, zero = field.one(), field.zero()
@@ -224,8 +222,8 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
                 if j is None:
                     raise ValueError("degenerate form")
                 g = N[i][j]
-                det *= g * g
-                den *= D * D
+                det = reduce(det * reduce(g * g))
+                den = reduce(den * reduce(D * D))
                 u, v = D, 2 * g
                 ri = [u * x + v * y for x, y in zip(N[i][i:], N[j][i:])]
                 rj = [u * x - v * y for x, y in zip(N[i][i:], N[j][i:])]
@@ -249,8 +247,8 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
                     cols[j] = [alpha * a - b for a, b in zip(ci, cj)]
         row = N[i]
         p = row[i]
-        det *= p
-        den *= D
+        det = reduce(det * p)
+        den = reduce(den * D)
         pivots.append(div(p, D))
         support = [j for j in range(i + 1, n) if row[j]]
         if support:
@@ -267,12 +265,12 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     return tuple(pivots), div(det, den), lcd, cols
 
 
-def _reduce_rows(p: int, G, start: int, D: int) -> int:
-    """Reduce the upper triangle's rows from ``start`` and D mod p; return
-    the new D."""
+def _reduce_rows(reduce, G, start: int, D: int) -> int:
+    """Put the upper triangle's rows from ``start`` and D through the field's
+    reducer; return the new D."""
     for r in range(start, len(G)):
-        G[r][r:] = [x % p for x in G[r][r:]]
-    return D % p
+        G[r][r:] = map(reduce, G[r][r:])
+    return reduce(D)
 
 
 def _divide_content(G, start: int, D: int) -> int:

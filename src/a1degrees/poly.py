@@ -26,27 +26,26 @@ term dicts; the parser multiplies two one-term factors by adding their
 keys.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
-field elements.  Only `_enter`, which makes den * f integral (den is 1
-over GF), and `_public`, which divides by an int on the way out, cross
-between the two.  Over QQ the kernel's loops see only ints; the one
-exception is `determinant`'s elimination, which reads each constant entry
-as a `Fraction` to choose and apply its pivots.  Over a prime field
-GF(p) they see ints too: `_enter` takes each coefficient's residue, the
-loops add and multiply without reducing, and a value is reduced mod p
-only where it is read, when `_reduce_terms` pops it, when the parser
-forms a sum or a product, when `determinant` clears a column with int
-scalars, and in `_public`, which drops what vanishes mod p and makes
-field elements again.  The parser folds over GF(p^k) as over GF(p): its
-integer literals lie in GF(p), so its terms are residues mod p until
-`_public` makes them GF(p^k) elements.  Otherwise over GF(p^k), k >= 2,
-the kernel's coefficients stay field elements; but a degree whose system
-lies in GF(p) is computed over GF(p) (`degrees._over_prime_field`), so
-only polynomials built through the library with coefficients outside
-GF(p) bring them to the kernel's loops.  A divisor is a `_prep_divisor`
-triple: over QQ its primitive integer multiple, and division is
-pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), multiplying the work by a
-running integer scale instead of dividing by leading coefficients; over
-GF it is made monic once, so nothing scales.  The same heap loop serves every domain.
+field elements; the kernel's loops see only ints, over every field.  Only
+`_enter`, which makes den * f integral (den is 1 over GF), and `_public`,
+which divides by an int on the way out, cross between the two.  Over QQ
+the one exception is `determinant`'s elimination, which reads each
+constant entry as a `Fraction` to choose and apply its pivots.  Over
+GF(q) a coefficient is its field's kernel int (`FieldDesc.pack`): its
+residue over GF(p), and over GF(p^k) its coefficients Kronecker-packed, so
+an element of GF(p) is its residue there too.  The loops add and multiply
+these ints without reducing, and a value goes through the field's reducer
+(`FieldDesc.reduce`, c % p over GF(p)) only where it is read or before it
+is multiplied again: when `_reduce_terms` pops it, when the parser forms
+a sum or a product, when `determinant` clears a column, grows its pivot
+scale or finishes a level of minors, and in `_public`, which drops what
+vanishes and makes field elements again.  The parser's integer literals
+lie in GF(p), so over every finite field its terms are residues mod p.  A
+divisor is a `_prep_divisor` triple: over QQ its primitive integer
+multiple, and division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1),
+multiplying the work by a running integer scale instead of dividing by
+leading coefficients; over GF it is made monic once, so nothing scales.
+The same heap loop serves every field.
 """
 
 from __future__ import annotations
@@ -306,10 +305,9 @@ class Polynomial:
 
     def __pow__(self, n: int):
         ring = self.ring
-        guard, p = ring._packing.guard, _prime(ring.field)
+        guard, reduce = ring._packing.guard, ring.field.reduce
         den, terms = _enter(self)
-        terms = _power(terms, n, lambda a, b: _product(a, b, guard, p),
-                       _unit(ring.field))
+        terms = _power(terms, n, lambda a, b: _product(a, b, guard, reduce))
         return Polynomial(ring, _public(ring, terms, den ** n))
 
     def derivative(self, i: int) -> "Polynomial":
@@ -397,10 +395,11 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     Terms leave a heap in descending order.  Each monomial is pushed once,
     when it enters the work set; one that cancels keeps its entry with a
     zero coefficient and is skipped when popped.  This is sound because a
-    reduction step only adds monomials below the one it removes.  Over
-    GF(p) a coefficient is reduced mod p when it is popped, the one place
-    it is read, so the updates below add plain ints, and one that cancels
-    only mod p is skipped there too; rem holds residues.
+    reduction step only adds monomials below the one it removes.  Over GF
+    a coefficient goes through the field's reducer when it is popped, the
+    one place it is read, so the updates below add products of reduced
+    ints, at most one per step to each, and one that cancels only in the
+    field is skipped there too; rem holds reduced ints.
 
     u is the divisor's leading coefficient, an int: 1 over GF, where
     every divisor is monic.  A term c that a divisor with u != 1 reduces
@@ -410,7 +409,7 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     (i, shift, c, t), t the value of s at that step: q_i is the sum of
     c * (s // t) * x^shift over divisor i's steps.
     """
-    guard, p = ring._packing.guard, _prime(ring.field)
+    guard, reduce = ring._packing.guard, ring.field.reduce
     work = dict(fterms)
     heap = [-m for m in work]
     heapify(heap)
@@ -419,8 +418,8 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
     while heap:
         m = -heappop(heap)
         c = work.pop(m)
-        if p:
-            c %= p
+        if reduce:
+            c = reduce(c)
         if not c:
             continue
         for di, (lm, u, tail) in enumerate(divisors):
@@ -457,36 +456,20 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
 def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
     integral coefficients, den the least positive integer that makes them
-    so: 1 over GF.  Over GF(p) the coefficients are their residues, ints in
-    [0, p); over GF(p^k) they stay field elements, whose arithmetic is
-    `FFElement`'s coefficient-tuple arithmetic."""
+    so: 1 over GF, where the coefficients are the field's reduced kernel
+    ints (`FieldDesc.pack`)."""
     field, pk = f.ring.field, f.ring._packing
     if field.kind == "QQ":
         den = lcm(*[c.denominator for c in f.terms.values()])
         return den, pk.pack_terms(f.terms, den)
-    terms = pk.pack_terms(f.terms)
-    if _prime(field):
-        terms = {m: c.coeffs[0] for m, c in terms.items()}
-    return 1, terms
+    pack = field.pack
+    return 1, {m: pack(c) for m, c in pk.pack_terms(f.terms).items()}
 
 
-def _prime(field) -> int:
-    """p over a prime field GF(p), whose kernel coefficients are ints reduced
-    mod p where they are read; 0 over QQ, whose are ints too, and over
-    GF(p^k), whose are field elements everywhere but in the parser, which
-    folds residues mod the characteristic itself."""
-    return field.char if field.degree == 1 else 0
-
-
-def _unit(field):
-    """The kernel's 1: the int over QQ and GF(p), the field's 1 over
-    GF(p^k)."""
-    return field.one() if field.degree > 1 else 1
-
-
-def _residues(terms: dict, p: int) -> dict:
-    """The int terms reduced mod p, without those that vanish."""
-    return {e: r for e, c in terms.items() if (r := c % p)}
+def _residues(terms: dict, reduce) -> dict:
+    """The int terms through the field's reducer, without those that
+    vanish."""
+    return {e: r for e, c in terms.items() if (r := reduce(c))}
 
 
 def _prep_divisor(field, terms: dict, den=1):
@@ -494,9 +477,8 @@ def _prep_divisor(field, terms: dict, den=1):
     list of (e, c): the triple's divisor is k * g.
 
     Over QQ it is g's primitive integer multiple, and u its leading
-    coefficient, > 0.  Over GF it is g made monic, k the inverse of g's
-    leading coefficient, taken once here (over GF(p) an int, pow(lc, -1,
-    p), and the tail residues), and u the int 1.
+    coefficient, > 0.  Over GF it is g made monic, k the kernel int of the
+    inverse of g's leading coefficient, taken once here, and u the int 1.
     """
     lm = max(terms)
     if field.kind == "QQ":
@@ -507,14 +489,11 @@ def _prep_divisor(field, terms: dict, den=1):
         terms = {e: c // content for e, c in terms.items()}
         u = terms[lm]
     else:
-        k, u, p = 1, 1, _prime(field)
+        k = u = 1
         if terms[lm] != 1:
-            if p:
-                k = pow(terms[lm], -1, p)
-                terms = {e: c * k % p for e, c in terms.items()}
-            else:
-                k = terms[lm].inverse()
-                terms = {e: c * k for e, c in terms.items()}
+            k = field.invert(terms[lm])
+            terms = _residues({e: c * k for e, c in terms.items()},
+                              field.reduce)
     return k, (lm, u, [(e, c) for e, c in terms.items() if e != lm])
 
 
@@ -523,20 +502,18 @@ def _prep_divisors(polys):
     return [_prep_divisor(g.ring.field, _enter(g)[1])[1] for g in polys if g]
 
 
-def _public(ring, terms: dict, s, p=None) -> dict:
+def _public(ring, terms: dict, s) -> dict:
     """Kernel terms divided by the int s as public terms: exponent tuples,
-    and Fractions over QQ.  Over GF s is 1; residues mod p, reduced here,
-    become field elements, and those that vanish mod p go.  p defaults to
-    `_prime`: over GF(p^k) the kernel's coefficients are field elements
-    already, and only the parser's are residues."""
+    and Fractions over QQ.  Over GF s is 1; the ints, reduced here, become
+    field elements (`FieldDesc.unpack`), and those that vanish go."""
     field = ring.field
-    if field.kind == "QQ":
-        return {e: Fraction(c, s) for e, c in
-                ring._packing.unpack_terms(terms).items()}
-    if p is None:
-        p = _prime(field)
-    if p:
-        terms = {m: field.coerce(r) for m, c in terms.items() if (r := c % p)}
+    if field.kind == "GF":
+        reduce, unpack = field.reduce, field.unpack
+        terms = {m: unpack(r) for m, c in terms.items() if (r := reduce(c))}
+    elif s == 1:
+        terms = {m: Fraction(c) for m, c in terms.items()}
+    else:
+        terms = {m: Fraction(c, s) for m, c in terms.items()}
     return ring._packing.unpack_terms(terms)
 
 
@@ -576,11 +553,11 @@ def _add_into(out: dict, terms: dict) -> None:
             del out[e]
 
 
-def _power(terms: dict, n: int, product, one) -> dict:
+def _power(terms: dict, n: int, product) -> dict:
     """The packed terms of f ** n, f's packed terms given, by repeated
     squaring: each product of two term dicts formed by ``product``, a
     monomial's too, so what ``product`` bounds bounds every power; f ** 0
-    is ``one``, the kernel's 1."""
+    is the kernel's 1, the int."""
     if n < 0:
         raise ValueError("negative polynomial power")
     # Seeded by the first factor, not by one: integer terms stay so.
@@ -591,14 +568,14 @@ def _power(terms: dict, n: int, product, one) -> dict:
         n >>= 1
         if n:
             base = product(base, base)
-    return {0: one} if result is None else result
+    return {0: 1} if result is None else result
 
 
-def _product(a: dict, b: dict, guard: int, p: int) -> dict:
-    """The product of two packed term dicts, reduced mod p over GF(p), so
-    that a chain of products keeps residues."""
+def _product(a: dict, b: dict, guard: int, reduce) -> dict:
+    """The product of two packed term dicts, through the field's reducer
+    over GF, so that a chain of products multiplies reduced ints."""
     out = _mul_into({}, a.items(), b.items(), guard)
-    return _residues(out, p) if p else out
+    return _residues(out, reduce) if reduce else out
 
 
 def _mul_into(out: dict, a, b, guard: int) -> dict:
@@ -653,17 +630,17 @@ def determinant(rows, ring, modulo=None):
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
-    qq, p = field.kind == "QQ", _prime(field)
-    # Over GF(p) the scalars are ints too, reduced mod p as entries leave
-    # a column operation, and inverted by pow.
-    zero, one = (0, 1) if p else (field.zero(), field.one())
+    qq, reduce = field.kind == "QQ", field.reduce
+    # Over GF the scalars are kernel ints too, reduced as they are formed
+    # and as entries leave a column operation.
+    zero, one = (field.zero(), field.one()) if qq else (0, 1)
     divisors = None if modulo is None else _divisors_of(modulo, ring)
 
     def enter(x):
         """(d, terms): terms is d * x in the kernel's form, or its
         remainder modulo divisors; a field scalar is the monomial 0."""
         if not polynomial:
-            c = x.numerator if qq else x.coeffs[0] if p else x
+            c = x.numerator if qq else field.pack(x)
             return (x.denominator if qq else 1), ({0: c} if x else {})
         d, terms = _enter(x)
         if divisors is not None:
@@ -690,7 +667,7 @@ def determinant(rows, ring, modulo=None):
             d, kx, ky = 1, 1, -s
         out = dict(tx) if kx == 1 else {e: c * kx for e, c in tx.items()}
         _add_into(out, {e: c * ky for e, c in ty.items()})
-        return d, _residues(out, p) if p else out
+        return d, out if qq else _residues(out, reduce)
 
     a = [[enter(x) for x in row] for row in rows]
     scale = one
@@ -705,20 +682,22 @@ def determinant(rows, ring, modulo=None):
         if c is None:
             return ring.zero()
         pivot = values[c]
-        inv = pow(pivot, -1, p) if p else one / pivot
+        inv = one / pivot if qq else field.invert(pivot)
         column = [row[c] for row in a]
         for j, v in enumerate(values):
             if v and j != c:
-                s = v * inv
+                s = v * inv if qq else reduce(v * inv)
                 for i, x in enumerate(column):
                     if i != r and x[1]:
                         a[i][j] = minus(a[i][j], x, s)
         scale = scale * pivot if (r + c) % 2 == 0 else -(scale * pivot)
+        if not qq:
+            scale = reduce(scale)
         del a[r]
         for row in a:
             del row[c]
     if not polynomial:
-        return field.coerce(scale) if p else scale
+        return scale if qq else field.unpack(scale)
     # minors[S]: the packed minor of the last m rows on the columns in
     # bitmask S, times the pivots and times den.
     pk = ring._packing
@@ -735,6 +714,8 @@ def determinant(rows, ring, modulo=None):
             row.append((entry.items(), _negated(entry).items()))
         grown: dict = {}
         for s, minor in minors.items():
+            if not qq:  # reduced before it is multiplied again
+                minor = _residues(minor, reduce)
             for j, (entry, negated) in enumerate(row):
                 bit = 1 << j
                 if s & bit or not entry:
@@ -826,7 +807,7 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
     the polynomials are packed.
     """
     pk, field = ring._packing, ring.field
-    qq, one, unit = field.kind == "QQ", field.one(), _unit(field)
+    one = field.one()
     lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
@@ -875,10 +856,10 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
     while heap:
         s, l, i, j, _ = heappop(heap)
         # S = (lc_j/g)*mi*tail_i - (lc_i/g)*mj*tail_j, g = gcd(lc_i, lc_j);
-        # over GF both multipliers are the kernel's 1.
+        # over GF both multipliers are 1.
         (lmi, lci, taili), (lmj, lcj, tailj) = prepped[i], prepped[j]
         g = gcd(lci, lcj)
-        a, b = (lcj // g, lci // g) if qq else (unit, unit)
+        a, b = lcj // g, lci // g
         f: dict = {}
         _mul_into(f, [(l - lmi, a)], taili, pk.guard)
         _mul_into(f, [(l - lmj, -b)], tailj, pk.guard)
@@ -964,7 +945,7 @@ def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
         r, s = _reduce_terms(ring, partial, divisors)
         c = r.get(0, 0)  # the constant's key: 0 packs to 0
         row.append(Fraction(c, den * s) if field.kind == "QQ" else
-                   field.coerce(c))
+                   field.unpack(c))
     return rem, row
 
 
@@ -1125,15 +1106,15 @@ def _tokenize(text: str):
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     """The terms fold in the kernel's form, packed monomials and int
     coefficients, and leave it once, through `_public`, as field elements.
-    The grammar's only constants are integer literals, so over GF(p^k), as
-    over GF(p), every coefficient lies in GF(p) and is folded as its residue:
+    The grammar's only constants are integer literals, so over every finite
+    field each coefficient lies in GF(p), and its kernel int is its residue:
     literals, sums and products are reduced mod p as they are formed, and
     every term count below is the count of nonzero terms, as over any
     field."""
     tokens = _tokenize(text)
     pos = work = depth = 0
     field = ring.field
-    qq, p = field.kind == "QQ", field.char
+    qq, p, reduce = field.kind == "QQ", field.char, field.reduce
     pk = ring._packing
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
     gf_words = None if qq else (p.bit_length() + 63) // 64 * field.degree
@@ -1167,7 +1148,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                              f"{MAX_PARSE_PRODUCTS} term products (at "
                              f"position {at})")
         if not single:
-            return _product(a, b, pk.guard, p)
+            return _product(a, b, pk.guard, reduce)
         # One term: the keys add and the coefficients multiply.  Over GF
         # neither residue is 0 mod p, so neither is their product.
         e, c = ea + eb, ca * cb
@@ -1198,7 +1179,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             _add_into(terms, _negated(node) if sign == "-" else node)
             kind, val, at = tokens[pos]
             if not (kind == "op" and val in "+-"):
-                return _residues(terms, p) if p else terms
+                return _residues(terms, reduce) if reduce else terms
 
     def parse_term():
         node = parse_factor()
@@ -1227,7 +1208,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError("exponent must be an integer literal", at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
-            node = _power(node, exp, lambda a, b: product(a, b, at), 1)
+            node = _power(node, exp, lambda a, b: product(a, b, at))
         return node
 
     def parse_base():
@@ -1253,4 +1234,4 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     kind, val, at = tokens[pos]
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
-    return Polynomial(ring, _public(ring, node, 1, p))
+    return Polynomial(ring, _public(ring, node, 1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -733,6 +734,29 @@ def test_elements_refuse_foreign_operands(pk):
         with pytest.raises(TypeError):
             op()
     assert (a == "s") is False and a != "s"
+
+
+@pytest.mark.parametrize("pk", [(7, 1), (5, 2), (10007, 3), ((1 << 61) - 1, 2)])
+def test_kernel_ints_are_the_field(pk):
+    # pack, reduce, invert and unpack, the kernel's view of GF(q): packed
+    # ints add and multiply as their elements do, unreduced, an element of
+    # GF(p) packs to its residue, and a used descriptor still pickles.
+    F = gf_construct(*pk)
+    p, k = pk
+    rng = random.Random(str(F))
+    for _ in range(50):
+        a, b = (F.coerce(tuple(rng.randrange(p) for _ in range(k)))
+                for _ in range(2))
+        c, d = F.pack(a), F.pack(b)
+        assert F.reduce(c) == c and F.unpack(c) == a
+        assert F.unpack(F.reduce(c * d - 3 * d + c)) == a * b - 3 * b + a
+        if a:
+            assert F.unpack(F.invert(c)) == a.inverse()
+            assert F.invert(-c) == F.pack(-a.inverse())
+        n = rng.randrange(-p, p)
+        assert F.pack(F.coerce(n)) == F.reduce(n) == n % p
+    again = pickle.loads(pickle.dumps(F))
+    assert again == F and again.reduce(p + 1) == 1
 
 
 def test_descriptors_print_their_construction():

@@ -378,29 +378,72 @@ def test_zero_diagonal_elimination_at_rank_ten(field):
     assert congruence_holds(beta)
 
 
+def field_elimination(gram, field, track=True):
+    """`forms._eliminate`'s outcome computed on field elements: the same
+    pivot, swap and plane choices, made on the trailing Schur complement
+    itself, which is divided by each pivot as it goes."""
+    n = len(gram)
+    S = [list(row) for row in gram]
+    one, zero = field.one(), field.zero()
+    cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
+    pivots, det = [], one
+    for i in range(n):
+        if not S[i][i]:
+            j = next((j for j in range(i + 1, n) if S[j][j]), None)
+            if j is not None:
+                S[i], S[j] = S[j], S[i]
+                for row in S:
+                    row[i], row[j] = row[j], row[i]
+                cols[i], cols[j] = cols[j], cols[i]
+            else:
+                j = next((j for j in range(i + 1, n) if S[i][j]), None)
+                if j is None:
+                    raise ValueError("degenerate form")
+                # e_i <- alpha e_i + e_j, e_j <- alpha e_i - e_j, alpha
+                # = 1/2g: the plane <1, -1>, of determinant -1/g^2.
+                g = S[i][j]
+                det = det * g * g
+                alpha = (2 * g).inverse()
+                for rows in (S, cols):
+                    rows[i], rows[j] = (
+                        [alpha * a + b for a, b in zip(rows[i], rows[j])],
+                        [alpha * a - b for a, b in zip(rows[i], rows[j])])
+                for row in S:
+                    row[i], row[j] = (alpha * row[i] + row[j],
+                                      alpha * row[i] - row[j])
+        p = S[i][i]
+        det = det * p
+        pivots.append(p)
+        for j in range(i + 1, n):
+            f = S[i][j] / p
+            if f:
+                for k in range(i + 1, n):
+                    S[j][k] = S[j][k] - f * S[i][k]
+                cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
+    return tuple(pivots), det, 1, cols if track else None
+
+
 @pytest.mark.parametrize("field", [gf_construct(7, 1), gf_construct(5, 2),
                                    gf_construct(3, 3)], ids=str)
-def test_residue_elimination_is_the_field_elimination(monkeypatch, field):
-    # A Gram whose entries lie in GF(p) is eliminated on ints mod p; with
-    # that test forced off, on field elements.  Pivots, det and the tracked
-    # columns are the same field elements, through swaps and planes.
+def test_residue_elimination_is_the_field_elimination(field):
+    # A Gram over GF(q) is eliminated on its packed kernel ints, entries in
+    # GF(p) or not.  Pivots, det and the tracked columns are the field
+    # elements that the same elimination on field elements gives, through
+    # swaps and planes, and det is the determinant.
     rng = random.Random(f"residue elimination:{field}")
     prime = field.prime_field
     seen = {"degenerate": 0, "swap": 0, "pair": 0}
     for k in range(90):
         diagonal = ("dense", "some-zero", "zero")[k % 3]
-        m = [[field.coerce(c.coeffs[0]) for c in row] for row in
-             random_symmetric(rng, rng.randint(1, 7), prime, diagonal)]
+        source = prime if k % 2 else field
+        m = [[field.coerce(c) for c in row] for row in
+             random_symmetric(rng, rng.randint(1, 7), source, diagonal)]
         outcomes = []
-        for residues in (True, False):
-            if not residues:
-                monkeypatch.setattr(forms, "_in_prime_field",
-                                    lambda field, values: False)
+        for eliminate in (forms._eliminate, field_elimination):
             try:
-                outcomes.append(forms._eliminate(m, field, track=True))
+                outcomes.append(eliminate(m, field, track=True))
             except ValueError as exc:
                 outcomes.append(str(exc))
-            monkeypatch.undo()
         assert outcomes[0] == outcomes[1]
         if isinstance(outcomes[0], str):
             assert outcomes[0] == "degenerate form"
@@ -416,28 +459,19 @@ def test_residue_elimination_is_the_field_elimination(monkeypatch, field):
     assert min(seen.values()) >= 5, seen
 
 
-def test_a_class_outside_the_prime_field_keeps_field_elements(monkeypatch):
-    # A GF(25) class read back from JSON with a t entry is eliminated on
-    # field elements; one with entries in GF(5) on residues.
-    decided = []
-    original = forms._in_prime_field
-
-    def recording(field, values):
-        decided.append(original(field, values))
-        return decided[-1]
-
-    monkeypatch.setattr(forms, "_in_prime_field", recording)
+def test_a_class_outside_the_prime_field_keeps_field_elements():
+    # A GF(25) class read back from JSON, with a t entry or with entries in
+    # GF(5), is eliminated on packed ints; its pivots leave as elements.
     field = {"name": "GF(25)"}
     beta = cli.gwclass_from_json({"field": field,
                                   "gram": [["t", "1"], ["1", "0"]]})
-    assert decided == [False]
     t = beta.field.coerce((0, 1))
     assert beta._pivots == (t, -t.inverse())
     alpha = cli.gwclass_from_json({"field": field,
                                    "gram": [["2", "1"], ["1", "0"]]})
-    assert decided == [False, True]
     assert alpha._pivots == (alpha.field.coerce(2), alpha.field.coerce(-3))
-    assert all(type(c) is FFElement for c in alpha._pivots)
+    assert all(type(c) is FFElement and c.field == alpha.field
+               for c in (*beta._pivots, *alpha._pivots))
 
 
 # -- invariants --------------------------------------------------------------

@@ -10,14 +10,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from a1degrees import poly
-from a1degrees.fields import QQ, FFElement, gf_construct
+from a1degrees import forms, poly
+from a1degrees.fields import QQ, FieldDesc, gf_construct
 from a1degrees.poly import (MAX_EXPONENT, GroebnerBasis, Ideal, ParseError,
                             Polynomial, PolyRing, determinant, exact_quotient,
                             groebner_basis, ideal_quotient, normal_form,
                             parse_polynomial, resultant_univariate,
                             saturation, standard_monomials)
-from a1degrees.poly import _divides, _enter, _prep_divisors, _reduce_terms
+from a1degrees.poly import (_divides, _enter, _prep_divisors, _public,
+                            _reduce_terms)
 
 
 def ring(*names, field=QQ):
@@ -495,8 +496,8 @@ def quotients_of(R, steps, s, n):
     as public term dicts of the ring R."""
     quotients = [{} for _ in range(n)]
     for i, shift, c, t in steps:
-        quotients[i][R._packing.unpack(shift)] = c * (s // t)
-    return quotients
+        quotients[i][shift] = c * (s // t)
+    return [_public(R, q, 1) for q in quotients]
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(5, 2), gf_construct(3, 3)],
@@ -519,14 +520,13 @@ def test_division_identity_with_the_scale(field):
             gs = [with_denominators(g, rng) for g in gs]
         divisors = _prep_divisors(gs)
         steps = []
-        packed = R._packing.pack_terms(f.terms)
-        rem, scale = _reduce_terms(R, packed, divisors, steps)
-        rem = Polynomial(R, R._packing.unpack_terms(rem))
+        packed = _enter(f)[1]
+        kernel_rem, scale = _reduce_terms(R, packed, divisors, steps)
+        rem = Polynomial(R, _public(R, kernel_rem, 1))
         total = rem
         quotients = quotients_of(R, steps, scale, len(divisors))
         for (lm, u, tail), q, g in zip(divisors, quotients, gs):
-            divisor = Polynomial(R, R._packing.unpack_terms({lm: u,
-                                                             **dict(tail)}))
+            divisor = Polynomial(R, _public(R, {lm: u, **dict(tail)}, 1))
             assert divisor * g.leading_coefficient() == g * u
             if not qq:
                 assert type(u) is int and u == 1
@@ -541,7 +541,7 @@ def test_division_identity_with_the_scale(field):
             assert prepared == divisors
             again = []
             assert _reduce_terms(R, packed, prepared, again) == \
-                (R._packing.pack_terms(rem.terms), scale)
+                (kernel_rem, scale)
             assert again == steps
             g = gs[0]
             assert exact_quotient(f * g, c * g) == f * (1 / c)
@@ -831,10 +831,9 @@ def test_division_identity_over_extension_fields(q):
         f = random_dense(R, rng, 4)
         gs = [random_dense(R, rng, 2) for _ in range(3)]
         steps = []
-        rem, s = _reduce_terms(R, R._packing.pack_terms(f.terms),
-                               _prep_divisors(gs), steps)
+        rem, s = _reduce_terms(R, _enter(f)[1], _prep_divisors(gs), steps)
         assert s == 1
-        rem = Polynomial(R, R._packing.unpack_terms(rem))
+        rem = Polynomial(R, _public(R, rem, 1))
         total = rem
         for g, q_terms in zip(gs, quotients_of(R, steps, s, len(gs))):
             total = total + Polynomial(R, q_terms) * \
@@ -863,13 +862,14 @@ def test_exact_quotient_inverts_once_per_divisor(monkeypatch):
     f, g = random_dense(R, rng, 4), random_dense(R, rng, 2)
     product = f * g
     calls = []
-    original = FFElement.inverse
+    original = FieldDesc.invert
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def counting(self, c):
+        calls.append(c)
+        return original(self, c)
 
-    monkeypatch.setattr(FFElement, "inverse", counting)
+    # The kernel inverts its ints, through the field's one inverse.
+    monkeypatch.setattr(FieldDesc, "invert", counting)
     assert exact_quotient(product, g) == f
     assert len(f.terms) > 1 and len(calls) == 1
 
@@ -1062,6 +1062,129 @@ def test_frobenius_powers_cancel_mod_7():
     assert R.from_string("(x + y)^7") == s ** 7 == R.from_string("x^7 + y^7")
     assert (s + 1) ** 7 == R.from_string("x^7 + y^7 + 1")
     assert exact_quotient(R.from_string("x^7 + y^7"), s) == s ** 6
+
+
+# -- packed GF(p^k) coefficients against a schoolbook reference --------------
+
+
+def school_product(a: dict, b: dict, F) -> dict:
+    """The product of two public term dicts, in `FFElement` arithmetic
+    alone: the kernel's packed ints play no part."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F.zero()) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def school_sum(F, *dicts) -> dict:
+    out = {}
+    for d in dicts:
+        for e, c in d.items():
+            out[e] = out.get(e, F.zero()) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def school_leibniz(m, F, one) -> dict:
+    """det m by the permutation sum of schoolbook products; one is the
+    public terms of 1."""
+    n, total = len(m), {}
+    for perm in itertools.permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = school_product(term, m[i][j], F)
+        if sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2:
+            term = {e: -c for e, c in term.items()}
+        total = school_sum(F, total, term)
+    return total
+
+
+def random_t_poly(R, rng, terms, degree):
+    """terms random monomials of degree <= degree, with coefficients drawn
+    from all of the field, so almost all of them lie outside GF(p)."""
+    F = R.field
+    return Polynomial.make(R, {
+        tuple(rng.randint(0, degree) for _ in range(R.nvars)):
+        F.coerce(tuple(rng.randrange(F.char) for _ in range(F.degree)))
+        for _ in range(terms)})
+
+
+@pytest.mark.parametrize("q", [((1 << 61) - 1, 2), (10007, 3)],
+                         ids=["GF((2^61-1)^2)", "GF(10007^3)"])
+def test_packed_coefficients_match_the_schoolbook_field(q):
+    # Over GF(p^k) the kernel adds and multiplies Kronecker-packed ints,
+    # unreduced, wherever the slot width bounds them, and reduces every
+    # product of products.  Products, long division chains, a determinant
+    # with a block of four nonlinear rows, a scalar Gaussian determinant,
+    # the Gram elimination and the partials at a point, all with
+    # coefficients outside GF(p), are the schoolbook field's.
+    F = gf_construct(*q)
+    R = ring("x", "y", "z", field=F)
+    rng = random.Random(f"packed:{F}")
+    one = {(0, 0, 0): F.one()}
+
+    def draw():
+        return F.coerce(tuple(rng.randrange(F.char) for _ in range(F.degree)))
+
+    # products and powers
+    f, g = random_dense(R, rng, 3), random_dense(R, rng, 2)
+    assert (f * g).terms == school_product(f.terms, g.terms, F)
+    assert (g ** 3).terms == school_product(
+        school_product(g.terms, g.terms, F), g.terms, F)
+    # s * f = rem + sum q_i * g_i, s = 1, over long reduction chains
+    f = random_dense(R, rng, 17)
+    gs = [R.from_string(lm) + sum((R.from_string(m) * draw() for m in tail),
+                                  random_dense(R, rng, 1))
+          for lm, tail in (("x^2", ("x*y", "y^2", "x*z", "y*z", "z^2")),
+                           ("y^2", ("x*z", "y*z", "z^2")), ("z^2", ()))]
+    steps = []
+    rem, s = _reduce_terms(R, _enter(f)[1], _prep_divisors(gs), steps)
+    assert s == 1 and len(steps) > 1000
+    total = _public(R, rem, 1)
+    for g, q_terms in zip(gs, quotients_of(R, steps, s, len(gs))):
+        monic = {e: c / g.leading_coefficient() for e, c in g.terms.items()}
+        total = school_sum(F, total, school_product(q_terms, monic, F))
+    assert total == f.terms
+    assert exact_quotient(f * gs[0], gs[0]) == f
+    # a determinant: one constant row and a block of four nonlinear rows
+    m = [[random_t_poly(R, rng, 3, 2) for _ in range(5)] for _ in range(4)]
+    m.append([R.constant(draw()) for _ in range(5)])
+    assert determinant(m, R).terms == \
+        school_leibniz([[x.terms for x in row] for row in m], F, one)
+    # a Gaussian determinant, and the Gram elimination's det
+    m = [[draw() for _ in range(6)] for _ in range(6)]
+    assert determinant(m, F) == \
+        school_leibniz([[{(): c} for c in row] for row in m], F,
+                       {(): F.one()})[()]
+    sym = [[F.zero()] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            sym[i][j] = sym[j][i] = draw()
+    det = forms._eliminate(sym, F)[1]
+    assert det == school_leibniz([[{(): c} if c else {} for c in row]
+                                  for row in sym], F, {(): F.one()})[()]
+    # the partials at a point, from terms c * e_j with e_j up to 40
+    point = [draw() for _ in range(3)]
+    h = random_t_poly(R, rng, 6, 40)
+    value = sum((c * prod_of(point, e) for e, c in h.terms.items()),
+                F.zero())
+    h = h - value
+    gb = groebner_basis(Ideal(R, tuple(R.variable(i) - a
+                                       for i, a in enumerate(point))))
+    rem, row = poly._remainder_and_partials(h, gb)
+    assert not rem
+    assert row == [sum((c * e[j] * prod_of(point, e, j)
+                        for e, c in h.terms.items() if e[j]), F.zero())
+                   for j in range(3)]
+
+
+def prod_of(point, e, j=None):
+    """The monomial x^e at the point, or its partial's monomial in x_j."""
+    out = point[0].field.one()
+    for i, (a, k) in enumerate(zip(point, e)):
+        out = out * a ** (k - (i == j))
+    return out
 
 
 # -- refused inputs ----------------------------------------------------------

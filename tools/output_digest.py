@@ -184,6 +184,13 @@ CLI_DECK = [
     ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
      "- - x*-y + 12345678901234567890123456789*x*y*x - 3*x^0*y^1; y^2 - x",
      "--json"],
+    # a cubic extension of GF(2^61 - 1), whose elements span three slots
+    ["degree", "global", "--field", f"GF({(2 ** 61 - 1) ** 3})", "--vars",
+     "x,y", "--polys", "x^2 - 3*y + 1; y^2 - x*y - 2", "--json"],
+    # a zero at (2, -1) over GF(343) where det J = 1*4 + 1*3 vanishes mod 7
+    ["degree", "local", "--field", "GF(343)", "--vars", "x,y", "--polys",
+     "(x - 2)*(x + y) + y + 1; (y + 1)^2 + 3*(x - 2)*y + 4*(y + 1)",
+     "--ideal", "x - 2; y + 1", "--json"],
 ]
 
 # Fields of order 625 to 4093, each with a form's invariants, its Witt
