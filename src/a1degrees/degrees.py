@@ -20,10 +20,10 @@ The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
 it expands.  Rows of field constants (the linear f_i, and every row of
 the Bezoutian modulo a point of quotient dimension 1, where each entry
-reduces to its value) are cleared by column operations with field
-scalars, leaving +-pivot as a scalar factor.  The k x k block left is
-expanded by minors, bottom rows first, each memoized by its column
-subset: k * 2^(k-1) products of an entry and a minor, with
+reduces to its value) are cleared by column operations on ints,
+fraction-free over QQ, leaving +-pivot as a scalar factor.  The k x k
+block left is expanded by minors, bottom rows first, each memoized by its
+column subset: k * 2^(k-1) products of an entry and a minor, with
 2^k <= prod deg f_i, the size of the Gram matrix.  The expansion is
 reduced once more before it leaves.  Reducing the entries gives the same
 normal form, as det is an integer polynomial in them, and keeps a

@@ -21,17 +21,19 @@ when it first enters a term dict, so a product or a reduction that would
 cross the bound raises too.  Each public entry packs once and unpacks
 once: `normal_form`, `exact_quotient`, `groebner_basis`, `determinant`,
 `Polynomial.__mul__` and `__pow__` through `_enter` and `_public`, and the
-parser through `_public`.  One loop, `_mul_into`, forms every product of
-term dicts; the parser multiplies two one-term factors by adding their
-keys.
+parser through `_public`.  A parsed polynomial keeps the kernel terms the
+parser built, and `_enter` returns them without packing again.  One loop,
+`_mul_into`, forms every product of term dicts; the parser multiplies two
+one-term factors by adding their keys.  Rings of one order and size share
+one packing.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements; the kernel's loops see only ints, over every field.  Only
 `_enter`, which makes den * f integral (den is 1 over GF), and `_public`,
-which divides by an int on the way out, cross between the two.  Over QQ
-the one exception is `determinant`'s elimination, which reads each
-constant entry as a `Fraction` to choose and apply its pivots.  Over
-GF(q) a coefficient is its field's kernel int (`FieldDesc.pack`): its
+which divides by an int on the way out, cross between the two; a
+determinant over a FieldDesc reads its scalars' numerators and
+denominators and makes its one value the same way.  Over GF(q) a
+coefficient is its field's kernel int (`FieldDesc.pack`): its
 residue over GF(p), and over GF(p^k) its coefficients Kronecker-packed, so
 an element of GF(p) is its residue there too.  The loops add and multiply
 these ints without reducing, and a value goes through the field's reducer
@@ -54,7 +56,7 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
@@ -168,6 +170,11 @@ class _Packing:
                 for m, c in terms.items()}
 
 
+# One packing per order and size, shared by the rings that have them: each
+# CLI query builds its rings anew.
+_packing_of = lru_cache(maxsize=16)(_Packing)
+
+
 @dataclass(frozen=True)
 class PolyRing:
     field: FieldDesc
@@ -184,14 +191,12 @@ class PolyRing:
             raise ValueError("a polynomial ring needs at least one variable")
         if self.order not in _WEIGHT_ROWS:
             raise ValueError(f"unknown monomial order {self.order!r}")
+        object.__setattr__(self, "_packing",
+                           _packing_of(self.order, len(self.variables)))
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    @cached_property
-    def _packing(self) -> _Packing:
-        return _Packing(self.order, self.nvars)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -220,11 +225,13 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent vectors to coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_kernel")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        # The parser's kernel terms (den 1), which `_enter` returns.
+        self._kernel = None
 
     @classmethod
     def make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
@@ -457,7 +464,10 @@ def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
     integral coefficients, den the least positive integer that makes them
     so: 1 over GF, where the coefficients are the field's reduced kernel
-    ints (`FieldDesc.pack`)."""
+    ints (`FieldDesc.pack`).  A parsed polynomial has them already; callers
+    do not change the dict."""
+    if f._kernel is not None:
+        return 1, f._kernel
     field, pk = f.ring.field, f.ring._packing
     if field.kind == "QQ":
         den = lcm(*[c.denominator for c in f.terms.values()])
@@ -601,79 +611,75 @@ def _mul_into(out: dict, a, b, guard: int) -> dict:
 
 
 def determinant(rows, ring, modulo=None):
-    """Determinant of a square matrix over a PolyRing or a FieldDesc; given
-    `modulo`, a Groebner basis in ring (a `GroebnerBasis`, its elements or
-    their prepared divisors, as `GroebnerBasis.divisors_in` makes them), its
-    normal form modulo that basis.
+    """Determinant of a square matrix over a PolyRing or a FieldDesc (over
+    QQ its scalars may be ints or Fractions); given `modulo`, a Groebner
+    basis in ring (a `GroebnerBasis`, its elements or their prepared
+    divisors, as `GroebnerBasis.divisors_in` makes them), its normal form
+    modulo that basis.
 
     Every entry enters the kernel first, as packed terms over an int
     multiplier (integral over QQ); given `modulo`, it is reduced modulo
     the basis as it enters, so an entry that reduces to a field constant
-    counts as one below.  No polynomial is ever divided while expanding.
-    First, while some row holds only field constants, its first nonzero
-    entry is the pivot: column operations by field scalars clear the rest
-    of the row, and the determinant is +-pivot times the minor without
-    that row and column (a zero constant row gives 0).  Over a FieldDesc
-    every row is constant, so this is Gaussian elimination.  Second, the
-    k x k block of nonconstant rows left is expanded by minors from the
-    bottom row up, each minor of the last m rows memoized by its column
-    subset: k * 2^(k-1) products of one entry and one minor.  For a
-    Bezoutian k counts the nonlinear f_i, and 2^k <= prod deg f_i, the
-    size of the Gram matrix; modulo a simple point's basis every entry is
-    a constant, and k is 0.  Each row of the block is brought to one
-    multiplier, the lcm of its entries', so over QQ the expansion
-    multiplies ints; the multipliers are divided out as the result
-    leaves.  Given `modulo`, the expansion is reduced once more before it
-    leaves.  The normal form is canonical and the determinant is an
+    counts as one below.  Each row is then brought to one multiplier, the
+    lcm of its entries', so the matrix holds ints over every field and the
+    multipliers are divided out as the result leaves.  No polynomial is
+    ever divided while expanding.  First, while some row holds only
+    constants, its first nonzero entry is the pivot, and column operations
+    clear the rest of the row: the determinant is +-pivot times the minor
+    without that row and column (a zero constant row gives 0).  Over QQ
+    the operations are fraction-free (Bareiss): an entry x becomes
+    (q * x - v * y) / q', q the pivot, v the row's entry, y the pivot
+    column's and q' the previous pivot, which divides it exactly; after
+    the last pivot q the determinant is +-q times the minor left over
+    q^m, m its size.  Over GF they are Gaussian, through the field's
+    `reduce` and `invert`.  Over a FieldDesc every row is constant, so
+    this is the whole determinant.  Second, the k x k block of
+    nonconstant rows left is expanded by minors from the bottom row up,
+    each minor of the last m rows memoized by its column subset:
+    k * 2^(k-1) products of one entry and one minor.  For a Bezoutian k
+    counts the nonlinear f_i, and 2^k <= prod deg f_i, the size of the
+    Gram matrix; modulo a simple point's basis every entry is a constant,
+    and k is 0.  Given `modulo`, the expansion is reduced once more before
+    it leaves.  The normal form is canonical and the determinant is an
     integer polynomial in the entries, so this is NF(det), the same
     polynomial as normal_form(determinant(rows, ring), modulo).
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
     qq, reduce = field.kind == "QQ", field.reduce
-    # Over GF the scalars are kernel ints too, reduced as they are formed
-    # and as entries leave a column operation.
-    zero, one = (field.zero(), field.one()) if qq else (0, 1)
     divisors = None if modulo is None else _divisors_of(modulo, ring)
 
     def enter(x):
         """(d, terms): terms is d * x in the kernel's form, or its
         remainder modulo divisors; a field scalar is the monomial 0."""
         if not polynomial:
-            c = x.numerator if qq else field.pack(x)
-            return (x.denominator if qq else 1), ({0: c} if x else {})
+            if qq:
+                return x.denominator, ({0: x.numerator} if x else {})
+            return 1, ({0: field.pack(x)} if x else {})
         d, terms = _enter(x)
         if divisors is not None:
             terms, s = _reduce_terms(ring, terms, divisors)
             d *= s
         return d, terms
 
-    def scalar(x):
-        """The entry's field value, or None if it is not a constant."""
-        d, terms = x
-        if not terms:
-            return zero
-        if len(terms) == 1 and 0 in terms:
-            return Fraction(terms[0], d) if qq else terms[0]
-        return None
+    def value(x):
+        """The int of a constant entry, or None."""
+        if not x:
+            return 0
+        return x.get(0) if len(x) == 1 else None
 
-    def minus(x, y, s):
-        """The entry x - s * y, for a field scalar s."""
-        (dx, tx), (dy, ty) = x, y
-        if qq:
-            d = lcm(dx, dy * s.denominator)
-            kx, ky = d // dx, -s.numerator * (d // (dy * s.denominator))
-        else:
-            d, kx, ky = 1, 1, -s
-        out = dict(tx) if kx == 1 else {e: c * kx for e, c in tx.items()}
-        _add_into(out, {e: c * ky for e, c in ty.items()})
-        return d, out if qq else _residues(out, reduce)
-
-    a = [[enter(x) for x in row] for row in rows]
-    scale = one
+    den, a = 1, []
+    for row in rows:
+        row = [enter(x) for x in row]
+        d = lcm(*[dx for dx, _ in row])
+        den *= d
+        a.append([x if dx == d else {e: c * (d // dx) for e, c in x.items()}
+                  for dx, x in row])
+    # The last pivot over QQ, the pivots' product over GF.
+    sign = scale = 1
     while a:
         for r, row in enumerate(a):
-            values = [scalar(x) for x in row]
+            values = [value(x) for x in row]
             if None not in values:
                 break
         else:
@@ -681,37 +687,39 @@ def determinant(rows, ring, modulo=None):
         c = next((j for j, v in enumerate(values) if v), None)
         if c is None:
             return ring.zero()
-        pivot = values[c]
-        inv = one / pivot if qq else field.invert(pivot)
-        column = [row[c] for row in a]
-        for j, v in enumerate(values):
-            if v and j != c:
-                s = v * inv if qq else reduce(v * inv)
-                for i, x in enumerate(column):
-                    if i != r and x[1]:
-                        a[i][j] = minus(a[i][j], x, s)
-        scale = scale * pivot if (r + c) % 2 == 0 else -(scale * pivot)
-        if not qq:
-            scale = reduce(scale)
+        q = values.pop(c)
+        if qq:  # x -> (q * x - v * y) // the previous pivot
+            kx, div, ks = q, scale, [-v for v in values]
+            scale = q
+        else:  # x -> x - (v / q) * y
+            inv = field.invert(q)
+            kx, div, ks = 1, 1, [reduce(-v * inv) for v in values]
+            scale = reduce(scale * q)
         del a[r]
         for row in a:
-            del row[c]
+            y = row.pop(c)
+            for j, (x, ky) in enumerate(zip(row, ks)):
+                if kx != 1 or div != 1 or (ky and y):
+                    out = {e: z * kx for e, z in x.items()}
+                    if y and ky:
+                        _add_into(out, {e: z * ky for e, z in y.items()})
+                    if div != 1:
+                        out = {e: z // div for e, z in out.items()}
+                    row[j] = _residues(out, reduce) if reduce else out
+        if (r + c) % 2:
+            sign = -sign
+    if qq:  # det = sign * scale * det(a) / scale^len(a)
+        den *= scale ** len(a)
     if not polynomial:
-        return scale if qq else field.unpack(scale)
+        return Fraction(sign * scale, den) if qq else \
+            field.unpack(reduce(sign * scale))
     # minors[S]: the packed minor of the last m rows on the columns in
-    # bitmask S, times the pivots and times den.
-    pk = ring._packing
-    den = scale.denominator if qq else 1
-    minors = {0: {0: scale.numerator if qq else scale}}
+    # bitmask S, times sign * scale.
+    guard = ring._packing.guard
+    minors = {0: {0: sign * scale}}
     k = len(a)
     for m in range(1, k + 1):
-        d = lcm(*[dx for dx, _ in a[k - m]])
-        den *= d
-        row = []
-        for dx, entry in a[k - m]:
-            if dx != d:
-                entry = {e: c * (d // dx) for e, c in entry.items()}
-            row.append((entry.items(), _negated(entry).items()))
+        row = [(x.items(), _negated(x).items()) for x in a[k - m]]
         grown: dict = {}
         for s, minor in minors.items():
             if not qq:  # reduced before it is multiplied again
@@ -723,7 +731,7 @@ def determinant(rows, ring, modulo=None):
                 # Column j's sign is the parity of its rank in s | bit.
                 odd = bin(s & (bit - 1)).count("1") & 1
                 _mul_into(grown.setdefault(s | bit, {}),
-                          negated if odd else entry, minor.items(), pk.guard)
+                          negated if odd else entry, minor.items(), guard)
         minors = grown
     det = minors.get((1 << k) - 1, {})
     if divisors is not None:
@@ -923,7 +931,8 @@ def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
     when f lies in gb's ideal.  If it does, and gb's leading monomials are
     the variables, gb is x_i - a_i for a rational point a and every
     remainder is a constant, the value at a: row is then [df/dx_j (a) for
-    each j] as field values.  Otherwise row is None.
+    each j] as field values, over QQ ints where they are integral.
+    Otherwise row is None.
 
     f enters the kernel once.  A packed term m * c with exponent e_j > 0
     gives df/dx_j the term (m - units[j]) * (c * e_j), and each partial is
@@ -944,8 +953,11 @@ def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
     for partial in partials:
         r, s = _reduce_terms(ring, partial, divisors)
         c = r.get(0, 0)  # the constant's key: 0 packs to 0
-        row.append(Fraction(c, den * s) if field.kind == "QQ" else
-                   field.unpack(c))
+        if field.kind == "GF":
+            c = field.unpack(c)
+        elif den * s != 1:
+            c = Fraction(c, den * s)
+        row.append(c)
     return rem, row
 
 
@@ -1081,157 +1093,211 @@ def resultant_univariate(f: Polynomial, g: Polynomial):
 # ---------------------------------------------------------------------------
 # Parsing.  Grammar: integer literals, variable identifiers, + - * ^ and
 # parentheses; implicit multiplication is rejected.
+#
+#   expr   := [+|-] term {(+|-) term}
+#   term   := factor {* factor}
+#   factor := (+|-) factor | base [^ integer]
+#   base   := integer | variable | ( expr )
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^])|(\S)")
-_KINDS = (None, "int", "name", "op")
+# A token is an integer literal, an identifier or one other character, which
+# is an operator, a parenthesis or refused (_REFUSED).
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\S")
+_REFUSED = re.compile(r"[^\s\dA-Za-z_()+\-*^]")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# Text longer than this may hold an integer literal past the interpreter's
+# digit limit (sys.get_int_max_str_digits(), which is never below 640).
+_LONG_TEXT = 640
+
+# The tokens that may follow a term; "" is the end of the text.
+_AFTER_TERM = frozenset(("+", "-", ")", "^", ""))
 
 
-def _tokenize(text: str):
-    tokens = []
+def _position(text: str, k: int) -> int:
+    """The offset of text's token k, or its length for the end."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return m.start()
+    return len(text)
+
+
+def _refuse_characters(text: str) -> None:
+    """Raise on the first refused character or over-long integer literal:
+    either fails before any grammar error."""
     for m in _TOKEN.finditer(text):
-        group = m.lastindex  # the one alternative that matched
-        val, at = m[group], m.start()
-        if group == 4:
-            raise ParseError(f"unexpected character {val!r}", at)
-        if group == 1:
+        t = m[0]
+        if _REFUSED.match(t):
+            raise ParseError(f"unexpected character {t!r}", m.start())
+        if t[0].isdecimal():
             try:
-                val = int(val)
+                int(t)
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise ParseError("integer literal too long", at) from None
-        tokens.append((_KINDS[group], val, at))
-    tokens.append(("end", None, len(text)))
-    return tokens
+                raise ParseError("integer literal too long",
+                                 m.start()) from None
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """The terms fold in the kernel's form, packed monomials and int
-    coefficients, and leave it once, through `_public`, as field elements.
+    """The polynomial of text, folded in one pass over its tokens.
+
+    A node is a term dict in the kernel's form, packed monomials and int
+    coefficients, or a single nonzero term (e, c): atoms, and products and
+    powers of single terms, fold as pairs, and only sums and parentheses
+    build dicts.  Each product and power is charged before it is formed
+    (MAX_PARSE_PRODUCTS), a position is computed only for an error, and
+    the polynomial keeps its kernel terms (den 1), which `_enter` returns.
     The grammar's only constants are integer literals, so over every finite
     field each coefficient lies in GF(p), and its kernel int is its residue:
     literals, sums and products are reduced mod p as they are formed, and
     every term count below is the count of nonzero terms, as over any
     field."""
-    tokens = _tokenize(text)
-    pos = work = depth = 0
-    field = ring.field
-    qq, p, reduce = field.kind == "QQ", field.char, field.reduce
-    pk = ring._packing
+    if _REFUSED.search(text) or len(text) > _LONG_TEXT:
+        _refuse_characters(text)
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    field, pk = ring.field, ring._packing
+    p, reduce, guard = field.char, field.reduce, pk.guard
+    names = {v: u for v, u in zip(ring.variables, pk.units)
+             if _NAME.fullmatch(v)}
     # A GF(p^k) coefficient is k residues mod p, whatever its value.
-    gf_words = None if qq else (p.bit_length() + 63) // 64 * field.degree
+    gf_words = None if field.kind == "QQ" else \
+        (p.bit_length() + 63) // 64 * field.degree
+    pos = work = 0
 
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def fail(message, k):
+        raise ParseError(message, _position(text, k))
 
-    def words(a):
-        """The size of a's widest coefficient in 64-bit words, at least 1."""
-        if not qq:
-            return gf_words
-        bits = max(map(int.bit_length, a.values()), default=0)
-        return (bits + 63) // 64 or 1
-
-    def product(a, b, at):
+    def charge(n, at):
+        """Count n more weighted term products, for the product at token
+        at."""
         nonlocal work
-        single = len(a) == len(b) == 1
-        if single:  # words() of the one coefficient each, without a scan
-            (ea, ca), = a.items()
-            (eb, cb), = b.items()
-            wa = gf_words or (ca.bit_length() + 63) // 64 or 1
-            wb = gf_words or (cb.bit_length() + 63) // 64 or 1
-        else:
-            wa, wb = words(a), words(b)
-        work += len(a) * len(b) * (1 + wa * wb // 128)
+        work += n
         if work > MAX_PARSE_PRODUCTS:
             raise ValueError(f"expanding the polynomial takes more than "
                              f"{MAX_PARSE_PRODUCTS} term products (at "
-                             f"position {at})")
-        if not single:
-            return _product(a, b, pk.guard, reduce)
-        # One term: the keys add and the coefficients multiply.  Over GF
-        # neither residue is 0 mod p, so neither is their product.
-        e, c = ea + eb, ca * cb
-        if e & pk.guard:
-            raise ValueError(_TOO_LARGE)
-        return {e: c % p if p else c}
+                             f"position {_position(text, at)})")
 
-    def nested(parse, at):
-        """parse() one level deeper."""
-        nonlocal depth
-        depth += 1
-        if depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels of "
-                             f"parentheses and signs", at)
-        node = parse()
-        depth -= 1
+    def words(bits):
+        """The size of a coefficient of the given bits in 64-bit words, at
+        least 1."""
+        return gf_words or (bits + 63) // 64 or 1
+
+    def product(a, b, at):
+        """The node a * b: len(a) * len(b) term products, each weighted
+        1 + wa * wb // 128."""
+        if type(a) is dict or type(b) is dict:
+            a = a if type(a) is dict else dict((a,))
+            b = b if type(b) is dict else dict((b,))
+            if len(a) != 1 or len(b) != 1:
+                wa, wb = (words(max(map(int.bit_length, x.values()),
+                                    default=0)) for x in (a, b))
+                charge(len(a) * len(b) * (1 + wa * wb // 128), at)
+                return _product(a, b, guard, reduce)
+            (a,), (b,) = a.items(), b.items()
+        # Two terms: the keys add and the coefficients multiply.  Over GF
+        # neither residue is 0 mod p, so neither is their product.
+        (ea, ca), (eb, cb) = a, b
+        charge(1 + words(ca.bit_length()) * words(cb.bit_length()) // 128,
+               at)
+        e = ea + eb
+        if e & guard:
+            raise ValueError(_TOO_LARGE)
+        return e, (ca * cb % p if p else ca * cb)
+
+    def exponent():
+        """The checked literal after '^', and its token."""
+        nonlocal pos
+        at = pos + 1
+        t = toks[at]
+        pos += 2
+        if not t[:1].isdecimal():
+            fail("exponent must be an integer literal", at)
+        n = int(t)
+        if n > MAX_EXPONENT:
+            fail(f"exponent {n} exceeds {MAX_EXPONENT}", at)
+        return n, at
+
+    def factor(depth):
+        nonlocal pos
+        t = toks[pos]
+        pos += 1
+        unit = names.get(t)
+        if unit is not None:
+            if toks[pos] != "^":
+                return unit, 1
+            # x^n: charged as its squaring chain, a product of coefficients
+            # 1 per step; no field of the key exceeds n, so none overflows.
+            n, at = exponent()
+            if n > 1:
+                charge((n.bit_length() + n.bit_count() - 2) *
+                       (1 + words(1) ** 2 // 128), at)
+            return unit * n, 1
+        if t[:1].isdecimal():
+            c = int(t) % p if p else int(t)
+            node = (0, c) if c else {}
+        elif t == "(":
+            if depth >= MAX_NESTING:
+                fail(f"nesting deeper than {MAX_NESTING} levels of "
+                     f"parentheses and signs", pos - 1)
+            node = expr(depth + 1)
+            if toks[pos] != ")":
+                fail("expected ')'", pos)
+            pos += 1
+        elif t == "-" or t == "+":
+            if depth >= MAX_NESTING:
+                fail(f"nesting deeper than {MAX_NESTING} levels of "
+                     f"parentheses and signs", pos - 1)
+            node = factor(depth + 1)
+            if t == "+":
+                return node
+            return (node[0], -node[1]) if type(node) is tuple else \
+                _negated(node)
+        elif _NAME.fullmatch(t):
+            fail(f"unknown variable {t!r}", pos - 1)
+        else:
+            fail("expected a number, variable or '('", pos - 1)
+        if toks[pos] == "^":
+            n, at = exponent()
+            node = _power(node, n, lambda a, b: product(a, b, at))
         return node
 
-    def parse_expr():
-        # The sum folds into one terms dict, not a copy per summand.
-        terms, sign = {}, "+"
-        kind, val, at = tokens[pos]
+    def term(depth):
+        nonlocal pos
+        node = factor(depth)
+        while toks[pos] == "*":
+            at = pos
+            pos += 1
+            node = product(node, factor(depth), at)
+        if toks[pos] not in _AFTER_TERM:
+            fail("implicit multiplication is not allowed", pos)
+        return node
+
+    def expr(depth):
+        """A sum, folded into one terms dict."""
+        nonlocal pos
+        terms = {}
         while True:
-            if kind == "op" and val in "+-":
-                advance()
-                sign = val
-            node = parse_term()
-            _add_into(terms, _negated(node) if sign == "-" else node)
-            kind, val, at = tokens[pos]
-            if not (kind == "op" and val in "+-"):
+            t = toks[pos]
+            if t == "+" or t == "-":
+                pos += 1
+            node = term(depth)
+            if type(node) is dict:
+                _add_into(terms, _negated(node) if t == "-" else node)
+            else:
+                e, c = node
+                if t == "-":
+                    c = -c
+                v = terms.get(e, 0) + c
+                if v:
+                    terms[e] = v
+                else:
+                    del terms[e]
+            t = toks[pos]
+            if t != "+" and t != "-":
                 return _residues(terms, reduce) if reduce else terms
 
-    def parse_term():
-        node = parse_factor()
-        while True:
-            kind, val, at = tokens[pos]
-            if kind == "op" and val == "*":
-                advance()
-                node = product(node, parse_factor(), at)
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                raise ParseError("implicit multiplication is not allowed", at)
-            else:
-                return node
-
-    def parse_factor():
-        kind, val, at = tokens[pos]
-        if kind == "op" and val in "+-":
-            advance()
-            node = nested(parse_factor, at)
-            return _negated(node) if val == "-" else node
-        node = parse_base()
-        kind, val, at = tokens[pos]
-        if kind == "op" and val == "^":
-            advance()
-            kind, exp, at = advance()
-            if kind != "int":
-                raise ParseError("exponent must be an integer literal", at)
-            if exp > MAX_EXPONENT:
-                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", at)
-            node = _power(node, exp, lambda a, b: product(a, b, at))
-        return node
-
-    def parse_base():
-        kind, val, at = advance()
-        if kind == "int":
-            c = val % p if p else val
-            return {0: c} if c else {}
-        if kind == "name":
-            try:
-                i = ring.variables.index(val)
-            except ValueError:
-                raise ParseError(f"unknown variable {val!r}", at) from None
-            return {pk.units[i]: 1}
-        if kind == "op" and val == "(":
-            node = nested(parse_expr, at)
-            kind, val, at = advance()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", at)
-            return node
-        raise ParseError("expected a number, variable or '('", at)
-
-    node = parse_expr()
-    kind, val, at = tokens[pos]
-    if kind != "end":
-        raise ParseError("unexpected trailing input", at)
-    return Polynomial(ring, _public(ring, node, 1))
+    node = expr(0)
+    if toks[pos]:
+        fail("unexpected trailing input", pos)
+    f = Polynomial(ring, _public(ring, node, 1))
+    f._kernel = node
+    return f

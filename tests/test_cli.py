@@ -288,7 +288,9 @@ def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
                    "--polys", polys, "--ideal", ideal)
     assert bases == ["grevlex"] * runs
     assert obj["rank"] == rank
-    assert not any(hasattr(v, "cache_info") for v in vars(poly).values())
+    # The one cache in poly holds monomial packings: there is no basis memo.
+    assert [name for name, v in vars(poly).items()
+            if hasattr(v, "cache_info")] == ["_packing_of"]
 
 
 @pytest.mark.parametrize("argv, gram, determinants", [

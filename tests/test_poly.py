@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -235,6 +236,11 @@ PARSE_ERRORS = [
     ("(x + y", "expected ')' (at position 6)"),
     ("x + * y", "expected a number, variable or '(' (at position 4)"),
     ("", "expected a number, variable or '(' (at position 0)"),
+    ("x^1001", "exponent 1001 exceeds 1000 (at position 2)"),
+    ("(x + 1)(y - 1)",
+     "implicit multiplication is not allowed (at position 7)"),
+    # a refused character fails before the grammar error that precedes it
+    ("x + ) $", "unexpected character '$' (at position 6)"),
 ]
 
 
@@ -243,6 +249,75 @@ def test_parser_error_messages(text, message):
     with pytest.raises(ParseError) as info:
         ring("x", "y").from_string(text)
     assert str(info.value) == message
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="the interpreter has no int digit limit")
+def test_parser_refuses_an_integer_literal_past_the_digit_limit():
+    # Like a refused character, the literal fails before any grammar error.
+    R = ring("x", "y")
+    limit = sys.get_int_max_str_digits()
+    assert len(R.from_string("9" * limit + "*x").terms) == 1
+    with pytest.raises(ParseError) as info:
+        R.from_string("x + ) + " + "9" * (limit + 1))
+    assert str(info.value) == "integer literal too long (at position 8)"
+
+
+def random_expression(R, rng, depth):
+    """(text, value, level): a random expression tree rendered as text and
+    evaluated with Polynomial arithmetic; level is its precedence, 1 for a
+    sum up to 5 for an atom.  Operands are parenthesized only where the
+    grammar needs it, or at random."""
+    def space():
+        return rng.choice(("", "", " ", "  "))
+
+    def operand(sub, level):
+        text, value, own = sub
+        if own < level or rng.random() < 0.1:
+            text = f"({space()}{text}{space()})"
+        return text, value
+
+    kind = rng.choice(("atom",) * 3 + ("sum", "product", "sign", "power")
+                      if depth else ("atom",))
+    if kind == "atom":
+        if rng.random() < 0.5:
+            i = rng.randrange(R.nvars)
+            return R.variables[i], R.variable(i), 5
+        c = rng.choice((0, 1, 2, 3, 7, 12, 10 ** 20 + 3, 2 ** 64 + 1))
+        return str(c), R.constant(c), 5
+    if kind == "power":
+        n = rng.choice((0, 1, 2, 3, 5))
+        (base, value), n_text = operand(random_expression(R, rng, depth - 1),
+                                        5), str(n)
+        return f"{base}{space()}^{space()}{n_text}", value ** n, 4
+    if kind == "sign":
+        sign = rng.choice("+-")
+        text, value = operand(random_expression(R, rng, depth - 1), 3)
+        return f"{sign}{space()}{text}", -value if sign == "-" else value, 3
+    left = operand(random_expression(R, rng, depth - 1),
+                   1 if kind == "sum" else 2)
+    right = operand(random_expression(R, rng, depth - 1),
+                    2 if kind == "sum" else 3)
+    if kind == "product":
+        return f"{left[0]}{space()}*{space()}{right[0]}", \
+            left[1] * right[1], 2
+    op = rng.choice("+-")
+    value = left[1] + right[1] if op == "+" else left[1] - right[1]
+    return f"{left[0]}{space()}{op}{space()}{right[0]}", value, 1
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
+def test_parser_fuzz_matches_polynomial_arithmetic(field):
+    # Seeded random trees of signs, nesting, products and powers: each
+    # parse is the tree evaluated, and keeps the kernel terms that
+    # packing its public terms gives.
+    R = ring("x", "y", field=field)
+    rng = random.Random(f"grammar:{field}")
+    for _ in range(400):
+        text, value, _ = random_expression(R, rng, rng.randint(0, 5))
+        parsed = R.from_string(text)
+        assert parsed == value, text
+        assert _enter(parsed) == _enter(Polynomial(R, dict(parsed.terms)))
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
@@ -917,6 +992,45 @@ def test_determinant_matches_leibniz(field):
             assert det == leibniz(m, field.zero(), field.one()), (n, m)
             singular += not det
     assert determinant([], field) == field.one()
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1),
+                                   gf_construct(5, 2)], ids=str)
+def test_determinant_eliminates_on_ints(monkeypatch, field):
+    # Zero leading entries move the pivot right, and a multiple of the top
+    # row or a zero top row makes the matrix singular.  Over QQ the rows are
+    # cleared to ints: the one Fraction made is the value that leaves.
+    rng = random.Random(f"int-det:{field}")
+    if field.kind == "GF":
+        scalars = list(field.elements())
+    else:
+        scalars = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(40)]
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    singular = 0
+    for n in range(1, 6):
+        for trial in range(16):
+            m = [[rng.choice(scalars) for _ in range(n)] for _ in range(n)]
+            m[0][:trial % n] = [field.zero()] * (trial % n)
+            if trial % 4 == 1:
+                m[-1] = [rng.choice(scalars) * x for x in m[0]]
+            elif trial % 8 == 2:
+                m[0] = [field.zero()] * n
+            expected = leibniz(m, field.zero(), field.one())
+            made.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", counting)
+                det = determinant(m, field)
+            assert det == expected, m
+            assert len(made) <= (1 if field.kind == "QQ" else 0)
+            singular += not det
     assert singular >= 10
 
 

@@ -209,6 +209,29 @@ CLI_DECK += [
     )
 ]
 
+# The parser's refusals: one query per parse error message (but `integer
+# literal too long`, whose bound is the interpreter's), the product cap, the
+# 2^31 monomial bound, and grammar corners that parse.
+_SUM_1001 = "(" + " + ".join(f"x^{i}" for i in range(1001)) + ")"
+CLI_DECK += [
+    ["degree", "global", "--field", field, "--vars", "x,y", "--polys",
+     f"{text}; y - 1", "--json"]
+    for field in ("QQ", "GF(25)")
+    for text in (
+        "1.5*x", "2x + 1", "(x + 1)(y - 1)", "x^y", "x^1001", "z + 1",
+        "(x + y", "x + * y", "x)", "-", "- " * 101 + "x",
+        "- " * 102 + "x",
+        f"{_SUM_1001}^2", f"{_SUM_1001}*(y + {_SUM_1001[1:]}",
+        "(((x^1000)^1000)^1000)^3 - x",
+        "+x^2 - (-(y))^3 + 0*x^5 + 2^3 - 0^0 + x^0",
+    )
+] + [
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^2 + y; y - x", "--ideal", "x; y^1001", "--json"],
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^2 + y; y - x", "--ideal", "x; y$", "--json"],
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
