@@ -247,7 +247,7 @@ def _entry_from_str(s: str, field: FieldDesc):
         raise ParseError(f"{field} entry {s!r} has degree >= {field.degree}", 0)
     coeffs = [0] * field.degree
     for (i,), c in residue.terms.items():
-        coeffs[i] = c.coeffs[0]
+        coeffs[i] = c.value
     return field.coerce(tuple(coeffs))
 
 

@@ -2,17 +2,18 @@
 
 Rationals are plain ``fractions.Fraction`` values.  Finite fields GF(p^k)
 are described by a :class:`FieldDesc` carrying a monic irreducible modulus
-over Z/p; their elements are :class:`FFElement`, and the ints on which the
-polynomial kernel and the Gram elimination compute are the descriptor's
-(`FieldDesc.pack`, `reduce`, `invert`, `unpack`).  The real and complex
-"fields" are tags on exact rational data: no floating point is used
-anywhere in this package.
+over Z/p.  An element has one format, the descriptor's reduced kernel int
+(`FieldDesc.reduce`, `invert`): an :class:`FFElement` holds it, and the
+polynomial kernel and the Gram elimination compute on it.  The real and
+complex "fields" are tags on exact rational data: no floating point is
+used anywhere in this package.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -254,14 +255,20 @@ def odd_prime_support(r) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Residues mod a monic ``mod`` of degree k over Z/p, the elements of GF(p^k):
-# coefficient tuples of length k, low to high, each entry in [0, p).
+# Residues mod a monic ``mod`` of degree k over Z/p, the elements of GF(p^k),
+# as kernel ints: a = sum a_i t^i, 0 <= a_i < p, is the int sum a_i 2^(w i),
+# its coefficients Kronecker-packed in slots of w bits (see FieldDesc.reduce).
 
 
-def _fold(c: list, mod: tuple, p: int) -> tuple:
-    """The residue of the integer coefficient list ``c`` (low to high, any
-    length; it is overwritten): t^i for i >= k folds down with the monic
-    modulus, and the entries are reduced mod p."""
+def _slot_width(p: int, k: int) -> int:
+    """w, the bits of one slot of a kernel int of GF(p^k)."""
+    return 2 * p.bit_length() + k.bit_length() + 64
+
+
+def _fold(c: list, mod: tuple, p: int, w: int) -> int:
+    """The reduced kernel int of the integer coefficient list ``c`` (low to
+    high, any length; it is overwritten): t^i for i >= k folds down with the
+    monic modulus, and the entries are reduced mod p and packed."""
     k = len(mod) - 1
     c += [0] * (k - len(c))
     for i in range(len(c) - 1, k - 1, -1):
@@ -269,25 +276,54 @@ def _fold(c: list, mod: tuple, p: int) -> tuple:
         if ci:
             for j in range(k):
                 c[i - k + j] -= ci * mod[j]
-    return tuple([x % p for x in c[:k]])
+    v = 0
+    for i in range(k - 1, -1, -1):
+        v = v << w | c[i] % p
+    return v
 
 
-def _tuple_mul(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
-    """The product of two residues: the schoolbook product, folded."""
-    k = len(mod) - 1
-    if k == 1:
-        return (a[0] * b[0] % p,)
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _fold(prod, mod, p)
+def _slots(c: int, w: int, k: int) -> tuple:
+    """The k coefficients of the reduced kernel int c, low to high."""
+    mask = (1 << w) - 1
+    return tuple([c >> w * i & mask for i in range(k)])
+
+
+def _reducer(p: int, mod: tuple, w: int):
+    """The function taking a kernel int of GF(p^k) to the reduced int of its
+    element: see FieldDesc.reduce."""
+    if len(mod) == 2:
+        return p.__rmod__
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    low = -half
+
+    def reduce(c: int) -> int:
+        if low < c < half:
+            return c % p
+        slots = []
+        while c:
+            slots.append(((c + half) & mask) - half)
+            c = (c + half) >> w
+        return _fold(slots, mod, p, w)
+
+    return reduce
+
+
+def _power(c: int, n: int, reduce) -> int:
+    """The reduced kernel int of a^n, n >= 0, for the reduced kernel int c
+    of a: square-and-multiply, each product through ``reduce``."""
+    result = 1
+    while n:
+        if n & 1:
+            result = reduce(result * c)
+        n >>= 1
+        if n:
+            c = reduce(c * c)
+    return result
 
 
 def _tuple_inverse(a: tuple, mod: tuple, p: int) -> tuple | None:
-    """a^-1 for a residue a, or None when a is zero or shares a factor with
-    ``mod``: one extended Euclid on (mod, a)."""
+    """a^-1 for a coefficient tuple a, or None when a is zero or shares a
+    factor with ``mod``: one extended Euclid on (mod, a)."""
     k = len(mod) - 1
     # s0 * a = r0 and s1 * a = r1 mod ``mod``, the r trimmed lists.  While
     # deg r1 > 0 each new s has degree k - deg r1 < k, so no s needs a fold.
@@ -314,43 +350,25 @@ def _tuple_inverse(a: tuple, mod: tuple, p: int) -> tuple | None:
     return tuple([x * c % p for x in s1])
 
 
-def _packed(coeffs, w: int) -> int:
-    """sum coeffs[i] * 2^(w i): the Kronecker packing of `FieldDesc.reduce`."""
-    v = 0
-    for c in reversed(coeffs):
-        v = v << w | c
-    return v
-
-
-def _pmod_pow(a: tuple, n: int, mod: tuple, p: int) -> tuple:
-    """a^n for a residue a and n >= 0."""
-    if len(mod) == 2:
-        return (pow(a[0], n, p),)
-    result = (1,) + (0,) * (len(mod) - 2)
-    while n:
-        if n & 1:
-            result = _tuple_mul(result, a, mod, p)
-        a = _tuple_mul(a, a, mod, p)
-        n >>= 1
-    return result
-
-
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Rabin's test: a monic f of degree k is irreducible over Z/p iff
-    x^(p^k) = x mod f and x^(p^(k/r)) - x is prime to f for each prime r | k."""
+    x^(p^k) = x mod f and x^(p^(k/r)) - x is prime to f for each prime r | k.
+    The powers are kernel ints modulo f."""
     k = len(f) - 1
     if k < 2:
         return k == 1
-    x = (0, 1) + (0,) * (k - 2)
+    w = _slot_width(p, k)
+    reduce = _reducer(p, f, w)
+    x = 1 << w
     frob = [x]  # frob[j] = x^(p^j) mod f
     for _ in range(k):
-        frob.append(_pmod_pow(frob[-1], p, f, p))
+        frob.append(_power(frob[-1], p, reduce))
     if frob[k] != x:
         return False
     for r in range(2, k + 1):
         if k % r or not is_prime(r):
             continue
-        diff = tuple([(a - b) % p for a, b in zip(frob[k // r], x)])
+        diff = _slots(reduce(frob[k // r] - x), w, k)
         if _tuple_inverse(diff, f, p) is None:
             return False
     return True
@@ -360,14 +378,15 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 # for a degree-k modulus over Z/p, p of b bits: a test takes k Frobenius
 # powers of about b squarings mod the modulus, each some k^2 products of
 # residues mod p, and past 64 bits a product and its reduction cost about
-# ceil(b / 64) times more.  On a 2-core Intel Xeon VM with Python 3.11 a unit
-# took 0.1-0.5 us in the search of FieldDesc and 0.4-1.3 us, the more the
+# ceil(b / 64) times more.  The powers are kernel ints, one product and one
+# reducer call each.  On a 2-core Intel Xeon VM with Python 3.11 a unit
+# took 0.1-0.2 us in the search of FieldDesc and 0.1-1.3 us, the more the
 # larger p, for a random modulus: a search stops within about 1 s, and the
-# test of a given modulus takes at most about 3 s (2.7 s for a random cubic
-# over Z/(2^2203 - 1), 1.6-2.2 s for one of degree 32 over Z/(2^61 - 1)).
-# GF(3^32) (18 candidates, 1.2M units, 0.19 s), GF(10007^16) and
-# GF((2^127 - 1)^16) fit; GF(3^40) (4.9M units) and GF(101^24), whose search
-# tries 210 candidates, do not.
+# test of a given modulus takes at most about 3 s (2.1-2.6 s for a random
+# cubic over Z/(2^2203 - 1), 1.0-1.4 s for one of degree 32 over
+# Z/(2^61 - 1)).  GF(3^32) (18 candidates, 1.2M units, 0.13 s), GF(10007^16)
+# (0.3 s) and GF((2^127 - 1)^16) (0.4 s) fit; GF(3^40) (4.9M units) and
+# GF(101^24), whose search tries 210 candidates, do not.
 _RABIN_BUDGET = 1 << 21
 
 
@@ -481,72 +500,47 @@ class FieldDesc:
 
     @functools.cached_property
     def _width(self) -> int:
-        """w, the bits of one slot of a packed element: see `reduce`, which
-        with `pack`, `invert` and `unpack` alone reads and writes the ints
-        that `poly`'s loops and `forms._eliminate` compute on over GF(q)."""
-        return 2 * self.char.bit_length() + self.degree.bit_length() + 64
-
-    def pack(self, a: "FFElement") -> int:
-        """The kernel int of a: a_0 for an element of GF(p)."""
-        return _packed(a.coeffs, self._width)
-
-    def unpack(self, c: int) -> "FFElement":
-        """The element of a reduced kernel int."""
-        w, k = self._width, self.degree
-        if c >> w:
-            mask = (1 << w) - 1
-            return FFElement(self, tuple([c >> w * i & mask
-                                          for i in range(k)]))
-        return FFElement(self, (c,) + (0,) * (k - 1))
+        """w, the bits of one slot of a kernel int: see `reduce`."""
+        return _slot_width(self.char, self.degree)
 
     def invert(self, c: int) -> int:
         """The reduced kernel int of 1 / a, for the kernel int c of a
-        nonzero a."""
+        nonzero a; ZeroDivisionError for zero."""
         p, c = self.char, self.reduce(c)
+        if not c:
+            raise ZeroDivisionError("inverse of zero field element")
         if c < p:  # a lies in GF(p)
             return pow(c, -1, p)
-        coeffs = _tuple_inverse(self.unpack(c).coeffs, self.modulus, p)
-        return _packed(coeffs, self._width)
+        w, mod = self._width, self.modulus
+        inverse = _tuple_inverse(_slots(c, w, self.degree), mod, p)
+        return _fold(list(inverse), mod, p, w)
 
     @functools.cached_property
     def reduce(self):
-        """The kernel's reducer over GF(q), None over QQ, RR and CC: a
-        function taking a kernel int to the reduced int of its element.
+        """The reducer over GF(q), None over QQ, RR and CC: a function taking
+        a kernel int to the reduced int of its element, which is what an
+        `FFElement` holds and what `poly`'s loops and `forms._eliminate`
+        compute on.
 
-        a = sum a_i t^i, 0 <= a_i < p, packs to sum a_i 2^(w i) (Kronecker's
-        t = 2^w), so ints add and multiply as polynomials in t, unreduced,
-        and read back exactly as signed w-bit slots while every slot s has
-        |s| < 2^(w - 1).  The kernel multiplies only reduced ints (or their
-        negations), or one by an int n below 2^31, which counts as n
-        products, and it reduces a product of products (the determinant's
-        pivot scale and minors, the elimination's det, den and D) before
-        multiplying it again.  A product of two reduced ints has at most k
-        terms per slot, each below p^2 < 2^(2b), so a sum of up to 2^63 of
-        them, more than any loop here runs, keeps |s| < 2^(2b + bits(k) +
-        63) = 2^(w - 1).  The reducer decodes the slots, takes each mod p,
-        folds t^i for i >= k by the modulus and packs again: k slots in
-        [0, p), 0 exactly for zero.  An int of one slot reduces by c % p, so
-        an element of GF(p) is its residue here as over GF(p) itself.
+        a = sum a_i t^i, 0 <= a_i < p, is the int sum a_i 2^(w i)
+        (Kronecker's t = 2^w), so ints add and multiply as polynomials in
+        t, unreduced, and read back exactly as signed w-bit slots while
+        every slot s has |s| < 2^(w - 1).  The kernel multiplies only
+        reduced ints (or their negations), or one by an int n below 2^31,
+        which counts as n products, and it reduces a product of products
+        (the determinant's pivot scale and minors, the elimination's det,
+        den and D) before multiplying it again.  A product of two reduced
+        ints has at most k terms per slot, each below p^2 < 2^(2b), so a
+        sum of up to 2^63 of them, more than any loop here runs, keeps
+        |s| < 2^(2b + bits(k) + 63) = 2^(w - 1).  The reducer decodes the
+        slots, takes each mod p, folds t^i for i >= k by the modulus and
+        packs again: k slots in [0, p), 0 exactly for zero.  An int of one
+        slot reduces by c % p, so an element of GF(p) is its residue here
+        as over GF(p) itself.
         """
         if self.kind != "GF":
             return None
-        p = self.char
-        if self.degree == 1:
-            return p.__rmod__
-        w, mod = self._width, self.modulus
-        half, mask = 1 << (w - 1), (1 << w) - 1
-        low = -half
-
-        def reduce(c: int) -> int:
-            if low < c < half:
-                return c % p
-            slots = []
-            while c:
-                slots.append(((c + half) & mask) - half)
-                c = (c + half) >> w
-            return _packed(_fold(slots, mod, p), w)
-
-        return reduce
+        return _reducer(self.char, self.modulus, self._width)
 
     def zero(self):
         return self.coerce(0)
@@ -565,15 +559,16 @@ class FieldDesc:
                 if F is self:
                     return value
                 if F.degree == 1 and F.char == p:
-                    value = value.coeffs[0]
+                    value = value.value
                 elif F == self:
                     return value
                 else:
                     raise ValueError("element belongs to a different field")
             if isinstance(value, int):
-                return FFElement(self, (value % p,) + (0,) * (self.degree - 1))
+                return FFElement(self, value % p)
             if isinstance(value, tuple):
-                return FFElement(self, _fold(list(value), self.modulus, p))
+                return FFElement(self, _fold(list(value), self.modulus, p,
+                                             self._width))
             if isinstance(value, Fraction):
                 if value.denominator % p == 0:
                     raise ZeroDivisionError(
@@ -589,8 +584,7 @@ class FieldDesc:
         """Iterate all field elements (finite fields only), deterministically."""
         if self.kind != "GF":
             raise ValueError("elements are defined for finite fields only")
-        return (FFElement(self, coeffs)
-                for coeffs in _coefficient_vectors(self.char, self.degree))
+        return map(self.coerce, _coefficient_vectors(self.char, self.degree))
 
     def __str__(self):
         if self.kind == "GF":
@@ -613,74 +607,64 @@ CC = FieldDesc("CC")
 
 
 class FFElement:
-    """An element of GF(p^k): a residue polynomial of degree < k over Z/p,
-    its coefficient tuple reduced, low to high.  ``+ -`` work entrywise mod
-    p, ``*`` is the schoolbook product folded by the modulus, ``inverse`` one
-    extended Euclid and ``**`` square-and-multiply, over GF(p) Python's
-    ``pow``."""
+    """An element of GF(p^k): ``value`` is its reduced kernel int (see
+    `FieldDesc.reduce`), over GF(p) its residue.  ``+ - *`` are one int
+    operation and one reducer call, ``inverse`` is `FieldDesc.invert` and
+    ``**`` square-and-multiply on the ints, over GF(p) Python's ``pow``.
+    ``coeffs``, the coefficient tuple low to high, is derived for printing.
+    """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "value")
 
-    def __init__(self, field: FieldDesc, coeffs: tuple[int, ...]):
+    def __init__(self, field: FieldDesc, value: int):
         self.field = field
-        self.coeffs = coeffs
+        self.value = value
 
-    def _check(self, other) -> "FFElement":
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        F = self.field
+        return _slots(self.value, F._width, F.degree)
+
+    def _combine(self, other, op):
+        """The element whose int is op(a, b) reduced, a this element's int
+        and b that of other, an element of this field or an int;
+        NotImplemented for any other operand."""
+        F = self.field
         if isinstance(other, FFElement):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not F and other.field != F:
                 raise ValueError("finite field mismatch")
-            return other
-        if isinstance(other, int):
-            return self.field.coerce(other)
-        return NotImplemented
+            b = other.value
+        elif isinstance(other, int):
+            b = other % F.char
+        else:
+            return NotImplemented
+        return FFElement(F, F.reduce(op(self.value, b)))
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.field.char
-        return FFElement(self.field, tuple([(a + b) % p for a, b in
-                                            zip(self.coeffs, other.coeffs)]))
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.char
-        return FFElement(self.field, tuple([-a % p for a in self.coeffs]))
+        F = self.field
+        return FFElement(F, F.reduce(-self.value))
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        F = self.field
-        return FFElement(F, _tuple_mul(self.coeffs, other.coeffs, F.modulus,
-                                       F.char))
+        return self._combine(other, operator.mul)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        F = self.field
-        return FFElement(F, _tuple_inverse(self.coeffs, F.modulus, F.char))
+        return FFElement(self.field, self.field.invert(self.value))
 
     def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self._combine(other, lambda a, b: a * self.field.invert(b))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -689,30 +673,33 @@ class FFElement:
         if n < 0:
             return self.inverse() ** (-n)
         F = self.field
-        return FFElement(F, _pmod_pow(self.coeffs, n, F.modulus, F.char))
+        if F.degree == 1:
+            return FFElement(F, pow(self.value, n, F.char))
+        return FFElement(F, _power(self.value, n, F.reduce))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.value != 0
 
     def __eq__(self, other):
         if self is other:
             return True
-        if isinstance(other, int):  # coercing an int never fails
-            other = self.field.coerce(other)
+        if isinstance(other, int):
+            return self.value == other % self.field.char
         if not isinstance(other, FFElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
+        return self.value == other.value and (
             self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.value))
 
     def __str__(self):
-        if not self:
+        if not self.value:
             return "0"
         parts = []
+        coeffs = self.coeffs
         for i in range(self.field.degree - 1, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:
@@ -745,7 +732,7 @@ def is_square(a, F: FieldDesc) -> bool:
     if F.kind == "QQ":  # n/d in lowest terms: a square iff n and d are
         n, d = a.numerator, a.denominator
         return a > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-    c, p = a.coeffs, F.char
-    if not any(c[1:]):  # in GF(p): a square once k is even, else Euler's
-        return F.degree % 2 == 0 or pow(c[0], (p - 1) // 2, p) == 1
+    c, p = a.value, F.char
+    if c < p:  # in GF(p): a square once k is even, else Euler's
+        return F.degree % 2 == 0 or pow(c, (p - 1) // 2, p) == 1
     return a ** ((F.order - 1) // 2) == F.one()  # Euler's criterion

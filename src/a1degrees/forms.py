@@ -159,8 +159,8 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
 
     The trailing block is N / D, a matrix N of ints over one int D, over
     every field.  Over QQ, RR and CC N enters as the integer matrix
-    N = L * gram over D = L; over GF(q) as the gram's kernel ints
-    (`FieldDesc.pack`; the residues over GF(p), and for entries in GF(p))
+    N = L * gram over D = L; over GF(q) as the ints its elements hold
+    (`FFElement.value`; the residues over GF(p), and for entries in GF(p))
     over D = 1.  Only the upper triangle is kept up to date; a swap or a
     plane first mirrors it.
 
@@ -196,10 +196,10 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
              for row in gram]
         D, det, den = lcd, 1, 1
     else:
-        lcd, reduce, pack, invert = 1, field.reduce, field.pack, field.invert
-        div = lambda a, b: field.unpack(reduce(a * invert(b)))
+        lcd, reduce, invert = 1, field.reduce, field.invert
+        div = lambda a, b: FFElement(field, reduce(a * invert(b)))
         divide_content = functools.partial(_reduce_rows, reduce)
-        N = [[pack(c) for c in row] for row in gram]
+        N = [[c.value for c in row] for row in gram]
         D = det = den = 1
     cols = None
     if track:  # P by columns: every basis change is a column operation

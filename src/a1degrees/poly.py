@@ -28,20 +28,21 @@ one-term factors by adding their keys.  Rings of one order and size share
 one packing.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
-field elements; the kernel's loops see only ints, over every field.  Only
-`_enter`, which makes den * f integral (den is 1 over GF), and `_public`,
-which divides by an int on the way out, cross between the two; a
-determinant over a FieldDesc reads its scalars' numerators and
-denominators and makes its one value the same way.  Over GF(q) a
-coefficient is its field's kernel int (`FieldDesc.pack`): its
-residue over GF(p), and over GF(p^k) its coefficients Kronecker-packed, so
-an element of GF(p) is its residue there too.  The loops add and multiply
-these ints without reducing, and a value goes through the field's reducer
-(`FieldDesc.reduce`, c % p over GF(p)) only where it is read or before it
-is multiplied again: when `_reduce_terms` pops it, when the parser forms
-a sum or a product, when `determinant` clears a column, grows its pivot
+field elements; the kernel's loops see only ints, over every field.  Over
+QQ only `_enter`, which makes den * f integral, and `_public`, which
+divides by an int on the way out, cross between the two; a determinant
+over a FieldDesc reads its scalars' numerators and denominators and makes
+its one value the same way.  Over GF(q) nothing is converted: the kernel
+int of a coefficient is the reduced int its `FFElement` holds
+(`FieldDesc.reduce`), its residue over GF(p), and over GF(p^k) its
+coefficients Kronecker-packed, so an element of GF(p) is its residue
+there too; `_enter` reads it and `_public` wraps it.  The loops add and
+multiply these ints without reducing, and a value goes through the
+field's reducer (c % p over GF(p)) only where it is read or before it is
+multiplied again: when `_reduce_terms` pops it, when the parser forms a
+sum or a product, when `determinant` clears a column, grows its pivot
 scale or finishes a level of minors, and in `_public`, which drops what
-vanishes and makes field elements again.  The parser's integer literals
+vanishes.  The parser's integer literals
 lie in GF(p), so over every finite field its terms are residues mod p.  A
 divisor is a `_prep_divisor` triple: over QQ its primitive integer
 multiple, and division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1),
@@ -463,8 +464,8 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
 def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
     integral coefficients, den the least positive integer that makes them
-    so: 1 over GF, where the coefficients are the field's reduced kernel
-    ints (`FieldDesc.pack`).  A parsed polynomial has them already; callers
+    so: 1 over GF, where the coefficients are the elements' reduced kernel
+    ints (`FFElement.value`).  A parsed polynomial has them already; callers
     do not change the dict."""
     if f._kernel is not None:
         return 1, f._kernel
@@ -472,8 +473,7 @@ def _enter(f: Polynomial):
     if field.kind == "QQ":
         den = lcm(*[c.denominator for c in f.terms.values()])
         return den, pk.pack_terms(f.terms, den)
-    pack = field.pack
-    return 1, {m: pack(c) for m, c in pk.pack_terms(f.terms).items()}
+    return 1, {m: c.value for m, c in pk.pack_terms(f.terms).items()}
 
 
 def _residues(terms: dict, reduce) -> dict:
@@ -482,21 +482,21 @@ def _residues(terms: dict, reduce) -> dict:
     return {e: r for e, c in terms.items() if (r := reduce(c))}
 
 
-def _prep_divisor(field, terms: dict, den=1):
-    """(k, (lm, u, tail)) for the nonzero kernel terms of den * g, tail a
-    list of (e, c): the triple's divisor is k * g.
+def _prep_divisor(field, terms: dict):
+    """(k, (lm, u, tail)) for the nonzero kernel terms of g, tail a list of
+    (e, c).
 
-    Over QQ it is g's primitive integer multiple, and u its leading
-    coefficient, > 0.  Over GF it is g made monic, k the kernel int of the
-    inverse of g's leading coefficient, taken once here, and u the int 1.
+    Over QQ the triple's divisor is g / k, g's primitive integer multiple:
+    k is g's content with its leading coefficient's sign, and u > 0.  Over
+    GF it is k * g, g made monic: k is the kernel int of the inverse of g's
+    leading coefficient, taken once here, and u the int 1.
     """
     lm = max(terms)
     if field.kind == "QQ":
-        content = gcd(*terms.values())
+        k = gcd(*terms.values())
         if terms[lm] < 0:
-            content = -content
-        k = Fraction(den, content)
-        terms = {e: c // content for e, c in terms.items()}
+            k = -k
+        terms = {e: c // k for e, c in terms.items()}
         u = terms[lm]
     else:
         k = u = 1
@@ -514,12 +514,13 @@ def _prep_divisors(polys):
 
 def _public(ring, terms: dict, s) -> dict:
     """Kernel terms divided by the int s as public terms: exponent tuples,
-    and Fractions over QQ.  Over GF s is 1; the ints, reduced here, become
-    field elements (`FieldDesc.unpack`), and those that vanish go."""
+    and Fractions over QQ.  Over GF s is 1; the ints, reduced here, are
+    held by field elements, and those that vanish go."""
     field = ring.field
     if field.kind == "GF":
-        reduce, unpack = field.reduce, field.unpack
-        terms = {m: unpack(r) for m, c in terms.items() if (r := reduce(c))}
+        reduce = field.reduce
+        terms = {m: FFElement(field, r) for m, c in terms.items()
+                 if (r := reduce(c))}
     elif s == 1:
         terms = {m: Fraction(c) for m, c in terms.items()}
     else:
@@ -534,17 +535,17 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    # den * f = q * (k * g), the divisor's triple, so f / g = q * k / den.
-    # Over QQ that triple is primitive, so by Gauss's lemma an exact
-    # division has an integral q and never rescales: its s is 1.
-    den, terms = _enter(g)
-    k, divisor = _prep_divisor(ring.field, terms, den)
+    # den * f = q * divisor, the triple's: den_g * g / k over QQ, where by
+    # Gauss's lemma q is integral and s is 1, and k * g over GF (den 1).
+    den_g, terms = _enter(g)
+    k, divisor = _prep_divisor(ring.field, terms)
     den, terms = _enter(f)
     steps = []
     if _reduce_terms(ring, terms, [divisor], steps)[0]:
         raise ValueError("division is not exact")
+    m, s = (den_g, k * den) if ring.field.kind == "QQ" else (k, 1)
     return Polynomial(ring, _public(ring, {
-        shift: c * k for _, shift, c, _ in steps}, den))
+        shift: c * m for _, shift, c, _ in steps}, s))
 
 
 def _negated(terms: dict) -> dict:
@@ -655,7 +656,7 @@ def determinant(rows, ring, modulo=None):
         if not polynomial:
             if qq:
                 return x.denominator, ({0: x.numerator} if x else {})
-            return 1, ({0: field.pack(x)} if x else {})
+            return 1, ({0: x.value} if x else {})
         d, terms = _enter(x)
         if divisors is not None:
             terms, s = _reduce_terms(ring, terms, divisors)
@@ -712,7 +713,7 @@ def determinant(rows, ring, modulo=None):
         den *= scale ** len(a)
     if not polynomial:
         return Fraction(sign * scale, den) if qq else \
-            field.unpack(reduce(sign * scale))
+            FFElement(field, reduce(sign * scale))
     # minors[S]: the packed minor of the last m rows on the columns in
     # bitmask S, times sign * scale.
     guard = ring._packing.guard
@@ -954,7 +955,7 @@ def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
         r, s = _reduce_terms(ring, partial, divisors)
         c = r.get(0, 0)  # the constant's key: 0 packs to 0
         if field.kind == "GF":
-            c = field.unpack(c)
+            c = FFElement(field, c)
         elif den * s != 1:
             c = Fraction(c, den * s)
         row.append(c)

@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from a1degrees import fields
-from a1degrees.fields import (CC, QQ, RR, FieldDesc, factorize, gf_construct,
-                              is_padic_square, is_prime, is_square,
-                              legendre_symbol, odd_prime_support,
+from a1degrees.fields import (CC, QQ, RR, FFElement, FieldDesc, factorize,
+                              gf_construct, is_padic_square, is_prime,
+                              is_square, legendre_symbol, odd_prime_support,
                               padic_valuation, squarefree_part)
 from a1degrees.fields import _is_irreducible
 from a1degrees.forms import canonical_nonsquare
@@ -738,25 +738,29 @@ def test_elements_refuse_foreign_operands(pk):
 
 @pytest.mark.parametrize("pk", [(7, 1), (5, 2), (10007, 3), ((1 << 61) - 1, 2)])
 def test_kernel_ints_are_the_field(pk):
-    # pack, reduce, invert and unpack, the kernel's view of GF(q): packed
-    # ints add and multiply as their elements do, unreduced, an element of
-    # GF(p) packs to its residue, and a used descriptor still pickles.
+    # An element holds its reduced kernel int, which the kernel computes on
+    # with reduce and invert: the ints add and multiply as their elements
+    # do, unreduced, an element of GF(p) is its residue, and a used
+    # descriptor and its elements still pickle.
     F = gf_construct(*pk)
     p, k = pk
     rng = random.Random(str(F))
     for _ in range(50):
         a, b = (F.coerce(tuple(rng.randrange(p) for _ in range(k)))
                 for _ in range(2))
-        c, d = F.pack(a), F.pack(b)
-        assert F.reduce(c) == c and F.unpack(c) == a
-        assert F.unpack(F.reduce(c * d - 3 * d + c)) == a * b - 3 * b + a
+        c, d = a.value, b.value
+        assert F.reduce(c) == c and FFElement(F, c) == a
+        assert FFElement(F, F.reduce(c * d - 3 * d + c)) == \
+            a * b - 3 * b + a
         if a:
-            assert F.unpack(F.invert(c)) == a.inverse()
-            assert F.invert(-c) == F.pack(-a.inverse())
+            assert FFElement(F, F.invert(c)) == a.inverse()
+            assert F.invert(-c) == (-a.inverse()).value
         n = rng.randrange(-p, p)
-        assert F.pack(F.coerce(n)) == F.reduce(n) == n % p
+        assert F.coerce(n).value == F.reduce(n) == n % p
     again = pickle.loads(pickle.dumps(F))
     assert again == F and again.reduce(p + 1) == 1
+    x = pickle.loads(pickle.dumps(a))
+    assert x == a and hash(x) == hash(a) and x.coeffs == a.coeffs
 
 
 def test_descriptors_print_their_construction():
@@ -774,14 +778,23 @@ def test_prime_field_elements_enter_extensions_by_their_residues():
     assert FieldDesc("GF", 5, 4, F.modulus).coerce(a) is a  # equal, built apart
 
 
-@pytest.mark.parametrize("pk", [(4099, 1), (17, 3)])
-def test_fields_above_the_cap_keep_tuple_arithmetic(pk):
+# GF(10007^3) and GF((2^61 - 1)^2) have slots of several words.
+SAMPLED = [(4099, 1), (17, 3), (10007, 3), ((1 << 61) - 1, 2)]
+
+
+@pytest.mark.parametrize("pk", SAMPLED)
+def test_sampled_fields_match_the_schoolbook_reference(pk):
     F = gf_construct(*pk)
+    G = FieldDesc("GF", *pk, F.modulus)  # equal, built apart
     p, k = pk
     rng = random.Random(F.order)
     for _ in range(300):
         a = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
         b = F.coerce(tuple(rng.randrange(p) for _ in range(k)))
+        c = G.coerce(a.coeffs)
+        assert c == a and hash(c) == hash(a)
+        n = rng.randrange(-3 * p, 0)
+        assert F.coerce(n) == n
         assert (a * b).coeffs == _reference_mul(a.coeffs, b.coeffs, F)
         assert (a + b).coeffs == tuple((x + y) % p for x, y in
                                        zip(a.coeffs, b.coeffs))
@@ -793,7 +806,7 @@ def test_fields_above_the_cap_keep_tuple_arithmetic(pk):
             assert (b ** 3).coeffs == _reference_pow(b.coeffs, 3, F)
 
 
-@pytest.mark.parametrize("pk", [(4099, 1), (17, 3)])
+@pytest.mark.parametrize("pk", SAMPLED)
 def test_powers_above_the_cap_match_repeated_products(pk):
     F = gf_construct(*pk)
     p, k = pk
