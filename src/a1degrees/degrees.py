@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .forms import MAX_MADE_RANK, GWClass, empty_form, make_gw_class
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
-                   _remainder_and_partials, determinant, groebner_basis,
-                   standard_monomials)
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
+                   _from_kernel, _mover, _remainder_and_partials, _scalar,
+                   determinant, groebner_basis, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -109,55 +110,71 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
     X^t * Y^(m-1-t) over t < m, a term c*z^e of f_i contributes
         c * prod_{k<j} Y_k^e_k * prod_{k>j} X_k^e_k * X_j^t * Y_j^(e_j-1-t)
     for t = 0..e_j-1.  Distinct (e, t) give distinct monomials, so no two
-    contributions combine.
+    contributions combine.  The entries are built from f_i's kernel terms
+    and kept in that form, over f_i's den: a packed monomial is linear in
+    its exponents, so the contribution's key is the sum of the doubled
+    ring's variable keys times their exponents.
     """
     ring = system.ring
     n = ring.nvars
     dring = doubled_ring(ring)
+    xs, ys = dring._packing.units[:n], dring._packing.units[n:]
+    unpack = ring._packing.unpack
     rows = []
     for f in system.polys:
-        row = []
-        for j in range(n):
-            before, after = (0,) * j, (0,) * (n - 1 - j)
-            terms = {}
-            for e, c in f.terms.items():
-                m = e[j]
-                if m:
-                    mid = e[j + 1:] + e[:j]  # X_{j+1}..X_n, then Y_1..Y_{j-1}
-                    for t in range(m):
-                        terms[before + (t,) + mid + (m - 1 - t,) + after] = c
-            row.append(Polynomial(dring, terms))
-        rows.append(tuple(row))
+        den, kernel = _enter(f)
+        row = [{} for _ in range(n)]
+        for m, c in kernel.items():
+            e = unpack(m)
+            # The keys of prod_{k<j} Y_k^e_k and of prod_{k>j} X_k^e_k.
+            before, after = 0, sum(map(mul, e, xs))
+            for d, entry, x, y in zip(e, row, xs, ys):
+                after -= d * x
+                if d:  # t = 0, then t steps of X_j / Y_j
+                    key = before + after + (d - 1) * y
+                    for _ in range(d):
+                        entry[key] = c
+                        key += x - y
+                before += d * y
+        rows.append(tuple(_from_kernel(dring, entry, den) for entry in row))
     return BezoutianMatrix(dring, tuple(rows))
 
 
 def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     """The class of the Gram matrix of NF(det B) on basis_gb's standard
-    monomials."""
+    monomials, read off its kernel terms: the cell of a term is found by
+    its packed key, the sum of a standard monomial's X-copy and another's
+    Y-copy."""
     ring = system.ring
     n, field = ring.nvars, ring.field
-    mons = standard_monomials(basis_gb)
-    if not mons:
+    # Each standard monomial is one kernel term.
+    stairs = [m for mon in standard_monomials(basis_gb)
+              for m in _enter(mon)[1]]
+    if not stairs:
         return empty_form(field)
-    index = {m.leading_monomial(): i for i, m in enumerate(mons)}
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
+    xcopy, ycopy = _mover(ring, dring, 0), _mover(ring, dring, n)
+    xs, ys = [xcopy(m) for m in stairs], [ycopy(m) for m in stairs]
+    cells = {a + b: (i, j) for i, a in enumerate(xs)
+             for j, b in enumerate(ys)}
     # The X-copy and the Y-copy have leading monomials in disjoint
     # variables, so every cross S-pair passes the product criterion and
     # their union is a Groebner basis of I_X + I_Y.  Both are the basis's
     # own divisors, moved into the doubled ring.
-    reduced = bez.determinant(basis_gb.divisors_in(dring, 0) +
-                              basis_gb.divisors_in(dring, n))
-    size = len(mons)
+    den, reduced = _enter(bez.determinant(basis_gb.divisors_in(dring, 0) +
+                                          basis_gb.divisors_in(dring, n)))
+    size = len(stairs)
     zero = field.zero()
     gram = [[zero] * size for _ in range(size)]
-    for e, c in reduced.terms.items():
-        xi = index.get(e[:n])
-        yj = index.get(e[n:])
-        if xi is None or yj is None:
+    scalar = _scalar(field, den)
+    for m, c in reduced.items():
+        cell = cells.get(m)
+        if cell is None:
             raise AssertionError(
                 "reduced Bezoutian left the basis grid; reduction bug")
-        gram[xi][yj] = c
+        i, j = cell
+        gram[i][j] = scalar(c)
     return make_gw_class(gram, field)
 
 
@@ -214,7 +231,8 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     ring = system.ring
     if point.ring != ring:
         raise ValueError("polynomial ring mismatch")
-    terms = sum(sum(e) for f in system.polys for e in f.terms)
+    degree = ring._packing.degree
+    terms = sum(degree(m) for f in system.polys for m in _enter(f)[1])
     if terms > MAX_BEZOUTIAN_TERMS:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")

@@ -694,8 +694,8 @@ class FFElement:
         return hash((self.field, self.value))
 
     def __str__(self):
-        if not self.value:
-            return "0"
+        if self.value < self.field.char:  # 0, or an element of GF(p)
+            return str(self.value)
         parts = []
         coeffs = self.coeffs
         for i in range(self.field.degree - 1, -1, -1):

@@ -18,37 +18,43 @@ field, lm divides m exactly when (m - lm) & GUARD is 0.  That needs every
 field below 2^31: no monomial may reach degree 2^31.  Packing refuses one
 with ValueError, and the kernel tests the guard bits of each monomial
 when it first enters a term dict, so a product or a reduction that would
-cross the bound raises too.  Each public entry packs once and unpacks
-once: `normal_form`, `exact_quotient`, `groebner_basis`, `determinant`,
-`Polynomial.__mul__` and `__pow__` through `_enter` and `_public`, and the
-parser through `_public`.  A parsed polynomial keeps the kernel terms the
-parser built, and `_enter` returns them without packing again.  One loop,
+cross the bound raises too.  A `Polynomial` keeps the form its maker
+built and derives the other form on first read, then keeps it too: the
+public exponent-tuple terms (`terms`), or the kernel's packed terms over a
+positive int den (`_enter`).  The parser, `_buchberger`'s reduced basis,
+`determinant`, `normal_form`, `exact_quotient`, `Polynomial.__mul__` and
+`__pow__` build the kernel form, so a chain of them stays in the kernel;
+`_enter` derives it from public terms, and `_public` derives public terms
+from it, only where a caller reads the form it lacks.  The structural
+answers, `bool`, `total_degree`, `is_constant` and `leading_monomial`,
+read the kernel form.  One loop,
 `_mul_into`, forms every product of term dicts; the parser multiplies two
 one-term factors by adding their keys.  Rings of one order and size share
 one packing.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements; the kernel's loops see only ints, over every field.  Over
-QQ only `_enter`, which makes den * f integral, and `_public`, which
-divides by an int on the way out, cross between the two; a determinant
-over a FieldDesc reads its scalars' numerators and denominators and makes
-its one value the same way.  Over GF(q) nothing is converted: the kernel
+QQ only `_enter`, which makes den * f integral, and `_scalar`, which
+divides by den for `_public` and for the degree path's Gram entries, cross
+between the two; a determinant over a FieldDesc
+reads its scalars' numerators and denominators and makes its one value
+the same way.  Over GF(q) nothing is converted: the kernel
 int of a coefficient is the reduced int its `FFElement` holds
 (`FieldDesc.reduce`), its residue over GF(p), and over GF(p^k) its
 coefficients Kronecker-packed, so an element of GF(p) is its residue
-there too; `_enter` reads it and `_public` wraps it.  The loops add and
+there too; `_enter` reads it and `_scalar` wraps it.  The loops add and
 multiply these ints without reducing, and a value goes through the
 field's reducer (c % p over GF(p)) only where it is read or before it is
 multiplied again: when `_reduce_terms` pops it, when the parser forms a
 sum or a product, when `determinant` clears a column, grows its pivot
-scale or finishes a level of minors, and in `_public`, which drops what
-vanishes.  The parser's integer literals
-lie in GF(p), so over every finite field its terms are residues mod p.  A
-divisor is a `_prep_divisor` triple: over QQ its primitive integer
-multiple, and division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1),
-multiplying the work by a running integer scale instead of dividing by
-leading coefficients; over GF it is made monic once, so nothing scales.
-The same heap loop serves every field.
+scale or finishes a level of minors, and before a polynomial keeps
+kernel terms, which over GF are reduced and nonzero.  The parser's integer
+literals lie in GF(p), so over every finite field its terms are residues
+mod p.  A divisor is a `_prep_divisor` triple: over QQ its primitive
+integer multiple, and division is pseudo-division (Knuth, TAOCP vol. 2,
+4.6.1), multiplying the work by a running integer scale instead of
+dividing by leading coefficients; over GF it is made monic once, so
+nothing scales.  The same heap loop serves every field.
 """
 
 from __future__ import annotations
@@ -57,11 +63,11 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add
+from operator import add, le
 
 from .fields import FieldDesc, FFElement
 
@@ -133,7 +139,8 @@ class _Packing:
     written little-endian as signed 32-bit words, so a field of 2^31 or more
     does not pack."""
 
-    __slots__ = ("rows", "fields", "exponents", "size", "guard", "units")
+    __slots__ = ("rows", "fields", "exponents", "size", "guard", "units",
+                 "top", "graded")
 
     def __init__(self, order: str, n: int):
         self.rows = _WEIGHT_ROWS[order]
@@ -144,6 +151,12 @@ class _Packing:
         # The variables' keys: a monomial times x_i is m + units[i].
         self.units = [self.pack([int(i == j) for j in range(n)])
                       for i in range(n)]
+        # Under grevlex the top field is the degree.
+        self.top, self.graded = 32 * (2 * n - 1), order == "grevlex"
+
+    def degree(self, m) -> int:
+        """The total degree of the packed monomial m."""
+        return m >> self.top if self.graded else sum(self.unpack(m))
 
     def pack(self, e) -> int:
         try:
@@ -224,15 +237,25 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map from exponent vectors to coefficients."""
+    """Immutable sparse polynomial: a map from exponent vectors to
+    coefficients (`terms`), or the kernel's packed terms over a positive int
+    (`_enter`).  It keeps the form its maker built and derives the other on
+    first read, then keeps both."""
 
-    __slots__ = ("ring", "terms", "_kernel")
+    __slots__ = ("ring", "_terms", "_kernel")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = terms
-        # The parser's kernel terms (den 1), which `_enter` returns.
+        self._terms = terms
+        # (den, kernel terms) once `_enter` has read or been handed them.
         self._kernel = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            den, kernel = self._kernel
+            self._terms = _public(self.ring, kernel, den)
+        return self._terms
 
     @classmethod
     def make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
@@ -248,23 +271,23 @@ class Polynomial:
         return cls(ring, clean)
 
     # -- basic structure ----------------------------------------------------
+    # These read the kernel terms, so a polynomial with a monomial of
+    # degree 2^31 or more, which `make` accepts, answers none of them.
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(_enter(self)[1])
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(self.ring._packing.degree, _enter(self)[1]), default=-1)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return _enter(self)[1].keys() <= {0}  # 0 packs to 0
 
     def leading_monomial(self):
-        return max(self.terms, key=self.ring._packing.pack)
+        return self.ring._packing.unpack(max(_enter(self)[1]))
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -306,8 +329,8 @@ class Polynomial:
     def __mul__(self, other):
         ring = self.ring
         (da, a), (db, b) = _enter(self), _enter(self._coerce_other(other))
-        return Polynomial(ring, _public(ring, _mul_into(
-            {}, a.items(), b.items(), ring._packing.guard), da * db))
+        return _from_kernel(ring, _product(
+            a, b, ring._packing.guard, ring.field.reduce), da * db)
 
     __rmul__ = __mul__
 
@@ -316,7 +339,7 @@ class Polynomial:
         guard, reduce = ring._packing.guard, ring.field.reduce
         den, terms = _enter(self)
         terms = _power(terms, n, lambda a, b: _product(a, b, guard, reduce))
-        return Polynomial(ring, _public(ring, terms, den ** n))
+        return _from_kernel(ring, terms, den ** n)
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
@@ -463,17 +486,29 @@ def _reduce_terms(ring, fterms: dict, divisors, steps=None):
 
 def _enter(f: Polynomial):
     """(den, terms): den * f in the kernel's form, packed monomials and
-    integral coefficients, den the least positive integer that makes them
-    so: 1 over GF, where the coefficients are the elements' reduced kernel
-    ints (`FFElement.value`).  A parsed polynomial has them already; callers
-    do not change the dict."""
-    if f._kernel is not None:
-        return 1, f._kernel
-    field, pk = f.ring.field, f.ring._packing
-    if field.kind == "QQ":
-        den = lcm(*[c.denominator for c in f.terms.values()])
-        return den, pk.pack_terms(f.terms, den)
-    return 1, {m: c.value for m, c in pk.pack_terms(f.terms).items()}
+    integral coefficients, den a positive integer that makes them so, not
+    always the least: 1 over GF, where the coefficients are the elements'
+    reduced kernel ints (`FFElement.value`), none of them 0.  A polynomial
+    the kernel built has them already, and one built from public terms
+    derives and keeps them here; callers do not change the dict."""
+    if f._kernel is None:
+        field, pk = f.ring.field, f.ring._packing
+        if field.kind == "QQ":
+            den = lcm(*[c.denominator for c in f._terms.values()])
+            f._kernel = den, pk.pack_terms(f._terms, den)
+        else:
+            f._kernel = 1, {m: c.value
+                            for m, c in pk.pack_terms(f._terms).items()}
+    return f._kernel
+
+
+def _from_kernel(ring, terms: dict, den=1) -> Polynomial:
+    """The polynomial terms / den, kept in the kernel's form: terms packed
+    with nonzero int coefficients, reduced over GF, where den is 1, and den
+    a nonzero int, made positive here."""
+    f = Polynomial(ring, None)
+    f._kernel = (den, terms) if den > 0 else (-den, _negated(terms))
+    return f
 
 
 def _residues(terms: dict, reduce) -> dict:
@@ -512,20 +547,21 @@ def _prep_divisors(polys):
     return [_prep_divisor(g.ring.field, _enter(g)[1])[1] for g in polys if g]
 
 
-def _public(ring, terms: dict, s) -> dict:
-    """Kernel terms divided by the int s as public terms: exponent tuples,
-    and Fractions over QQ.  Over GF s is 1; the ints, reduced here, are
-    held by field elements, and those that vanish go."""
-    field = ring.field
+def _scalar(field: FieldDesc, den):
+    """The function taking a kernel coefficient over the positive int den
+    to its public scalar: a Fraction over QQ, and over GF, where den is 1,
+    the field element that holds the reduced nonzero int."""
     if field.kind == "GF":
-        reduce = field.reduce
-        terms = {m: FFElement(field, r) for m, c in terms.items()
-                 if (r := reduce(c))}
-    elif s == 1:
-        terms = {m: Fraction(c) for m, c in terms.items()}
-    else:
-        terms = {m: Fraction(c, s) for m, c in terms.items()}
-    return ring._packing.unpack_terms(terms)
+        return partial(FFElement, field)
+    return Fraction if den == 1 else partial(Fraction, denominator=den)
+
+
+def _public(ring, terms: dict, den) -> dict:
+    """Kernel terms over the positive int den as public terms: exponent
+    tuples, and `_scalar`'s coefficients."""
+    scalar = _scalar(ring.field, den)
+    return ring._packing.unpack_terms({m: scalar(c)
+                                       for m, c in terms.items()})
 
 
 def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -535,17 +571,20 @@ def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    # den * f = q * divisor, the triple's: den_g * g / k over QQ, where by
-    # Gauss's lemma q is integral and s is 1, and k * g over GF (den 1).
+    # den * f = q * divisor, the triple's: den_g * g / k over QQ, where q is
+    # integral and s is 1 by Gauss's lemma, which holds for any den that
+    # makes den * f integral; and k * g over GF (den 1).
     den_g, terms = _enter(g)
     k, divisor = _prep_divisor(ring.field, terms)
     den, terms = _enter(f)
     steps = []
     if _reduce_terms(ring, terms, [divisor], steps)[0]:
         raise ValueError("division is not exact")
-    m, s = (den_g, k * den) if ring.field.kind == "QQ" else (k, 1)
-    return Polynomial(ring, _public(ring, {
-        shift: c * m for _, shift, c, _ in steps}, s))
+    if ring.field.kind == "QQ":
+        return _from_kernel(ring, {shift: c * den_g
+                                   for _, shift, c, _ in steps}, k * den)
+    return _from_kernel(ring, _residues(
+        {shift: c * k for _, shift, c, _ in steps}, ring.field.reduce))
 
 
 def _negated(terms: dict) -> dict:
@@ -738,7 +777,9 @@ def determinant(rows, ring, modulo=None):
     if divisors is not None:
         det, t = _reduce_terms(ring, det, divisors)
         den *= t
-    return Polynomial(ring, _public(ring, det, den))
+    elif reduce:
+        det = _residues(det, reduce)
+    return _from_kernel(ring, det, den)
 
 
 # ---------------------------------------------------------------------------
@@ -775,62 +816,65 @@ class GroebnerBasis:
         return _prep_divisors(self.basis)
 
     def divisors_in(self, target: PolyRing, offset: int) -> list:
-        """The basis's prepared divisors moved into target, a grevlex ring
-        over the same field, with variable i as variable offset + i: what
-        `_prep_divisors` makes of the moved basis, for `determinant`'s
-        modulo, without building it.  The coefficients stay, and each packed
-        monomial moves by shifts.  Among monomials in the copy's variables
-        target's grevlex orders as the basis's does, so leading monomials
-        stay leading.  The n exponent fields move up offset fields; the n
-        rows, e_0, e_0 + e_1, ..., deg, become target's rows offset to
-        offset + n - 1, below which its rows are 0 and above which deg.
-        """
-        ring = self.ideal.ring
-        n, big = ring.nvars, target.nvars
-        if (ring.order, target.order) != ("grevlex", "grevlex") or \
-                target.field != ring.field or not 0 <= offset <= big - n:
-            raise ValueError("the basis does not embed into the target ring")
-        low, top = (1 << 32 * n) - 1, 32 * (2 * n - 1)
-        up, rows = 32 * offset, 32 * (big + offset)
-        fill = sum(1 << 32 * (big + j) for j in range(offset + n, big))
-
-        def move(m):
-            return (m & low) << up | (m >> 32 * n) << rows | (m >> top) * fill
-
+        """The basis's prepared divisors moved into target by `_mover`:
+        what `_prep_divisors` makes of the moved basis, for `determinant`'s
+        modulo, without building it.  The coefficients stay, and among
+        monomials in the copy's variables target's grevlex orders as the
+        basis's does, so leading monomials stay leading."""
+        move = _mover(self.ideal.ring, target, offset)
         return [(move(lm), u, [(move(e), c) for e, c in tail])
                 for lm, u, tail in self._divisors]
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _mover(ring: PolyRing, target: PolyRing, offset: int):
+    """The function taking a packed monomial of ring to its copy in target,
+    grevlex rings over the same field, with variable i as variable
+    offset + i.  The n exponent fields move up offset fields; the n rows,
+    e_0, e_0 + e_1, ..., deg, become target's rows offset to offset + n - 1,
+    below which its rows are 0 and above which deg.  The copies of two
+    monomials in disjoint variables add to the key of their product."""
+    n, big = ring.nvars, target.nvars
+    if (ring.order, target.order) != ("grevlex", "grevlex") or \
+            target.field != ring.field or not 0 <= offset <= big - n:
+        raise ValueError("the basis does not embed into the target ring")
+    low, top = (1 << 32 * n) - 1, 32 * (2 * n - 1)
+    up, rows = 32 * offset, 32 * (big + offset)
+    fill = sum(1 << 32 * (big + j) for j in range(offset + n, big))
+
+    def move(m):
+        return (m & low) << up | (m >> 32 * n) << rows | (m >> top) * fill
+
+    return move
 
 
 def _buchberger(ring: PolyRing, gens) -> tuple:
-    """The reduced basis, as `_prep_divisor` triples and as monic public
-    polynomials, by Buchberger's algorithm with the Gebauer-Moller update
-    (Gebauer & Moller 1988) and the sugar strategy (Giovini et al. 1991).
-    Generators, then S-polynomials, join as nonzero remainders modulo every
-    joined element and are kept as triples: primitive over Z for QQ, monic
-    for GF.  The active set stays a minimal basis, and is tail-reduced at
-    the end.  The pairs' leading monomials and lcms are exponent tuples;
-    the polynomials are packed.
+    """The reduced basis, as `_prep_divisor` triples and as monic
+    polynomials kept in the kernel's form, by Buchberger's algorithm with
+    the Gebauer-Moller update (Gebauer & Moller 1988) and the sugar
+    strategy (Giovini et al. 1991).  Generators, then S-polynomials, join as
+    nonzero remainders modulo every joined element and are kept as triples:
+    primitive over Z for QQ, monic for GF.  The active set stays a minimal
+    basis, and is tail-reduced at the end.  The pairs' lcms are exponent
+    tuples and packed keys, and divisibility is tested on the keys' guard
+    bits; the polynomials are packed.
     """
     pk, field = ring._packing, ring.field
-    one = field.one()
+    guard = pk.guard
     lms, sugar, prepped, active, heap = [], [], [], [], []
 
     def update(h, s):
         nonlocal heap, active
         t = len(prepped)
         prepped.append(_prep_divisor(field, h)[1])
-        lm = pk.unpack(prepped[t][0])
+        key = prepped[t][0]
+        lm = pk.unpack(key)
         lms.append(lm)
         sugar.append(s)
         # A queued pair (i, j) goes when lm divides its lcm and that lcm is
         # neither lcm(lms[i], lm) nor lcm(lms[j], lm) (the B criterion).
-        heap = [p for p in heap if not (
-            _divides(lm, p[4]) and p[4] != tuple(map(max, lms[p[2]], lm))
-            and p[4] != tuple(map(max, lms[p[3]], lm)))]
+        heap = [p for p in heap if (p[1] - key) & guard
+                or p[4] == tuple(map(max, lms[p[2]], lm))
+                or p[4] == tuple(map(max, lms[p[3]], lm))]
         # One new pair per minimal lcm, none for an lcm that some pair
         # reaches with coprime leading monomials; its sugar is the largest
         # degree among the generator multiples it is built from.
@@ -839,12 +883,24 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
             l = tuple(map(max, lms[i], lm))
             first, coprime = new.get(l, (i, False))
             new[l] = first, coprime or l == tuple(map(add, lms[i], lm))
+        # Each lcm of degree below 2^31 packs once, and is tested against
+        # the others on guard bits.  One of degree 2^31 or more may not
+        # pack: it is tested on exponents, and packed only for a pair.
+        keys = {l: pk.pack(l) for l in new if sum(l) < 1 << 31}
         for l, (i, coprime) in new.items():
-            if not coprime and not any(m != l and _divides(m, l) for m in new):
-                s_ij = sum(l) + max(sugar[i] - sum(lms[i]), s - sum(lm))
-                heap.append((s_ij, pk.pack(l), i, t, l))
+            if coprime:
+                continue
+            kl = keys.get(l)
+            if kl is None:
+                if any(m != l and all(map(le, m, l)) for m in new):
+                    continue
+                kl = pk.pack(l)
+            elif any(k != kl and not (kl - k) & guard for k in keys.values()):
+                continue
+            s_ij = sum(l) + max(sugar[i] - sum(lms[i]), s - sum(lm))
+            heap.append((s_ij, kl, i, t, l))
         heapify(heap)
-        active = [i for i in active if not _divides(lm, lms[i])] + [t]
+        active = [i for i in active if (prepped[i][0] - key) & guard] + [t]
 
     def join(f, s) -> bool:
         """Add the nonzero remainder of the packed terms f, sugar s raised
@@ -853,12 +909,11 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
         h = _reduce_terms(ring, f, prepped, steps)[0]
         if h.keys() <= {0}:  # a constant: 0 packs to 0
             return bool(h)
-        update(h, max([s] + [sugar[i] + sum(pk.unpack(m))
+        update(h, max([s] + [sugar[i] + pk.degree(m)
                              for i, m, _, _ in steps]))
         return False
 
-    if any(join(_enter(g)[1], max(map(sum, g.terms), default=0))
-           for g in gens):
+    if any(join(_enter(g)[1], g.total_degree()) for g in gens):
         return [(0, 1, [])], [ring.one()]
     if not prepped:
         raise ValueError("generators must not all be zero")
@@ -870,8 +925,8 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
         g = gcd(lci, lcj)
         a, b = lcj // g, lci // g
         f: dict = {}
-        _mul_into(f, [(l - lmi, a)], taili, pk.guard)
-        _mul_into(f, [(l - lmj, -b)], tailj, pk.guard)
+        _mul_into(f, [(l - lmi, a)], taili, guard)
+        _mul_into(f, [(l - lmj, -b)], tailj, guard)
         if join(f, s):
             return [(0, 1, [])], [ring.one()]
 
@@ -886,8 +941,8 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
             g = gcd(lc, *tail.values())
             lc, tail = lc // g, {e: c // g for e, c in tail.items()}
         reduced.append((lm, lc, list(tail.items())))
-    return reduced, [Polynomial(ring, {pk.unpack(lm): one,
-                                       **_public(ring, dict(t), lc)})
+    # Each monic element is its triple over the den lc.
+    return reduced, [_from_kernel(ring, {lm: lc, **dict(t)}, lc)
                      for lm, lc, t in reduced]
 
 
@@ -924,7 +979,7 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     # den * f reduces to rem with rem = (den * s) * (f mod G).
     den, terms = _enter(f)
     rem, s = _reduce_terms(ring, terms, divisors)
-    return Polynomial(ring, _public(ring, rem, den * s))
+    return _from_kernel(ring, rem, den * s)
 
 
 def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
@@ -1041,8 +1096,8 @@ def standard_monomials(G: GroebnerBasis) -> list:
                 continue
             seen.add(m2)
             queue.append(m2)
-    one = ring.field.one()
-    return [Polynomial(ring, {pk.unpack(m): one}) for m in sorted(seen)]
+    # Kept in the kernel's form, where one is the int 1 over every field.
+    return [_from_kernel(ring, {m: 1}) for m in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -1299,6 +1354,4 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     node = expr(0)
     if toks[pos]:
         fail("unexpected trailing input", pos)
-    f = Polynomial(ring, _public(ring, node, 1))
-    f._kernel = node
-    return f
+    return _from_kernel(ring, node)

@@ -823,6 +823,42 @@ def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
     assert [sum(g is h for h in entered) for g in f.polys] == [1, 1]
 
 
+def test_degree_paths_build_no_public_terms(monkeypatch):
+    # From the parser to the Gram matrix every polynomial stays in the
+    # kernel's form: the parsed system, its basis, the Bezoutian entries,
+    # the reduced determinant and a product by a scalar in t.
+    def refused(*args):
+        raise AssertionError("a degree path built public terms")
+
+    monkeypatch.setattr(poly, "_public", refused)
+    F25 = gf_construct(5, 2)
+    ring25 = PolyRing(F25, ("x", "y"))
+    # (1, -2) is a simple zero, with det J = -1 * 0 - 3 * 3.
+    ring, planted = system(("x", "y"), ["(x - 1)*(x + y) + 3*(y + 2)",
+                                        "(y + 2)^2 + 5*(x - 1) + (x - 1)*y"])
+    classes = [
+        global_a1_degree(system(("x", "y"), ["2*x^2 - 3*x*y + 1",
+                                             "3*x*y + 2*y^2 - x"])[1]),
+        global_a1_degree(system(("x", "y"), ["x^2 - y^3 + 1", "2*x*y - 3"],
+                                gf_construct(7, 1))[1]),
+        global_a1_degree(EndoSystem(ring25, (
+            ring25.from_string("x^2 - y^2 + 1") * F25.coerce((1, 1)),
+            ring25.from_string("2*x*y - 3")))),
+        local_a1_degree(planted, Ideal.of(ring, "x - 1", "y + 2")),
+    ]
+    monkeypatch.undo()
+    assert [[[str(c) for c in row] for row in beta.gram]
+            for beta in classes] == [
+        [["-3", "0", "4/3", "-26/3"], ["0", "-6", "4", "0"],
+         ["4/3", "4", "6", "0"], ["-26/3", "0", "0", "0"]],
+        [["2", "0", "0", "0", "2"], ["0", "0", "0", "2", "0"],
+         ["0", "0", "2", "0", "0"], ["0", "2", "0", "0", "0"],
+         ["2", "0", "0", "0", "0"]],
+        [["3*t + 3", "0", "0", "2*t + 2"], ["0", "2*t + 2", "0", "0"],
+         ["0", "0", "2*t + 2", "0"], ["2*t + 2", "0", "0", "0"]],
+        [["-9"]]]
+
+
 # -- local-global oracle at closed points --------------------------------------
 
 

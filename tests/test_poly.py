@@ -18,12 +18,16 @@ from a1degrees.poly import (MAX_EXPONENT, GroebnerBasis, Ideal, ParseError,
                             groebner_basis, ideal_quotient, normal_form,
                             parse_polynomial, resultant_univariate,
                             saturation, standard_monomials)
-from a1degrees.poly import (_divides, _enter, _prep_divisors, _public,
-                            _reduce_terms)
+from a1degrees.poly import _enter, _prep_divisors, _public, _reduce_terms
 
 
 def ring(*names, field=QQ):
     return PolyRing(field, tuple(names))
+
+
+def _divides(a, b) -> bool:
+    """Whether the exponent tuple a divides b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def to_sympy(poly, syms):
@@ -134,6 +138,22 @@ def test_a_product_past_the_bound_raises():
     assert (half * half).terms == {(2 ** 30, 2 ** 30 - 2): Fraction(4)}
     with pytest.raises(ValueError, match=r"2\^31"):
         R.from_string("(((x^1000)^1000)^1000)^3 - x")
+
+
+def test_lcms_past_half_the_bound_that_form_no_pair():
+    # An lcm of degree 2N or more, N = 1.08 * 10^9, does not pack, and
+    # needs no pair: in x, y the two leading monomials are coprime; in
+    # x, y, z, when x^N*z joins, lcm(x*y^N, x^N*z) = x^N*y^N*z is not
+    # coprime, but lcm(y*z, x^N*z) divides it.
+    N = 1080000000
+    big = "((({v}^1000)^1000)^1000*(({v}^1000)^1000)^80)"
+    x, y = big.format(v="x"), big.format(v="y")
+    G = groebner_basis(Ideal.of(ring("x", "y"), x, f"{y} + x"))
+    assert [g.leading_monomial() for g in G.basis] == [(0, N), (N, 0)]
+    G = groebner_basis(Ideal.of(ring("x", "y", "z"), "y*z", f"x*{y}",
+                                f"{x}*z"))
+    assert sorted(g.leading_monomial() for g in G.basis) == \
+        [(0, 1, 1), (1, N, 0), (N, 0, 1)]
 
 
 def test_elim1_reduction_near_the_bound():
@@ -304,6 +324,41 @@ def random_expression(R, rng, depth):
     op = rng.choice("+-")
     value = left[1] + right[1] if op == "+" else left[1] - right[1]
     return f"{left[0]}{space()}{op}{space()}{right[0]}", value, 1
+
+
+def test_kernel_built_and_public_built_polynomials_agree():
+    # A polynomial the kernel built answers the structural questions from
+    # its kernel terms, and derives its public terms once, on first read.
+    R = ring("x", "y")
+    F7, F25 = gf_construct(7, 1), gf_construct(5, 2)
+    R7, R25 = ring("x", "y", field=F7), ring("x", "y", field=F25)
+    t = F25.coerce((0, 1))
+    monic = groebner_basis(Ideal.of(R, "2*x - 3", "3*y^2 + 1")).basis
+    pairs = [
+        (monic[0], Polynomial.make(R, {(1, 0): 1, (0, 0): Fraction(-3, 2)})),
+        (monic[1], Polynomial.make(R, {(0, 2): 1, (0, 0): Fraction(1, 3)})),
+        (R7.from_string("3*x^2*y - x + 12"),
+         Polynomial.make(R7, {(2, 1): 3, (1, 0): -1, (0, 0): 5})),
+        (R25.from_string("x*y^2 - 2") * t,
+         Polynomial.make(R25, {(1, 2): t, (0, 0): -2 * t})),
+        (R.from_string("x*y - y*x"), R.zero()),
+        (R25.from_string("5"), R25.zero()),
+        (R.from_string("2") * Fraction(1, 3), R.constant(Fraction(2, 3))),
+        (R7.from_string("-1"), R7.constant(6)),
+    ]
+    assert [_enter(g)[0] for g in monic] == [2, 3]
+    for kernel, public in pairs:
+        def answers(f):
+            return (bool(f), f.is_zero(), f.total_degree(), f.is_constant(),
+                    f.leading_monomial() if f else None)
+
+        assert kernel._terms is None
+        assert answers(kernel) == answers(public)
+        assert kernel._terms is None  # answered from the kernel terms
+        assert kernel == public and hash(kernel) == hash(public)
+        assert str(kernel) == str(public)
+        assert kernel.terms == public.terms
+        assert kernel.terms is kernel.terms
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(5, 2)], ids=str)
