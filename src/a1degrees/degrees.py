@@ -28,6 +28,23 @@ column subset: k * 2^(k-1) products of an entry and a minor, with
 reduced once more before it leaves.  Reducing the entries gives the same
 normal form, as det is an integer polynomial in them, and keeps a
 high-degree f_i from expanding past the local algebra.
+
+Over GF(q) a basis with no zeros at infinity takes no Bezoutian.  Its
+Gram matrix is G^-1 for G_ab = eta(e_a e_b) on the standard monomials,
+eta the global residue (Scheja-Storch 1975; Cattani, Dickenstein and
+Sturmfels, "Residues and resultants", 1998).  The path runs when the ring
+is grevlex, the staircase has prod deg f_i monomials (so, by Bezout, no
+zeros at infinity) and exactly one of them, sigma, has the top degree
+rho = sum (deg f_i - 1), the most.  Then eta vanishes below degree rho
+(Euler-Jacobi), and eta(det a_ij) = 1 for the top forms
+f_i^top = sum_j a_ij x_j, so eta(h) = coeff_sigma NF(h) / c with
+c = coeff_sigma NF(det a_ij), one `poly.determinant`.  The normal forms
+of the border monomials x_j e_b come from the reduced basis by the FGLM
+walk, with no division; G' = c * G from l_1 = e_sigma and
+l_{x_j m} = M_j^T l_m; and the Gram matrix is c * G'^-1, by Gauss-Jordan
+on kernel ints.  Every other basis (zeros at infinity, QQ, a local
+algebra smaller than prod deg f_i, where I + m^k is not I) takes the
+Bezoutian as above.
 """
 
 from __future__ import annotations
@@ -36,7 +53,8 @@ from dataclasses import dataclass
 from math import prod
 from operator import mul
 
-from .forms import MAX_MADE_RANK, GWClass, empty_form, make_gw_class
+from .fields import FFElement
+from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
                    _from_kernel, _mover, _remainder_and_partials, _scalar,
                    determinant, groebner_basis, standard_monomials)
@@ -142,9 +160,10 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
 
 def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     """The class of the Gram matrix of NF(det B) on basis_gb's standard
-    monomials, read off its kernel terms: the cell of a term is found by
-    its packed key, the sum of a standard monomial's X-copy and another's
-    Y-copy."""
+    monomials: over GF(q) from the residue where `_residue_gram` applies,
+    else read off the determinant's kernel terms, the cell of a term found
+    by its packed key, the sum of a standard monomial's X-copy and
+    another's Y-copy."""
     ring = system.ring
     n, field = ring.nvars, ring.field
     # Each standard monomial is one kernel term.
@@ -152,6 +171,11 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
               for m in _enter(mon)[1]]
     if not stairs:
         return empty_form(field)
+    if field.kind == "GF":
+        gram = _residue_gram(system, basis_gb, stairs)
+        if gram is not None:
+            return _checked(field, [[FFElement(field, v) for v in row]
+                                    for row in gram])
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
     xcopy, ycopy = _mover(ring, dring, 0), _mover(ring, dring, n)
@@ -175,7 +199,95 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
                 "reduced Bezoutian left the basis grid; reduction bug")
         i, j = cell
         gram[i][j] = scalar(c)
-    return make_gw_class(gram, field)
+    return _checked(field, gram)
+
+
+def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
+    """The Gram matrix of NF(det B) on the stairs, gb's standard monomials
+    as ascending keys, from the global residue over GF(q): rows of reduced
+    kernel ints, or None unless the ring is grevlex, there are
+    prod deg f_i stairs and the last, sigma, is the only one of degree
+    rho = sum (deg f_i - 1).  See the module docstring."""
+    ring = system.ring
+    pk, field = ring._packing, ring.field
+    reduce, units, guard = field.reduce, pk.units, pk.guard
+    size, degree = len(stairs), [f.total_degree() for f in system.polys]
+    rho = sum(degree) - len(degree)
+    if not pk.graded or size != system.bezout_number or \
+            pk.degree(stairs[-1]) != rho or \
+            size > 1 and pk.degree(stairs[-2]) == rho:
+        return None
+    # c = coeff_sigma NF(det a_ij) for f_i's top form sum_j a_ij x_j, each
+    # term sent to its first variable: c * eta(sigma) = 1.
+    rows = []
+    for f, d in zip(system.polys, degree):
+        row = [{} for _ in units]
+        for m, v in _enter(f)[1].items():
+            if pk.degree(m) == d:
+                j = next(j for j, x in enumerate(units) if not m - x & guard)
+                row[j][m - units[j]] = v
+        rows.append([_from_kernel(ring, t) for t in row])
+    c = _enter(determinant(rows, ring, gb))[1].get(stairs[-1])
+    if not c:
+        raise AssertionError("the residue's normalizer vanished; residue bug")
+    # The normal forms of the border monomials x_j * e_b, ascending, as
+    # lists of ints on the stairs; a stair's is itself, kept as its index.
+    # A leading monomial's is minus its monic element's tail; any other
+    # border monomial u is x * w for a border monomial w below it, and
+    # NF(u) = x * NF(w), whose terms x * s are stairs or border monomials
+    # below u (FGLM).
+    index = {m: i for i, m in enumerate(stairs)}
+    tails = {lm: tail for lm, _, tail in gb._divisors}
+    nf = dict(index)
+    for u in sorted({m + x for m in stairs for x in units} - index.keys()):
+        out = [0] * size
+        tail = tails.get(u)
+        if tail is not None:
+            for e, v in tail:
+                out[index[e]] = -v
+            nf[u] = out
+            continue
+        x = next(x for x in units if type(nf.get(u - x)) is list)
+        for s, a in enumerate(nf[u - x]):
+            if a:
+                t = nf[stairs[s] + x]
+                if type(t) is int:
+                    out[t] += a
+                else:
+                    out = [v + a * b for v, b in zip(out, t)]
+        nf[u] = list(map(reduce, out))
+    # Row a of G' = c * G is l_a(e_b) = coeff_sigma NF(e_a * e_b): l_1 is
+    # the indicator of sigma, and l_{x m}(e_b) = l_m(NF(x * e_b)).  G' is
+    # symmetric, so only the entries from the diagonal on are computed.
+    gram = [[0] * (size - 1) + [1]]
+    for a, m in enumerate(stairs[1:], 1):
+        x = next(x for x in units if m - x in index)
+        prev = gram[index[m - x]]
+        row = [gram[b][a] for b in range(a)]
+        for e in stairs[a:]:
+            t = nf[e + x]
+            row.append(prev[t] if type(t) is int else
+                       reduce(sum(map(mul, t, prev))))
+        gram.append(row)
+    # Gauss-Jordan on [G' | c * I] leaves c * G'^-1, the Bezoutian's Gram
+    # matrix (Scheja-Storch), on the right.  Every product is of two
+    # reduced ints, and each entry takes one per step: an entry is a sum
+    # of such products, reduced where it is read as a pivot or a factor.
+    mat = [row + [c if i == j else 0 for j in range(size)]
+           for i, row in enumerate(gram)]
+    for k in range(size):
+        r = next(r for r in range(k, size) if reduce(mat[r][k]))
+        mat[k], mat[r] = mat[r], mat[k]
+        row = mat[k]
+        inv = field._invert(reduce(row[k]))
+        row[k:] = [reduce(reduce(v) * inv) if v else 0 for v in row[k:]]
+        pivot = [(j, w) for j, w in enumerate(row[k:], k) if w]
+        for i, row in enumerate(mat):
+            f = i != k and reduce(row[k])
+            if f:
+                for j, w in pivot:
+                    row[j] -= f * w
+    return [[reduce(v) for v in row[size:]] for row in mat]
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is
@@ -281,5 +393,5 @@ def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
     basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took."""
     gb, jac = _local_ideal(system, point)
     if jac is not None:
-        return make_gw_class([[jac]], system.ring.field)
+        return _checked(system.ring.field, [[jac]])
     return _degree_from_basis(system, gb)

@@ -48,12 +48,14 @@ __all__ = [
 class GWClass:
     """A symmetric nondegenerate Gram matrix with its field tag.
 
-    Built through :func:`make_gw_class`, which validates; rank-0 classes
-    exist only as outputs of the Witt-decomposition machinery.  The
-    pivots of one symmetric elimination, the diagonal and the invariants
-    are computed once, on first use.  The diagonal factors each pivot for
-    its squarefree entry; the invariants read one factorization of their
-    own, whichever of the two ran first, so a class has one record.
+    Built through :func:`make_gw_class`, which validates (the degree
+    paths, whose entries are the field's already, skip only its coercion);
+    rank-0 classes exist only as outputs of the Witt-decomposition
+    machinery.  The pivots of one symmetric elimination, the diagonal and
+    the invariants are computed once, on first use.  The diagonal factors
+    each pivot for its squarefree entry; the invariants read one
+    factorization of their own, whichever of the two ran first, so a class
+    has one record.
     """
 
     field: FieldDesc
@@ -99,7 +101,12 @@ class GWClass:
 
 def make_gw_class(matrix, field: FieldDesc) -> GWClass:
     """Validated construction from a square symmetric matrix."""
-    rows = [[field.coerce(c) for c in row] for row in matrix]
+    return _checked(field, [[field.coerce(c) for c in row] for row in matrix])
+
+
+def _checked(field: FieldDesc, rows) -> GWClass:
+    """`make_gw_class` for rows of the field's own elements, as the degree
+    paths build them: checked, but not coerced again."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty Gram matrix")

@@ -761,8 +761,11 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
     # <det J(p)>, and on the basis {1} the Bezoutian's Gram is
     # det B(p, p) = det J(p).  The shortcut must agree with the Bezoutian
     # path on the same basis and with J(p) evaluated directly, and take
-    # the Jacobian's determinant only; every other zero still builds the
-    # Bezoutian and takes its determinant too.
+    # the Jacobian's determinant only.  Every other zero builds the
+    # Bezoutian and takes its determinant too, unless its local rank is
+    # the Bezout number: then I + m^k = I, there are no zeros at infinity,
+    # and over GF(q) the Gram comes from the residue, whose normalizer is
+    # the one determinant after the Jacobian's.
     rng = random.Random(str(field))
     calls = []
 
@@ -776,7 +779,7 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
 
     for name in ("bezoutian_matrix", "determinant"):
         monkeypatch.setattr(degrees, name, recording(name))
-    simple = multiple = 0
+    simple = multiple = residue = 0
     for n in (1, 2, 3):
         for _ in range(12):
             f, m, p = cubic_planted_system(rng, field, n)
@@ -792,10 +795,15 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
             else:
                 multiple += 1
                 assert jac is None
-                assert calls == ["determinant", "bezoutian_matrix",
-                                 "determinant"]
+                if field.kind == "GF" and beta.rank == f.bezout_number:
+                    residue += 1
+                    assert calls == ["determinant", "determinant"]
+                else:
+                    assert calls == ["determinant", "bezoutian_matrix",
+                                     "determinant"]
                 assert beta.rank > 1
-    assert simple > 0 and multiple > 0
+    assert simple > 0 and multiple > residue
+    assert (residue > 0) == (field.kind == "GF")
 
 
 def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
@@ -1418,6 +1426,125 @@ def test_global_gram_is_the_inverse_trace_form(monkeypatch, field, shapes):
         checked += 1
     assert skipped == 0 and checked == len(shapes)
     assert ranks == [prod(shape) for shape in shapes]
+
+
+def residue_gram_inverse(f):
+    """G^-1 for G_ab = eta(e_a * e_b) on the standard monomials e_a, with
+    eta the global residue of a system with no zeros at infinity:
+    eta(h) = coeff_sigma NF(h) / coeff_sigma NF(E), where sigma is the one
+    standard monomial of the top degree rho = sum (deg f_i - 1) and
+    E = det(a_ij) for the top forms f_i^top = sum_j a_ij x_j.  Only public
+    normal forms and the field's own element arithmetic; None unless the
+    staircase has prod deg f_i monomials and one of degree rho, the most."""
+    ring, field = f.ring, f.ring.field
+    n = ring.nvars
+    gb = groebner_basis(Ideal(ring, f.polys))
+    basis = standard_monomials(gb)
+    degrees_ = [g.total_degree() for g in f.polys]
+    rho = sum(degrees_) - n
+    tops = [m for m in basis if m.total_degree() >= rho]
+    if len(basis) != f.bezout_number or len(tops) != 1 or \
+            tops[0].total_degree() != rho:
+        return None
+    sigma = tops[0].leading_monomial()
+    a = [[ring.zero()] * n for _ in range(n)]
+    for i, (g, d) in enumerate(zip(f.polys, degrees_)):
+        for e, c in g.terms.items():
+            if sum(e) == d:  # the term goes to its first variable
+                j = next(j for j, x in enumerate(e) if x)
+                a[i][j] = a[i][j] + Polynomial.make(ring, {
+                    tuple(x - (k == j) for k, x in enumerate(e)): c})
+    E = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = prod((a[i][perm[i]] for i in range(n)), start=ring.one())
+        E = E - term if inversions % 2 else E + term
+    zero, one = field.zero(), field.one()
+
+    def coeff(h):
+        return normal_form(h, gb).terms.get(sigma, zero)
+
+    scale = coeff(E)
+    r = len(basis)
+    m = [[coeff(x * y) / scale for y in basis] +
+         [one if i == j else zero for j in range(r)]
+         for i, x in enumerate(basis)]
+    for c in range(r):  # Gauss-Jordan on [G | I]
+        p = next(i for i in range(c, r) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        inv = one / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(r):
+            if i != c and m[i][c]:
+                g = m[i][c]
+                m[i] = [x - g * y for x, y in zip(m[i], m[c])]
+    return [row[r:] for row in m]
+
+
+def residue_oracle_system(rng, field, shape, t):
+    """f_i = c * x_i^d_i plus random terms of degree at most d_i, each
+    coefficient drawn from QQ's small fractions, GF(p), or with t from all
+    of GF(p^k)."""
+    n = len(shape)
+    ring = PolyRing(field, tuple("xyzw"[:n]))
+
+    def scalar():
+        if field.kind == "QQ":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if t:
+            return field.coerce(tuple(rng.randrange(field.char)
+                                      for _ in range(field.degree)))
+        return field.coerce(rng.randrange(field.char))
+
+    polys = []
+    for i, d in enumerate(shape):
+        terms = {e: scalar() for e in itertools.product(range(d + 1), repeat=n)
+                 if sum(e) <= d and rng.random() < 0.6}
+        terms[tuple(d * (k == i) for k in range(n))] = scalar() or 1
+        polys.append(Polynomial.make(ring, terms))
+    return EndoSystem(ring, tuple(polys))
+
+
+@pytest.mark.parametrize("field, shapes, t", [
+    (QQ, [(2, 2), (2, 3), (2, 2, 2)], False),
+    (gf_construct(7, 1), [(2, 2), (2, 3), (2, 2, 2)], False),
+    (gf_construct(5, 2), [(2, 2), (2, 3)], True),
+    (gf_construct(3, 1), [(3, 3)], False),  # 3 divides both degrees
+    (gf_construct(5, 1), [(5, 2)], False),  # 5 divides d_1
+    (gf_construct(2 ** 61 - 1, 2), [(2, 2), (2, 3)], True),
+    (gf_construct(2 ** 89 - 1, 2), [(2, 2), (2, 3)], True),
+], ids=["QQ", "GF(7)", "GF(25), t", "GF(3)", "GF(5)", "GF((2^61-1)^2), t",
+        "GF((2^89-1)^2), t"])
+def test_global_gram_is_the_inverse_residue_form(field, shapes, t):
+    # With no zeros at infinity the Bezoutian's Gram is the inverse of the
+    # global residue's (Scheja-Storch; Cattani-Dickenstein-Sturmfels), with
+    # no unit J needed: also where p divides a degree.  The kernel ints of
+    # GF(p^2) with t have two slots of 2b + 66 bits for a b-bit p: one
+    # product of three reduced ints, never reduced in between, fits at
+    # b = 61 but overflows a slot at b = 89.
+    rng = random.Random(f"residue:{field}:{t}")
+    checked = 0
+    for shape in shapes:
+        for _ in range(5):
+            f = residue_oracle_system(rng, field, shape, t)
+            expected = residue_gram_inverse(f)
+            if expected is not None:
+                assert [list(row) for row in global_a1_degree(f).gram] == \
+                    expected
+                checked += 1
+    assert checked >= 3 * len(shapes)
+
+
+@pytest.mark.parametrize("polys", [["x^2", "y^2"], ["x^3 - y^2", "y^3 - x^2"]],
+                         ids=["squares", "cusps"])
+def test_multiple_roots_gram_is_the_inverse_residue_form(polys):
+    # The origin is a multiple root, where J is no unit in Q(f) and the
+    # trace form says nothing; the residue still inverts the Gram.
+    _, f = system(("x", "y"), polys, gf_construct(7, 1))
+    expected = residue_gram_inverse(f)
+    assert expected is not None and len(expected) == f.bezout_number
+    assert [list(row) for row in global_a1_degree(f).gram] == expected
 
 
 @pytest.mark.parametrize("polys, rank", [

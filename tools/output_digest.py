@@ -191,6 +191,20 @@ CLI_DECK = [
     ["degree", "local", "--field", "GF(343)", "--vars", "x,y", "--polys",
      "(x - 2)*(x + y) + y + 1; (y + 1)^2 + 3*(x - 2)*y + 4*(y + 1)",
      "--ideal", "x - 2; y + 1", "--json"],
+    # Global degrees from the residue form, with no zeros at infinity: p
+    # divides a degree over GF(3) and GF(5), an extension field, and a
+    # multiple root at the origin over GF(7).  The last system has zeros at
+    # infinity, at (0 : 1 : 0), and takes the Bezoutian.
+    ["degree", "global", "--field", "GF(3)", "--vars", "x,y", "--polys",
+     "x^3 - y + 1; y^3 + x*y - 2", "--json"],
+    ["degree", "global", "--field", "GF(5)", "--vars", "x,y", "--polys",
+     "x^5 - x*y + 2; y^2 - x - 1", "--json"],
+    ["degree", "global", "--field", "GF(25)", "--vars", "x,y,z", "--polys",
+     "x^2 + 2*x*y - 1; y^2 - 3*x*z + 2; z^3 + x*y - z", "--json"],
+    ["degree", "global", "--field", "GF(7)", "--vars", "x,y", "--polys",
+     "x^3 - y^2; y^3 - x^2", "--json"],
+    ["degree", "global", "--field", "GF(7)", "--vars", "x,y", "--polys",
+     "x^2*y - 3*y + 1; x*y^3 - x^2 + y", "--json"],
 ]
 
 # Fields of order 625 to 4093, each with a form's invariants, its Witt
