@@ -241,8 +241,8 @@ def gwclass_from_json(obj: dict) -> forms.GWClass:
 def _entry_from_str(s: str, field: FieldDesc):
     if field.kind != "GF":
         return parse_scalar(s)
-    # Entries render as residue polynomials in t over GF(p), of degree < k.
-    residue = parse_polynomial(PolyRing(field.prime_field, ("t",)), s)
+    # Entries render as polynomials in t of degree < k over GF(p).
+    residue = parse_polynomial(PolyRing(field, ("t",)), s)
     if residue.total_degree() >= field.degree:
         raise ParseError(f"{field} entry {s!r} has degree >= {field.degree}", 0)
     coeffs = [0] * field.degree
@@ -403,7 +403,9 @@ def _add_system(parser, with_ideal):
                              "grevlex order)")
     parser.add_argument("--polys", required=True,
                         help="inline polynomials separated by ';', "
-                             "'@PATH' for a file, or '-' for stdin")
+                             "'@PATH' for a file, or '-' for stdin; "
+                             "coefficients are integer literals, so over "
+                             "GF(p^k) they lie in GF(p) (no 't')")
     if with_ideal:
         parser.add_argument("--ideal", required=True,
                             help="generators of the point's maximal ideal")

@@ -38,9 +38,9 @@ zeros at infinity) and exactly one of them, sigma, has the top degree
 rho = sum (deg f_i - 1), the most.  Then eta vanishes below degree rho
 (Euler-Jacobi), and eta(det a_ij) = 1 for the top forms
 f_i^top = sum_j a_ij x_j, so eta(h) = coeff_sigma NF(h) / c with
-c = coeff_sigma NF(det a_ij), one `poly.determinant`.  The normal forms
-of the border monomials x_j e_b come from the reduced basis by the FGLM
-walk, with no division; G' = c * G from l_1 = e_sigma and
+c = coeff_sigma NF(det a_ij), one `poly.determinant` reduced once.  The
+normal forms of the border monomials x_j e_b come from the reduced basis
+by the FGLM walk, with no division; G' = c * G from l_1 = e_sigma and
 l_{x_j m} = M_j^T l_m; and the Gram matrix is c * G'^-1, by Gauss-Jordan
 on kernel ints.  Every other basis (zeros at infinity, QQ, a local
 algebra smaller than prod deg f_i, where I + m^k is not I) takes the
@@ -53,11 +53,11 @@ from dataclasses import dataclass
 from math import prod
 from operator import mul
 
-from .fields import FFElement
 from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
-                   _from_kernel, _mover, _remainder_and_partials, _scalar,
-                   determinant, groebner_basis, standard_monomials)
+                   _from_kernel, _mover, _reduce_terms,
+                   _remainder_and_partials, _scalar, determinant,
+                   groebner_basis, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -174,8 +174,8 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     if field.kind == "GF":
         gram = _residue_gram(system, basis_gb, stairs)
         if gram is not None:
-            return _checked(field, [[FFElement(field, v) for v in row]
-                                    for row in gram])
+            scalar = _scalar(field, 1)
+            return _checked(field, [list(map(scalar, row)) for row in gram])
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
     xcopy, ycopy = _mover(ring, dring, 0), _mover(ring, dring, n)
@@ -227,7 +227,9 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
                 j = next(j for j, x in enumerate(units) if not m - x & guard)
                 row[j][m - units[j]] = v
         rows.append([_from_kernel(ring, t) for t in row])
-    c = _enter(determinant(rows, ring, gb))[1].get(stairs[-1])
+    # NF(det) is canonical: the expansion is reduced once, its entries not.
+    det = _enter(determinant(rows, ring))[1]
+    c = _reduce_terms(ring, det, gb._divisors)[0].get(stairs[-1])
     if not c:
         raise AssertionError("the residue's normalizer vanished; residue bug")
     # The normal forms of the border monomials x_j * e_b, ascending, as

@@ -308,17 +308,18 @@ def _reducer(p: int, mod: tuple, w: int):
     return reduce
 
 
-def _power(c: int, n: int, reduce) -> int:
-    """The reduced kernel int of a^n, n >= 0, for the reduced kernel int c
-    of a: square-and-multiply, each product through ``reduce``."""
-    result = 1
+def _power(x, n: int, mul, one):
+    """x^n, n >= 0: the package's one square-and-multiply, each product
+    mul(a, b), from the first factor, so x^0 is ``one``, nothing is
+    multiplied by it, and what bounds ``mul`` bounds every power."""
+    result = None
     while n:
         if n & 1:
-            result = reduce(result * c)
+            result = x if result is None else mul(result, x)
         n >>= 1
         if n:
-            c = reduce(c * c)
-    return result
+            x = mul(x, x)
+    return one if result is None else result
 
 
 def _tuple_inverse(a: tuple, mod: tuple, p: int) -> tuple | None:
@@ -362,7 +363,7 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     x = 1 << w
     frob = [x]  # frob[j] = x^(p^j) mod f
     for _ in range(k):
-        frob.append(_power(frob[-1], p, reduce))
+        frob.append(_power(frob[-1], p, lambda a, b: reduce(a * b), 1))
     if frob[k] != x:
         return False
     for r in range(2, k + 1):
@@ -486,19 +487,6 @@ class FieldDesc:
         return self.kind in ("QQ", "GF")
 
     @functools.cached_property
-    def prime_field(self) -> "FieldDesc":
-        """GF(p), the prime field of a GF(p^k), derived once: this
-        descriptor's p passed its test, so GF(p)'s is not run again."""
-        if self.kind != "GF":
-            raise ValueError("prime field is defined for finite fields only")
-        if self.degree == 1:
-            return self
-        base = object.__new__(FieldDesc)  # the checks ran on self
-        base.__dict__.update(kind="GF", char=self.char, degree=1,
-                             modulus=(0, 1))
-        return base
-
-    @functools.cached_property
     def _width(self) -> int:
         """w, the bits of one slot of a kernel int: see `reduce`."""
         return _slot_width(self.char, self.degree)
@@ -615,8 +603,8 @@ class FFElement:
     """An element of GF(p^k): ``value`` is its reduced kernel int (see
     `FieldDesc.reduce`), over GF(p) its residue.  ``+ - *`` are one int
     operation and one reducer call, ``inverse`` is `FieldDesc.invert` on
-    that reduced int, which it does not reduce again, and ``**``
-    square-and-multiply on the ints, over GF(p) Python's ``pow``.
+    that reduced int, which it does not reduce again, and ``**`` `_power`
+    on the ints, each product reduced, over GF(p) Python's ``pow``.
     ``coeffs``, the coefficient tuple low to high, is derived for printing.
     """
 
@@ -681,7 +669,9 @@ class FFElement:
         F = self.field
         if F.degree == 1:
             return FFElement(F, pow(self.value, n, F.char))
-        return FFElement(F, _power(self.value, n, F.reduce))
+        reduce = F.reduce
+        return FFElement(F, _power(self.value, n, lambda a, b: reduce(a * b),
+                                   1))
 
     def __bool__(self):
         return self.value != 0

@@ -29,8 +29,9 @@ from it, only where a caller reads the form it lacks.  The structural
 answers, `bool`, `total_degree`, `is_constant` and `leading_monomial`,
 read the kernel form.  One loop,
 `_mul_into`, forms every product of term dicts; the parser multiplies two
-one-term factors by adding their keys.  Rings of one order and size share
-one packing.
+one-term factors by adding their keys.  `fields._power` forms every power
+but the parser's `x^n`, n times x's key.  Rings of one order and size
+share one packing.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements; the kernel's loops see only ints, over every field.  Over
@@ -69,7 +70,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import add, le
 
-from .fields import FieldDesc, FFElement
+from .fields import FieldDesc, FFElement, _power
 
 __all__ = [
     "ParseError",
@@ -335,10 +336,13 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative polynomial power")
         ring = self.ring
         guard, reduce = ring._packing.guard, ring.field.reduce
         den, terms = _enter(self)
-        terms = _power(terms, n, lambda a, b: _product(a, b, guard, reduce))
+        terms = _power(terms, n, lambda a, b: _product(a, b, guard, reduce),
+                       {0: 1})
         return _from_kernel(ring, terms, den ** n)
 
     def derivative(self, i: int) -> "Polynomial":
@@ -601,24 +605,6 @@ def _add_into(out: dict, terms: dict) -> None:
             out[e] = v
         elif e in out:
             del out[e]
-
-
-def _power(terms: dict, n: int, product) -> dict:
-    """The packed terms of f ** n, f's packed terms given, by repeated
-    squaring: each product of two term dicts formed by ``product``, a
-    monomial's too, so what ``product`` bounds bounds every power; f ** 0
-    is the kernel's 1, the int."""
-    if n < 0:
-        raise ValueError("negative polynomial power")
-    # Seeded by the first factor, not by one: integer terms stay so.
-    result, base = None, terms
-    while n:
-        if n & 1:
-            result = base if result is None else product(result, base)
-        n >>= 1
-        if n:
-            base = product(base, base)
-    return {0: 1} if result is None else result
 
 
 def _product(a: dict, b: dict, guard: int, reduce) -> dict:
@@ -1313,7 +1299,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             fail("expected a number, variable or '('", pos - 1)
         if toks[pos] == "^":
             n, at = exponent()
-            node = _power(node, n, lambda a, b: product(a, b, at))
+            node = _power(node, n, lambda a, b: product(a, b, at), {0: 1})
         return node
 
     def term(depth):

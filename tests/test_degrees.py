@@ -1045,7 +1045,7 @@ def test_descended_degrees_are_the_field_degrees(field):
     # system over GF(p), computed independently and coerced into GF(q), and
     # the classes are over GF(q).
     rng = random.Random(f"descent:{field}")
-    prime = field.prime_field
+    prime = gf_construct(field.char, 1)
     grams = 0
     for n, shapes in CLOSED_POINT_SHAPES.items():
         for shape in shapes:

@@ -412,6 +412,22 @@ def test_power_of_a_single_term_runs_the_squaring_chain(monkeypatch):
     assert t ** 0 == R.one() and products == []
 
 
+def test_powers_of_polynomials_match_repeated_products():
+    # Three terms each: over GF(25) a 1 + t coefficient spans both slots of
+    # its kernel int, and over QQ denominators 2 and 3 make den ** n scale
+    # the power's kernel terms.  f ** 0 is 1.
+    F = gf_construct(5, 2)
+    R, Q = ring("x", "y", field=F), ring("x", "y")
+    x, y = R.variable(0), R.variable(1)
+    X, Y = Q.variable(0), Q.variable(1)
+    for f in (F.coerce((1, 1)) * x * y + 2 * y * y - 3,
+              Fraction(1, 2) * X * X - Fraction(2, 3) * X * Y + 5):
+        expected = f.ring.one()
+        for n in range(10):
+            assert (f ** n).terms == expected.terms, (f, n)
+            expected = expected * f
+
+
 def test_equality_with_a_scalar_outside_the_ring_is_false():
     gf7, gf5 = gf_construct(7, 1), gf_construct(5, 1)
     R7, RQ = ring("x", field=gf7), ring("x")
