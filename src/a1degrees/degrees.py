@@ -42,9 +42,11 @@ c = coeff_sigma NF(det a_ij), one `poly.determinant` reduced once.  The
 normal forms of the border monomials x_j e_b come from the reduced basis
 by the FGLM walk, with no division; G' = c * G from l_1 = e_sigma and
 l_{x_j m} = M_j^T l_m; and the Gram matrix is c * G'^-1, by Gauss-Jordan
-on kernel ints.  Every other basis (zeros at infinity, QQ, a local
-algebra smaller than prod deg f_i, where I + m^k is not I) takes the
-Bezoutian as above.
+on kernel ints.  Its pivots give det G', so the class is handed its
+determinant c^size / det G' (`forms._checked`), the one value a GF(q)
+class's invariants read, and no symmetric elimination runs.  Every other
+basis (zeros at infinity, QQ, a local algebra smaller than prod deg f_i,
+where I + m^k is not I) takes the Bezoutian as above.
 """
 
 from __future__ import annotations
@@ -172,10 +174,12 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     if not stairs:
         return empty_form(field)
     if field.kind == "GF":
-        gram = _residue_gram(system, basis_gb, stairs)
-        if gram is not None:
+        residue = _residue_gram(system, basis_gb, stairs)
+        if residue is not None:
+            gram, det = residue
             scalar = _scalar(field, 1)
-            return _checked(field, [list(map(scalar, row)) for row in gram])
+            return _checked(field, [list(map(scalar, row)) for row in gram],
+                            scalar(det))
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
     xcopy, ycopy = _mover(ring, dring, 0), _mover(ring, dring, n)
@@ -204,10 +208,11 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
 
 def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
     """The Gram matrix of NF(det B) on the stairs, gb's standard monomials
-    as ascending keys, from the global residue over GF(q): rows of reduced
-    kernel ints, or None unless the ring is grevlex, there are
-    prod deg f_i stairs and the last, sigma, is the only one of degree
-    rho = sum (deg f_i - 1).  See the module docstring."""
+    as ascending keys, from the global residue over GF(q): (rows, det),
+    the rows and the determinant as reduced kernel ints, or None unless the
+    ring is grevlex, there are prod deg f_i stairs and the last, sigma, is
+    the only one of degree rho = sum (deg f_i - 1).  A singular G' is a
+    bug, raised as an AssertionError.  See the module docstring."""
     ring = system.ring
     pk, field = ring._packing, ring.field
     reduce, units, guard = field.reduce, pk.units, pk.guard
@@ -275,13 +280,21 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
     # matrix (Scheja-Storch), on the right.  Every product is of two
     # reduced ints, and each entry takes one per step: an entry is a sum
     # of such products, reduced where it is read as a pivot or a factor.
+    # det G' is the product of the pivots, negated per row swap, so the
+    # Gram matrix's is c^size / det G', one factor c / pivot per step.
     mat = [row + [c if i == j else 0 for j in range(size)]
            for i, row in enumerate(gram)]
+    det = 1
     for k in range(size):
-        r = next(r for r in range(k, size) if reduce(mat[r][k]))
-        mat[k], mat[r] = mat[r], mat[k]
+        r = next((r for r in range(k, size) if reduce(mat[r][k])), None)
+        if r is None:
+            raise AssertionError("the residue form is singular; residue bug")
+        if r != k:
+            mat[k], mat[r] = mat[r], mat[k]
+            det = -det
         row = mat[k]
         inv = field._invert(reduce(row[k]))
+        det = reduce(det * reduce(c * inv))
         row[k:] = [reduce(reduce(v) * inv) if v else 0 for v in row[k:]]
         pivot = [(j, w) for j, w in enumerate(row[k:], k) if w]
         for i, row in enumerate(mat):
@@ -289,7 +302,7 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
             if f:
                 for j, w in pivot:
                     row[j] -= f * w
-    return [[reduce(v) for v in row[size:]] for row in mat]
+    return [[reduce(v) for v in row[size:]] for row in mat], det
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is

@@ -55,7 +55,10 @@ class GWClass:
     the invariants are computed once, on first use.  The diagonal factors
     each pivot for its squarefree entry; the invariants read one
     factorization of their own, whichever of the two ran first, so a class
-    has one record.
+    has one record.  A maker that already holds the determinant may hand
+    it over (`_checked`), as the GF(q) residue path's Gauss-Jordan does;
+    a GF(q) class's invariants read only that, so such a class runs no
+    elimination until its pivots are asked for.
     """
 
     field: FieldDesc
@@ -68,6 +71,10 @@ class GWClass:
     @functools.cached_property
     def _elimination(self) -> tuple:  # (pivots, determinant, lcm L)
         return _eliminate(self.gram, self.field)[:3]
+
+    @functools.cached_property
+    def _determinant(self):
+        return self._elimination[1]
 
     @property
     def _pivots(self) -> tuple:
@@ -104,9 +111,11 @@ def make_gw_class(matrix, field: FieldDesc) -> GWClass:
     return _checked(field, [[field.coerce(c) for c in row] for row in matrix])
 
 
-def _checked(field: FieldDesc, rows) -> GWClass:
+def _checked(field: FieldDesc, rows, det=None) -> GWClass:
     """`make_gw_class` for rows of the field's own elements, as the degree
-    paths build them: checked, but not coerced again."""
+    paths build them: checked, but not coerced again.  A caller that has
+    proved the form nondegenerate may hand over its determinant ``det``, a
+    field element; then the class keeps it and nothing is eliminated."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty Gram matrix")
@@ -117,7 +126,10 @@ def _checked(field: FieldDesc, rows) -> GWClass:
             if rows[i][j] != rows[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
     beta = _raw(field, rows)
-    beta._elimination  # raises ValueError("degenerate form")
+    if det is None:
+        beta._elimination  # raises ValueError("degenerate form")
+    else:
+        vars(beta)["_determinant"] = det
     return beta
 
 
@@ -478,7 +490,8 @@ class InvariantBundle:
 
 
 def _square_class_invariants(beta: GWClass) -> InvariantBundle:
-    """The invariants of a class, from its one elimination.
+    """The invariants of a class, from its one elimination; over GF(q) from
+    its determinant alone, handed over or read off that elimination.
 
     Over QQ, d_j = a_1 ... a_j over the pivots' class integers (less gcd
     squares) ends in the determinant's square class, and Hasse-Witt is
@@ -489,9 +502,11 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     unit there (those of [[3, 1], [1, 1]] are 3 and 2/3).
     Keys: 2, the discriminant's primes and where -1.
     """
-    field, rank, (_, det, lcd) = beta.field, beta.rank, beta._elimination
+    field, rank = beta.field, beta.rank
     if field.kind == "GF":
-        return InvariantBundle(rank, None, _gf_class_rep(det, field), None)
+        return InvariantBundle(rank, None,
+                               _gf_class_rep(beta._determinant, field), None)
+    _, det, lcd = beta._elimination
     if field.kind == "CC":
         return InvariantBundle(rank, None, 1, None)
     signature = beta._signature

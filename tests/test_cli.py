@@ -222,6 +222,17 @@ def test_gf_entry_parse_rejects_bad_terms(entry):
         cli.gwclass_from_json({"field": {"name": "GF(9)"}, "gram": [[entry]]})
 
 
+def test_gf_entry_products_weigh_one_residue_mod_p():
+    # Over GF(3^12) each coefficient the parser makes is one residue mod 3,
+    # one word, so each product weighs 1 and this expansion stays under the
+    # cap, as over GF(3) itself.
+    cube = "(1 + t + 2*t^2 + t^4)^1000"
+    F = gf_construct(3, 12)
+    start = time.perf_counter()
+    assert cli._entry_from_str(f"{cube} - {cube}", F) == 0
+    assert time.perf_counter() - start < 2.0
+
+
 RANK8 = ("[[1,-2,-1,0,1,2,3,-3],[-2,6,-1,3,0,-3,1,-2],[-1,-1,3,-1,-1,-1,-1,-1],"
          "[0,3,-1,6,-2,1,-3,0],[1,0,-1,-2,1,3,2,1],[2,-3,-1,1,3,2,0,2],"
          "[3,1,-1,-3,2,0,2,3],[-3,-2,-1,0,1,2,3,1]]")
@@ -1156,6 +1167,17 @@ def test_one_determinant_per_gf_degree_query(capsys, monkeypatch):
                    "--vars", "x1,x2,x3,x4", "--polys", GRASSMANNIAN)
     assert obj["rank"] == 6
     assert calls == [6]
+
+
+def test_a_residue_path_degree_runs_no_elimination(capsys, monkeypatch):
+    # The residue Gauss-Jordan hands the class its determinant: for x^2 - 2
+    # over GF(7), c = 1 and G' = [[0, 1], [1, 0]], so det = c^2 / det G'
+    # = -1 = 6, a nonsquare mod 7, whose class prints as 3.
+    calls = count_eliminations(monkeypatch)
+    obj = run_json(capsys, "degree", "global", "--field", "GF(7)",
+                   "--vars", "x", "--polys", "x^2 - 2")
+    assert (obj["rank"], obj["discriminant"]) == (2, "3")
+    assert calls == []
 
 
 def test_sixteen_variable_linear_degree_is_fast(capsys):

@@ -13,13 +13,14 @@ import pytest
 
 from conftest import count_fraction_arithmetic
 
-from a1degrees import degrees, poly
+from a1degrees import degrees, forms, poly
 from a1degrees.degrees import (EndoSystem, bezoutian_matrix, global_a1_degree,
                                local_a1_degree, local_algebra_basis)
 from a1degrees.fields import CC, QQ, RR, FFElement, gf_construct
-from a1degrees.forms import (add_gw, base_change, empty_form, get_invariants,
-                             get_signature, is_isomorphic_form,
-                             make_diagonal_form, make_gw_class)
+from a1degrees.forms import (add_gw, base_change, diagonalize, empty_form,
+                             get_invariants, get_signature,
+                             is_isomorphic_form, make_diagonal_form,
+                             make_gw_class)
 from a1degrees.poly import (GroebnerBasis, Ideal, Polynomial, PolyRing,
                             groebner_basis, ideal_quotient, normal_form,
                             saturation, standard_monomials)
@@ -1545,6 +1546,53 @@ def test_multiple_roots_gram_is_the_inverse_residue_form(polys):
     expected = residue_gram_inverse(f)
     assert expected is not None and len(expected) == f.bezout_number
     assert [list(row) for row in global_a1_degree(f).gram] == expected
+
+
+@pytest.mark.parametrize("field, shape, t", [
+    (gf_construct(7, 1), (2, 3), False),
+    (gf_construct(5, 2), (2, 3), True),
+    (gf_construct(3, 1), (3, 3), False),
+    (gf_construct(5, 1), (5, 2), False),
+    (gf_construct(2 ** 89 - 1, 2), (2, 2), True),
+    (gf_construct(7, 1), None, False),
+], ids=["GF(7)", "GF(25), t", "GF(3)", "GF(5)", "GF((2^89-1)^2), t",
+        "GF(7) cusps"])
+def test_residue_path_hands_the_class_its_determinant(monkeypatch, field,
+                                                      shape, t):
+    # The residue Gauss-Jordan's pivots give det G' and so the Gram's
+    # determinant c^size / det G': the class is built with no elimination,
+    # classifies as a validated class of the same Gram does, and still
+    # eliminates, once, when its pivots are read.
+    eliminate, calls = forms._eliminate, []
+
+    def counting(gram, F, track=False):
+        calls.append(len(gram))
+        return eliminate(gram, F, track)
+
+    monkeypatch.setattr(forms, "_eliminate", counting)
+    if shape is None:  # a multiple root at the origin
+        systems = [system(("x", "y"), ["x^3 - y^2", "y^3 - x^2"], field)[1]]
+    else:
+        rng = random.Random(f"handover:{field}:{t}")
+        systems = [residue_oracle_system(rng, field, shape, t)
+                   for _ in range(4)]
+    for f in systems:
+        beta = global_a1_degree(f)
+        assert calls == [] and beta.rank == f.bezout_number
+        assert vars(beta)["_determinant"] == eliminate(beta.gram, field)[1]
+        assert get_invariants(beta) == \
+            get_invariants(make_gw_class(beta.gram, field))
+        calls.clear()
+        diag = beta.diagonal_entries()
+        D, P = diagonalize(beta)
+        assert calls == [beta.rank, beta.rank]  # the pivots, then P
+        n = beta.rank
+        assert [D.gram[i][i] for i in range(n)] == diag
+        assert [[sum((P[k][i] * beta.gram[k][l] * P[l][j]
+                      for k in range(n) for l in range(n)), field.zero())
+                 for j in range(n)] for i in range(n)] == \
+            [list(row) for row in D.gram]
+        calls.clear()
 
 
 @pytest.mark.parametrize("polys, rank", [

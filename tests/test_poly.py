@@ -204,8 +204,20 @@ def test_parser_caps_expansion_by_coefficient_size():
 
 @pytest.mark.parametrize("p, k", [(2 ** 2203 - 1, 1), (2 ** 255 - 19, 3)],
                          ids=["GF(2^2203-1)", "GF((2^255-19)^3)"])
-def test_parser_weighs_gf_products_by_the_field_size(p, k):
-    # Coefficients of 35 words weigh 10 per product, and of 4 * 3 words 2.
+def test_parser_weighs_gf_products_by_the_field_size(monkeypatch, p, k):
+    if k > 1:
+        # Every coefficient the parser makes is one residue mod p, so a
+        # product over GF(p^k) weighs what it weighs over GF(p): 1 for the
+        # 4 words of 2^255 - 19, as 4 * 4 < 128.
+        monkeypatch.setattr(poly, "MAX_PARSE_PRODUCTS", 8)
+        for field in (gf_construct(p, k), gf_construct(p, 1)):
+            R = ring("x", "y", field=field)
+            assert R.from_string("(x + 1)*(y - 1)*2") == \
+                R.from_string("2*x*y - 2*x + 2*y - 2")
+            with pytest.raises(ValueError, match="more than 8 term products"):
+                R.from_string("(x + 1)*(y - 1)*(x - y)")
+        return
+    # Coefficients of 35 words weigh 10 per product.
     big = ring("x", "y", "z", field=gf_construct(p, k))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="term products"):

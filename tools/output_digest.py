@@ -205,6 +205,17 @@ CLI_DECK = [
      "x^3 - y^2; y^3 - x^2", "--json"],
     ["degree", "global", "--field", "GF(7)", "--vars", "x,y", "--polys",
      "x^2*y - 3*y + 1; x*y^3 - x^2 + y", "--json"],
+    # Residue-path classes with a nonsquare discriminant, at even and odd
+    # rank, where the Gram's determinant carries c^rank: over GF(7), GF(27)
+    # and a two-variable GF(7) system of rank 6.
+    ["degree", "global", "--field", "GF(7)", "--vars", "x", "--polys",
+     "x^2 - 2", "--json"],
+    ["degree", "global", "--field", "GF(7)", "--vars", "x", "--polys",
+     "x^3 - x - 1", "--json"],
+    ["degree", "global", "--field", "GF(27)", "--vars", "x", "--polys",
+     "x^3 - x + 1", "--json"],
+    ["degree", "global", "--field", "GF(7)", "--vars", "x,y", "--polys",
+     "x^2 - 3; y^3 - y - 1", "--json"],
 ]
 
 # Fields of order 625 to 4093, each with a form's invariants, its Witt
