@@ -8,22 +8,23 @@ local degrees at a multiple or non-rational point take this path; only
 the basis differs.  At a simple rational zero p the local algebra is k
 with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
 (Kass-Wickelgren), the value the local-ideal test already takes: no
-Bezoutian is built.  The partials are read off each f_i's kernel terms
-and reduced modulo the point's basis to their values at p
-(`poly._remainder_and_partials`), so det J(p) is the determinant of a
-matrix of field scalars.  Over every field the kernel computes on ints:
-over GF(p^k) the Kronecker-packed elements of `fields.FieldDesc.reduce`,
-which for data in GF(p) are their residues, so such a system costs about
-what it does over GF(p) without being moved there.
+Bezoutian is built.  det J(p) is the determinant of the partials
+(`Polynomial.derivative`, built on kernel terms) modulo the point's
+basis, where each reduces to its value at p, so `poly.determinant` runs
+its constant-row elimination only.  Over every field the kernel computes
+on ints: over GF(p^k) the Kronecker-packed elements of
+`fields.FieldDesc.reduce`, which for data in GF(p) are their residues, so
+such a system costs about what it does over GF(p) without being moved
+there.
 
 The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
 it expands.  Rows of field constants (the linear f_i, and every row of
-the Bezoutian modulo a point of quotient dimension 1, where each entry
-reduces to its value) are cleared by column operations on ints,
-fraction-free over QQ, leaving +-pivot as a scalar factor.  The k x k
-block left is expanded by minors, bottom rows first, each memoized by its
-column subset: k * 2^(k-1) products of an entry and a minor, with
+the Bezoutian or the Jacobian modulo a point of quotient dimension 1,
+where each entry reduces to its value) are cleared by column operations
+on ints, fraction-free over QQ, leaving +-pivot as a scalar factor.  The
+k x k block left is expanded by minors, bottom rows first, each memoized
+by its column subset: k * 2^(k-1) products of an entry and a minor, with
 2^k <= prod deg f_i, the size of the Gram matrix.  The expansion is
 reduced once more before it leaves.  Reducing the entries gives the same
 normal form, as det is an integer polynomial in them, and keeps a
@@ -57,9 +58,8 @@ from operator import mul
 
 from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
-                   _from_kernel, _mover, _reduce_terms,
-                   _remainder_and_partials, _scalar, determinant,
-                   groebner_basis, standard_monomials)
+                   _from_kernel, _mover, _reduce_terms, _scalar,
+                   determinant, groebner_basis, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -339,15 +339,15 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     I + m^k, and det J(p) at a simple rational zero p, else None.
 
     At a point of quotient dimension 1, m is maximal with residue field k,
-    and every remainder modulo m is its value at p.  Each f enters the
-    kernel once, for the zero-locus check and for its partials, which are
-    formed from its packed terms and reduced modulo m's own prepared
-    divisors to field values: det J(p) is one scalar elimination.  If
-    det J(p) is nonzero, the linear parts of the f_i span m/m^2, so
-    I + m^2 = m: the zero is simple, and m's own basis is returned with
-    that value.  Otherwise (and at any point of larger dimension, which
-    need not be maximal) k grows until dim Q/(I + m^k) stops growing; then
-    m^k = m^(k+1) locally, so by Nakayama I + m^k is the component.
+    and every remainder modulo m is its value at p.  det J(p) is the
+    determinant of the partials df_i/dx_j modulo m's basis, where every
+    entry is a constant: one elimination of ints, whose one value leaves
+    as a field scalar.  If det J(p) is nonzero, the linear parts of the
+    f_i span m/m^2, so I + m^2 = m: the zero is simple, and m's own basis
+    is returned with that value.  Otherwise (and at any point of larger
+    dimension, which need not be maximal) k grows until dim Q/(I + m^k)
+    stops growing; then m^k = m^(k+1) locally, so by Nakayama I + m^k is
+    the component.
     Refined Bezout caps an isolated multiplicity at prod(deg f_i); a larger
     dimension means the zeros are not isolated.  A dimension above
     forms.MAX_MADE_RANK is refused before the next basis, as the Gram
@@ -364,19 +364,18 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
     gb = groebner_basis(point)
-    rows = []
-    for f in system.polys:
-        rem, row = _remainder_and_partials(f, gb)
-        if rem:
-            raise ValueError("point not in zero locus")
-        rows.append(row)
+    if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
+           for f in system.polys):
+        raise ValueError("point not in zero locus")
     dim = len(standard_monomials(gb))
     if not dim:
         raise ValueError("the point's ideal is the unit ideal")
     if dim == 1:
-        jac = determinant(rows, ring.field)
-        if jac:
-            return gb, jac
+        den, det = _enter(determinant(
+            [[f.derivative(j) for j in range(ring.nvars)]
+             for f in system.polys], ring, gb))
+        if det:
+            return gb, _scalar(ring.field, den)(det[0])
     while True:
         if dim > system.bezout_number:
             raise ValueError("zeros are not isolated")

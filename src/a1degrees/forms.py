@@ -126,10 +126,9 @@ def _checked(field: FieldDesc, rows, det=None) -> GWClass:
             if rows[i][j] != rows[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
     beta = _raw(field, rows)
-    if det is None:
-        beta._elimination  # raises ValueError("degenerate form")
-    else:
+    if det is not None:
         vars(beta)["_determinant"] = det
+    beta._determinant  # eliminates unless handed over: "degenerate form"
     return beta
 
 

@@ -22,16 +22,16 @@ cross the bound raises too.  A `Polynomial` keeps the form its maker
 built and derives the other form on first read, then keeps it too: the
 public exponent-tuple terms (`terms`), or the kernel's packed terms over a
 positive int den (`_enter`).  The parser, `_buchberger`'s reduced basis,
-`determinant`, `normal_form`, `exact_quotient`, `Polynomial.__mul__` and
-`__pow__` build the kernel form, so a chain of them stays in the kernel;
-`_enter` derives it from public terms, and `_public` derives public terms
-from it, only where a caller reads the form it lacks.  The structural
-answers, `bool`, `total_degree`, `is_constant` and `leading_monomial`,
-read the kernel form.  One loop,
-`_mul_into`, forms every product of term dicts; the parser multiplies two
-one-term factors by adding their keys.  `fields._power` forms every power
-but the parser's `x^n`, n times x's key.  Rings of one order and size
-share one packing.
+`determinant`, `normal_form`, `exact_quotient`, `Polynomial.__mul__`,
+`__pow__` and `derivative` build the kernel form, so a chain of them
+stays in the kernel; `_enter` derives it from public terms, and `_public`
+derives public terms from it, only where a caller reads the form it
+lacks.  The structural answers, `bool`, `total_degree`, `is_constant` and
+`leading_monomial`, read the kernel form.  One loop, `_mul_into`, forms
+every product of term dicts; the parser multiplies two one-term factors
+by adding their keys.  `fields._power` forms every power but the
+parser's `x^n`, n times x's key.  Rings of one order and size share one
+packing.
 
 Coefficients.  Public polynomials over QQ hold `Fraction`s, and over GF
 field elements; the kernel's loops see only ints, over every field.  Over
@@ -346,15 +346,18 @@ class Polynomial:
         return _from_kernel(ring, terms, den ** n)
 
     def derivative(self, i: int) -> "Polynomial":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                v = e[i] * c
-                if v:
-                    out[tuple(e2)] = v
-        return Polynomial(self.ring, out)
+        """df/dx_i, built in the kernel over f's den: a packed term m * c
+        whose exponent e_i is positive becomes (m - units[i]) * (c * e_i).
+        Over GF the products go through the field's reducer, which drops
+        the terms whose e_i is a multiple of p."""
+        ring = self.ring
+        pk, reduce = ring._packing, ring.field.reduce
+        unit = pk.units[i]
+        den, terms = _enter(self)
+        out = {m - unit: c * e for m, c in terms.items()
+               if (e := pk.unpack(m)[i])}
+        return _from_kernel(ring, _residues(out, reduce) if reduce else out,
+                            den)
 
     def map_to(self, target: PolyRing, var_map: list[int]) -> "Polynomial":
         """Reindex variables into another ring over the same field."""
@@ -664,11 +667,12 @@ def determinant(rows, ring, modulo=None):
     each minor of the last m rows memoized by its column subset:
     k * 2^(k-1) products of one entry and one minor.  For a Bezoutian k
     counts the nonlinear f_i, and 2^k <= prod deg f_i, the size of the
-    Gram matrix; modulo a simple point's basis every entry is a constant,
-    and k is 0.  Given `modulo`, the expansion is reduced once more before
-    it leaves.  The normal form is canonical and the determinant is an
-    integer polynomial in the entries, so this is NF(det), the same
-    polynomial as normal_form(determinant(rows, ring), modulo).
+    Gram matrix; modulo the basis of a point of quotient dimension 1 every
+    entry of a Bezoutian or a Jacobian is a constant, and k is 0.  Given
+    `modulo`, the expansion is reduced once more before it leaves.  The
+    normal form is canonical and the determinant is an integer polynomial
+    in the entries, so this is NF(det), the same polynomial as
+    normal_form(determinant(rows, ring), modulo).
     """
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
@@ -966,41 +970,6 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     den, terms = _enter(f)
     rem, s = _reduce_terms(ring, terms, divisors)
     return _from_kernel(ring, rem, den * s)
-
-
-def _remainder_and_partials(f: Polynomial, gb: GroebnerBasis) -> tuple:
-    """(rem, row): rem is den * f's kernel remainder modulo gb, empty exactly
-    when f lies in gb's ideal.  If it does, and gb's leading monomials are
-    the variables, gb is x_i - a_i for a rational point a and every
-    remainder is a constant, the value at a: row is then [df/dx_j (a) for
-    each j] as field values, over QQ ints where they are integral.
-    Otherwise row is None.
-
-    f enters the kernel once.  A packed term m * c with exponent e_j > 0
-    gives df/dx_j the term (m - units[j]) * (c * e_j), and each partial is
-    reduced modulo gb's own prepared divisors and divided by den * s.
-    """
-    ring = f.ring
-    field, pk, divisors = ring.field, ring._packing, gb._divisors
-    den, terms = _enter(f)
-    rem = _reduce_terms(ring, terms, divisors)[0]
-    if rem or sorted(lm for lm, _, _ in divisors) != sorted(pk.units):
-        return rem, None
-    partials = [{} for _ in pk.units]
-    for m, c in terms.items():
-        for e, unit, partial in zip(pk.unpack(m), pk.units, partials):
-            if e:
-                partial[m - unit] = c * e
-    row = []
-    for partial in partials:
-        r, s = _reduce_terms(ring, partial, divisors)
-        c = r.get(0, 0)  # the constant's key: 0 packs to 0
-        if field.kind == "GF":
-            c = FFElement(field, c)
-        elif den * s != 1:
-            c = Fraction(c, den * s)
-        row.append(c)
-    return rem, row
 
 
 # ---------------------------------------------------------------------------

@@ -808,28 +808,20 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
 
 
 def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
-    # The partials come from each f's packed terms, entered once for the
-    # zero-locus check and the Jacobian together: no public derivative.
-    # At (1/2, -1/3) det J = 1/3 * 15 - 3 * (-2/3) = 7.
+    # The partials are the kernel's derivatives of each f's packed terms,
+    # and det J(p) is their determinant modulo the point's basis: no public
+    # terms are built.  At (1/2, -1/3) det J = 1/3 * 15 - 3 * (-2/3) = 7.
     ring, f = system(("x", "y"), [
         "(2*x - 1)*(x + y) + 3*y + 1",
         "(3*y + 1)^2 + (2*x - 1)*y + 5*(3*y + 1)"])
     point = Ideal.of(ring, "2*x - 1", "3*y + 1")
-    entered = []
-    enter = poly._enter
 
-    def recording(g):
-        entered.append(g)
-        return enter(g)
+    def refused(*args):
+        raise AssertionError("a simple zero builds no public terms")
 
-    def refused(self, i):
-        raise AssertionError("a simple zero builds no derivative")
-
-    monkeypatch.setattr(poly, "_enter", recording)
-    monkeypatch.setattr(Polynomial, "derivative", refused)
+    monkeypatch.setattr(poly, "_public", refused)
     beta = local_a1_degree(f, point)
     assert beta.gram == ((Fraction(7),),)
-    assert [sum(g is h for h in entered) for g in f.polys] == [1, 1]
 
 
 def test_degree_paths_build_no_public_terms(monkeypatch):

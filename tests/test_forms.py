@@ -538,6 +538,9 @@ def test_hilbert_symbol_of_rationals_reads_their_square_classes():
             assert hilbert_symbol(a, b, p) == oracle(s, s2, p), (a, b, p)
         assert hilbert_symbol(Fraction(3, p * p), Fraction(p, 1), p) == \
             oracle(3, p, p)
+    # A string is read as the rational it names.
+    assert hilbert_symbol("1/2", 3, 5) == hilbert_symbol(Fraction(1, 2), 3, 5)
+    assert hilbert_symbol("1/2", 5, 5) == -1
 
 
 def test_hilbert_symbol_checks_its_prime():

@@ -87,6 +87,34 @@ def test_derivative():
     assert f.derivative(0) == R.from_string("4*x^3 - 12*x - 7")
 
 
+def school_derivative(terms: dict, i: int) -> dict:
+    """d/dx_i of public terms, term by term in the field's arithmetic."""
+    out = {}
+    for e, c in terms.items():
+        v = c * e[i]
+        if v:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = v
+    return out
+
+
+@pytest.mark.parametrize("q", [(7, 1), (5, 2)], ids=["GF(7)", "GF(25)"])
+def test_derivative_over_gf_is_the_schoolbook_one(q):
+    # The kernel multiplies each coefficient by its exponent and reduces
+    # the product: a term whose exponent p divides vanishes.  Over GF(25)
+    # the coefficients are multiples of t.
+    F = gf_construct(*q)
+    p, t = F.char, F.coerce((0, 1)) if F.degree == 2 else F.one()
+    R = ring("x", "y", field=F)
+    f = R.from_string(f"x^{p}*y + 3*x^{p + 1} + x*y^3 - 1") * t
+    # 3 * (p + 1) = 3 mod p
+    assert f.derivative(0) == R.from_string(f"3*x^{p} + y^3") * t
+    assert f.derivative(1) == R.from_string(f"x^{p} + 3*x*y^2") * t
+    rng = random.Random(f"derivative:{F}")
+    for g in [f] + [random_t_poly(R, rng, 12, 3 * p) for _ in range(20)]:
+        for i in range(2):
+            assert g.derivative(i).terms == school_derivative(g.terms, i)
+
+
 def test_parser_rejects_implicit_multiplication():
     R = ring("x")
     with pytest.raises(ParseError) as info:
@@ -154,6 +182,18 @@ def test_lcms_past_half_the_bound_that_form_no_pair():
                                 f"{x}*z"))
     assert sorted(g.leading_monomial() for g in G.basis) == \
         [(0, 1, 1), (1, N, 0), (N, 0, 1)]
+
+
+def test_a_needed_lcm_past_the_bound_raises():
+    # lcm(x*y^N, x^N*y) = x^N*y^N, N = 2^30, is minimal and not coprime, so
+    # its pair is needed, and it does not pack.
+    R, N = ring("x", "y"), 2 ** 30
+    gens = (Polynomial.make(R, {(1, N): 1}),
+            Polynomial.make(R, {(N, 1): 1, (0, 0): 1}))
+    with pytest.raises(ValueError) as info:
+        groebner_basis(Ideal(R, gens))
+    assert str(info.value) == \
+        "a monomial of degree 2^31 or more is out of range"
 
 
 def test_elim1_reduction_near_the_bound():
@@ -851,6 +891,7 @@ def test_resultant_examples():
                                 R.from_string("x - 9")) == Fraction(5)
     assert resultant_univariate(R.from_string("x^2"),
                                 R.from_string("x - 1")) == Fraction(1)
+    assert resultant_univariate(R.constant(3), R.constant(-2)) == 1
 
 
 def test_resultant_matches_sympy_on_random_polynomials():
@@ -1369,11 +1410,11 @@ def test_packed_coefficients_match_the_schoolbook_field(q):
     h = h - value
     gb = groebner_basis(Ideal(R, tuple(R.variable(i) - a
                                        for i, a in enumerate(point))))
-    rem, row = poly._remainder_and_partials(h, gb)
-    assert not rem
-    assert row == [sum((c * e[j] * prod_of(point, e, j)
-                        for e, c in h.terms.items() if e[j]), F.zero())
-                   for j in range(3)]
+    assert not normal_form(h, gb)
+    for j in range(3):
+        assert normal_form(h.derivative(j), gb) == R.constant(
+            sum((c * e[j] * prod_of(point, e, j)
+                 for e, c in h.terms.items() if e[j]), F.zero()))
 
 
 def prod_of(point, e, j=None):
