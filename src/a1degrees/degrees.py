@@ -30,31 +30,39 @@ reduced once more before it leaves.  Reducing the entries gives the same
 normal form, as det is an integer polynomial in them, and keeps a
 high-degree f_i from expanding past the local algebra.
 
-Over GF(q) a basis with no zeros at infinity takes no Bezoutian.  Its
-Gram matrix is G^-1 for G_ab = eta(e_a e_b) on the standard monomials,
-eta the global residue (Scheja-Storch 1975; Cattani, Dickenstein and
-Sturmfels, "Residues and resultants", 1998).  The path runs when the ring
-is grevlex, the staircase has prod deg f_i monomials (so, by Bezout, no
-zeros at infinity) and exactly one of them, sigma, has the top degree
+A basis with no zeros at infinity takes no Bezoutian, over GF(q), and over
+QQ up to MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable.  Its Gram is G^-1 for
+G_ab = eta(e_a e_b) on the standard monomials, eta the global residue
+(Scheja-Storch 1975; Cattani, Dickenstein and Sturmfels, "Residues and
+resultants", 1998).  The path runs when the ring is grevlex, the
+staircase has prod deg f_i monomials (so, by Bezout, no zeros at
+infinity) and exactly one of them, sigma, has the top degree
 rho = sum (deg f_i - 1), the most.  Then eta vanishes below degree rho
 (Euler-Jacobi), and eta(det a_ij) = 1 for the top forms
 f_i^top = sum_j a_ij x_j, so eta(h) = coeff_sigma NF(h) / c with
 c = coeff_sigma NF(det a_ij), one `poly.determinant` reduced once.  The
 normal forms of the border monomials x_j e_b come from the reduced basis
-by the FGLM walk, with no division; G' = c * G from l_1 = e_sigma and
-l_{x_j m} = M_j^T l_m; and the Gram matrix is c * G'^-1, by Gauss-Jordan
-on kernel ints.  Its pivots give det G', so the class is handed its
-determinant c^size / det G' (`forms._checked`), the one value a GF(q)
-class's invariants read, and no symmetric elimination runs.  Every other
-basis (zeros at infinity, QQ, a local algebra smaller than prod deg f_i,
-where I + m^k is not I) takes the Bezoutian as above.
+by the FGLM walk, over QQ as ints over one denominator each; G' = c * G
+from l_1 = e_sigma and l_{x_j m} = M_j^T l_m; and the Gram matrix is
+c * G'^-1.  Over GF(q) it comes from Gauss-Jordan on kernel ints, whose
+pivots give det G', so the class is handed its determinant
+c^size / det G' (`forms._checked`), the one value a GF(q) class's
+invariants read.  Over QQ it comes from a fraction-free symmetric sweep
+of G' in reverse order, whose pivots are, by Jacobi's complementary-minor
+identity, the Gram matrix's own symmetric pivots: the class is handed its
+whole elimination.  Either way no symmetric elimination runs, unless over
+QQ the Gram matrix has a vanishing leading minor.  Every other basis
+(zeros at infinity, a larger rank over QQ, a local algebra smaller than
+prod deg f_i, where I + m^k is not I, or a G' over QQ whose sweep finds
+no pivot on its diagonal) takes the Bezoutian as above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from operator import mul
+from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul, pos
 
 from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
@@ -162,8 +170,8 @@ def bezoutian_matrix(system: EndoSystem) -> BezoutianMatrix:
 
 def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     """The class of the Gram matrix of NF(det B) on basis_gb's standard
-    monomials: over GF(q) from the residue where `_residue_gram` applies,
-    else read off the determinant's kernel terms, the cell of a term found
+    monomials: from the residue where `_residue_gram` applies, else read
+    off the determinant's kernel terms, the cell of a term found
     by its packed key, the sum of a standard monomial's X-copy and
     another's Y-copy."""
     ring = system.ring
@@ -173,13 +181,9 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
               for m in _enter(mon)[1]]
     if not stairs:
         return empty_form(field)
-    if field.kind == "GF":
-        residue = _residue_gram(system, basis_gb, stairs)
-        if residue is not None:
-            gram, det = residue
-            scalar = _scalar(field, 1)
-            return _checked(field, [list(map(scalar, row)) for row in gram],
-                            scalar(det))
+    residue = _residue_gram(system, basis_gb, stairs)
+    if residue is not None:
+        return _checked(field, *residue)
     bez = bezoutian_matrix(system)
     dring = bez.doubled_ring
     xcopy, ycopy = _mover(ring, dring, 0), _mover(ring, dring, n)
@@ -208,80 +212,120 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
 
 def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
     """The Gram matrix of NF(det B) on the stairs, gb's standard monomials
-    as ascending keys, from the global residue over GF(q): (rows, det),
-    the rows and the determinant as reduced kernel ints, or None unless the
-    ring is grevlex, there are prod deg f_i stairs and the last, sigma, is
-    the only one of degree rho = sum (deg f_i - 1).  A singular G' is a
-    bug, raised as an AssertionError.  See the module docstring."""
+    as ascending keys, from the global residue: (rows, det, elimination),
+    `forms._checked`'s arguments, the rows as field elements with, over
+    GF(q), the determinant and, over QQ, the elimination when it can be
+    handed over.  None unless the ring is grevlex, there are prod deg f_i
+    stairs and the last, sigma, is the only one of degree
+    rho = sum (deg f_i - 1), and over QQ there are at most
+    MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable and G' has a diagonal
+    pivot wherever its sweep looks for one.  A singular G' is a bug,
+    raised as an AssertionError.  See the module docstring."""
     ring = system.ring
     pk, field = ring._packing, ring.field
-    reduce, units, guard = field.reduce, pk.units, pk.guard
+    reduce, units, guard = field.reduce or pos, pk.units, pk.guard
     size, degree = len(stairs), [f.total_degree() for f in system.polys]
     rho = sum(degree) - len(degree)
     if not pk.graded or size != system.bezout_number or \
             pk.degree(stairs[-1]) != rho or \
-            size > 1 and pk.degree(stairs[-2]) == rho:
+            size > 1 and pk.degree(stairs[-2]) == rho or \
+            field.kind != "GF" and \
+            size > MAX_QQ_RESIDUE_RANK_PER_VARIABLE * len(units):
         return None
     # c = coeff_sigma NF(det a_ij) for f_i's top form sum_j a_ij x_j, each
     # term sent to its first variable: c * eta(sigma) = 1.
     rows = []
     for f, d in zip(system.polys, degree):
         row = [{} for _ in units]
-        for m, v in _enter(f)[1].items():
+        den, terms = _enter(f)
+        for m, v in terms.items():
             if pk.degree(m) == d:
                 j = next(j for j, x in enumerate(units) if not m - x & guard)
                 row[j][m - units[j]] = v
-        rows.append([_from_kernel(ring, t) for t in row])
+        rows.append([_from_kernel(ring, t, den) for t in row])
     # NF(det) is canonical: the expansion is reduced once, its entries not.
-    det = _enter(determinant(rows, ring))[1]
-    c = _reduce_terms(ring, det, gb._divisors)[0].get(stairs[-1])
+    den, det = _enter(determinant(rows, ring))
+    det, s = _reduce_terms(ring, det, gb._divisors)
+    c, cden = det.get(stairs[-1]), s * den  # c / cden; cden is 1 over GF
     if not c:
         raise AssertionError("the residue's normalizer vanished; residue bug")
     # The normal forms of the border monomials x_j * e_b, ascending, as
-    # lists of ints on the stairs; a stair's is itself, kept as its index.
-    # A leading monomial's is minus its monic element's tail; any other
-    # border monomial u is x * w for a border monomial w below it, and
-    # NF(u) = x * NF(w), whose terms x * s are stairs or border monomials
-    # below u (FGLM).
+    # (den, ints on the stairs) in lowest terms; a stair's is itself, kept
+    # as its index.  A leading monomial's is minus its divisor's tail over
+    # its leading coefficient; any other border monomial u is x * w for a
+    # border monomial w below it, and NF(u) = x * NF(w), whose terms x * s
+    # are stairs or border monomials below u (FGLM).  Over GF every den is 1.
     index = {m: i for i, m in enumerate(stairs)}
-    tails = {lm: tail for lm, _, tail in gb._divisors}
+    tails = {lm: (u, tail) for lm, u, tail in gb._divisors}
     nf = dict(index)
     for u in sorted({m + x for m in stairs for x in units} - index.keys()):
         out = [0] * size
-        tail = tails.get(u)
-        if tail is not None:
+        if u in tails:
+            lc, tail = tails[u]
             for e, v in tail:
                 out[index[e]] = -v
-            nf[u] = out
+            nf[u] = lc, out
             continue
-        x = next(x for x in units if type(nf.get(u - x)) is list)
-        for s, a in enumerate(nf[u - x]):
+        x = next(x for x in units if type(nf.get(u - x)) is tuple)
+        dw, w = nf[u - x]
+        d = 1  # out is over d
+        for s, a in enumerate(w):
             if a:
                 t = nf[stairs[s] + x]
                 if type(t) is int:
-                    out[t] += a
-                else:
-                    out = [v + a * b for v, b in zip(out, t)]
-        nf[u] = list(map(reduce, out))
-    # Row a of G' = c * G is l_a(e_b) = coeff_sigma NF(e_a * e_b): l_1 is
-    # the indicator of sigma, and l_{x m}(e_b) = l_m(NF(x * e_b)).  G' is
-    # symmetric, so only the entries from the diagonal on are computed.
-    gram = [[0] * (size - 1) + [1]]
+                    out[t] += a * d
+                    continue
+                dt, t = t
+                if dt != d:
+                    g = dt // gcd(d, dt)
+                    if g != 1:
+                        out, d = [v * g for v in out], d * g
+                    a *= d // dt
+                out = [v + a * b for v, b in zip(out, t)]
+        nf[u] = _lowest(dw * d, list(map(reduce, out)))
+    # Row a of G' = c * G is l_a(e_b) = coeff_sigma NF(e_a * e_b), as ints
+    # over dens[a]: l_1 is the indicator of sigma, and l_{x m}(e_b) =
+    # l_m(NF(x * e_b)).  G' is symmetric, so only the entries from the
+    # diagonal on are computed.  Entries over different dens are brought to
+    # their lcm, unless every normal form is integral, as over GF: then so
+    # is every row.
+    integral = all(type(t) is int or t[0] == 1 for t in nf.values())
+    gram, dens = [[0] * (size - 1) + [1]], [1]
     for a, m in enumerate(stairs[1:], 1):
         x = next(x for x in units if m - x in index)
-        prev = gram[index[m - x]]
+        prev, dp = gram[index[m - x]], dens[index[m - x]]
         row = [gram[b][a] for b in range(a)]
         for e in stairs[a:]:
             t = nf[e + x]
             row.append(prev[t] if type(t) is int else
-                       reduce(sum(map(mul, t, prev))))
+                       reduce(sum(map(mul, t[1], prev))))
+        d = 1
+        if not integral:
+            ds = dens[:a] + [dp if type(t) is int else dp * t[0]
+                             for t in (nf[e + x] for e in stairs[a:])]
+            d = lcm(*ds)
+            d, row = _lowest(d, [v * (d // dv) for v, dv in zip(row, ds)])
         gram.append(row)
-    # Gauss-Jordan on [G' | c * I] leaves c * G'^-1, the Bezoutian's Gram
-    # matrix (Scheja-Storch), on the right.  Every product is of two
-    # reduced ints, and each entry takes one per step: an entry is a sum
-    # of such products, reduced where it is read as a pivot or a factor.
-    # det G' is the product of the pivots, negated per row swap, so the
-    # Gram matrix's is c^size / det G', one factor c / pivot per step.
+        dens.append(d)
+    if field.kind == "GF":
+        return _inverse_gf(field, gram, c)
+    return _inverse_qq(gram, dens, c, cden)
+
+
+def _lowest(den: int, ints: list) -> tuple:
+    """(den, ints), ints over den, divided by their gcd."""
+    g = gcd(den, *ints) if den != 1 else 1
+    return (den, ints) if g == 1 else (den // g, [v // g for v in ints])
+
+
+def _inverse_gf(field, gram: list, c: int) -> tuple:
+    """Gauss-Jordan on [G' | c * I] leaves c * G'^-1, the Bezoutian's Gram
+    matrix (Scheja-Storch), on the right.  Every product is of two reduced
+    ints, and each entry takes one per step: an entry is a sum of such
+    products, reduced where it is read as a pivot or a factor.  det G' is
+    the product of the pivots, negated per row swap, so the Gram matrix's
+    is c^size / det G', one factor c / pivot per step."""
+    reduce, size = field.reduce, len(gram)
     mat = [row + [c if i == j else 0 for j in range(size)]
            for i, row in enumerate(gram)]
     det = 1
@@ -302,7 +346,66 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
             if f:
                 for j, w in pivot:
                     row[j] -= f * w
-    return [[reduce(v) for v in row[size:]] for row in mat], det
+    scalar = _scalar(field, 1)
+    return ([[scalar(reduce(v)) for v in row[size:]] for row in mat],
+            scalar(det), None)
+
+
+def _inverse_qq(gram: list, dens: list, c: int, cden: int):
+    """c * G'^-1 over QQ, G' the int rows over dens, with B's elimination
+    when it can be handed over, or None where no diagonal pivot is left.
+
+    A = D * G', D = lcm(dens), is swept in place, fraction-free (Bareiss):
+    sweeping k sets every other entry (i, j) to (p * a_ij - a_ik * a_kj) /
+    prev, for the pivot p = a_kk and the previous pivot prev, exactly, and
+    a_kk to -prev; row and column k stay.  The matrix stays symmetric, so
+    only its upper triangle is kept, as one list updated by one expression
+    per sweep, and after the last sweep it is -P * A^-1, P = det A.  The
+    sweeps run in reverse order, each on the last index left with a
+    nonzero diagonal entry.  In that order the
+    pivot p_i is A's trailing principal minor from i on, so by Jacobi's
+    complementary-minor identity B's leading i x i minor is
+    c^i * T_{n-i}(G') / det G', and B's symmetric pivots are
+    c * D * p_{i+1} / p_i (p_n = 1): `forms._eliminate`'s on B, handed
+    over with det B = (c * D)^n / P.  A sweep out of that order means B
+    has a vanishing leading minor, and B is eliminated as any Gram is."""
+    size, D = len(gram), lcm(*dens)
+    # The upper triangle as one list, row by row: entry t is (I[t], J[t]),
+    # and at[k][i] is where (i, k), or (k, i), is.
+    I = [i for i in range(size) for _ in range(i, size)]
+    J = [j for i in range(size) for j in range(i, size)]
+    at = [[0] * size for _ in range(size)]
+    for t, (i, j) in enumerate(zip(I, J)):
+        at[i][j] = at[j][i] = t
+    a = [gram[i][j] * (D // dens[i]) for i, j in zip(I, J)]
+    todo, ratios, prev = list(range(size)), [], 1
+    while todo:
+        k = next((k for k in reversed(todo) if a[at[k][k]]), None)
+        if k is None:
+            return None
+        if ratios is not None and k == todo[-1]:
+            ratios.append((D * prev, a[at[k][k]]))
+        else:
+            ratios = None
+        todo.remove(k)
+        col = [a[t] for t in at[k]]
+        p = col[k]
+        a = [(p * v - col[i] * col[j]) // prev for v, i, j in zip(a, I, J)]
+        for t, v in zip(at[k], col):
+            a[t] = v
+        a[at[k][k]] = -prev
+        prev = p
+    # B = c * G'^-1 = c * D * A^-1 = c * D * a / -P.  Entry x / den has
+    # the denominator den / gcd(x, den), so their lcm is den / g for g the
+    # gcd of den and every x.
+    cd, den, zero = c * D, -cden * prev, Fraction(0)
+    entries = [Fraction(cd * v, den) if v else zero for v in a]
+    B = [[entries[t] for t in row] for row in at]
+    if ratios is None:
+        return B, None, None
+    pivots = tuple(Fraction(c * n, cden * d) for n, d in reversed(ratios))
+    lcd = abs(den) // gcd(den, *(cd * v for v in a))
+    return B, None, (pivots, Fraction(cd ** size, cden ** size * prev), lcd)
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is
@@ -312,6 +415,16 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
 # 7-variable quadratic system (perfbench's random_system(Random(1), (2,)*7,
 # top=3, low=3), parsed) over GF(7) or GF(25), rank 128, 4.8-5.6 s of CPU.
 MAX_BEZOUT = 128
+
+# The largest rank per variable of a QQ Gram matrix that `_residue_gram`
+# computes; a larger one takes the Bezoutian.  The residue's exact inverse
+# grows with the rank alone, the Bezoutian's determinant with the number of
+# variables too.  On a 2-core Intel Xeon VM with Python 3.11, the Gram and
+# invariants after the basis of perfbench's random_system(Random(s), shape,
+# top=3, low=3) took, Bezoutian / residue, in ms: (6,) 0.24 / 0.21, (12,)
+# 0.56 / 0.61; (3, 4) 0.92 / 0.72, (4, 4) 1.2-1.8 / 1.2-1.5, (5, 5) 4.9 /
+# 8.5; (3, 3, 2) 4.4-5.7 / 3.0-3.5, (2, 2, 5) 7.5 / 4.0.
+MAX_QQ_RESIDUE_RANK_PER_VARIABLE = 6
 
 # The most terms the Bezoutian of a local query may have: a term of f_i of
 # degree d puts d terms in row i.  Local queries have no Bezout-number cap,

@@ -58,7 +58,9 @@ class GWClass:
     has one record.  A maker that already holds the determinant may hand
     it over (`_checked`), as the GF(q) residue path's Gauss-Jordan does;
     a GF(q) class's invariants read only that, so such a class runs no
-    elimination until its pivots are asked for.
+    elimination until its pivots are asked for.  A maker that holds the
+    whole elimination may hand that over, as the QQ residue path's sweep
+    does when its pivots are the Gram's own: such a class runs none.
     """
 
     field: FieldDesc
@@ -111,11 +113,13 @@ def make_gw_class(matrix, field: FieldDesc) -> GWClass:
     return _checked(field, [[field.coerce(c) for c in row] for row in matrix])
 
 
-def _checked(field: FieldDesc, rows, det=None) -> GWClass:
+def _checked(field: FieldDesc, rows, det=None, elimination=None) -> GWClass:
     """`make_gw_class` for rows of the field's own elements, as the degree
     paths build them: checked, but not coerced again.  A caller that has
     proved the form nondegenerate may hand over its determinant ``det``, a
-    field element; then the class keeps it and nothing is eliminated."""
+    field element, or its whole ``elimination``, what `_eliminate` would
+    return as (pivots, det, L); then the class keeps it and nothing is
+    eliminated."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty Gram matrix")
@@ -128,6 +132,8 @@ def _checked(field: FieldDesc, rows, det=None) -> GWClass:
     beta = _raw(field, rows)
     if det is not None:
         vars(beta)["_determinant"] = det
+    if elimination is not None:
+        vars(beta)["_elimination"] = elimination
     beta._determinant  # eliminates unless handed over: "degenerate form"
     return beta
 

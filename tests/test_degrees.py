@@ -156,7 +156,8 @@ def test_one_reduction_pass_per_degree(monkeypatch):
 def test_an_asymmetric_bezoutian_gram_is_refused(monkeypatch):
     # One term more at the grid cell (1, x) of the doubled ring: the Gram
     # stays on the grid, and the class's one symmetry check refuses it.
-    ring, f = system(("x", "y"), ["x^2 - 1", "y^2 - 2"])
+    # The system has zeros at infinity, so its Gram is the Bezoutian's.
+    ring, f = system(("x", "y"), ["x^2*y - 3*y + 1", "x*y^3 - x^2 + y"])
     det = degrees.BezoutianMatrix.determinant
 
     def skewed(bez, modulo=None):
@@ -765,8 +766,9 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
     # the Jacobian's determinant only.  Every other zero builds the
     # Bezoutian and takes its determinant too, unless its local rank is
     # the Bezout number: then I + m^k = I, there are no zeros at infinity,
-    # and over GF(q) the Gram comes from the residue, whose normalizer is
-    # the one determinant after the Jacobian's.
+    # and over GF(q), or over QQ up to the residue's rank limit, the Gram
+    # comes from the residue, whose normalizer is the one determinant after
+    # the Jacobian's.
     rng = random.Random(str(field))
     calls = []
 
@@ -796,15 +798,16 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
             else:
                 multiple += 1
                 assert jac is None
-                if field.kind == "GF" and beta.rank == f.bezout_number:
+                if beta.rank == f.bezout_number and (
+                        field.kind == "GF" or beta.rank <=
+                        degrees.MAX_QQ_RESIDUE_RANK_PER_VARIABLE * n):
                     residue += 1
                     assert calls == ["determinant", "determinant"]
                 else:
                     assert calls == ["determinant", "bezoutian_matrix",
                                      "determinant"]
                 assert beta.rank > 1
-    assert simple > 0 and multiple > residue
-    assert (residue > 0) == (field.kind == "GF")
+    assert simple > 0 and multiple > residue > 0
 
 
 def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
@@ -1585,6 +1588,149 @@ def test_residue_path_hands_the_class_its_determinant(monkeypatch, field,
                  for j in range(n)] for i in range(n)] == \
             [list(row) for row in D.gram]
         calls.clear()
+
+
+def has_a_vanishing_leading_minor(gram) -> bool:
+    """Whether Gaussian elimination of gram in its own order, with no row
+    swap, meets a zero pivot before the last row."""
+    m = [list(row) for row in gram]
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            return True
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return False
+
+
+def bezoutian_gram(f):
+    """The Gram matrix read off NF(det B) modulo I_X + I_Y, the public
+    bases moved into the doubled ring: no residue takes part."""
+    n = f.ring.nvars
+    gb = groebner_basis(Ideal(f.ring, f.polys))
+    bez = bezoutian_matrix(f)
+    moved = [g.map_to(bez.doubled_ring, list(range(k, k + n)))
+             for k in (0, n) for g in gb.basis]
+    index = {m.leading_monomial(): i
+             for i, m in enumerate(standard_monomials(gb))}
+    gram = [[QQ.zero()] * len(index) for _ in index]
+    for e, c in bez.determinant(moved).terms.items():
+        gram[index[e[:n]]][index[e[n:]]] = c
+    return gram
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 2, 2)],
+                         ids=str)
+def test_qq_residue_path_hands_the_class_its_elimination(monkeypatch, shape):
+    # Over QQ the residue's reverse sweep gives B's own symmetric pivots
+    # (Jacobi's complementary minors): unless B has a vanishing leading
+    # minor, the class is handed _eliminate's (pivots, det, L), runs no
+    # elimination, classifies as a validated class of the same Gram does,
+    # and eliminates once more only to track P for diagonalize.  Otherwise
+    # it eliminates once.
+    eliminate, calls = forms._eliminate, []
+
+    def counting(gram, F, track=False):
+        calls.append(len(gram))
+        return eliminate(gram, F, track)
+
+    monkeypatch.setattr(forms, "_eliminate", counting)
+    rng = random.Random(f"handover:QQ:{shape}")
+    handed = 0
+    for _ in range(6):
+        f = residue_oracle_system(rng, QQ, shape, False)
+        calls.clear()
+        beta = global_a1_degree(f)
+        if has_a_vanishing_leading_minor(beta.gram):
+            assert calls == [beta.rank]
+            continue
+        handed += 1
+        assert calls == [] and beta.rank == f.bezout_number
+        assert vars(beta)["_elimination"] == eliminate(beta.gram, QQ)[:3]
+        assert get_invariants(beta) == \
+            get_invariants(make_gw_class(beta.gram, QQ))
+        calls.clear()
+        diag = beta.diagonal_entries()
+        D, P = diagonalize(beta)
+        assert calls == [beta.rank]  # P only: the pivots were handed over
+        n = beta.rank
+        assert [D.gram[i][i] for i in range(n)] == diag
+        assert [[sum(P[k][i] * beta.gram[k][l] * P[l][j]
+                     for k in range(n) for l in range(n))
+                 for j in range(n)] for i in range(n)] == \
+            [list(row) for row in D.gram]
+    assert handed >= 3
+
+
+@pytest.mark.parametrize("polys, bezoutians", [
+    # B's second leading minor vanishes: the sweep leaves its order
+    (["x^2 - 1", "(x - y)^2 + 2"], 0),
+    # G' has a zero diagonal, so no sweep can start: the Bezoutian
+    (["x^2 - 1", "y^2 - 2"], 1),
+], ids=["out of order", "no diagonal pivot"])
+def test_qq_residue_fallbacks_eliminate_once(monkeypatch, polys, bezoutians):
+    eliminate, calls, dets = forms._eliminate, [], []
+    det = degrees.BezoutianMatrix.determinant
+
+    def counting(gram, F, track=False):
+        calls.append(len(gram))
+        return eliminate(gram, F, track)
+
+    def determinant(bez, modulo=None):
+        dets.append(modulo)
+        return det(bez, modulo)
+
+    _, f = system(("x", "y"), polys)
+    monkeypatch.setattr(forms, "_eliminate", counting)
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
+    beta = global_a1_degree(f)
+    assert calls == [4]
+    assert len(dets) == bezoutians
+    assert has_a_vanishing_leading_minor(beta.gram)
+    monkeypatch.undo()
+    assert [list(row) for row in beta.gram] == bezoutian_gram(f)
+    assert get_invariants(beta) == \
+        get_invariants(make_gw_class(beta.gram, QQ))
+
+
+@pytest.mark.parametrize("shape, residue", [
+    ((6,), True), ((7,), False),
+    ((3, 4), True), ((2, 7), False),
+    ((3, 3, 2), True), ((2, 2, 5), False),
+], ids=str)
+def test_qq_residue_rank_limit(monkeypatch, shape, residue):
+    # Up to MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable the QQ Gram
+    # comes from the residue form, and above it from the Bezoutian's one
+    # determinant; either way it is the Gram read off the Bezoutian
+    # independently, and the class's record is that Gram's.
+    w = _workloads(monkeypatch)
+    names = w._var_names(len(shape))
+    polys = w.random_system(random.Random(f"limit:{shape}"), shape, top=3,
+                            low=3)
+    _, f = system(names, [w.to_string(p, names) for p in polys])
+    assert (f.bezout_number <= len(shape) *
+            degrees.MAX_QQ_RESIDUE_RANK_PER_VARIABLE) == residue
+    eliminate, calls = forms._eliminate, []
+    det, dets = degrees.BezoutianMatrix.determinant, []
+
+    def counting(gram, F, track=False):
+        calls.append(len(gram))
+        return eliminate(gram, F, track)
+
+    def determinant(bez, modulo=None):
+        dets.append(modulo)
+        return det(bez, modulo)
+
+    monkeypatch.setattr(forms, "_eliminate", counting)
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
+    beta = global_a1_degree(f)
+    assert len(dets) == (0 if residue else 1)
+    assert calls == ([] if residue else [beta.rank])
+    monkeypatch.undo()
+    expected = bezoutian_gram(f)
+    assert [list(row) for row in beta.gram] == expected
+    assert beta._elimination == forms._eliminate(expected, QQ)[:3]
+    assert get_invariants(beta) == get_invariants(make_gw_class(expected, QQ))
 
 
 @pytest.mark.parametrize("polys, rank", [

@@ -216,6 +216,16 @@ CLI_DECK = [
      "x^3 - x + 1", "--json"],
     ["degree", "global", "--field", "GF(7)", "--vars", "x,y", "--polys",
      "x^2 - 3; y^3 - y - 1", "--json"],
+    # QQ Gram matrices from the residue form: one whose sweep leaves its
+    # order (B's second leading minor vanishes), one with non-integral
+    # entries, and a rank of 14 in two variables, above the residue's limit
+    # of 6 per variable, which takes the Bezoutian.
+    ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^2 - 1; (x - y)^2 + 2", "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
+     "2*x^2 - 3*x*y + 1; 3*x*y + 2*y^2 - x", "--json"],
+    ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^2 - 3*y + 1; y^7 - x*y^3 + 2*x - 1", "--json"],
 ]
 
 # Fields of order 625 to 4093, each with a form's invariants, its Witt
