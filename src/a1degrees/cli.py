@@ -82,57 +82,39 @@ def parse_scalar(text: str, position: int = 0) -> Fraction:
 
 
 def parse_matrix(text: str) -> list[list[Fraction]]:
+    """Rows in brackets, each a bracketed `parse_entries` list that ends at
+    its first ']'; errors report a character offset into the stripped text."""
     s = text.strip()
-    pos = 0
+    space = re.compile(r"\s*").match
 
-    def expect(ch):
-        nonlocal pos
-        if pos >= len(s) or s[pos] != ch:
+    def expect(ch, pos):
+        """The offset past ``ch``, which must come next but for whitespace."""
+        pos = space(s, pos).end()
+        if not s.startswith(ch, pos):
             raise ParseError(f"expected {ch!r}", pos)
-        pos += 1
+        return pos + 1
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def parse_row():
-        nonlocal pos
-        expect("[")
-        row = []
-        while True:
-            skip_ws()
-            start = pos
-            while pos < len(s) and s[pos] not in ",]":
-                pos += 1
-            row.append(parse_scalar(s[start:pos], start))
-            skip_ws()
-            if pos < len(s) and s[pos] == ",":
-                pos += 1
-                continue
-            expect("]")
-            return row
-
-    expect("[")
-    rows = []
+    pos, rows = expect("[", 0), []
     while True:
-        skip_ws()
-        rows.append(parse_row())
-        skip_ws()
-        if pos < len(s) and s[pos] == ",":
-            pos += 1
-            continue
-        expect("]")
-        break
-    skip_ws()
+        start = expect("[", pos)
+        end = s.find("]", start)
+        if end < 0:
+            end = len(s)
+        rows.append(parse_entries(s[start:end], start))
+        pos = space(s, expect("]", end)).end()
+        if not s.startswith(",", pos):
+            break
+        pos += 1
+    pos = space(s, expect("]", pos)).end()
     if pos != len(s):
         raise ParseError("unexpected trailing input", pos)
     return rows
 
 
-def parse_entries(text: str) -> list[Fraction]:
-    """Comma-separated scalars; errors report the entry's character offset."""
-    out, start = [], 0
+def parse_entries(text: str, offset: int = 0) -> list[Fraction]:
+    """Comma-separated scalars; errors report the entry's character offset,
+    counted from ``offset``."""
+    out, start = [], offset
     for part in text.split(","):
         out.append(parse_scalar(part, start + len(part) - len(part.lstrip())))
         start += len(part) + 1

@@ -409,11 +409,12 @@ def _inverse_qq(gram: list, dens: list, c: int, cden: int):
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is
-# computed; it bounds the rank.  On a 2-core Intel Xeon VM with Python 3.11 a
-# dense univariate f over QQ took 2.1-2.4 s at Bezout number 128 and 30.6 s
-# at 256, one over GF(7) 0.9-1.1 s at 256 and 11.2 s at 512, and a random
-# 7-variable quadratic system (perfbench's random_system(Random(1), (2,)*7,
-# top=3, low=3), parsed) over GF(7) or GF(25), rank 128, 4.8-5.6 s of CPU.
+# computed; it bounds the rank.  On a 2-core Intel Xeon VM with Python 3.11,
+# the basis and the Gram of perfbench's random_system(Random(1), shape,
+# top=3, low=3), parsed, took in CPU seconds (past 128 with the cap lifted):
+# over QQ, by the Bezoutian, (128,) 0.22-0.24, (256,) 3.4 and (2,)*7 58;
+# by the residue, over GF(7) (256,) 0.15-0.16, (512,) 1.0 and (2,)*7
+# 1.1-1.3, and over GF(25) (2,)*7 1.1-1.2.
 MAX_BEZOUT = 128
 
 # The largest rank per variable of a QQ Gram matrix that `_residue_gram`
@@ -421,9 +422,11 @@ MAX_BEZOUT = 128
 # grows with the rank alone, the Bezoutian's determinant with the number of
 # variables too.  On a 2-core Intel Xeon VM with Python 3.11, the Gram and
 # invariants after the basis of perfbench's random_system(Random(s), shape,
-# top=3, low=3) took, Bezoutian / residue, in ms: (6,) 0.24 / 0.21, (12,)
-# 0.56 / 0.61; (3, 4) 0.92 / 0.72, (4, 4) 1.2-1.8 / 1.2-1.5, (5, 5) 4.9 /
-# 8.5; (3, 3, 2) 4.4-5.7 / 3.0-3.5, (2, 2, 5) 7.5 / 4.0.
+# top=3, low=3), s = 1-3, took, Bezoutian / residue, in ms: where the rule
+# takes the residue, (6,) 0.21-0.24 / 0.19-0.20, (3, 4) 0.65-0.97 /
+# 0.57-0.77 and (3, 3, 2) 4.0-4.3 / 2.5-3.4; where it takes the Bezoutian,
+# (12,) 0.54-0.59 / 0.58-0.59, (4, 4) 1.2-1.8 / 1.2-1.5, (5, 5) 5.0-5.7 /
+# 7.4-8.4 and (2, 2, 5) 5.6-6.5 / 2.9-3.5, a shape the rule misses.
 MAX_QQ_RESIDUE_RANK_PER_VARIABLE = 6
 
 # The most terms the Bezoutian of a local query may have: a term of f_i of

@@ -320,10 +320,11 @@ def diagonalize(beta: GWClass):
     """
     F = beta.field
     n = beta.rank
-    pivots, _, _, cols = _eliminate(beta.gram, F, track=True)
+    pivots, det, lcd, cols = _eliminate(beta.gram, F, track=True)
+    # Tracking adds only column operations: this is beta's elimination.
+    vars(beta).setdefault("_elimination", (pivots, det, lcd))
     diag = beta._diagonal
     if F.kind != "GF":
-        # Tracking adds only column operations: the pivots are beta's.
         for i, (d, s) in enumerate(zip(pivots, diag)):
             t = fraction_sqrt(d / s)
             if t != 1:

@@ -658,6 +658,20 @@ def test_parse_errors_exit_2(capsys):
      "make hyperbolic requires --rank (at position 0)"),
     (("form", "make", "pfister"),
      "make pfister requires --entries (at position 0)"),
+    (("form", "invariants", "--matrix", "[1,2]"),
+     "expected '[' (at position 1)"),
+    (("form", "invariants", "--matrix", "[[1,2],]"),
+     "expected '[' (at position 7)"),
+    (("form", "invariants", "--matrix", "[[1,2] [2,3]]"),
+     "expected ']' (at position 7)"),
+    (("form", "invariants", "--matrix", "[[1,2],[2,3]"),
+     "expected ']' (at position 12)"),
+    (("form", "invariants", "--matrix", "[[1,2]x,[2,3]]"),
+     "expected ']' (at position 6)"),
+    (("form", "invariants", "--matrix", "[[1,2],[2"),
+     "expected ']' (at position 9)"),
+    (("form", "invariants", "--matrix", "[[1,2],[2,3]]]"),
+     "unexpected trailing input (at position 13)"),
 ])
 def test_refused_form_arguments_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--field", "QQ")
@@ -670,6 +684,13 @@ def test_refused_form_arguments_exit_2(capsys, argv, message):
     (("form", "make", "pfister", "--entries", "2,  3/0"), 4),
     (("form", "invariants", "--diag", "3,-1,  y"), 7),
     (("form", "decompose", "--diag", "1.5"), 0),
+    (("form", "invariants", "--matrix", "[[1, 2],[ 2,x]]"), 12),
+    (("form", "invariants", "--matrix", "[ [1,2],\n [2, 1/0]]"), 14),
+    (("form", "invariants", "--matrix", "[[1,,2]]"), 4),
+    (("form", "invariants", "--matrix", "[[]]"), 2),
+    (("form", "invariants", "--matrix", "[[[1]]]"), 2),
+    (("form", "diagonalize", "--matrix", "  [[3,\t1],\r\n [1, 0 1]]"), 15),
+    (("form", "isomorphic", "1,1", " [[1,0],[0,x]]"), 10),
 ])
 def test_entry_parse_errors_report_character_offsets(capsys, argv, offset):
     code, _, err = run(capsys, *argv[:-2], "--field", "QQ", *argv[-2:])

@@ -186,6 +186,38 @@ def test_diagonalize_congruence_witness_gf13():
         assert congruence_holds(beta)
 
 
+F7 = gf_construct(7, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: add_gw(diag([1, 2]), make_gw_class([[0, 2], [2, 3]], QQ)),
+    lambda: multiply_gw(diag([1, -3]), make_gw_class([[2, 1], [1, 5]], QQ)),
+    lambda: make_diagonal_form(QQ, [Fraction(1, 2), 12, -18]),
+    lambda: add_gw(diag([3, 5], F7), make_gw_class([[0, 1], [1, 0]], F7)),
+    # a GF(q) degree from the residue form, handed only its determinant
+    lambda: global_a1_degree(EndoSystem.of(PolyRing(F7, ("x", "y")),
+                                           "x^2 - 3", "y^3 - y - 1")),
+], ids=["add", "multiply", "diagonal", "add-gf7", "residue-gf7"])
+def test_diagonalize_eliminates_once(monkeypatch, make):
+    # A class with no elimination of its own takes the tracked one, whose
+    # pivots, determinant and lcm are the untracked elimination's.
+    beta = make()
+    assert "_elimination" not in vars(beta)
+    eliminate, calls = forms._eliminate, []
+
+    def counting(gram, field, track=False):
+        calls.append(track)
+        return eliminate(gram, field, track)
+
+    monkeypatch.setattr(forms, "_eliminate", counting)
+    assert congruence_holds(beta)
+    assert calls == [True]
+    assert vars(beta)["_elimination"] == eliminate(beta.gram, beta.field)[:3]
+    assert get_invariants(beta) == \
+        get_invariants(make_gw_class(beta.gram, beta.field))
+    assert calls == [True, False]  # only make_gw_class's own
+
+
 def random_symmetric(rng, n, field, diagonal):
     """A seeded symmetric matrix: diagonal "dense", "some-zero" or "zero"."""
     def draw():

@@ -267,6 +267,21 @@ CLI_DECK += [
      "x^2 + y; y - x", "--ideal", "x; y$", "--json"],
 ]
 
+# The matrix parser's refusals, one per message: `expected '['`, `expected
+# ']'` (after a row and at the end of the input), trailing input, a bad, an
+# empty and a zero-denominator entry; then rows with a newline and a tab
+# inside, and a positional matrix of `form isomorphic`, offset from its
+# stripped text.
+CLI_DECK += [
+    ["form", "invariants", "--field", "QQ", "--matrix", text, "--json"]
+    for text in ("[1,2]", "[[1,2] [2,3]]", "[[1,2],[2,3]",
+                 "[[1,0],[0,1]] x", "[[1, 2],[ 2,x]]", "[[1,,2]]",
+                 "[ [1,2],\n [2, 1/0]]", "[[3,\n 1],\n [1,\t2]]")
+] + [
+    ["form", "isomorphic", "--field", "QQ", "1,1", " [[1,0],[0,x]]",
+     "--json"],
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
