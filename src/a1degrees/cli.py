@@ -4,6 +4,11 @@ Subcommands mirror the library: form operations on Gram matrices or
 diagonal entry lists, Hilbert symbols, and local/global degrees of
 polynomial systems.  Exit codes: 0 success, 1 domain error (degenerate
 form, non-isolated zeros, ...), 2 parse error.
+
+`main` parses an argv that names a leaf (`form decompose`, `degree
+local`, ...) with that leaf's parser alone.  No arguments, help at the
+top or middle level, an unknown or missing command, and a leaf's argv
+with unrecognized words go through the full parser.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from . import degrees, forms, witt
 from .fields import (CC, QQ, RR, _CHAR_BITS_CAP, FieldDesc, gf_construct,
                      is_prime)
-from .poly import Ideal, ParseError, PolyRing, parse_polynomial
+from .poly import _NAME, Ideal, ParseError, PolyRing, parse_polynomial
 
 _FIELD_RE = re.compile(r"^(QQ|RR|CC)$|^GF\((\d+)\)$")
 _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -330,8 +335,16 @@ def _system_from_args(args):
         raise ValueError(
             "degrees over RR/CC must be computed over QQ and base-changed; "
             "use --field QQ with --base-change " + field.kind)
-    names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    ring = PolyRing(field, names)
+    names, start = [], 0
+    for part in args.vars.split(","):
+        name = part.strip()
+        if name and not _NAME.fullmatch(name):  # no polynomial can name it
+            raise ParseError(f"bad variable name {name!r}",
+                             start + len(part) - len(part.lstrip()))
+        if name:
+            names.append(name)
+        start += len(part) + 1
+    ring = PolyRing(field, tuple(names))
     polys = split_polys(read_source(args.polys))
     return ring, degrees.EndoSystem.of(ring, *polys)
 
@@ -447,6 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("local")
     _add_system(p, with_ideal=True)
     p.set_defaults(handler=cmd_basis_local)
+    # Each leaf parser by its two command words, for main's dispatch.
+    top.leaves = {(command, name): leaf
+                  for command, action in [("form", fsub), ("symbol", ssub),
+                                          ("degree", dsub), ("basis", bsub)]
+                  for name, leaf in action.choices.items()}
     return top
 
 
@@ -456,8 +474,20 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one query; repeated calls in a process share one parser."""
-    args = _shared_parser().parse_args(argv)
+    """Run one query; repeated calls in a process share one parser.
+
+    An argv that starts with a leaf's two command words is parsed by that
+    leaf's parser alone, so the two upper levels do not scan it again.
+    Any other argv, and a leaf's argv with words the leaf does not know,
+    goes through the full parser, so usage, help and errors come from the
+    same parser objects either way.
+    """
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    args, unknown = leaf.parse_known_args(argv[2:]) if leaf else (None, True)
+    if unknown:
+        args = parser.parse_args(argv)
     try:
         args.handler(args)
     except ParseError as exc:

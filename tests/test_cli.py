@@ -698,6 +698,27 @@ def test_entry_parse_errors_report_character_offsets(capsys, argv, offset):
     assert err.rstrip().endswith(f"(at position {offset})")
 
 
+@pytest.mark.parametrize("vars_, polys, name, offset", [
+    ("1x", "x", "1x", 0),
+    ("x y", "x", "x y", 0),
+    ("x, y-1", "x; y", "y-1", 3),
+    ("é", "x", "é", 0),
+    ("x,2", "x; x", "2", 2),
+])
+def test_bad_variable_names_exit_2(capsys, vars_, polys, name, offset):
+    for command in (("degree", "global"), ("degree", "local"),
+                    ("basis", "local")):
+        ideal = ("--ideal", "x") if command[1] == "local" else ()
+        code, out, err = run(capsys, *command, "--field", "QQ", "--vars",
+                             vars_, "--polys", polys, *ideal)
+        assert (code, out, err) == (
+            2, "", f"parse error: bad variable name {name!r} "
+                   f"(at position {offset})\n")
+    # The ring itself takes any name: an elimination ring names its
+    # variable '@t'.
+    assert poly.PolyRing(QQ, ("@t", name)).variables == ("@t", name)
+
+
 @pytest.mark.parametrize("entry", ["x", "1/0"])
 def test_rational_entry_parse_rejects_bad_text(entry):
     with pytest.raises(ParseError):
@@ -1112,6 +1133,12 @@ SESSION = [
     ("form", "decompose", "--field", "QQ", "--diag", "1,x"),
     ("form", "decompose", "--field", "QQ", "--diag", "1,0"),
     ("form", "decompose", "--field", "QQ", "--diag", "1,2,-3", "--json"),
+    ("form",),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,2,-3", "--json"),
+    ("form", "bogus"),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,2,-3", "--json"),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,2", "extra"),
+    ("form", "decompose", "--field", "QQ", "--diag", "1,2,-3", "--json"),
 ]
 
 
@@ -1148,6 +1175,48 @@ def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
         cli._shared_parser.cache_clear()
     assert len(built) == 1
     assert isinstance(cli.build_parser(), argparse.ArgumentParser)
+
+
+SYSTEM = ("--field", "QQ", "--vars", "x", "--polys", "x^2 - 1")
+DECOMPOSE = ("form", "decompose", "--field", "QQ", "--diag", "1,2")
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("form", "-h"), ("form", "decompose", "-h"),
+    ("degree", "global", "--help"), ("-h", "form", "decompose"),
+    ("bogus",), ("form", "bogus"), ("form",),
+    ("form", "decompose", "--diag", "1,2"),
+    (*DECOMPOSE, "--bogus", "1"), (*DECOMPOSE, "extra"),
+    ("basis", "local", *SYSTEM, "--ideal", "x - 1", "--base-change", "RR"),
+    ("form", "decompose", "--fie", "QQ", "--diag", "1,2", "--js"),
+    ("form", "decompose", "--", "--field", "QQ", "--diag", "1,2"),
+    (*DECOMPOSE, "--"),
+    ("symbol", "hilbert", "-1", "-1", "2", "--json"),
+    ("form", "make", "bogus"),
+    ("degree", "global", *SYSTEM, "--base-change", "XX"),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_leaf_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+
+    def outcome():
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    dispatched = outcome()
+    monkeypatch.setattr(cli._shared_parser(), "leaves", {})
+    assert dispatched == outcome()
+
+
+def test_a_leaf_query_skips_the_full_parser(capsys, monkeypatch):
+    def forbidden(argv):
+        raise AssertionError(f"full parser called on {argv}")
+
+    monkeypatch.setattr(cli._shared_parser(), "parse_args", forbidden)
+    assert run(capsys, *DECOMPOSE) == (0, "<1> + <2>\n", "")
 
 
 # -- field specs -------------------------------------------------------------
