@@ -337,13 +337,16 @@ def _system_from_args(args):
             "use --field QQ with --base-change " + field.kind)
     names, start = [], 0
     for part in args.vars.split(","):
-        name = part.strip()
-        if name and not _NAME.fullmatch(name):  # no polynomial can name it
-            raise ParseError(f"bad variable name {name!r}",
-                             start + len(part) - len(part.lstrip()))
+        name, at = part.strip(), start + len(part) - len(part.lstrip())
         if name:
+            if not _NAME.fullmatch(name):  # no polynomial can name it
+                raise ParseError(f"bad variable name {name!r}", at)
+            if name in names:
+                raise ParseError(f"repeated variable name {name!r}", at)
             names.append(name)
         start += len(part) + 1
+    if not names:
+        raise ParseError("no variable names", 0)
     ring = PolyRing(field, tuple(names))
     polys = split_polys(read_source(args.polys))
     return ring, degrees.EndoSystem.of(ring, *polys)

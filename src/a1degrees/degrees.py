@@ -34,11 +34,13 @@ A basis with no zeros at infinity takes no Bezoutian, over GF(q), and over
 QQ up to MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable.  Its Gram is G^-1 for
 G_ab = eta(e_a e_b) on the standard monomials, eta the global residue
 (Scheja-Storch 1975; Cattani, Dickenstein and Sturmfels, "Residues and
-resultants", 1998).  The path runs when the ring is grevlex, the
-staircase has prod deg f_i monomials (so, by Bezout, no zeros at
-infinity) and exactly one of them, sigma, has the top degree
-rho = sum (deg f_i - 1), the most.  Then eta vanishes below degree rho
-(Euler-Jacobi), and eta(det a_ij) = 1 for the top forms
+resultants", 1998).  The path runs when the ring is grevlex and the
+staircase has prod deg f_i monomials, so, by Bezout, no zeros at infinity.
+Such a staircase is that of the top forms, a complete intersection
+(Macaulay 1916; Moller and Sauer, "H-bases for polynomial interpolation and
+system solving", 2000), so exactly one stair, the last, sigma, has the top
+degree rho = sum (deg f_i - 1); this is asserted, not tested.  Eta
+vanishes below rho (Euler-Jacobi), and eta(det a_ij) = 1 for the top forms
 f_i^top = sum_j a_ij x_j, so eta(h) = coeff_sigma NF(h) / c with
 c = coeff_sigma NF(det a_ij), one `poly.determinant` reduced once.  The
 normal forms of the border monomials x_j e_b come from the reduced basis
@@ -50,11 +52,11 @@ c^size / det G' (`forms._checked`), the one value a GF(q) class's
 invariants read.  Over QQ it comes from a fraction-free symmetric sweep
 of G' in reverse order, whose pivots are, by Jacobi's complementary-minor
 identity, the Gram matrix's own symmetric pivots: the class is handed its
-whole elimination.  Either way no symmetric elimination runs, unless over
-QQ the Gram matrix has a vanishing leading minor.  Every other basis
-(zeros at infinity, a larger rank over QQ, a local algebra smaller than
-prod deg f_i, where I + m^k is not I, or a G' over QQ whose sweep finds
-no pivot on its diagonal) takes the Bezoutian as above.
+whole elimination.  Either way no symmetric elimination runs.  Every other
+basis (zeros at infinity, a larger rank over QQ, a local algebra smaller
+than prod deg f_i, where I + m^k is not I, or over QQ a G' with a
+vanishing trailing principal minor, where the Gram matrix has a vanishing
+leading one) takes the Bezoutian as above.
 """
 
 from __future__ import annotations
@@ -214,24 +216,26 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
     """The Gram matrix of NF(det B) on the stairs, gb's standard monomials
     as ascending keys, from the global residue: (rows, det, elimination),
     `forms._checked`'s arguments, the rows as field elements with, over
-    GF(q), the determinant and, over QQ, the elimination when it can be
-    handed over.  None unless the ring is grevlex, there are prod deg f_i
-    stairs and the last, sigma, is the only one of degree
-    rho = sum (deg f_i - 1), and over QQ there are at most
-    MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable and G' has a diagonal
-    pivot wherever its sweep looks for one.  A singular G' is a bug,
-    raised as an AssertionError.  See the module docstring."""
+    GF(q), the determinant and, over QQ, the elimination.  None unless the
+    ring is grevlex and there are prod deg f_i stairs, and over QQ unless
+    there are at most MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable and no
+    trailing principal minor of G' vanishes.  Then the last stair, sigma,
+    is the only one of degree rho = sum (deg f_i - 1) (Macaulay), and G'
+    is nonsingular: either failing is a bug, raised as an AssertionError.
+    See the module docstring."""
     ring = system.ring
     pk, field = ring._packing, ring.field
     reduce, units, guard = field.reduce or pos, pk.units, pk.guard
     size, degree = len(stairs), [f.total_degree() for f in system.polys]
     rho = sum(degree) - len(degree)
     if not pk.graded or size != system.bezout_number or \
-            pk.degree(stairs[-1]) != rho or \
-            size > 1 and pk.degree(stairs[-2]) == rho or \
             field.kind != "GF" and \
             size > MAX_QQ_RESIDUE_RANK_PER_VARIABLE * len(units):
         return None
+    if pk.degree(stairs[-1]) != rho or \
+            size > 1 and pk.degree(stairs[-2]) == rho:
+        raise AssertionError("the last stair is not the only one of degree "
+                             "rho; residue bug")
     # c = coeff_sigma NF(det a_ij) for f_i's top form sum_j a_ij x_j, each
     # term sent to its first variable: c * eta(sigma) = 1.
     rows = []
@@ -337,7 +341,7 @@ def _inverse_gf(field, gram: list, c: int) -> tuple:
             mat[k], mat[r] = mat[r], mat[k]
             det = -det
         row = mat[k]
-        inv = field._invert(reduce(row[k]))
+        inv = field.invert(row[k])
         det = reduce(det * reduce(c * inv))
         row[k:] = [reduce(reduce(v) * inv) if v else 0 for v in row[k:]]
         pivot = [(j, w) for j, w in enumerate(row[k:], k) if w]
@@ -352,8 +356,9 @@ def _inverse_gf(field, gram: list, c: int) -> tuple:
 
 
 def _inverse_qq(gram: list, dens: list, c: int, cden: int):
-    """c * G'^-1 over QQ, G' the int rows over dens, with B's elimination
-    when it can be handed over, or None where no diagonal pivot is left.
+    """B = c * G'^-1 over QQ, G' the int rows over dens, with B's
+    elimination, as (B, None, elimination); None where a trailing principal
+    minor of G' vanishes.
 
     A = D * G', D = lcm(dens), is swept in place, fraction-free (Bareiss):
     sweeping k sets every other entry (i, j) to (p * a_ij - a_ik * a_kj) /
@@ -361,14 +366,13 @@ def _inverse_qq(gram: list, dens: list, c: int, cden: int):
     a_kk to -prev; row and column k stay.  The matrix stays symmetric, so
     only its upper triangle is kept, as one list updated by one expression
     per sweep, and after the last sweep it is -P * A^-1, P = det A.  The
-    sweeps run in reverse order, each on the last index left with a
-    nonzero diagonal entry.  In that order the
-    pivot p_i is A's trailing principal minor from i on, so by Jacobi's
-    complementary-minor identity B's leading i x i minor is
-    c^i * T_{n-i}(G') / det G', and B's symmetric pivots are
-    c * D * p_{i+1} / p_i (p_n = 1): `forms._eliminate`'s on B, handed
-    over with det B = (c * D)^n / P.  A sweep out of that order means B
-    has a vanishing leading minor, and B is eliminated as any Gram is."""
+    sweeps run in reverse order, so the pivot p_i is A's trailing principal
+    minor from i on, and by Jacobi's complementary-minor identity B's
+    leading i x i minor is c^i * T_{n-i}(G') / det G': B's symmetric pivots
+    are c * D * p_{i+1} / p_i (p_n = 1), `forms._eliminate`'s on B, handed
+    over with det B = (c * D)^n / P.  A zero pivot is a vanishing trailing
+    minor, so a vanishing leading minor of B: the sweep stops there, and B
+    is left to the Bezoutian."""
     size, D = len(gram), lcm(*dens)
     # The upper triangle as one list, row by row: entry t is (I[t], J[t]),
     # and at[k][i] is where (i, k), or (k, i), is.
@@ -378,18 +382,13 @@ def _inverse_qq(gram: list, dens: list, c: int, cden: int):
     for t, (i, j) in enumerate(zip(I, J)):
         at[i][j] = at[j][i] = t
     a = [gram[i][j] * (D // dens[i]) for i, j in zip(I, J)]
-    todo, ratios, prev = list(range(size)), [], 1
-    while todo:
-        k = next((k for k in reversed(todo) if a[at[k][k]]), None)
-        if k is None:
-            return None
-        if ratios is not None and k == todo[-1]:
-            ratios.append((D * prev, a[at[k][k]]))
-        else:
-            ratios = None
-        todo.remove(k)
+    pivots, prev = [], 1
+    for k in reversed(range(size)):
         col = [a[t] for t in at[k]]
         p = col[k]
+        if not p:
+            return None
+        pivots.append(Fraction(c * D * prev, cden * p))
         a = [(p * v - col[i] * col[j]) // prev for v, i, j in zip(a, I, J)]
         for t, v in zip(at[k], col):
             a[t] = v
@@ -401,11 +400,9 @@ def _inverse_qq(gram: list, dens: list, c: int, cden: int):
     cd, den, zero = c * D, -cden * prev, Fraction(0)
     entries = [Fraction(cd * v, den) if v else zero for v in a]
     B = [[entries[t] for t in row] for row in at]
-    if ratios is None:
-        return B, None, None
-    pivots = tuple(Fraction(c * n, cden * d) for n, d in reversed(ratios))
     lcd = abs(den) // gcd(den, *(cd * v for v in a))
-    return B, None, (pivots, Fraction(cd ** size, cden ** size * prev), lcd)
+    return B, None, (tuple(reversed(pivots)),
+                     Fraction(cd ** size, cden ** size * prev), lcd)
 
 
 # The largest Bezout number prod deg f_i of a system whose global degree is

@@ -493,13 +493,8 @@ class FieldDesc:
 
     def invert(self, c: int) -> int:
         """The reduced kernel int of 1 / a, for the kernel int c of a
-        nonzero a; ZeroDivisionError for zero."""
-        return self._invert(self.reduce(c))
-
-    def _invert(self, c: int) -> int:
-        """`invert` for a reduced kernel int c, which it does not reduce
-        again."""
-        p = self.char
+        nonzero a, reduced first; ZeroDivisionError for zero."""
+        p, c = self.char, self.reduce(c)
         if not c:
             raise ZeroDivisionError("inverse of zero field element")
         if c < p:  # a lies in GF(p)
@@ -602,8 +597,8 @@ CC = FieldDesc("CC")
 class FFElement:
     """An element of GF(p^k): ``value`` is its reduced kernel int (see
     `FieldDesc.reduce`), over GF(p) its residue.  ``+ - *`` are one int
-    operation and one reducer call, ``inverse`` is `FieldDesc.invert` on
-    that reduced int, which it does not reduce again, and ``**`` `_power`
+    operation and one reducer call, ``inverse`` and ``/`` call
+    `FieldDesc.invert`, which reduces the int once more, and ``**`` `_power`
     on the ints, each product reduced, over GF(p) Python's ``pow``.
     ``coeffs``, the coefficient tuple low to high, is derived for printing.
     """
@@ -655,10 +650,10 @@ class FFElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElement":
-        return FFElement(self.field, self.field._invert(self.value))
+        return FFElement(self.field, self.field.invert(self.value))
 
     def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a * self.field._invert(b))
+        return self._combine(other, lambda a, b: a * self.field.invert(b))
 
     def __rtruediv__(self, other):
         return self.inverse() * other

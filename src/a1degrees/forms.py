@@ -60,7 +60,7 @@ class GWClass:
     a GF(q) class's invariants read only that, so such a class runs no
     elimination until its pivots are asked for.  A maker that holds the
     whole elimination may hand that over, as the QQ residue path's sweep
-    does when its pivots are the Gram's own: such a class runs none.
+    does for every class it builds: such a class runs none.
     """
 
     field: FieldDesc

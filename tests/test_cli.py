@@ -719,6 +719,28 @@ def test_bad_variable_names_exit_2(capsys, vars_, polys, name, offset):
     assert poly.PolyRing(QQ, ("@t", name)).variables == ("@t", name)
 
 
+@pytest.mark.parametrize("vars_, error", [
+    ("x,x", "repeated variable name 'x' (at position 2)"),
+    ("x, x", "repeated variable name 'x' (at position 3)"),
+    ("y,x, y", "repeated variable name 'y' (at position 5)"),
+    ("", "no variable names (at position 0)"),
+    (" , ", "no variable names (at position 0)"),
+    ("x,,y", None),  # an empty item is skipped
+], ids=["x,x", "x, x", "y,x, y", "empty", "blank", "x,,y"])
+def test_repeated_or_missing_variable_names_exit_2(capsys, vars_, error):
+    # A repeated or missing name is a malformed --vars, refused with its
+    # offset as a bad name is, not by the ring with exit 1.
+    for command in (("degree", "global"), ("degree", "local"),
+                    ("basis", "local")):
+        ideal = ("--ideal", "x; y") if command[1] == "local" else ()
+        code, out, err = run(capsys, *command, "--field", "QQ", "--vars",
+                             vars_, "--polys", "x; y", *ideal)
+        if error is None:
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out, err) == (2, "", f"parse error: {error}\n")
+
+
 @pytest.mark.parametrize("entry", ["x", "1/0"])
 def test_rational_entry_parse_rejects_bad_text(entry):
     with pytest.raises(ParseError):

@@ -766,9 +766,10 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
     # the Jacobian's determinant only.  Every other zero builds the
     # Bezoutian and takes its determinant too, unless its local rank is
     # the Bezout number: then I + m^k = I, there are no zeros at infinity,
-    # and over GF(q), or over QQ up to the residue's rank limit, the Gram
-    # comes from the residue, whose normalizer is the one determinant after
-    # the Jacobian's.
+    # and over GF(q), or over QQ up to the residue's rank limit, the residue
+    # is tried, whose normalizer is the one determinant after the
+    # Jacobian's.  Over QQ a Gram with a vanishing leading minor (by Jacobi,
+    # G' has a vanishing trailing one) then takes the Bezoutian too.
     rng = random.Random(str(field))
     calls = []
 
@@ -798,14 +799,16 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
             else:
                 multiple += 1
                 assert jac is None
-                if beta.rank == f.bezout_number and (
-                        field.kind == "GF" or beta.rank <=
-                        degrees.MAX_QQ_RESIDUE_RANK_PER_VARIABLE * n):
+                tried = beta.rank == f.bezout_number and (
+                    field.kind == "GF" or beta.rank <=
+                    degrees.MAX_QQ_RESIDUE_RANK_PER_VARIABLE * n)
+                expected = ["determinant"] * (1 + tried)
+                if tried and (field.kind == "GF" or
+                              not has_a_vanishing_leading_minor(beta.gram)):
                     residue += 1
-                    assert calls == ["determinant", "determinant"]
-                else:
-                    assert calls == ["determinant", "bezoutian_matrix",
-                                     "determinant"]
+                else:  # a residue left over QQ has taken its normalizer
+                    expected += ["bezoutian_matrix", "determinant"]
+                assert calls == expected
                 assert beta.rank > 1
     assert simple > 0 and multiple > residue > 0
 
@@ -1543,6 +1546,111 @@ def test_multiple_roots_gram_is_the_inverse_residue_form(polys):
     assert [list(row) for row in global_a1_degree(f).gram] == expected
 
 
+def staircase_oracle_system(rng, field, shape, kind):
+    """A seeded system of the given degrees, its coefficients drawn from
+    QQ's small fractions or from all of GF(q), t included.  "dense": a
+    random form of degree d_i plus random lower terms, so over a small
+    field the top forms may meet at infinity; "power": c * x_i^d_i plus
+    random terms of lower degree, whose top forms meet only at 0;
+    "multiple": (x_i - a_i)^d_i plus (x_j - a_j) times random terms of
+    degree below d_i, for j < i, whose only zero a has multiplicity
+    prod d_i; "infinity": as "dense", with every top form vanishing at a
+    planted point (1, v) at infinity."""
+    n = len(shape)
+    ring = PolyRing(field, tuple("xyzw"[:n]))
+    if field is QQ:
+        def scalar():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    else:
+        elements = list(field.elements())
+
+        def scalar():
+            return rng.choice(elements)
+
+    def terms(d, low=0):
+        return Polynomial.make(ring, {
+            e: scalar() for e in itertools.product(range(d + 1), repeat=n)
+            if low <= sum(e) <= d and rng.random() < 0.6})
+
+    def form(d):  # a nonzero form of degree d
+        f = terms(d, d)
+        while f.total_degree() != d:
+            f = terms(d, d)
+        return f
+
+    x = [ring.variable(i) for i in range(n)]
+    if kind == "multiple":
+        u = [v - scalar() for v in x]
+        return EndoSystem(ring, tuple(
+            u[i] ** d + sum((u[j] * terms(d - 1) for j in range(i)),
+                            ring.zero())
+            for i, d in enumerate(shape)))
+    point = [field.one()] + [scalar() for _ in range(n - 1)]
+    polys = []
+    for i, d in enumerate(shape):
+        if kind == "power":
+            c = scalar()
+            while not c:
+                c = scalar()
+            polys.append(c * x[i] ** d + terms(d - 1))
+            continue
+        top = form(d)
+        while kind == "infinity":
+            value = sum((c * prod((a ** k for a, k in zip(point, e)),
+                                  start=field.one())
+                         for e, c in top.terms.items()), field.zero())
+            top = top - value * x[0] ** d
+            if top.total_degree() == d:
+                break
+            top = form(d)
+        polys.append(top + terms(d - 1))
+    return EndoSystem(ring, tuple(polys))
+
+
+@pytest.mark.parametrize("field, shapes", [
+    (QQ, [(3,), (2, 2), (1, 3), (2, 3), (1, 2, 2)]),
+    (gf_construct(3, 1), [(3,), (3, 2), (1, 3), (3, 3)]),  # 3 divides d_i
+    (gf_construct(5, 1), [(5,), (5, 2), (1, 5), (2, 2)]),  # 5 divides d_1
+    (gf_construct(7, 1), [(2, 2), (2, 3), (1, 2, 2)]),
+    (gf_construct(3, 2), [(3, 2), (2, 2), (1, 3)]),  # GF(9), t
+    (gf_construct(5, 2), [(5, 1), (2, 2), (2, 3)]),  # GF(25), t
+], ids=["QQ", "GF(3)", "GF(5)", "GF(7)", "GF(9)", "GF(25)"])
+def test_a_full_staircase_has_one_top_stair_and_it_is_the_last(field, shapes):
+    # Macaulay: a grevlex staircase of prod d_i stairs is that of the top
+    # forms' complete intersection, so exactly one stair has the degree
+    # rho = sum (d_i - 1), and it is the last, which the residue path
+    # asserts and does not test.  Top forms made to meet at infinity leave
+    # fewer stairs.
+    rng = random.Random(f"staircase:{field}")
+    full = planted = 0
+    for shape in shapes:
+        for kind in ("dense", "power", "multiple", "infinity"):
+            if kind == "infinity" and len(shape) == 1:
+                continue
+            for _ in range(4):
+                f = staircase_oracle_system(rng, field, shape, kind)
+                degree = [g.total_degree() for g in f.polys]
+                assert degree == list(shape)
+                try:
+                    stairs = standard_monomials(
+                        groebner_basis(Ideal(f.ring, f.polys)))
+                except ValueError:  # a curve of zeros
+                    assert kind in ("dense", "infinity")
+                    continue
+                if kind == "infinity":
+                    planted += 1
+                    assert len(stairs) < f.bezout_number
+                if len(stairs) == f.bezout_number:
+                    full += 1
+                    rho = sum(degree) - len(degree)
+                    steps = [m.total_degree() for m in stairs]
+                    assert steps.count(rho) == 1
+                    assert steps[-1] == max(steps) == rho
+                else:
+                    assert kind in ("dense", "infinity")
+    assert full >= 8 * len(shapes) and planted >= 4
+
+
 @pytest.mark.parametrize("field, shape, t", [
     (gf_construct(7, 1), (2, 3), False),
     (gf_construct(5, 2), (2, 3), True),
@@ -1623,29 +1731,37 @@ def bezoutian_gram(f):
                          ids=str)
 def test_qq_residue_path_hands_the_class_its_elimination(monkeypatch, shape):
     # Over QQ the residue's reverse sweep gives B's own symmetric pivots
-    # (Jacobi's complementary minors): unless B has a vanishing leading
-    # minor, the class is handed _eliminate's (pivots, det, L), runs no
-    # elimination, classifies as a validated class of the same Gram does,
-    # and eliminates once more only to track P for diagonalize.  Otherwise
-    # it eliminates once.
+    # (Jacobi's complementary minors): every class the residue builds is
+    # handed _eliminate's (pivots, det, L), runs no elimination, classifies
+    # as a validated class of the same Gram does, and eliminates once more
+    # only to track P for diagonalize.  Where B has a vanishing leading
+    # minor, G' has a vanishing trailing one, the sweep stops, and the
+    # Bezoutian's Gram is eliminated once.
     eliminate, calls = forms._eliminate, []
+    det, dets = degrees.BezoutianMatrix.determinant, []
 
     def counting(gram, F, track=False):
         calls.append(len(gram))
         return eliminate(gram, F, track)
 
+    def determinant(bez, modulo=None):
+        dets.append(modulo)
+        return det(bez, modulo)
+
     monkeypatch.setattr(forms, "_eliminate", counting)
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
     rng = random.Random(f"handover:QQ:{shape}")
     handed = 0
     for _ in range(6):
         f = residue_oracle_system(rng, QQ, shape, False)
         calls.clear()
+        dets.clear()
         beta = global_a1_degree(f)
         if has_a_vanishing_leading_minor(beta.gram):
-            assert calls == [beta.rank]
+            assert calls == [beta.rank] and len(dets) == 1
             continue
         handed += 1
-        assert calls == [] and beta.rank == f.bezout_number
+        assert calls == [] and dets == [] and beta.rank == f.bezout_number
         assert vars(beta)["_elimination"] == eliminate(beta.gram, QQ)[:3]
         assert get_invariants(beta) == \
             get_invariants(make_gw_class(beta.gram, QQ))
@@ -1662,13 +1778,16 @@ def test_qq_residue_path_hands_the_class_its_elimination(monkeypatch, shape):
     assert handed >= 3
 
 
-@pytest.mark.parametrize("polys, bezoutians", [
-    # B's second leading minor vanishes: the sweep leaves its order
-    (["x^2 - 1", "(x - y)^2 + 2"], 0),
-    # G' has a zero diagonal, so no sweep can start: the Bezoutian
-    (["x^2 - 1", "y^2 - 2"], 1),
+@pytest.mark.parametrize("polys", [
+    # B's second leading minor vanishes, so G''s trailing 2 x 2 minor does:
+    # the sweep stops at its second step
+    ["x^2 - 1", "(x - y)^2 + 2"],
+    # G' has a zero diagonal, so its last entry vanishes: the first step
+    ["x^2 - 1", "y^2 - 2"],
 ], ids=["out of order", "no diagonal pivot"])
-def test_qq_residue_fallbacks_eliminate_once(monkeypatch, polys, bezoutians):
+def test_qq_residue_fallbacks_eliminate_once(monkeypatch, polys):
+    # Any vanishing trailing minor of G' sends the query to the Bezoutian,
+    # whose Gram is eliminated once.
     eliminate, calls, dets = forms._eliminate, [], []
     det = degrees.BezoutianMatrix.determinant
 
@@ -1685,7 +1804,7 @@ def test_qq_residue_fallbacks_eliminate_once(monkeypatch, polys, bezoutians):
     monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
     beta = global_a1_degree(f)
     assert calls == [4]
-    assert len(dets) == bezoutians
+    assert len(dets) == 1
     assert has_a_vanishing_leading_minor(beta.gram)
     monkeypatch.undo()
     assert [list(row) for row in beta.gram] == bezoutian_gram(f)

@@ -216,10 +216,11 @@ CLI_DECK = [
      "x^3 - x + 1", "--json"],
     ["degree", "global", "--field", "GF(7)", "--vars", "x,y", "--polys",
      "x^2 - 3; y^3 - y - 1", "--json"],
-    # QQ Gram matrices from the residue form: one whose sweep leaves its
-    # order (B's second leading minor vanishes), one with non-integral
-    # entries, and a rank of 14 in two variables, above the residue's limit
-    # of 6 per variable, which takes the Bezoutian.
+    # QQ Gram matrices: one whose residue sweep stops at a vanishing
+    # trailing minor of G' (B's second leading minor vanishes), so it takes
+    # the Bezoutian, one from the residue form with non-integral entries,
+    # and a rank of 14 in two variables, above the residue's limit of 6 per
+    # variable, which takes the Bezoutian.
     ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
      "x^2 - 1; (x - y)^2 + 2", "--json"],
     ["degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
