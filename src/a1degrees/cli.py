@@ -67,7 +67,10 @@ def parse_field(text: str) -> FieldDesc:
         raise ParseError(f"bad field spec {text!r}; expected QQ, RR, CC or GF(q)", 0)
     if m.group(1):
         return {"QQ": QQ, "RR": RR, "CC": CC}[m.group(1)]
-    q = int(m.group(2))
+    try:
+        q = int(m.group(2))
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long", 3) from None
     pk = _prime_power(q)
     if pk is None:
         raise ParseError(f"GF({q}): order must be a prime power", 3)
@@ -84,6 +87,8 @@ def parse_scalar(text: str, position: int = 0) -> Fraction:
     except ZeroDivisionError:
         raise ParseError(f"bad entry {text!r}; zero denominator",
                          position) from None
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long", position) from None
 
 
 def parse_matrix(text: str) -> list[list[Fraction]]:

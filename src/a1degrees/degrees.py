@@ -178,9 +178,7 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     another's Y-copy."""
     ring = system.ring
     n, field = ring.nvars, ring.field
-    # Each standard monomial is one kernel term.
-    stairs = [m for mon in standard_monomials(basis_gb)
-              for m in _enter(mon)[1]]
+    stairs = basis_gb._stairs
     if not stairs:
         return empty_form(field)
     residue = _residue_gram(system, basis_gb, stairs)
@@ -212,7 +210,7 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     return _checked(field, gram)
 
 
-def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: list):
+def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: tuple):
     """The Gram matrix of NF(det B) on the stairs, gb's standard monomials
     as ascending keys, from the global residue: (rows, det, elimination),
     `forms._checked`'s arguments, the rows as field elements with, over
@@ -480,7 +478,7 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
            for f in system.polys):
         raise ValueError("point not in zero locus")
-    dim = len(standard_monomials(gb))
+    dim = len(gb._stairs)
     if not dim:
         raise ValueError("the point's ideal is the unit ideal")
     if dim == 1:
@@ -497,7 +495,7 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
                              f"{MAX_MADE_RANK}")
         gb = groebner_basis(Ideal(ring, system.polys + tuple(
             g * m for g in gb.basis for m in point.generators)))
-        grown = len(standard_monomials(gb))
+        grown = len(gb._stairs)
         if grown == dim:
             return gb, None
         dim = grown

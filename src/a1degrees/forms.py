@@ -195,9 +195,8 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     p is swapped with the first nonzero diagonal entry after it; failing
     that, the first nonzero g = N_ij spans a hyperbolic plane, re-based by
     e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j with alpha = D / 2g.  Its
-    rows become D * row_i +- 2g * row_j over 2g * D; if they have entries
-    outside the plane the block moves to that denominator, and the plane
-    itself is <D, -D> / D = <1, -1>.
+    rows become D * row_i +- 2g * row_j over 2g * D, the block moves to
+    that denominator, and the plane itself is <D, -D> / D = <1, -1>.
 
     Three things depend on the domain: how the entries enter; the division
     that makes the pivots, det (a numerator over a denominator until the
@@ -253,17 +252,14 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
                 rj = [u * x - v * y for x, y in zip(N[i][i:], N[j][i:])]
                 k = j - i
                 ri[0] = ri[k] = rj[0] = rj[k] = N[i][i]  # zero
-                rescale = any(ri) or any(rj)  # entries outside the plane
-                if rescale:
-                    for r in range(i + 1, n):
-                        N[r][r:] = [v * x for x in N[r][r:]]
-                    D *= v
+                for r in range(i + 1, n):
+                    N[r][r:] = [v * x for x in N[r][r:]]
+                D *= v
                 ri[0], rj[k] = D, -D
                 N[i][i:], N[j][i:] = ri, rj
                 for c in range(i + 1, j):
                     N[c][j] = rj[c - i]
-                if rescale:
-                    D = divide_content(N, i, D)
+                D = divide_content(N, i, D)
                 if track:
                     alpha = div(u, v)
                     ci, cj = cols[i], cols[j]

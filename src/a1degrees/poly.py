@@ -293,15 +293,6 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def support(self) -> set[int]:
-        """Indices of variables actually occurring."""
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce_other(self, other):
@@ -796,6 +787,8 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A Groebner basis of ideal that keeps its divisors and its stairs."""
+
     ideal: Ideal
     basis: tuple
 
@@ -804,6 +797,32 @@ class GroebnerBasis:
         """The basis's `_prep_divisors` triples, prepared once for every
         normal form against it, unless `groebner_basis` handed them in."""
         return _prep_divisors(self.basis)
+
+    @cached_property
+    def _stairs(self) -> tuple:
+        """The standard monomials, those outside the leading-term ideal, as
+        packed keys ascending in the ring order: walked once per basis.
+        Empty for the unit ideal, whose quotient is 0; raises if there are
+        infinitely many, i.e. the quotient is not zero-dimensional."""
+        lms = [lm for lm, _, _ in self._divisors]
+        if 0 in lms:
+            return ()
+        pk = self.ideal.ring._packing
+        for i in range(self.ideal.ring.nvars):
+            if not any(all(x == 0 for j, x in enumerate(e) if j != i) and
+                       e[i] > 0 for e in map(pk.unpack, lms)):
+                raise ValueError("zeros are not isolated")
+        guard = pk.guard
+        seen, queue = {0}, [0]
+        while queue:
+            m = queue.pop()
+            for unit in pk.units:
+                m2 = m + unit
+                if m2 in seen or any(not (m2 - lm) & guard for lm in lms):
+                    continue
+                seen.add(m2)
+                queue.append(m2)
+        return tuple(sorted(seen))
 
     def divisors_in(self, target: PolyRing, offset: int) -> list:
         """The basis's prepared divisors moved into target by `_mover`:
@@ -1006,11 +1025,11 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("colon by the zero ideal")
     if not any(result):
         raise AssertionError("colon ideal collapsed to zero")
-    gb = groebner_basis(Ideal(ring, tuple(result))).basis
+    gb = groebner_basis(Ideal(ring, tuple(result)))
     for f in I.generators:
         if normal_form(f, gb):
             raise AssertionError("colon ideal does not contain the original ideal")
-    return Ideal(ring, gb)
+    return Ideal(ring, gb.basis)
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
@@ -1026,33 +1045,14 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
 
 
 def standard_monomials(G: GroebnerBasis) -> list:
-    """Monomials outside the leading-term ideal, ascending in the ring order.
+    """Monomials outside the leading-term ideal, ascending in the ring order,
+    as one-term polynomials: G's stairs (`GroebnerBasis._stairs`).
 
     Raises if there are infinitely many, i.e. the quotient is not
     zero-dimensional.
     """
-    ring = G.ideal.ring
-    if len(G.basis) == 1 and G.basis[0].is_constant():
-        return []
-    pk = ring._packing
-    lms = [lm for lm, _, _ in G._divisors]
-    for i in range(ring.nvars):
-        if not any(all(x == 0 for j, x in enumerate(e) if j != i) and e[i] > 0
-                   for e in map(pk.unpack, lms)):
-            raise ValueError("zeros are not isolated")
-    guard = pk.guard
-    seen = {0}
-    queue = [0]
-    while queue:
-        m = queue.pop()
-        for unit in pk.units:
-            m2 = m + unit
-            if m2 in seen or any(not (m2 - lm) & guard for lm in lms):
-                continue
-            seen.add(m2)
-            queue.append(m2)
     # Kept in the kernel's form, where one is the int 1 over every field.
-    return [_from_kernel(ring, {m: 1}) for m in sorted(seen)]
+    return [_from_kernel(G.ideal.ring, {m: 1}) for m in G._stairs]
 
 
 # ---------------------------------------------------------------------------
@@ -1082,7 +1082,8 @@ def resultant_univariate(f: Polynomial, g: Polynomial):
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
     field = f.ring.field
-    used = sorted(f.support() | g.support())
+    used = sorted({i for p in (f, g) for e in p.terms
+                   for i, x in enumerate(e) if x})
     if len(used) == 0:
         return field.one()
     if len(used) > 2 or (len(used) == 2 and any(
@@ -1244,23 +1245,20 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         if t[:1].isdecimal():
             c = int(t) % p if p else int(t)
             node = (0, c) if c else {}
-        elif t == "(":
+        elif t == "(" or t == "-" or t == "+":
             if depth >= MAX_NESTING:
                 fail(f"nesting deeper than {MAX_NESTING} levels of "
                      f"parentheses and signs", pos - 1)
+            if t != "(":
+                node = factor(depth + 1)
+                if t == "+":
+                    return node
+                return (node[0], -node[1]) if type(node) is tuple else \
+                    _negated(node)
             node = expr(depth + 1)
             if toks[pos] != ")":
                 fail("expected ')'", pos)
             pos += 1
-        elif t == "-" or t == "+":
-            if depth >= MAX_NESTING:
-                fail(f"nesting deeper than {MAX_NESTING} levels of "
-                     f"parentheses and signs", pos - 1)
-            node = factor(depth + 1)
-            if t == "+":
-                return node
-            return (node[0], -node[1]) if type(node) is tuple else \
-                _negated(node)
         elif _NAME.fullmatch(t):
             fail(f"unknown variable {t!r}", pos - 1)
         else:

@@ -698,6 +698,33 @@ def test_entry_parse_errors_report_character_offsets(capsys, argv, offset):
     assert err.rstrip().endswith(f"(at position {offset})")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="the interpreter has no int digit limit")
+@pytest.mark.parametrize("argv, offset", [
+    (("form", "invariants", "--field", "QQ", "--diag", "1,{}"), 2),
+    (("form", "invariants", "--field", "QQ", "--diag", "3, -1/{}"), 3),
+    (("form", "invariants", "--field", "QQ", "--matrix", "[[1,2],[2,{}]]"),
+     10),
+    (("form", "make", "diagonal", "--field", "QQ", "--entries", "{},1"), 0),
+    (("form", "make", "pfister", "--field", "QQ", "--entries", "2,  {}"), 4),
+    (("form", "isomorphic", "--field", "QQ", "1,{}", "1,1"), 2),
+    (("form", "isomorphic", "--field", "QQ", "1,1", " [[1,0],[0,{}]]"), 10),
+    (("symbol", "hilbert", "2", "{}", "3"), 0),
+    (("form", "invariants", "--field", "GF({})", "--diag", "1,2"), 3),
+], ids=["diag", "diag fraction", "matrix", "make diagonal", "make pfister",
+        "isomorphic diag", "isomorphic matrix", "hilbert", "field"])
+def test_an_integer_literal_past_the_digit_limit_exits_2(capsys, argv,
+                                                         offset):
+    # As in a polynomial, the literal is a parse error at its entry's
+    # offset (at 3 in GF(q), like the field's other errors), not a domain
+    # error from the interpreter's int conversion.
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, *(a.format(long) for a in argv))
+    assert (code, out, err) == (
+        2, "", f"parse error: integer literal too long (at position "
+               f"{offset})\n")
+
+
 @pytest.mark.parametrize("vars_, polys, name, offset", [
     ("1x", "x", "1x", 0),
     ("x y", "x", "x y", 0),

@@ -640,6 +640,49 @@ def count_bases(monkeypatch):
     return runs
 
 
+def count_walks(monkeypatch):
+    """The bases whose staircase is walked, one entry per walk: the
+    `GroebnerBasis._stairs` descriptor re-made, of its own type, around a
+    counting copy of its function."""
+    prop = vars(poly.GroebnerBasis)["_stairs"]
+    walk, walks = getattr(prop, "func", None) or prop.fget, []
+
+    def counting(gb):
+        walks.append(gb)
+        return walk(gb)
+
+    wrapped = type(prop)(counting)
+    if hasattr(wrapped, "__set_name__"):
+        wrapped.__set_name__(poly.GroebnerBasis, "_stairs")
+    monkeypatch.setattr(poly.GroebnerBasis, "_stairs", wrapped)
+    return walks
+
+
+WALKED_QUERIES = {"global": lambda f, m: global_a1_degree(f),
+                  "local degree": local_a1_degree,
+                  "local basis": local_algebra_basis}
+
+
+@pytest.mark.parametrize("query", list(WALKED_QUERIES))
+@pytest.mark.parametrize("field, names, polys, point", [
+    (QQ, ("x",), [QUARTIC], ["x^2 + x + 1"]),
+    (gf_construct(7, 1), ("x", "y"), ["x^2 - y^3", "y^2 - x^3"], ["x", "y"]),
+], ids=["quartic", "GF(7) cusps"])
+def test_each_basis_is_walked_once(monkeypatch, query, field, names, polys,
+                                   point):
+    # The staircase is kept on its basis: the local ideal's dimension test
+    # and the Gram or the basis read the same walk.  The points are not
+    # simple, so the local queries grow I + m^k through several bases.
+    ring, f = system(names, polys, field)
+    m = Ideal.of(ring, *point)
+    runs, walks = count_bases(monkeypatch), count_walks(monkeypatch)
+    result = WALKED_QUERIES[query](f, m)
+    monkeypatch.undo()
+    assert len(walks) == len(runs) == len({id(gb) for gb in walks})
+    assert (len(runs) == 1) if query == "global" else (len(runs) >= 2)
+    assert result == WALKED_QUERIES[query](f, m)
+
+
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1)], ids=str)
 @pytest.mark.parametrize("polys", [["x^2 - y^3", "y^2 - x^3"], ["x^2", "y^2"]],
                          ids=["cusp", "squares"])

@@ -410,6 +410,39 @@ def test_zero_diagonal_elimination_at_rank_ten(field):
     assert congruence_holds(beta)
 
 
+@pytest.mark.parametrize("field, gram, pivots, det, cols", [
+    # Planes with no entries outside them: alone, and after a swap.
+    (QQ, [[0, 1], [1, 0]], [1, -1], -1, [["1/2", 1], ["1/2", -1]]),
+    (QQ, [[0, 2, 0], [2, 0, 0], [0, 0, 3]], [3, 1, -1], -12,
+     [[0, 0, 1], [1, "1/4", 0], [-1, "1/4", 0]]),
+    (gf_construct(3, 2), [[0, 1], [1, 0]], [1, 2], 2,
+     [[2, 1], [2, 2]]),
+    # Planes with entries outside them.
+    (QQ, [[0, 2, 1], [2, 0, 3], [1, 3, 0]], [1, -1, -3], 12,
+     [["1/4", 1, 0], ["1/4", -1, 0], ["-3/2", "-1/2", 1]]),
+    (gf_construct(3, 2), [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [1, 2, 2], 1,
+     [[1, 1, 0], [1, 2, 0], [1, 1, 1]]),
+], ids=["QQ H", "QQ <3> + H", "GF(9) H", "QQ plane and more",
+        "GF(9) plane and more"])
+def test_a_hyperbolic_plane_is_eliminated_exactly(field, gram, pivots, det,
+                                                  cols):
+    # Every plane moves the trailing block to the denominator 2g * D and
+    # divides out the content, as a pivot does; the pivots, det and the
+    # columns of P are the field's own values, and P^T * gram * P is the
+    # diagonal of the pivots.
+    lift = Fraction if field is QQ else field.coerce
+    m = [[lift(c) for c in row] for row in gram]
+    got = forms._eliminate(m, field, track=True)
+    assert got == (tuple(map(lift, pivots)), lift(det), 1,
+                   [[lift(a) for a in col] for col in cols])
+    n, zero = len(m), field.zero()
+    assert [[sum((a * m[r][s] * b for r, a in enumerate(ca)
+                  for s, b in enumerate(cb)), zero)
+             for cb in got[3]] for ca in got[3]] == \
+        [[got[0][i] if i == j else zero for j in range(n)] for i in range(n)]
+    assert got[1] == determinant(m, field)
+
+
 def field_elimination(gram, field, track=True):
     """`forms._eliminate`'s outcome computed on field elements: the same
     pivot, swap and plane choices, made on the trailing Schur complement

@@ -882,6 +882,126 @@ def test_standard_monomials_of_point_ideal():
     assert [str(m) for m in standard_monomials(G)] == ["1"]
 
 
+def brute_force_stairs(gb):
+    """The standard monomials of gb counted from its basis's leading
+    monomials alone: the exponent vectors below each variable's least
+    pure-power leading exponent that no leading monomial divides, ascending
+    in the ring order; [] for the unit ideal, None if some variable has no
+    pure power among the leading monomials."""
+    R = gb.ideal.ring
+    lms = [g.leading_monomial() for g in gb.basis]
+    if any(not any(e) for e in lms):
+        return []
+    bounds = []
+    for i in range(R.nvars):
+        powers = [e[i] for e in lms if e[i] == sum(e) > 0]
+        if not powers:
+            return None
+        bounds.append(min(powers))
+    return sorted((e for e in itertools.product(*map(range, bounds))
+                   if not any(_divides(lm, e) for lm in lms)),
+                  key=R._packing.pack)
+
+
+def staircase_generators(rng, R, kind):
+    """Seeded generators in R, coefficients drawn from QQ's small fractions
+    or from all of GF(q), t included, and the stair count each kind fixes
+    (None if it fixes none).  "power": c_i * x_i^d_i plus random terms of
+    lower degree, whose top forms meet only at 0, so prod d_i stairs under
+    any order; "dense": random terms up to degree d_i; "point": a random
+    rational point's ideal m, 1 stair; "point^2": m^2, n + 1 stairs;
+    "curve": "power" without its last generator, zeros not isolated."""
+    n, field = R.nvars, R.field
+    if field is QQ:
+        def scalar():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    else:
+        elements = list(field.elements())
+
+        def scalar():
+            return rng.choice(elements)
+
+    def nonzero():
+        c = scalar()
+        return c if c else nonzero()
+
+    def terms(d):  # random terms of degree below d
+        return Polynomial.make(R, {
+            e: scalar() for e in itertools.product(range(d), repeat=n)
+            if sum(e) < d and rng.random() < 0.5})
+
+    x = [R.variable(i) for i in range(n)]
+    shape = [rng.randint(1, 3) for _ in range(n)]
+    if kind in ("power", "curve"):
+        gens = [nonzero() * v ** d + terms(d) for v, d in zip(x, shape)]
+        if kind == "curve":
+            return gens[:-1], None
+        return gens, math.prod(shape)
+    if kind == "dense":
+        return [scalar() * v ** d + terms(d + 1)
+                for v, d in zip(x, shape)], None
+    m = [v - scalar() for v in x]
+    if kind == "point":
+        return m, 1
+    return [a * b for a, b in itertools.combinations_with_replacement(m, 2)], \
+        n + 1
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(3, 2)],
+                         ids=str)
+def test_stairs_are_the_brute_force_staircase(field):
+    # GroebnerBasis._stairs walks the staircase; the oracle reads it off the
+    # leading monomials' box, in 1-3 variables and both orders.
+    # standard_monomials is its wrap, one-term polynomials in the same order.
+    rng = random.Random(f"stairs:{field}")
+    seen = {"isolated": 0, "not isolated": 0}
+    for k in range(60):
+        n = 1 + k % 3
+        kind = ("power", "dense", "point", "point^2", "curve")[k // 3 % 5]
+        if kind == "curve" and n == 1:
+            kind = "power"
+        R = PolyRing(field, tuple("xyz"[:n]),
+                     order="elim1" if n > 1 and k % 2 else "grevlex")
+        gens, count = staircase_generators(rng, R, kind)
+        gb = groebner_basis(Ideal(R, tuple(g for g in gens if g)))
+        expected = brute_force_stairs(gb)
+        if expected is None:
+            assert kind in ("dense", "curve")
+            for walk in (lambda: gb._stairs, lambda: standard_monomials(gb)):
+                with pytest.raises(ValueError, match="zeros are not isolated"):
+                    walk()
+            seen["not isolated"] += 1
+            continue
+        assert kind != "curve"
+        assert [R._packing.unpack(m) for m in gb._stairs] == expected
+        assert standard_monomials(gb) == [
+            Polynomial.make(R, {e: 1}) for e in expected]
+        assert count is None or len(expected) == count
+        seen["isolated"] += 1
+    assert seen["isolated"] >= 40 and seen["not isolated"] >= 8, seen
+
+
+def test_the_unit_ideal_has_no_stairs():
+    # The quotient by (1) is 0, whether the basis is reduced or not.
+    R = ring("x", "y")
+    x, y = R.variable(0), R.variable(1)
+    for G in (groebner_basis(Ideal.of(R, "x + 1", "x - 1")),
+              GroebnerBasis(Ideal(R, (R.one(), x, y)), (R.one(), x, y)),
+              GroebnerBasis(Ideal(R, (x, R.one())), (x, R.one()))):
+        assert G._stairs == ()
+        assert standard_monomials(G) == []
+
+
+def test_a_curve_of_zeros_raises_on_every_walk():
+    # A failed walk is not cached: every call raises again.
+    G = groebner_basis(Ideal.of(ring("x", "y"), "x*y"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zeros are not isolated"):
+            G._stairs
+        with pytest.raises(ValueError, match="zeros are not isolated"):
+            standard_monomials(G)
+
+
 # -- resultants --------------------------------------------------------------
 
 
