@@ -3,7 +3,8 @@
 Subcommands mirror the library: form operations on Gram matrices or
 diagonal entry lists, Hilbert symbols, and local/global degrees of
 polynomial systems.  Exit codes: 0 success, 1 domain error (degenerate
-form, non-isolated zeros, ...), 2 parse error.
+form, non-isolated zeros, ...) or a stdout the reader closed, 2 parse
+error.
 
 `main` parses an argv that names a leaf (`form decompose`, `degree
 local`, ...) with that leaf's parser alone.  No arguments, help at the
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -132,18 +134,23 @@ def parse_entries(text: str, offset: int = 0) -> list[Fraction]:
 
 
 def read_source(value: str) -> str:
-    """'-' reads stdin and '@PATH' the file PATH; anything else is the text
-    itself, since no polynomial starts with '@'."""
-    if value == "-":
-        return sys.stdin.read()
-    if not value.startswith("@"):
+    """'-' reads stdin and '@PATH' the file PATH, as UTF-8 text; anything
+    else is the text itself, since no polynomial starts with '@'.  A source
+    that cannot be read or decoded is named in the ValueError."""
+    if value != "-" and not value.startswith("@"):
         return value
-    path = value[1:]
+    name = "stdin" if value == "-" else value[1:]
     try:
-        with open(path, encoding="utf-8") as fh:
+        if value == "-":  # strict UTF-8 from the bytes, whatever the locale
+            stdin = getattr(sys.stdin, "buffer", None)
+            return stdin.read().decode("utf-8") if stdin else sys.stdin.read()
+        with open(name, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {name}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {name}: not UTF-8 ({exc.reason} at "
+                         f"byte {exc.start})") from None
 
 
 def split_polys(text: str) -> list[str]:
@@ -161,13 +168,14 @@ def split_polys(text: str) -> list[str]:
 MAX_DIAG_ENTRIES = 512
 
 
-def diagonal_class(text: str, field: FieldDesc) -> forms.GWClass:
-    """The diagonal class of the entry list, refused past MAX_DIAG_ENTRIES
-    before its Gram matrix is built."""
+def diagonal_class(text: str, field: FieldDesc,
+                   cap: int = MAX_DIAG_ENTRIES) -> forms.GWClass:
+    """The diagonal class of the entry list, refused past ``cap`` entries
+    before its Gram matrix is built: MAX_DIAG_ENTRIES for a payload that is
+    classified, forms.MAX_MADE_RANK for `form make diagonal`."""
     entries = parse_entries(text)
-    if len(entries) > MAX_DIAG_ENTRIES:
-        raise ValueError(f"diagonal rank {len(entries)} exceeds "
-                         f"{MAX_DIAG_ENTRIES}")
+    if len(entries) > cap:
+        raise ValueError(f"diagonal rank {len(entries)} exceeds {cap}")
     return forms.make_diagonal_form(field, entries)
 
 
@@ -310,11 +318,7 @@ def cmd_form_make(args):
     if args.kind == "diagonal":
         if args.entries is None:
             raise ParseError("make diagonal requires --entries", 0)
-        entries = parse_entries(args.entries)
-        if len(entries) > forms.MAX_MADE_RANK:
-            raise ValueError(f"diagonal rank {len(entries)} exceeds "
-                             f"{forms.MAX_MADE_RANK}")
-        beta = forms.make_diagonal_form(field, entries)
+        beta = diagonal_class(args.entries, field, forms.MAX_MADE_RANK)
     elif args.kind == "hyperbolic":
         if args.rank is None:
             raise ParseError("make hyperbolic requires --rank", 0)
@@ -498,6 +502,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): the query ends with exit 1
+        # and no traceback.  fd 1 goes to devnull, so that the interpreter's
+        # exit flush of what is left in the buffer cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

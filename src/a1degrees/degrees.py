@@ -181,7 +181,7 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     stairs = basis_gb._stairs
     if not stairs:
         return empty_form(field)
-    residue = _residue_gram(system, basis_gb, stairs)
+    residue = _residue_gram(system, basis_gb)
     if residue is not None:
         return _checked(field, *residue)
     bez = bezoutian_matrix(system)
@@ -210,8 +210,8 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     return _checked(field, gram)
 
 
-def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: tuple):
-    """The Gram matrix of NF(det B) on the stairs, gb's standard monomials
+def _residue_gram(system: EndoSystem, gb: GroebnerBasis):
+    """The Gram matrix of NF(det B) on gb._stairs, the standard monomials
     as ascending keys, from the global residue: (rows, det, elimination),
     `forms._checked`'s arguments, the rows as field elements with, over
     GF(q), the determinant and, over QQ, the elimination.  None unless the
@@ -224,6 +224,7 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis, stairs: tuple):
     ring = system.ring
     pk, field = ring._packing, ring.field
     reduce, units, guard = field.reduce or pos, pk.units, pk.guard
+    stairs = gb._stairs
     size, degree = len(stairs), [f.total_degree() for f in system.polys]
     rho = sum(degree) - len(degree)
     if not pk.graded or size != system.bezout_number or \

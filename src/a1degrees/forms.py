@@ -125,10 +125,9 @@ def _checked(field: FieldDesc, rows, det=None, elimination=None) -> GWClass:
         raise ValueError("empty Gram matrix")
     if any(len(row) != n for row in rows):
         raise ValueError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
+    for i, row in enumerate(rows):
+        if list(row[i + 1:]) != [r[i] for r in rows[i + 1:]]:
+            raise ValueError("Gram matrix must be symmetric")
     beta = _raw(field, rows)
     if det is not None:
         vars(beta)["_determinant"] = det
@@ -315,7 +314,6 @@ def diagonalize(beta: GWClass):
     into P, so the congruence witness stays exact).
     """
     F = beta.field
-    n = beta.rank
     pivots, det, lcd, cols = _eliminate(beta.gram, F, track=True)
     # Tracking adds only column operations: this is beta's elimination.
     vars(beta).setdefault("_elimination", (pivots, det, lcd))
@@ -325,8 +323,8 @@ def diagonalize(beta: GWClass):
             t = fraction_sqrt(d / s)
             if t != 1:
                 cols[i] = [a / t for a in cols[i]]
-    D = [[diag[i] if i == j else F.zero() for j in range(n)] for i in range(n)]
-    return _raw(F, D), tuple(zip(*cols))
+    # A rank-0 class (a hyperbolic form's anisotropic part) is its diagonal.
+    return (make_diagonal_form(F, diag) if diag else beta), tuple(zip(*cols))
 
 
 def make_diagonal_form(field: FieldDesc, entries) -> GWClass:
@@ -360,6 +358,8 @@ def make_pfister_form(field: FieldDesc, coeffs) -> GWClass:
 
     Convention: <<a_1,...,a_n>> uses the factors <1, -a_i>; both signs
     appear in the literature, this package fixes the minus convention.
+    Built from its diagonal: the 2^n products of the -a_i over the subsets
+    of the slots, in the Kronecker product's order.
     """
     coeffs = list(coeffs)
     if not coeffs:
@@ -367,14 +367,14 @@ def make_pfister_form(field: FieldDesc, coeffs) -> GWClass:
     if 2 ** len(coeffs) > MAX_MADE_RANK:
         raise ValueError(f"a {len(coeffs)}-fold Pfister form exceeds rank "
                          f"{MAX_MADE_RANK}")
-    result = None
+    one = field.one()
+    entries = [one]
     for a in coeffs:
         a = field.coerce(a)
         if not a:
             raise ValueError("Pfister slots must be nonzero")
-        factor = make_diagonal_form(field, [field.one(), -a])
-        result = factor if result is None else multiply_gw(result, factor)
-    return result
+        entries = [e * s for e in entries for s in (one, -a)]
+    return make_diagonal_form(field, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,12 @@ class _Packing:
     def pack_terms(self, terms: dict, den=None) -> dict:
         """terms with packed monomials; given den, rational coefficients
         become the ints of den * terms."""
-        fields, rows = self.fields, self.rows
-        try:
-            return {int.from_bytes(fields(*e, *rows(e)), "little"):
-                    c if den is None else c.numerator * (den // c.denominator)
-                    for e, c in terms.items()}
-        except struct.error:
-            raise ValueError(_TOO_LARGE) from None
+        return {self.pack(e): c if den is None else
+                c.numerator * (den // c.denominator)
+                for e, c in terms.items()}
 
     def unpack_terms(self, terms: dict) -> dict:
-        exponents, size = self.exponents, self.size
-        return {exponents(m.to_bytes(size, "little")): c
-                for m, c in terms.items()}
+        return {self.unpack(m): c for m, c in terms.items()}
 
 
 # One packing per order and size, shared by the rings that have them: each
@@ -801,17 +795,20 @@ class GroebnerBasis:
     @cached_property
     def _stairs(self) -> tuple:
         """The standard monomials, those outside the leading-term ideal, as
-        packed keys ascending in the ring order: walked once per basis.
+        packed keys ascending in the ring order: walked once per basis, and
+        read by every degree query and `standard_monomials` from here.
         Empty for the unit ideal, whose quotient is 0; raises if there are
-        infinitely many, i.e. the quotient is not zero-dimensional."""
+        infinitely many, i.e. the quotient is not zero-dimensional: some
+        variable has no pure power among the leading monomials, each of
+        which is unpacked once to find out."""
         lms = [lm for lm, _, _ in self._divisors]
         if 0 in lms:
             return ()
         pk = self.ideal.ring._packing
-        for i in range(self.ideal.ring.nvars):
-            if not any(all(x == 0 for j, x in enumerate(e) if j != i) and
-                       e[i] > 0 for e in map(pk.unpack, lms)):
-                raise ValueError("zeros are not isolated")
+        powers = {e.index(max(e)) for e in map(pk.unpack, lms)
+                  if max(e) == sum(e)}
+        if len(powers) < self.ideal.ring.nvars:
+            raise ValueError("zeros are not isolated")
         guard = pk.guard
         seen, queue = {0}, [0]
         while queue:
@@ -1059,17 +1056,6 @@ def standard_monomials(G: GroebnerBasis) -> list:
 # Resultants.
 
 
-def _sylvester_resultant(fdesc, gdesc, field):
-    m, n = len(fdesc) - 1, len(gdesc) - 1
-    size = m + n
-    rows = []
-    for i in range(m):
-        rows.append([field.zero()] * i + gdesc + [field.zero()] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([field.zero()] * i + fdesc + [field.zero()] * (size - m - 1 - i))
-    return determinant(rows, field)
-
-
 def resultant_univariate(f: Polynomial, g: Polynomial):
     """Sylvester resultant of two univariate polynomials (field-valued).
 
@@ -1099,7 +1085,12 @@ def resultant_univariate(f: Polynomial, g: Polynomial):
             out[deg - e[v]] = c  # descending in the first variable
         return out
 
-    return _sylvester_resultant(coeffs(f), coeffs(g), field)
+    # The Sylvester matrix: deg f shifted rows of g over deg g of f.
+    fc, gc, zero = coeffs(f), coeffs(g), field.zero()
+    m, n = len(fc) - 1, len(gc) - 1
+    rows = [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]
+    rows += [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+    return determinant(rows, field)
 
 
 # ---------------------------------------------------------------------------

@@ -290,9 +290,9 @@ def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
     bases = []
     original = poly._buchberger
 
-    def counting(ring, gens):
+    def counting(ring, gens, *rest):
         bases.append(ring.order)
-        return original(ring, gens)
+        return original(ring, gens, *rest)
 
     def forbidden(*args):
         raise AssertionError("the degree path must not take colon ideals")
@@ -611,6 +611,78 @@ def test_an_unreadable_source_exits_1(tmp_path, capsys):
         code, out, err = run(capsys, "degree", *argv, "--field", "QQ",
                              "--vars", "x")
         assert (code, out, err) == (1, "", message)
+
+
+NOT_UTF8 = "not UTF-8 (invalid start byte at byte 0)"
+
+
+@pytest.mark.parametrize("source", ["polys", "ideal", "stdin"])
+def test_a_source_that_is_not_utf8_is_named(tmp_path, capsys, monkeypatch,
+                                            source):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"),
+                                                      encoding="utf-8"))
+    polys, ideal, name = {"polys": (f"@{path}", "x", path),
+                          "ideal": ("x", f"@{path}", path),
+                          "stdin": ("-", "x", "stdin")}[source]
+    assert run(capsys, "degree", "local", "--field", "QQ", "--vars", "x",
+               "--polys", polys, "--ideal", ideal) == (
+        1, "", f"error: cannot read {name}: {NOT_UTF8}\n")
+
+
+def test_stdin_that_is_not_utf8_is_named_under_the_posix_locale():
+    # There a real stdin decodes with surrogateescape: the bytes must still
+    # be refused as not UTF-8, not parsed.
+    done = subprocess.run([sys.executable, "-m", "a1degrees.cli", "degree",
+                           "global", "--field", "QQ", "--vars", "x",
+                           "--polys", "-"],
+                          input=b"\xff\xfe", capture_output=True,
+                          env=_cli_env(LC_ALL="C"), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (
+        1, b"", f"error: cannot read stdin: {NOT_UTF8}\n")
+
+
+def _closed_stdout(argv, first_byte):
+    """Exit code and stderr of a fresh CLI, its stdout block-buffered as in
+    a shell pipe, whose reader takes the first byte and closes the pipe, as
+    `| head -c 1` does, or closed it before anything was written."""
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "a1degrees.cli", *argv]
+    if first_byte:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        proc.stdout = None  # communicate reads stderr alone
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        proc = subprocess.Popen(command, stdout=write, stderr=subprocess.PIPE,
+                                env=env)
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+HYPERBOLIC = ("form", "make", "hyperbolic", "--field", "QQ", "--rank")
+SMALL = ("form", "invariants", "--field", "QQ", "--diag", "1,2")
+
+
+@pytest.mark.parametrize("argv, first_byte, code", [
+    ((*HYPERBOLIC, "256"), True, 1),
+    ((*HYPERBOLIC, "256", "--json"), True, 1),
+    (SMALL, True, 0),
+    (SMALL, False, 1),
+], ids=["pretty", "json", "small output", "closed first"])
+def test_a_closed_stdout_exits_quietly(argv, first_byte, code):
+    # Output past the pipe's capacity (64 KiB on Linux; these are 257 and
+    # 707 KiB) meets the closed end: exit 1 with nothing on stderr.  So
+    # does a small output whose reader closed first, which is still in the
+    # buffer for the interpreter's exit flush.  A small output written whole
+    # before the reader closed exits 0.
+    assert _closed_stdout(argv, first_byte) == (code, b"")
 
 
 def test_a_unit_ideal_point_exits_1(capsys):
@@ -1191,13 +1263,18 @@ SESSION = [
 ]
 
 
-def _fresh_process(argv):
+def _cli_env(**extra):
+    """The environment of a fresh `python -m a1degrees.cli` on this src."""
     src = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, COLUMNS="80",
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(src), os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, COLUMNS="80", **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [
+                    str(src), os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_process(argv):
     done = subprocess.run([sys.executable, "-m", "a1degrees.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(),
+                          timeout=60)
     return done.returncode, done.stdout, done.stderr
 
 

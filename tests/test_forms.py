@@ -43,6 +43,32 @@ def test_make_gw_class_validates():
         make_gw_class([[1, 2, 3], [2, 1, 1]], QQ)
 
 
+@pytest.mark.parametrize("field, entry", [
+    (QQ, lambda: Fraction(1, 2)),
+    (gf_construct(3, 2), lambda: gf_construct(3, 2).coerce((0, 1))),  # t
+], ids=["QQ", "GF(9)"])
+@pytest.mark.parametrize("row_type", [list, tuple])
+def test_one_asymmetric_pair_is_refused(field, entry, row_type):
+    # I + c(J - I) with each mirrored pair two equal objects, not one:
+    # symmetric, and nondegenerate (det (1 - c)^3 (1 + 3c)).  Changing one
+    # entry of a pair, above or below the diagonal, makes it asymmetric.
+    n = 4
+
+    def gram():
+        return [[field.one() if i == j else entry() for j in range(n)]
+                for i in range(n)]
+
+    rows = gram()
+    assert rows[0][n - 1] == rows[n - 1][0]
+    assert rows[0][n - 1] is not rows[n - 1][0]
+    assert forms._checked(field, list(map(row_type, rows))).rank == n
+    for i, j in [(0, n - 1), (n - 2, n - 1), (1, 0)]:
+        rows = gram()
+        rows[i][j] = rows[i][j] + field.one()
+        with pytest.raises(ValueError, match="must be symmetric"):
+            forms._checked(field, list(map(row_type, rows)))
+
+
 def test_make_diagonal_form_examples():
     F13 = gf_construct(13, 1)
     beta = make_diagonal_form(F13, (2, 6))
@@ -69,6 +95,42 @@ def test_make_pfister_form_convention():
     assert is_isomorphic_form(beta, expected)
     assert beta.rank == 4
     assert make_pfister_form(QQ, (5,)).rank == 2
+
+
+def pfister_oracle(field, slots):
+    """The Kronecker product of the factors <1, -a_i>, one multiply_gw per
+    slot: the Pfister form as the tensor product it is defined as."""
+    beta = None
+    for a in slots:
+        factor = make_diagonal_form(field, [1, -field.coerce(a)])
+        beta = factor if beta is None else multiply_gw(beta, factor)
+    return beta
+
+
+@pytest.mark.parametrize("field", [QQ, RR, gf_construct(7, 1),
+                                   gf_construct(3, 2), gf_construct(5, 2)],
+                         ids=str)
+def test_pfister_form_is_the_tensor_product_of_its_factors(field):
+    # 1-8 seeded slots: the diagonal built from the slots' products is the
+    # Gram matrix of the Kronecker product, entry for entry and in order,
+    # with slots outside GF(p) (t-valued) over GF(9) and GF(25).
+    rng = random.Random(f"pfister:{field}")
+    if field.kind == "GF":
+        elements = [a for a in field.elements() if a]
+        assert field.degree == 1 or any(a.value >= field.char
+                                        for a in elements)
+    for n in range(1, 9):
+        for _ in range(3 if n < 6 else 1):
+            if field.kind == "GF":
+                slots = [rng.choice(elements) for _ in range(n)]
+            else:
+                slots = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                                  rng.randint(1, 5)) for _ in range(n)]
+            beta = make_pfister_form(field, slots)
+            assert beta == pfister_oracle(field, slots)
+            assert beta.rank == 2 ** n
+            assert all(type(c) is type(field.one()) for row in beta.gram
+                       for c in row)
 
 
 def test_made_form_ranks_are_bounded(monkeypatch):
@@ -104,6 +166,14 @@ def test_diagonalize_fixture():
     beta = make_gw_class([[1, 3], [3, 7]], QQ)
     d, p = diagonalize(beta)
     assert [d.gram[i][i] for i in range(2)] == [Fraction(1), Fraction(-2)]
+
+
+def test_diagonalize_a_rank_zero_class():
+    # The anisotropic part of a hyperbolic form has rank 0: it is its own
+    # diagonal, with an empty congruence witness.
+    part = witt.anisotropic_part(make_hyperbolic_form(QQ, 2))
+    assert part.rank == 0
+    assert diagonalize(part) == (part, ())
 
 
 def test_diagonalize_reuses_the_square_classes(monkeypatch):

@@ -910,7 +910,11 @@ def staircase_generators(rng, R, kind):
     lower degree, whose top forms meet only at 0, so prod d_i stairs under
     any order; "dense": random terms up to degree d_i; "point": a random
     rational point's ideal m, 1 stair; "point^2": m^2, n + 1 stairs;
-    "curve": "power" without its last generator, zeros not isolated."""
+    "curve": "power" without its last generator, zeros not isolated;
+    "line": multiples of the ideal of a line {x_j = c_j : j != i} by
+    random polynomials with a power of x_i, whose leading monomials mix
+    x_i with the other variables, zeros not isolated (in one variable, no
+    generators: the zero ideal)."""
     n, field = R.nvars, R.field
     if field is QQ:
         def scalar():
@@ -940,6 +944,10 @@ def staircase_generators(rng, R, kind):
     if kind == "dense":
         return [scalar() * v ** d + terms(d + 1)
                 for v, d in zip(x, shape)], None
+    if kind == "line":
+        i = rng.randrange(n)
+        return [(v - scalar()) * (x[i] ** rng.randint(1, 3) + terms(2))
+                for j, v in enumerate(x) if j != i], None
     m = [v - scalar() for v in x]
     if kind == "point":
         return m, 1
@@ -979,6 +987,24 @@ def test_stairs_are_the_brute_force_staircase(field):
         assert count is None or len(expected) == count
         seen["isolated"] += 1
     assert seen["isolated"] >= 40 and seen["not isolated"] >= 8, seen
+    # Leading monomials with no pure power of some variable, in 1-3
+    # variables under both orders: every walk raises.  A leading monomial
+    # that mixes a variable with others is no pure power of it.
+    mixed = 0
+    for k in range(18):
+        n = 1 + k % 3
+        R = PolyRing(field, tuple("xyz"[:n]),
+                     order="elim1" if n > 1 and k // 3 % 2 else "grevlex")
+        gens, _ = staircase_generators(rng, R, "line")
+        gb = (groebner_basis(Ideal(R, tuple(gens))) if gens else
+              GroebnerBasis(Ideal(R, (R.zero(),)), ()))
+        assert brute_force_stairs(gb) is None
+        for walk in (lambda: gb._stairs, lambda: standard_monomials(gb)):
+            with pytest.raises(ValueError, match="zeros are not isolated"):
+                walk()
+        mixed += any(max(e) < sum(e) for e in
+                     (g.leading_monomial() for g in gb.basis))
+    assert mixed >= 8, mixed
 
 
 def test_the_unit_ideal_has_no_stairs():

@@ -283,6 +283,17 @@ CLI_DECK += [
      "--json"],
 ]
 
+# Pfister forms of rank 64, built from their diagonal, over QQ and GF(25),
+# and a matrix that is symmetric but for its last row.
+CLI_DECK += [
+    ["form", "make", "pfister", "--field", "QQ", "--entries",
+     "2,3,5,7,11,13", "--json"],
+    ["form", "make", "pfister", "--field", "GF(25)", "--entries",
+     "1,2,3,4,6,7", "--json"],
+    ["form", "invariants", "--field", "QQ", "--matrix",
+     "[[1,2,3],[2,1,4],[3,5,1]]"],
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
