@@ -63,7 +63,8 @@ def _prime_power(q: int):
 
 
 @functools.lru_cache(maxsize=64)
-def parse_field(text: str) -> FieldDesc:
+def parse_field(text: str, modulus=None) -> FieldDesc:
+    """The field text names; a GF(p^k) takes the given modulus, if any."""
     m = _FIELD_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad field spec {text!r}; expected QQ, RR, CC or GF(q)", 0)
@@ -76,7 +77,7 @@ def parse_field(text: str) -> FieldDesc:
     pk = _prime_power(q)
     if pk is None:
         raise ParseError(f"GF({q}): order must be a prime power", 3)
-    return gf_construct(*pk)
+    return gf_construct(*pk, modulus)
 
 
 def parse_scalar(text: str, position: int = 0) -> Fraction:
@@ -135,10 +136,13 @@ def parse_entries(text: str, offset: int = 0) -> list[Fraction]:
 
 def read_source(value: str) -> str:
     """'-' reads stdin and '@PATH' the file PATH, as UTF-8 text; anything
-    else is the text itself, since no polynomial starts with '@'.  A source
-    that cannot be read or decoded is named in the ValueError."""
+    else is the text itself, since no polynomial starts with '@'.  A bare
+    '@' names no file; a source that cannot be read or decoded is named in
+    the ValueError."""
     if value != "-" and not value.startswith("@"):
         return value
+    if value == "@":
+        raise ParseError("no file name after '@'", 1)
     name = "stdin" if value == "-" else value[1:]
     try:
         if value == "-":  # strict UTF-8 from the bytes, whatever the locale
@@ -208,10 +212,8 @@ def field_to_json(field: FieldDesc) -> dict:
 
 
 def field_from_json(obj: dict) -> FieldDesc:
-    field = parse_field(obj["name"])
-    if field.kind == "GF" and "modulus" in obj:
-        field = gf_construct(field.char, field.degree, tuple(obj["modulus"]))
-    return field
+    modulus = obj.get("modulus")
+    return parse_field(obj["name"], None if modulus is None else tuple(modulus))
 
 
 def gwclass_to_json(beta: forms.GWClass, extra: dict | None = None) -> dict:

@@ -168,16 +168,6 @@ class _Packing:
     def unpack(self, m) -> tuple:
         return self.exponents(m.to_bytes(self.size, "little"))
 
-    def pack_terms(self, terms: dict, den=None) -> dict:
-        """terms with packed monomials; given den, rational coefficients
-        become the ints of den * terms."""
-        return {self.pack(e): c if den is None else
-                c.numerator * (den // c.denominator)
-                for e, c in terms.items()}
-
-    def unpack_terms(self, terms: dict) -> dict:
-        return {self.unpack(m): c for m, c in terms.items()}
-
 
 # One packing per order and size, shared by the rings that have them: each
 # CLI query builds its rings anew.
@@ -484,13 +474,13 @@ def _enter(f: Polynomial):
     the kernel built has them already, and one built from public terms
     derives and keeps them here; callers do not change the dict."""
     if f._kernel is None:
-        field, pk = f.ring.field, f.ring._packing
-        if field.kind == "QQ":
+        pack = f.ring._packing.pack
+        if f.ring.field.kind == "QQ":
             den = lcm(*[c.denominator for c in f._terms.values()])
-            f._kernel = den, pk.pack_terms(f._terms, den)
+            f._kernel = den, {pack(e): c.numerator * (den // c.denominator)
+                              for e, c in f._terms.items()}
         else:
-            f._kernel = 1, {m: c.value
-                            for m, c in pk.pack_terms(f._terms).items()}
+            f._kernel = 1, {pack(e): c.value for e, c in f._terms.items()}
     return f._kernel
 
 
@@ -551,9 +541,8 @@ def _scalar(field: FieldDesc, den):
 def _public(ring, terms: dict, den) -> dict:
     """Kernel terms over the positive int den as public terms: exponent
     tuples, and `_scalar`'s coefficients."""
-    scalar = _scalar(ring.field, den)
-    return ring._packing.unpack_terms({m: scalar(c)
-                                       for m, c in terms.items()})
+    scalar, unpack = _scalar(ring.field, den), ring._packing.unpack
+    return {unpack(m): scalar(c) for m, c in terms.items()}
 
 
 def exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -628,7 +617,7 @@ def determinant(rows, ring, modulo=None):
     """Determinant of a square matrix over a PolyRing or a FieldDesc (over
     QQ its scalars may be ints or Fractions); given `modulo`, a Groebner
     basis in ring (a `GroebnerBasis`, its elements or their prepared
-    divisors, as `GroebnerBasis.divisors_in` makes them), its normal form
+    divisors, as `_degree_from_basis` moves them), its normal form
     modulo that basis.
 
     Every entry enters the kernel first, as packed terms over an int
@@ -821,16 +810,6 @@ class GroebnerBasis:
                 queue.append(m2)
         return tuple(sorted(seen))
 
-    def divisors_in(self, target: PolyRing, offset: int) -> list:
-        """The basis's prepared divisors moved into target by `_mover`:
-        what `_prep_divisors` makes of the moved basis, for `determinant`'s
-        modulo, without building it.  The coefficients stay, and among
-        monomials in the copy's variables target's grevlex orders as the
-        basis's does, so leading monomials stay leading."""
-        move = _mover(self.ideal.ring, target, offset)
-        return [(move(lm), u, [(move(e), c) for e, c in tail])
-                for lm, u, tail in self._divisors]
-
 
 def _mover(ring: PolyRing, target: PolyRing, offset: int):
     """The function taking a packed monomial of ring to its copy in target,
@@ -965,7 +944,7 @@ def groebner_basis(ideal: Ideal) -> GroebnerBasis:
 def _divisors_of(G, ring: PolyRing) -> list:
     """The prepared divisors of a Groebner basis G, or of its elements, in
     ring: a `GroebnerBasis` keeps them for the next call, a list is prepared
-    per call, and a list of triples (`GroebnerBasis.divisors_in`) is
+    per call, and a list of triples (moved by `_degree_from_basis`) is
     prepared already."""
     polys = G.basis if isinstance(G, GroebnerBasis) else tuple(G)
     if all(type(g) is tuple for g in polys):

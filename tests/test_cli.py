@@ -209,6 +209,32 @@ def test_json_round_trip(capsys, argv):
     assert again["field"] == obj["field"]
 
 
+# The first irreducible among the candidates
+# tuple(rng.randrange(101) for _ in range(24)) + (1,) of random.Random(1):
+# the fifth.  The search for GF(101^24)'s own modulus gives up first.
+MODULUS_101_24 = (94, 47, 11, 56, 84, 65, 13, 99, 20, 66, 50, 47, 62, 93, 3,
+                  60, 5, 39, 90, 78, 75, 74, 50, 82, 1)
+
+
+@pytest.mark.parametrize("p, modulus", [(101, MODULUS_101_24), (3, (2, 1, 1))])
+def test_json_round_trip_builds_the_recorded_field_once(monkeypatch, p,
+                                                        modulus):
+    # GF(9)'s searched modulus is (1, 0, 1): a recorded one that differs
+    # must come back as recorded.
+    F = gf_construct(p, len(modulus) - 1, modulus)
+    t = F.coerce((0, 1))
+    beta = make_diagonal_form(F, [t, t + F.one(), F.one()])
+    tests = []
+    rabin = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible",
+                        lambda f, q: tests.append(f) or rabin(f, q))
+    cli.parse_field.cache_clear()
+    again = cli.gwclass_from_json(cli.gwclass_to_json(beta))
+    assert tests == [modulus]
+    assert again.field.modulus == modulus
+    assert again.gram == beta.gram
+
+
 def test_gf_entries_parse_back_from_their_rendering():
     for q in (9, 27):
         field = cli.parse_field(f"GF({q})")
@@ -611,6 +637,18 @@ def test_an_unreadable_source_exits_1(tmp_path, capsys):
         code, out, err = run(capsys, "degree", *argv, "--field", "QQ",
                              "--vars", "x")
         assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree", "global", "--polys", "@"),
+    ("degree", "local", "--polys", "@", "--ideal", "x"),
+    ("degree", "local", "--polys", "x", "--ideal", "@"),
+    ("basis", "local", "--polys", "x", "--ideal", "@"),
+])
+def test_a_bare_at_is_a_parse_error(capsys, argv):
+    # '@' alone names no file: a malformed argument, not an unreadable one.
+    assert run(capsys, *argv, "--field", "QQ", "--vars", "x") == (
+        2, "", "parse error: no file name after '@' (at position 1)\n")
 
 
 NOT_UTF8 = "not UTF-8 (invalid start byte at byte 0)"

@@ -173,9 +173,10 @@ def test_an_asymmetric_bezoutian_gram_is_refused(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
                                    gf_construct(3, 3)], ids=str)
 def test_doubled_divisors_are_the_prepared_copies(field):
-    # The oracle is the construction they replace: each basis element
-    # mapped into the doubled ring, the X-copy then the Y-copy, and
-    # prepared from its public terms.
+    # `_degree_from_basis` moves the basis's triples with `_mover`.  The
+    # oracle is the construction that replaces: each basis element mapped
+    # into the doubled ring, the X-copy then the Y-copy, and prepared from
+    # its public terms.
     rng = random.Random(f"doubled:{field}")
     scalars = [Fraction(-5, 7), Fraction(3, 2), 4] if field == QQ else \
         list(field.elements())[1:]
@@ -194,10 +195,12 @@ def test_doubled_divisors_are_the_prepared_copies(field):
             for offset in (0, n):
                 copies = [g.map_to(dring, list(range(offset, offset + n)))
                           for g in gb.basis]
-                assert gb.divisors_in(dring, offset) == \
+                move = poly._mover(ring, dring, offset)
+                assert [(move(lm), u, [(move(e), c) for e, c in tail])
+                        for lm, u, tail in gb._divisors] == \
                     poly._prep_divisors(copies)
     with pytest.raises(ValueError, match="does not embed"):
-        gb.divisors_in(dring, n + 1)
+        poly._mover(ring, dring, n + 1)
 
 
 def rational_system(rng, n, degree):
