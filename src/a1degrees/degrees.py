@@ -34,8 +34,8 @@ A basis with no zeros at infinity takes no Bezoutian, over GF(q), and over
 QQ up to MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable.  Its Gram is G^-1 for
 G_ab = eta(e_a e_b) on the standard monomials, eta the global residue
 (Scheja-Storch 1975; Cattani, Dickenstein and Sturmfels, "Residues and
-resultants", 1998).  The path runs when the ring is grevlex and the
-staircase has prod deg f_i monomials, so, by Bezout, no zeros at infinity.
+resultants", 1998).  The path runs when the staircase has prod deg f_i
+monomials, so, by Bezout, no zeros at infinity.
 Such a staircase is that of the top forms, a complete intersection
 (Macaulay 1916; Moller and Sauer, "H-bases for polynomial interpolation and
 system solving", 2000), so exactly one stair, the last, sigma, has the top
@@ -90,6 +90,8 @@ class EndoSystem:
     polys: tuple
 
     def __post_init__(self):
+        if self.ring.order != "grevlex":
+            raise ValueError("a system's ring must be ordered by grevlex")
         if len(self.polys) != self.ring.nvars:
             raise ValueError("system must be square: one polynomial per variable")
         for f in self.polys:
@@ -217,10 +219,10 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis):
     """The Gram matrix of NF(det B) on gb._stairs, the standard monomials
     as ascending keys, from the global residue: (rows, det, elimination),
     `forms._checked`'s arguments, the rows as field elements with, over
-    GF(q), the determinant and, over QQ, the elimination.  None unless the
-    ring is grevlex and there are prod deg f_i stairs, and over QQ unless
-    there are at most MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable and no
-    trailing principal minor of G' vanishes.  Then the last stair, sigma,
+    GF(q), the determinant and, over QQ, the elimination.  None unless
+    there are prod deg f_i stairs, and over QQ unless there are at most
+    MAX_QQ_RESIDUE_RANK_PER_VARIABLE per variable and no trailing
+    principal minor of G' vanishes.  Then the last stair, sigma,
     is the only one of degree rho = sum (deg f_i - 1) (Macaulay), and G'
     is nonsingular: either failing is a bug, raised as an AssertionError.
     See the module docstring."""
@@ -230,8 +232,7 @@ def _residue_gram(system: EndoSystem, gb: GroebnerBasis):
     stairs = gb._stairs
     size, degree = len(stairs), [f.total_degree() for f in system.polys]
     rho = sum(degree) - len(degree)
-    if not pk.graded or size != system.bezout_number or \
-            field.kind != "GF" and \
+    if size != system.bezout_number or field.kind != "GF" and \
             size > MAX_QQ_RESIDUE_RANK_PER_VARIABLE * len(units):
         return None
     if pk.degree(stairs[-1]) != rho or \

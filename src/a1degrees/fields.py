@@ -155,10 +155,9 @@ def squarefree_part(r) -> int:
 def _squarefree_split(r) -> tuple[int, tuple[int, ...]]:
     """(s, primes): squarefree_part(r) and the primes dividing it, ascending,
     from one factorization."""
-    r = Fraction(r)
-    if r == 0:
+    m = _class_integer(r)
+    if m == 0:
         raise ValueError("zero has no square class")
-    m = r.numerator * r.denominator
     primes = tuple(p for p, e in factorize(m).items() if e % 2)
     s = -1 if m < 0 else 1
     for p in primes:
@@ -166,14 +165,14 @@ def _squarefree_split(r) -> tuple[int, tuple[int, ...]]:
     return s, primes
 
 
-def _check_prime(p: int, kind: str = "prime") -> None:
+def _check_prime(p: int) -> None:
     """Refuse p unless it is a prime of at most _CHAR_BITS_CAP bits.  The
     size is checked first: Miller-Rabin on a larger p takes seconds."""
     if p.bit_length() > _CHAR_BITS_CAP:
         raise ValueError(f"p has {p.bit_length()} bits, more than "
                          f"{_CHAR_BITS_CAP}")
     if not is_prime(p):
-        raise ValueError(f"{p} is not {kind}")
+        raise ValueError(f"{p} is not prime")
 
 
 def padic_valuation(r, p: int) -> int:
@@ -187,7 +186,7 @@ def padic_valuation(r, p: int) -> int:
 
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd prime p, via Euler's criterion."""
-    _check_prime(p, "an odd prime")
+    _check_prime(p)
     if p == 2:
         raise ValueError("2 is not an odd prime")
     t = pow(a % p, (p - 1) // 2, p)
@@ -391,8 +390,8 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 _RABIN_BUDGET = 1 << 21
 
 
-# The largest characteristic, in bits, that a GF(p^k) may have, the largest
-# prime _check_prime lets a p-adic function take, and the largest cofactor
+# The largest prime, in bits, that _check_prime lets a p-adic function or
+# FieldDesc take as a GF(p^k)'s characteristic, and the largest cofactor
 # factorize tests; it is checked before any full primality test.  With
 # Python 3.11 on a 2-core Intel Xeon VM is_prime took 0.01 s on 2^521 - 1,
 # 0.43 s on 2^2203 - 1, 1.07 s on 2^3072 - 47 and 3.2 s on 2^4423 - 1.  The
@@ -410,7 +409,7 @@ def _rabin_cost(p: int, k: int) -> int:
 def _coefficient_vectors(p: int, k: int, first: int = 0):
     """The vectors in (Z/p)^k whose entry 0 is at least ``first``, lazily and
     in lexicographic order: the digits of consecutive integers in base p."""
-    for i in range(first * p ** (k - 1), p ** k):
+    for i in range(first * p ** k // p, p ** k):
         v = [0] * k
         for j in range(k - 1, -1, -1):
             i, v[j] = divmod(i, p)
@@ -432,8 +431,8 @@ class FieldDesc:
     low-to-high coefficient vector is lexicographically smallest is chosen,
     by one Rabin test per candidate; the choice is deterministic but
     otherwise immaterial, since every square-class-level output is
-    independent of it.  Past _CHAR_BITS_CAP or _RABIN_BUDGET a ValueError
-    says the field is too large.
+    independent of it.  Past _CHAR_BITS_CAP `_check_prime` refuses p, and
+    past _RABIN_BUDGET a ValueError says the field is too large.
     """
 
     kind: str
@@ -449,11 +448,7 @@ class FieldDesc:
         p, k, mod = self.char, self.degree, self.modulus
         if p == 2:
             raise ValueError("characteristic 2 unsupported")
-        if p.bit_length() > _CHAR_BITS_CAP:
-            raise ValueError(f"GF(p^{k}) is too large: p has {p.bit_length()} "
-                             f"bits, more than {_CHAR_BITS_CAP}")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         if k < 1:
             raise ValueError("extension degree must be >= 1")
         cost = _rabin_cost(p, k)
@@ -720,9 +715,9 @@ def is_square(a, F: FieldDesc) -> bool:
         return True
     if F.kind == "RR":
         return a > 0
-    if F.kind == "QQ":  # n/d in lowest terms: a square iff n and d are
-        n, d = a.numerator, a.denominator
-        return a > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    if F.kind == "QQ":  # n/d in lowest terms: a square iff n * d is
+        n = _class_integer(a)
+        return n > 0 and isqrt(n) ** 2 == n
     c, p = a.value, F.char
     if c < p:  # in GF(p): a square once k is even, else Euler's
         return F.degree % 2 == 0 or pow(c, (p - 1) // 2, p) == 1

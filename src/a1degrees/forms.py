@@ -421,10 +421,8 @@ def _line_leaders(field: FieldDesc):
     order: leading zeros, a 1, then any tail."""
     p, k = field.char, field.degree
     for i in range(k - 1, -1, -1):
-        for v in _coefficient_vectors(p, k - i, first=1):
-            if v[0] != 1:
-                break
-            yield field.coerce((0,) * i + v)
+        for v in _coefficient_vectors(p, k - i - 1):
+            yield field.coerce((0,) * i + (1,) + v)
 
 
 def get_discriminant(beta: GWClass):

@@ -2,8 +2,8 @@
 
 The public monomial order is graded reverse lexicographic over the ring's
 variable order.  Ideal intersections (and hence colon ideals) go through a
-single auxiliary variable with a block order, which stays internal: rings
-built by users are always grevlex.
+single auxiliary variable with a block order, which stays internal: a
+degree system (`degrees.EndoSystem`) refuses a ring of any other order.
 
 Monomials.  Public polynomials map exponent tuples to coefficients.  Inside
 the kernel every monomial is one int (Monagan & Pearce, "Polynomial
@@ -21,7 +21,7 @@ when it first enters a term dict, so a product or a reduction that would
 cross the bound raises too.  A `Polynomial` keeps the form its maker
 built and derives the other form on first read, then keeps it too: the
 public exponent-tuple terms (`terms`), or the kernel's packed terms over a
-positive int den (`_enter`).  The parser, `_buchberger`'s reduced basis,
+positive int den (`_enter`).  The parser, `groebner_basis`'s reduced basis,
 `determinant`, `normal_form`, `exact_quotient`, `Polynomial.__mul__`,
 `__pow__` and `derivative` build the kernel form, so a chain of them
 stays in the kernel; `_enter` derives it from public terms, and `_public`
@@ -618,7 +618,7 @@ def determinant(rows, ring, modulo=None):
     QQ its scalars may be ints or Fractions); given `modulo`, a Groebner
     basis in ring (a `GroebnerBasis`, its elements or their prepared
     divisors, as `_degree_from_basis` moves them), its normal form
-    modulo that basis.
+    modulo that basis.  A matrix of any other shape is a ValueError.
 
     Every entry enters the kernel first, as packed terms over an int
     multiplier (integral over QQ); given `modulo`, it is reduced modulo
@@ -648,6 +648,8 @@ def determinant(rows, ring, modulo=None):
     in the entries, so this is NF(det), the same polynomial as
     normal_form(determinant(rows, ring), modulo).
     """
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("the matrix is not square")
     polynomial = isinstance(ring, PolyRing)
     field = ring.field if polynomial else ring
     qq, reduce = field.kind == "QQ", field.reduce
@@ -819,8 +821,7 @@ def _mover(ring: PolyRing, target: PolyRing, offset: int):
     below which its rows are 0 and above which deg.  The copies of two
     monomials in disjoint variables add to the key of their product."""
     n, big = ring.nvars, target.nvars
-    if (ring.order, target.order) != ("grevlex", "grevlex") or \
-            target.field != ring.field or not 0 <= offset <= big - n:
+    if not 0 <= offset <= big - n:
         raise ValueError("the basis does not embed into the target ring")
     low, top = (1 << 32 * n) - 1, 32 * (2 * n - 1)
     up, rows = 32 * offset, 32 * (big + offset)
@@ -832,12 +833,12 @@ def _mover(ring: PolyRing, target: PolyRing, offset: int):
     return move
 
 
-def _buchberger(ring: PolyRing, gens) -> tuple:
-    """The reduced basis, as `_prep_divisor` triples and as monic
-    polynomials kept in the kernel's form, by Buchberger's algorithm with
-    the Gebauer-Moller update (Gebauer & Moller 1988) and the sugar
-    strategy (Giovini et al. 1991).  Generators, then S-polynomials, join as
-    nonzero remainders modulo every joined element and are kept as triples:
+def _buchberger(ring: PolyRing, gens) -> list:
+    """The reduced basis, as `_prep_divisor` triples (lm, lc, tail), by
+    Buchberger's algorithm with the Gebauer-Moller update (Gebauer & Moller
+    1988) and the sugar strategy (Giovini et al. 1991); the unit ideal's is
+    [(0, 1, [])].  Generators, then S-polynomials, join as nonzero
+    remainders modulo every joined element and are kept as triples:
     primitive over Z for QQ, monic for GF.  The active set stays a minimal
     basis, and is tail-reduced at the end.  The pairs' lcms are exponent
     tuples and packed keys, and divisibility is tested on the keys' guard
@@ -899,7 +900,7 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
         return False
 
     if any(join(_enter(g)[1], g.total_degree()) for g in gens):
-        return [(0, 1, [])], [ring.one()]
+        return [(0, 1, [])]
     if not prepped:
         raise ValueError("generators must not all be zero")
     while heap:
@@ -913,7 +914,7 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
         _mul_into(f, [(l - lmi, a)], taili, guard)
         _mul_into(f, [(l - lmj, -b)], tailj, guard)
         if join(f, s):
-            return [(0, 1, [])], [ring.one()]
+            return [(0, 1, [])]
 
     # Smallest first: only smaller, already reduced elements divide a tail.
     active.sort(key=lambda i: prepped[i][0])
@@ -926,15 +927,16 @@ def _buchberger(ring: PolyRing, gens) -> tuple:
             g = gcd(lc, *tail.values())
             lc, tail = lc // g, {e: c // g for e, c in tail.items()}
         reduced.append((lm, lc, list(tail.items())))
-    # Each monic element is its triple over the den lc.
-    return reduced, [_from_kernel(ring, {lm: lc, **dict(t)}, lc)
-                     for lm, lc, t in reduced]
+    return reduced
 
 
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
-    """Unique reduced Groebner basis for the ring's monomial order."""
-    triples, basis = _buchberger(ideal.ring, ideal.generators)
-    gb = GroebnerBasis(ideal, tuple(basis))
+    """Unique reduced Groebner basis for the ring's monomial order, each
+    monic element `_buchberger`'s triple over the den lc."""
+    ring = ideal.ring
+    triples = _buchberger(ring, ideal.generators)
+    gb = GroebnerBasis(ideal, tuple(_from_kernel(ring, {lm: lc, **dict(t)}, lc)
+                                    for lm, lc, t in triples))
     # Preparing the basis would make these triples again: hand them over
     # where the cached property keeps its value.
     vars(gb)["_divisors"] = triples

@@ -977,10 +977,23 @@ def test_local_basis_past_the_bezoutian_cap_exits_1(capsys):
     assert err == "error: the Bezoutian has 5000001 terms, more than 100000\n"
 
 
-def test_local_bezoutian_under_the_cap_builds(capsys):
+def test_local_bezoutian_under_the_cap_builds(capsys, monkeypatch):
     obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
                    "--polys", "(x^1000)^40 - x; y", "--ideal", "x; y")
     assert obj["gram"] == [["-1"]]
+    # A double zero builds its Bezoutian: 99,003 terms, under the cap.
+    built = []
+    original = degrees.bezoutian_matrix
+
+    def counting(system):
+        built.append(system)
+        return original(system)
+
+    monkeypatch.setattr(degrees, "bezoutian_matrix", counting)
+    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars", "x,y",
+                   "--polys", "(x^1000)^99 - x^2; y", "--ideal", "x; y")
+    assert obj["gram"] == [["0", "-1"], ["-1", "0"]]
+    assert len(built) == 1
     code, out, err = run(capsys, "basis", "local", "--field", "QQ",
                          "--vars", "x,y", "--polys", "(x^1000)^99 - 1; y",
                          "--ideal", "x - 1; y")

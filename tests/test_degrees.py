@@ -421,6 +421,14 @@ def test_endo_system_must_be_square():
         EndoSystem.of(ring, "x*y")
 
 
+def test_endo_system_refuses_a_ring_not_ordered_by_grevlex():
+    # The degree path moves its divisors and reads degrees as grevlex keys,
+    # so a block-ordered ring is refused before any query is posed.
+    ring = PolyRing(QQ, ("x", "y"), order="elim1")
+    with pytest.raises(ValueError, match="grevlex"):
+        EndoSystem.of(ring, "x^2 - 1", "y^2 - 2")
+
+
 # -- univariate degree suite -------------------------------------------------
 
 

@@ -592,7 +592,7 @@ def test_characteristic_past_the_size_cap_fails_before_any_test(monkeypatch):
     monkeypatch.setattr(fields, "is_prime", forbidden)
     start = time.perf_counter()
     for p, k in ((2**4423 - 1, 1), (2**3217 - 1, 2)):
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ValueError, match="bits, more than"):
             gf_construct(p, k)
     assert time.perf_counter() - start < 1.0
     monkeypatch.undo()
@@ -604,6 +604,8 @@ def test_elements_keep_lexicographic_order():
     F = gf_construct(3, 2)
     assert [a.coeffs for a in F.elements()] == \
         list(itertools.product(range(3), repeat=2))
+    for p in (3, 5, 10**18 + 3):
+        assert list(fields._coefficient_vectors(p, 0)) == [()]
 
 
 def _reference_mul(a, b, field):
@@ -645,6 +647,15 @@ def test_canonical_nonsquare_matches_the_first_nonsquare_of_the_scan():
             assert canonical_nonsquare.__wrapped__(F) == first, (p, k)
             checked += 1
     assert checked == 37
+
+
+@pytest.mark.parametrize("q", [(3, 2), (5, 2), (3, 3), (3, 4)])
+def test_line_leaders_are_the_elements_led_by_a_one(q):
+    from a1degrees.forms import _line_leaders
+    F = gf_construct(*q)
+    assert [a.coeffs for a in _line_leaders(F)] == \
+        [a.coeffs for a in F.elements()
+         if a and next(c for c in a.coeffs if c) == 1]
 
 
 def test_canonical_nonsquare_over_even_degree_skips_whole_lines(monkeypatch):

@@ -1265,6 +1265,18 @@ def test_determinant_matches_leibniz(field):
     assert singular >= 10
 
 
+@pytest.mark.parametrize("ring", [QQ, gf_construct(7, 1),
+                                  PolyRing(QQ, ("x", "y"))],
+                         ids=["QQ", "GF(7)", "QQ[x,y]"])
+def test_determinant_refuses_a_matrix_that_is_not_square(ring):
+    one = ring.one()
+    for rows in ([[one, one]], [[one, one], [one]], [[one, one, one]] * 2,
+                 [[]], [[one], [one, one]]):
+        with pytest.raises(ValueError, match="not square"):
+            determinant(rows, ring)
+    assert determinant([], ring) == one
+
+
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1),
                                    gf_construct(5, 2)], ids=str)
 def test_determinant_eliminates_on_ints(monkeypatch, field):
