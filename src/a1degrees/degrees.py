@@ -68,7 +68,7 @@ from operator import mul, pos
 
 from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
-                   _from_kernel, _mover, _reduce_terms, _scalar,
+                   _from_kernel, _reduce_terms, _scalar,
                    determinant, groebner_basis, standard_monomials)
 
 __all__ = [
@@ -187,20 +187,27 @@ def _degree_from_basis(system: EndoSystem, basis_gb: GroebnerBasis) -> GWClass:
     if residue is not None:
         return _checked(field, *residue)
     bez = bezoutian_matrix(system)
-    dring = bez.doubled_ring
-    xcopy, ycopy = _mover(ring, dring, 0), _mover(ring, dring, n)
-    xs, ys = [xcopy(m) for m in stairs], [ycopy(m) for m in stairs]
+    unpack, units = ring._packing.unpack, bez.doubled_ring._packing.units
+
+    # A monomial's X-copy (Y-copy) is keyed as each Bezoutian term is: a
+    # packed monomial is linear in its exponents, so the key is the sum of
+    # the doubled ring's X (Y) variable keys times the exponents.
+    def copier(variables):
+        return lambda m: sum(map(mul, unpack(m), variables))
+
+    copies = copier(units[:n]), copier(units[n:])
+    xs, ys = ([copy(m) for m in stairs] for copy in copies)
     cells = {a + b: (i, j) for i, a in enumerate(xs)
              for j, b in enumerate(ys)}
     # The X-copy and the Y-copy have leading monomials in disjoint
     # variables, so every cross S-pair passes the product criterion and
     # their union is a Groebner basis of I_X + I_Y.  Both are the basis's
-    # own divisors, moved into the doubled ring: the coefficients stay, and
+    # own divisors, copied into the doubled ring: the coefficients stay, and
     # among monomials in one copy's variables the doubled grevlex orders as
     # the basis's does, so leading monomials stay leading.
     den, reduced = _enter(bez.determinant(
-        [(move(lm), u, [(move(e), c) for e, c in tail])
-         for move in (xcopy, ycopy) for lm, u, tail in basis_gb._divisors]))
+        [(copy(lm), u, [(copy(e), c) for e, c in tail])
+         for copy in copies for lm, u, tail in basis_gb._divisors]))
     size = len(stairs)
     zero = field.zero()
     gram = [[zero] * size for _ in range(size)]

@@ -813,26 +813,6 @@ class GroebnerBasis:
         return tuple(sorted(seen))
 
 
-def _mover(ring: PolyRing, target: PolyRing, offset: int):
-    """The function taking a packed monomial of ring to its copy in target,
-    grevlex rings over the same field, with variable i as variable
-    offset + i.  The n exponent fields move up offset fields; the n rows,
-    e_0, e_0 + e_1, ..., deg, become target's rows offset to offset + n - 1,
-    below which its rows are 0 and above which deg.  The copies of two
-    monomials in disjoint variables add to the key of their product."""
-    n, big = ring.nvars, target.nvars
-    if not 0 <= offset <= big - n:
-        raise ValueError("the basis does not embed into the target ring")
-    low, top = (1 << 32 * n) - 1, 32 * (2 * n - 1)
-    up, rows = 32 * offset, 32 * (big + offset)
-    fill = sum(1 << 32 * (big + j) for j in range(offset + n, big))
-
-    def move(m):
-        return (m & low) << up | (m >> 32 * n) << rows | (m >> top) * fill
-
-    return move
-
-
 def _buchberger(ring: PolyRing, gens) -> list:
     """The reduced basis, as `_prep_divisor` triples (lm, lc, tail), by
     Buchberger's algorithm with the Gebauer-Moller update (Gebauer & Moller
@@ -992,6 +972,8 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     """The colon ideal (I : J) = {f : f*J in I}."""
     if I.ring != J.ring:
         raise ValueError("polynomial ring mismatch")
+    if not any(I.generators):
+        raise ValueError("generators must not all be zero")
     ring = I.ring
     result = None
     for g in J.generators:

@@ -1238,27 +1238,41 @@ def test_oversized_made_forms_exit_1_unbuilt(capsys, monkeypatch):
 
 def test_oversized_diagonal_payloads_exit_1_unbuilt(capsys, monkeypatch):
     # --diag, and a diagonal list of `form isomorphic`, are refused past
-    # their own bound before any Gram matrix is built.
+    # their own bound before any Gram matrix is built; --matrix, and a
+    # matrix of `form isomorphic`, past forms.MAX_MADE_RANK rows.
     def forbidden(*args):
         raise AssertionError("an oversized form must not be built")
 
-    bound = cli.MAX_DIAG_ENTRIES
-    assert bound == 512
+    bound, rows = cli.MAX_DIAG_ENTRIES, forms.MAX_MADE_RANK
+    assert (bound, rows) == (512, 256)
     monkeypatch.setattr(forms, "make_diagonal_form", forbidden)
     monkeypatch.setattr(forms, "make_gw_class", forbidden)
     over = ",".join(["1"] * (bound + 1))
-    queries = [("form", name, "--field", "QQ", "--diag", over) for name in
-               ("diagonalize", "invariants", "decompose", "anisotropic-part")]
-    queries += [("form", "isomorphic", "--field", "GF(7)", over, "1,1"),
-                ("form", "isomorphic", "--field", "QQ", over, "[[1]]")]
-    for argv in queries:
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (1, "", "error: diagonal rank 513 "
-                                           "exceeds 512\n"), argv
+    row = "[" + ",".join(["0"] * (rows + 1)) + "]"
+    matrix = "[" + ",".join([row] * (rows + 1)) + "]"
+    diagonal = "error: diagonal rank 513 exceeds 512\n"
+    square = "error: matrix rank 257 exceeds 256\n"
+    queries = [(("form", name, "--field", "QQ", flag, payload), message)
+               for name in ("diagonalize", "invariants", "decompose",
+                            "anisotropic-part")
+               for flag, payload, message in (("--diag", over, diagonal),
+                                              ("--matrix", matrix, square))]
+    queries += [(("form", "isomorphic", "--field", "GF(7)", over, "1,1"),
+                 diagonal),
+                (("form", "isomorphic", "--field", "QQ", over, "[[1]]"),
+                 diagonal),
+                (("form", "isomorphic", "--field", "GF(7)", matrix, "1"),
+                 square)]
+    for argv, message in queries:
+        assert run(capsys, *argv) == (1, "", message), argv[:3]
     monkeypatch.undo()
     obj = run_json(capsys, "form", "invariants", "--field", "QQ", "--diag",
                    ",".join(["1", "-1"] * (bound // 2)))
     assert obj["rank"] == bound and obj["signature"] == 0
+    identity = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    obj = run_json(capsys, "form", "invariants", "--field", "GF(7)",
+                   "--matrix", str(identity))
+    assert obj["rank"] == rows
 
 
 def test_base_change_flag(capsys):

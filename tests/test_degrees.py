@@ -172,35 +172,45 @@ def test_an_asymmetric_bezoutian_gram_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2),
                                    gf_construct(3, 3)], ids=str)
-def test_doubled_divisors_are_the_prepared_copies(field):
-    # `_degree_from_basis` moves the basis's triples with `_mover`.  The
-    # oracle is the construction that replaces: each basis element mapped
-    # into the doubled ring, the X-copy then the Y-copy, and prepared from
-    # its public terms.
+def test_doubled_divisors_are_the_prepared_copies(monkeypatch, field):
+    # `_degree_from_basis` hands the Bezoutian's determinant the basis's
+    # triples copied into the doubled ring.  The oracle is each basis
+    # element mapped into the doubled ring, the X-copies then the
+    # Y-copies, and prepared from its public terms.  With the residue path
+    # shut, every zero-dimensional basis reaches the Bezoutian: the reduced
+    # basis, and a "power" system itself, whose leading monomials are pure
+    # powers, a basis neither reduced nor monic.
+    det, handed = degrees.BezoutianMatrix.determinant, []
+
+    def determinant(bez, modulo=None):
+        handed.append(modulo)
+        return det(bez, modulo)
+
+    monkeypatch.setattr(degrees, "_residue_gram", lambda system, gb: None)
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
     rng = random.Random(f"doubled:{field}")
-    scalars = [Fraction(-5, 7), Fraction(3, 2), 4] if field == QQ else \
-        list(field.elements())[1:]
-    for n in range(1, 5):
-        ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
-        top = 3 if n < 3 else 2
-        monomials = [e for e in itertools.product(range(top + 1), repeat=n)
-                     if sum(e) <= top]
-        polys = [Polynomial.make(ring, {e: rng.choice(scalars) for e in
-                                        rng.sample(monomials, 4)})
-                 for _ in range(n)]
-        for gb in (groebner_basis(Ideal(ring, tuple(polys))),
-                   GroebnerBasis(Ideal(ring, tuple(polys)),
-                                 tuple(p for p in polys if p))):
-            dring = degrees.doubled_ring(ring)
-            for offset in (0, n):
+    checked = 0
+    for shape in [(3,), (2, 3), (2, 1, 2), (1, 2, 1, 2)]:
+        n = len(shape)
+        for kind in ("dense", "power"):
+            f = staircase_oracle_system(rng, field, shape, kind)
+            ideal = Ideal(f.ring, f.polys)
+            bases = [groebner_basis(ideal)]
+            if kind == "power":
+                bases.append(GroebnerBasis(ideal, f.polys))
+            dring = degrees.doubled_ring(f.ring)
+            for gb in bases:
+                try:
+                    gb._stairs
+                except ValueError:  # a curve of zeros
+                    continue
+                handed.clear()
+                degrees._degree_from_basis(f, gb)
                 copies = [g.map_to(dring, list(range(offset, offset + n)))
-                          for g in gb.basis]
-                move = poly._mover(ring, dring, offset)
-                assert [(move(lm), u, [(move(e), c) for e, c in tail])
-                        for lm, u, tail in gb._divisors] == \
-                    poly._prep_divisors(copies)
-    with pytest.raises(ValueError, match="does not embed"):
-        poly._mover(ring, dring, n + 1)
+                          for offset in (0, n) for g in gb.basis]
+                assert handed == [poly._prep_divisors(copies)]
+                checked += 1
+    assert checked >= 10
 
 
 def rational_system(rng, n, degree):
@@ -1775,10 +1785,44 @@ def bezoutian_gram(f):
              for k in (0, n) for g in gb.basis]
     index = {m.leading_monomial(): i
              for i, m in enumerate(standard_monomials(gb))}
-    gram = [[QQ.zero()] * len(index) for _ in index]
+    gram = [[f.ring.field.zero()] * len(index) for _ in index]
     for e, c in bez.determinant(moved).terms.items():
         gram[index[e[:n]]][index[e[n:]]] = c
     return gram
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(3, 2),
+                                   gf_construct(5, 2)], ids=str)
+def test_zeros_at_infinity_take_one_bezoutian_with_the_oracle_gram(
+        monkeypatch, field):
+    # Top forms meeting at a planted point at infinity leave fewer than
+    # prod d_i stairs, so no residue applies: each degree builds exactly
+    # one Bezoutian determinant, and its Gram is the one read off NF(det B)
+    # modulo the public bases mapped into the doubled ring (the unit ideal,
+    # no zeros at all, builds none).  Over GF(9) and GF(25) the coefficients
+    # are drawn from all of the field, t included.
+    det, dets = degrees.BezoutianMatrix.determinant, []
+
+    def determinant(bez, modulo=None):
+        dets.append(modulo)
+        return det(bez, modulo)
+
+    monkeypatch.setattr(degrees.BezoutianMatrix, "determinant", determinant)
+    rng = random.Random(f"fallback:{field}")
+    checked = 0
+    for shape in [(2, 2), (2, 3), (2, 2, 2), (1, 2, 1, 2)]:
+        for _ in range(5):
+            f = staircase_oracle_system(rng, field, shape, "infinity")
+            dets.clear()
+            try:
+                beta = global_a1_degree(f)
+            except ValueError:  # a curve of zeros
+                continue
+            assert len(dets) == (1 if beta.rank else 0)
+            assert beta.rank < f.bezout_number
+            assert [list(row) for row in beta.gram] == bezoutian_gram(f)
+            checked += bool(beta.rank)
+    assert checked >= 12
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 2, 2)],

@@ -35,4 +35,5 @@ def test_quick_ladder_records_every_quick_rung(tmp_path, monkeypatch,
         assert set(rung["stages_s"]) == set(ladder.STAGES)
     paths = {rung["name"]: rung["path"] for rung in record["rungs"]}
     assert paths["QQ Fermat"] == "bezoutian"  # zeros at infinity
+    assert paths["GF(27) Grassmannian"] == "bezoutian"  # rank 6 of 16
     assert paths["QQ (2,2,2,2)"] == "residue"

@@ -1632,3 +1632,16 @@ def test_refused_polynomial_inputs(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+def test_the_zero_ideal_is_refused_alike():
+    # A colon of the zero ideal is refused on entry, as its saturation and
+    # its basis are, whatever it is divided by.
+    zero, x = Ideal(RX, (ZERO, ZERO)), Ideal(RX, (X,))
+    for call in (lambda: ideal_quotient(zero, x),
+                 lambda: ideal_quotient(zero, Ideal(RX, (ZERO,))),
+                 lambda: saturation(zero, x),
+                 lambda: groebner_basis(zero)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "generators must not all be zero"

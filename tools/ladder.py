@@ -77,6 +77,9 @@ RUNGS = {
                                          t_term=True)),
     "QQ Fermat": (True, {"field": "QQ", "vars": workloads.FERMAT_VARS,
                          "polys": workloads.FERMAT}),
+    "GF(27) Grassmannian": (True, {
+        "field": "GF(27)", "vars": ("x1", "x2", "x3", "x4"),
+        "polys": workloads.GRASSMANNIAN}),
     "QQ local rank 93": (True, {
         "field": "QQ", "vars": ("x", "y"),
         "polys": ["x^10 + y^11", "x^9*y + y^11 + x^3*y^6"],
