@@ -96,7 +96,9 @@ def parse_scalar(text: str, position: int = 0) -> Fraction:
 
 def parse_matrix(text: str) -> list[list[Fraction]]:
     """Rows in brackets, each a bracketed `parse_entries` list that ends at
-    its first ']'; errors report a character offset into the stripped text."""
+    its first ']'; errors report a character offset into the stripped text.
+    The rows are read and counted first, so a matrix of more than
+    forms.MAX_MADE_RANK rows is refused before any entry is parsed."""
     s = text.strip()
     space = re.compile(r"\s*").match
 
@@ -108,20 +110,28 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
         return pos + 1
 
     pos, rows = expect("[", 0), []
-    while True:
-        start = expect("[", pos)
-        end = s.find("]", start)
-        if end < 0:
-            end = len(s)
-        rows.append(parse_entries(s[start:end], start))
-        pos = space(s, expect("]", end)).end()
-        if not s.startswith(",", pos):
-            break
-        pos += 1
-    pos = space(s, expect("]", pos)).end()
-    if pos != len(s):
-        raise ParseError("unexpected trailing input", pos)
-    return rows
+    try:
+        while True:
+            start = expect("[", pos)
+            end = s.find("]", start)
+            if end < 0:
+                end = len(s)
+            rows.append((start, end))
+            pos = space(s, expect("]", end)).end()
+            if not s.startswith(",", pos):
+                break
+            pos += 1
+        pos = space(s, expect("]", pos)).end()
+        if pos != len(s):
+            raise ParseError("unexpected trailing input", pos)
+    except ParseError:  # a bad entry read before it is reported first
+        for start, end in rows:
+            parse_entries(s[start:end], start)
+        raise
+    if len(rows) > forms.MAX_MADE_RANK:
+        raise ValueError(f"matrix rank {len(rows)} exceeds "
+                         f"{forms.MAX_MADE_RANK}")
+    return [parse_entries(s[start:end], start) for start, end in rows]
 
 
 def parse_entries(text: str, offset: int = 0) -> list[Fraction]:
@@ -174,27 +184,24 @@ MAX_DIAG_ENTRIES = 512
 
 def diagonal_class(text: str, field: FieldDesc,
                    cap: int = MAX_DIAG_ENTRIES) -> forms.GWClass:
-    """The diagonal class of the entry list, refused past ``cap`` entries
-    before its Gram matrix is built: MAX_DIAG_ENTRIES for a payload that is
-    classified, forms.MAX_MADE_RANK for `form make diagonal`."""
-    entries = parse_entries(text)
-    if len(entries) > cap:
-        raise ValueError(f"diagonal rank {len(entries)} exceeds {cap}")
-    return forms.make_diagonal_form(field, entries)
+    """The diagonal class of the entry list, refused past ``cap`` entries,
+    counted by their commas before any is parsed: MAX_DIAG_ENTRIES for a
+    payload that is classified, forms.MAX_MADE_RANK for `form make
+    diagonal`."""
+    count = text.count(",") + 1
+    if count > cap:
+        raise ValueError(f"diagonal rank {count} exceeds {cap}")
+    return forms.make_diagonal_form(field, parse_entries(text))
 
 
 def matrix_class(text: str, field: FieldDesc) -> forms.GWClass:
     """The class of the Gram matrix text, refused past forms.MAX_MADE_RANK
-    rows before it is built.  A dense matrix costs far more to classify
+    rows by `parse_matrix`.  A dense matrix costs far more to classify
     than a diagonal: on a 2-core Intel Xeon VM, `form invariants` of a
     random symmetric QQ matrix with entries in +-9 took 6.6 s of CPU at 256
     rows and 167 s at 512, to exit 1 on a square class too large to
     factor."""
-    rows = parse_matrix(text)
-    if len(rows) > forms.MAX_MADE_RANK:
-        raise ValueError(f"matrix rank {len(rows)} exceeds "
-                         f"{forms.MAX_MADE_RANK}")
-    return forms.make_gw_class(rows, field)
+    return forms.make_gw_class(parse_matrix(text), field)
 
 
 def payload_class(args) -> forms.GWClass:

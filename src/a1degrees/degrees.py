@@ -8,11 +8,12 @@ local degrees at a multiple or non-rational point take this path; only
 the basis differs.  At a simple rational zero p the local algebra is k
 with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
 (Kass-Wickelgren), the value the local-ideal test already takes: no
-Bezoutian is built.  det J(p) is the determinant of the partials
-(`Polynomial.derivative`, built on kernel terms) modulo the point's
-basis, where each reduces to its value at p, so `poly.determinant` runs
-its constant-row elimination only.  Over every field the kernel computes
-on ints: over GF(p^k) the Kronecker-packed elements of
+Bezoutian is built.  A point given by n linear generators, one per
+variable, has its basis written down and J(p) read off the kernel terms;
+at any other, the partials (`Polynomial.derivative`) reduce modulo the
+point's basis, each to its value at p.  Either way `poly.determinant`
+runs its constant-row elimination only.  Over every field the kernel
+computes on ints: over GF(p^k) the Kronecker-packed elements of
 `fields.FieldDesc.reduce`, which for data in GF(p) are their residues, so
 such a system costs about what it does over GF(p) without being moved
 there.
@@ -63,12 +64,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce as fold
 from math import gcd, lcm, prod
 from operator import mul, pos
 
+from .fields import _power
 from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
-from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _enter,
-                   _from_kernel, _reduce_terms, _scalar,
+from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _basis_of,
+                   _enter, _from_kernel, _reduce_terms, _scalar,
                    determinant, groebner_basis, standard_monomials)
 
 __all__ = [
@@ -439,10 +442,10 @@ MAX_QQ_RESIDUE_RANK_PER_VARIABLE = 6
 # The most terms the Bezoutian of a local query may have: a term of f_i of
 # degree d puts d terms in row i.  Local queries have no Bezout-number cap,
 # as a high-degree system can have a small local algebra, but the rows are
-# built before any reduction, and the point's normal forms and the local
-# bases also run linear in the degree: this bounds local degrees and local
-# bases alike, checked before the point's basis.  With the cap lifted, on a
-# 2-core Intel Xeon VM with Python 3.11 (CPU time), the rank-2
+# built before any reduction, and a point's values or normal forms and the
+# local bases also run linear in the degree: this bounds local degrees and
+# local bases alike, checked before the point's basis.  With the cap
+# lifted, on a 2-core Intel Xeon VM with Python 3.11 (CPU time), the rank-2
 # (x^1000)^k - x^2; y at the origin took 0.10-0.13 s at k = 100 (100,003
 # terms) and 1.1-1.2 s at k = 1000, and the local basis of
 # (x^1000)^1000 - 1; y at x - 1; y 1.3-1.5 s; (x^1000)^1000 - x; y, a
@@ -463,14 +466,17 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     """(gb, jac): the m-primary component of I, as the reduced basis gb of
     I + m^k, and det J(p) at a simple rational zero p, else None.
 
-    At a point of quotient dimension 1, m is maximal with residue field k,
-    and every remainder modulo m is its value at p.  det J(p) is the
-    determinant of the partials df_i/dx_j modulo m's basis, where every
-    entry is a constant: one elimination of ints, whose one value leaves
-    as a field scalar.  If det J(p) is nonzero, the linear parts of the
-    f_i span m/m^2, so I + m^2 = m: the zero is simple, and m's own basis
-    is returned with that value.  Otherwise (and at any point of larger
-    dimension, which need not be maximal) k grows until dim Q/(I + m^k)
+    A point given by n generators c*x_i + d, one per variable, is written
+    down (`_written_point`), and `_at_point` reads f_i(p), which must
+    vanish, and J(p) off the kernel terms.  At any other point of quotient
+    dimension 1, m is maximal with residue field k, and every remainder
+    modulo m is its value at p: f is checked to vanish by division modulo
+    m's basis, and J(p) is the partials df_i/dx_j modulo it.  Either way
+    det J(p) is one elimination of scalars, and if it is nonzero, the
+    linear parts of the f_i span m/m^2,
+    so I + m^2 = m: the zero is simple, and m's own basis is returned with
+    that value.  Otherwise (and at any point of larger dimension, which
+    need not be maximal) k grows from m's basis until dim Q/(I + m^k)
     stops growing; then m^k = m^(k+1) locally, so by Nakayama I + m^k is
     the component.
     Refined Bezout caps an isolated multiplicity at prod(deg f_i); a larger
@@ -488,19 +494,30 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     if terms > MAX_BEZOUTIAN_TERMS:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
-    gb = groebner_basis(point)
-    if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
-           for f in system.polys):
-        raise ValueError("point not in zero locus")
-    dim = len(gb._stairs)
-    if not dim:
-        raise ValueError("the point's ideal is the unit ideal")
-    if dim == 1:
-        den, det = _enter(determinant(
-            [[f.derivative(j) for j in range(ring.nvars)]
-             for f in system.polys], ring, gb))
-        if det:
-            return gb, _scalar(ring.field, den)(det[0])
+    written = _written_point(ring, point)
+    if written is not None:
+        gb, p = written
+        at = [_at_point(ring, f, p) for f in system.polys]
+        if any(value for value, _ in at):
+            raise ValueError("point not in zero locus")
+        jac = determinant([row for _, row in at], ring.field)
+        if jac:
+            return gb, jac
+        dim = 1
+    else:
+        gb = groebner_basis(point)
+        if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
+               for f in system.polys):
+            raise ValueError("point not in zero locus")
+        dim = len(gb._stairs)
+        if not dim:
+            raise ValueError("the point's ideal is the unit ideal")
+        if dim == 1:
+            den, det = _enter(determinant(
+                [[f.derivative(j) for j in range(ring.nvars)]
+                 for f in system.polys], ring, gb))
+            if det:
+                return gb, _scalar(ring.field, den)(det[0])
     while True:
         if dim > system.bezout_number:
             raise ValueError("zeros are not isolated")
@@ -513,6 +530,63 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
         if grown == dim:
             return gb, None
         dim = grown
+
+
+def _written_point(ring: PolyRing, point: Ideal):
+    """(gb, p) when the point's ideal has n generators c*x_i + d, one per
+    variable, else None: p the coordinates a_i = -d/c (over QQ ints where
+    integral, over GF reduced ints), and gb the basis x_i - a_i exactly as
+    `groebner_basis(point)` computes it, triples and all, with its stair."""
+    field, units = ring.field, ring._packing.units
+    if len(point.generators) != len(units):
+        return None
+    coords, triples = {}, []
+    for g in point.generators:
+        terms = _enter(g)[1]
+        lm = max(terms, default=0)
+        if lm not in units or lm in coords or terms.keys() - {lm, 0}:
+            return None
+        c, d = terms[lm], terms.get(0, 0)
+        if field.reduce:
+            t = field.reduce(d * field.invert(c))
+            coords[lm], lc, tail = field.reduce(-t), 1, t
+        else:
+            a, r = divmod(-d, c)
+            if r:
+                a = Fraction(-d, c)
+            coords[lm], lc, tail = a, a.denominator, -a.numerator
+        triples.append((lm, lc, [(0, tail)] if tail else []))
+    gb = _basis_of(point, sorted(triples))
+    vars(gb)["_stairs"] = (0,)
+    return gb, [coords[x] for x in units]
+
+
+def _at_point(ring: PolyRing, f: Polynomial, p: list) -> tuple:
+    """(f(p) over f's den, [df/dx_j(p) as field scalars]) in one pass over
+    f's kernel terms: c * x^e adds c * prod a_i^e_i to f(p), and to each
+    partial with e_j > 0 the same with a_j^e_j replaced by e_j * a_j^(e_j -
+    1).  Over GF every product goes through the field's reducer before it
+    is multiplied again, and powers come from `fields._power`."""
+    reduce = ring.field.reduce
+    times = (lambda a, b: reduce(a * b)) if reduce else mul
+    power = (lambda a, k: _power(a, k, times, 1)) if reduce else pow
+    product = ((lambda xs, start: fold(times, xs, reduce(start))) if reduce
+               else prod)
+    unpack = ring._packing.unpack
+    den, terms = _enter(f)
+    value, grad = 0, [0] * len(p)
+    for m, c in terms.items():
+        e = unpack(m)
+        full = list(map(power, p, e))
+        value += product(full, start=c)
+        for j, k in enumerate(e):
+            if k:  # a_j^e_j gives way to e_j * a_j^(e_j - 1)
+                kept, full[j] = full[j], power(p[j], k - 1)
+                grad[j] += product(full, start=c * k)
+                full[j] = kept
+    if reduce:
+        value, grad = reduce(value), map(reduce, grad)
+    return value, list(map(_scalar(ring.field, den), grad))
 
 
 def local_algebra_basis(system: EndoSystem, point: Ideal) -> LocalAlgebraBasis:

@@ -913,8 +913,14 @@ def _buchberger(ring: PolyRing, gens) -> list:
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     """Unique reduced Groebner basis for the ring's monomial order, each
     monic element `_buchberger`'s triple over the den lc."""
+    return _basis_of(ideal, _buchberger(ideal.ring, ideal.generators))
+
+
+def _basis_of(ideal: Ideal, triples: list) -> GroebnerBasis:
+    """The GroebnerBasis of ideal whose reduced basis is given as ascending
+    `_buchberger` triples (lm, lc, tail), each element the triple over the
+    den lc."""
     ring = ideal.ring
-    triples = _buchberger(ring, ideal.generators)
     gb = GroebnerBasis(ideal, tuple(_from_kernel(ring, {lm: lc, **dict(t)}, lc)
                                     for lm, lc, t in triples))
     # Preparing the basis would make these triples again: hand them over

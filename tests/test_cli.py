@@ -305,14 +305,15 @@ def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("vars_, polys, ideal, rank, runs", [
-    ("x,y", "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "x - 1; y + 1", 1, 1),
+    ("x,y", "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "x - 1; y + 1", 1, 0),
     ("x", QUARTIC, "x^2 + x + 1", 2, 2),
-    ("y1,y2,y3,y4", FERMAT, "y4; y3 + 1; y2 + 1; y1", 1, 1),
+    ("y1,y2,y3,y4", FERMAT, "y4; y3 + 1; y2 + 1; y1", 1, 0),
 ], ids=["rational-point", "quadratic-point", "fermat-point"])
 def test_groebner_runs_per_simple_local_query(capsys, monkeypatch, vars_,
                                               polys, ideal, rank, runs):
-    # A simple rational point is its own local ideal: only the point's
-    # basis is computed.  A point of larger dimension also takes I + m^2.
+    # A simple rational point is its own local ideal, and its basis is
+    # written down: no basis is computed.  A point of larger dimension
+    # computes its own basis and that of I + m^2.
     bases = []
     original = poly._buchberger
 
@@ -953,10 +954,12 @@ def test_local_degree_reduces_the_entries_before_their_determinant(capsys):
 ])
 def test_local_bezoutian_cap_exits_1_before_any_groebner_basis(
         capsys, monkeypatch, polys, terms, command):
-    # Local degrees and local bases pass the one check, in _local_ideal.
+    # Local degrees and local bases pass the one check, in _local_ideal,
+    # before the point's basis is computed or written down.
     assert degrees.MAX_BEZOUTIAN_TERMS == 10 ** 5
     calls = []
-    monkeypatch.setattr(degrees, "groebner_basis", calls.append)
+    for name in ("groebner_basis", "_written_point"):
+        monkeypatch.setattr(degrees, name, lambda *args: calls.append(args))
     start = time.perf_counter()
     code, out, err = run(capsys, command, "local", "--field", "QQ",
                          "--vars", "x,y", "--polys", polys, "--ideal", "x; y")
@@ -1273,6 +1276,32 @@ def test_oversized_diagonal_payloads_exit_1_unbuilt(capsys, monkeypatch):
     obj = run_json(capsys, "form", "invariants", "--field", "GF(7)",
                    "--matrix", str(identity))
     assert obj["rank"] == rows
+
+
+def test_oversized_payloads_are_refused_before_any_entry_is_parsed(
+        capsys, monkeypatch):
+    # Entries and rows are counted first, so an oversized payload with a bad
+    # entry exits 1 on its size rather than 2 on the entry.
+    def forbidden(*args):
+        raise AssertionError("an oversized payload's entries must be unread")
+
+    monkeypatch.setattr(cli, "parse_scalar", forbidden)
+    row = "[" + ",".join(["x"] * 513) + "]"
+    for flag, payload, message in (
+            ("--diag", row[1:-1], "diagonal rank 513 exceeds 512"),
+            ("--matrix", "[" + ",".join([row] * 257) + "]",
+             "matrix rank 257 exceeds 256")):
+        assert run(capsys, "form", "invariants", "--field", "GF(7)", flag,
+                   payload) == (1, "", f"error: {message}\n")
+    monkeypatch.undo()
+    # Under the bound a bad entry is reported before a later bad bracket,
+    # as it is read first.
+    code, out, err = run(capsys, "form", "invariants", "--field", "QQ",
+                         "--matrix", "[[1,x],[2")
+    assert (code, out) == (2, "") and "bad entry 'x'" in err
+    code, out, err = run(capsys, "form", "invariants", "--field", "QQ",
+                         "--matrix", "[[1,2],[2")
+    assert (code, out) == (2, "") and "expected ']'" in err
 
 
 def test_base_change_flag(capsys):

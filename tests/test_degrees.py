@@ -754,12 +754,128 @@ def test_simple_point_is_its_own_local_ideal(monkeypatch, field):
         f, m, det = simple_planted_system(rng, field)
         runs = count_bases(monkeypatch)
         local = local_algebra_basis(f, m)
-        assert runs == ["grevlex"]
+        assert runs == []  # the point's basis is written down
         monkeypatch.undo()
         assert local.local_ideal.generators == colon_oracle(f, m)
         assert local.basis == (f.ring.one(),)
         # At a simple zero the local degree is <det J(p)>.
         assert local_a1_degree(f, m).gram == ((det,),)
+
+
+def planted_rational_point(rng, field, n, exponents, scalars):
+    """(system, generators): a system over field and the non-monic
+    generators c_i * (x_i - a_i) of a random rational point p, the a_i
+    drawn by scalars().  Each f_i is a random linear form in u = x - p plus
+    random multiples of m - m(p) for monomials m with exponents drawn from
+    `exponents`, so f(p) = 0.  About one time in three the linear forms
+    are dependent and the rest are multiples of u_j * u_k, so J(p) is
+    singular; one time in five a constant moves p off the zero locus."""
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+    xs = [ring.variable(i) for i in range(n)]
+
+    def nonzero():
+        while not (c := scalars()):
+            pass
+        return c
+
+    p = [scalars() for _ in range(n)]
+    gens = tuple(nonzero() * (x - a) for x, a in zip(xs, p))
+    u = [x - a for x, a in zip(xs, p)]
+    lin = [[scalars() for _ in range(n)] for _ in range(n)]
+    singular = rng.random() < 0.3
+    if singular:  # one row a multiple of another
+        s = scalars()
+        lin[-1] = [s * c for c in lin[0]]
+    polys = []
+    for row in lin:
+        f = ring.zero()
+        for c, v in zip(row, u):
+            f = f + c * v
+        for _ in range(rng.randint(1, 3)):
+            if singular:
+                f = f + nonzero() * rng.choice(u) * rng.choice(u)
+                continue
+            e = [rng.choice(exponents) * (rng.random() < 0.7)
+                 for _ in range(n)]
+            m = prod((x ** k for x, k in zip(xs, e)), start=ring.one())
+            f = f + nonzero() * (m - prod((a ** k for a, k in zip(p, e)),
+                                          start=field.one()))
+        polys.append(f)
+    if rng.random() < 0.2:
+        polys[0] = polys[0] + nonzero()
+    return EndoSystem(ring, tuple(polys)), gens
+
+
+def local_answers(f, m) -> list:
+    """local_a1_degree's Gram and local_algebra_basis's generators and
+    basis, each replaced by its error message where the query refuses."""
+    out = []
+    for query in (lambda: local_a1_degree(f, m).gram,
+                  lambda: local_algebra_basis(f, m).local_ideal.generators,
+                  lambda: local_algebra_basis(f, m).basis):
+        try:
+            out.append(query())
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def qq_scalars(rng, fractional):
+    def scalar():
+        return Fraction(rng.randint(-5, 5),
+                        rng.choice((1, 2, 3)) if fractional else 1)
+    return scalar
+
+
+def gf_scalars(rng, field):
+    elements = list(field.elements())
+    return lambda: rng.choice(elements)
+
+
+@pytest.mark.parametrize("field, n, exponents, fractional, kinds", [
+    (QQ, 2, (1, 2, 3), False, {"simple", "multiple", "refused"}),
+    (QQ, 2, (1, 2, 3), True, {"simple", "multiple", "refused"}),
+    (QQ, 3, (1, 2), True, {"simple", "multiple", "refused"}),
+    (gf_construct(7, 1), 2, (1, 2, 3), None, {"simple", "multiple",
+                                              "refused"}),
+    # p divides an exponent, so m - m(p) may add nothing to J(p)
+    (gf_construct(5, 1), 2, (2, 5, 10), None, {"simple", "multiple",
+                                               "refused"}),
+    (gf_construct(5, 2), 2, (1, 499, 500, 501), None, {"simple", "multiple",
+                                                       "refused"}),
+], ids=["QQ-integral", "QQ-fractional", "QQ-3-variables", "GF(7)",
+        "GF(5)-p-divides", "GF(25)-t-valued"])
+def test_written_point_answers_as_buchberger(monkeypatch, field, n, exponents,
+                                             fractional, kinds):
+    # A rational point's basis is written down, not computed: it equals
+    # groebner_basis(point), and every local query at the point answers as
+    # at the same point with a redundant generator appended, whose basis
+    # Buchberger computes.
+    rng = random.Random(f"written:{field}:{n}:{exponents}:{fractional}")
+    scalars = gf_scalars(rng, field) if fractional is None else \
+        qq_scalars(rng, fractional)
+    seen = set()
+    for _ in range(12):
+        f, gens = planted_rational_point(rng, field, n, exponents, scalars)
+        ring = f.ring
+        point = Ideal(ring, gens)
+        redundant = Ideal(ring, gens + (gens[0] + gens[-1],))
+        runs = count_bases(monkeypatch)
+        written, p = degrees._written_point(ring, point)
+        assert runs == [] and degrees._written_point(ring, redundant) is None
+        monkeypatch.undo()
+        computed = groebner_basis(point)
+        assert written.basis == computed.basis
+        assert written._divisors == computed._divisors
+        assert written._stairs == computed._stairs == (0,)
+        scalar = poly._scalar(field, 1)
+        assert set(computed.basis) == {ring.variable(i) - scalar(a)
+                                       for i, a in enumerate(p)}
+        answers = local_answers(f, point)
+        assert answers == local_answers(f, redundant)
+        seen.add("refused" if type(answers[0]) is str else
+                 "simple" if answers[2] == (ring.one(),) else "multiple")
+    assert seen == kinds
 
 
 def cubic_planted_system(rng, field, n):

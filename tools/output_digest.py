@@ -294,6 +294,21 @@ CLI_DECK += [
      "[[1,2,3],[2,1,4],[3,5,1]]"],
 ]
 
+# Rational points given by linear generators: one off the zero locus, and
+# the non-monic point 3*x - 1; 2*y + 5, that is (5, 1), over GF(7), alone
+# and with a redundant third generator; both answer det J(p) = 1.
+_NON_MONIC = ["--vars", "x,y", "--polys",
+              "(3*x - 1)*(x + y) + 2*y + 5; "
+              "(2*y + 5)^2 + 3*(3*x - 1)*y + x*(2*y + 5)"]
+CLI_DECK += [
+    ["degree", "local", "--field", "QQ", *_SYSTEM, "--ideal",
+     "2*x - 1; y + 3", "--json"],
+    ["degree", "local", "--field", "GF(7)", *_NON_MONIC, "--ideal",
+     "3*x - 1; 2*y + 5", "--json"],
+    ["degree", "local", "--field", "GF(7)", *_NON_MONIC, "--ideal",
+     "3*x - 1; 2*y + 5; x + y + 1", "--json"],
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
