@@ -9,9 +9,8 @@ the basis differs.  At a simple rational zero p the local algebra is k
 with basis {1}, B(p, p) = J(p), and the local degree is <det J(p)>
 (Kass-Wickelgren), the value the local-ideal test already takes: no
 Bezoutian is built.  A point given by n linear generators, one per
-variable, has its basis written down and J(p) read off the kernel terms;
-at any other, the partials (`Polynomial.derivative`) reduce modulo the
-point's basis, each to its value at p.  Either way `poly.determinant`
+variable, has its basis written down, any other its basis computed; p is
+read off either basis, J(p) off the kernel terms, and `poly.determinant`
 runs its constant-row elimination only.  Over every field the kernel
 computes on ints: over GF(p^k) the Kronecker-packed elements of
 `fields.FieldDesc.reduce`, which for data in GF(p) are their residues, so
@@ -21,11 +20,11 @@ there.
 The determinant (`poly.determinant`) first reduces every entry modulo
 the X/Y basis as it enters the kernel, and divides no polynomial while
 it expands.  Rows of field constants (the linear f_i, and every row of
-the Bezoutian or the Jacobian modulo a point of quotient dimension 1,
-where each entry reduces to its value) are cleared by column operations
-on ints, fraction-free over QQ, leaving +-pivot as a scalar factor.  The
-k x k block left is expanded by minors, bottom rows first, each memoized
-by its column subset: k * 2^(k-1) products of an entry and a minor, with
+the Bezoutian modulo a basis with one stair, where each entry reduces to
+a constant) are cleared by column operations on ints, fraction-free over
+QQ, leaving +-pivot as a scalar factor.  The k x k block left is
+expanded by minors, bottom rows first, each memoized by its column
+subset: k * 2^(k-1) products of an entry and a minor, with
 2^k <= prod deg f_i, the size of the Gram matrix.  The expansion is
 reduced once more before it leaves.  Reducing the entries gives the same
 normal form, as det is an integer polynomial in them, and keeps a
@@ -71,8 +70,8 @@ from operator import mul, pos
 from .fields import _power
 from .forms import MAX_MADE_RANK, GWClass, _checked, empty_form
 from .poly import (GroebnerBasis, Ideal, Polynomial, PolyRing, _basis_of,
-                   _enter, _from_kernel, _reduce_terms, _scalar,
-                   determinant, groebner_basis, standard_monomials)
+                   _enter, _from_kernel, _prep_divisor, _reduce_terms,
+                   _scalar, determinant, groebner_basis, standard_monomials)
 
 __all__ = [
     "EndoSystem",
@@ -466,19 +465,17 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     """(gb, jac): the m-primary component of I, as the reduced basis gb of
     I + m^k, and det J(p) at a simple rational zero p, else None.
 
-    A point given by n generators c*x_i + d, one per variable, is written
-    down (`_written_point`), and `_at_point` reads f_i(p), which must
-    vanish, and J(p) off the kernel terms.  At any other point of quotient
-    dimension 1, m is maximal with residue field k, and every remainder
-    modulo m is its value at p: f is checked to vanish by division modulo
-    m's basis, and J(p) is the partials df_i/dx_j modulo it.  Either way
-    det J(p) is one elimination of scalars, and if it is nonzero, the
-    linear parts of the f_i span m/m^2,
-    so I + m^2 = m: the zero is simple, and m's own basis is returned with
-    that value.  Otherwise (and at any point of larger dimension, which
-    need not be maximal) k grows from m's basis until dim Q/(I + m^k)
-    stops growing; then m^k = m^(k+1) locally, so by Nakayama I + m^k is
-    the component.
+    m's basis is written down (`_written_point`) where it can be, else
+    computed and f checked to vanish by division modulo it.  A basis
+    with one stair is that of a rational point p, m maximal with residue
+    field k: p is read off it (`_coordinates`), `_at_point` reads f_i(p),
+    which must vanish, and J(p) off the kernel terms, and det J(p) is one
+    elimination of scalars.  If it is nonzero, the linear parts of the f_i
+    span m/m^2, so I + m^2 = m: the zero is simple, and m's own basis is
+    returned with that value.  Otherwise (and at any point of larger
+    dimension, which need not be maximal) k grows from m's basis until
+    dim Q/(I + m^k) stops growing; then m^k = m^(k+1) locally, so by
+    Nakayama I + m^k is the component.
     Refined Bezout caps an isolated multiplicity at prod(deg f_i); a larger
     dimension means the zeros are not isolated.  A dimension above
     forms.MAX_MADE_RANK is refused before the next basis, as the Gram
@@ -494,30 +491,23 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     if terms > MAX_BEZOUTIAN_TERMS:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
-    written = _written_point(ring, point)
-    if written is not None:
-        gb, p = written
+    gb = _written_point(ring, point)
+    if gb is None:
+        gb = groebner_basis(point)
+        if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
+               for f in system.polys):
+            raise ValueError("point not in zero locus")
+    dim = len(gb._stairs)
+    if not dim:
+        raise ValueError("the point's ideal is the unit ideal")
+    if dim == 1:
+        p = _coordinates(ring, gb)
         at = [_at_point(ring, f, p) for f in system.polys]
         if any(value for value, _ in at):
             raise ValueError("point not in zero locus")
         jac = determinant([row for _, row in at], ring.field)
         if jac:
             return gb, jac
-        dim = 1
-    else:
-        gb = groebner_basis(point)
-        if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
-               for f in system.polys):
-            raise ValueError("point not in zero locus")
-        dim = len(gb._stairs)
-        if not dim:
-            raise ValueError("the point's ideal is the unit ideal")
-        if dim == 1:
-            den, det = _enter(determinant(
-                [[f.derivative(j) for j in range(ring.nvars)]
-                 for f in system.polys], ring, gb))
-            if det:
-                return gb, _scalar(ring.field, den)(det[0])
     while True:
         if dim > system.bezout_number:
             raise ValueError("zeros are not isolated")
@@ -533,32 +523,38 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
 
 
 def _written_point(ring: PolyRing, point: Ideal):
-    """(gb, p) when the point's ideal has n generators c*x_i + d, one per
-    variable, else None: p the coordinates a_i = -d/c (over QQ ints where
-    integral, over GF reduced ints), and gb the basis x_i - a_i exactly as
-    `groebner_basis(point)` computes it, triples and all, with its stair."""
-    field, units = ring.field, ring._packing.units
+    """The point's reduced basis when its ideal has n generators c*x_i + d,
+    one per variable, else None: each generator's `_prep_divisor` triple is
+    the reduced element x_i - a_i, so this is `groebner_basis(point)`,
+    triples and all, with its one stair."""
+    units = ring._packing.units
     if len(point.generators) != len(units):
         return None
-    coords, triples = {}, []
+    triples = []
     for g in point.generators:
         terms = _enter(g)[1]
         lm = max(terms, default=0)
-        if lm not in units or lm in coords or terms.keys() - {lm, 0}:
+        if lm not in units or terms.keys() - {lm, 0}:
             return None
-        c, d = terms[lm], terms.get(0, 0)
-        if field.reduce:
-            t = field.reduce(d * field.invert(c))
-            coords[lm], lc, tail = field.reduce(-t), 1, t
-        else:
-            a, r = divmod(-d, c)
-            if r:
-                a = Fraction(-d, c)
-            coords[lm], lc, tail = a, a.denominator, -a.numerator
-        triples.append((lm, lc, [(0, tail)] if tail else []))
+        triples.append(_prep_divisor(ring.field, terms)[1])
+    if len({lm for lm, _, _ in triples}) < len(units):
+        return None
     gb = _basis_of(point, sorted(triples))
     vars(gb)["_stairs"] = (0,)
-    return gb, [coords[x] for x in units]
+    return gb
+
+
+def _coordinates(ring: PolyRing, gb: GroebnerBasis) -> list:
+    """The point p of a basis with one stair: its reduced elements are
+    x_i - a_i, the triples (x_i, lc, [(0, c)] or []), so a_i = -c / lc,
+    over GF a reduced int (lc is 1), over QQ an int where lc is 1, else a
+    Fraction."""
+    reduce = ring.field.reduce
+    a = {}
+    for lm, lc, tail in gb._divisors:
+        c = -tail[0][1] if tail else 0
+        a[lm] = reduce(c) if reduce else c if lc == 1 else Fraction(c, lc)
+    return [a[x] for x in ring._packing.units]
 
 
 def _at_point(ring: PolyRing, f: Polynomial, p: list) -> tuple:

@@ -641,8 +641,8 @@ def determinant(rows, ring, modulo=None):
     each minor of the last m rows memoized by its column subset:
     k * 2^(k-1) products of one entry and one minor.  For a Bezoutian k
     counts the nonlinear f_i, and 2^k <= prod deg f_i, the size of the
-    Gram matrix; modulo the basis of a point of quotient dimension 1 every
-    entry of a Bezoutian or a Jacobian is a constant, and k is 0.  Given
+    Gram matrix; modulo a basis with one stair every entry of a Bezoutian
+    is a constant, and k is 0.  Given
     `modulo`, the expansion is reduced once more before it leaves.  The
     normal form is canonical and the determinant is an integer polynomial
     in the entries, so this is NF(det), the same polynomial as

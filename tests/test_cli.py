@@ -379,27 +379,30 @@ def test_each_degree_takes_one_bezoutian_determinant(capsys, monkeypatch,
 
 
 def test_simple_point_in_many_variables_is_eliminated(capsys):
-    # Modulo a simple point's basis every entry of the Jacobian and of the
-    # Bezoutian is a constant, so each determinant is one elimination of
-    # 18 x 18 scalars, not an expansion by 18 * 2^17 minors.
+    # At a simple point J(p) is evaluated at p, whether the point's basis
+    # is written down or, with a redundant generator, computed: its
+    # determinant is one elimination of 18 x 18 scalars, not an expansion
+    # by 18 * 2^17 minors.
     rng = random.Random(18)
     xs = [f"x{i}" for i in range(18)]
     c = [[rng.randint(1, 9) for _ in xs] for _ in xs]
     polys = "; ".join(f"{x}^2 + " + " + ".join(
         f"{a}*{y}" for a, y in zip(row, xs)) for x, row in zip(xs, c))
-    start = time.perf_counter()
-    obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars",
-                   ",".join(xs), "--polys", polys, "--ideal", "; ".join(xs))
-    assert time.perf_counter() - start < 1.0
-    # the zero is simple, and the local degree is <det J(0)>
-    assert obj["gram"] == [[str(sympy.Matrix(c).det())]]
+    for ideal in (xs, xs + [f"{xs[0]} + {xs[-1]}"]):
+        start = time.perf_counter()
+        obj = run_json(capsys, "degree", "local", "--field", "QQ", "--vars",
+                       ",".join(xs), "--polys", polys,
+                       "--ideal", "; ".join(ideal))
+        assert time.perf_counter() - start < 1.0
+        # the zero is simple, and the local degree is <det J(0)>
+        assert obj["gram"] == [[str(sympy.Matrix(c).det())]]
 
 
 def test_simple_point_basis_is_prepared_once(capsys, monkeypatch):
-    # The zero-locus check, the Jacobian entries and the standard monomials
-    # all read the point basis's divisors from the basis itself, which keeps
-    # Buchberger's: it is never prepared again.  At a simple zero no
-    # Bezoutian is built, so no doubled basis is prepared either.
+    # The point's basis is written down with its divisors, which the
+    # coordinates and the standard monomials read from the basis itself: it
+    # is never prepared again.  At a simple zero no Bezoutian is built, so
+    # no doubled basis is prepared either.
     prepared = []
     original = poly._prep_divisors
 

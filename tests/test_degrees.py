@@ -763,7 +763,7 @@ def test_simple_point_is_its_own_local_ideal(monkeypatch, field):
 
 
 def planted_rational_point(rng, field, n, exponents, scalars):
-    """(system, generators): a system over field and the non-monic
+    """(system, generators, p): a system over field and the non-monic
     generators c_i * (x_i - a_i) of a random rational point p, the a_i
     drawn by scalars().  Each f_i is a random linear form in u = x - p plus
     random multiples of m - m(p) for monomials m with exponents drawn from
@@ -803,7 +803,7 @@ def planted_rational_point(rng, field, n, exponents, scalars):
         polys.append(f)
     if rng.random() < 0.2:
         polys[0] = polys[0] + nonzero()
-    return EndoSystem(ring, tuple(polys)), gens
+    return EndoSystem(ring, tuple(polys)), gens, p
 
 
 def local_answers(f, m) -> list:
@@ -848,29 +848,34 @@ def gf_scalars(rng, field):
 def test_written_point_answers_as_buchberger(monkeypatch, field, n, exponents,
                                              fractional, kinds):
     # A rational point's basis is written down, not computed: it equals
-    # groebner_basis(point), and every local query at the point answers as
-    # at the same point with a redundant generator appended, whose basis
-    # Buchberger computes.
+    # groebner_basis(point), p is read off it as off the computed bases,
+    # and every local query at the point answers as at the same point with
+    # a redundant generator appended, whose basis Buchberger computes.
     rng = random.Random(f"written:{field}:{n}:{exponents}:{fractional}")
     scalars = gf_scalars(rng, field) if fractional is None else \
         qq_scalars(rng, fractional)
     seen = set()
     for _ in range(12):
-        f, gens = planted_rational_point(rng, field, n, exponents, scalars)
+        f, gens, p = planted_rational_point(rng, field, n, exponents,
+                                            scalars)
         ring = f.ring
         point = Ideal(ring, gens)
         redundant = Ideal(ring, gens + (gens[0] + gens[-1],))
         runs = count_bases(monkeypatch)
-        written, p = degrees._written_point(ring, point)
+        written = degrees._written_point(ring, point)
         assert runs == [] and degrees._written_point(ring, redundant) is None
+        # n generators in one variable name no point
+        assert degrees._written_point(ring, Ideal(ring, gens[:1] * n)) is None
         monkeypatch.undo()
         computed = groebner_basis(point)
         assert written.basis == computed.basis
         assert written._divisors == computed._divisors
         assert written._stairs == computed._stairs == (0,)
-        scalar = poly._scalar(field, 1)
-        assert set(computed.basis) == {ring.variable(i) - scalar(a)
+        assert set(computed.basis) == {ring.variable(i) - a
                                        for i, a in enumerate(p)}
+        scalar = poly._scalar(field, 1)
+        for gb in (written, computed, groebner_basis(redundant)):
+            assert [scalar(a) for a in degrees._coordinates(ring, gb)] == p
         answers = local_answers(f, point)
         assert answers == local_answers(f, redundant)
         seen.add("refused" if type(answers[0]) is str else
@@ -993,21 +998,59 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
     assert simple > 0 and multiple > residue > 0
 
 
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2)],
+                         ids=["QQ-fractional", "GF(7)", "GF(25)-t-valued"])
+def test_computed_point_is_read_off_its_basis(monkeypatch, field):
+    # A point of quotient dimension 1 that is not written down, posed
+    # through a non-linear generator (x1 - x0^2 + a0^2 - a1) or a redundant
+    # one, has its basis computed; p is read off that basis and J(p)
+    # evaluated at it, so no partial is taken as a polynomial.  The system
+    # plus 1 is off the zero locus.
+    def refused(*args):
+        raise AssertionError("a point of dimension 1 takes no derivative")
+
+    monkeypatch.setattr(Polynomial, "derivative", refused)
+    rng = random.Random(f"computed:{field}")
+    seen = set()
+    for _ in range(8):
+        f, m, p = cubic_planted_system(rng, field, 2)
+        ring, (u0, u1) = f.ring, m.generators
+        x0 = ring.variable(0)
+        det = jacobian_determinant_at(f, p)
+        off = EndoSystem(ring, (f.polys[0] + 1,) + f.polys[1:])
+        for point in (Ideal(ring, (u0, u1 - x0 ** 2 + p[0] ** 2)),
+                      Ideal(ring, (u0, u1, u0 + u1))):
+            assert degrees._written_point(ring, point) is None
+            with pytest.raises(ValueError, match="^point not in zero locus$"):
+                local_a1_degree(off, point)
+            if det:
+                assert local_a1_degree(f, point).gram == ((det,),)
+                seen.add("simple")
+            else:
+                local = local_algebra_basis(f, point)
+                assert local.local_ideal.generators == colon_oracle(f, point)
+                assert len(local.basis) > 1
+                seen.add("multiple")
+    assert seen == {"simple", "multiple"}
+
+
 def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
-    # The partials are the kernel's derivatives of each f's packed terms,
-    # and det J(p) is their determinant modulo the point's basis: no public
-    # terms are built.  At (1/2, -1/3) det J = 1/3 * 15 - 3 * (-2/3) = 7.
+    # p is read off the point's basis, written down or, with a redundant
+    # generator, computed, and f(p) and J(p) off each f's packed terms, so
+    # det J(p) is one elimination of scalars: no public terms are built.
+    # At (1/2, -1/3) det J = 1/3 * 15 - 3 * (-2/3) = 7.
     ring, f = system(("x", "y"), [
         "(2*x - 1)*(x + y) + 3*y + 1",
         "(3*y + 1)^2 + (2*x - 1)*y + 5*(3*y + 1)"])
-    point = Ideal.of(ring, "2*x - 1", "3*y + 1")
+    gens = ("2*x - 1", "3*y + 1")
 
     def refused(*args):
         raise AssertionError("a simple zero builds no public terms")
 
     monkeypatch.setattr(poly, "_public", refused)
-    beta = local_a1_degree(f, point)
-    assert beta.gram == ((Fraction(7),),)
+    for point in (Ideal.of(ring, *gens), Ideal.of(ring, *gens, "2*x + 3*y")):
+        beta = local_a1_degree(f, point)
+        assert beta.gram == ((Fraction(7),),)
 
 
 def test_degree_paths_build_no_public_terms(monkeypatch):

@@ -309,6 +309,17 @@ CLI_DECK += [
      "3*x - 1; 2*y + 5; x + y + 1", "--json"],
 ]
 
+# The point 2*x - 1; y - x^2, that is (1/2, 1/4), whose basis is computed:
+# a simple zero with Gram [[28]], a zero of rank 4, and a system off it.
+_MULTIPLE = "(2*x - 1)^2 + (4*y - 1)^3; (4*y - 1)^2 - (2*x - 1)^3"
+CLI_DECK += [
+    ["degree", "local", "--field", "QQ", "--vars", "x,y", "--polys", polys,
+     "--ideal", "2*x - 1; y - x^2", "--json"]
+    for polys in ("(2*x - 1)*(x + y) + 4*y - 1; "
+                  "(4*y - 1)^2 + (2*x - 1)*y + 5*(4*y - 1)",
+                  _MULTIPLE, _MULTIPLE + " + 1")
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
