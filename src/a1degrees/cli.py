@@ -379,9 +379,17 @@ def _system_from_args(args):
         start += len(part) + 1
     if not names:
         raise ParseError("no variable names", 0)
-    ring = PolyRing(field, tuple(names))
-    polys = split_polys(read_source(args.polys))
-    return ring, degrees.EndoSystem.of(ring, *polys)
+    return _parsed_system(PolyRing(field, tuple(names)),
+                          read_source(args.polys))
+
+
+# The last system parsed, by its ring and its text: consecutive queries on
+# one system, as local degrees at its zeros are, parse it once, and its
+# points share its ring object.  Sources are read anew each time, an error
+# is never kept, and no basis is.
+@functools.lru_cache(maxsize=1)
+def _parsed_system(ring: PolyRing, text: str) -> degrees.EndoSystem:
+    return degrees.EndoSystem.of(ring, *split_polys(text))
 
 
 def _point_ideal(ring, args):
@@ -397,19 +405,19 @@ def _emit_degree(args, beta):
 
 
 def cmd_degree_global(args):
-    _, system = _system_from_args(args)
+    system = _system_from_args(args)
     _emit_degree(args, degrees.global_a1_degree(system))
 
 
 def cmd_degree_local(args):
-    ring, system = _system_from_args(args)
-    point = _point_ideal(ring, args)
+    system = _system_from_args(args)
+    point = _point_ideal(system.ring, args)
     _emit_degree(args, degrees.local_a1_degree(system, point))
 
 
 def cmd_basis_local(args):
-    ring, system = _system_from_args(args)
-    point = _point_ideal(ring, args)
+    system = _system_from_args(args)
+    point = _point_ideal(system.ring, args)
     basis = degrees.local_algebra_basis(system, point)
     mons = [str(m) for m in basis.basis]
     emit(args, lambda: mons, lambda: {"basis": mons, "size": len(mons)})
@@ -516,6 +524,11 @@ def main(argv=None) -> int:
     Any other argv, and a leaf's argv with words the leaf does not know,
     goes through the full parser, so usage, help and errors come from the
     same parser objects either way.
+
+    Repeated calls also share the last system parsed, keyed by field,
+    variables and text, so a run of queries on one system parses it once.
+    Its source is still read on every call, a system that fails is never
+    kept, and no basis is kept.
     """
     parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else argv

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce as fold
+from functools import cached_property, reduce as fold
 from math import gcd, lcm, prod
 from operator import mul, pos
 
@@ -104,6 +104,14 @@ class EndoSystem:
     def bezout_number(self) -> int:
         """prod deg f_i; it bounds the number of isolated zeros."""
         return prod(max(f.total_degree(), 0) for f in self.polys)
+
+    @cached_property
+    def bezoutian_terms(self) -> int:
+        """The terms of the Bezoutian's rows: a term of f_i of degree d
+        puts d terms in row i.  Kept, so a system that serves several
+        local queries counts them once."""
+        degree = self.ring._packing.degree
+        return sum(degree(m) for f in self.polys for m in _enter(f)[1])
 
     @classmethod
     def of(cls, ring: PolyRing, *polys) -> "EndoSystem":
@@ -486,8 +494,7 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     ring = system.ring
     if point.ring != ring:
         raise ValueError("polynomial ring mismatch")
-    degree = ring._packing.degree
-    terms = sum(degree(m) for f in system.polys for m in _enter(f)[1])
+    terms = system.bezoutian_terms
     if terms > MAX_BEZOUTIAN_TERMS:
         raise ValueError(f"the Bezoutian has {terms} terms, more than "
                          f"{MAX_BEZOUTIAN_TERMS}")
@@ -599,8 +606,13 @@ def local_algebra_basis(system: EndoSystem, point: Ideal) -> LocalAlgebraBasis:
 def local_a1_degree(system: EndoSystem, point: Ideal) -> GWClass:
     """Local degree: the global pipeline run against the local algebra,
     except at a simple rational zero p, where the Gram matrix on the
-    basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took."""
+    basis {1} is det B(p, p) = det J(p), the value `_local_ideal` took.
+    That 1 x 1 class is handed its elimination, (pivots, det, L) with
+    pivot and determinant det J(p) and L its denominator (1 over GF), so
+    none runs."""
     gb, jac = _local_ideal(system, point)
     if jac is not None:
-        return _checked(system.ring.field, [[jac]])
+        field = system.ring.field
+        lcd = 1 if field.kind == "GF" else jac.denominator
+        return _checked(field, [[jac]], elimination=((jac,), jac, lcd))
     return _degree_from_basis(system, gb)

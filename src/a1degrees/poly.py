@@ -636,7 +636,8 @@ def determinant(rows, ring, modulo=None):
     the last pivot q the determinant is +-q times the minor left over
     q^m, m its size.  Over GF they are Gaussian, through the field's
     `reduce` and `invert`.  Over a FieldDesc every row is constant, so
-    this is the whole determinant.  Second, the k x k block of
+    this is the whole determinant, and each entry stays one int, not the
+    terms of the monomial 0.  Second, the k x k block of
     nonconstant rows left is expanded by minors from the bottom row up,
     each minor of the last m rows memoized by its column subset:
     k * 2^(k-1) products of one entry and one minor.  For a Bezoutian k
@@ -657,11 +658,9 @@ def determinant(rows, ring, modulo=None):
 
     def enter(x):
         """(d, terms): terms is d * x in the kernel's form, or its
-        remainder modulo divisors; a field scalar is the monomial 0."""
+        remainder modulo divisors; a field scalar is d * x as an int."""
         if not polynomial:
-            if qq:
-                return x.denominator, ({0: x.numerator} if x else {})
-            return 1, ({0: x.value} if x else {})
+            return (x.denominator, x.numerator) if qq else (1, x.value)
         d, terms = _enter(x)
         if divisors is not None:
             terms, s = _reduce_terms(ring, terms, divisors)
@@ -679,13 +678,14 @@ def determinant(rows, ring, modulo=None):
         row = [enter(x) for x in row]
         d = lcm(*[dx for dx, _ in row])
         den *= d
-        a.append([x if dx == d else {e: c * (d // dx) for e, c in x.items()}
+        a.append([x if dx == d else x * (d // dx) if not polynomial
+                  else {e: c * (d // dx) for e, c in x.items()}
                   for dx, x in row])
     # The last pivot over QQ, the pivots' product over GF.
     sign = scale = 1
     while a:
         for r, row in enumerate(a):
-            values = [value(x) for x in row]
+            values = [value(x) for x in row] if polynomial else row[:]
             if None not in values:
                 break
         else:
@@ -704,6 +704,11 @@ def determinant(rows, ring, modulo=None):
         del a[r]
         for row in a:
             y = row.pop(c)
+            if not polynomial:  # the same step on ints
+                row[:] = [(kx * x + ky * y) // div for x, ky in zip(row, ks)]
+                if reduce:
+                    row[:] = map(reduce, row)
+                continue
             for j, (x, ky) in enumerate(zip(row, ks)):
                 if kx != 1 or div != 1 or (ky and y):
                     out = {e: z * kx for e, z in x.items()}

@@ -293,6 +293,9 @@ def count_eliminations(monkeypatch) -> list:
     # zeros at infinity: the Bezoutian's Gram, eliminated once
     ("degree", "global", "--field", "QQ", "--vars", "x,y", "--polys",
      "x^2*y - 3*y + 1; x*y^3 - x^2 + y"),
+    # a simple zero: the class <det J(p)>, handed its elimination
+    ("degree", "local", "--field", "QQ", "--vars", "x,y", "--polys",
+     "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "--ideal", "x - 1; y + 1"),
 ])
 def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
     calls = count_eliminations(monkeypatch)
@@ -300,8 +303,10 @@ def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
     assert "discriminant" in obj
     assert ("hasse_witt" in obj) == (obj["field"]["name"] == "QQ")
     # The quartic's Gram comes from the residue form, whose sweep hands the
-    # class its elimination: its degree, base-changed or not, runs none.
-    assert calls == ([] if QUARTIC in argv else [obj["rank"]])
+    # class its elimination: its degree, base-changed or not, runs none,
+    # and neither does a simple zero's.
+    handed = QUARTIC in argv or "local" in argv
+    assert calls == ([] if handed else [obj["rank"]])
 
 
 @pytest.mark.parametrize("vars_, polys, ideal, rank, runs", [
@@ -1440,6 +1445,91 @@ def test_a_leaf_query_skips_the_full_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._shared_parser(), "parse_args", forbidden)
     assert run(capsys, *DECOMPOSE) == (0, "<1> + <2>\n", "")
+
+
+# -- one parse per run of queries on a system --------------------------------
+
+
+# One rational zero, (1, -1), and one of degree 2, (-1 +- sqrt 7, 2).
+MEMO_SYSTEM = ("x^2 + x*y - 2*y - 2", "x*y^2 - y - 4*x + 2")
+MEMO_LOCAL = ("degree", "local", "--field", "QQ", "--vars", "x,y",
+              "--polys", "; ".join(MEMO_SYSTEM))
+
+
+def count_parses(monkeypatch) -> list:
+    """Record the text of each polynomial parsed, system or point."""
+    parsed = []
+    original = poly.parse_polynomial
+
+    def counting(ring, text):
+        parsed.append(text)
+        return original(ring, text)
+
+    monkeypatch.setattr(poly, "parse_polynomial", counting)
+    return parsed
+
+
+def test_consecutive_queries_on_one_system_parse_it_once(capsys,
+                                                         monkeypatch):
+    parsed = count_parses(monkeypatch)
+    cli._parsed_system.cache_clear()
+    first = run(capsys, *MEMO_LOCAL, "--ideal", "x - 1; y + 1")
+    second = run(capsys, *MEMO_LOCAL, "--ideal", "y - 2; x^2 + 2*x - 6")
+    assert parsed == [*MEMO_SYSTEM, "x - 1", "y + 1", "y - 2", "x^2 + 2*x - 6"]
+    assert first == (0, "[ -6 ]\nrank: 1\n", "")
+    cli._parsed_system.cache_clear()
+    assert run(capsys, *MEMO_LOCAL, "--ideal", "y - 2; x^2 + 2*x - 6") == \
+        second
+    assert second[0] == 0 and "rank: 2" in second[1]
+
+
+def test_another_field_variables_or_text_parses_again(capsys, monkeypatch):
+    parsed = count_parses(monkeypatch)
+    cli._parsed_system.cache_clear()
+    text = "x^2 - 1; y^2 + x*y"  # zero at (1, -1) over every field
+    queries = [("QQ", "x,y", text), ("GF(7)", "x,y", text),
+               ("QQ", "y,x", text), ("QQ", "x,y", "x^2 - 1;y^2 + x*y"),
+               ("QQ", "x,y", text), ("QQ", "x,y", text)]
+    parses = []
+    for field, names, polys in queries:
+        before = len(parsed)
+        code, _, err = run(capsys, "degree", "local", "--field", field,
+                           "--vars", names, "--polys", polys,
+                           "--ideal", "x - 1; y + 1")
+        assert code == 0, err
+        parses.append(len(parsed) - before - 2)  # the point's two
+    # the last system, and only it, is kept: A, B, A parses A twice
+    assert parses == [2, 2, 2, 2, 2, 0]
+
+
+@pytest.mark.parametrize("polys, code, message", [
+    ("x^2 - ; y", 2,
+     "parse error: expected a number, variable or '(' (at position 5)"),
+    ("x^2 - 1", 1,
+     "error: system must be square: one polynomial per variable"),
+], ids=["parse-error", "domain-error"])
+def test_a_system_that_fails_is_not_kept(capsys, monkeypatch, polys, code,
+                                         message):
+    parsed = count_parses(monkeypatch)
+    cli._parsed_system.cache_clear()
+    argv = ("degree", "local", "--field", "QQ", "--vars", "x,y",
+            "--polys", polys, "--ideal", "x; y")
+    first = run(capsys, *argv)
+    once = len(parsed)
+    assert run(capsys, *argv) == first
+    assert len(parsed) == 2 * once > 0
+    assert first == (code, "", message + "\n")
+    assert cli._parsed_system.cache_info().currsize == 0
+
+
+def test_a_rewritten_source_is_read_again(tmp_path, capsys):
+    path = tmp_path / "system.txt"
+    argv = ("degree", "local", "--field", "QQ", "--vars", "x,y",
+            "--polys", f"@{path}", "--ideal", "x - 1; y + 1")
+    path.write_text("x^2 - 1; y^2 + x*y\n")  # det J(1, -1) = -2
+    assert run(capsys, *argv) == (0, "[ -2 ]\nrank: 1\n", "")
+    path.write_text("x^2 - 1; y^2 + 3*x*y + 2\n")  # det J(1, -1) = 2
+    assert run(capsys, *argv) == (0, "[ 2 ]\nrank: 1\n", "")
 
 
 # -- field specs -------------------------------------------------------------

@@ -999,6 +999,30 @@ def test_simple_zero_degree_is_the_jacobian_determinant(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2)],
+                         ids=str)
+def test_simple_zero_class_is_handed_its_elimination(monkeypatch, field):
+    # The 1 x 1 class <det J(p)> is handed (pivots, det, L), which must be
+    # what the symmetric elimination of [[det J(p)]] returns: over QQ, where
+    # p and so det J(p) may be fractional, L is its denominator.
+    rng = random.Random(f"handed:{field}")
+    simple, fractional = 0, 0
+    for n in (1, 2, 3):
+        for _ in range(12):
+            f, m, _ = cubic_planted_system(rng, field, n)
+            jac = degrees._local_ideal(f, m)[1]
+            if jac is None:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(forms, "_eliminate", None)  # not called
+                beta = local_a1_degree(f, m)
+            assert beta._elimination == forms._eliminate([[jac]], field)[:3]
+            simple += 1
+            fractional += field.kind == "QQ" and jac.denominator > 1
+    assert simple > 0
+    assert fractional > 0 or field.kind == "GF"
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1), gf_construct(5, 2)],
                          ids=["QQ-fractional", "GF(7)", "GF(25)-t-valued"])
 def test_computed_point_is_read_off_its_basis(monkeypatch, field):
     # A point of quotient dimension 1 that is not written down, posed

@@ -1346,6 +1346,48 @@ def test_determinant_of_mixed_polynomial_rows(field):
 
 @pytest.mark.parametrize("field", [QQ, gf_construct(7, 1),
                                    gf_construct(5, 2)], ids=str)
+def test_scalar_determinant_is_the_constant_of_the_polynomial_one(field):
+    # Over a FieldDesc every entry is kept as one int.  The determinant must
+    # be the constant, of the same type, that the same matrix of constants
+    # has over a PolyRing: over QQ from ints and from Fractions alike.  Zero
+    # leading entries move the pivot right, swapped rows flip the sign, and
+    # a multiple of another row or a zero row makes the matrix singular.
+    R = ring("x", "y", field=field)
+    rng = random.Random(f"scalar-det:{field}")
+    if field.kind == "GF":
+        elements = list(field.elements())
+        draws = [lambda: rng.choice(elements)]
+    else:
+        draws = [lambda: rng.randint(-9, 9),
+                 lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))]
+    zero = field.zero()
+    singular = swapped = 0
+    for n in range(1, 6):
+        for trial in range(24):
+            draw = draws[trial % len(draws)]
+            m = [[draw() for _ in range(n)] for _ in range(n)]
+            m[0][:trial % n] = [zero] * (trial % n)
+            if trial % 6 == 1:
+                m[-1] = [draw() * x for x in m[0]]
+            elif trial % 12 == 4:
+                m[trial % n] = [zero] * n
+            det = determinant(m, field)
+            constant = determinant([[R.constant(x) for x in row]
+                                    for row in m], R)
+            assert det == constant.terms.get((0, 0), zero), m
+            assert constant.terms.keys() <= {(0, 0)}
+            assert type(det) is type(zero)
+            singular += not det
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                m[i], m[j] = m[j], m[i]
+                assert determinant(m, field) == -det
+                swapped += bool(det)
+    assert singular >= 10 and swapped >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, gf_construct(7, 1),
+                                   gf_construct(5, 2)], ids=str)
 def test_determinant_modulo_a_basis_is_the_normal_form(field):
     # NF is canonical and det is an integer polynomial in the entries, so
     # reducing the entries and the expansion gives NF(det).
