@@ -474,11 +474,13 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     I + m^k, and det J(p) at a simple rational zero p, else None.
 
     m's basis is written down (`_written_point`) where it can be, else
-    computed and f checked to vanish by division modulo it.  A basis
-    with one stair is that of a rational point p, m maximal with residue
-    field k: p is read off it (`_coordinates`), `_at_point` reads f_i(p),
-    which must vanish, and J(p) off the kernel terms, and det J(p) is one
-    elimination of scalars.  If it is nonzero, the linear parts of the f_i
+    computed; a computed basis not led by the n variables is checked first
+    for f to vanish, by division modulo it, so that a point ideal that is
+    not zero-dimensional fails on the zero locus.  A basis with one stair
+    is that of a rational point p, m maximal with residue field k: p is
+    read off it (`_coordinates`), `_at_point` reads f_i(p), which must
+    vanish, and J(p) off the kernel terms, and det J(p) is one elimination
+    of scalars.  If it is nonzero, the linear parts of the f_i
     span m/m^2, so I + m^2 = m: the zero is simple, and m's own basis is
     returned with that value.  Otherwise (and at any point of larger
     dimension, which need not be maximal) k grows from m's basis until
@@ -501,8 +503,13 @@ def _local_ideal(system: EndoSystem, point: Ideal) -> tuple:
     gb = _written_point(ring, point)
     if gb is None:
         gb = groebner_basis(point)
-        if any(_reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
-               for f in system.polys):
+        # A basis led by the n variables is a rational point's, where
+        # `_at_point` checks f below.
+        rational = sorted(lm for lm, _, _ in gb._divisors) == \
+            sorted(ring._packing.units)
+        if not rational and any(
+                _reduce_terms(ring, _enter(f)[1], gb._divisors)[0]
+                for f in system.polys):
             raise ValueError("point not in zero locus")
     dim = len(gb._stairs)
     if not dim:

@@ -60,7 +60,8 @@ class GWClass:
     a GF(q) class's invariants read only that, so such a class runs no
     elimination until its pivots are asked for.  A maker that holds the
     whole elimination may hand that over, as the QQ residue path's sweep
-    does for every class it builds: such a class runs none.
+    does for every class it builds and `make_diagonal_form` for every
+    diagonal class: such a class runs none.
     """
 
     field: FieldDesc
@@ -190,7 +191,7 @@ def _eliminate(gram, field: FieldDesc, track: bool = False):
     Step i pivots on p = N_ii, and the pivot is p / D.  A step whose row is
     nonzero past the diagonal sets N_jk <- p * N_jk - N_ij * N_ik and
     D <- p * D (fraction-free, Bareiss 1968); one whose row is zero there
-    leaves N and D alone, so a diagonal class pays no rescaling.  A zero
+    leaves N and D alone, so a diagonal Gram pays no rescaling.  A zero
     p is swapped with the first nonzero diagonal entry after it; failing
     that, the first nonzero g = N_ij spans a hyperbolic plane, re-based by
     e_i <- alpha*e_i + e_j, e_j <- alpha*e_i - e_j with alpha = D / 2g.  Its
@@ -328,6 +329,10 @@ def diagonalize(beta: GWClass):
 
 
 def make_diagonal_form(field: FieldDesc, entries) -> GWClass:
+    """The diagonal class <a_1, ..., a_n>, handed the elimination that
+    `_eliminate` would return for it: the entries are the pivots, their
+    product the determinant, and L the lcm of their denominators (1 over
+    GF), so the class runs none."""
     entries = [field.coerce(e) for e in entries]
     if not entries:
         raise ValueError("a diagonal form needs at least one entry")
@@ -335,8 +340,17 @@ def make_diagonal_form(field: FieldDesc, entries) -> GWClass:
         raise ValueError("diagonal entries must be nonzero")
     z = field.zero()
     n = len(entries)
-    return _raw(field, [[entries[i] if i == j else z for j in range(n)]
+    beta = _raw(field, [[entries[i] if i == j else z for j in range(n)]
                         for i in range(n)])
+    if field.kind == "GF":
+        lcd, det = 1, prod(entries)
+    else:
+        dens = [e.denominator for e in entries]
+        lcd = lcm(*dens)
+        # one normalization, not one per Fraction product
+        det = Fraction(prod(e.numerator for e in entries), prod(dens))
+    vars(beta)["_elimination"] = (tuple(entries), det, lcd)
+    return beta
 
 
 # The largest rank `form make` builds.  The dense Gram matrix grows with the
@@ -451,8 +465,13 @@ def hilbert_symbol(a, b, p: int) -> int:
 
 def _hilbert(a: int, b: int, p: int) -> int:
     """(a, b)_p for nonzero integers a, b and a prime p, unchecked."""
-    alpha, u = _split_prime(a, p)
-    beta, v = _split_prime(b, p)
+    return _symbol(*_split_prime(a, p), *_split_prime(b, p), p)
+
+
+def _symbol(alpha: int, u: int, beta: int, v: int, p: int) -> int:
+    """(a, b)_p for a = p^alpha * u and b = p^beta * v, u and v prime to p:
+    Serre's closed form reads only the valuations' parities and the units'
+    residues mod p, or mod 8 at p = 2."""
     if p != 2:
         half = (p - 1) // 2
         result = -1 if alpha * beta * half % 2 else 1
@@ -468,7 +487,9 @@ def _hilbert(a: int, b: int, p: int) -> int:
 
 
 def hasse_witt_invariant(beta: GWClass, p: int) -> int:
-    """Product of the pairwise Hilbert symbols of a diagonalization."""
+    """Product of the pairwise Hilbert symbols of a diagonalization, read
+    off the class's record: one pass over its pivots at p, or 1 at a prime
+    the record does not key (see `_square_class_invariants`)."""
     _check_prime(p)
     if beta.field.kind != "QQ":
         raise ValueError("Hasse-Witt invariants are defined over QQ only")
@@ -493,13 +514,18 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
     """The invariants of a class, from its one elimination; over GF(q) from
     its determinant alone, handed over or read off that elimination.
 
-    Over QQ, d_j = a_1 ... a_j over the pivots' class integers (less gcd
-    squares) ends in the determinant's square class, and Hasse-Witt is
-    prod_j (d_{j-1}, a_j)_p.  Both are read at 2 and the primes of one
-    factorization, always of L * num(det) with L the lcm of the Gram's
-    denominators: at any other p, L^2 * gram is unimodular, so det is a
-    unit times a square and Hasse-Witt is 1, though a pivot need not be a
-    unit there (those of [[3, 1], [1, 1]] are 3 and 2/3).
+    Over QQ, d_j = a_1 ... a_j over the pivots' class integers ends in the
+    determinant's square class, and Hasse-Witt is prod_j (d_{j-1}, a_j)_p.
+    Both are read at 2 and the primes of one factorization, always of
+    L * num(det) with L the lcm of the Gram's denominators: at any other p,
+    L^2 * gram is unimodular, so det is a unit times a square and
+    Hasse-Witt is 1, though a pivot need not be a unit there (those of
+    [[3, 1], [1, 1]] are 3 and 2/3).  Each prime is one pass over the
+    pivots, each split there once: d_j's class at p is carried as its
+    valuation's parity and its unit's residue (mod p, or mod 8 at 2), the
+    symbols are multiplied in (`_symbol`; at odd p only where a parity is
+    odd, as the symbol of two units is 1), and the discriminant's primes
+    are those where the last parity is odd.
     Keys: 2, the discriminant's primes and where -1.
     """
     field, rank = beta.field, beta.rank
@@ -514,15 +540,21 @@ def _square_class_invariants(beta: GWClass) -> InvariantBundle:
         return InvariantBundle(rank, signature, 1 if det > 0 else -1, None)
     # L^2 * gram is unimodular at odd p prime to L * num(det)
     primes = sorted({2, *fields.factorize(lcd * det.numerator)})
-    hasse_witt = dict.fromkeys(primes, 1)
-    d = 1
-    for a in map(_class_integer, beta._pivots):
-        for p in primes:
-            hasse_witt[p] *= _hilbert(d, a, p)
-        g = gcd(d, a)
-        d = d * a // (g * g)
-    disc = prod((p for p in primes if _split_prime(d, p)[0] % 2),
-                start=-1 if d < 0 else 1)
+    pivots = [_class_integer(a) for a in beta._pivots]
+    hasse_witt = {}
+    disc = -1 if det < 0 else 1
+    for p in primes:
+        m = 8 if p == 2 else p
+        alpha, u, symbol = 0, 1, 1  # d_0 = 1
+        for a in pivots:
+            b, v = _split_prime(a, p)
+            b %= 2
+            if alpha or b or p == 2:  # else the symbol is 1
+                symbol *= _symbol(alpha, u, b, v, p)
+            alpha, u = alpha ^ b, u * v % m
+        hasse_witt[p] = symbol
+        if alpha:
+            disc *= p
     return InvariantBundle(rank, signature, disc,
                            _record_symbols(disc, hasse_witt))
 

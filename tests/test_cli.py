@@ -309,6 +309,20 @@ def test_one_diagonalization_per_query(capsys, monkeypatch, argv):
     assert calls == ([] if handed else [obj["rank"]])
 
 
+@pytest.mark.parametrize("payload, runs", [
+    ("--diag=12,-18,50,-75,98,1/8", []),
+    ("--matrix=[[0,2,1],[2,0,3],[1,3,0]]", [3]),
+], ids=["diag", "matrix"])
+def test_decompose_eliminates_only_a_dense_payload(capsys, monkeypatch,
+                                                   payload, runs):
+    # A diagonal payload, the anisotropic part and its witness are handed
+    # their eliminations: only a dense payload is eliminated, once.
+    calls = count_eliminations(monkeypatch)
+    obj = run_json(capsys, "form", "decompose", "--field", "QQ", payload)
+    assert obj["witt_index"] >= 1
+    assert calls == runs
+
+
 @pytest.mark.parametrize("vars_, polys, ideal, rank, runs", [
     ("x,y", "x^2 + x*y - 2*y - 2; x*y^2 - y - 4*x + 2", "x - 1; y + 1", 1, 0),
     ("x", QUARTIC, "x^2 + x + 1", 2, 2),

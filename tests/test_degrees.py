@@ -1058,6 +1058,39 @@ def test_computed_point_is_read_off_its_basis(monkeypatch, field):
     assert seen == {"simple", "multiple"}
 
 
+def test_a_computed_rational_point_is_checked_at_the_point_only(monkeypatch):
+    # 2*x - 1; y - x^2 is the point (1/2, 1/4), whose basis is computed and
+    # led by x and y: f is checked there by `_at_point` alone, with no
+    # division modulo the basis.  Any other computed basis (here ideals that
+    # are not zero-dimensional, or not a point) is still divided first, so
+    # each fails on the zero locus with the same message.
+    polys = ["(2*x - 1)*(x + y) + 4*y - 1",
+             "(4*y - 1)^2 + (2*x - 1)*y + 5*(4*y - 1)"]
+    ring, f = system(("x", "y"), polys)
+    off = EndoSystem(ring, (f.polys[0] + 1,) + f.polys[1:])
+    divisions = []
+    original = degrees._reduce_terms
+
+    def counting(*args):
+        divisions.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(degrees, "_reduce_terms", counting)
+    point = Ideal.of(ring, "2*x - 1", "y - x^2")
+    assert degrees._local_ideal(f, point)[1] == 28
+    with pytest.raises(ValueError, match="^point not in zero locus$"):
+        degrees._local_ideal(off, point)
+    assert divisions == []
+    for gens in (["2*x - 1"], ["y - x^2"], ["x^2 - 1", "y"]):
+        divisions.clear()
+        with pytest.raises(ValueError, match="^point not in zero locus$"):
+            degrees._local_ideal(f, Ideal.of(ring, *gens))
+        assert divisions
+    ring, line = system(("x", "y"), ["(2*x - 1)*y", "(2*x - 1)*(y + 1)"])
+    with pytest.raises(ValueError, match="^zeros are not isolated$"):
+        degrees._local_ideal(line, Ideal.of(ring, "2*x - 1"))
+
+
 def test_simple_zero_jacobian_is_read_off_the_kernel_terms(monkeypatch):
     # p is read off the point's basis, written down or, with a redundant
     # generator, computed, and f(p) and J(p) off each f's packed terms, so

@@ -268,11 +268,16 @@ F7 = gf_construct(7, 1)
     lambda: global_a1_degree(EndoSystem.of(PolyRing(F7, ("x", "y")),
                                            "x^2 - 3", "y^3 - y - 1")),
 ], ids=["add", "multiply", "diagonal", "add-gf7", "residue-gf7"])
-def test_diagonalize_eliminates_once(monkeypatch, make):
+def test_diagonalize_eliminates_once(monkeypatch, request, make):
     # A class with no elimination of its own takes the tracked one, whose
-    # pivots, determinant and lcm are the untracked elimination's.
+    # pivots, determinant and lcm are the untracked elimination's.  A
+    # diagonal class holds that elimination from construction, and keeps it.
     beta = make()
-    assert "_elimination" not in vars(beta)
+    if request.node.callspec.id == "diagonal":
+        assert vars(beta)["_elimination"] == \
+            forms._eliminate(beta.gram, beta.field)[:3]
+    else:
+        assert "_elimination" not in vars(beta)
     eliminate, calls = forms._eliminate, []
 
     def counting(gram, field, track=False):
@@ -286,6 +291,100 @@ def test_diagonalize_eliminates_once(monkeypatch, make):
     assert get_invariants(beta) == \
         get_invariants(make_gw_class(beta.gram, beta.field))
     assert calls == [True, False]  # only make_gw_class's own
+
+
+GF25 = gf_construct(5, 2)
+
+
+@pytest.mark.parametrize("field, entries", [
+    (QQ, [Fraction(1, 2), 12, Fraction(-18, 5), Fraction(7, 8)]),
+    (RR, [Fraction(-3, 4), 2, Fraction(5, 3)]),
+    (F7, [3, 5, 6]),
+    (GF25, [GF25.coerce((0, 1)), GF25.coerce((1, 1)), 2, GF25.coerce((3, 4))]),
+], ids=["QQ", "RR", "GF(7)", "GF(25)"])
+def test_diagonal_class_is_handed_its_elimination(monkeypatch, field,
+                                                  entries):
+    # A diagonal class, and so a hyperbolic or Pfister form, is built with
+    # the elimination `_eliminate` would return for it, and is classified
+    # and decomposed (its Witt part and witness too) without one.
+    eliminate = forms._eliminate
+
+    def forbidden(*args):
+        raise AssertionError("a diagonal class must not be eliminated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_eliminate", forbidden)
+        made = [make_diagonal_form(field, entries),
+                make_hyperbolic_form(field, 4),
+                make_pfister_form(field, entries[:2])]
+        records = [get_invariants(beta) for beta in made]
+        for beta in made:
+            witt.sum_decomposition(beta)
+    for beta, record in zip(made, records):
+        assert vars(beta)["_elimination"] == \
+            eliminate(beta.gram, beta.field)[:3]
+        assert record == get_invariants(make_gw_class(beta.gram, field))
+        if field.kind in ("QQ", "RR"):
+            assert get_signature(beta) == \
+                sum(1 if beta.gram[i][i] > 0 else -1 for i in range(beta.rank))
+
+
+def hasse_witt_entry(rng):
+    """A seeded rational: p^0-p^3 factors of 2, 3 and 5, an odd part of any
+    class mod 8, a sign, and a denominator with its own factors of them."""
+    num = rng.choice([1, 3, 5, 7]) + 8 * rng.randrange(3)
+    for p in (2, 3, 5):
+        num *= p ** rng.choice([0, 0, 1, 2, 3])
+    den = rng.choice([1, 1, 1, 2, 3, 4, 5, 8, 9, 25, 7])
+    return Fraction(rng.choice([-1, 1]) * num, den)
+
+
+def test_hasse_witt_record_matches_the_pairwise_symbols():
+    # The record, one pass per prime over the pivots, against the
+    # definition: prod_{i<j} (a_i, a_j)_p over the pivots of one
+    # diagonalization, at 2 and every key, and at 3 and 5, which the
+    # entries carry whether or not they are keys.  Each pair's symbol is
+    # itself checked against the primitive-solution search at 2, 3 and 5 on
+    # squarefree parts, so both the fold and `_hilbert` on valuations above
+    # 1 are tested.
+    oracle = functools.lru_cache(maxsize=None)(hilbert_oracle)
+    rng = random.Random("hasse-witt-fold")
+    seen = set()
+    for shape in ["diagonal", "dense"] * 40:
+        n = rng.randint(1, 5)
+        entries = [hasse_witt_entry(rng) for _ in range(n)]
+        if shape == "diagonal":
+            beta = diag(entries)
+        else:  # P^T diag(entries) P with P unit lower triangular: the
+            # determinant keeps the entries' primes, the pivots do not
+            P = [[int(i == j) or (rng.randint(-3, 3) if i > j else 0)
+                  for j in range(n)] for i in range(n)]
+            beta = make_gw_class(
+                [[sum(P[k][i] * entries[k] * P[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)], QQ)
+        pivots, det, _, _ = forms._eliminate(beta.gram, QQ)
+        ints = [fields._class_integer(a) for a in pivots]
+        record = get_invariants(beta)
+        assert record.discriminant == squarefree_part(det)
+        for p in sorted({2, 3, 5, *record.hasse_witt}):
+            expected = 1
+            for i, a in enumerate(ints):
+                for b in ints[i + 1:]:
+                    symbol = hilbert_symbol(a, b, p)
+                    assert symbol == forms._symbol(
+                        *fields._split_prime(a, p),
+                        *fields._split_prime(b, p), p)
+                    if p <= 5:
+                        assert symbol == oracle(squarefree_part(a),
+                                                squarefree_part(b), p)
+                        seen.add((p, fields._split_prime(a, p)[0] > 1))
+                    expected *= symbol
+            assert hasse_witt_invariant(beta, p) == expected, (beta.gram, p)
+            seen.add((p, expected))
+        seen.update(("mod 8", a % 8) for a in ints if a % 2)
+    assert {(p, t) for p in (2, 3, 5) for t in (1, -1)} <= seen
+    assert {(p, True) for p in (2, 3, 5)} <= seen
+    assert {("mod 8", r) for r in (1, 3, 5, 7)} <= seen
 
 
 def random_symmetric(rng, n, field, diagonal):

@@ -320,6 +320,23 @@ CLI_DECK += [
                   _MULTIPLE, _MULTIPLE + " + 1")
 ]
 
+# Diagonal payloads, classified from their entries: odd and even powers of
+# 2, 3 and 5 and a fraction over QQ, entries over GF(25) and GF(27), and the
+# hyperbolic and Pfister forms built from their diagonals.
+_DIAG = "12,-18,50,-75,98,1/8"
+CLI_DECK += [
+    ["form", command, "--field", "QQ", f"--diag={_DIAG}", "--json"]
+    for command in ("decompose", "invariants", "diagonalize")
+] + [
+    ["form", "invariants", "--field", "GF(25)", "--diag", "1,2,3,4,6",
+     "--json"],
+    ["form", "decompose", "--field", "GF(27)", "--diag", "2,1,5,7,2",
+     "--json"],
+    ["form", "make", "hyperbolic", "--field", "QQ", "--rank", "6", "--json"],
+    ["form", "make", "pfister", "--field", "QQ", "--entries=-1,6,10",
+     "--json"],
+]
+
 
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of one in-process query."""
