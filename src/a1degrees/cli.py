@@ -6,10 +6,11 @@ polynomial systems.  Exit codes: 0 success, 1 domain error (degenerate
 form, non-isolated zeros, ...) or a stdout the reader closed, 2 parse
 error.
 
-`main` parses an argv that names a leaf (`form decompose`, `degree
-local`, ...) with that leaf's parser alone.  No arguments, help at the
-top or middle level, an unknown or missing command, and a leaf's argv
-with unrecognized words go through the full parser.
+`main` reads an argv that names a leaf (`form decompose`, `degree
+local`, ...) off that leaf's own argparse actions when each word after the
+two command words is `--opt=value`, `--opt value` or a bare `--flag`.
+Any other argv goes through the full parser, which alone prints usage,
+help and errors.
 """
 
 from __future__ import annotations
@@ -516,14 +517,78 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_dash_values(leaf, words):
+    """words, up to a `--`, with `--opt word` read as `--opt=word` wherever
+    --opt takes one value and word starts with a single '-' but is not an
+    option string of the leaf (as `-h` is): argparse alone would take
+    `-1,2` for an option and refuse `--diag -1,2`."""
+    options = leaf._option_string_actions
+    joined = []
+    for at, word in enumerate(words):
+        if word == "--":
+            return joined + words[at:]
+        action = options.get(joined[-1]) if joined else None
+        if (action is not None and action.nargs is None
+                and word[:1] == "-" and word[1:2] != "-"
+                and word not in options):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
+def _read_leaf(leaf, words):
+    """The namespace `leaf.parse_args(words)` returns, read off the leaf's
+    own actions, or None for the full parser to handle.
+
+    Each word must name an untyped `store` option, as `--opt=value` or as
+    `--opt value` with a value that does not start with '-' and is among
+    its choices if it has any, or be a bare `store_true` flag; the last of
+    a repeated option wins.
+    """
+    options = leaf._option_string_actions
+    given = {}
+    words = iter(words)
+    for word in words:
+        name, eq, value = word.partition("=")
+        action = options.get(name)
+        if type(action) is argparse._StoreTrueAction and not eq:
+            value = action.const
+        elif type(action) is argparse._StoreAction and action.type is None:
+            if not eq:
+                value = next(words, None)
+                if value is None or value[:1] == "-":
+                    return None
+            elif value == "--":  # argparse strips it from the value
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        else:
+            return None
+        given[action] = value
+    values = dict(leaf._defaults)  # the leaf's handler
+    for action in leaf._actions:
+        if action in given:
+            values[action.dest] = given[action]
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            values[action.dest] = action.default
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     """Run one query; repeated calls in a process share one parser.
 
-    An argv that starts with a leaf's two command words is parsed by that
-    leaf's parser alone, so the two upper levels do not scan it again.
-    Any other argv, and a leaf's argv with words the leaf does not know,
-    goes through the full parser, so usage, help and errors come from the
-    same parser objects either way.
+    An argv that starts with a leaf's two command words, followed only by
+    `--opt=value`, `--opt value` (a value that does not start with '-') and
+    bare `--flag` words, is read off that leaf's own argparse actions, and
+    no parser runs.  Any other argv (help, `--`, an abbreviation, a
+    positional, a typed option, an unknown word, a missing option or a
+    value outside its choices) goes through the full parser, the only one
+    that runs, which alone prints usage, help and errors.  In a leaf's
+    argv, a value that starts with a single '-' after an option that takes
+    one, as in `--diag -1,2`, is read as `--diag=-1,2` by either path.
 
     Repeated calls also share the last system parsed, keyed by field,
     variables and text, so a run of queries on one system parses it once.
@@ -533,8 +598,12 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else argv
     leaf = parser.leaves.get(tuple(argv[:2]))
-    args, unknown = leaf.parse_known_args(argv[2:]) if leaf else (None, True)
-    if unknown:
+    args = None
+    if leaf:
+        words = _join_dash_values(leaf, list(argv[2:]))
+        args = _read_leaf(leaf, words)
+        argv = [*argv[:2], *words]
+    if args is None:
         args = parser.parse_args(argv)
     try:
         args.handler(args)

@@ -127,8 +127,10 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor zero")
     out: dict[int, int] = {}
     for p in itertools.chain((2,), range(3, _TRIAL_LIMIT, 2)):
-        if p * p > n:
-            break
+        if p * p > n:  # n has no factor below p: it is 1 or a prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import io
 import json
@@ -1422,6 +1423,20 @@ def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
 SYSTEM = ("--field", "QQ", "--vars", "x", "--polys", "x^2 - 1")
 DECOMPOSE = ("form", "decompose", "--field", "QQ", "--diag", "1,2")
 
+# Each spelling that main reads as `--opt=word`, by the `=` spelling.
+DASH_VALUES = {
+    ("form", "invariants", "--field", "QQ", "--diag", "-1,2"):
+        ("form", "invariants", "--field", "QQ", "--diag=-1,2"),
+    ("form", "make", "pfister", "--field", "QQ", "--entries", "-1,6,10"):
+        ("form", "make", "pfister", "--field", "QQ", "--entries=-1,6,10"),
+    ("degree", "global", "--field", "QQ", "--vars", "x", "--polys",
+     "-x^2+1"):
+        ("degree", "global", "--field", "QQ", "--vars", "x",
+         "--polys=-x^2+1"),
+    ("degree", "global", *SYSTEM[:4], "--polys", "-"):
+        ("degree", "global", *SYSTEM[:4], "--polys=-"),
+}
+
 
 @pytest.mark.parametrize("argv", [
     (), ("-h",), ("form", "-h"), ("form", "decompose", "-h"),
@@ -1436,11 +1451,24 @@ DECOMPOSE = ("form", "decompose", "--field", "QQ", "--diag", "1,2")
     ("symbol", "hilbert", "-1", "-1", "2", "--json"),
     ("form", "make", "bogus"),
     ("degree", "global", *SYSTEM, "--base-change", "XX"),
+    ("form", "decompose", "--field=QQ", "--diag=1,2"),
+    ("form", "decompose", "--field=QQ", "--diag=1,2", "--json"),
+    ("form", "decompose", "--diag=1,2", "--field=QQ", "--field=GF(7)"),
+    ("form", "decompose", "--field=QQ", "--diag=1,2", "--json=1"),
+    ("form", "decompose", "--fie=QQ", "--diag=1,2"),
+    ("form", "decompose", "--field=", "--diag=1,2"),
+    ("form", "decompose", "--field=QQ", "--diag=-1,2", "-h"),
+    ("form", "invariants", "--field", "QQ", "--diag", "-1,2"),
+    ("form", "make", "pfister", "--field=QQ", "--entries=-1,6,10"),
+    ("degree", "global", "--field=QQ", "--vars=x", "--polys=x^2 - 1",
+     "--base-change=XX"),
+    ("degree", "global", "--field=QQ", "--vars=x", "--polys=-x^2 + 1",
+     "--base-change=RR", "--json"),
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_leaf_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
 
-    def outcome():
+    def outcome(argv):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse rejects the arguments
@@ -1448,17 +1476,130 @@ def test_leaf_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    dispatched = outcome()
+    dispatched = outcome(argv)
     monkeypatch.setattr(cli._shared_parser(), "leaves", {})
-    assert dispatched == outcome()
+    # argparse alone refuses a separated value that starts with '-'
+    assert dispatched == outcome(DASH_VALUES.get(argv, argv))
+
+
+@pytest.mark.parametrize("argv", sorted(DASH_VALUES),
+                         ids=lambda argv: " ".join(argv))
+def test_a_value_that_starts_with_a_dash_is_read_as_its_equals_spelling(
+        capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x^2 - 3"))
+    separated = run(capsys, *argv)
+    assert separated[0] == 0, separated
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x^2 - 3"))
+    assert separated == run(capsys, *DASH_VALUES[argv])
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("degree", "global", *SYSTEM[:4], "--polys", "--json"),
+     "argument --polys: expected one argument"),
+    (("form", "invariants", "--field", "QQ", "--diag", "-h"),
+     "argument --diag: expected one argument"),
+    (("form", "isomorphic", "--field", "QQ", "-1,2", "1,2"),
+     "the following arguments are required: second"),
+], ids=lambda case: " ".join(case) if isinstance(case, tuple) else "")
+def test_an_option_word_or_a_positional_is_not_read_as_a_value(capsys, argv,
+                                                               error):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {error}\n")
 
 
 def test_a_leaf_query_skips_the_full_parser(capsys, monkeypatch):
     def forbidden(argv):
-        raise AssertionError(f"full parser called on {argv}")
+        raise AssertionError(f"an argparse parser called on {argv}")
 
-    monkeypatch.setattr(cli._shared_parser(), "parse_args", forbidden)
+    parser = cli._shared_parser()
+    monkeypatch.setattr(parser, "parse_args", forbidden)
+    leaf = parser.leaves["form", "decompose"]
+    monkeypatch.setattr(leaf, "parse_args", forbidden)
+    monkeypatch.setattr(leaf, "parse_known_args", forbidden)
     assert run(capsys, *DECOMPOSE) == (0, "<1> + <2>\n", "")
+    assert run(capsys, "form", "decompose", "--field=QQ", "--diag=1,2") == \
+        (0, "<1> + <2>\n", "")
+    assert run(capsys, "form", "decompose", "--diag", "-1,2", "--field",
+               "QQ", "--field", "GF(7)") == (0, "1H\n", "")
+
+
+# -- the leaf reader against argparse ----------------------------------------
+
+
+def test_the_leaf_reader_declines_what_it_does_not_read():
+    leaf = argparse.ArgumentParser()
+    leaf.add_argument("--n", type=int)
+    leaf.add_argument("--k", choices=["a", "b"], default="a")
+    leaf.add_argument("--flag", action="store_true")
+    leaf.add_argument("--many", action="append")
+    leaf.set_defaults(handler=len)
+    assert vars(cli._read_leaf(leaf, ["--k", "b", "--flag"])) == \
+        vars(leaf.parse_args(["--k", "b", "--flag"])) == \
+        {"n": None, "k": "b", "flag": True, "many": None, "handler": len}
+    for words in (["--n=3"], ["--n", "3"], ["--many=x"], ["--k=c"],
+                  ["--flag=1"], ["--k", "-a"], ["--k"], ["--", "--flag"]):
+        assert cli._read_leaf(leaf, words) is None, words
+
+
+
+
+def _leaf_argvs(rng, leaf, count):
+    """Seeded argvs for one leaf: its options in both spellings, repeated
+    or left out, among words that argparse alone handles or refuses."""
+    options = [a for a in leaf._actions if a.option_strings
+               and a.default is not argparse.SUPPRESS]
+    values = ["QQ", "GF(7)", "RR", "CC", "XX", "", "1,2", "-1,2", "-3", "-",
+              "--", "x", "x,y", "x - 1; y", "-x^2 + 1", "[[1,2],[2,3]]",
+              "a=b", "-h", "--json", "2", "diagonal", "pfister"]
+    noise = ["-h", "--help", "--", "--bogus", "--bogus=1", "extra", "",
+             "-1,2", "--json=1", "--json=", "--fie", "--fie=QQ", "1,2"]
+    for _ in range(count):
+        argv = []
+        for action in options:
+            if rng.random() < (0.15 if action.required else 0.6):
+                continue  # left out
+            for _ in range(1 + (rng.random() < 0.2)):  # repeated
+                name = action.option_strings[0]
+                if rng.random() < 0.05:
+                    name = name[:rng.randrange(3, len(name))]  # abbreviated
+                value = rng.choice(values)
+                if action.nargs == 0:
+                    argv.append([name] if rng.random() < 0.9 else
+                                [f"{name}={value}"])
+                elif rng.random() < 0.5:
+                    argv.append([f"{name}={value}"])
+                else:
+                    argv.append([name, value])
+        argv += [[rng.choice(noise)] for _ in range(rng.random() < 0.3)]
+        rng.shuffle(argv)
+        yield [word for words in argv for word in words]
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser().leaves),
+                         ids=" ".join)
+def test_the_leaf_reader_agrees_with_argparse(command):
+    leaf = cli._shared_parser().leaves[command]
+    rng = random.Random(f"reader:{' '.join(command)}")
+    read = 0
+    for argv in _leaf_argvs(rng, leaf, 2000):
+        words = cli._join_dash_values(leaf, argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want = vars(leaf.parse_args(words))
+        except SystemExit:
+            want = None
+        got = cli._read_leaf(leaf, words)
+        if got is not None:
+            assert vars(got) == want, (argv, words)
+            read += 1
+    # A leaf with a positional is never read; another leaf often is.
+    if any(not a.option_strings for a in leaf._actions):
+        assert read == 0
+    else:
+        assert read >= 200, read
 
 
 # -- one parse per run of queries on a system --------------------------------

@@ -161,6 +161,43 @@ def test_factorize_refuses_a_cofactor_past_the_cap_before_testing_it(
     assert tested == [2 ** 521 - 1]
 
 
+def test_a_cofactor_left_below_the_square_of_the_divisor_is_not_tested(
+        monkeypatch):
+    # Trial division stops at p * p > n with no factor of n below p, so n
+    # is prime: 617 after the 2 of 1234, and 1019 * 1021 at p = 1019.
+    tested = _counting(monkeypatch, fields, "is_prime")
+    assert factorize(2 * 617) == {2: 1, 617: 1}
+    assert factorize(1019 * 1021) == {1019: 1, 1021: 1}
+    assert factorize(-997) == {997: 1}
+    assert tested == []
+
+
+def test_factorize_matches_brute_force_on_both_sides_of_the_trial_limit():
+    least = list(range(20001))  # each n's least prime factor, by a sieve
+    for p in range(2, 20001):
+        if least[p] == p:
+            for m in range(p * p, 20001, p):
+                least[m] = min(least[m], p)
+    for n in range(1, 20001):
+        want, m = {}, n
+        while m > 1:
+            want[least[m]] = want.get(least[m], 0) + 1
+            m //= least[m]
+        assert factorize(n) == want == factorize(-n), n
+    below = [p for p in range(2, 1 << 10) if is_prime(p)]
+    above = [p for p in range(1 << 10, 1 << 12) if is_prime(p)]
+    rng = random.Random(58)
+    for _ in range(300):
+        primes = rng.sample(below, rng.randrange(3)) + \
+            rng.sample(above, rng.randrange(1, 4))
+        n = 1
+        for p in primes:
+            n *= p ** rng.randrange(1, 3)
+        fac = factorize(n)
+        assert fac == sympy.factorint(n), n
+        assert list(fac) == sorted(fac), n
+
+
 # -- square classes ----------------------------------------------------------
 
 
